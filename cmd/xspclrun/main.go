@@ -66,7 +66,6 @@ func main() {
 	traceOut := flag.String("trace", "", "record a flight-recorder trace and write Perfetto JSON to this file")
 	report := flag.String("report", "text", "report format: text or json")
 	inject := flag.String("inject-faults", "", `inject deterministic faults, e.g. "seed=1,task=jdec,from=8" (see hinch.ParseFaultSpec)`)
-	pin := flag.Bool("pin", false, "pin real-backend workers to CPUs (Linux affinity; near-core steal order)")
 	autotune := flag.Bool("autotune", false, "enable the feedback autotuner (resizes replicate=auto widths and stream depths)")
 	tuneEpoch := flag.Int64("tune-epoch", 0, "autotuner epoch length in simulated cycles (sim backend; 0 = default; size it to cover several jobs of the hottest stage)")
 	tuneEpochWall := flag.Duration("tune-epoch-wall", 0, "autotuner epoch length in wall time (real backend; 0 = default)")
@@ -86,7 +85,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if err := run(*cores, *frames, *pipeline, *backend, *builtin, *workless, *pin, *autotune, *tuneEpoch, *tuneEpochWall, *traceOut, *report, *inject, *httpAddr, watchEvery); err != nil {
+	if err := run(*cores, *frames, *pipeline, *backend, *builtin, *workless, *autotune, *tuneEpoch, *tuneEpochWall, *traceOut, *report, *inject, *httpAddr, watchEvery); err != nil {
 		stop()
 		fail(err)
 	}
@@ -95,8 +94,8 @@ func main() {
 	}
 }
 
-func run(cores, frames, pipeline int, backend, builtin string, workless, pin, autotune bool, tuneEpoch int64, tuneEpochWall time.Duration, traceOut, report, inject, httpAddr string, watchEvery time.Duration) error {
-	cfg := hinch.Config{Cores: cores, PipelineDepth: pipeline, Workless: workless, PinWorkers: pin,
+func run(cores, frames, pipeline int, backend, builtin string, workless, autotune bool, tuneEpoch int64, tuneEpochWall time.Duration, traceOut, report, inject, httpAddr string, watchEvery time.Duration) error {
+	cfg := hinch.Config{Cores: cores, PipelineDepth: pipeline, Workless: workless,
 		Autotune: autotune, TuneEpochCycles: tuneEpoch, TuneEpochWall: tuneEpochWall,
 		Telemetry: httpAddr != "" || watchEvery > 0}
 	switch backend {

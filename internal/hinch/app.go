@@ -50,22 +50,14 @@ type Config struct {
 	// data is then meaningless; checksum-comparing tests must not set it.
 	Workless bool
 
-	// PinWorkers binds each real-backend worker goroutine to its own OS
-	// thread and, on Linux, sets that thread's CPU affinity to core
-	// (worker id mod NumCPU). Steal-victim scanning then prefers
-	// near-id workers, so work migrates between adjacent cores first.
-	// Best effort: on other platforms only the thread binding applies.
-	// Ignored by BackendSim.
-	PinWorkers bool
-
 	// EagerWorkers starts every real-backend worker goroutine up front.
 	// By default workers beyond worker 0 are brought online on demand
 	// and never beyond the host's usable parallelism
 	// (min(NumCPU, GOMAXPROCS)) — oversubscribing dispatch workers only
 	// adds thread churn — so a run on a small host may never exercise
 	// true cross-worker concurrency. Concurrency-sensitive tests set
-	// this to force all Cores workers into play. Implied by PinWorkers
-	// and by TestHooks. Ignored by BackendSim.
+	// this to force all Cores workers into play. Implied by TestHooks.
+	// Ignored by BackendSim.
 	EagerWorkers bool
 
 	// Tile overrides the simulated tile configuration. When nil,
@@ -131,11 +123,12 @@ type Config struct {
 	// only by PipelineDepth, Cores and the prediction model.
 	MaxReplicaWidth int
 
-	// Telemetry enables the live-metrics subsystem: per-stage service
-	// time, iteration latency, stream occupancy and scheduler histograms
-	// (see telemetry.go) plus the stalled-progress watchdog, all
-	// scrapeable mid-run through App.Snapshot and internal/obs. Off, the
-	// hot path pays one nil check per boundary, same as Tracer/Hooks.
+	// Telemetry enables the histograms — per-stage service time,
+	// iteration latency, stream occupancy, steal batch size, park
+	// duration (see telemetry.go) — and the stalled-progress watchdog,
+	// all scrapeable mid-run through App.Snapshot and internal/obs. Off,
+	// the hot path pays one nil check per boundary, same as
+	// Tracer/Hooks; the counters in Snapshot are live either way.
 	Telemetry bool
 
 	// WatchdogEpochs is how many consecutive watchdog epochs may pass
@@ -276,8 +269,7 @@ type App struct {
 	addr *spacecake.AddressSpace // nil on the real backend
 	tile *spacecake.Tile         // nil on the real backend
 
-	metrics metrics
-	ran     bool
+	ran bool
 }
 
 // NewApp validates prog against the registry, builds the initial plan,

@@ -352,8 +352,9 @@ func (rc *RunContext) Emit(queue string, ev Event) error {
 		return fmt.Errorf("hinch: %s: unknown event queue %q", rc.task.Name, queue)
 	}
 	depth := q.Push(ev)
-	rc.app.metrics.eventsEmitted.Add(1)
-	if e := rc.app.eng; e != nil && e.tr != nil {
+	e := rc.app.eng
+	e.acct[rc.shard].events.Add(1)
+	if e.tr != nil {
 		e.tr.Emit(rc.shard, TraceEvent{
 			TS: e.rcTS(rc.shard), Kind: TraceEventPush,
 			Worker: int32(rc.shard - 1), Iter: int32(rc.iter),

@@ -50,8 +50,8 @@ type iterState struct {
 	cancelled  atomic.Bool
 	acquired   atomic.Bool // stream buffers assigned (lazily, at first dispatch)
 
-	// launchTS is the telemetry clock at launch (virtual cycles on sim,
-	// wall ns on real); retire subtracts it to record the end-to-end
+	// launchTS is the engine's clock (traceTS) at launch, kept with
+	// telemetry on; retire subtracts it to record the end-to-end
 	// iteration latency. Written at launch and read at retire, both
 	// engine-side (under mu on real, single goroutine on sim).
 	launchTS int64
@@ -135,7 +135,6 @@ type engine struct {
 	retireNext int // oldest iteration not yet retired; guarded by mu
 	limit      int // iterations to run; -1 = until EOS
 	stopLaunch int // first iteration index invalidated by EOS; -1 = none
-	processed  int
 
 	// ctxDone is the run context's done channel (nil when the run was
 	// started without one); cancelled records that noteCancel ran.
@@ -144,9 +143,8 @@ type engine struct {
 	ctxDone   <-chan struct{}
 	cancelled atomic.Bool
 
-	mgrs      map[string]*mgrState
-	reconfigs int
-	stall     int64
+	mgrs  map[string]*mgrState
+	stall int64
 
 	bufActive int   // iterations currently holding stream buffers
 	bufParked []job // jobs waiting for stream buffers (backpressure)
@@ -168,11 +166,15 @@ type engine struct {
 
 	tu *tuner // feedback autotuner; nil unless Config.Autotune
 
-	tm *telemetry // live telemetry; nil unless Config.Telemetry
+	// acct is the run's accounting, one shard per writer: acct[0] for
+	// the engine lock / sim goroutine, acct[w+1] for worker w. See
+	// counters and fold (metrics.go).
+	acct []counters
 
-	ready    readyQueue // sim backend: central job queue, oldest iteration first
-	perClass map[string]*ClassStats
-	err      error
+	tm *telemetry // histograms and watchdog; nil unless Config.Telemetry
+
+	ready readyQueue // sim backend: central job queue, oldest iteration first
+	err   error
 
 	// free recycles iterState allocations between iterations (guarded
 	// by mu). Safe because retirement is strictly in-order: while any
@@ -244,10 +246,10 @@ func newEngine(a *App) *engine {
 		ring:       make([]atomic.Pointer[iterState], a.cfg.PipelineDepth+2),
 		stopLaunch: -1,
 		mgrs:       map[string]*mgrState{},
-		perClass:   map[string]*ClassStats{},
 		hooks:      a.cfg.Hooks,
 	}
 	n := len(a.plan.Tasks)
+	e.acct = newCounters(a.cfg, n)
 	e.free = make([]*iterState, 0, len(e.ring))
 	for i := 0; i < len(e.ring); i++ {
 		e.free = append(e.free, &iterState{
@@ -259,7 +261,7 @@ func newEngine(a *App) *engine {
 	e.bufParked = make([]job, 0, a.cfg.PipelineDepth+1)
 	e.bufSpare = make([]job, 0, a.cfg.PipelineDepth+1)
 	if a.cfg.Backend == BackendReal {
-		e.ws = newSched(a.cfg, n)
+		e.ws = newSched(a.cfg, e.acct)
 	}
 	for name := range a.managers {
 		e.mgrs[name] = &mgrState{lastEntered: -1}
@@ -302,9 +304,6 @@ func newEngine(a *App) *engine {
 	}
 	if a.cfg.Telemetry {
 		e.tm = newTelemetry(e)
-		if e.ws != nil {
-			e.ws.tm = e.tm
-		}
 	}
 	for _, t := range a.plan.Tasks {
 		if t.Role != graph.RoleComponent {
@@ -350,9 +349,10 @@ func (e *engine) policyFor(t *graph.Task) graph.FailurePolicy {
 	return e.policies[t.ID]
 }
 
-// traceShard maps the acting worker to its tracer shard: shard 0 is
-// engine-level (serialised by mu, or by the single sim goroutine);
-// shard w+1 is written only by worker w's goroutine.
+// traceShard maps the acting worker to its shard, for the tracer and
+// the counters alike: shard 0 is engine-level (serialised by mu, or by
+// the single sim goroutine); shard w+1 is written only by worker w's
+// goroutine.
 func traceShard(w *wsWorker) int {
 	if w == nil {
 		return 0
@@ -440,16 +440,6 @@ func classKey(t *graph.Task) string {
 	return t.Class
 }
 
-func (e *engine) classStats(t *graph.Task) *ClassStats {
-	key := classKey(t)
-	cs, ok := e.perClass[key]
-	if !ok {
-		cs = &ClassStats{}
-		e.perClass[key] = cs
-	}
-	return cs
-}
-
 // canLaunch reports whether another iteration may enter the pipeline.
 // While any manager is halted for reconfiguration no new iterations are
 // admitted: "when the application is stopped for reconfiguration, the
@@ -493,29 +483,21 @@ func (e *engine) launch(w *wsWorker) {
 		k := e.nextLaunch
 		e.nextLaunch++
 		plan := e.app.plan
-		n := len(plan.Tasks)
-		var it *iterState
-		if f := len(e.free); f > 0 {
-			it = e.free[f-1]
-			e.free = e.free[:f-1]
-			it.plan = plan
-			for i := range it.done {
-				it.done[i].Store(false)
-				it.crossClaim[i].Store(false)
-			}
-			it.cancelled.Store(false)
-			it.acquired.Store(false)
-			clear(it.mgrOpts)
-			clear(it.optStarted)
-		} else {
-			it = &iterState{
-				plan:       plan,
-				remaining:  make([]atomic.Int32, n),
-				done:       make([]atomic.Bool, n),
-				crossClaim: make([]atomic.Bool, n),
-			}
+		// Never empty: the free list holds len(ring) = PipelineDepth+2
+		// states and canLaunch admits at most PipelineDepth iterations.
+		f := len(e.free) - 1
+		it := e.free[f]
+		e.free = e.free[:f]
+		it.plan = plan
+		for i := range it.done {
+			it.done[i].Store(false)
+			it.crossClaim[i].Store(false)
 		}
-		it.left.Store(int32(n))
+		it.cancelled.Store(false)
+		it.acquired.Store(false)
+		clear(it.mgrOpts)
+		clear(it.optStarted)
+		it.left.Store(int32(len(plan.Tasks)))
 		for _, t := range plan.Tasks {
 			// Every task carries one cross-iteration dependency on top of
 			// its graph dependencies: an instance must finish iteration
@@ -536,9 +518,9 @@ func (e *engine) launch(w *wsWorker) {
 		}
 		slot.Store(it)
 		e.nIters++
+		e.acct[traceShard(w)].launched.Add(1)
 		if e.tm != nil {
-			it.launchTS = e.tmNow()
-			e.tm.recordIterLaunch()
+			it.launchTS = e.traceTS(nil)
 		}
 		if e.tr != nil {
 			e.tr.Emit(traceShard(w), TraceEvent{
@@ -718,11 +700,13 @@ func (e *engine) retire(it *iterState, w *wsWorker) {
 		e.bufSpare = parked[:0]
 	}
 	counted := !it.cancelled.Load()
+	acct := &e.acct[traceShard(w)]
+	acct.retired.Add(1)
 	if counted {
-		e.processed++
+		acct.processed.Add(1)
 	}
 	if e.tm != nil {
-		e.tm.recordIterRetire(e.tmNow()-it.launchTS, counted)
+		e.tm.iterLat.record(e.traceTS(nil) - it.launchTS)
 	}
 	if e.tr != nil {
 		var arg int64
@@ -848,7 +832,7 @@ func (e *engine) ensureBuffers(iter int) {
 		}
 		s.acquire(iter)
 		if e.tm != nil {
-			e.tm.recordOcc(s.idx, int64(s.nactive.Load()))
+			e.tm.occ[s.idx].record(int64(s.nactive.Load()))
 		}
 		if e.tr != nil {
 			e.tr.Emit(0, TraceEvent{
@@ -1120,8 +1104,7 @@ func (e *engine) applyReconfig(name string, st *mgrState, w *wsWorker) (*reconfi
 		e.app.cfg.ReconfigPerTaskCycles*int64(nChanged) +
 		e.app.cfg.CreateOpsPerComponent*int64(created)
 	e.stall += stall
-	e.reconfigs++
-	e.app.metrics.reconfigs.Add(1)
+	e.acct[traceShard(w)].reconfigs.Add(1)
 	if e.tr != nil {
 		e.tr.Emit(traceShard(w), TraceEvent{
 			TS: e.traceTS(w), Kind: TraceReconfigApply,
@@ -1301,9 +1284,9 @@ func (e *engine) degrade(j job, reason string, shard int) {
 	if q == nil {
 		return
 	}
-	e.app.metrics.degradations.Add(1)
+	e.acct[shard].degradations.Add(1)
 	depth := q.Push(Event{Name: graph.FaultEvent, Arg: fmt.Sprintf("%s@%d: %s", j.task.Name, j.iter, reason)})
-	e.app.metrics.eventsEmitted.Add(1)
+	e.acct[shard].events.Add(1)
 	if e.tr != nil {
 		e.tr.Emit(shard, TraceEvent{
 			TS: e.rcTS(shard), Kind: TraceDegrade,
@@ -1338,27 +1321,35 @@ func (e *engine) handleRunError(j job, err error) {
 	e.err = errors.Join(e.err, fmt.Errorf("hinch: %s@%d: %w", j.task.Name, j.iter, err))
 }
 
-// report assembles the final Report. Must be called after execution has
-// fully stopped.
+// report assembles the final Report from the folded counters. Must be
+// called after execution has fully stopped.
 func (e *engine) report() *Report {
+	t := e.fold()
 	r := &Report{
 		Outcome:       OutcomeCompleted,
-		Iterations:    e.processed,
-		Jobs:          e.app.metrics.jobs.Load(),
+		Iterations:    int(t.processed),
+		Jobs:          t.jobs,
 		Cores:         e.app.cfg.Cores,
 		PerClass:      map[string]ClassStats{},
-		Reconfigs:     e.reconfigs,
+		Reconfigs:     int(t.reconfigs),
 		ReconfigStall: e.stall,
-		EventsEmitted: e.app.metrics.eventsEmitted.Load(),
+		EventsEmitted: t.events,
+		Faults:        t.faults,
+		Retries:       t.retries,
+		Degradations:  t.degradations,
+		Sched:         t.sched,
 	}
 	if e.cancelled.Load() {
 		r.Outcome = OutcomeCancelled
 	}
-	r.Degradations = e.app.metrics.degradations.Load()
-	for k, v := range e.perClass {
-		r.PerClass[k] = *v
-		r.Faults += v.Faults
-		r.Retries += v.Retries
+	for id, cs := range t.task {
+		if cs == (ClassStats{}) {
+			continue
+		}
+		key := classKey(e.app.plan.Tasks[id])
+		pc := r.PerClass[key]
+		pc.add(cs)
+		r.PerClass[key] = pc
 	}
 	if e.app.tile != nil {
 		r.Cache = e.app.tile.Stats()
@@ -1369,14 +1360,15 @@ func (e *engine) report() *Report {
 	}
 	if e.tm != nil {
 		r.Stalls = e.tm.stalls.Load()
-		il := stageLat("iteration", e.tm.retiredAll.Load(), e.tm.iterLat.snap())
+		h := e.tm.iterLat.snap()
+		il := stageLat("iteration", h.Count, h)
 		r.IterLat = &il
-		for _, t := range e.app.plan.Tasks {
-			h := e.tm.stageHist(t.ID)
+		for _, task := range e.app.plan.Tasks {
+			h := e.tm.stageHist(task.ID)
 			if h.Count == 0 {
 				continue
 			}
-			r.Stages = append(r.Stages, stageLat(t.Name, e.tm.stageJobs(h.Count), h))
+			r.Stages = append(r.Stages, stageLat(task.Name, t.task[task.ID].Jobs, h))
 		}
 	}
 	return r

@@ -20,8 +20,16 @@ type ClassStats struct {
 	Retries   int64 `json:"retries"`    // re-attempts made under a retry policy
 }
 
+func (c *ClassStats) add(o ClassStats) {
+	c.Jobs += o.Jobs
+	c.Ops += o.Ops
+	c.MemCycles += o.MemCycles
+	c.Faults += o.Faults
+	c.Retries += o.Retries
+}
+
 // SchedStats aggregates the real backend's work-stealing scheduler
-// actions, merged from the per-worker shards when the run stops.
+// actions, summed over the per-worker counter shards.
 type SchedStats struct {
 	// StealAttempts counts scans for remote work (a worker's own deque
 	// came up empty).
@@ -118,7 +126,7 @@ type Report struct {
 // clock: virtual cycles on sim, wall nanoseconds on real.
 type StageLat struct {
 	Name string `json:"name"`
-	Jobs int64  `json:"jobs"` // exact on sim; sampled estimate on real
+	Jobs int64  `json:"jobs"` // jobs the stage executed (iterations retired, for IterLat)
 	P50  int64  `json:"p50"`
 	P95  int64  `json:"p95"`
 	P99  int64  `json:"p99"`
@@ -283,13 +291,114 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// metrics collects counters during a run; atomic so the real backend's
-// workers can update concurrently.
-type metrics struct {
-	jobs          atomic.Int64
-	eventsEmitted atomic.Int64
-	degradations  atomic.Int64
-	// reconfigs mirrors engine.reconfigs (guarded by mu) so App.Snapshot
-	// can read it lock-free mid-run.
-	reconfigs atomic.Int64
+// counters is one writer's shard of the run's accounting — the only
+// one there is. Every counted boundary (job execution, launch, retire,
+// reconfiguration, event, degradation, scheduler action) adds to the
+// acting goroutine's own shard exactly once, and fold is the only
+// reader: the final Report, a mid-run Snapshot and everything rendered
+// from it (/metrics, /statusz, xspcltop, serve.Status) are the same
+// sums and cannot disagree. The layout follows the tracer's shard
+// discipline — shard 0 is written under the engine lock (or by the
+// single sim goroutine), shard w+1 only by worker w — so an add never
+// contends; the fields are atomic so that fold may run mid-run from any
+// goroutine. The trailing pad keeps adjacent writers off one cache
+// line.
+type counters struct {
+	task []taskCounters // indexed by task ID
+
+	launched     atomic.Int64 // iterations admitted to the pipeline
+	retired      atomic.Int64 // iterations retired, cancelled included
+	processed    atomic.Int64 // iterations retired and counted
+	reconfigs    atomic.Int64 // reconfigurations applied
+	events       atomic.Int64 // events pushed to queues
+	degradations atomic.Int64 // synthetic fault events sent to managers
+
+	// Work-stealing scheduler actions (real backend); see SchedStats.
+	stealAttempts atomic.Int64
+	steals        atomic.Int64
+	globalPops    atomic.Int64
+	parks         atomic.Int64
+	wakes         atomic.Int64
+	batches       atomic.Int64
+	chained       atomic.Int64
+
+	tm *tmShard // this writer's histograms; nil unless Config.Telemetry
+
+	_ [64]byte
+}
+
+// taskCounters is one task's slice of a shard. jobs is the one add the
+// real backend's per-job hot path pays; Report.Jobs and Report.PerClass
+// are both derived from it.
+type taskCounters struct {
+	jobs      atomic.Int64
+	faulted   atomic.Int64 // contained failed attempts (not "faults": the nilguard lint reserves that name)
+	retries   atomic.Int64
+	ops       atomic.Int64 // sim backend
+	memCycles atomic.Int64 // sim backend
+}
+
+// newCounters allocates the shards for a run: the engine's plus one per
+// real-backend worker.
+func newCounters(cfg Config, nTasks int) []counters {
+	n := 1
+	if cfg.Backend == BackendReal {
+		n += cfg.Cores
+	}
+	acct := make([]counters, n)
+	for i := range acct {
+		acct[i].task = make([]taskCounters, nTasks)
+	}
+	return acct
+}
+
+// totals is the run's accounting summed over every shard.
+type totals struct {
+	launched, retired, processed    int64
+	reconfigs, events, degradations int64
+	jobs, faults, retries           int64
+	sched                           SchedStats
+	task                            []ClassStats // indexed by task ID
+}
+
+// fold sums the shards. Safe from any goroutine at any time: mid-run
+// every total is monotone from one call to the next, and the iteration
+// counters are read in the order processed, retired, launched — the
+// reverse of the order the engine bumps them in — so a mid-run reader
+// always sees processed <= retired <= launched.
+func (e *engine) fold() totals {
+	t := totals{task: make([]ClassStats, len(e.app.plan.Tasks))}
+	for i := range e.acct {
+		t.processed += e.acct[i].processed.Load()
+	}
+	for i := range e.acct {
+		t.retired += e.acct[i].retired.Load()
+	}
+	for i := range e.acct {
+		c := &e.acct[i]
+		t.launched += c.launched.Load()
+		t.reconfigs += c.reconfigs.Load()
+		t.events += c.events.Load()
+		t.degradations += c.degradations.Load()
+		t.sched.StealAttempts += c.stealAttempts.Load()
+		t.sched.Steals += c.steals.Load()
+		t.sched.GlobalPops += c.globalPops.Load()
+		t.sched.Parks += c.parks.Load()
+		t.sched.Wakes += c.wakes.Load()
+		t.sched.Batches += c.batches.Load()
+		t.sched.Chained += c.chained.Load()
+		for id := range c.task {
+			tc := &c.task[id]
+			t.task[id].add(ClassStats{
+				Jobs: tc.jobs.Load(), Ops: tc.ops.Load(), MemCycles: tc.memCycles.Load(),
+				Faults: tc.faulted.Load(), Retries: tc.retries.Load(),
+			})
+		}
+	}
+	for _, cs := range t.task {
+		t.jobs += cs.Jobs
+		t.faults += cs.Faults
+		t.retries += cs.Retries
+	}
+	return t
 }

@@ -76,48 +76,15 @@ func (e *engine) runReal() (*Report, error) {
 		}()
 	}
 
-	// The autotuner samples on a wall-clock ticker, under the engine
-	// lock — resizes ride the same slow path as reconfigurations.
-	var tuStop, tuDone chan struct{}
+	// The autotuner and the stalled-progress watchdog each sample on a
+	// wall-clock ticker, under the engine lock — resizes ride the same
+	// slow path as reconfigurations.
+	var tickers []func()
 	if e.tu != nil {
-		tuStop, tuDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(tuDone)
-			tick := time.NewTicker(time.Duration(e.tu.epoch))
-			defer tick.Stop()
-			for {
-				select {
-				case <-tuStop:
-					return
-				case <-tick.C:
-					e.mu.Lock()
-					e.tuneEpoch()
-					e.mu.Unlock()
-				}
-			}
-		}()
+		tickers = append(tickers, e.every(time.Duration(e.tu.epoch), e.tuneEpoch))
 	}
-
-	// The stalled-progress watchdog samples retirement progress on its
-	// own wall-clock ticker, under the engine lock like the tuner's.
-	var wdStop, wdDone chan struct{}
 	if e.tm != nil {
-		wdStop, wdDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(wdDone)
-			tick := time.NewTicker(e.tm.wdWall)
-			defer tick.Stop()
-			for {
-				select {
-				case <-wdStop:
-					return
-				case <-tick.C:
-					e.mu.Lock()
-					e.watchdogEpoch()
-					e.mu.Unlock()
-				}
-			}
-		}()
+		tickers = append(tickers, e.every(e.tm.wdWall, e.watchdogEpoch))
 	}
 
 	if e.ws.eager {
@@ -149,44 +116,10 @@ func (e *engine) runReal() (*Report, error) {
 		default:
 		}
 	}
-	if e.tu != nil {
-		// Stopped before the tracer ends: tuneEpoch emits trace events.
-		close(tuStop)
-		<-tuDone
+	// Stopped before the tracer ends: both epochs can emit trace events.
+	for _, stop := range tickers {
+		stop()
 	}
-	if e.tm != nil {
-		// Same ordering: watchdogEpoch can emit a TraceStall.
-		close(wdStop)
-		<-wdDone
-	}
-
-	// Fold the per-worker metric shards into the engine totals. All
-	// shard counters merge here — dropping one on the floor means the
-	// Report silently lies about scheduler behaviour.
-	var ss SchedStats
-	for _, w := range e.ws.workers {
-		e.app.metrics.jobs.Add(w.jobs)
-		ss.Steals += w.steals
-		ss.StealAttempts += w.stealAttempts
-		ss.GlobalPops += w.globalPops
-		ss.Parks += w.parks
-		ss.Wakes += w.wakes
-		ss.Batches += w.batches
-		ss.Chained += w.chained
-		for _, t := range e.app.plan.Tasks {
-			cs := &w.stats[t.ID]
-			if cs.Jobs == 0 && cs.Ops == 0 && cs.MemCycles == 0 && cs.Faults == 0 && cs.Retries == 0 {
-				continue
-			}
-			dst := e.classStats(t)
-			dst.Jobs += cs.Jobs
-			dst.Ops += cs.Ops
-			dst.MemCycles += cs.MemCycles
-			dst.Faults += cs.Faults
-			dst.Retries += cs.Retries
-		}
-	}
-	ss.Wakes += e.ws.extWakes.Load()
 	if e.tr != nil {
 		e.tr.End()
 	}
@@ -195,8 +128,33 @@ func (e *engine) runReal() (*Report, error) {
 	}
 	rep := e.report()
 	rep.Wall = time.Since(start)
-	rep.Sched = ss
 	return rep, nil
+}
+
+// every starts a goroutine that runs f under the engine lock once per
+// period. The returned stop joins it: f does not run after stop
+// returns.
+func (e *engine) every(period time.Duration, f func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				e.mu.Lock()
+				f()
+				e.mu.Unlock()
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // runWorker is one worker goroutine's loop: run the chained next job
@@ -209,9 +167,6 @@ func (e *engine) runReal() (*Report, error) {
 //hinch:hotpath
 func (e *engine) runWorker(w *wsWorker) {
 	s := e.ws
-	if e.app.cfg.PinWorkers {
-		pinWorker(w.id)
-	}
 	if w.woken {
 		// Lazily spawned by signalWork: now that the goroutine is
 		// running, further work notifications may target the next worker.
@@ -220,6 +175,9 @@ func (e *engine) runWorker(w *wsWorker) {
 	}
 	for {
 		if s.done.Load() {
+			if w.chain > 0 {
+				e.endChain(w)
+			}
 			return
 		}
 		// Dispatch-boundary cancellation probe: a fired run context is
@@ -233,15 +191,7 @@ func (e *engine) runWorker(w *wsWorker) {
 			w.hasNext = false
 		} else {
 			if w.chain > 0 {
-				// The run of same-task iterations just ended: emit its
-				// batch header (one per run, carrying the run length).
-				if e.tr != nil {
-					e.tr.Emit(w.id+1, TraceEvent{
-						TS: w.lastTS, Kind: TraceBatch,
-						Worker: int32(w.id), Iter: -1, ID: -1, Arg: int64(w.chain + 1),
-					})
-				}
-				w.chain = 0
+				e.endChain(w)
 			}
 			j, ok = w.dq.pop()
 			if !ok {
@@ -262,6 +212,22 @@ func (e *engine) runWorker(w *wsWorker) {
 		e.flushReleases(w, j)
 		s.inflight.Add(-1)
 	}
+}
+
+// endChain closes w's open run of same-task iterations (w.chain > 0):
+// the chained jobs are counted, and the batch header traced, once per
+// run rather than once per job.
+//
+//hinch:hotpath
+func (e *engine) endChain(w *wsWorker) {
+	w.acct.chained.Add(int64(w.chain))
+	if e.tr != nil {
+		e.tr.Emit(w.id+1, TraceEvent{
+			TS: w.lastTS, Kind: TraceBatch,
+			Worker: int32(w.id), Iter: -1, ID: -1, Arg: int64(w.chain + 1),
+		})
+	}
+	w.chain = 0
 }
 
 // flushReleases publishes the jobs j's execution released (collected in
@@ -285,7 +251,6 @@ func (e *engine) flushReleases(w *wsWorker, j job) {
 				w.next = buf[i]
 				w.hasNext = true
 				w.chain++
-				w.chained++
 				e.ws.inflight.Add(1)
 				n := len(buf) - 1
 				buf[i] = buf[n]
@@ -337,8 +302,7 @@ func (e *engine) execReal(w *wsWorker, j job) {
 			return
 		}
 		e.ensureBuffers(j.iter)
-		w.jobs++
-		w.stats[j.task.ID].Jobs++
+		w.acct.task[j.task.ID].jobs.Add(1)
 		_, err := e.managerPoll(j)
 		e.mu.Unlock()
 		if err != nil {
@@ -386,47 +350,34 @@ func (e *engine) execReal(w *wsWorker, j job) {
 		e.failReal(err)
 		return
 	}
-	w.jobs++
-	w.stats[j.task.ID].Jobs++
-	var tuStart time.Time
-	if e.tu != nil {
-		tuStart = time.Now()
-	}
-	// Stride-sampled service timing: 1 in 2^tmSampleShift of this
-	// worker's component jobs pays two clock reads; the tick counter is
-	// worker-local, so sampling is uncontended. When the tuner already
-	// timed the job, its clock reads are reused.
+	tc := &w.acct.task[j.task.ID]
+	tc.jobs.Add(1)
+	// The tuner times every component job; telemetry stride-samples
+	// 1 in 2^tmSampleShift of this worker's (the tick counter is
+	// worker-local, so sampling is uncontended). A timed job pays two
+	// clock reads, shared when both want them.
 	sample := false
-	var tmStart time.Time
 	if e.tm != nil {
-		e.tm.recordJob(w.id + 1)
 		w.tmTick++
-		if w.tmTick&tmSampleMask == 0 {
-			sample = true
-			if e.tu != nil {
-				tmStart = tuStart
-			} else {
-				tmStart = time.Now()
-			}
-		}
+		sample = w.tmTick&tmSampleMask == 0
+	}
+	var start time.Time
+	if e.tu != nil || sample {
+		start = time.Now()
 	}
 	out := e.runPolicied(&w.rc, j, inst, false)
-	var svcDur int64
-	if e.tu != nil {
-		svcDur = int64(time.Since(tuStart))
-		e.tu.busy[j.task.ID].Add(svcDur)
-	} else if sample {
-		svcDur = int64(time.Since(tmStart))
-	}
-	if sample && e.tm != nil {
-		e.tm.recordSvc(w.id+1, j.task.ID, svcDur)
+	if e.tu != nil || sample {
+		svcDur := int64(time.Since(start))
+		if e.tu != nil {
+			e.tu.busy[j.task.ID].Add(svcDur)
+		}
+		if sample {
+			w.acct.tm.svc[j.task.ID].record(svcDur)
+		}
 	}
 	if out.faults > 0 || out.retries > 0 {
-		w.stats[j.task.ID].Faults += out.faults
-		w.stats[j.task.ID].Retries += out.retries
-		if e.tm != nil {
-			e.tm.recordFaults(out.faults, out.retries)
-		}
+		tc.faulted.Add(out.faults)
+		tc.retries.Add(out.retries)
 	}
 	if e.tr != nil {
 		e.traceSpan(w, j)

@@ -118,18 +118,15 @@ func (d *wsDeque) stealN(dst []job, max int) int {
 	return take
 }
 
-// wsWorker is one worker goroutine's scheduler state plus its private
-// metrics shards (merged into the engine once, when the run stops,
-// instead of bouncing shared counters on every job).
+// wsWorker is one worker goroutine's scheduler state.
 type wsWorker struct {
 	id   int
 	dq   wsDeque
 	park chan struct{} // buffered(1): a pending wake token
 	rng  uint64        // xorshift state for victim selection
 
-	jobs  int64
-	stats []ClassStats // per-task-ID shard, merged by class at run end
-	rc    RunContext   // reusable run context for this worker's jobs
+	acct *counters  // this worker's accounting shard (engine.acct[id+1])
+	rc   RunContext // reusable run context for this worker's jobs
 
 	// relBuf collects the jobs released by the job this worker is
 	// executing; flushReleases publishes them as one batch when the job
@@ -156,15 +153,6 @@ type wsWorker struct {
 	// bumped once per component job, sampled when the low
 	// tmSampleShift bits are zero. Only advanced with telemetry on.
 	tmTick uint32
-
-	// Scheduler action counters, folded into Report.Sched at run end.
-	stealAttempts int64 // calls to sched.steal (local deque was empty)
-	steals        int64 // jobs taken from another worker's deque
-	globalPops    int64 // jobs taken from the global overflow queue
-	parks         int64 // times this worker blocked waiting for work
-	wakes         int64 // idle workers this worker unparked
-	batches       int64 // multi-job batch publishes (pushBatch calls)
-	chained       int64 // jobs run straight off the chain, bypassing the deques
 
 	// lastTS is the worker's cached trace timestamp: the end of its
 	// last executed job (refreshed also after a steal hit or unpark).
@@ -203,11 +191,6 @@ type sched struct {
 	// thieves.
 	maxChain int
 
-	// pinned mirrors Config.PinWorkers: steal-victim scanning then
-	// walks outward from the thief's id (nearest core first) instead of
-	// starting at a random victim.
-	pinned bool
-
 	// Topology-aware worker bring-up. Worker 0 runs on the caller's
 	// goroutine; the rest are brought online one at a time by
 	// signalWork, only while fewer than spawnCap workers exist —
@@ -215,7 +198,7 @@ type sched struct {
 	// the host's usable parallelism never runs concurrently with the
 	// others and only adds thread churn. eager restores the
 	// spawn-everything-up-front behaviour (schedule exploration via
-	// TestHooks, pinned topologies, Config.EagerWorkers).
+	// TestHooks, Config.EagerWorkers).
 	eager    bool
 	spawnCap int
 	spawned  atomic.Int32    // workers online, worker 0 included
@@ -244,26 +227,27 @@ type sched struct {
 	// worker that steals a surplus wakes the next (see steal).
 	wakePending atomic.Int32
 
-	tr       Tracer       // flight recorder; nil in production
-	trStart  time.Time    // trace timestamps count from this instant
-	extWakes atomic.Int64 // wakes performed outside any worker context
+	tr      Tracer    // flight recorder; nil in production
+	trStart time.Time // trace timestamps count from this instant
 
-	tm *telemetry // live telemetry; nil unless Config.Telemetry
+	ext *counters // shard for actions outside any worker context (engine.acct[0])
 }
 
-func newSched(cfg Config, nTasks int) *sched {
+// newSched builds the scheduler over the engine's accounting shards:
+// acct[0] is the engine's, acct[w+1] worker w's.
+func newSched(cfg Config, acct []counters) *sched {
 	n := cfg.Cores
 	hooks := cfg.Hooks
 	s := &sched{
 		workers: make([]*wsWorker, n),
 		hooks:   hooks,
-		pinned:  cfg.PinWorkers,
+		ext:     &acct[0],
 	}
 	s.maxChain = cfg.StreamCapacity
 	if s.maxChain > stealMax {
 		s.maxChain = stealMax
 	}
-	s.eager = hooks != nil || cfg.PinWorkers || cfg.EagerWorkers
+	s.eager = hooks != nil || cfg.EagerWorkers
 	s.spawnCap = n
 	if !s.eager {
 		if c := runtime.NumCPU(); c < s.spawnCap {
@@ -286,10 +270,10 @@ func newSched(cfg Config, nTasks int) *sched {
 			}
 		}
 		s.workers[i] = &wsWorker{
-			id:    i,
-			park:  make(chan struct{}, 1),
-			rng:   seed,
-			stats: make([]ClassStats, nTasks),
+			id:   i,
+			park: make(chan struct{}, 1),
+			rng:  seed,
+			acct: &acct[i+1],
 		}
 		s.workers[i].rc.shard = i + 1
 		s.workers[i].dq.buf = make([]job, 0, 64)
@@ -317,11 +301,11 @@ func (s *sched) push(w *wsWorker, j job) {
 		s.global.push(j)
 	}
 	if s.signalWork() {
+		acct := s.ext
 		if w != nil {
-			w.wakes++
-		} else {
-			s.extWakes.Add(1)
+			acct = w.acct
 		}
+		acct.wakes.Add(1)
 	}
 }
 
@@ -343,14 +327,14 @@ func (s *sched) pushBatch(w *wsWorker, js []job, busy bool) {
 	s.inflight.Add(int64(len(js)))
 	w.dq.pushN(js)
 	if len(js) > 1 {
-		w.batches++
+		w.acct.batches.Add(1)
 	}
 	spare := len(js)
 	if !busy {
 		spare--
 	}
 	if spare > 0 && s.signalWork() {
-		w.wakes++
+		w.acct.wakes.Add(1)
 	}
 }
 
@@ -404,55 +388,36 @@ func (s *sched) signalWork() bool {
 	}
 }
 
-// steal scans the other workers and the global queue for work. Victim
-// order is pseudo-random by default; with pinned workers it walks
-// outward from the thief's id (±1, ±2, …), so work migrates between
-// near cores first. A hit takes a batch (up to half the victim's
+// steal scans the other workers, in pseudo-random order, and then the
+// global queue for work. A hit takes a batch (up to half the victim's
 // deque): the first job is returned, the rest land on the thief's own
 // deque, and one more idle worker is woken to keep the work spreading.
 //
 //hinch:hotpath
 func (s *sched) steal(w *wsWorker) (job, bool) {
-	w.stealAttempts++
-	if s.tm != nil {
-		s.tm.recordStealTry()
-	}
+	w.acct.stealAttempts.Add(1)
 	n := len(s.workers)
 	start := 0
-	if !s.pinned && n > 1 {
+	if n > 1 {
 		start = int(w.nextRand() % uint64(n))
 	}
 	for i := 0; i < n; i++ {
-		var v *wsWorker
-		if s.pinned {
-			if i == 0 {
-				continue
-			}
-			// Ring offsets 1, -1, 2, -2, …: nearest ids (nearest
-			// cores, with one worker pinned per core) first.
-			off := (i + 1) / 2
-			if i%2 == 0 {
-				off = n - off
-			}
-			v = s.workers[(w.id+off)%n]
-		} else {
-			v = s.workers[(start+i)%n]
-			if v == w {
-				continue
-			}
+		v := s.workers[(start+i)%n]
+		if v == w {
+			continue
 		}
 		took := v.dq.stealN(w.stealBuf[:], stealMax)
 		if took == 0 {
 			continue
 		}
-		w.steals += int64(took)
-		if s.tm != nil {
-			s.tm.recordSteal(int64(took))
+		w.acct.steals.Add(int64(took))
+		if w.acct.tm != nil {
+			w.acct.tm.stealTake.record(int64(took))
 		}
 		if took > 1 {
 			w.dq.pushN(w.stealBuf[1:took])
 			if s.signalWork() {
-				w.wakes++
+				w.acct.wakes.Add(1)
 			}
 		}
 		if s.tr != nil {
@@ -469,10 +434,7 @@ func (s *sched) steal(w *wsWorker) (job, bool) {
 	}
 	j, ok := s.global.steal()
 	if ok {
-		w.globalPops++
-		if s.tm != nil {
-			s.tm.recordGlobalPop()
-		}
+		w.acct.globalPops.Add(1)
 		if s.tr != nil {
 			w.lastTS = int64(time.Since(s.trStart))
 			s.tr.Emit(w.id+1, TraceEvent{
@@ -533,9 +495,9 @@ func (s *sched) park(w *wsWorker) {
 // events. The post-wake refresh of the cached timestamp keeps the idle
 // gap out of the next job's span.
 func (s *sched) blockPark(w *wsWorker) {
-	w.parks++
+	w.acct.parks.Add(1)
 	var t0 time.Time
-	if s.tm != nil {
+	if w.acct.tm != nil {
 		t0 = time.Now()
 	}
 	if s.tr != nil {
@@ -545,8 +507,8 @@ func (s *sched) blockPark(w *wsWorker) {
 		})
 	}
 	<-w.park
-	if s.tm != nil {
-		s.tm.recordPark(int64(time.Since(t0)))
+	if w.acct.tm != nil {
+		w.acct.tm.parkDur.record(int64(time.Since(t0)))
 	}
 	if w.woken {
 		w.woken = false

@@ -172,9 +172,8 @@ func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
 		return 0, false, nil
 	}
 	cost := a.tile.Config().JobOverheadCycles
-	cs := e.classStats(j.task)
-	cs.Jobs++
-	a.metrics.jobs.Add(1)
+	tc := &e.acct[0].task[j.task.ID]
+	tc.jobs.Add(1)
 
 	switch j.task.Role {
 	case graph.RoleManagerEntry, graph.RoleManagerExit:
@@ -182,9 +181,9 @@ func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
 		if err != nil {
 			return 0, false, err
 		}
-		cs.Ops += ops
+		tc.ops.Add(ops)
 		if e.tm != nil {
-			e.tm.recordSvc(0, j.task.ID, cost+ops)
+			e.tm.shards[0].svc[j.task.ID].record(cost + ops)
 		}
 		return cost + ops, true, nil
 
@@ -210,10 +209,10 @@ func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
 		for _, r := range rc.streamed {
 			mem += a.tile.AccessStreamed(core, r)
 		}
-		cs.Ops += rc.compute
-		cs.MemCycles += mem
-		cs.Faults += out.faults
-		cs.Retries += out.retries
+		tc.ops.Add(rc.compute)
+		tc.memCycles.Add(mem)
+		tc.faulted.Add(out.faults)
+		tc.retries.Add(out.retries)
 		dur = cost + rc.compute + mem + out.virtual
 		if e.tu != nil {
 			e.tu.busy[j.task.ID].Add(dur)
@@ -221,8 +220,7 @@ func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
 		if e.tm != nil {
 			// Every sim job is recorded (virtual cycles are free to
 			// read), so the histograms are exact and deterministic.
-			e.tm.recordSvc(0, j.task.ID, dur)
-			e.tm.recordFaults(out.faults, out.retries)
+			e.tm.shards[0].svc[j.task.ID].record(dur)
 		}
 		// Cost-budget watchdog (sim): a successful job whose virtual
 		// cost overruns its deadline (1ns = 1 cycle) degrades exactly

@@ -2,17 +2,18 @@ package hinch
 
 // This file implements App.Snapshot, the lock-free mid-run state probe
 // behind /statusz and the xspcltop dashboard. Every field it reads is
-// either atomic (the telemetry mirrors, stream occupancy, replica
-// widths, the tuner's published view) or immutable after NewApp (names,
-// depths, configuration), so a snapshot never takes the engine lock and
+// either atomic (the counters shards, the histograms, stream occupancy,
+// replica widths, the tuner's published view) or immutable after NewApp
+// (names, depths, configuration), so a snapshot never takes the engine lock and
 // never perturbs the run — safe to call from any goroutine, at any
 // rate, on either backend.
 
 // Snapshot is a point-in-time view of a running (or finished) App.
-// Counter semantics follow the Report; histogram values are virtual
-// cycles on the sim backend and wall nanoseconds on the real one (see
-// Units). Fields beyond the basic job/degradation counters are zero
-// unless Config.Telemetry is set.
+// The counters are the Report's, folded from the same shards, and are
+// live on every App; after Run they equal the Report's. Histogram
+// values are virtual cycles on the sim backend and wall nanoseconds on
+// the real one (see Units). Only the histograms and the watchdog state
+// (Stalled, Stalls) need Config.Telemetry and are empty without it.
 type Snapshot struct {
 	// Backend is "sim" or "real"; Units names the time domain of every
 	// histogram and latency value ("cycles" or "ns").
@@ -23,37 +24,37 @@ type Snapshot struct {
 	// live (Config.Telemetry).
 	Telemetry bool `json:"telemetry"`
 
-	// Progress counters (telemetry only, except Jobs/Events).
+	// Progress counters.
 	Launched  int64 `json:"launched"`  // iterations admitted
 	Retired   int64 `json:"retired"`   // iterations retired (cancelled included)
 	Processed int64 `json:"processed"` // iterations retired and counted
 	Inflight  int64 `json:"inflight"`  // Launched - Retired
-	Jobs      int64 `json:"jobs"`      // executed jobs (exact, always live)
+	Jobs      int64 `json:"jobs"`      // executed jobs
 	Events    int64 `json:"events"`    // reconfiguration events emitted
 
 	// Fault-tolerance and reconfiguration totals.
 	Faults       int64 `json:"faults"`
 	Retries      int64 `json:"retries"`
-	Degradations int64 `json:"degradations"` // exact, always live
-	Reconfigs    int64 `json:"reconfigs"`    // exact, always live
+	Degradations int64 `json:"degradations"`
+	Reconfigs    int64 `json:"reconfigs"`
 
-	// Scheduler counters (real backend, telemetry only).
+	// Scheduler counters (real backend).
 	Steals     int64 `json:"steals"`
 	StealTries int64 `json:"steal_tries"`
 	GlobalPops int64 `json:"global_pops"`
 	Parks      int64 `json:"parks"`
 
-	// Watchdog state: Stalled is the live /healthz signal, Stalls the
-	// number of distinct stall episodes so far.
+	// Watchdog state (Config.Telemetry): Stalled is the live /healthz
+	// signal, Stalls the number of distinct stall episodes so far.
 	Stalled bool  `json:"stalled"`
 	Stalls  int64 `json:"stalls"`
 
 	// Cancelled reports that the run's context fired and the pipeline
-	// is draining (or drained) early. Always live, like Jobs.
+	// is draining (or drained) early.
 	Cancelled bool `json:"cancelled"`
 
 	// IterLat is the launch->retire latency histogram; StealTake and
-	// ParkDur profile the scheduler (real backend).
+	// ParkDur profile the scheduler (real backend). Config.Telemetry.
 	IterLat   *HistSnap `json:"iter_latency,omitempty"`
 	StealTake *HistSnap `json:"steal_take,omitempty"`
 	ParkDur   *HistSnap `json:"park_dur,omitempty"`
@@ -69,9 +70,10 @@ type Snapshot struct {
 	Tune      *TuneView `json:"tune,omitempty"`
 }
 
-// StageSnap is one task's live state: its current replica width and
-// merged service-time histogram. Jobs is exact on the sim backend and
-// a sampling estimate (count << tmSampleShift) on the real one.
+// StageSnap is one task's live state: its current replica width, the
+// jobs it has executed, and its merged service-time histogram
+// (Config.Telemetry; every job on the sim backend, stride-sampled on
+// the real one).
 type StageSnap struct {
 	Name  string   `json:"name"`
 	Width int      `json:"width"`
@@ -92,29 +94,35 @@ type StreamSnap struct {
 
 // Snapshot captures the App's live state. Safe to call from any
 // goroutine while Run executes (and before or after it); it never
-// blocks the run. Without Config.Telemetry only the always-atomic
-// counters (Jobs, Events, Degradations, Reconfigs) and the structural
-// fields are populated.
+// blocks the run.
 func (a *App) Snapshot() Snapshot {
 	e := a.eng
+	t := e.fold()
 	s := Snapshot{
 		Backend:      "sim",
 		Units:        "cycles",
 		Cores:        a.cfg.Cores,
-		Jobs:         a.metrics.jobs.Load(),
-		Events:       a.metrics.eventsEmitted.Load(),
-		Degradations: a.metrics.degradations.Load(),
-		Reconfigs:    a.metrics.reconfigs.Load(),
+		Launched:     t.launched,
+		Retired:      t.retired,
+		Processed:    t.processed,
+		Inflight:     t.launched - t.retired,
+		Jobs:         t.jobs,
+		Events:       t.events,
+		Faults:       t.faults,
+		Retries:      t.retries,
+		Degradations: t.degradations,
+		Reconfigs:    t.reconfigs,
+		Steals:       t.sched.Steals,
+		StealTries:   t.sched.StealAttempts,
+		GlobalPops:   t.sched.GlobalPops,
+		Parks:        t.sched.Parks,
+		StreamCap:    int(e.bufCap.Load()),
+		Cancelled:    e.cancelled.Load(),
 	}
 	if a.cfg.Backend == BackendReal {
 		s.Backend = "real"
 		s.Units = "ns"
 	}
-	if e == nil {
-		return s
-	}
-	s.StreamCap = int(e.bufCap.Load())
-	s.Cancelled = e.cancelled.Load()
 	if e.tu != nil {
 		s.Tune = e.tu.pub.Load()
 	}
@@ -122,42 +130,27 @@ func (a *App) Snapshot() Snapshot {
 	tm := e.tm
 	if tm != nil {
 		s.Telemetry = true
-		// Mid-run on the real backend the per-worker job primaries
-		// have not folded into metrics.jobs yet; the telemetry mirror
-		// is live. Post-run both agree, so take the larger.
-		if live := tm.jobsLive(); live > s.Jobs {
-			s.Jobs = live
-		}
-		s.Launched = tm.launched.Load()
-		s.Retired = tm.retiredAll.Load()
-		s.Processed = tm.processed.Load()
-		s.Inflight = s.Launched - s.Retired
-		s.Faults = tm.faulted.Load()
-		s.Retries = tm.retries.Load()
-		s.Steals = tm.steals.Load()
-		s.StealTries = tm.stealTries.Load()
-		s.GlobalPops = tm.globalPops.Load()
-		s.Parks = tm.parks.Load()
 		s.Stalled = tm.stalled.Load()
 		s.Stalls = tm.stalls.Load()
 		il := tm.iterLat.snap()
 		s.IterLat = &il
-		if st := tm.stealTake.snap(); st.Count > 0 {
+		n := len(tm.shards)
+		if st := mergeHists(n, func(i int) *hist { return &tm.shards[i].stealTake }); st.Count > 0 {
 			s.StealTake = &st
 		}
-		if pd := tm.parkDur.snap(); pd.Count > 0 {
+		if pd := mergeHists(n, func(i int) *hist { return &tm.shards[i].parkDur }); pd.Count > 0 {
 			s.ParkDur = &pd
 		}
 	}
 
-	for _, t := range a.plan.Tasks {
+	for _, task := range a.plan.Tasks {
 		st := StageSnap{
-			Name:  t.Name,
-			Width: int(e.widths[t.ID].Load()),
+			Name:  task.Name,
+			Width: int(e.widths[task.ID].Load()),
+			Jobs:  t.task[task.ID].Jobs,
 		}
 		if tm != nil {
-			st.Svc = tm.stageHist(t.ID)
-			st.Jobs = tm.stageJobs(st.Svc.Count)
+			st.Svc = tm.stageHist(task.ID)
 		}
 		s.Stages = append(s.Stages, st)
 	}

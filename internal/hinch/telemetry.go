@@ -6,23 +6,19 @@ import (
 	"time"
 )
 
-// This file implements the live telemetry subsystem: per-worker
-// histogram shards for job service time, a set of shared histograms for
-// iteration latency, stream occupancy and scheduler behaviour, mirror
-// counters for everything App.Snapshot must read mid-run, and the
-// stalled-progress watchdog behind /healthz.
+// This file implements the optional half of the run's observability:
+// histograms (job service time, iteration latency, stream occupancy,
+// steal batch size, park duration) and the stalled-progress watchdog
+// behind /healthz. Counters are not here — they are always on, in the
+// counters shards (metrics.go).
 //
 // Like Config.Tracer and Config.Hooks, telemetry is nil in production
 // (Config.Telemetry off) — every record site pays one predictable
-// branch. The write side follows the flight recorder's shard
-// discipline: the service-time histograms are sharded per worker
-// (shard 0 for the engine/sim goroutine, shard w+1 for worker w), so a
-// record is an uncontended add into the owning worker's own shard.
-// The counters are atomic rather than plain — a deliberate deviation
-// from a fully atomic-free design — because scrapes (App.Snapshot, the
-// /metrics handler) merge the shards mid-run from arbitrary
-// goroutines; single-writer atomic adds cost within a few nanoseconds
-// of plain stores and keep every scrape race-free under -race.
+// branch. The per-worker histograms hang off the worker's counters
+// shard (tmShard), so a record is an uncontended add by the shard's
+// single writer; the fields are atomic so that scrapes (App.Snapshot,
+// the /metrics handler) can merge the shards mid-run from any
+// goroutine.
 //
 // Units follow the tracer's clock domains: virtual cycles on the sim
 // backend (every job is recorded, so histograms are deterministic and
@@ -81,16 +77,20 @@ func (h *hist) record(v int64) {
 // concurrently with record; the copy is consistent enough for
 // monitoring (each field individually up to date).
 func (h *hist) snap() HistSnap {
-	s := HistSnap{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-		Max:   h.max.Load(),
+	return mergeHists(1, func(int) *hist { return h })
+}
+
+// mergeHists sums n histograms into one snapshot, trimmed to the
+// highest non-empty bucket. Safe mid-run.
+func mergeHists(n int, at func(i int) *hist) HistSnap {
+	var s HistSnap
+	var buckets [histBuckets]int64
+	for i := 0; i < n; i++ {
+		at(i).addInto(&s, buckets[:])
 	}
 	top := -1
-	var buckets [histBuckets]int64
-	for i := range h.bucket {
-		buckets[i] = h.bucket[i].Load()
-		if buckets[i] > 0 {
+	for i, c := range buckets {
+		if c > 0 {
 			top = i
 		}
 	}
@@ -163,194 +163,61 @@ func (s HistSnap) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// shardCounter is one cache-line-padded counter in a per-worker shard
-// array: single-writer adds, merged by concurrent scrapes.
-type shardCounter struct {
-	n atomic.Int64
-	_ [56]byte
+// tmShard is one writer's histograms, reached through its counters
+// shard: per-task job service time, plus the two scheduler profiles
+// only workers record.
+type tmShard struct {
+	svc       []hist // indexed by task ID
+	stealTake hist   // jobs moved per steal hit
+	parkDur   hist   // park duration in wall ns
 }
 
-// telemetry is the engine's live-metrics state; nil unless
-// Config.Telemetry. Histogram layout: svc[shard*nTasks+task] is the
-// service-time shard written only by that shard's goroutine; occ,
-// iterLat and the scheduler histograms are engine-level (serialised by
-// mu or recorded at rare scheduler boundaries).
+// telemetry is the engine's optional live-metrics state; nil unless
+// Config.Telemetry. shards[i] belongs to counters shard i; occ and
+// iterLat are engine-level (serialised by mu, or by the sim goroutine).
 type telemetry struct {
-	wall   bool // real backend: values are wall ns; sim: virtual cycles
-	nTasks int
-
-	svc []hist // (shard, task) service-time shards
-	occ []hist // per-stream occupancy, recorded at buffer acquire
-
-	iterLat   hist // launch -> retire latency per iteration
-	stealTake hist // jobs moved per steal hit (real backend)
-	parkDur   hist // park duration in wall ns (real backend)
-
-	// jobShard mirrors the per-worker job counters live (real backend
-	// only: the primaries fold into App.metrics.jobs at run end, which
-	// would leave mid-run scrapes reading 0; the sim backend counts
-	// into App.metrics.jobs directly). One padded counter per shard so
-	// adjacent workers' adds don't share a cache line.
-	jobShard []shardCounter
-
-	// Live mirrors of counters whose primaries are plain per-worker
-	// shard fields (merged only at run end) or mu-guarded engine state.
-	launched   atomic.Int64 // iterations admitted to the pipeline
-	retiredAll atomic.Int64 // iterations retired, cancelled included
-	processed  atomic.Int64 // iterations retired and counted
-	faulted    atomic.Int64 // contained failed attempts
-	retries    atomic.Int64 // policy re-attempts
-	steals     atomic.Int64 // jobs taken from other workers' deques
-	stealTries atomic.Int64 // steal scans
-	globalPops atomic.Int64 // jobs taken from the global overflow queue
-	parks      atomic.Int64 // worker park events
+	shards  []tmShard
+	occ     []hist // per-stream occupancy, recorded at buffer acquire
+	iterLat hist   // launch -> retire latency per iteration
 
 	// Stalled-progress watchdog: every epoch (WatchdogCycles virtual
-	// cycles on sim, WatchdogWall on real) the engine compares
-	// retiredAll against the previous epoch; wdK epochs without a
-	// retirement flip stalled (and /healthz) until progress resumes.
+	// cycles on sim, WatchdogWall on real) the engine compares its
+	// retirement frontier against the previous epoch's; wdK epochs
+	// without a retirement flip stalled (and /healthz) until progress
+	// resumes.
 	stalled  atomic.Bool
 	stalls   atomic.Int64
 	wdK      int
 	wdEpoch  int64 // sim: epoch length in virtual cycles
 	wdWall   time.Duration
 	wdNextAt int64 // sim: virtual time of the next watchdog boundary
-	wdLast   int64 // retiredAll at the previous epoch; engine-side only
+	wdLast   int   // retireNext at the previous epoch; engine-side only
 	wdMisses int   // consecutive epochs without progress; engine-side only
 }
 
-// newTelemetry sizes the telemetry state for an engine. The sim
-// backend records from its single goroutine only (one shard); the real
-// backend gets one service-time shard per worker plus the engine
-// shard.
+// newTelemetry sizes the telemetry state for an engine and hangs one
+// histogram shard off each of its counters shards.
 func newTelemetry(e *engine) *telemetry {
 	a := e.app
-	shards := 1
-	wall := false
-	if a.cfg.Backend == BackendReal {
-		shards = a.cfg.Cores + 1
-		wall = true
-	}
-	n := len(a.plan.Tasks)
 	tm := &telemetry{
-		wall:   wall,
-		nTasks: n,
-		svc:    make([]hist, shards*n),
-		occ:    make([]hist, len(a.streamList)),
-		wdK:    a.cfg.WatchdogEpochs,
-		wdWall: a.cfg.WatchdogWall,
+		shards:   make([]tmShard, len(e.acct)),
+		occ:      make([]hist, len(a.streamList)),
+		wdK:      a.cfg.WatchdogEpochs,
+		wdWall:   a.cfg.WatchdogWall,
+		wdEpoch:  a.cfg.WatchdogCycles,
+		wdNextAt: a.cfg.WatchdogCycles,
 	}
-	tm.wdEpoch = a.cfg.WatchdogCycles
-	tm.wdNextAt = tm.wdEpoch
-	if wall {
-		tm.jobShard = make([]shardCounter, shards)
+	for i := range tm.shards {
+		tm.shards[i].svc = make([]hist, len(a.plan.Tasks))
+		e.acct[i].tm = &tm.shards[i]
 	}
 	return tm
-}
-
-// recordJob counts one executed job into the caller's shard (real
-// backend; the sim backend counts into App.metrics.jobs directly).
-//
-//hinch:hotpath
-func (tm *telemetry) recordJob(shard int) { tm.jobShard[shard].n.Add(1) }
-
-// jobsLive merges the per-shard job counts. Safe mid-run; zero when
-// the backend keeps App.metrics.jobs live itself.
-func (tm *telemetry) jobsLive() int64 {
-	var n int64
-	for i := range tm.jobShard {
-		n += tm.jobShard[i].n.Load()
-	}
-	return n
-}
-
-// recordSvc records one job's service time into the caller's shard
-// (0 = engine/sim goroutine, w+1 = worker w).
-//
-//hinch:hotpath
-func (tm *telemetry) recordSvc(shard, task int, v int64) {
-	tm.svc[shard*tm.nTasks+task].record(v)
-}
-
-// recordIterLaunch notes one iteration entering the pipeline.
-func (tm *telemetry) recordIterLaunch() { tm.launched.Add(1) }
-
-// recordIterRetire records one iteration's end-to-end latency and the
-// watchdog's progress signal. counted is false for EOS-cancelled
-// iterations.
-func (tm *telemetry) recordIterRetire(lat int64, counted bool) {
-	tm.iterLat.record(lat)
-	tm.retiredAll.Add(1)
-	if counted {
-		tm.processed.Add(1)
-	}
-}
-
-// recordOcc records a stream's occupancy after a buffer acquire.
-//
-//hinch:hotpath
-func (tm *telemetry) recordOcc(stream int, occ int64) {
-	tm.occ[stream].record(occ)
-}
-
-// recordSteal notes a steal hit moving took jobs.
-func (tm *telemetry) recordSteal(took int64) {
-	tm.steals.Add(took)
-	tm.stealTake.record(took)
-}
-
-// recordStealTry notes one steal scan (hit or miss).
-func (tm *telemetry) recordStealTry() { tm.stealTries.Add(1) }
-
-// recordGlobalPop notes a job taken from the global overflow queue.
-func (tm *telemetry) recordGlobalPop() { tm.globalPops.Add(1) }
-
-// recordPark records one worker park and its wall duration.
-func (tm *telemetry) recordPark(dur int64) {
-	tm.parks.Add(1)
-	tm.parkDur.record(dur)
-}
-
-// recordFaults folds one job's contained failures into the live
-// mirrors (the per-worker ClassStats shards remain the end-of-run
-// source of truth).
-func (tm *telemetry) recordFaults(faults, retries int64) {
-	if faults > 0 {
-		tm.faulted.Add(faults)
-	}
-	if retries > 0 {
-		tm.retries.Add(retries)
-	}
 }
 
 // stageHist merges task's per-shard service-time histograms into one
 // snapshot. Safe mid-run.
 func (tm *telemetry) stageHist(task int) HistSnap {
-	var s HistSnap
-	var buckets [histBuckets]int64
-	for sh := 0; sh*tm.nTasks < len(tm.svc); sh++ {
-		tm.svc[sh*tm.nTasks+task].addInto(&s, buckets[:])
-	}
-	top := -1
-	for i, c := range buckets {
-		if c > 0 {
-			top = i
-		}
-	}
-	if top >= 0 {
-		s.Buckets = append([]int64(nil), buckets[:top+1]...)
-	}
-	return s
-}
-
-// stageJobs estimates task's executed-job count from the service-time
-// histograms: exact on the sim backend (every job is recorded),
-// count<<tmSampleShift on the real backend (stride sampling).
-func (tm *telemetry) stageJobs(count int64) int64 {
-	if tm.wall {
-		return count << tmSampleShift
-	}
-	return count
+	return mergeHists(len(tm.shards), func(i int) *hist { return &tm.shards[i].svc[task] })
 }
 
 // watchdogEpoch runs one stalled-progress check. Called at virtual
@@ -361,9 +228,8 @@ func (tm *telemetry) stageJobs(count int64) int64 {
 //hinch:locked
 func (e *engine) watchdogEpoch() {
 	tm := e.tm
-	r := tm.retiredAll.Load()
-	if r != tm.wdLast {
-		tm.wdLast = r
+	if e.retireNext != tm.wdLast {
+		tm.wdLast = e.retireNext
 		tm.wdMisses = 0
 		tm.stalled.Store(false)
 		return
@@ -382,13 +248,4 @@ func (e *engine) watchdogEpoch() {
 			})
 		}
 	}
-}
-
-// tmNow returns the telemetry clock: virtual cycles on sim, wall
-// nanoseconds since run start on real. Engine-side call sites only.
-func (e *engine) tmNow() int64 {
-	if e.ws == nil {
-		return e.simNow
-	}
-	return int64(time.Since(e.trStart))
 }

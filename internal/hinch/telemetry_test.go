@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"xspcl/internal/graph"
 )
 
 func TestHistQuantile(t *testing.T) {
@@ -103,50 +105,159 @@ func TestSnapshotBeforeRun(t *testing.T) {
 	}
 }
 
-func TestSnapshotLiveRealRun(t *testing.T) {
-	app, err := NewApp(chainProg(), testRegistry(),
-		Config{Backend: BackendReal, Cores: 4, EagerWorkers: true, Telemetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var snaps int
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s := app.Snapshot()
-			if s.Inflight < 0 {
-				t.Errorf("negative inflight %d", s.Inflight)
-				return
-			}
-			snaps++
+// liveProg is reconfigProg with a failure policy: the emitter toggles
+// option "extra" every 7 iterations, and the manager's base adder
+// retries twice, so seeded faults on it produce faults, retries and —
+// when all three attempts of an iteration fail — degradations.
+func liveProg() *graph.Program {
+	b := graph.NewBuilder("live")
+	b.Stream("a").Stream("b").Stream("c")
+	b.Queue("ui")
+	b.Body(
+		b.Component("src", "intsrc", graph.Ports{"out": "a"}, nil),
+		b.Component("em", "emitter", nil, graph.Params{"queue": "ui", "event": "flip", "every": "7"}),
+		b.Manager("m", "ui",
+			[]graph.EventBinding{graph.On("flip", graph.ActionToggle, "extra")},
+			b.Component("base", "adder", graph.Ports{"in": "a", "out": "b"},
+				graph.Params{"add": "0", graph.OnErrorParam: "retry:2,base=1us"}),
+			b.Option("extra", false,
+				b.Component("x", "adder", graph.Ports{"in": "b", "out": "b"}, graph.Params{"add": "1000"}),
+			),
+		),
+		b.Component("dbl", "double", graph.Ports{"in": "b", "out": "c"}, nil),
+		b.Component("snk", "intsink", graph.Ports{"in": "c"}, nil),
+	)
+	return b.MustProgram()
+}
+
+// holdUntilSeen wraps a fault injector and parks the source's job of
+// one iteration until the test's poller has observed live counters, so
+// every case is guaranteed a mid-run observation.
+type holdUntilSeen struct {
+	FaultInjector
+	at   int
+	seen <-chan struct{}
+}
+
+func (h *holdUntilSeen) Inject(task string, iter, attempt int) Fault {
+	if task == "src" && iter == h.at {
+		select {
+		case <-h.seen:
+		case <-time.After(10 * time.Second):
 		}
-	}()
-	rep, err := app.Run(400)
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
 	}
-	if snaps == 0 {
-		t.Fatal("no snapshots taken during the run")
-	}
-	final := app.Snapshot()
-	if final.Retired != 400 || final.Inflight != 0 {
-		t.Fatalf("final snapshot %+v", final)
-	}
-	if final.Jobs != rep.Jobs {
-		t.Fatalf("snapshot jobs %d, report %d", final.Jobs, rep.Jobs)
-	}
-	if len(rep.Stages) == 0 {
-		t.Fatal("real report has no stage latencies")
+	return h.FaultInjector.Inject(task, iter, attempt)
+}
+
+var counterNames = []string{"Jobs", "Launched", "Retired", "Processed", "Faults", "Retries",
+	"Degradations", "Reconfigs", "Events", "Steals", "StealTries", "GlobalPops", "Parks"}
+
+// snapCounters lists a snapshot's counters in counterNames order.
+func snapCounters(s Snapshot) []int64 {
+	return []int64{s.Jobs, s.Launched, s.Retired, s.Processed, s.Faults, s.Retries,
+		s.Degradations, s.Reconfigs, s.Events, s.Steals, s.StealTries, s.GlobalPops, s.Parks}
+}
+
+// reportCounters lists the report's counterparts. The Report has no
+// launched/retired fields; a run that completes without EOS launches
+// and retires exactly the iterations asked for.
+func reportCounters(r *Report, iters int64) []int64 {
+	return []int64{r.Jobs, iters, iters, int64(r.Iterations), r.Faults, r.Retries,
+		r.Degradations, int64(r.Reconfigs), r.EventsEmitted,
+		r.Sched.Steals, r.Sched.StealAttempts, r.Sched.GlobalPops, r.Sched.Parks}
+}
+
+// TestSnapshotLiveRealRun: on either backend, with or without
+// Config.Telemetry, a snapshot taken mid-run shows live counters that
+// only ever grow, and after Run every counter equals the Report's —
+// both are folds of the same shards.
+func TestSnapshotLiveRealRun(t *testing.T) {
+	const iters = 300
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sim", Config{Backend: BackendSim, Cores: 4}},
+		{"sim-telemetry", Config{Backend: BackendSim, Cores: 4, Telemetry: true}},
+		{"real", Config{Backend: BackendReal, Cores: 4, EagerWorkers: true}},
+		{"real-telemetry", Config{Backend: BackendReal, Cores: 4, EagerWorkers: true, Telemetry: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seen := make(chan struct{})
+			cfg := tc.cfg
+			cfg.Faults = &holdUntilSeen{
+				FaultInjector: &SeededFaults{Seed: 7, Rate: 2, Task: "base", From: -1},
+				at:            iters / 2, seen: seen,
+			}
+			app, err := NewApp(liveProg(), testRegistry(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			polled := make(chan struct{})
+			go func() {
+				defer close(polled)
+				last := snapCounters(Snapshot{})
+				live := false
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s := app.Snapshot()
+					if s.Processed > s.Retired || s.Retired > s.Launched || s.Inflight != s.Launched-s.Retired {
+						t.Errorf("iteration counters out of order: %+v", s)
+						return
+					}
+					cur := snapCounters(s)
+					for i := range cur {
+						if cur[i] < last[i] {
+							t.Errorf("%s went backwards: %d after %d", counterNames[i], cur[i], last[i])
+							return
+						}
+					}
+					last = cur
+					if !live && s.Processed > 0 && s.Jobs > 0 {
+						live = true
+						close(seen)
+					}
+				}
+			}()
+			rep, err := app.Run(iters)
+			close(stop)
+			<-polled
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-seen:
+			default:
+				t.Fatal("no snapshot taken mid-run showed live counters")
+			}
+			final := app.Snapshot()
+			got, want := snapCounters(final), reportCounters(rep, iters)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("snapshot %s = %d, report says %d", counterNames[i], got[i], want[i])
+				}
+			}
+			var stageJobs int64
+			for _, st := range final.Stages {
+				stageJobs += st.Jobs
+			}
+			if final.Inflight != 0 || stageJobs != final.Jobs {
+				t.Errorf("final snapshot: %d iterations in flight, stage jobs sum to %d of %d",
+					final.Inflight, stageJobs, final.Jobs)
+			}
+			if rep.Reconfigs == 0 || rep.Faults == 0 || rep.Retries == 0 || rep.Degradations == 0 || rep.EventsEmitted == 0 {
+				t.Errorf("program did not exercise every counter: %v", rep)
+			}
+			if final.Telemetry != cfg.Telemetry || (len(rep.Stages) > 0) != cfg.Telemetry {
+				t.Errorf("telemetry=%v but snapshot says %v and report has %d stages",
+					cfg.Telemetry, final.Telemetry, len(rep.Stages))
+			}
+		})
 	}
 }
 

@@ -142,7 +142,10 @@ func (r *Recorder) Dropped() int64 {
 //     on the same worker (spans tile each worker's timeline);
 //   - per-shard timestamps of spans never decrease;
 //   - when no events were dropped, the traced span count equals
-//     Report.Jobs (skips are no-ops and are excluded from both).
+//     Report.Jobs (skips are no-ops and are excluded from both), the
+//     jobs moved by steal hits (the sum of their Arg — a hit takes a
+//     batch) equal Report.Sched.Steals, and the chained jobs under the
+//     batch headers equal Report.Sched.Chained.
 func Validate(r *Recorder, rep *hinch.Report) error {
 	if !r.began {
 		return fmt.Errorf("trace: recorder was never attached to a run")
@@ -151,10 +154,16 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 	if len(r.shards) != meta.Cores+1 {
 		return fmt.Errorf("trace: %d shards for %d cores", len(r.shards), meta.Cores)
 	}
-	spans := int64(0)
+	var spans, stolen, chained int64
 	lastEnd := make(map[int32]int64, meta.Cores)
 	for si := 0; si < len(r.shards); si++ {
 		for _, ev := range r.Events(si) {
+			switch ev.Kind {
+			case hinch.TraceStealHit:
+				stolen += ev.Arg
+			case hinch.TraceBatch:
+				chained += ev.Arg - 1
+			}
 			if ev.Kind != hinch.TraceJobSpan {
 				continue
 			}
@@ -172,8 +181,17 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 			lastEnd[ev.Worker] = ev.TS + ev.Arg
 		}
 	}
-	if r.Dropped() == 0 && spans != rep.Jobs {
+	if r.Dropped() != 0 {
+		return nil
+	}
+	if spans != rep.Jobs {
 		return fmt.Errorf("trace: %d job spans recorded, report counts %d jobs", spans, rep.Jobs)
+	}
+	if stolen != rep.Sched.Steals {
+		return fmt.Errorf("trace: steal hits moved %d jobs, report counts %d steals", stolen, rep.Sched.Steals)
+	}
+	if chained != rep.Sched.Chained {
+		return fmt.Errorf("trace: batch headers cover %d chained jobs, report counts %d", chained, rep.Sched.Chained)
 	}
 	return nil
 }

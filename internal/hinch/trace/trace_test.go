@@ -95,10 +95,9 @@ func TestTraceInvariantsReal(t *testing.T) {
 	if got := int64(kindCount(rec, hinch.TraceJobSpan)); got != rep.Jobs {
 		t.Errorf("job spans = %d, report jobs = %d", got, rep.Jobs)
 	}
-	// The folded scheduler counters must agree with the trace.
-	if got, want := int64(kindCount(rec, hinch.TraceStealHit)), rep.Sched.Steals; got != want {
-		t.Errorf("steal events = %d, report steals = %d", got, want)
-	}
+	// The folded scheduler counters must agree with the trace. Steals
+	// count jobs while a steal hit moves a batch, so that comparison is
+	// a sum over the hits' Arg: Validate, above, makes it.
 	if got, want := int64(kindCount(rec, hinch.TraceGlobalPop)), rep.Sched.GlobalPops; got != want {
 		t.Errorf("global-pop events = %d, report global pops = %d", got, want)
 	}

@@ -58,7 +58,8 @@ const (
 	TraceEventPush
 	// TraceEventDrain: a manager drained queue ID. Arg = events taken.
 	TraceEventDrain
-	// TraceStealHit: worker Worker stole a job from worker ID's deque.
+	// TraceStealHit: worker Worker stole a batch of jobs from worker
+	// ID's deque. Arg = jobs taken (what Report.Sched.Steals counts).
 	TraceStealHit
 	// TraceGlobalPop: worker Worker took a job from the global
 	// overflow queue.

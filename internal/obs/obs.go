@@ -46,38 +46,53 @@ func NewServer(app *hinch.App, rec *trace.Recorder) *Server {
 // Handler returns the ops mux. Mount it on any listener; all handlers
 // are safe while the App runs.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.metrics)
-	mux.HandleFunc("/statusz", s.statusz)
-	mux.HandleFunc("/healthz", s.healthz)
+	mux := newMux("xspcl ops surface\n\n/metrics\n/statusz\n/healthz\n/debug/trace?last=N\n/debug/pprof/\n",
+		func(w io.Writer) { RenderMetrics(w, s.app.Snapshot()) },
+		func() any { return s.app.Snapshot() },
+		s.healthz)
 	mux.HandleFunc("/debug/trace", s.trace)
+	return mux
+}
+
+// newMux builds what the app and supervisor surfaces share: /metrics
+// (Prometheus text from render), /statusz (status() as indented JSON),
+// /healthz, the pprof endpoints, and an index page at "/".
+func newMux(index string, render func(io.Writer), status func() any, healthz http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		render(w)
+	})
+	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(status())
+	})
+	mux.HandleFunc("/healthz", healthz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/", s.index)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		io.WriteString(w, index)
+	})
 	return mux
 }
 
-func (s *Server) index(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	io.WriteString(w, "xspcl ops surface\n\n/metrics\n/statusz\n/healthz\n/debug/trace?last=N\n/debug/pprof/\n")
+// counter and gauge write one unlabelled Prometheus sample with its
+// HELP and TYPE lines.
+func counter(w io.Writer, name, help string, v int64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 }
 
-func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	RenderMetrics(w, s.app.Snapshot())
-}
-
-func (s *Server) statusz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.app.Snapshot())
+func gauge(w io.Writer, name, help string, v int64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 }
 
 func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
@@ -114,34 +129,27 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 // streams render in pipeline order and histogram buckets use the fixed
 // log2 bounds, so sim-backend scrapes are deterministic.
 func RenderMetrics(w io.Writer, s hinch.Snapshot) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-
-	counter("xspcl_jobs_total", "Executed jobs.", s.Jobs)
-	counter("xspcl_events_total", "Reconfiguration events emitted.", s.Events)
-	counter("xspcl_iterations_launched_total", "Iterations admitted to the pipeline.", s.Launched)
-	counter("xspcl_iterations_retired_total", "Iterations retired (cancelled included).", s.Retired)
-	counter("xspcl_iterations_processed_total", "Iterations retired and counted.", s.Processed)
-	gauge("xspcl_iterations_inflight", "Iterations currently in the pipeline.", s.Inflight)
-	counter("xspcl_faults_total", "Contained component failures.", s.Faults)
-	counter("xspcl_retries_total", "Policy re-attempts.", s.Retries)
-	counter("xspcl_degradations_total", "Degradation events pushed to managers.", s.Degradations)
-	counter("xspcl_reconfigs_total", "Reconfigurations applied.", s.Reconfigs)
-	counter("xspcl_steals_total", "Jobs stolen from other workers.", s.Steals)
-	counter("xspcl_steal_tries_total", "Steal scans.", s.StealTries)
-	counter("xspcl_global_pops_total", "Jobs taken from the global overflow queue.", s.GlobalPops)
-	counter("xspcl_parks_total", "Worker park events.", s.Parks)
+	counter(w, "xspcl_jobs_total", "Executed jobs.", s.Jobs)
+	counter(w, "xspcl_events_total", "Reconfiguration events emitted.", s.Events)
+	counter(w, "xspcl_iterations_launched_total", "Iterations admitted to the pipeline.", s.Launched)
+	counter(w, "xspcl_iterations_retired_total", "Iterations retired (cancelled included).", s.Retired)
+	counter(w, "xspcl_iterations_processed_total", "Iterations retired and counted.", s.Processed)
+	gauge(w, "xspcl_iterations_inflight", "Iterations currently in the pipeline.", s.Inflight)
+	counter(w, "xspcl_faults_total", "Contained component failures.", s.Faults)
+	counter(w, "xspcl_retries_total", "Policy re-attempts.", s.Retries)
+	counter(w, "xspcl_degradations_total", "Degradation events pushed to managers.", s.Degradations)
+	counter(w, "xspcl_reconfigs_total", "Reconfigurations applied.", s.Reconfigs)
+	counter(w, "xspcl_steals_total", "Jobs stolen from other workers.", s.Steals)
+	counter(w, "xspcl_steal_tries_total", "Steal scans.", s.StealTries)
+	counter(w, "xspcl_global_pops_total", "Jobs taken from the global overflow queue.", s.GlobalPops)
+	counter(w, "xspcl_parks_total", "Worker park events.", s.Parks)
 	stalled := int64(0)
 	if s.Stalled {
 		stalled = 1
 	}
-	gauge("xspcl_stalled", "1 while the progress watchdog sees no retirements.", stalled)
-	counter("xspcl_stalls_total", "Distinct stall episodes.", s.Stalls)
-	gauge("xspcl_stream_cap", "Current stream-FIFO capacity.", int64(s.StreamCap))
+	gauge(w, "xspcl_stalled", "1 while the progress watchdog sees no retirements.", stalled)
+	counter(w, "xspcl_stalls_total", "Distinct stall episodes.", s.Stalls)
+	gauge(w, "xspcl_stream_cap", "Current stream-FIFO capacity.", int64(s.StreamCap))
 
 	if len(s.Stages) > 0 {
 		fmt.Fprintf(w, "# HELP xspcl_stage_width Replica width per stage.\n# TYPE xspcl_stage_width gauge\n")

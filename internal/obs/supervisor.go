@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 
 	"xspcl/internal/serve"
 )
@@ -32,25 +30,16 @@ func NewSupervisorServer(sup *serve.Supervisor) *SupervisorServer {
 // Handler returns the supervisor ops mux; all handlers are safe while
 // sessions run and settle.
 func (s *SupervisorServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.metrics)
-	mux.HandleFunc("/statusz", s.statusz)
-	mux.HandleFunc("/healthz", s.healthz)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/", s.index)
-	return mux
-}
-
-func (s *SupervisorServer) index(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	io.WriteString(w, "xspcl supervisor ops surface\n\n/metrics\n/statusz\n/healthz\n/debug/pprof/\n")
+	return newMux("xspcl supervisor ops surface\n\n/metrics\n/statusz\n/healthz\n/debug/pprof/\n",
+		func(w io.Writer) { RenderSupervisorMetrics(w, s.sup.Stats(), s.sup.StalledSessions()) },
+		func() any {
+			return supervisorStatus{
+				Stats:    s.sup.Stats(),
+				Stalled:  s.sup.StalledSessions(),
+				Sessions: s.sup.Sessions(),
+			}
+		},
+		s.healthz)
 }
 
 // supervisorStatus is the /statusz body: the exact accounting plus the
@@ -59,17 +48,6 @@ type supervisorStatus struct {
 	Stats    serve.Stats    `json:"stats"`
 	Stalled  int            `json:"stalled_sessions"`
 	Sessions []serve.Status `json:"sessions"`
-}
-
-func (s *SupervisorServer) statusz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(supervisorStatus{
-		Stats:    s.sup.Stats(),
-		Stalled:  s.sup.StalledSessions(),
-		Sessions: s.sup.Sessions(),
-	})
 }
 
 func (s *SupervisorServer) healthz(w http.ResponseWriter, _ *http.Request) {
@@ -83,34 +61,23 @@ func (s *SupervisorServer) healthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "ok: running=%d queued=%d\n", st.Running, st.Queued)
 }
 
-func (s *SupervisorServer) metrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	RenderSupervisorMetrics(w, s.sup.Stats(), s.sup.StalledSessions())
-}
-
 // RenderSupervisorMetrics writes the supervisor counters in the
 // Prometheus text exposition format — a pure function of its inputs.
 func RenderSupervisorMetrics(w io.Writer, st serve.Stats, stalled int) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("xspcl_sessions_submitted_total", "Session submissions.", st.Submitted)
-	counter("xspcl_sessions_admitted_total", "Submissions admitted (run or queued).", st.Admitted)
-	counter("xspcl_sessions_rejected_total", "Submissions rejected (overloaded or draining).", st.Rejected)
-	counter("xspcl_sessions_completed_total", "Sessions that finished cleanly.", st.Completed)
-	counter("xspcl_sessions_degraded_total", "Sessions that finished degraded.", st.Degraded)
-	counter("xspcl_sessions_cancelled_total", "Sessions cancelled (caller, deadline, or drain).", st.Cancelled)
-	counter("xspcl_sessions_failed_total", "Sessions that failed (error or contained panic).", st.Failed)
-	gauge("xspcl_sessions_running", "Sessions currently running.", int64(st.Running))
-	gauge("xspcl_sessions_queued", "Sessions waiting in the admission queue.", int64(st.Queued))
-	gauge("xspcl_sessions_stalled", "Running sessions whose progress watchdog is firing.", int64(stalled))
-	gauge("xspcl_workers_in_use", "Worker share claimed by running sessions.", int64(st.WorkersInUse))
+	counter(w, "xspcl_sessions_submitted_total", "Session submissions.", st.Submitted)
+	counter(w, "xspcl_sessions_admitted_total", "Submissions admitted (run or queued).", st.Admitted)
+	counter(w, "xspcl_sessions_rejected_total", "Submissions rejected (overloaded or draining).", st.Rejected)
+	counter(w, "xspcl_sessions_completed_total", "Sessions that finished cleanly.", st.Completed)
+	counter(w, "xspcl_sessions_degraded_total", "Sessions that finished degraded.", st.Degraded)
+	counter(w, "xspcl_sessions_cancelled_total", "Sessions cancelled (caller, deadline, or drain).", st.Cancelled)
+	counter(w, "xspcl_sessions_failed_total", "Sessions that failed (error or contained panic).", st.Failed)
+	gauge(w, "xspcl_sessions_running", "Sessions currently running.", int64(st.Running))
+	gauge(w, "xspcl_sessions_queued", "Sessions waiting in the admission queue.", int64(st.Queued))
+	gauge(w, "xspcl_sessions_stalled", "Running sessions whose progress watchdog is firing.", int64(stalled))
+	gauge(w, "xspcl_workers_in_use", "Worker share claimed by running sessions.", int64(st.WorkersInUse))
 	draining := int64(0)
 	if st.Draining {
 		draining = 1
 	}
-	gauge("xspcl_draining", "1 after Drain began.", draining)
+	gauge(w, "xspcl_draining", "1 after Drain began.", draining)
 }

@@ -407,3 +407,47 @@ func TestSessionsStatusListing(t *testing.T) {
 	}
 	sv.Drain()
 }
+
+// lateGate runs two iterations, then announces itself and blocks its
+// third until released.
+type lateGate struct{ reached, release chan struct{} }
+
+func (c *lateGate) Init(*hinch.InitContext) error { return nil }
+func (c *lateGate) Run(rc *hinch.RunContext) error {
+	if rc.Iteration() == 2 {
+		close(c.reached)
+		<-c.release
+	}
+	return nil
+}
+
+// TestRunningSessionReportsProgress: the status of a running session
+// carries its live iteration and job counts, whether or not the app was
+// built with Config.Telemetry.
+func TestRunningSessionReportsProgress(t *testing.T) {
+	defer leakCheck(t)()
+	sv := New(Limits{MaxSessions: 1})
+	g := &lateGate{reached: make(chan struct{}), release: make(chan struct{})}
+	s, err := sv.Submit(Job{
+		Name: "runner", Cores: 1, Iterations: 5,
+		New: func() (*hinch.App, error) {
+			r := hinch.NewRegistry()
+			r.Register("gate", hinch.ClassSpec{New: func() hinch.Component { return g }})
+			return hinch.NewApp(soloProg("gate"), r, hinch.Config{Backend: hinch.BackendReal, Cores: 1, PipelineDepth: 1})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-g.reached
+	// PipelineDepth 1: iteration 2 launched only once 0 and 1 retired.
+	st := sv.Sessions()[0]
+	if st.State != StateRunning || st.Iterations != 2 || st.Jobs != 3 {
+		t.Errorf("mid-run status: state=%v iterations=%d jobs=%d, want running/2/3", st.State, st.Iterations, st.Jobs)
+	}
+	close(g.release)
+	if out, rep, err := s.Wait(); err != nil || out != OutcomeCompleted || rep.Iterations != 5 {
+		t.Fatalf("outcome %v, report %v, err %v", out, rep, err)
+	}
+	sv.Drain()
+}
