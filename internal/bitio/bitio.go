@@ -5,6 +5,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -72,40 +73,70 @@ func (w *Writer) Bytes() []byte {
 	return w.buf
 }
 
-// Reader consumes bits MSB-first from a byte slice.
+// Reader consumes bits MSB-first from a byte slice through a 64-bit
+// accumulator: acc holds the next unread bits left-aligned, refilled
+// eight bytes at a time while the slice lasts and byte by byte at its
+// tail. Bits past the end of the slice peek as zero and cannot be
+// skipped.
 type Reader struct {
 	buf  []byte
-	pos  int // next byte index
-	cur  uint32
-	ncur uint
+	pos  int    // next byte index to load into acc
+	acc  uint64 // unread bits, most significant first
+	nacc uint   // valid bits in acc (≤ 63); lower bits are stream bits not yet counted, or zero
 }
 
 // NewReader returns a Reader over buf. The Reader does not copy buf.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+
+// refill tops acc up to at least 56 valid bits, or to the end of the
+// stream, and reports whether n bits are now available. Bits a wide
+// load leaves below nacc are the stream's own, so loading them again
+// later is idempotent. Kept out of line so Peek and Skip inline.
+//
+//go:noinline
+func (r *Reader) refill(n uint) bool {
+	if r.pos+8 <= len(r.buf) {
+		r.acc |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.nacc
+		r.pos += int((63 - r.nacc) >> 3)
+		r.nacc |= 56
+		return true
+	}
+	for r.nacc <= 56 && r.pos < len(r.buf) {
+		r.acc |= uint64(r.buf[r.pos]) << (56 - r.nacc)
+		r.pos++
+		r.nacc += 8
+	}
+	return r.nacc >= n
+}
+
+// Peek returns the next n bits (n ≤ 32) without consuming them; bits
+// past the end of the stream read as zero.
+func (r *Reader) Peek(n uint) uint32 {
+	if r.nacc < n {
+		r.refill(n)
+	}
+	return uint32(r.acc >> (64 - n))
+}
+
+// Skip consumes n bits (n ≤ 32). It returns ErrOverrun, consuming
+// nothing, when fewer than n bits remain.
+func (r *Reader) Skip(n uint) error {
+	if r.nacc < n && !r.refill(n) {
+		return ErrOverrun
+	}
+	r.acc <<= n
+	r.nacc -= n
+	return nil
+}
 
 // ReadBits reads n bits (n ≤ 32) MSB-first.
 func (r *Reader) ReadBits(n uint) (uint32, error) {
 	if n > 32 {
 		panic(fmt.Sprintf("bitio: ReadBits n=%d", n))
 	}
-	var v uint32
-	for n > 0 {
-		if r.ncur == 0 {
-			if r.pos >= len(r.buf) {
-				return 0, ErrOverrun
-			}
-			r.cur = uint32(r.buf[r.pos])
-			r.pos++
-			r.ncur = 8
-		}
-		take := r.ncur
-		if take > n {
-			take = n
-		}
-		chunk := (r.cur >> (r.ncur - take)) & ((1 << take) - 1)
-		v = (v << take) | chunk
-		r.ncur -= take
-		n -= take
+	v := r.Peek(n)
+	if err := r.Skip(n); err != nil {
+		return 0, err
 	}
 	return v, nil
 }
@@ -114,4 +145,4 @@ func (r *Reader) ReadBits(n uint) (uint32, error) {
 func (r *Reader) ReadBit() (uint32, error) { return r.ReadBits(1) }
 
 // BitsRead returns the number of bits consumed so far.
-func (r *Reader) BitsRead() int { return r.pos*8 - int(r.ncur) }
+func (r *Reader) BitsRead() int { return r.pos*8 - int(r.nacc) }

@@ -142,3 +142,88 @@ func TestFullWidthValues(t *testing.T) {
 		t.Fatalf("got %x", v)
 	}
 }
+
+// naiveBits reads n bits at bit offset off of buf one at a time, bits
+// past the end as zero.
+func naiveBits(buf []byte, off, n int) uint32 {
+	var v uint32
+	for i := off; i < off+n; i++ {
+		v <<= 1
+		if i/8 < len(buf) {
+			v |= uint32(buf[i/8]>>(7-i%8)) & 1
+		}
+	}
+	return v
+}
+
+// TestPeekSkipExact holds Peek, Skip and ReadBits to a bit-at-a-time
+// reading of the buffer at every offset and width: through the wide
+// refill, the byte-wise tail, the last partial byte and past the end.
+func TestPeekSkipExact(t *testing.T) {
+	rng := uint64(1)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	for size := 0; size <= 21; size++ {
+		buf := make([]byte, size)
+		for i := range buf {
+			buf[i] = byte(next(256))
+		}
+		total := size * 8
+		for off := 0; off <= total; off++ {
+			// Reach off in random steps, mixing the three calls.
+			r := NewReader(buf)
+			for at := 0; at < off; {
+				n := next(33)
+				if n > off-at {
+					n = off - at
+				}
+				want := naiveBits(buf, at, n)
+				switch next(3) {
+				case 0:
+					if got, err := r.ReadBits(uint(n)); err != nil || got != want {
+						t.Fatalf("size %d: ReadBits(%d) at %d = %#x, %v; want %#x", size, n, at, got, err, want)
+					}
+				case 1:
+					if got := r.Peek(uint(n)); got != want {
+						t.Fatalf("size %d: Peek(%d) at %d = %#x, want %#x", size, n, at, got, want)
+					}
+					fallthrough
+				case 2:
+					if err := r.Skip(uint(n)); err != nil {
+						t.Fatalf("size %d: Skip(%d) at %d: %v", size, n, at, err)
+					}
+				}
+				at += n
+				if r.BitsRead() != at {
+					t.Fatalf("size %d: BitsRead = %d, want %d", size, r.BitsRead(), at)
+				}
+			}
+			for n := 0; n <= 32; n++ {
+				want := naiveBits(buf, off, n)
+				peek := *r
+				if got := peek.Peek(uint(n)); got != want {
+					t.Fatalf("size %d: Peek(%d) at %d = %#x, want %#x", size, n, off, got, want)
+				}
+				if peek.BitsRead() != off {
+					t.Fatalf("size %d: Peek(%d) at %d moved BitsRead to %d", size, n, off, peek.BitsRead())
+				}
+				read := *r
+				got, err := read.ReadBits(uint(n))
+				if off+n <= total {
+					if err != nil || got != want || read.BitsRead() != off+n {
+						t.Fatalf("size %d: ReadBits(%d) at %d = %#x, %v, BitsRead %d; want %#x", size, n, off, got, err, read.BitsRead(), want)
+					}
+					continue
+				}
+				if err != ErrOverrun || got != 0 || read.BitsRead() != off {
+					t.Fatalf("size %d: ReadBits(%d) at %d of %d = %#x, %v, BitsRead %d; want ErrOverrun and no progress", size, n, off, total, got, err, read.BitsRead())
+				}
+				if err := read.Skip(uint(total - off)); err != nil {
+					t.Fatalf("size %d: the %d bits left at %d could not be skipped after an overrun: %v", size, total-off, off, err)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package components
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"xspcl/internal/graph"
@@ -167,21 +168,93 @@ func decodeProg(w, h, frames, slices int) *graph.Program {
 }
 
 func TestStagedDecodePipelineMatchesFusedDecoder(t *testing.T) {
-	const w, h, frames = 64, 32, 3
-	app := runProg(t, decodeProg(w, h, frames, 2), frames, 3)
-	got := app.Component("snk").(*VideoSink).Frames()
-
+	// More frames than the coefficient stream has slots, so most are
+	// decoded into a recycled frame that still holds an older picture.
+	const w, h, frames = 64, 32, 10
 	enc, err := EncodedSequence(w, h, frames, 75, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		want, err := mjpeg.Decode(enc[i])
+	for _, backend := range []hinch.Backend{hinch.BackendSim, hinch.BackendReal} {
+		app, err := hinch.NewApp(decodeProg(w, h, frames, 2), DefaultRegistry(), hinch.Config{Backend: backend, Cores: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got[i].Equal(want) {
-			t.Fatalf("frame %d: staged pipeline differs from fused decoder", i)
+		if _, err := app.Run(frames); err != nil {
+			t.Fatal(err)
+		}
+		got := app.Component("snk").(*VideoSink).Frames()
+		if len(got) != frames {
+			t.Fatalf("backend %v: %d frames, want %d", backend, len(got), frames)
+		}
+		for i := range got {
+			want, err := mjpeg.Decode(enc[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got[i].Equal(want) {
+				t.Fatalf("backend %v frame %d: staged pipeline differs from fused decoder", backend, i)
+			}
+		}
+	}
+}
+
+// coeffProbe records which coefficient frame each iteration carried.
+type coeffProbe struct {
+	mu   sync.Mutex
+	seen map[*mjpeg.CoeffFrame]int
+}
+
+func (p *coeffProbe) Init(*hinch.InitContext) error { return nil }
+
+func (p *coeffProbe) Run(rc *hinch.RunContext) error {
+	cf, err := hinch.CoeffFrameOf(rc.In("in"), "in")
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	p.seen[cf]++
+	p.mu.Unlock()
+	return nil
+}
+
+// TestJPEGDecodeRecyclesSlotFrames checks that jpegdecode decodes into
+// the frame its output slot already holds: a run allocates one
+// coefficient frame per slot of the stream, not one per iteration.
+func TestJPEGDecodeRecyclesSlotFrames(t *testing.T) {
+	const w, h, frames = 32, 32, 12
+	for _, backend := range []hinch.Backend{hinch.BackendSim, hinch.BackendReal} {
+		probe := &coeffProbe{seen: map[*mjpeg.CoeffFrame]int{}}
+		reg := DefaultRegistry()
+		reg.Register("coeffprobe", hinch.ClassSpec{
+			New: func() hinch.Component { return probe },
+			In:  []string{"in"},
+		})
+		b := graph.NewBuilder("recycle")
+		b.PacketStream("pk", w*h/4)
+		b.CoeffStream("cf", w, h)
+		b.Body(
+			b.Component("src", "mjpegsrc", graph.Ports{"out": "pk"}, graph.Params{
+				"width": itoa(w), "height": itoa(h), "frames": itoa(frames), "quality": "75", "seed": "4"}),
+			b.Component("dec", "jpegdecode", graph.Ports{"in": "pk", "out": "cf"},
+				graph.Params{"width": itoa(w), "height": itoa(h)}),
+			b.Component("probe", "coeffprobe", graph.Ports{"in": "cf"}, nil),
+		)
+		app, err := hinch.NewApp(b.MustProgram(), reg, hinch.Config{Backend: backend, Cores: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.Run(frames); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, n := range probe.seen {
+			total += n
+		}
+		slots := app.Stream("cf").BuffersAllocated()
+		if total != frames || len(probe.seen) != slots || slots >= frames {
+			t.Errorf("backend %v: %d iterations carried %d distinct coefficient frames over %d slots; want one frame per slot",
+				backend, total, len(probe.seen), slots)
 		}
 	}
 }

@@ -61,3 +61,18 @@ func BenchmarkFDCT8x8(b *testing.B) {
 		FDCT8x8(&out, &in)
 	}
 }
+
+func BenchmarkDecodeEntropyInto(b *testing.B) {
+	f, enc := benchFrame(b, 320, 240)
+	cf, err := DecodeEntropy(enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(f.Bytes()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeEntropyInto(cf, enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package mjpeg
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"xspcl/internal/bitio"
@@ -203,14 +204,25 @@ func ParseHeader(data []byte) (Header, error) {
 // coefficient planes, which the IDCT stage (IDCTPlaneRows) turns into
 // pixels. This split mirrors the JPiP graph of the paper's Figure 7.
 func DecodeEntropy(data []byte) (*CoeffFrame, error) {
+	return DecodeEntropyInto(nil, data)
+}
+
+// DecodeEntropyInto is DecodeEntropy into a recycled frame: when cf is
+// non-nil and has the packet's geometry its planes are overwritten and
+// cf is returned, so a caller that owns its previous result allocates
+// nothing; otherwise a new frame is allocated. After an error cf's
+// contents are unspecified.
+func DecodeEntropyInto(cf *CoeffFrame, data []byte) (*CoeffFrame, error) {
 	h, err := ParseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	cf := &CoeffFrame{W: h.W, H: h.H}
+	if cf == nil || cf.W != h.W || cf.H != h.H {
+		cf = &CoeffFrame{W: h.W, H: h.H}
+	}
+	cf.Stats = DecodeStats{}
 	pos := 9
 	for i, pl := range media.Planes {
-		pw, ph := media.PlaneDims(pl, h.W, h.H)
 		if pos+4 > len(data) {
 			return nil, fmt.Errorf("mjpeg: truncated frame (plane %s length)", pl)
 		}
@@ -219,85 +231,84 @@ func DecodeEntropy(data []byte) (*CoeffFrame, error) {
 		if pos+n > len(data) {
 			return nil, fmt.Errorf("mjpeg: truncated frame (plane %s data)", pl)
 		}
-		cp, stats, err := decodePlaneEntropy(data[pos:pos+n], pw, ph, pl == media.PlaneY, h.Quality)
-		if err != nil {
+		if cf.Planes[i] == nil {
+			cf.Planes[i] = NewCoeffPlane(media.PlaneDims(pl, h.W, h.H))
+		}
+		if err := decodePlaneEntropy(cf.Planes[i], &cf.Stats, data[pos:pos+n], pl == media.PlaneY, h.Quality); err != nil {
 			return nil, fmt.Errorf("mjpeg: plane %s: %w", pl, err)
 		}
 		pos += n
-		cf.Planes[i] = cp
-		cf.Stats.Symbols += stats.Symbols
-		cf.Stats.Bits += stats.Bits
-		cf.Stats.NonZero += stats.NonZero
 	}
 	return cf, nil
 }
 
-func decodePlaneEntropy(bits []byte, w, h int, luma bool, quality int) (*CoeffPlane, DecodeStats, error) {
+var errRunOverflow = errors.New("run overflows block")
+
+// decodePlaneEntropy decodes one plane's bitstream into cp, clearing
+// each block just before filling it (cp may hold a previous frame), and
+// adds the work done to stats.
+func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, bits []byte, luma bool, quality int) error {
 	q := quantTable(luma, quality)
 	dcDec, acDec := dcChromaDec, acChromaDec
 	if luma {
 		dcDec, acDec = dcLumaDec, acLumaDec
 	}
-	cp := NewCoeffPlane(w, h)
 	br := bitio.NewReader(bits)
-	var stats DecodeStats
+	symbols, nonZero := 0, 0
 	pred := int32(0)
-	for by := 0; by < h/8; by++ {
-		for bx := 0; bx < w/8; bx++ {
-			blk := cp.Block(bx, by)
-			// DC.
-			sym, err := dcDec.decode(br)
+	for off := 0; off < len(cp.C); off += 64 {
+		blk := cp.C[off : off+64]
+		clear(blk)
+		// DC.
+		sym, err := dcDec.decode(br)
+		if err != nil {
+			return err
+		}
+		symbols++
+		if cat := uint(sym); cat > 0 {
+			mb := br.Peek(cat)
+			if err := br.Skip(cat); err != nil {
+				return err
+			}
+			pred += extendMagnitude(mb, cat)
+		}
+		blk[0] = pred * q[0]
+		if blk[0] != 0 {
+			nonZero++
+		}
+		// AC.
+		for i := 1; i < 64; {
+			sym, err := acDec.decode(br)
 			if err != nil {
-				return nil, stats, err
+				return err
 			}
-			stats.Symbols++
-			cat := uint(sym)
-			var diff int32
-			if cat > 0 {
-				mb, err := br.ReadBits(cat)
-				if err != nil {
-					return nil, stats, err
-				}
-				diff = extendMagnitude(mb, cat)
+			symbols++
+			if sym == 0x00 { // EOB
+				break
 			}
-			pred += diff
-			blk[0] = pred * q[0]
-			if blk[0] != 0 {
-				stats.NonZero++
+			if sym == 0xf0 { // ZRL
+				i += 16
+				continue
 			}
-			// AC.
-			for i := 1; i < 64; {
-				sym, err := acDec.decode(br)
-				if err != nil {
-					return nil, stats, err
-				}
-				stats.Symbols++
-				if sym == 0x00 { // EOB
-					break
-				}
-				if sym == 0xf0 { // ZRL
-					i += 16
-					continue
-				}
-				run := int(sym >> 4)
-				c := uint(sym & 0x0f)
-				i += run
-				if i >= 64 {
-					return nil, stats, fmt.Errorf("run overflows block")
-				}
-				mb, err := br.ReadBits(c)
-				if err != nil {
-					return nil, stats, err
-				}
-				nat := zigzag[i]
-				blk[nat] = extendMagnitude(mb, c) * q[nat]
-				stats.NonZero++
-				i++
+			c := uint(sym & 0x0f)
+			i += int(sym >> 4)
+			if i >= 64 {
+				return errRunOverflow
 			}
+			mb := br.Peek(c)
+			if err := br.Skip(c); err != nil {
+				return err
+			}
+			nat := zigzag[i]
+			blk[nat] = extendMagnitude(mb, c) * q[nat]
+			nonZero++
+			i++
 		}
 	}
-	stats.Bits = br.BitsRead()
-	return cp, stats, nil
+	stats.Symbols += symbols
+	stats.Bits += br.BitsRead()
+	stats.NonZero += nonZero
+	return nil
 }
 
 // IDCTPlaneRows inverse-transforms pixel rows [r0, r1) of a coefficient
@@ -308,26 +319,47 @@ func IDCTPlaneRows(dst []uint8, cp *CoeffPlane, r0, r1 int) {
 	if r0%8 != 0 || (r1%8 != 0 && r1 != cp.H) {
 		panic(fmt.Sprintf("mjpeg: IDCT rows [%d,%d) not block aligned", r0, r1))
 	}
-	var blk, pix [64]int32
+	// Rounding and the +128 level shift ride through the row sums; the
+	// int32 truncation after the shift is the one the two-step form had.
+	const bias = dctRound + 128<<(2*dctBits)
+	var tmp [8][8]int64
+	var row [8]int64
 	w := cp.W
 	for by := r0 / 8; by < (r1+7)/8; by++ {
 		for bx := 0; bx < w/8; bx++ {
-			copy(blk[:], cp.Block(bx, by))
-			IDCT8x8(&pix, &blk)
-			for y := 0; y < 8; y++ {
-				row := dst[(by*8+y)*w+bx*8:]
-				for x := 0; x < 8; x++ {
-					v := pix[y*8+x] + 128
-					if v < 0 {
-						v = 0
-					} else if v > 255 {
-						v = 255
+			in := (*[64]int32)(cp.Block(bx, by))
+			at := by*8*w + bx*8
+			n := idctColumns(&tmp, in)
+			if n == 0 {
+				dc := clampPixel(int32((idctDC(in[0]) + bias) >> (2 * dctBits)))
+				for y := 0; y < 8; y++ {
+					px := dst[at+y*w : at+y*w+8 : at+y*w+8]
+					for x := range px {
+						px[x] = dc
 					}
-					row[x] = uint8(v)
+				}
+				continue
+			}
+			for y := range tmp {
+				idctRow(&row, &tmp[y], n, bias)
+				px := dst[at+y*w : at+y*w+8 : at+y*w+8]
+				for x := range px {
+					px[x] = clampPixel(int32(row[x] >> (2 * dctBits)))
 				}
 			}
 		}
 	}
+}
+
+// clampPixel saturates v to a byte; in range is the one-test common case.
+func clampPixel(v int32) uint8 {
+	if uint32(v) > 255 {
+		if v < 0 {
+			return 0
+		}
+		return 255
+	}
+	return uint8(v)
 }
 
 // Decode is the fused decoder used by the hand-written sequential

@@ -1,6 +1,7 @@
 package mjpeg
 
 import (
+	"errors"
 	"fmt"
 
 	"xspcl/internal/bitio"
@@ -84,9 +85,19 @@ type huffEncoder struct {
 	size [256]uint8
 }
 
-// huffDecoder decodes canonical Huffman codes with the classic
-// mincode/maxcode/valptr tables (ITU-T T.81 §F.2.2.3).
+// lookBits is the width of the decoder's lookahead table: codes of up
+// to lookBits bits (every DC code and all but the rarest AC codes of
+// the Annex-K tables) decode with one table read.
+const lookBits = 9
+
+var errInvalidCode = errors.New("mjpeg: invalid Huffman code")
+
+// huffDecoder decodes canonical Huffman codes: look maps the next
+// lookBits bits of the stream to symbol<<8 | code length (0 when the
+// code is longer), and the classic mincode/maxcode/valptr tables
+// (ITU-T T.81 §F.2.2.3) resolve the longer codes.
 type huffDecoder struct {
+	look    [1 << lookBits]uint16
 	mincode [17]int32
 	maxcode [17]int32 // -1 when no codes of this length
 	valptr  [17]int32
@@ -122,6 +133,15 @@ func newHuffDecoder(spec *huffSpec) *huffDecoder {
 		}
 		d.valptr[l] = k
 		d.mincode[l] = code
+		if l <= lookBits {
+			// A code of l bits owns every lookahead index it prefixes.
+			for i := 0; i < spec.counts[l-1]; i++ {
+				first := (int(code) + i) << (lookBits - l)
+				for j := 0; j < 1<<(lookBits-l); j++ {
+					d.look[first+j] = uint16(spec.symbols[int(k)+i])<<8 | uint16(l)
+				}
+			}
+		}
 		code += int32(spec.counts[l-1])
 		k += int32(spec.counts[l-1])
 		d.maxcode[l] = code - 1
@@ -138,20 +158,23 @@ func (e *huffEncoder) encode(w *bitio.Writer, sym byte) {
 	w.WriteBits(e.code[sym], uint(e.size[sym]))
 }
 
-// decode reads one symbol from r.
+// decode reads one symbol from r. A code that runs past the end of
+// the stream is a bitio.ErrOverrun, as is a non-code the stream is too
+// short to rule out; sixteen bits that prefix no code are invalid.
 func (d *huffDecoder) decode(r *bitio.Reader) (byte, error) {
-	code := int32(0)
-	for l := 1; l <= 16; l++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		code = code<<1 | int32(b)
-		if d.maxcode[l] >= 0 && code <= d.maxcode[l] && code >= d.mincode[l] {
-			return d.symbols[d.valptr[l]+code-d.mincode[l]], nil
+	if e := d.look[r.Peek(lookBits)]; e != 0 {
+		return byte(e >> 8), r.Skip(uint(e & 0xff))
+	}
+	code := int32(r.Peek(16))
+	for l := lookBits + 1; l <= 16; l++ {
+		if c := code >> (16 - l); c <= d.maxcode[l] && c >= d.mincode[l] {
+			return d.symbols[d.valptr[l]+c-d.mincode[l]], r.Skip(uint(l))
 		}
 	}
-	return 0, fmt.Errorf("mjpeg: invalid Huffman code")
+	if err := r.Skip(16); err != nil {
+		return 0, err
+	}
+	return 0, errInvalidCode
 }
 
 // Shared table instances; the codec state is all in the bit streams, so

@@ -156,7 +156,7 @@ func RenderMetrics(w io.Writer, s hinch.Snapshot) {
 		for _, st := range s.Stages {
 			fmt.Fprintf(w, "xspcl_stage_width{stage=%q} %d\n", st.Name, st.Width)
 		}
-		fmt.Fprintf(w, "# HELP xspcl_stage_jobs_total Executed jobs per stage (sampling estimate on the real backend).\n# TYPE xspcl_stage_jobs_total counter\n")
+		fmt.Fprintf(w, "# HELP xspcl_stage_jobs_total Executed jobs per stage.\n# TYPE xspcl_stage_jobs_total counter\n")
 		for _, st := range s.Stages {
 			fmt.Fprintf(w, "xspcl_stage_jobs_total{stage=%q} %d\n", st.Name, st.Jobs)
 		}
