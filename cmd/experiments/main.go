@@ -165,6 +165,9 @@ func runTraced(name string, nodes int, workless bool, out, report, httpAddr stri
 	if err != nil {
 		return err
 	}
+	if err := trace.Validate(rec, rep); err != nil {
+		return err
+	}
 	if err := rec.WriteFile(out); err != nil {
 		return err
 	}

@@ -1,5 +1,5 @@
 // Command golint runs the repo's custom source invariants
-// (internal/analysis/golint: nilguard, traceshard, lockdiscipline).
+// (internal/analysis/golint: lockdiscipline, hotalloc).
 //
 // Direct mode checks directories and exits 1 on findings:
 //
@@ -27,7 +27,7 @@ func main() {
 	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
 		// Version handshake: cmd/go hashes the trailing buildID= field
 		// into its cache key, so bump it when the checks change.
-		fmt.Printf("%s version devel buildID=golint-1\n", filepath.Base(os.Args[0]))
+		fmt.Printf("%s version devel buildID=golint-2\n", filepath.Base(os.Args[0]))
 		return
 	}
 	if len(args) == 1 && args[0] == "-flags" {

@@ -181,6 +181,10 @@ func run(cores, frames, pipeline int, backend, builtin string, workless, autotun
 		fmt.Fprintln(os.Stderr, "run cancelled; partial report follows")
 	}
 	if rec != nil && traceOut != "" {
+		// The trace must agree with the report it is written next to.
+		if err := trace.Validate(rec, rep); err != nil {
+			return err
+		}
 		if err := rec.WriteFile(traceOut); err != nil {
 			return err
 		}

@@ -3,339 +3,8 @@ package golint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"strings"
 )
-
-// ---------------------------------------------------------------- nilguard
-
-// optionalFields are the struct fields that are nil in the common
-// configuration: every method call through them needs a nil guard.
-var optionalFields = map[string]bool{
-	"hooks": true, "tr": true, "faults": true, "tm": true, // engine/sched fields
-	"Hooks": true, "Tracer": true, "Faults": true, // hinch.Config fields
-}
-
-var nilguardCheck = Check{
-	Name: "nilguard",
-	Doc:  "method calls through optional hook/tracer fields must be nil-guarded",
-	Run:  runNilguard,
-}
-
-func runNilguard(p *Pkg) []Diag {
-	var diags []Diag
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			w := &guardWalker{p: p, diags: &diags}
-			w.stmts(fn.Body.List, map[string]bool{})
-		}
-	}
-	return diags
-}
-
-// guardWalker tracks which ident/selector chains are known non-nil on
-// the current path.
-type guardWalker struct {
-	p     *Pkg
-	diags *[]Diag
-}
-
-// stmts walks a statement list with the inherited guard set; guards
-// established by early-return nil checks extend to the rest of the
-// list.
-func (w *guardWalker) stmts(list []ast.Stmt, g map[string]bool) {
-	g = copyGuards(g)
-	for _, s := range list {
-		w.stmt(s, g)
-	}
-}
-
-func (w *guardWalker) stmt(s ast.Stmt, g map[string]bool) {
-	switch st := s.(type) {
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.exprs(st.Init, g)
-		}
-		thenG := copyGuards(g)
-		w.cond(st.Cond, thenG, g)
-		w.stmts(st.Body.List, thenG)
-		if st.Else != nil {
-			elseG := copyGuards(g)
-			for _, e := range nilConjuncts(st.Cond, token.EQL) {
-				elseG[e] = true // else of "x == nil" means x is non-nil
-			}
-			w.stmt(st.Else, elseG)
-		}
-		// Early return: "if x == nil { return }" guards the rest of the
-		// enclosing list.
-		if st.Else == nil && terminates(st.Body) {
-			for _, e := range nilConjuncts(st.Cond, token.EQL) {
-				g[e] = true
-			}
-		}
-	case *ast.BlockStmt:
-		w.stmts(st.List, g)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.exprs(st.Init, g)
-		}
-		if st.Cond != nil {
-			w.exprs(&ast.ExprStmt{X: st.Cond}, g)
-		}
-		w.stmts(st.Body.List, g)
-	case *ast.RangeStmt:
-		w.exprs(&ast.ExprStmt{X: st.X}, g)
-		w.stmts(st.Body.List, g)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.exprs(st.Init, g)
-		}
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			cg := copyGuards(g)
-			if st.Tag == nil {
-				// switch { case x != nil: ... } guards its clause
-				for _, e := range cc.List {
-					for _, ne := range nilConjuncts(e, token.NEQ) {
-						cg[ne] = true
-					}
-				}
-			}
-			w.stmts(cc.Body, cg)
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			w.stmts(c.(*ast.CaseClause).Body, g)
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			w.stmts(c.(*ast.CommClause).Body, g)
-		}
-	case *ast.LabeledStmt:
-		w.stmt(st.Stmt, g)
-	default:
-		w.exprs(s, g)
-	}
-}
-
-// cond walks an if condition: "a != nil && b.c != nil" adds both
-// chains to thenG, and each conjunct's own calls are checked under the
-// guards the earlier conjuncts established.
-func (w *guardWalker) cond(e ast.Expr, thenG, curG map[string]bool) {
-	if b, ok := e.(*ast.BinaryExpr); ok && b.Op == token.LAND {
-		w.cond(b.X, thenG, curG)
-		w.cond(b.Y, thenG, curG)
-		return
-	}
-	w.checkExpr(e, mergeGuards(curG, thenG))
-	for _, ne := range nilConjuncts(e, token.NEQ) {
-		thenG[ne] = true
-	}
-}
-
-// exprs checks every target call inside a non-control statement,
-// descending into function literals with the current guards.
-func (w *guardWalker) exprs(s ast.Stmt, g map[string]bool) {
-	ast.Inspect(s, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.stmts(x.Body.List, g)
-			return false
-		case *ast.CallExpr:
-			w.checkCall(x, g)
-		}
-		return true
-	})
-}
-
-func (w *guardWalker) checkExpr(e ast.Expr, g map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok {
-			w.checkCall(c, g)
-		}
-		return true
-	})
-}
-
-func (w *guardWalker) checkCall(call *ast.CallExpr, g map[string]bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	recv, ok := sel.X.(*ast.SelectorExpr)
-	if !ok || !optionalFields[recv.Sel.Name] {
-		return
-	}
-	chain := exprString(recv)
-	if chain == "" || g[chain] {
-		return
-	}
-	*w.diags = append(*w.diags, Diag{
-		Pos:   w.p.Fset.Position(call.Pos()),
-		Check: "nilguard",
-		Message: fmt.Sprintf("call %s.%s without a %s != nil guard on this path",
-			chain, sel.Sel.Name, chain),
-	})
-}
-
-// nilConjuncts returns the ident/selector chains compared to nil with
-// op across the &&/|| structure of e ("x == nil || y == nil" with
-// token.EQL yields x and y).
-func nilConjuncts(e ast.Expr, op token.Token) []string {
-	b, ok := e.(*ast.BinaryExpr)
-	if !ok {
-		return nil
-	}
-	if b.Op == token.LAND || b.Op == token.LOR {
-		return append(nilConjuncts(b.X, op), nilConjuncts(b.Y, op)...)
-	}
-	if b.Op != op {
-		return nil
-	}
-	if isNil(b.Y) {
-		if s := exprString(b.X); s != "" {
-			return []string{s}
-		}
-	}
-	if isNil(b.X) {
-		if s := exprString(b.Y); s != "" {
-			return []string{s}
-		}
-	}
-	return nil
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// terminates reports whether a block always leaves the enclosing list
-// (return / panic / continue / break / goto at the end).
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if c, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func copyGuards(g map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(g))
-	for k := range g {
-		out[k] = true
-	}
-	return out
-}
-
-func mergeGuards(a, b map[string]bool) map[string]bool {
-	out := copyGuards(a)
-	for k := range b {
-		out[k] = true
-	}
-	return out
-}
-
-// -------------------------------------------------------------- traceshard
-
-// lockedDirective marks a function whose body is serialised with the
-// engine's shard-0 trace writes (it holds e.mu, or runs on the sim
-// backend's single goroutine), so Emit(0, ...) is legal inside it.
-const lockedDirective = "hinch:locked"
-
-var traceshardCheck = Check{
-	Name: "traceshard",
-	Doc:  "tracer Emit calls must target the caller's own shard (0 only under //hinch:locked)",
-	Run:  runTraceshard,
-}
-
-func runTraceshard(p *Pkg) []Diag {
-	var diags []Diag
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			locked := hasDirective(fn, lockedDirective)
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Emit" || len(call.Args) == 0 {
-					return true
-				}
-				// Only tracer fields: e.tr.Emit, s.tr.Emit, ... (the
-				// event-queue Emit takes a queue name and is unrelated).
-				recv := exprString(sel.X)
-				if recv != "tr" && !strings.HasSuffix(recv, ".tr") {
-					return true
-				}
-				if ok, why := shardArgOK(call.Args[0], locked); !ok {
-					diags = append(diags, Diag{
-						Pos:     p.Fset.Position(call.Pos()),
-						Check:   "traceshard",
-						Message: fmt.Sprintf("%s.Emit shard argument %s", recv, why),
-					})
-				}
-				return true
-			})
-		}
-	}
-	return diags
-}
-
-// shardArgOK accepts the shard-discipline idioms: traceShard(w),
-// w.id+1, a *shard* variable, or — under //hinch:locked — the engine
-// shard literal 0.
-func shardArgOK(arg ast.Expr, locked bool) (bool, string) {
-	switch x := arg.(type) {
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "traceShard" {
-			return true, ""
-		}
-		return false, "must come from traceShard(w)"
-	case *ast.BinaryExpr:
-		// w.id+1: the worker's private shard.
-		if x.Op == token.ADD {
-			if lit, ok := x.Y.(*ast.BasicLit); ok && lit.Value == "1" {
-				if s := exprString(x.X); strings.HasSuffix(s, ".id") {
-					return true, ""
-				}
-			}
-		}
-		return false, "is not a worker shard (want w.id+1)"
-	case *ast.BasicLit:
-		if x.Value == "0" {
-			if locked {
-				return true, ""
-			}
-			return false, "is the engine shard 0 outside a //hinch:locked function"
-		}
-		return false, "is a shard literal other than 0"
-	default:
-		s := exprString(arg)
-		if s == "shard" || strings.HasSuffix(s, ".shard") {
-			return true, ""
-		}
-		return false, "is not a recognised shard expression"
-	}
-}
 
 // ---------------------------------------------------------------- hotalloc
 

@@ -2,14 +2,6 @@
 // own runtime invariants — conventions the Go type system cannot
 // express and ordinary vet does not know about:
 //
-//   - nilguard:  method calls through the engine's optional hook and
-//     tracer fields (hooks, tr, Hooks, Tracer) must be nil-guarded;
-//   - traceshard: the flight recorder's shard discipline — Emit's
-//     first argument must be traceShard(w), w.id+1 or a shard
-//     variable; the literal engine shard 0 is allowed only inside
-//     functions marked //hinch:locked (serialised with the engine's
-//     shard-0 writes: holding e.mu, or on the sim backend's single
-//     goroutine);
 //   - lockdiscipline: functions documented "Must be called with mu
 //     held" must not take mu again or call into functions documented
 //     "WITHOUT mu held";
@@ -60,7 +52,7 @@ type Check struct {
 }
 
 // Checks lists every check in execution order.
-var Checks = []Check{nilguardCheck, traceshardCheck, lockdisciplineCheck, hotallocCheck}
+var Checks = []Check{lockdisciplineCheck, hotallocCheck}
 
 // LoadDir parses every .go file directly in dir (tests included — the
 // invariants hold there too).
@@ -121,7 +113,7 @@ func RunDir(dir string) ([]Diag, error) {
 	return Run(p), nil
 }
 
-// exprString renders an ident/selector chain ("e.tr", "rc.app.eng");
+// exprString renders an ident/selector chain ("e.mu", "rc.app.eng");
 // anything else renders as "" (never guarded, never a target).
 func exprString(e ast.Expr) string {
 	switch x := e.(type) {

@@ -37,115 +37,6 @@ func expect(t *testing.T, src string, want ...string) {
 	}
 }
 
-func TestNilguard(t *testing.T) {
-	// Unguarded call through an optional field (the literal 0 also
-	// trips traceshard).
-	expect(t, `package p
-func f(e *E) { e.tr.Emit(0, ev) }
-`, "nilguard: call e.tr.Emit without", "traceshard")
-
-	// Guarded by an enclosing if.
-	expect(t, `package p
-func f(e *E) {
-	if e.tr != nil {
-		e.tr.Emit(0, ev)
-	}
-}
-`, "traceshard") // nilguard passes; the literal-0 finding remains
-
-	// Early-return guard covers the rest of the function.
-	expect(t, `package p
-func f(e *E) {
-	if e.hooks == nil {
-		return
-	}
-	e.hooks.Yield(pt)
-}
-`)
-
-	// The compound init-and-check idiom from RunContext.Emit.
-	expect(t, `package p
-func f(rc *RC) {
-	if e := rc.app.eng; e != nil && e.tr != nil {
-		e.tr.Emit(rc.shard, ev)
-	}
-}
-`)
-
-	// A guard on a different path does not leak into the else branch.
-	expect(t, `package p
-func f(e *E) {
-	if e.tr != nil {
-		_ = 1
-	} else {
-		e.tr.Emit(w.id+1, ev)
-	}
-}
-`, "nilguard: call e.tr.Emit without")
-
-	// Guards do not survive into sibling functions.
-	expect(t, `package p
-func g(e *E) {
-	if e.tr != nil {
-		_ = 1
-	}
-}
-func h(e *E) { e.tr.Emit(w.id+1, ev) }
-`, "nilguard: call e.tr.Emit without")
-}
-
-func TestTraceshard(t *testing.T) {
-	// Worker-shard idioms are accepted.
-	expect(t, `package p
-func f(e *E, w *W) {
-	if e.tr != nil {
-		e.tr.Emit(traceShard(w), ev)
-		e.tr.Emit(w.id+1, ev)
-	}
-}
-func g(rc *RC) {
-	if rc.tr != nil {
-		rc.tr.Emit(rc.shard, ev)
-	}
-}
-`)
-
-	// Literal 0 needs the //hinch:locked directive.
-	expect(t, `package p
-func f(e *E) {
-	if e.tr != nil {
-		e.tr.Emit(0, ev)
-	}
-}
-`, "traceshard: e.tr.Emit shard argument is the engine shard 0 outside")
-	expect(t, `package p
-// f is serialised.
-//
-//hinch:locked
-func f(e *E) {
-	if e.tr != nil {
-		e.tr.Emit(0, ev)
-	}
-}
-`)
-
-	// Arbitrary shard expressions are rejected.
-	expect(t, `package p
-//hinch:locked
-func f(e *E, i int) {
-	if e.tr != nil {
-		e.tr.Emit(i, ev)
-	}
-}
-`, "is not a recognised shard expression")
-
-	// Non-tracer Emit methods (the event queue) are not constrained.
-	expect(t, `package p
-func f(rc *RC) { rc.Emit("ui", ev) }
-func g(q *Q) { q.parent.Emit(0, ev) }
-`)
-}
-
 func TestLockdiscipline(t *testing.T) {
 	// A locked function re-taking mu.
 	expect(t, `package p

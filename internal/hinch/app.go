@@ -60,23 +60,6 @@ type Config struct {
 	// Ignored by BackendSim.
 	EagerWorkers bool
 
-	// Tile overrides the simulated tile configuration. When nil,
-	// spacecake.DefaultConfig(Cores) is used. Ignored by BackendReal.
-	Tile *spacecake.Config
-
-	// ReconfigBaseCycles and ReconfigPerTaskCycles are charged as a
-	// global stall when a quiescent reconfiguration is applied: the
-	// cost of splicing the option subgraph in or out and synchronising
-	// the new components with the contained subgraph (§3.4). Component
-	// creation itself is charged earlier, overlapped with execution,
-	// because options are pre-created as soon as the event is detected.
-	ReconfigBaseCycles    int64
-	ReconfigPerTaskCycles int64
-
-	// CreateOpsPerComponent is the compute charged (overlapped) to the
-	// manager job that pre-creates an option's components.
-	CreateOpsPerComponent int64
-
 	// LazyCreation disables the paper's eager pre-creation of option
 	// components at event detection (§3.4): components are then created
 	// inside the quiescent window and their creation cost is added to
@@ -119,10 +102,6 @@ type Config struct {
 	// backend. Defaults to 2ms.
 	TuneEpochWall time.Duration
 
-	// MaxReplicaWidth caps every auto replica width. 0 means bounded
-	// only by PipelineDepth, Cores and the prediction model.
-	MaxReplicaWidth int
-
 	// Telemetry enables the histograms — per-stage service time,
 	// iteration latency, stream occupancy, steal batch size, park
 	// duration (see telemetry.go) — and the stalled-progress watchdog,
@@ -162,15 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.StreamCapacity > c.PipelineDepth {
 		c.StreamCapacity = c.PipelineDepth
 	}
-	if c.ReconfigBaseCycles == 0 {
-		c.ReconfigBaseCycles = 20000
-	}
-	if c.ReconfigPerTaskCycles == 0 {
-		c.ReconfigPerTaskCycles = 800
-	}
-	if c.CreateOpsPerComponent == 0 {
-		c.CreateOpsPerComponent = 4000
-	}
 	if c.TuneEpochCycles <= 0 {
 		c.TuneEpochCycles = 50000
 	}
@@ -189,9 +159,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// The sim backend's reconfiguration cost model. reconfigBaseCycles and
+// reconfigPerTaskCycles are charged as a global stall when a quiescent
+// reconfiguration is applied: the cost of splicing the option subgraph
+// in or out and synchronising the new components with the contained
+// subgraph (§3.4). Component creation itself (createOpsPerComponent) is
+// charged earlier, overlapped with execution, to the manager job that
+// pre-creates an option's components as soon as the event is detected.
+const (
+	reconfigBaseCycles    = 20000
+	reconfigPerTaskCycles = 800
+	createOpsPerComponent = 4000
+)
+
 // instance is one live component instance.
 type instance struct {
-	name  string
 	comp  Component
 	recon Reconfigurable // comp's reconfiguration interface, or nil
 
@@ -237,19 +219,16 @@ type App struct {
 	queueIndex map[string]int // queue name -> trace index
 	managers   map[string]*graph.Node
 
-	// eng is the engine of the (single) run, set by Run before
-	// execution starts so RunContext.Emit can reach the tracer.
+	// eng is the engine of the (single) run, built by NewApp.
 	eng *engine
 
-	// instances is a copy-on-write map: reconfigurations (rare, under
-	// the engine lock) replace the whole map, so the per-job instance
-	// lookup on the hot path is a lock-free atomic load.
-	instances atomic.Pointer[map[string]*instance]
-
-	// instTab mirrors instances as a task-ID-indexed slice, rebuilt on
-	// every instance-table change: the per-job resolve on the dispatch
-	// hot path becomes an index load instead of a string-map lookup.
-	instTab atomic.Pointer[[]*instance]
+	// instTab holds the live component instances, indexed by task ID
+	// (nil while a task's option is disabled). Reconfigurations (rare,
+	// under the engine lock) store single entries; the per-job resolve
+	// on the dispatch hot path is one lock-free index load. taskID maps
+	// component task names to their index and is immutable after NewApp.
+	instTab []atomic.Pointer[instance]
+	taskID  map[string]int
 
 	// portBinds[taskID] lists the task's port→stream bindings, resolved
 	// once at build time. Components bind a handful of ports, so the
@@ -311,15 +290,9 @@ func NewApp(prog *graph.Program, reg *Registry, cfg Config) (*App, error) {
 		optionOwner:  optionOwners(prog),
 		solvedParams: formats.Params,
 	}
-	initial := map[string]*instance{}
-	a.instances.Store(&initial)
 	if cfg.Backend == BackendSim {
 		a.addr = spacecake.NewAddressSpace()
 		tcfg := spacecake.DefaultConfig(cfg.Cores)
-		if cfg.Tile != nil {
-			tcfg = *cfg.Tile
-			tcfg.Cores = cfg.Cores
-		}
 		if err := tcfg.Validate(); err != nil {
 			return nil, err
 		}
@@ -358,23 +331,19 @@ func NewApp(prog *graph.Program, reg *Registry, cfg Config) (*App, error) {
 		return nil, err
 	}
 	a.plan = plan
-	// Build the initial instance table in place (storeInstance would
-	// copy the whole map once per component here).
+	a.instTab = make([]atomic.Pointer[instance], len(plan.Tasks))
+	a.taskID = make(map[string]int, len(plan.Tasks))
 	for _, t := range plan.ComponentTasks() {
+		a.taskID[t.Name] = t.ID
 		// Only instantiate components whose option is enabled; options
 		// create their components when they are switched on.
 		if t.Option != "" && !a.options[t.Option] {
 			continue
 		}
-		inst, err := a.newInstance(t)
-		if err != nil {
+		if err := a.createInstance(t); err != nil {
 			return nil, err
 		}
-		if inst != nil {
-			initial[t.Name] = inst
-		}
 	}
-	a.rebuildInstTab()
 	a.portBinds = make([][]portBind, len(plan.Tasks))
 	for _, t := range plan.Tasks {
 		binds := make([]portBind, 0, len(t.Ports))
@@ -401,18 +370,6 @@ type portBind struct {
 	s    *Stream
 }
 
-// rebuildInstTab republishes the task-ID-indexed instance table from
-// the current instance map. Writers are serialised (NewApp is
-// single-threaded; the engine mutates instances only under its lock).
-func (a *App) rebuildInstTab() {
-	m := *a.instances.Load()
-	tab := make([]*instance, len(a.plan.Tasks))
-	for _, t := range a.plan.Tasks {
-		tab[t.ID] = m[t.Name]
-	}
-	a.instTab.Store(&tab)
-}
-
 // optionOwners maps each option to its innermost enclosing manager.
 func optionOwners(prog *graph.Program) map[string]string {
 	owners := map[string]string{}
@@ -435,64 +392,14 @@ func optionOwners(prog *graph.Program) map[string]string {
 	return owners
 }
 
-// instance returns the live instance for a task name, or nil. Lock-free.
-func (a *App) instance(name string) *instance {
-	return (*a.instances.Load())[name]
-}
-
-// storeInstance publishes a new instance table containing in. Callers
-// must serialise writers (NewApp is single-threaded; the engine writes
-// only under its lock).
-func (a *App) storeInstance(in *instance) {
-	old := *a.instances.Load()
-	m := make(map[string]*instance, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	m[in.name] = in
-	a.instances.Store(&m)
-	a.rebuildInstTab()
-}
-
-// removeInstance publishes a new instance table without name. Writers
-// must be serialised, as for storeInstance.
-func (a *App) removeInstance(name string) {
-	old := *a.instances.Load()
-	if _, ok := old[name]; !ok {
-		return
-	}
-	m := make(map[string]*instance, len(old))
-	for k, v := range old {
-		if k != name {
-			m[k] = v
-		}
-	}
-	a.instances.Store(&m)
-	a.rebuildInstTab()
-}
-
-// createInstance builds, initialises and publishes the component for a
-// task.
+// createInstance builds and initialises the component for a task that
+// has none and publishes it in the instance table. Writers are
+// serialised: NewApp is single-threaded and the engine writes only
+// under its lock.
 func (a *App) createInstance(t *graph.Task) error {
-	inst, err := a.newInstance(t)
-	if err != nil {
-		return err
-	}
-	if inst != nil {
-		a.storeInstance(inst)
-	}
-	return nil
-}
-
-// newInstance builds and initialises the component for a task without
-// publishing it; it returns nil when the instance already exists.
-func (a *App) newInstance(t *graph.Task) (*instance, error) {
-	if a.instance(t.Name) != nil {
-		return nil, nil
-	}
 	spec, err := a.reg.Lookup(t.Class)
 	if err != nil {
-		return nil, fmt.Errorf("hinch: component %q: %w", t.Name, err)
+		return fmt.Errorf("hinch: component %q: %w", t.Name, err)
 	}
 	comp := spec.New()
 	ic := &InitContext{
@@ -504,25 +411,30 @@ func (a *App) newInstance(t *graph.Task) (*instance, error) {
 		app:     a,
 	}
 	if err := comp.Init(ic); err != nil {
-		return nil, fmt.Errorf("hinch: init %q: %w", t.Name, err)
+		return fmt.Errorf("hinch: init %q: %w", t.Name, err)
 	}
-	inst := &instance{name: t.Name, comp: comp}
+	inst := &instance{comp: comp}
 	inst.recon, _ = comp.(Reconfigurable)
 	if req, ok := t.Params[graph.ReconfigParam]; ok {
 		// The <reconfig> tag: an initial reconfiguration request,
 		// applied before the instance's first Run.
 		if inst.recon == nil {
-			return nil, fmt.Errorf("hinch: component %q has an initial reconfiguration request but class %q has no reconfiguration interface", t.Name, t.Class)
+			return fmt.Errorf("hinch: component %q has an initial reconfiguration request but class %q has no reconfiguration interface", t.Name, t.Class)
 		}
 		inst.deliver(req)
 	}
-	return inst, nil
+	a.instTab[t.ID].Store(inst)
+	return nil
 }
 
 // Component returns a live component instance by name (e.g. to read a
 // sink's collected output after Run), or nil if absent.
 func (a *App) Component(name string) Component {
-	in := a.instance(name)
+	id, ok := a.taskID[name]
+	if !ok {
+		return nil
+	}
+	in := a.instTab[id].Load()
 	if in == nil {
 		return nil
 	}

@@ -271,7 +271,7 @@ type RunContext struct {
 	access   []spacecake.Access // accumulated memory accesses (sim backend)
 	streamed []spacecake.Region // accumulated streamed (DMA) transfers
 	sim      bool
-	shard    int // tracer shard of the owning worker (0 on sim); not cleared by reset
+	p        *probe // the owning writer's probe; not cleared by reset
 }
 
 // reset prepares rc for one job, keeping the accumulated slices'
@@ -351,16 +351,7 @@ func (rc *RunContext) Emit(queue string, ev Event) error {
 	if !ok {
 		return fmt.Errorf("hinch: %s: unknown event queue %q", rc.task.Name, queue)
 	}
-	depth := q.Push(ev)
-	e := rc.app.eng
-	e.acct[rc.shard].events.Add(1)
-	if e.tr != nil {
-		e.tr.Emit(rc.shard, TraceEvent{
-			TS: e.rcTS(rc.shard), Kind: TraceEventPush,
-			Worker: int32(rc.shard - 1), Iter: int32(rc.iter),
-			ID: int32(rc.app.queueIndex[queue]), Arg: int64(depth),
-		})
-	}
+	rc.p.eventPush(rc.iter, rc.app.queueIndex[queue], q.Push(ev))
 	return nil
 }
 

@@ -50,10 +50,10 @@ type iterState struct {
 	cancelled  atomic.Bool
 	acquired   atomic.Bool // stream buffers assigned (lazily, at first dispatch)
 
-	// launchTS is the engine's clock (traceTS) at launch, kept with
-	// telemetry on; retire subtracts it to record the end-to-end
+	// launchTS is the launching probe's clock, kept while telemetry or a
+	// tracer is attached; retire subtracts it to record the end-to-end
 	// iteration latency. Written at launch and read at retire, both
-	// engine-side (under mu on real, single goroutine on sim).
+	// under mu on real, on the single goroutine on sim.
 	launchTS int64
 
 	// mgrOpts[m] is the option-state snapshot taken when manager m's
@@ -166,10 +166,11 @@ type engine struct {
 
 	tu *tuner // feedback autotuner; nil unless Config.Autotune
 
-	// acct is the run's accounting, one shard per writer: acct[0] for
-	// the engine lock / sim goroutine, acct[w+1] for worker w. See
-	// counters and fold (metrics.go).
-	acct []counters
+	// probes is the run's instrumentation, one per writer: probes[0] for
+	// the engine lock / sim goroutine, probes[w+1] for worker w. Every
+	// function below that records something takes the acting writer's
+	// probe. See probe.go, and fold (metrics.go) for the reader.
+	probes []probe
 
 	tm *telemetry // histograms and watchdog; nil unless Config.Telemetry
 
@@ -186,12 +187,6 @@ type engine struct {
 
 	ws *sched // real backend: work-stealing scheduler; nil on sim
 
-	hooks TestHooks // test-only schedule perturbation; nil in production
-
-	tr      Tracer    // flight recorder; nil in production
-	trStart time.Time // real backend: trace timestamps count from this instant
-	simNow  int64     // sim backend: mirror of the virtual clock, for trace timestamps
-
 	faults FaultInjector // deterministic fault injection; nil in production
 
 	// policies[t] is task t's parsed failure policy; nil when every task
@@ -203,7 +198,7 @@ type engine struct {
 	// synthetic fault events for t. faultMgr[t] is that manager's trace
 	// index. Both nil when policies is nil.
 	faultRoute []*EventQueue
-	faultMgr   []int32
+	faultMgr   []int
 
 	mgrNames []string       // sorted manager names; TraceEvent.ID table
 	mgrIndex map[string]int // manager name -> trace index
@@ -246,10 +241,10 @@ func newEngine(a *App) *engine {
 		ring:       make([]atomic.Pointer[iterState], a.cfg.PipelineDepth+2),
 		stopLaunch: -1,
 		mgrs:       map[string]*mgrState{},
-		hooks:      a.cfg.Hooks,
 	}
 	n := len(a.plan.Tasks)
-	e.acct = newCounters(a.cfg, n)
+	e.probes = newProbes(a.cfg, n)
+	e.simRC.p = &e.probes[0]
 	e.free = make([]*iterState, 0, len(e.ring))
 	for i := 0; i < len(e.ring); i++ {
 		e.free = append(e.free, &iterState{
@@ -261,7 +256,7 @@ func newEngine(a *App) *engine {
 	e.bufParked = make([]job, 0, a.cfg.PipelineDepth+1)
 	e.bufSpare = make([]job, 0, a.cfg.PipelineDepth+1)
 	if a.cfg.Backend == BackendReal {
-		e.ws = newSched(a.cfg, e.acct)
+		e.ws = newSched(a.cfg, e.probes)
 	}
 	for name := range a.managers {
 		e.mgrs[name] = &mgrState{lastEntered: -1}
@@ -274,7 +269,6 @@ func newEngine(a *App) *engine {
 	for i, n := range e.mgrNames {
 		e.mgrIndex[n] = i
 	}
-	e.tr = a.cfg.Tracer
 	e.faults = a.cfg.Faults
 	e.bufCap.Store(int32(a.cfg.StreamCapacity))
 	e.widths = make([]atomic.Int32, n)
@@ -322,7 +316,7 @@ func newEngine(a *App) *engine {
 	}
 	if e.policies != nil {
 		e.faultRoute = make([]*EventQueue, len(a.plan.Tasks))
-		e.faultMgr = make([]int32, len(a.plan.Tasks))
+		e.faultMgr = make([]int, len(a.plan.Tasks))
 		for _, t := range a.plan.Tasks {
 			e.faultMgr[t.ID] = -1
 			// Scope lists enclosing managers outermost first; deliver to
@@ -331,7 +325,7 @@ func newEngine(a *App) *engine {
 				m := a.managers[t.Scope[i]]
 				if m != nil && m.Queue != "" {
 					e.faultRoute[t.ID] = a.queues[m.Queue]
-					e.faultMgr[t.ID] = int32(e.mgrIndex[m.Name])
+					e.faultMgr[t.ID] = e.mgrIndex[m.Name]
 					break
 				}
 			}
@@ -347,44 +341,6 @@ func (e *engine) policyFor(t *graph.Task) graph.FailurePolicy {
 		return graph.FailurePolicy{}
 	}
 	return e.policies[t.ID]
-}
-
-// traceShard maps the acting worker to its shard, for the tracer and
-// the counters alike: shard 0 is engine-level (serialised by mu, or by
-// the single sim goroutine); shard w+1 is written only by worker w's
-// goroutine.
-func traceShard(w *wsWorker) int {
-	if w == nil {
-		return 0
-	}
-	return w.id + 1
-}
-
-// traceTS returns the trace timestamp for events produced in worker
-// w's wake: the virtual clock on sim; the worker's cached span-end
-// time on real (exact at span boundaries, stale by at most one job
-// elsewhere); or a fresh clock read for engine-level real-backend
-// events outside any worker context (rare slow paths only).
-func (e *engine) traceTS(w *wsWorker) int64 {
-	if e.ws == nil {
-		return e.simNow
-	}
-	if w != nil {
-		return w.lastTS
-	}
-	return int64(time.Since(e.trStart))
-}
-
-// rcTS is traceTS for RunContext call sites that only know their
-// shard index.
-func (e *engine) rcTS(shard int) int64 {
-	if e.ws == nil {
-		return e.simNow
-	}
-	if shard > 0 {
-		return e.ws.workers[shard-1].lastTS
-	}
-	return int64(time.Since(e.trStart))
 }
 
 // traceMeta assembles the Tracer.Begin metadata for this run.
@@ -475,10 +431,9 @@ func (e *engine) finished() bool {
 	return e.nIters == 0 && !e.moreToLaunch()
 }
 
-// launch admits iterations into the pipeline while the window allows.
-// Released jobs are queued via w (the acting worker; nil outside worker
-// context). Must be called with mu held.
-func (e *engine) launch(w *wsWorker) {
+// launch admits iterations into the pipeline while the window allows,
+// on behalf of the writer behind p. Must be called with mu held.
+func (e *engine) launch(p *probe) {
 	for e.canLaunch() {
 		k := e.nextLaunch
 		e.nextLaunch++
@@ -518,21 +473,12 @@ func (e *engine) launch(w *wsWorker) {
 		}
 		slot.Store(it)
 		e.nIters++
-		e.acct[traceShard(w)].launched.Add(1)
-		if e.tm != nil {
-			it.launchTS = e.traceTS(nil)
-		}
-		if e.tr != nil {
-			e.tr.Emit(traceShard(w), TraceEvent{
-				TS: e.traceTS(w), Kind: TraceIterLaunch,
-				Worker: int32(traceShard(w) - 1), Iter: int32(k), ID: -1,
-			})
-		}
+		p.launch(it, k)
 		for _, t := range plan.Tasks {
 			back := e.iterAt(k - int(e.widths[t.ID].Load()))
 			if back == nil || back.done[t.ID].Load() {
 				if it.crossClaim[t.ID].CompareAndSwap(false, true) {
-					e.release(k, it, t.ID, w)
+					e.release(k, it, t.ID, p)
 				}
 			}
 		}
@@ -541,28 +487,22 @@ func (e *engine) launch(w *wsWorker) {
 
 // enqueue adds a ready job to the dispatch queue: the central heap on
 // the sim backend, or a work-stealing deque on the real backend. Jobs
-// released in a worker's wake (w non-nil) are not published one by one:
-// they collect in the worker's release buffer and go out as a single
-// batch — one inflight add, one deque interaction, at most one wake —
-// when the worker flushes after the current job (flushReleases).
+// released by a worker (p is a worker's probe) are not published one
+// by one: they collect in the worker's release buffer and go out as a
+// single batch — one inflight add, one deque interaction, at most one
+// wake — when the worker flushes after the current job (flushReleases).
 //
 //hinch:hotpath
-func (e *engine) enqueue(w *wsWorker, j job) {
-	if e.tr != nil {
-		e.tr.Emit(traceShard(w), TraceEvent{
-			TS: e.traceTS(w), Kind: TraceJobEnqueue,
-			Worker: int32(traceShard(w) - 1), Iter: int32(j.iter), ID: int32(j.task.ID),
-		})
+func (e *engine) enqueue(p *probe, j job) {
+	p.enqueue(j)
+	switch {
+	case e.ws == nil:
+		heap.Push(&e.ready, j)
+	case p.w != nil:
+		p.w.relBuf = append(p.w.relBuf, j)
+	default:
+		e.ws.push(p, j)
 	}
-	if e.ws != nil {
-		if w != nil {
-			w.relBuf = append(w.relBuf, j)
-			return
-		}
-		e.ws.push(nil, j)
-		return
-	}
-	heap.Push(&e.ready, j)
 }
 
 // pop removes the highest-priority ready job (oldest iteration first)
@@ -604,16 +544,14 @@ func (e *engine) shouldPark(j job) bool {
 // caller.
 //
 //hinch:hotpath
-func (e *engine) complete(j job, w *wsWorker) (*reconfigResult, error) {
-	if e.hooks != nil {
-		e.hooks.Yield(YieldComplete)
-	}
+func (e *engine) complete(j job, p *probe) (*reconfigResult, error) {
+	p.yield(YieldComplete)
 	it := e.iterAt(j.iter)
 	if it == nil || it.done[j.task.ID].Swap(true) {
 		panic(fmt.Sprintf("hinch: double completion of %s@%d", j.task.Name, j.iter))
 	}
 	for _, succ := range it.plan.Succs[j.task.ID] {
-		e.release(j.iter, it, succ, w)
+		e.release(j.iter, it, succ, p)
 	}
 	// Cross-iteration release, W iterations ahead: the done flag was
 	// published above, so if the target iteration is not visible yet,
@@ -626,7 +564,7 @@ func (e *engine) complete(j job, w *wsWorker) (*reconfigResult, error) {
 	wt := int(e.widths[j.task.ID].Load())
 	if next := e.iterAt(j.iter + wt); next != nil {
 		if next.crossClaim[j.task.ID].CompareAndSwap(false, true) {
-			e.release(j.iter+wt, next, j.task.ID, w)
+			e.release(j.iter+wt, next, j.task.ID, p)
 		}
 	}
 	var res *reconfigResult
@@ -634,7 +572,7 @@ func (e *engine) complete(j job, w *wsWorker) (*reconfigResult, error) {
 		var err error
 		e.mu.Lock()
 		if st := e.mgrs[j.task.Manager]; st != nil && st.phase == mgrHalted && j.iter == st.gateAfter {
-			res, err = e.applyReconfig(j.task.Manager, st, w)
+			res, err = e.applyReconfig(j.task.Manager, st, p)
 		}
 		e.mu.Unlock()
 		if err != nil {
@@ -643,7 +581,7 @@ func (e *engine) complete(j job, w *wsWorker) (*reconfigResult, error) {
 	}
 	if it.left.Add(-1) == 0 {
 		e.mu.Lock()
-		e.retireSweep(w)
+		e.retireSweep(p)
 		e.mu.Unlock()
 	}
 	return res, nil
@@ -657,24 +595,22 @@ func (e *engine) complete(j job, w *wsWorker) (*reconfigResult, error) {
 // outgrow the ring even though the live count stays bounded. The sweep
 // pins the window to [retireNext, nextLaunch), which the ring size
 // strictly covers. Must be called with mu held.
-func (e *engine) retireSweep(w *wsWorker) {
+func (e *engine) retireSweep(p *probe) {
 	for {
 		it := e.iterAt(e.retireNext)
 		if it == nil || it.left.Load() != 0 {
 			return
 		}
 		e.retireNext++
-		e.retire(it, w)
+		e.retire(it, p)
 	}
 }
 
 // retire finalises a fully-completed iteration: frees its ring slot and
 // stream buffers, requeues backpressured jobs, and refills the pipeline.
 // Must be called with mu held, via retireSweep.
-func (e *engine) retire(it *iterState, w *wsWorker) {
-	if e.hooks != nil {
-		e.hooks.Yield(YieldRetire)
-	}
+func (e *engine) retire(it *iterState, p *probe) {
+	p.yield(YieldRetire)
 	k := int(it.iter.Load())
 	e.ring[k%len(e.ring)].Store(nil)
 	e.nIters--
@@ -682,12 +618,7 @@ func (e *engine) retire(it *iterState, w *wsWorker) {
 		e.bufActive--
 		for _, s := range e.app.streamList {
 			s.release(k)
-			if e.tr != nil {
-				e.tr.Emit(traceShard(w), TraceEvent{
-					TS: e.traceTS(w), Kind: TraceStreamRelease,
-					Worker: -1, Iter: int32(k), ID: int32(s.idx), Arg: int64(s.nactive.Load()),
-				})
-			}
+			p.released(s, k)
 		}
 		// Buffers freed: iterations waiting on the stream FIFO
 		// capacity can try again. The two backing arrays rotate so the
@@ -695,32 +626,14 @@ func (e *engine) retire(it *iterState, w *wsWorker) {
 		parked := e.bufParked
 		e.bufParked = e.bufSpare[:0]
 		for _, pj := range parked {
-			e.enqueue(w, pj)
+			e.enqueue(p, pj)
 		}
 		e.bufSpare = parked[:0]
 	}
-	counted := !it.cancelled.Load()
-	acct := &e.acct[traceShard(w)]
-	acct.retired.Add(1)
-	if counted {
-		acct.processed.Add(1)
-	}
-	if e.tm != nil {
-		e.tm.iterLat.record(e.traceTS(nil) - it.launchTS)
-	}
-	if e.tr != nil {
-		var arg int64
-		if counted {
-			arg = 1
-		}
-		e.tr.Emit(traceShard(w), TraceEvent{
-			TS: e.traceTS(w), Kind: TraceIterRetire,
-			Worker: int32(traceShard(w) - 1), Iter: int32(k), ID: -1, Arg: arg,
-		})
-	}
+	p.retire(it, k, !it.cancelled.Load())
 	e.free = append(e.free, it)
-	e.checkResumes(w)
-	e.launch(w)
+	e.checkResumes(p)
+	e.launch(p)
 }
 
 // checkResumes releases managers in the applied phase once every
@@ -728,7 +641,7 @@ func (e *engine) retire(it *iterState, w *wsWorker) {
 // drained ("the application is run sequentially", §4.3) and refills
 // from the parked iterations — the parallelism loss the paper's Figure
 // 10 measures. Must be called with mu held.
-func (e *engine) checkResumes(w *wsWorker) {
+func (e *engine) checkResumes(p *probe) {
 	for mi, name := range e.mgrNames {
 		st := e.mgrs[name]
 		if st.phase != mgrApplied {
@@ -743,18 +656,13 @@ func (e *engine) checkResumes(w *wsWorker) {
 		if !drained {
 			continue
 		}
-		if e.tr != nil {
-			e.tr.Emit(traceShard(w), TraceEvent{
-				TS: e.traceTS(w), Kind: TraceReconfigResume,
-				Worker: -1, Iter: int32(st.gateAfter), ID: int32(mi),
-			})
-		}
+		p.resume(mi, st.gateAfter)
 		for _, pj := range st.parked {
-			e.enqueue(w, pj)
+			e.enqueue(p, pj)
 		}
 		st.parked = nil
 		st.phase = mgrIdle
-		e.launch(w)
+		e.launch(p)
 	}
 }
 
@@ -762,10 +670,10 @@ func (e *engine) checkResumes(w *wsWorker) {
 // dependencies are met. Lock-free; safe with or without mu held.
 //
 //hinch:hotpath
-func (e *engine) release(iter int, it *iterState, taskID int, w *wsWorker) {
+func (e *engine) release(iter int, it *iterState, taskID int, p *probe) {
 	n := it.remaining[taskID].Add(-1)
 	if n == 0 {
-		e.enqueue(w, job{iter: iter, task: it.plan.Tasks[taskID]})
+		e.enqueue(p, job{iter: iter, task: it.plan.Tasks[taskID]})
 	}
 	if n < 0 {
 		panic(fmt.Sprintf("hinch: negative dependency count for task %d@%d", taskID, iter))
@@ -811,9 +719,8 @@ func (e *engine) needsBuffers(j job) bool {
 // buffers to the next one whenever the scheduler keeps few iterations
 // in flight. Must be called with mu held.
 //
-//hinch:locked
 //hinch:hotpath
-func (e *engine) ensureBuffers(iter int) {
+func (e *engine) ensureBuffers(p *probe, iter int) {
 	it := e.iterAt(iter)
 	if it == nil || it.acquired.Load() {
 		return
@@ -822,24 +729,10 @@ func (e *engine) ensureBuffers(iter int) {
 	if e.tu != nil && e.bufActive > e.tu.bufHW {
 		e.tu.bufHW = e.bufActive
 	}
-	var ts int64
-	if e.tr != nil {
-		ts = e.traceTS(nil)
-	}
 	for _, s := range e.app.streamList {
-		if e.hooks != nil {
-			e.hooks.Yield(YieldAcquire)
-		}
+		p.yield(YieldAcquire)
 		s.acquire(iter)
-		if e.tm != nil {
-			e.tm.occ[s.idx].record(int64(s.nactive.Load()))
-		}
-		if e.tr != nil {
-			e.tr.Emit(0, TraceEvent{
-				TS: ts, Kind: TraceStreamAcquire,
-				Worker: -1, Iter: int32(iter), ID: int32(s.idx), Arg: int64(s.nactive.Load()),
-			})
-		}
+		p.acquired(s, iter)
 	}
 	// Publish last: execReal's lock-free fast path reads acquired without
 	// the engine lock, and the atomic store must make the slot pointers
@@ -887,9 +780,7 @@ func (e *engine) effectiveOption(st *mgrState, name string) bool {
 // the option states the iteration will run under. It returns the
 // compute ops to charge for overlapped component pre-creation. Must be
 // called with mu held.
-//
-//hinch:locked
-func (e *engine) managerPoll(j job) (ops int64, err error) {
+func (e *engine) managerPoll(p *probe, j job) (ops int64, err error) {
 	m := e.app.managers[j.task.Manager]
 	if m == nil {
 		return 0, fmt.Errorf("hinch: unknown manager %q", j.task.Manager)
@@ -901,11 +792,8 @@ func (e *engine) managerPoll(j job) (ops int64, err error) {
 	if m.Queue != "" {
 		q := e.app.queues[m.Queue]
 		drained := q.Drain()
-		if e.tr != nil && len(drained) > 0 {
-			e.tr.Emit(0, TraceEvent{
-				TS: e.traceTS(nil), Kind: TraceEventDrain,
-				Worker: -1, Iter: int32(j.iter), ID: int32(e.app.queueIndex[m.Queue]), Arg: int64(len(drained)),
-			})
+		if len(drained) > 0 {
+			p.eventDrain(j.iter, e.app.queueIndex[m.Queue], len(drained))
 		}
 		for _, ev := range drained {
 			for _, bind := range m.Bindings {
@@ -913,7 +801,7 @@ func (e *engine) managerPoll(j job) (ops int64, err error) {
 					continue
 				}
 				for _, act := range bind.Actions {
-					o, err := e.applyAction(m, st, j, ev, act)
+					o, err := e.applyAction(p, m, st, j, ev, act)
 					if err != nil {
 						return ops, err
 					}
@@ -944,9 +832,7 @@ func (e *engine) managerPoll(j job) (ops int64, err error) {
 // enable/disable/toggle stage a pending option flip and halt the
 // manager, reconfig records a request, forward re-enqueues the event.
 // Must be called with mu held, via managerPoll.
-//
-//hinch:locked
-func (e *engine) applyAction(m *graph.Node, st *mgrState, j job, ev Event, act graph.EventAction) (ops int64, err error) {
+func (e *engine) applyAction(p *probe, m *graph.Node, st *mgrState, j job, ev Event, act graph.EventAction) (ops int64, err error) {
 	switch act.Kind {
 	case graph.ActionEnable, graph.ActionDisable, graph.ActionToggle:
 		cur := e.effectiveOption(st, act.Option)
@@ -975,12 +861,7 @@ func (e *engine) applyAction(m *graph.Node, st *mgrState, j job, ev Event, act g
 			if st.lastEntered > st.gateAfter {
 				st.gateAfter = st.lastEntered
 			}
-			if e.tr != nil {
-				e.tr.Emit(0, TraceEvent{
-					TS: e.traceTS(nil), Kind: TraceReconfigHalt,
-					Worker: -1, Iter: int32(st.gateAfter), ID: int32(e.mgrIndex[m.Name]),
-				})
-			}
+			p.halt(e.mgrIndex[m.Name], st.gateAfter)
 		}
 		if want && !e.app.cfg.LazyCreation {
 			// Pre-create the option's components now, overlapped with
@@ -991,7 +872,7 @@ func (e *engine) applyAction(m *graph.Node, st *mgrState, j job, ev Event, act g
 			if err != nil {
 				return 0, err
 			}
-			ops = int64(n) * e.app.cfg.CreateOpsPerComponent
+			ops = int64(n) * createOpsPerComponent
 		}
 		return ops, nil
 
@@ -1014,7 +895,7 @@ func (e *engine) applyAction(m *graph.Node, st *mgrState, j job, ev Event, act g
 			if !inScope(t, m.Name) {
 				continue
 			}
-			inst := e.app.instance(t.Name)
+			inst := e.app.instTab[t.ID].Load()
 			if inst == nil {
 				continue
 			}
@@ -1044,7 +925,7 @@ func (e *engine) preCreateOption(option string) (int, error) {
 		if t.Option != option {
 			continue
 		}
-		if e.app.instance(t.Name) == nil {
+		if e.app.instTab[t.ID].Load() == nil {
 			if err := e.app.createInstance(t); err != nil {
 				return created, err
 			}
@@ -1060,7 +941,7 @@ func (e *engine) preCreateOption(option string) (int, error) {
 // the stall to charge and the parked jobs to resume; a non-nil error
 // (component creation failed inside the quiescent window) must abort
 // the run. Must be called with mu held.
-func (e *engine) applyReconfig(name string, st *mgrState, w *wsWorker) (*reconfigResult, error) {
+func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (*reconfigResult, error) {
 	nChanged, created := 0, 0
 	var firstErr error
 	for _, t := range e.app.plan.ComponentTasks() {
@@ -1074,8 +955,8 @@ func (e *engine) applyReconfig(name string, st *mgrState, w *wsWorker) (*reconfi
 		nChanged++
 		if !want {
 			// "multiple components are destroyed and/or created"
-			e.app.removeInstance(t.Name)
-		} else if e.app.instance(t.Name) == nil {
+			e.app.instTab[t.ID].Store(nil)
+		} else if e.app.instTab[t.ID].Load() == nil {
 			// Pre-created at event detection unless LazyCreation (or an
 			// externally injected enable) deferred it to this quiescent
 			// window, where its cost becomes stall time.
@@ -1100,17 +981,11 @@ func (e *engine) applyReconfig(name string, st *mgrState, w *wsWorker) (*reconfi
 			}
 		})
 	}
-	stall := e.app.cfg.ReconfigBaseCycles +
-		e.app.cfg.ReconfigPerTaskCycles*int64(nChanged) +
-		e.app.cfg.CreateOpsPerComponent*int64(created)
+	stall := reconfigBaseCycles +
+		reconfigPerTaskCycles*int64(nChanged) +
+		createOpsPerComponent*int64(created)
 	e.stall += stall
-	e.acct[traceShard(w)].reconfigs.Add(1)
-	if e.tr != nil {
-		e.tr.Emit(traceShard(w), TraceEvent{
-			TS: e.traceTS(w), Kind: TraceReconfigApply,
-			Worker: -1, Iter: int32(st.gateAfter), ID: int32(e.mgrIndex[name]), Arg: stall,
-		})
-	}
+	p.apply(e.mgrIndex[name], st.gateAfter, stall)
 	// Parked entries stay held until checkResumes sees the pipeline
 	// fully drained of pre-halt iterations.
 	res := &reconfigResult{stall: stall}
@@ -1153,8 +1028,6 @@ func (e *engine) executeComponent(rc *RunContext, j job, inst *instance, sim boo
 type runOutcome struct {
 	err     error // error to hand to handleRunError (EOS or fatal); nil otherwise
 	faulted bool  // the iteration was holed (skip-iteration or retry exhaustion)
-	faults  int64 // contained failed attempts
-	retries int64 // re-attempts made
 	virtual int64 // extra virtual cycles to charge on sim (backoff + injected delay)
 }
 
@@ -1199,7 +1072,7 @@ func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) ru
 				// succeeded, so its outputs stand and the iteration is
 				// not holed. The sim backend's cost-budget twin lives in
 				// execJobSim, where the job's virtual cost is known.
-				e.degrade(j, "deadline exceeded", rc.shard)
+				e.degrade(rc.p, j, "deadline exceeded")
 			}
 			return out
 		}
@@ -1207,13 +1080,7 @@ func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) ru
 			out.err = err
 			return out
 		}
-		out.faults++
-		if e.tr != nil {
-			e.tr.Emit(rc.shard, TraceEvent{
-				TS: e.rcTS(rc.shard), Kind: TraceFault,
-				Worker: int32(rc.shard - 1), Iter: int32(j.iter), ID: int32(j.task.ID), Arg: int64(attempt + 1),
-			})
-		}
+		rc.p.fault(j, attempt+1)
 		if pol.Action == graph.PolicyRetry && attempt < pol.Retries {
 			back := pol.BackoffAt(attempt)
 			if sim {
@@ -1226,13 +1093,7 @@ func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) ru
 				e.abortSleep()
 				return out
 			}
-			out.retries++
-			if e.tr != nil {
-				e.tr.Emit(rc.shard, TraceEvent{
-					TS: e.rcTS(rc.shard), Kind: TraceRetry,
-					Worker: int32(rc.shard - 1), Iter: int32(j.iter), ID: int32(j.task.ID), Arg: int64(back),
-				})
-			}
+			rc.p.retry(j, back)
 			continue
 		}
 		if pol.Action == graph.PolicyFail {
@@ -1242,7 +1103,7 @@ func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) ru
 		// skip-iteration, or retries exhausted: drop the iteration and
 		// degrade through the owning manager. With no manager to hear
 		// the fault the failure escalates to a run abort.
-		if !e.faultIteration(j, err, rc.shard) {
+		if !e.faultIteration(rc.p, j, err) {
 			out.err = fmt.Errorf("no enclosing manager handles faults: %w", err)
 			return out
 		}
@@ -1258,14 +1119,14 @@ func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) ru
 // can degrade the configuration. It reports false when no enclosing
 // manager polls a queue (the failure must escalate). Lock-free: the
 // cancel is an atomic store and the queue serialises itself.
-func (e *engine) faultIteration(j job, cause error, shard int) bool {
+func (e *engine) faultIteration(p *probe, j job, cause error) bool {
 	if e.faultRoute == nil || e.faultRoute[j.task.ID] == nil {
 		return false
 	}
 	if it := e.iterAt(j.iter); it != nil {
 		it.cancelled.Store(true)
 	}
-	e.degrade(j, cause.Error(), shard)
+	e.degrade(p, j, cause.Error())
 	return true
 }
 
@@ -1276,7 +1137,7 @@ func (e *engine) faultIteration(j job, cause error, shard int) bool {
 // reconfiguration through the unchanged manager protocol. A task with
 // no fault route degrades silently (the analyzer's faults pass flags
 // such programs). Lock-free.
-func (e *engine) degrade(j job, reason string, shard int) {
+func (e *engine) degrade(p *probe, j job, reason string) {
 	if e.faultRoute == nil {
 		return
 	}
@@ -1284,24 +1145,16 @@ func (e *engine) degrade(j job, reason string, shard int) {
 	if q == nil {
 		return
 	}
-	e.acct[shard].degradations.Add(1)
 	depth := q.Push(Event{Name: graph.FaultEvent, Arg: fmt.Sprintf("%s@%d: %s", j.task.Name, j.iter, reason)})
-	e.acct[shard].events.Add(1)
-	if e.tr != nil {
-		e.tr.Emit(shard, TraceEvent{
-			TS: e.rcTS(shard), Kind: TraceDegrade,
-			Worker: int32(shard - 1), Iter: int32(j.iter), ID: e.faultMgr[j.task.ID], Arg: int64(depth),
-		})
-	}
+	p.degrade(j, e.faultMgr[j.task.ID], depth)
 }
 
-// resolveInstance fetches the component instance for a job. Lock-free:
-// the task-ID-indexed table is republished copy-on-write alongside the
-// name map, so the per-job lookup is an index load, not a map access.
+// resolveInstance fetches the component instance for a job: one
+// lock-free load from the task-ID-indexed table.
 //
 //hinch:hotpath
 func (e *engine) resolveInstance(j job) (*instance, error) {
-	inst := (*e.app.instTab.Load())[j.task.ID]
+	inst := e.app.instTab[j.task.ID].Load()
 	if inst == nil {
 		return nil, fmt.Errorf("hinch: no instance for task %q", j.task.Name)
 	}

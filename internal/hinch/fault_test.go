@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xspcl/internal/graph"
 )
@@ -396,5 +397,60 @@ func TestSimDeadlineWatchdog(t *testing.T) {
 	}
 	if rep.Iterations != iters {
 		t.Fatalf("iterations = %d, want %d", rep.Iterations, iters)
+	}
+}
+
+// TestParseFaultSpec pins the -inject-faults grammar: which specs parse,
+// into what, and which are rejected.
+func TestParseFaultSpec(t *testing.T) {
+	ok := []struct {
+		spec string
+		want SeededFaults
+	}{
+		{"", SeededFaults{From: -1}},
+		{"seed=7,task=jdec,rate=4,kind=delay,delay=3ms,from=8",
+			SeededFaults{Seed: 7, Task: "jdec", Rate: 4, Kind: FaultDelay, Delay: 3 * time.Millisecond, From: 8}},
+		{"kind=error", SeededFaults{Kind: FaultError, From: -1}},
+		{"kind=panic,from=0", SeededFaults{Kind: FaultPanic, From: 0}},
+		{"seed=1,,rate=2", SeededFaults{Seed: 1, Rate: 2, From: -1}}, // empty segments are skipped
+		{",seed=1,", SeededFaults{Seed: 1, From: -1}},
+		{"task=a=b", SeededFaults{Task: "a=b", From: -1}}, // only the first '=' splits
+		{"task=", SeededFaults{From: -1}},
+		{"delay=0", SeededFaults{From: -1}},
+	}
+	for _, c := range ok {
+		got, err := ParseFaultSpec(c.spec)
+		if err != nil {
+			t.Errorf("ParseFaultSpec(%q): %v", c.spec, err)
+		} else if *got != c.want {
+			t.Errorf("ParseFaultSpec(%q) = %+v, want %+v", c.spec, *got, c.want)
+		}
+	}
+	bad := []struct{ spec, frag string }{
+		{"seed", "want key=value pairs"},
+		{"seed=1,rate", "want key=value pairs"},
+		{"bogus=1", `unknown key "bogus"`},
+		{"=1", `unknown key ""`},
+		{"Seed=1", `unknown key "Seed"`},
+		{"seed=x", "bad seed"},
+		{"seed=", "bad seed"},
+		{"rate=0", "bad rate"},
+		{"rate=-3", "bad rate"},
+		{"rate=many", "bad rate"},
+		{"kind=boom", "bad kind"},
+		{"kind=", "bad kind"},
+		{"delay=soon", "bad delay"},
+		{"delay=-1ms", "bad delay"},
+		{"from=-1", "bad from"},
+		{"from=x", "bad from"},
+		{"seed=1,from=x", "bad from"},
+	}
+	for _, c := range bad {
+		got, err := ParseFaultSpec(c.spec)
+		if err == nil {
+			t.Errorf("ParseFaultSpec(%q) = %+v, want an error containing %q", c.spec, *got, c.frag)
+		} else if !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("ParseFaultSpec(%q) error %q, want fragment %q", c.spec, err, c.frag)
+		}
 	}
 }

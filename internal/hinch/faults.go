@@ -2,6 +2,7 @@ package hinch
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -79,7 +80,7 @@ type SeededFaults struct {
 
 // Inject implements FaultInjector.
 func (s *SeededFaults) Inject(task string, iter, attempt int) Fault {
-	if s.Task != "" && !containsSubstr(task, s.Task) {
+	if !strings.Contains(task, s.Task) {
 		return Fault{}
 	}
 	f := Fault{Kind: s.Kind, Delay: s.Delay}
@@ -115,22 +116,16 @@ func (s *SeededFaults) Inject(task string, iter, attempt int) Fault {
 	return f
 }
 
-func containsSubstr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // ParseFaultSpec parses an xspclrun -inject-faults flag value of the
 // form "seed=N[,task=SUBSTR][,rate=M][,kind=error|panic|delay]
 // [,delay=DUR][,from=K]" into a SeededFaults injector.
 func ParseFaultSpec(spec string) (*SeededFaults, error) {
 	s := &SeededFaults{From: -1}
-	for _, part := range splitNonEmpty(spec, ',') {
-		k, v, ok := cutByte(part, '=')
+	for _, part := range strings.Split(spec, ",") {
+		if part == "" {
+			continue
+		}
+		k, v, ok := strings.Cut(part, "=")
 		if !ok {
 			return nil, fmt.Errorf("hinch: fault spec %q: want key=value pairs", spec)
 		}
@@ -171,27 +166,4 @@ func ParseFaultSpec(spec string) (*SeededFaults, error) {
 		}
 	}
 	return s, nil
-}
-
-func splitNonEmpty(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == sep {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func cutByte(s string, sep byte) (before, after string, found bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == sep {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
 }

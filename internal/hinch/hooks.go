@@ -7,8 +7,9 @@ package hinch
 // boundaries below and reseeds each worker's steal-victim order, so
 // ordering bugs (like a buffer being published after the flag that
 // advertises it) surface within a bounded fuzzing budget instead of
-// waiting for production timing. Every call site is nil-checked, so a
-// normal run pays one predictable branch per boundary and nothing else.
+// waiting for production timing. The engine yields through its probes
+// (probe.yield, the only caller), so a normal run pays one predictable
+// branch per boundary and nothing else.
 
 // YieldPoint identifies a scheduler boundary at which an injected
 // TestHooks implementation is consulted.
@@ -16,8 +17,8 @@ type YieldPoint int
 
 // Scheduler boundaries exposed to TestHooks.Yield.
 const (
-	// YieldEnqueue fires in sched.push, just before a job becomes
-	// visible to other workers.
+	// YieldEnqueue fires in sched.push and pushBatch, just before jobs
+	// become visible to other workers.
 	YieldEnqueue YieldPoint = iota
 	// YieldComplete fires at the start of complete(), before a finished
 	// job releases its dependents.

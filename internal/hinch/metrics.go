@@ -292,17 +292,13 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 }
 
 // counters is one writer's shard of the run's accounting — the only
-// one there is. Every counted boundary (job execution, launch, retire,
-// reconfiguration, event, degradation, scheduler action) adds to the
-// acting goroutine's own shard exactly once, and fold is the only
-// reader: the final Report, a mid-run Snapshot and everything rendered
-// from it (/metrics, /statusz, xspcltop, serve.Status) are the same
-// sums and cannot disagree. The layout follows the tracer's shard
-// discipline — shard 0 is written under the engine lock (or by the
-// single sim goroutine), shard w+1 only by worker w — so an add never
-// contends; the fields are atomic so that fold may run mid-run from any
-// goroutine. The trailing pad keeps adjacent writers off one cache
-// line.
+// one there is, and the always-on part of that writer's probe
+// (probe.go). Every counted boundary adds to the acting writer's own
+// shard exactly once, through its probe, and fold is the only reader:
+// the final Report, a mid-run Snapshot and everything rendered from it
+// (/metrics, /statusz, xspcltop, serve.Status) are the same sums and
+// cannot disagree. An add never contends (one writer per shard); the
+// fields are atomic so that fold may run mid-run from any goroutine.
 type counters struct {
 	task []taskCounters // indexed by task ID
 
@@ -321,10 +317,6 @@ type counters struct {
 	wakes         atomic.Int64
 	batches       atomic.Int64
 	chained       atomic.Int64
-
-	tm *tmShard // this writer's histograms; nil unless Config.Telemetry
-
-	_ [64]byte
 }
 
 // taskCounters is one task's slice of a shard. jobs is the one add the
@@ -332,24 +324,10 @@ type counters struct {
 // are both derived from it.
 type taskCounters struct {
 	jobs      atomic.Int64
-	faulted   atomic.Int64 // contained failed attempts (not "faults": the nilguard lint reserves that name)
+	faults    atomic.Int64 // contained failed attempts
 	retries   atomic.Int64
 	ops       atomic.Int64 // sim backend
 	memCycles atomic.Int64 // sim backend
-}
-
-// newCounters allocates the shards for a run: the engine's plus one per
-// real-backend worker.
-func newCounters(cfg Config, nTasks int) []counters {
-	n := 1
-	if cfg.Backend == BackendReal {
-		n += cfg.Cores
-	}
-	acct := make([]counters, n)
-	for i := range acct {
-		acct[i].task = make([]taskCounters, nTasks)
-	}
-	return acct
 }
 
 // totals is the run's accounting summed over every shard.
@@ -368,14 +346,14 @@ type totals struct {
 // always sees processed <= retired <= launched.
 func (e *engine) fold() totals {
 	t := totals{task: make([]ClassStats, len(e.app.plan.Tasks))}
-	for i := range e.acct {
-		t.processed += e.acct[i].processed.Load()
+	for i := range e.probes {
+		t.processed += e.probes[i].processed.Load()
 	}
-	for i := range e.acct {
-		t.retired += e.acct[i].retired.Load()
+	for i := range e.probes {
+		t.retired += e.probes[i].retired.Load()
 	}
-	for i := range e.acct {
-		c := &e.acct[i]
+	for i := range e.probes {
+		c := &e.probes[i].counters
 		t.launched += c.launched.Load()
 		t.reconfigs += c.reconfigs.Load()
 		t.events += c.events.Load()
@@ -391,7 +369,7 @@ func (e *engine) fold() totals {
 			tc := &c.task[id]
 			t.task[id].add(ClassStats{
 				Jobs: tc.jobs.Load(), Ops: tc.ops.Load(), MemCycles: tc.memCycles.Load(),
-				Faults: tc.faulted.Load(), Retries: tc.retries.Load(),
+				Faults: tc.faults.Load(), Retries: tc.retries.Load(),
 			})
 		}
 	}

@@ -16,11 +16,12 @@ import (
 // elapsed time.
 func (e *engine) runReal() (*Report, error) {
 	start := time.Now()
-	e.trStart = start
-	if e.tr != nil {
-		e.ws.tr = e.tr
-		e.ws.trStart = start
-		e.tr.Begin(e.traceMeta(true))
+	for i := range e.probes {
+		e.probes[i].start = start
+	}
+	tr := e.app.cfg.Tracer
+	if tr != nil {
+		tr.Begin(e.traceMeta(true))
 	}
 
 	var wg sync.WaitGroup
@@ -50,7 +51,7 @@ func (e *engine) runReal() (*Report, error) {
 		default:
 		}
 	}
-	e.launch(nil)
+	e.launch(&e.probes[0])
 	e.mu.Unlock()
 
 	// The cancellation watcher mirrors the tuner/watchdog tickers: one
@@ -120,8 +121,8 @@ func (e *engine) runReal() (*Report, error) {
 	for _, stop := range tickers {
 		stop()
 	}
-	if e.tr != nil {
-		e.tr.End()
+	if tr != nil {
+		tr.End()
 	}
 	if e.err != nil {
 		return nil, e.err
@@ -220,13 +221,7 @@ func (e *engine) runWorker(w *wsWorker) {
 //
 //hinch:hotpath
 func (e *engine) endChain(w *wsWorker) {
-	w.acct.chained.Add(int64(w.chain))
-	if e.tr != nil {
-		e.tr.Emit(w.id+1, TraceEvent{
-			TS: w.lastTS, Kind: TraceBatch,
-			Worker: int32(w.id), Iter: -1, ID: -1, Arg: int64(w.chain + 1),
-		})
-	}
+	w.p.chainEnd(w.chain)
 	w.chain = 0
 }
 
@@ -297,21 +292,19 @@ func (e *engine) execReal(w *wsWorker, j job) {
 		}
 		if e.skipExecution(j) {
 			e.mu.Unlock()
-			e.traceSkip(w, j)
+			w.p.skip(j, w.id)
 			e.finishReal(w, j)
 			return
 		}
-		e.ensureBuffers(j.iter)
-		w.acct.task[j.task.ID].jobs.Add(1)
-		_, err := e.managerPoll(j)
+		e.ensureBuffers(w.p, j.iter)
+		start := w.p.dispatch(j, false)
+		_, err := e.managerPoll(w.p, j)
 		e.mu.Unlock()
 		if err != nil {
 			e.failReal(err)
 			return
 		}
-		if e.tr != nil {
-			e.traceSpan(w, j)
-		}
+		w.p.executed(j, start)
 		e.finishReal(w, j)
 		return
 	}
@@ -332,55 +325,29 @@ func (e *engine) execReal(w *wsWorker, j job) {
 		}
 		if e.skipExecution(j) {
 			e.mu.Unlock()
-			e.traceSkip(w, j)
+			w.p.skip(j, w.id)
 			e.finishReal(w, j)
 			return
 		}
-		e.ensureBuffers(j.iter)
+		e.ensureBuffers(w.p, j.iter)
 		e.mu.Unlock()
 	}
 
-	if e.hooks != nil {
-		// Stretch the window between the lock-free acquired/cancelled
-		// probes above and the component's first stream access.
-		e.hooks.Yield(YieldDispatch)
-	}
+	// Stretch the window between the lock-free acquired/cancelled
+	// checks above and the component's first stream access.
+	w.p.yield(YieldDispatch)
 	inst, err := e.resolveInstance(j)
 	if err != nil {
 		e.failReal(err)
 		return
 	}
-	tc := &w.acct.task[j.task.ID]
-	tc.jobs.Add(1)
 	// The tuner times every component job; telemetry stride-samples
-	// 1 in 2^tmSampleShift of this worker's (the tick counter is
-	// worker-local, so sampling is uncontended). A timed job pays two
-	// clock reads, shared when both want them.
-	sample := false
-	if e.tm != nil {
-		w.tmTick++
-		sample = w.tmTick&tmSampleMask == 0
-	}
-	var start time.Time
-	if e.tu != nil || sample {
-		start = time.Now()
-	}
+	// them. A timed job pays two clock reads, shared when both want
+	// them and with the tracer's span.
+	start := w.p.dispatch(j, e.tu != nil)
 	out := e.runPolicied(&w.rc, j, inst, false)
-	if e.tu != nil || sample {
-		svcDur := int64(time.Since(start))
-		if e.tu != nil {
-			e.tu.busy[j.task.ID].Add(svcDur)
-		}
-		if sample {
-			w.acct.tm.svc[j.task.ID].record(svcDur)
-		}
-	}
-	if out.faults > 0 || out.retries > 0 {
-		tc.faulted.Add(out.faults)
-		tc.retries.Add(out.retries)
-	}
-	if e.tr != nil {
-		e.traceSpan(w, j)
+	if svc := w.p.executed(j, start); e.tu != nil {
+		e.tu.busy[j.task.ID].Add(svc)
 	}
 	if out.err != nil {
 		e.mu.Lock()
@@ -397,48 +364,20 @@ func (e *engine) execReal(w *wsWorker, j job) {
 	e.finishReal(w, j)
 }
 
-// traceSpan emits the span of w's just-executed job: the start is the
-// worker's cached previous timestamp, the end is the one fresh clock
-// read made per executed job (which becomes the new cache, so every
-// secondary event this job produces reuses it). Call only with a
-// tracer attached.
-func (e *engine) traceSpan(w *wsWorker, j job) {
-	if e.tr == nil {
-		return
-	}
-	t0 := w.lastTS
-	w.lastTS = int64(time.Since(e.trStart))
-	e.tr.Emit(w.id+1, TraceEvent{
-		TS: t0, Arg: w.lastTS - t0, Kind: TraceJobSpan,
-		Worker: int32(w.id), Iter: int32(j.iter), ID: int32(j.task.ID),
-	})
-}
-
-// traceSkip records a zero-cost no-op job without reading the clock.
-func (e *engine) traceSkip(w *wsWorker, j job) {
-	if e.tr == nil {
-		return
-	}
-	e.tr.Emit(w.id+1, TraceEvent{
-		TS: w.lastTS, Kind: TraceJobSkip,
-		Worker: int32(w.id), Iter: int32(j.iter), ID: int32(j.task.ID),
-	})
-}
-
 // finishReal retires a job through complete(). Errors surfacing from
 // completion (a failed reconfiguration splice) abort the run
 // explicitly; when a reconfiguration was applied, any resumed jobs are
 // queued immediately (the stall is virtual time, inert on the real
 // backend).
 func (e *engine) finishReal(w *wsWorker, j job) {
-	res, err := e.complete(j, w)
+	res, err := e.complete(j, w.p)
 	if err != nil {
 		e.failReal(err)
 		return
 	}
 	if res != nil {
 		for _, pj := range res.parked {
-			e.ws.push(w, pj)
+			e.ws.push(w.p, pj)
 		}
 	}
 }

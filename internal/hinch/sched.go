@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file implements the real backend's work-stealing dispatch layer.
@@ -125,8 +124,8 @@ type wsWorker struct {
 	park chan struct{} // buffered(1): a pending wake token
 	rng  uint64        // xorshift state for victim selection
 
-	acct *counters  // this worker's accounting shard (engine.acct[id+1])
-	rc   RunContext // reusable run context for this worker's jobs
+	p  *probe     // this worker's probe (engine.probes[id+1])
+	rc RunContext // reusable run context for this worker's jobs
 
 	// relBuf collects the jobs released by the job this worker is
 	// executing; flushReleases publishes them as one batch when the job
@@ -148,17 +147,6 @@ type wsWorker struct {
 	// wakeOne (and counted in sched.wakePending); set before the token
 	// send, consumed by blockPark after the token receive.
 	woken bool
-
-	// tmTick strides the telemetry service-time sampling: worker-local,
-	// bumped once per component job, sampled when the low
-	// tmSampleShift bits are zero. Only advanced with telemetry on.
-	tmTick uint32
-
-	// lastTS is the worker's cached trace timestamp: the end of its
-	// last executed job (refreshed also after a steal hit or unpark).
-	// Only maintained while a tracer is attached; secondary trace
-	// events reuse it instead of reading the clock.
-	lastTS int64
 }
 
 // nextRand is a xorshift64 step — victim order only needs to be cheap
@@ -180,8 +168,7 @@ const stealMax = 8
 // sched is the shared work-stealing state of one real-backend run.
 type sched struct {
 	workers []*wsWorker
-	global  wsDeque   // jobs released outside worker context
-	hooks   TestHooks // test-only schedule perturbation; nil in production
+	global  wsDeque // jobs released outside worker context
 
 	// maxChain bounds the run of same-task consecutive iterations a
 	// worker executes back-to-back off its chain slot (see
@@ -226,23 +213,13 @@ type sched struct {
 	// Spreading to further workers resumes as a cascade: each woken
 	// worker that steals a surplus wakes the next (see steal).
 	wakePending atomic.Int32
-
-	tr      Tracer    // flight recorder; nil in production
-	trStart time.Time // trace timestamps count from this instant
-
-	ext *counters // shard for actions outside any worker context (engine.acct[0])
 }
 
-// newSched builds the scheduler over the engine's accounting shards:
-// acct[0] is the engine's, acct[w+1] worker w's.
-func newSched(cfg Config, acct []counters) *sched {
+// newSched builds the scheduler and binds worker w to probes[w+1].
+func newSched(cfg Config, probes []probe) *sched {
 	n := cfg.Cores
 	hooks := cfg.Hooks
-	s := &sched{
-		workers: make([]*wsWorker, n),
-		hooks:   hooks,
-		ext:     &acct[0],
-	}
+	s := &sched{workers: make([]*wsWorker, n)}
 	s.maxChain = cfg.StreamCapacity
 	if s.maxChain > stealMax {
 		s.maxChain = stealMax
@@ -273,26 +250,26 @@ func newSched(cfg Config, acct []counters) *sched {
 			id:   i,
 			park: make(chan struct{}, 1),
 			rng:  seed,
-			acct: &acct[i+1],
+			p:    &probes[i+1],
 		}
-		s.workers[i].rc.shard = i + 1
+		probes[i+1].w = s.workers[i]
+		s.workers[i].rc.p = &probes[i+1]
 		s.workers[i].dq.buf = make([]job, 0, 64)
 		s.workers[i].relBuf = make([]job, 0, 32)
 	}
 	return s
 }
 
-// push makes a job runnable. Jobs released by a worker land on its own
-// deque; others go to the global queue. A worker's first pending job
-// wakes nobody — the worker itself pops it as soon as it finishes the
-// job it is executing — so a plain pipeline (every completion releasing
-// exactly one successor) runs without any wake traffic at all.
-func (s *sched) push(w *wsWorker, j job) {
-	if s.hooks != nil {
-		s.hooks.Yield(YieldEnqueue)
-	}
+// push makes a job runnable on behalf of the writer behind p. Jobs
+// released by a worker land on its own deque; others go to the global
+// queue. A worker's first pending job wakes nobody — the worker itself
+// pops it as soon as it finishes the job it is executing — so a plain
+// pipeline (every completion releasing exactly one successor) runs
+// without any wake traffic at all.
+func (s *sched) push(p *probe, j job) {
+	p.publish(1)
 	s.inflight.Add(1)
-	if w != nil {
+	if w := p.w; w != nil {
 		w.dq.push(j)
 		if w.dq.size.Load() <= 1 {
 			return
@@ -301,11 +278,7 @@ func (s *sched) push(w *wsWorker, j job) {
 		s.global.push(j)
 	}
 	if s.signalWork() {
-		acct := s.ext
-		if w != nil {
-			acct = w.acct
-		}
-		acct.wakes.Add(1)
+		p.woke()
 	}
 }
 
@@ -321,20 +294,15 @@ func (s *sched) pushBatch(w *wsWorker, js []job, busy bool) {
 	if len(js) == 0 {
 		return
 	}
-	if s.hooks != nil {
-		s.hooks.Yield(YieldEnqueue)
-	}
+	w.p.publish(len(js))
 	s.inflight.Add(int64(len(js)))
 	w.dq.pushN(js)
-	if len(js) > 1 {
-		w.acct.batches.Add(1)
-	}
 	spare := len(js)
 	if !busy {
 		spare--
 	}
 	if spare > 0 && s.signalWork() {
-		w.acct.wakes.Add(1)
+		w.p.woke()
 	}
 }
 
@@ -395,7 +363,7 @@ func (s *sched) signalWork() bool {
 //
 //hinch:hotpath
 func (s *sched) steal(w *wsWorker) (job, bool) {
-	w.acct.stealAttempts.Add(1)
+	w.p.stealTry()
 	n := len(s.workers)
 	start := 0
 	if n > 1 {
@@ -410,38 +378,18 @@ func (s *sched) steal(w *wsWorker) (job, bool) {
 		if took == 0 {
 			continue
 		}
-		w.acct.steals.Add(int64(took))
-		if w.acct.tm != nil {
-			w.acct.tm.stealTake.record(int64(took))
-		}
 		if took > 1 {
 			w.dq.pushN(w.stealBuf[1:took])
 			if s.signalWork() {
-				w.acct.wakes.Add(1)
+				w.p.woke()
 			}
 		}
-		if s.tr != nil {
-			// The stolen run came from a cold deque; refresh the
-			// cached timestamp so its span starts here, not at this
-			// worker's last job.
-			w.lastTS = int64(time.Since(s.trStart))
-			s.tr.Emit(w.id+1, TraceEvent{
-				TS: w.lastTS, Kind: TraceStealHit,
-				Worker: int32(w.id), Iter: -1, ID: int32(v.id), Arg: int64(took),
-			})
-		}
+		w.p.stole(v.id, took)
 		return w.stealBuf[0], true
 	}
 	j, ok := s.global.steal()
 	if ok {
-		w.acct.globalPops.Add(1)
-		if s.tr != nil {
-			w.lastTS = int64(time.Since(s.trStart))
-			s.tr.Emit(w.id+1, TraceEvent{
-				TS: w.lastTS, Kind: TraceGlobalPop,
-				Worker: int32(w.id), Iter: -1, ID: -1,
-			})
-		}
+		w.p.globalPop()
 	}
 	return j, ok
 }
@@ -491,36 +439,15 @@ func (s *sched) park(w *wsWorker) {
 	s.blockPark(w)
 }
 
-// blockPark is park's blocking wait, bracketed by park/unpark trace
-// events. The post-wake refresh of the cached timestamp keeps the idle
-// gap out of the next job's span.
+// blockPark is park's blocking wait.
 func (s *sched) blockPark(w *wsWorker) {
-	w.acct.parks.Add(1)
-	var t0 time.Time
-	if w.acct.tm != nil {
-		t0 = time.Now()
-	}
-	if s.tr != nil {
-		s.tr.Emit(w.id+1, TraceEvent{
-			TS: int64(time.Since(s.trStart)), Kind: TracePark,
-			Worker: int32(w.id), Iter: -1, ID: -1,
-		})
-	}
+	w.p.park()
 	<-w.park
-	if w.acct.tm != nil {
-		w.acct.tm.parkDur.record(int64(time.Since(t0)))
-	}
 	if w.woken {
 		w.woken = false
 		s.wakePending.Add(-1)
 	}
-	if s.tr != nil {
-		w.lastTS = int64(time.Since(s.trStart))
-		s.tr.Emit(w.id+1, TraceEvent{
-			TS: w.lastTS, Kind: TraceUnpark,
-			Worker: int32(w.id), Iter: -1, ID: -1,
-		})
-	}
+	w.p.unpark()
 }
 
 // finish stops the run: all parked workers are woken and the done flag

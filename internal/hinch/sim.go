@@ -37,9 +37,9 @@ func (h *completionHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]
 // components actually run) at dispatch time; their results become
 // visible to dependents at their virtual completion time, which is
 // dispatch time plus the job's compute cycles, memory cycles (from the
-// cache model) and the runtime's per-job overhead.
-//
-//hinch:locked
+// cache model) and the runtime's per-job overhead. The sim goroutine
+// is the run's only writer: everything is recorded through probes[0],
+// whose clock is the virtual one.
 func (e *engine) runSim() (*Report, error) {
 	a := e.app
 	cores := a.cfg.Cores
@@ -51,12 +51,13 @@ func (e *engine) runSim() (*Report, error) {
 	busy := make([]int64, cores)
 	var clock, seq int64
 	var pending completionHeap
+	p := &e.probes[0]
 
-	if e.tr != nil {
-		e.tr.Begin(e.traceMeta(false))
-		defer e.tr.End()
+	if tr := a.cfg.Tracer; tr != nil {
+		tr.Begin(e.traceMeta(false))
+		defer tr.End()
 	}
-	e.launch(nil)
+	e.launch(p)
 	for {
 		// The cancellation observation point: once per event-loop turn,
 		// before dispatch, so a cancel always lands on a virtual-cycle
@@ -74,14 +75,14 @@ func (e *engine) runSim() (*Report, error) {
 			if e.shouldPark(j) || e.needsBuffers(j) {
 				continue
 			}
-			e.ensureBuffers(j.iter)
+			e.ensureBuffers(p, j.iter)
 			core := 0
 			for !idle[core] {
 				core++
 			}
 			idle[core] = false
 			nIdle--
-			dur, ran, err := e.execJobSim(j, core)
+			dur, ran, err := e.execJobSim(p, j, core)
 			if err != nil {
 				return nil, err
 			}
@@ -97,7 +98,7 @@ func (e *engine) runSim() (*Report, error) {
 		}
 		c := heap.Pop(&pending).(completion)
 		clock = c.at
-		e.simNow = clock
+		p.ts = clock
 		if e.tu != nil {
 			// Epochs fire at virtual-time boundaries, before the
 			// completion is applied, so the decision trace is a pure
@@ -120,19 +121,16 @@ func (e *engine) runSim() (*Report, error) {
 			// A reconfiguration stall elapsed: the manager's subgraph
 			// resumes and the parked iterations may enter it.
 			for _, pj := range c.resume {
-				e.enqueue(nil, pj)
+				e.enqueue(p, pj)
 			}
 			continue
 		}
 		idle[c.core] = true
 		nIdle++
-		if e.tr != nil && c.ran {
-			e.tr.Emit(0, TraceEvent{
-				TS: c.start, Arg: c.at - c.start, Kind: TraceJobSpan,
-				Worker: int32(c.core), Iter: int32(c.j.iter), ID: int32(c.j.task.ID),
-			})
+		if c.ran {
+			p.simSpan(c.j, c.core, c.start, c.at-c.start)
 		}
-		res, err := e.complete(c.j, nil)
+		res, err := e.complete(c.j, p)
 		if err != nil {
 			return nil, err
 		}
@@ -156,35 +154,24 @@ func (e *engine) runSim() (*Report, error) {
 // latency (the job's recorded accesses run through the cache model on
 // its core). ran reports whether the job actually executed rather than
 // skipping as a zero-cost no-op.
-//
-//hinch:locked
-func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
+func (e *engine) execJobSim(p *probe, j job, core int) (dur int64, ran bool, err error) {
 	a := e.app
 	if e.skipExecution(j) {
 		// Cancelled iteration or disabled option: a zero-cost no-op
 		// that only moves the dependency machinery forward.
-		if e.tr != nil {
-			e.tr.Emit(0, TraceEvent{
-				TS: e.simNow, Kind: TraceJobSkip,
-				Worker: int32(core), Iter: int32(j.iter), ID: int32(j.task.ID),
-			})
-		}
+		p.skip(j, core)
 		return 0, false, nil
 	}
 	cost := a.tile.Config().JobOverheadCycles
-	tc := &e.acct[0].task[j.task.ID]
-	tc.jobs.Add(1)
+	p.ran(j.task.ID)
 
 	switch j.task.Role {
 	case graph.RoleManagerEntry, graph.RoleManagerExit:
-		ops, err := e.managerPoll(j)
+		ops, err := e.managerPoll(p, j)
 		if err != nil {
 			return 0, false, err
 		}
-		tc.ops.Add(ops)
-		if e.tm != nil {
-			e.tm.shards[0].svc[j.task.ID].record(cost + ops)
-		}
+		p.charge(j.task.ID, ops, 0, cost+ops)
 		return cost + ops, true, nil
 
 	case graph.RoleComponent:
@@ -209,25 +196,17 @@ func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
 		for _, r := range rc.streamed {
 			mem += a.tile.AccessStreamed(core, r)
 		}
-		tc.ops.Add(rc.compute)
-		tc.memCycles.Add(mem)
-		tc.faulted.Add(out.faults)
-		tc.retries.Add(out.retries)
 		dur = cost + rc.compute + mem + out.virtual
+		p.charge(j.task.ID, rc.compute, mem, dur)
 		if e.tu != nil {
 			e.tu.busy[j.task.ID].Add(dur)
-		}
-		if e.tm != nil {
-			// Every sim job is recorded (virtual cycles are free to
-			// read), so the histograms are exact and deterministic.
-			e.tm.shards[0].svc[j.task.ID].record(dur)
 		}
 		// Cost-budget watchdog (sim): a successful job whose virtual
 		// cost overruns its deadline (1ns = 1 cycle) degrades exactly
 		// like the real backend's wall-deadline overrun — a fault event
 		// is emitted but the job's outputs stand.
 		if dl := e.policyFor(j.task).Deadline; dl > 0 && out.err == nil && !out.faulted && dur > int64(dl) {
-			e.degrade(j, fmt.Sprintf("cost budget exceeded (%d cycles)", dur), 0)
+			e.degrade(p, j, fmt.Sprintf("cost budget exceeded (%d cycles)", dur))
 		}
 		return dur, true, nil
 	}

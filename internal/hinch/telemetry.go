@@ -12,13 +12,12 @@ import (
 // behind /healthz. Counters are not here — they are always on, in the
 // counters shards (metrics.go).
 //
-// Like Config.Tracer and Config.Hooks, telemetry is nil in production
-// (Config.Telemetry off) — every record site pays one predictable
-// branch. The per-worker histograms hang off the worker's counters
-// shard (tmShard), so a record is an uncontended add by the shard's
-// single writer; the fields are atomic so that scrapes (App.Snapshot,
-// the /metrics handler) can merge the shards mid-run from any
-// goroutine.
+// Telemetry is nil unless Config.Telemetry, and only the probes
+// (probe.go) record into it: the per-writer histograms (tmShard) are
+// indexed by the probe's shard, so a record is an uncontended add by
+// the shard's single writer; the fields are atomic so that scrapes
+// (App.Snapshot, the /metrics handler) can merge the shards mid-run
+// from any goroutine.
 //
 // Units follow the tracer's clock domains: virtual cycles on the sim
 // backend (every job is recorded, so histograms are deterministic and
@@ -163,9 +162,8 @@ func (s HistSnap) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// tmShard is one writer's histograms, reached through its counters
-// shard: per-task job service time, plus the two scheduler profiles
-// only workers record.
+// tmShard is one writer's histograms: per-task job service time, plus
+// the two scheduler profiles only workers record.
 type tmShard struct {
 	svc       []hist // indexed by task ID
 	stealTake hist   // jobs moved per steal hit
@@ -173,8 +171,8 @@ type tmShard struct {
 }
 
 // telemetry is the engine's optional live-metrics state; nil unless
-// Config.Telemetry. shards[i] belongs to counters shard i; occ and
-// iterLat are engine-level (serialised by mu, or by the sim goroutine).
+// Config.Telemetry. shards[i] belongs to probe i; occ and iterLat are
+// recorded under the engine lock (or by the sim goroutine).
 type telemetry struct {
 	shards  []tmShard
 	occ     []hist // per-stream occupancy, recorded at buffer acquire
@@ -195,12 +193,12 @@ type telemetry struct {
 	wdMisses int   // consecutive epochs without progress; engine-side only
 }
 
-// newTelemetry sizes the telemetry state for an engine and hangs one
-// histogram shard off each of its counters shards.
+// newTelemetry sizes the telemetry state for an engine and attaches it
+// to every probe.
 func newTelemetry(e *engine) *telemetry {
 	a := e.app
 	tm := &telemetry{
-		shards:   make([]tmShard, len(e.acct)),
+		shards:   make([]tmShard, len(e.probes)),
 		occ:      make([]hist, len(a.streamList)),
 		wdK:      a.cfg.WatchdogEpochs,
 		wdWall:   a.cfg.WatchdogWall,
@@ -209,7 +207,7 @@ func newTelemetry(e *engine) *telemetry {
 	}
 	for i := range tm.shards {
 		tm.shards[i].svc = make([]hist, len(a.plan.Tasks))
-		e.acct[i].tm = &tm.shards[i]
+		e.probes[i].tm = tm
 	}
 	return tm
 }
@@ -224,8 +222,6 @@ func (tm *telemetry) stageHist(task int) HistSnap {
 // watchdog boundaries on the sim goroutine, or under e.mu from the
 // real backend's watchdog ticker. Must be called with mu held on the
 // real backend.
-//
-//hinch:locked
 func (e *engine) watchdogEpoch() {
 	tm := e.tm
 	if e.retireNext != tm.wdLast {
@@ -240,12 +236,6 @@ func (e *engine) watchdogEpoch() {
 	}
 	tm.wdMisses++
 	if tm.wdMisses >= tm.wdK && !tm.stalled.Swap(true) {
-		tm.stalls.Add(1)
-		if e.tr != nil {
-			e.tr.Emit(0, TraceEvent{
-				TS: e.traceTS(nil), Kind: TraceStall,
-				Worker: -1, Iter: int32(e.retireNext), ID: -1, Arg: int64(tm.wdMisses),
-			})
-		}
+		e.probes[0].stall(e.retireNext, tm.wdMisses)
 	}
 }

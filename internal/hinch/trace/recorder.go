@@ -141,11 +141,16 @@ func (r *Recorder) Dropped() int64 {
 //     a non-negative duration and does not overlap the previous span
 //     on the same worker (spans tile each worker's timeline);
 //   - per-shard timestamps of spans never decrease;
-//   - when no events were dropped, the traced span count equals
-//     Report.Jobs (skips are no-ops and are excluded from both), the
-//     jobs moved by steal hits (the sum of their Arg — a hit takes a
-//     batch) equal Report.Sched.Steals, and the chained jobs under the
-//     batch headers equal Report.Sched.Chained.
+//   - when no events were dropped, every counter the Report carries
+//     equals what the ring recorded at the same boundary. This is the
+//     one statement of counter = event agreement: spans = Jobs (skips
+//     are no-ops and are excluded from both), counted retires =
+//     Iterations, reconfig-apply = Reconfigs, event-push + degrade =
+//     EventsEmitted, fault/retry/degrade = Faults/Retries/Degradations,
+//     park/global-pop = Sched.Parks/GlobalPops, the jobs moved by steal
+//     hits (the sum of their Arg — a hit takes a batch) = Sched.Steals,
+//     the chained jobs under the batch headers = Sched.Chained, tune =
+//     the tuner's four decision counts, stall = Stalls.
 func Validate(r *Recorder, rep *hinch.Report) error {
 	if !r.began {
 		return fmt.Errorf("trace: recorder was never attached to a run")
@@ -154,11 +159,15 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 	if len(r.shards) != meta.Cores+1 {
 		return fmt.Errorf("trace: %d shards for %d cores", len(r.shards), meta.Cores)
 	}
-	var spans, stolen, chained int64
+	var n [hinch.TraceStall + 1]int64 // events per kind
+	var counted, stolen, chained int64
 	lastEnd := make(map[int32]int64, meta.Cores)
 	for si := 0; si < len(r.shards); si++ {
 		for _, ev := range r.Events(si) {
+			n[ev.Kind]++
 			switch ev.Kind {
+			case hinch.TraceIterRetire:
+				counted += ev.Arg
 			case hinch.TraceStealHit:
 				stolen += ev.Arg
 			case hinch.TraceBatch:
@@ -167,7 +176,6 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 			if ev.Kind != hinch.TraceJobSpan {
 				continue
 			}
-			spans++
 			if ev.Worker < 0 || int(ev.Worker) >= meta.Cores {
 				return fmt.Errorf("trace: span on worker %d of %d", ev.Worker, meta.Cores)
 			}
@@ -184,14 +192,28 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 	if r.Dropped() != 0 {
 		return nil
 	}
-	if spans != rep.Jobs {
-		return fmt.Errorf("trace: %d job spans recorded, report counts %d jobs", spans, rep.Jobs)
-	}
-	if stolen != rep.Sched.Steals {
-		return fmt.Errorf("trace: steal hits moved %d jobs, report counts %d steals", stolen, rep.Sched.Steals)
-	}
-	if chained != rep.Sched.Chained {
-		return fmt.Errorf("trace: batch headers cover %d chained jobs, report counts %d", chained, rep.Sched.Chained)
+	tune := rep.Tune.Widen + rep.Tune.Shrink + rep.Tune.DepthRaises + rep.Tune.DepthDrops
+	for _, c := range []struct {
+		what          string
+		traced, count int64
+	}{
+		{"job spans / jobs", n[hinch.TraceJobSpan], rep.Jobs},
+		{"counted retires / iterations", counted, int64(rep.Iterations)},
+		{"reconfig-apply events / reconfigs", n[hinch.TraceReconfigApply], int64(rep.Reconfigs)},
+		{"event-push + degrade events / events emitted", n[hinch.TraceEventPush] + n[hinch.TraceDegrade], rep.EventsEmitted},
+		{"fault events / faults", n[hinch.TraceFault], rep.Faults},
+		{"retry events / retries", n[hinch.TraceRetry], rep.Retries},
+		{"degrade events / degradations", n[hinch.TraceDegrade], rep.Degradations},
+		{"park events / parks", n[hinch.TracePark], rep.Sched.Parks},
+		{"global-pop events / global pops", n[hinch.TraceGlobalPop], rep.Sched.GlobalPops},
+		{"jobs moved by steal hits / steals", stolen, rep.Sched.Steals},
+		{"chained jobs under batch headers / chained", chained, rep.Sched.Chained},
+		{"tune events / tuner decisions", n[hinch.TraceTune], int64(tune)},
+		{"stall events / stalls", n[hinch.TraceStall], rep.Stalls},
+	} {
+		if c.traced != c.count {
+			return fmt.Errorf("trace: %s: trace has %d, report counts %d", c.what, c.traced, c.count)
+		}
 	}
 	return nil
 }

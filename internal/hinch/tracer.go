@@ -1,12 +1,12 @@
 package hinch
 
 // This file defines the runtime's always-available tracing surface: a
-// flight recorder the engine feeds span and counter events while a run
-// executes. Like Config.Hooks, the tracer is nil in production — every
-// emission site is guarded by one predictable branch — and the
-// reference implementation (a lock-free per-worker ring buffer with a
-// Perfetto exporter) lives in internal/hinch/trace, keeping the hot
-// path free of any I/O or allocation.
+// flight recorder the engine's probes (probe.go, the only callers of
+// Emit) feed span and counter events while a run executes. The tracer
+// is nil in production — a boundary then costs one predictable branch
+// — and the reference implementation (a lock-free per-worker ring
+// buffer with a Perfetto exporter) lives in internal/hinch/trace,
+// keeping the hot path free of any I/O or allocation.
 //
 // Timestamps live in two clock domains, chosen per backend:
 //
@@ -22,11 +22,11 @@ package hinch
 //     real backend are therefore exact at span boundaries and
 //     conservatively stale (by at most one job) elsewhere.
 //
-// Write safety follows a shard discipline rather than locks: shard 0
-// is only written under the engine lock (or by the single sim
-// goroutine), and shard w+1 is only written by worker w. A Tracer
-// implementation may therefore keep one plain ring per shard with no
-// atomics at all.
+// Write safety follows a shard discipline rather than locks: a probe
+// emits to its own shard only, so shard 0 is only written under the
+// engine lock (or by the single sim goroutine), and shard w+1 is only
+// written by worker w. A Tracer implementation may therefore keep one
+// plain ring per shard with no atomics at all.
 
 // TraceKind identifies what a TraceEvent records.
 type TraceKind uint8

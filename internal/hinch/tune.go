@@ -117,10 +117,10 @@ type TuneView struct {
 const tuneTailLen = 32
 
 // newTuner builds the tuner for an engine whose Config.Autotune is set.
-// Widths are capped statically at min(PipelineDepth, Cores[,
-// MaxReplicaWidth]) — the pipeline window bounds how many iterations of
-// a task can exist, and widening past the core count only adds memory
-// pressure — and, when the prediction model covers every class, at the
+// Widths are capped statically at min(PipelineDepth, Cores) — the
+// pipeline window bounds how many iterations of a task can exist, and
+// widening past the core count only adds memory pressure — and, when
+// the prediction model covers every class, at the
 // model's useful width: a replica width beyond
 // ceil(taskCost / max(Work/Cores, CriticalPath/PipelineDepth)) cannot
 // move the steady-state bound, so the tuner never explores it.
@@ -145,9 +145,6 @@ func newTuner(e *engine) *tuner {
 	capW := a.cfg.PipelineDepth
 	if a.cfg.Cores < capW {
 		capW = a.cfg.Cores
-	}
-	if m := a.cfg.MaxReplicaWidth; m > 0 && m < capW {
-		capW = m
 	}
 	for _, t := range a.plan.Tasks {
 		if t.Role != graph.RoleComponent {
@@ -206,8 +203,6 @@ func (tu *tuner) consultModel(e *engine) {
 // the sim backend: it runs on the sim goroutine at virtual-time
 // boundaries and sweeps tasks in ID order. Must be called with mu held
 // on the real backend.
-//
-//hinch:locked
 func (e *engine) tuneEpoch() {
 	tu := e.tu
 	epoch := tu.stats.Epochs
@@ -273,8 +268,6 @@ func (e *engine) tuneEpoch() {
 
 // publish republishes the tuner's snapshot view. Engine-side (sim
 // goroutine or mu held), once per epoch — the copy is off the hot path.
-//
-//hinch:locked
 func (tu *tuner) publish() {
 	v := &TuneView{Stats: tu.stats}
 	tail := tu.log
@@ -288,8 +281,6 @@ func (tu *tuner) publish() {
 // resizeWidth applies one width decision: record it, trace it, and
 // resize the live cross-iteration dependency distance. Must be called
 // with mu held on the real backend, via tuneEpoch.
-//
-//hinch:locked
 func (e *engine) resizeWidth(epoch, id, from, to int) {
 	d := TuneDecision{Epoch: epoch, Task: id, Name: e.app.plan.Tasks[id].Name, Kind: TuneWidth, From: from, To: to}
 	e.tu.log = append(e.tu.log, d)
@@ -298,14 +289,12 @@ func (e *engine) resizeWidth(epoch, id, from, to int) {
 	} else {
 		e.tu.stats.Shrink++
 	}
-	e.traceTune(d)
+	e.probes[0].tune(d)
 	e.setWidth(id, to)
 }
 
 // resizeDepth applies one stream-FIFO capacity decision. Must be called
 // with mu held on the real backend, via tuneEpoch.
-//
-//hinch:locked
 func (e *engine) resizeDepth(epoch, from, to int) {
 	d := TuneDecision{Epoch: epoch, Task: -1, Name: "streams", Kind: TuneDepth, From: from, To: to}
 	e.tu.log = append(e.tu.log, d)
@@ -314,24 +303,8 @@ func (e *engine) resizeDepth(epoch, from, to int) {
 	} else {
 		e.tu.stats.DepthDrops++
 	}
-	e.traceTune(d)
+	e.probes[0].tune(d)
 	e.setBufCap(to)
-}
-
-// traceTune emits a TraceTune instant for one decision. Arg packs the
-// transition as from<<32|to; Iter carries the epoch; ID the task (-1
-// for the depth knob). Must be called with mu held on the real backend.
-//
-//hinch:locked
-func (e *engine) traceTune(d TuneDecision) {
-	if e.tr == nil {
-		return
-	}
-	e.tr.Emit(0, TraceEvent{
-		TS: e.traceTS(nil), Kind: TraceTune,
-		Worker: -1, Iter: int32(d.Epoch), ID: int32(d.Task),
-		Arg: int64(d.From)<<32 | int64(d.To),
-	})
 }
 
 // setWidth publishes a new replica width for task id, then sweeps the
@@ -345,8 +318,6 @@ func (e *engine) traceTune(d TuneDecision) {
 // old-width completer already fired long ago has its new back-iteration
 // long done, so the sweep claims it. Must be called with mu held on the
 // real backend.
-//
-//hinch:locked
 func (e *engine) setWidth(id, width int) {
 	e.widths[id].Store(int32(width))
 	for k := e.retireNext; k < e.nextLaunch; k++ {
@@ -357,7 +328,7 @@ func (e *engine) setWidth(id, width int) {
 		back := e.iterAt(k - width)
 		if back == nil || back.done[id].Load() {
 			if it.crossClaim[id].CompareAndSwap(false, true) {
-				e.release(k, it, id, nil)
+				e.release(k, it, id, &e.probes[0])
 			}
 		}
 	}
@@ -368,8 +339,6 @@ func (e *engine) setWidth(id, width int) {
 // arrays rotate, as in retire, so the churn does not allocate); on a
 // drop the capacity simply stops admitting new iterations until enough
 // holders retire. Must be called with mu held on the real backend.
-//
-//hinch:locked
 func (e *engine) setBufCap(c int) {
 	raise := c > int(e.bufCap.Load())
 	e.bufCap.Store(int32(c))
@@ -379,7 +348,7 @@ func (e *engine) setBufCap(c int) {
 	parked := e.bufParked
 	e.bufParked = e.bufSpare[:0]
 	for _, pj := range parked {
-		e.enqueue(nil, pj)
+		e.enqueue(&e.probes[0], pj)
 	}
 	e.bufSpare = parked[:0]
 }

@@ -77,8 +77,10 @@ func tuneTrace(log []TuneDecision) string {
 
 // TestAutotuneConvergesOnBottleneck: on the sim backend a 20x-hot
 // replicate="auto" stage is widened step by step to the
-// statically-computed sizing — MaxReplicaWidth caps the width at 4,
-// below min(PipelineDepth, Cores) — and then left alone. Every
+// statically-predictable sizing — with five cores, four replicas
+// saturate four of them and the fifth carries the two cheap stages, so
+// the tuner stops one short of its min(PipelineDepth, Cores) cap — and
+// then left alone. Every
 // decision is a single-step widen, none is ever undone (the
 // hysteresis/cooldown machinery prevents oscillation), and the
 // decisions stop well before the run ends. Output order must survive
@@ -87,7 +89,7 @@ func tuneTrace(log []TuneDecision) string {
 // charging does not alias against the epoch boundary.
 func TestAutotuneConvergesOnBottleneck(t *testing.T) {
 	const iters = 600
-	cfg := Config{Backend: BackendSim, Cores: 6, PipelineDepth: 8, MaxReplicaWidth: 4,
+	cfg := Config{Backend: BackendSim, Cores: 5, PipelineDepth: 8,
 		Autotune: true, TuneEpochCycles: 25000}
 	app, rep := runApp(t, tuneChainProg(2000, "auto"), cfg, iters)
 
@@ -114,8 +116,9 @@ func TestAutotuneConvergesOnBottleneck(t *testing.T) {
 		}
 		want = d.To
 	}
-	if want != 4 {
-		t.Fatalf("converged width %d, want the MaxReplicaWidth cap 4; log:\n%s", want, tuneTrace(rep.TuneLog))
+	if want != cfg.Cores-1 {
+		t.Fatalf("converged width %d, want %d (every core but the one the cheap stages need); log:\n%s",
+			want, cfg.Cores-1, tuneTrace(rep.TuneLog))
 	}
 	if rep.Tune.Shrink != 0 {
 		t.Fatalf("tuner oscillated: %d shrink decisions; log:\n%s", rep.Tune.Shrink, tuneTrace(rep.TuneLog))
@@ -130,7 +133,7 @@ func TestAutotuneConvergesOnBottleneck(t *testing.T) {
 // TestAutotuneTraceDeterministic: five runs of the same tuned program
 // on the sim backend produce byte-identical decision traces.
 func TestAutotuneTraceDeterministic(t *testing.T) {
-	cfg := Config{Backend: BackendSim, Cores: 6, PipelineDepth: 8, MaxReplicaWidth: 4,
+	cfg := Config{Backend: BackendSim, Cores: 5, PipelineDepth: 8,
 		Autotune: true, TuneEpochCycles: 25000}
 	var first string
 	for run := 0; run < 5; run++ {

@@ -5,8 +5,8 @@
 #   1. gofmt       — the tree must be gofmt-clean;
 #   2. go vet      — the standard analyzers;
 #   3. golint      — the repo's own invariants (internal/analysis/golint:
-#                    nilguard, traceshard, lockdiscipline) as a
-#                    go vet -vettool over the runtime packages.
+#                    lockdiscipline, hotalloc) as a go vet -vettool
+#                    over the runtime packages.
 #
 # When golangci-lint is installed (CI installs the pinned version
 # below; containers without network skip it), additionally runs its
