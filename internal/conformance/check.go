@@ -75,10 +75,10 @@ func (p *perturb) Yield(pt hinch.YieldPoint) {
 	c := p.ctr.Add(1)
 	x := mix(p.seed, c, uint64(pt))
 	if pt == hinch.YieldAcquire {
-		// Buffer acquisition runs once per (stream, iteration) — rare
-		// but high-leverage: any job of the same iteration dispatched
-		// while the acquire loop is parked here races the publication
-		// of the stream slots. Stretch it nearly every time.
+		// Buffer acquisition runs once per iteration — rare but
+		// high-leverage: any job of the same iteration dispatched while
+		// the acquire is parked here races the publication of the
+		// iteration's buffer set. Stretch it nearly every time.
 		if x%4 != 0 {
 			time.Sleep(time.Duration(1+x%20) * time.Microsecond)
 		} else {
@@ -195,9 +195,9 @@ func Check(seed uint64, opt Options) error {
 // must be unaffected, which is exactly what CheckReplicated asserts.
 func runOnce(g *Gen, prog *graph.Program, backend hinch.Backend, cores int, hooks hinch.TestHooks, traced, tune, observe bool) (obs *Observation, err error) {
 	defer func() {
-		// The runtime surfaces dependency violations as panics (e.g.
-		// Stream.slotFor on an unacquired iteration, or a nil-payload
-		// type assertion in a component that ran before its producer).
+		// The runtime surfaces dependency violations as panics (e.g. a
+		// double completion, or a nil-payload type assertion in a
+		// component that ran before its producer).
 		// Convert them into check failures so the harness reports the
 		// seed instead of crashing the fuzzer.
 		if r := recover(); r != nil {

@@ -67,6 +67,8 @@ type Plan struct {
 	// Succs[i] lists the IDs of tasks depending on task i (the reverse
 	// of Deps), precomputed for the scheduler.
 	Succs [][]int
+
+	components []*Task // see ComponentTasks
 }
 
 // ConfigKey returns a stable string identifying the option states,
@@ -136,6 +138,9 @@ func BuildPlan(p *Program, enabled map[string]bool) (*Plan, error) {
 	for _, t := range b.plan.Tasks {
 		for _, d := range t.Deps {
 			b.plan.Succs[d] = append(b.plan.Succs[d], t.ID)
+		}
+		if t.Role == RoleComponent {
+			b.plan.components = append(b.plan.components, t)
 		}
 	}
 	return b.plan, nil
@@ -411,13 +416,7 @@ func (p *Plan) TotalWork(cost func(*Task) int64) int64 {
 	return sum
 }
 
-// ComponentTasks returns the plan's component tasks in ID order.
-func (p *Plan) ComponentTasks() []*Task {
-	var out []*Task
-	for _, t := range p.Tasks {
-		if t.Role == RoleComponent {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+// ComponentTasks returns the plan's component tasks in ID order. The
+// slice is built once, by BuildPlan, and shared: callers must not
+// modify it.
+func (p *Plan) ComponentTasks() []*Task { return p.components }

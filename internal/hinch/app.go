@@ -30,7 +30,7 @@ type Config struct {
 	Backend Backend
 
 	// Cores is the number of simulated cores (sim) or worker goroutines
-	// (real). Defaults to 1.
+	// (real; all start with the run and park while idle). Defaults to 1.
 	Cores int
 
 	// PipelineDepth is the number of concurrently active iterations.
@@ -49,16 +49,6 @@ type Config struct {
 	// only perform cost accounting, for fast simulation sweeps. Output
 	// data is then meaningless; checksum-comparing tests must not set it.
 	Workless bool
-
-	// EagerWorkers starts every real-backend worker goroutine up front.
-	// By default workers beyond worker 0 are brought online on demand
-	// and never beyond the host's usable parallelism
-	// (min(NumCPU, GOMAXPROCS)) — oversubscribing dispatch workers only
-	// adds thread churn — so a run on a small host may never exercise
-	// true cross-worker concurrency. Concurrency-sensitive tests set
-	// this to force all Cores workers into play. Implied by TestHooks.
-	// Ignored by BackendSim.
-	EagerWorkers bool
 
 	// LazyCreation disables the paper's eager pre-creation of option
 	// components at event detection (§3.4): components are then created
@@ -214,6 +204,7 @@ type App struct {
 
 	streams    map[string]*Stream
 	streamList []*Stream // declaration order, for deterministic allocation
+	win        *window   // the streams' buffer sets, one per in-flight iteration
 	queues     map[string]*EventQueue
 	queueNames []string       // declaration order; TraceEvent.ID name table
 	queueIndex map[string]int // queue name -> trace index
@@ -298,8 +289,9 @@ func NewApp(prog *graph.Program, reg *Registry, cfg Config) (*App, error) {
 		}
 		a.tile = spacecake.NewTile(tcfg)
 	}
+	a.win = newWindow(cfg.PipelineDepth)
 	for _, decl := range prog.Streams {
-		s, err := newStream(decl, cfg.PipelineDepth, a.addr)
+		s, err := newStream(decl, cfg.PipelineDepth, a.win, a.addr)
 		if err != nil {
 			return nil, err
 		}

@@ -110,7 +110,7 @@ func BenchmarkReplicatedThroughput(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				app, err := NewApp(spinChainProg(20000, fmt.Sprint(w)), testRegistry(),
-					Config{Backend: BackendReal, Cores: 4, PipelineDepth: 8, EagerWorkers: true})
+					Config{Backend: BackendReal, Cores: 4, PipelineDepth: 8})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -139,7 +139,7 @@ func BenchmarkAutotuneOverhead(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cfg := Config{Backend: BackendReal, Cores: 4, PipelineDepth: 8,
-					EagerWorkers: true, Autotune: bc.tune, TuneEpochWall: 200 * time.Microsecond}
+					Autotune: bc.tune, TuneEpochWall: 200 * time.Microsecond}
 				app, err := NewApp(spinChainProg(2000, bc.rep), testRegistry(), cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -267,6 +267,7 @@ type RunContext struct {
 	app      *App
 	task     *graph.Task
 	iter     int
+	bufSet   int                // the iteration's stream-buffer set (iterState.bufSet)
 	compute  int64              // accumulated ops
 	access   []spacecake.Access // accumulated memory accesses (sim backend)
 	streamed []spacecake.Region // accumulated streamed (DMA) transfers
@@ -277,10 +278,11 @@ type RunContext struct {
 // reset prepares rc for one job, keeping the accumulated slices'
 // capacity so a worker can reuse one RunContext across jobs without
 // reallocating.
-func (rc *RunContext) reset(app *App, task *graph.Task, iter int, sim bool) {
+func (rc *RunContext) reset(app *App, task *graph.Task, iter, bufSet int, sim bool) {
 	rc.app = app
 	rc.task = task
 	rc.iter = iter
+	rc.bufSet = bufSet
 	rc.sim = sim
 	rc.compute = 0
 	rc.access = rc.access[:0]
@@ -327,17 +329,16 @@ func (rc *RunContext) PortRegion(port string) spacecake.Region {
 	return rc.slot(port).region
 }
 
-// slot resolves a port name through the task's precomputed bindings
-// (see App.portBinds): a linear scan over the handful of ports a
-// component has, replacing the two string-map lookups (ports, streams)
-// the dispatch hot path used to pay per port access.
+// slot resolves a port name to the iteration's buffer of the bound
+// stream, through the task's precomputed bindings (see App.portBinds):
+// a linear scan over the handful of ports a component has. Lock-free.
 //
 //hinch:hotpath
 func (rc *RunContext) slot(port string) *slot {
 	binds := rc.app.portBinds[rc.task.ID]
 	for i := range binds {
 		if binds[i].port == port {
-			return binds[i].s.slotFor(rc.iter)
+			return binds[i].s.slots[rc.bufSet]
 		}
 	}
 	panic(fmt.Sprintf("hinch: %s: port %q not connected", rc.task.Name, port))

@@ -48,7 +48,12 @@ type iterState struct {
 	crossClaim []atomic.Bool
 	left       atomic.Int32 // tasks not yet completed
 	cancelled  atomic.Bool
-	acquired   atomic.Bool // stream buffers assigned (lazily, at first dispatch)
+
+	// bufSet is the stream-buffer set the iteration holds (see window),
+	// taken at its first dispatch. acquired is stored after bufSet, so a
+	// job that loads acquired == true without the engine lock sees it.
+	bufSet   int
+	acquired atomic.Bool
 
 	// launchTS is the launching probe's clock, kept while telemetry or a
 	// tracer is attached; retire subtracts it to record the end-to-end
@@ -85,14 +90,6 @@ type mgrState struct {
 	gateAfter   int             // last iteration allowed into the subgraph
 	lastEntered int             // highest iteration whose entry has executed
 	parked      []job           // held entry jobs of iterations > gateAfter
-}
-
-// reconfigResult tells the executor a reconfiguration was applied on
-// job completion: charge stall virtual time, then release the parked
-// jobs.
-type reconfigResult struct {
-	stall  int64
-	parked []job
 }
 
 // engine implements the shared scheduling machinery: data-flow readiness
@@ -146,12 +143,12 @@ type engine struct {
 	mgrs  map[string]*mgrState
 	stall int64
 
-	bufActive int   // iterations currently holding stream buffers
 	bufParked []job // jobs waiting for stream buffers (backpressure)
 	bufSpare  []job // retired bufParked backing array, reused on refill
-	// bufCap is the live stream-FIFO capacity; starts at StreamCapacity,
-	// tunable. Written under mu (or by the sim goroutine); atomic so
-	// App.Snapshot can read it mid-run.
+	// bufCap is the live stream-FIFO capacity — how many of the window's
+	// buffer sets may be held at once; starts at StreamCapacity, tunable.
+	// Written under mu (or by the sim goroutine); atomic so App.Snapshot
+	// can read it mid-run.
 	bufCap atomic.Int32
 
 	// widths[t] is task t's replica width: how many consecutive
@@ -519,8 +516,8 @@ func (e *engine) pop() (job, bool) {
 // the entry of a manager whose subgraph is halted for reconfiguration
 // and belongs to an iteration beyond the halt point ("it can halt the
 // managed subgraph for reconfiguration by suspending the execution of
-// its subgraph"). Parked jobs are released by applyReconfig. Must be
-// called with mu held.
+// its subgraph"). Parked jobs are released by checkResumes. Must be
+// called with mu held, via admit.
 func (e *engine) shouldPark(j job) bool {
 	if j.task.Role != graph.RoleManagerEntry {
 		return false
@@ -539,12 +536,14 @@ func (e *engine) shouldPark(j job) bool {
 // applies a pending reconfiguration when the halted manager's subgraph
 // just became quiescent. The dependency fast path is lock-free; the
 // manager and retirement slow paths take mu internally, so complete
-// must be called WITHOUT mu held. A non-nil error (a failed
+// must be called WITHOUT mu held. stall is non-zero when the completion
+// applied a reconfiguration: the virtual cycles the splice costs, which
+// the sim backend lets elapse. A non-nil error (a failed
 // reconfiguration splice) aborts the run and must be propagated by the
 // caller.
 //
 //hinch:hotpath
-func (e *engine) complete(j job, p *probe) (*reconfigResult, error) {
+func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 	p.yield(YieldComplete)
 	it := e.iterAt(j.iter)
 	if it == nil || it.done[j.task.ID].Swap(true) {
@@ -567,16 +566,14 @@ func (e *engine) complete(j job, p *probe) (*reconfigResult, error) {
 			e.release(j.iter+wt, next, j.task.ID, p)
 		}
 	}
-	var res *reconfigResult
 	if j.task.Role == graph.RoleManagerExit {
-		var err error
 		e.mu.Lock()
 		if st := e.mgrs[j.task.Manager]; st != nil && st.phase == mgrHalted && j.iter == st.gateAfter {
-			res, err = e.applyReconfig(j.task.Manager, st, p)
+			stall, err = e.applyReconfig(j.task.Manager, st, p)
 		}
 		e.mu.Unlock()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	if it.left.Add(-1) == 0 {
@@ -584,7 +581,7 @@ func (e *engine) complete(j job, p *probe) (*reconfigResult, error) {
 		e.retireSweep(p)
 		e.mu.Unlock()
 	}
-	return res, nil
+	return stall, nil
 }
 
 // retireSweep retires completed iterations strictly in iteration order,
@@ -607,29 +604,18 @@ func (e *engine) retireSweep(p *probe) {
 }
 
 // retire finalises a fully-completed iteration: frees its ring slot and
-// stream buffers, requeues backpressured jobs, and refills the pipeline.
+// its stream-buffer set — it holds one, since every one of its jobs
+// passed admit — requeues backpressured jobs, and refills the pipeline.
 // Must be called with mu held, via retireSweep.
 func (e *engine) retire(it *iterState, p *probe) {
 	p.yield(YieldRetire)
 	k := int(it.iter.Load())
 	e.ring[k%len(e.ring)].Store(nil)
 	e.nIters--
-	if it.acquired.Load() {
-		e.bufActive--
-		for _, s := range e.app.streamList {
-			s.release(k)
-			p.released(s, k)
-		}
-		// Buffers freed: iterations waiting on the stream FIFO
-		// capacity can try again. The two backing arrays rotate so the
-		// backpressure churn does not allocate.
-		parked := e.bufParked
-		e.bufParked = e.bufSpare[:0]
-		for _, pj := range parked {
-			e.enqueue(p, pj)
-		}
-		e.bufSpare = parked[:0]
-	}
+	win := e.app.win
+	win.put(it.bufSet)
+	p.released(e.app.streamList, k, int64(win.active.Load()))
+	e.requeueBufParked(p)
 	p.retire(it, k, !it.cancelled.Load())
 	e.free = append(e.free, it)
 	e.checkResumes(p)
@@ -694,16 +680,46 @@ func (e *engine) noteEOS(k int) {
 	})
 }
 
+// admission is the dispatch gate's verdict on a popped job.
+type admission int
+
+const (
+	admitRun  admission = iota // execute the job
+	admitSkip                  // complete it as a zero-cost no-op
+	admitHeld                  // parked; whoever unblocks it requeues it
+)
+
+// admit is the one gate every dispatched job passes, on both backends
+// (the real backend's component jobs bypass it only when a lock-free
+// look already shows admitRun): a manager entry beyond a halt point
+// parks at its manager, a job whose iteration finds no free buffer set
+// parks on backpressure, the iteration takes its buffer set if this is
+// its first job, and only then is the job run or skipped — so every
+// launched iteration acquires exactly once, cancelled or not, and
+// whatever runs has its buffers. Must be called with mu held.
+//
+//hinch:hotpath
+func (e *engine) admit(p *probe, j job) admission {
+	if e.shouldPark(j) || e.needsBuffers(j) {
+		return admitHeld
+	}
+	e.ensureBuffers(p, j.iter)
+	if e.skipExecution(j) {
+		return admitSkip
+	}
+	return admitRun
+}
+
 // needsBuffers reports whether the job's iteration must wait for
 // stream buffers: the FIFO capacity is exhausted by older iterations.
 // If so, the job is parked and re-queued when an iteration retires.
-// Must be called with mu held.
+// Must be called with mu held, via admit.
 func (e *engine) needsBuffers(j job) bool {
 	it := e.iterAt(j.iter)
 	if it == nil || it.acquired.Load() {
 		return false
 	}
-	if e.bufActive < int(e.bufCap.Load()) {
+	if e.app.win.active.Load() < e.bufCap.Load() {
 		return false
 	}
 	if e.tu != nil {
@@ -713,11 +729,26 @@ func (e *engine) needsBuffers(j job) bool {
 	return true
 }
 
-// ensureBuffers lazily assigns stream buffers to a just-dispatching
+// requeueBufParked gives the jobs parked on backpressure another try:
+// a buffer set came back, or the capacity was raised. The two backing
+// arrays rotate so the churn does not allocate. Must be called with mu
+// held.
+func (e *engine) requeueBufParked(p *probe) {
+	parked := e.bufParked
+	e.bufParked = e.bufSpare[:0]
+	for _, pj := range parked {
+		e.enqueue(p, pj)
+	}
+	e.bufSpare = parked[:0]
+}
+
+// ensureBuffers assigns a stream-buffer set to a just-dispatching
 // iteration. Deferring the assignment to first dispatch (rather than
-// launch) lets the LIFO pools hand the previous iteration's cache-hot
-// buffers to the next one whenever the scheduler keeps few iterations
-// in flight. Must be called with mu held.
+// launch) lets the window hand the previous iteration's cache-hot set
+// to the next one whenever the scheduler keeps few iterations in
+// flight. A set handed out for the first time gets its buffers here,
+// in stream order (the sim backend's address layout follows from it).
+// Must be called with mu held, via admit.
 //
 //hinch:hotpath
 func (e *engine) ensureBuffers(p *probe, iter int) {
@@ -725,25 +756,31 @@ func (e *engine) ensureBuffers(p *probe, iter int) {
 	if it == nil || it.acquired.Load() {
 		return
 	}
-	e.bufActive++
-	if e.tu != nil && e.bufActive > e.tu.bufHW {
-		e.tu.bufHW = e.bufActive
+	win := e.app.win
+	set, fresh := win.take()
+	if fresh {
+		for _, s := range e.app.streamList {
+			s.slots[set] = s.newSlot()
+		}
 	}
-	for _, s := range e.app.streamList {
-		p.yield(YieldAcquire)
-		s.acquire(iter)
-		p.acquired(s, iter)
+	occ := win.active.Load()
+	if e.tu != nil && int(occ) > e.tu.bufHW {
+		e.tu.bufHW = int(occ)
 	}
+	it.bufSet = set
+	p.acquired(e.app.streamList, iter, int64(occ))
 	// Publish last: execReal's lock-free fast path reads acquired without
-	// the engine lock, and the atomic store must make the slot pointers
-	// above visible to any reader that observes acquired==true.
+	// the engine lock, and the atomic store must make bufSet and the
+	// slot pointers above visible to any reader that observes
+	// acquired==true.
+	p.yield(YieldAcquire)
 	it.acquired.Store(true)
 }
 
 // skipExecution reports whether the job must run as a zero-cost no-op:
 // its iteration was cancelled by EOS, or it belongs to an option that
 // is disabled in this iteration's snapshot. Must be called with mu
-// held (the option maps are lock-guarded).
+// held (the option maps are lock-guarded), via admit.
 func (e *engine) skipExecution(j job) bool {
 	it := e.iterAt(j.iter)
 	if it == nil || it.cancelled.Load() {
@@ -938,10 +975,10 @@ func (e *engine) preCreateOption(option string) (int, error) {
 // applyReconfig splices the pending option changes in at subgraph
 // quiescence: iterations up to gateAfter have fully left the manager's
 // subgraph and later iterations are parked at its entrance. It returns
-// the stall to charge and the parked jobs to resume; a non-nil error
-// (component creation failed inside the quiescent window) must abort
-// the run. Must be called with mu held.
-func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (*reconfigResult, error) {
+// the stall to charge; a non-nil error (component creation failed
+// inside the quiescent window) must abort the run. Must be called with
+// mu held.
+func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (int64, error) {
 	nChanged, created := 0, 0
 	var firstErr error
 	for _, t := range e.app.plan.ComponentTasks() {
@@ -988,10 +1025,9 @@ func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (*reconfigRe
 	p.apply(e.mgrIndex[name], st.gateAfter, stall)
 	// Parked entries stay held until checkResumes sees the pipeline
 	// fully drained of pre-halt iterations.
-	res := &reconfigResult{stall: stall}
 	st.pending = nil
 	st.phase = mgrApplied
-	return res, firstErr
+	return stall, firstErr
 }
 
 // executeComponent runs one attempt of a component job in rc (reset in
@@ -1002,7 +1038,9 @@ func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (*reconfigRe
 // state the aborted Run accumulated, so the reused RunContext is never
 // poisoned. It must be called WITHOUT mu held on the real backend.
 func (e *engine) executeComponent(rc *RunContext, j job, inst *instance, sim bool, inject FaultKind) (err error) {
-	rc.reset(e.app, j.task, j.iter, sim)
+	// A live job's iteration cannot retire under it, and admit gave it
+	// its buffer set before any of its jobs ran.
+	rc.reset(e.app, j.task, j.iter, e.iterAt(j.iter).bufSet, sim)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("hinch: component %s@%d panicked: %v", j.task.Name, j.iter, r)

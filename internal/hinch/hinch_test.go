@@ -310,7 +310,7 @@ func TestChainSimProducesOrderedResults(t *testing.T) {
 }
 
 func TestChainRealProducesOrderedResults(t *testing.T) {
-	app, rep := runApp(t, chainProg(), Config{Backend: BackendReal, Cores: 4, EagerWorkers: true}, 50)
+	app, rep := runApp(t, chainProg(), Config{Backend: BackendReal, Cores: 4}, 50)
 	sink := app.Component("snk").(*intSink)
 	vals := sink.values()
 	if len(vals) != 50 {
@@ -695,7 +695,7 @@ func TestPerClassStats(t *testing.T) {
 func TestCrossIterationOrderingPerInstance(t *testing.T) {
 	// The sink sees iterations in order even with many cores, because
 	// each instance is serialised across iterations.
-	app, _ := runApp(t, chainProg(), Config{Backend: BackendReal, Cores: 8, PipelineDepth: 8, EagerWorkers: true}, 200)
+	app, _ := runApp(t, chainProg(), Config{Backend: BackendReal, Cores: 8, PipelineDepth: 8}, 200)
 	vals := app.Component("snk").(*intSink).values()
 	for i, v := range vals {
 		if v != 2*i {

@@ -26,11 +26,12 @@ const (
 	// YieldRetire fires at the start of retire(), before an iteration's
 	// stream buffers are released and backpressured jobs requeue.
 	YieldRetire
-	// YieldAcquire fires inside ensureBuffers between per-stream buffer
-	// acquisitions, while the engine lock is held. With the correct
-	// publication order (slots first, acquired flag last) this is
-	// invisible to lock-free readers; with the inverted order it holds
-	// the window open where acquired==true but slots are missing.
+	// YieldAcquire fires inside ensureBuffers, once per iteration,
+	// between the assignment of its buffer set and the acquired flag
+	// that advertises it, while the engine lock is held. With that
+	// publication order this is invisible to lock-free readers; with the
+	// inverted order it holds the window open where acquired==true but
+	// the set is missing.
 	YieldAcquire
 	// YieldDispatch fires on the real backend just before a component
 	// job executes, after its fast-path checks have passed.

@@ -119,7 +119,7 @@ func (p *probe) publish(n int) {
 	}
 }
 
-// woke: a publish notified an idle (or not yet started) worker.
+// woke: a publish woke a parked worker.
 func (p *probe) woke() { p.wakes.Add(1) }
 
 // ran counts an executed job of task id — the one add the real
@@ -251,18 +251,29 @@ func (p *probe) unpark() {
 	p.emit(TraceUnpark, -1, -1, 0)
 }
 
-// acquired and released: iteration iter took or returned its buffer of
-// stream s; both carry the stream's occupancy after the fact.
-func (p *probe) acquired(s *Stream, iter int) {
-	occ := int64(s.nactive.Load())
-	if p.tm != nil {
-		p.tm.occ[s.idx].record(occ)
+// acquired and released: iteration iter took or returned its buffer
+// set, leaving occ sets held. Histogram and ring get one record per
+// stream — the streams move together, so all carry the same occupancy —
+// and with neither attached the per-stream loop is not run at all.
+func (p *probe) acquired(streams []*Stream, iter int, occ int64) {
+	if p.tm == nil && p.tr == nil {
+		return
 	}
-	p.emit(TraceStreamAcquire, iter, s.idx, occ)
+	for _, s := range streams {
+		if p.tm != nil {
+			p.tm.occ[s.idx].record(occ)
+		}
+		p.emit(TraceStreamAcquire, iter, s.idx, occ)
+	}
 }
 
-func (p *probe) released(s *Stream, iter int) {
-	p.emit(TraceStreamRelease, iter, s.idx, int64(s.nactive.Load()))
+func (p *probe) released(streams []*Stream, iter int, occ int64) {
+	if p.tr == nil {
+		return
+	}
+	for _, s := range streams {
+		p.event(TraceStreamRelease, iter, s.idx, occ)
+	}
 }
 
 // launch: iteration k entered the pipeline. Its launch time is kept

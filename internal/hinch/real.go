@@ -24,21 +24,6 @@ func (e *engine) runReal() (*Report, error) {
 		tr.Begin(e.traceMeta(true))
 	}
 
-	var wg sync.WaitGroup
-	spawn := func(w *wsWorker) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.runWorker(w)
-		}()
-	}
-	if !e.ws.eager {
-		// Lazy bring-up: signalWork starts workers 1..spawnCap-1 on
-		// demand; it must be installed before the launch below publishes
-		// the first jobs.
-		e.ws.spawn = spawn
-	}
-
 	e.mu.Lock()
 	if e.ctxDone != nil {
 		// A context cancelled before the run starts launches nothing:
@@ -88,15 +73,16 @@ func (e *engine) runReal() (*Report, error) {
 		tickers = append(tickers, e.every(e.tm.wdWall, e.watchdogEpoch))
 	}
 
-	if e.ws.eager {
-		for _, w := range e.ws.workers {
-			spawn(w)
-		}
-	} else {
-		// Worker 0 runs on this goroutine. The common sequential and
-		// shallow-parallel cases then execute without any goroutine
-		// handoff at all — no spawn, no WaitGroup wake at the end.
-		e.runWorker(e.ws.workers[0])
+	// The worker rule: all Cores workers exist for the whole run. They
+	// find the jobs launch published on the global queue, park when
+	// nothing is runnable, and return once the run is done.
+	var wg sync.WaitGroup
+	for _, w := range e.ws.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.runWorker(w)
+		}()
 	}
 	wg.Wait()
 	if cnStop != nil {
@@ -168,12 +154,6 @@ func (e *engine) every(period time.Duration, f func()) (stop func()) {
 //hinch:hotpath
 func (e *engine) runWorker(w *wsWorker) {
 	s := e.ws
-	if w.woken {
-		// Lazily spawned by signalWork: now that the goroutine is
-		// running, further work notifications may target the next worker.
-		w.woken = false
-		s.wakePending.Add(-1)
-	}
 	for {
 		if s.done.Load() {
 			if w.chain > 0 {
@@ -276,60 +256,46 @@ func (e *engine) checkTermination() {
 	e.mu.Unlock()
 }
 
-// execReal runs one job. Component jobs of iterations that already hold
-// stream buffers take a lock-free fast path straight to execution;
-// manager jobs and first-dispatch/option/cancellation cases go through
-// the engine lock, mirroring the sim backend's dispatch checks
-// (shouldPark → needsBuffers → skipExecution → ensureBuffers).
+// execReal runs one job. A component job outside any option, of a live
+// iteration that already holds its stream buffers, is admitRun on sight
+// and goes straight to execution without the engine lock; every other
+// job passes the gate (admit) under it, and manager jobs also execute
+// there.
 //
 //hinch:hotpath
 func (e *engine) execReal(w *wsWorker, j job) {
-	if j.task.Role != graph.RoleComponent {
-		e.mu.Lock()
-		if e.shouldPark(j) || e.needsBuffers(j) {
-			e.mu.Unlock()
-			return
-		}
-		if e.skipExecution(j) {
-			e.mu.Unlock()
-			w.p.skip(j, w.id)
-			e.finishReal(w, j)
-			return
-		}
-		e.ensureBuffers(w.p, j.iter)
-		start := w.p.dispatch(j, false)
-		_, err := e.managerPoll(w.p, j)
-		e.mu.Unlock()
-		if err != nil {
-			e.failReal(err)
-			return
-		}
-		w.p.executed(j, start)
-		e.finishReal(w, j)
-		return
-	}
-
-	// Component job. A live job's iteration cannot retire under it (the
-	// iteration's left-count includes this job), so it is non-nil.
-	// The cancelled check below is racy by design: a concurrent noteEOS
-	// can cancel the iteration just after we load false, in which case
-	// the component runs redundantly but harmlessly — cancelled
-	// iterations' results are discarded at retirement, same as the
-	// seed's dispatch-then-execute window.
+	mgr := j.task.Role != graph.RoleComponent
+	// A live job's iteration cannot retire under it (the iteration's
+	// left-count includes this job), so it is non-nil. The cancelled
+	// check is racy by design: a concurrent noteEOS can cancel the
+	// iteration just after we load false, in which case the component
+	// runs redundantly but harmlessly — cancelled iterations' results
+	// are discarded at retirement.
 	it := e.iterAt(j.iter)
-	if it == nil || !it.acquired.Load() || it.cancelled.Load() || j.task.Option != "" {
+	if mgr || it == nil || !it.acquired.Load() || it.cancelled.Load() || j.task.Option != "" {
 		e.mu.Lock()
-		if e.needsBuffers(j) {
+		switch e.admit(w.p, j) {
+		case admitHeld:
 			e.mu.Unlock()
 			return
-		}
-		if e.skipExecution(j) {
+		case admitSkip:
 			e.mu.Unlock()
 			w.p.skip(j, w.id)
 			e.finishReal(w, j)
 			return
 		}
-		e.ensureBuffers(w.p, j.iter)
+		if mgr {
+			start := w.p.dispatch(j, false)
+			_, err := e.managerPoll(w.p, j)
+			e.mu.Unlock()
+			if err != nil {
+				e.failReal(err)
+				return
+			}
+			w.p.executed(j, start)
+			e.finishReal(w, j)
+			return
+		}
 		e.mu.Unlock()
 	}
 
@@ -366,19 +332,11 @@ func (e *engine) execReal(w *wsWorker, j job) {
 
 // finishReal retires a job through complete(). Errors surfacing from
 // completion (a failed reconfiguration splice) abort the run
-// explicitly; when a reconfiguration was applied, any resumed jobs are
-// queued immediately (the stall is virtual time, inert on the real
-// backend).
+// explicitly; a reconfiguration's stall is virtual time, inert on the
+// real backend.
 func (e *engine) finishReal(w *wsWorker, j job) {
-	res, err := e.complete(j, w.p)
-	if err != nil {
+	if _, err := e.complete(j, w.p); err != nil {
 		e.failReal(err)
-		return
-	}
-	if res != nil {
-		for _, pj := range res.parked {
-			e.ws.push(w.p, pj)
-		}
 	}
 }
 

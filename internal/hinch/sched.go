@@ -1,7 +1,6 @@
 package hinch
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -142,11 +141,6 @@ type wsWorker struct {
 
 	// stealBuf is the scratch the worker steals batches into.
 	stealBuf [stealMax]job
-
-	// woken marks that this worker's pending park token came from
-	// wakeOne (and counted in sched.wakePending); set before the token
-	// send, consumed by blockPark after the token receive.
-	woken bool
 }
 
 // nextRand is a xorshift64 step — victim order only needs to be cheap
@@ -178,19 +172,6 @@ type sched struct {
 	// thieves.
 	maxChain int
 
-	// Topology-aware worker bring-up. Worker 0 runs on the caller's
-	// goroutine; the rest are brought online one at a time by
-	// signalWork, only while fewer than spawnCap workers exist —
-	// min(Cores, NumCPU, GOMAXPROCS), because a dispatch worker beyond
-	// the host's usable parallelism never runs concurrently with the
-	// others and only adds thread churn. eager restores the
-	// spawn-everything-up-front behaviour (schedule exploration via
-	// TestHooks, Config.EagerWorkers).
-	eager    bool
-	spawnCap int
-	spawned  atomic.Int32    // workers online, worker 0 included
-	spawn    func(*wsWorker) // starts one worker goroutine; set by runReal
-
 	// inflight counts jobs that are queued or executing. It is
 	// incremented before a job becomes visible in any queue and
 	// decremented only after its execution (including all the releases
@@ -203,16 +184,6 @@ type sched struct {
 	idle   []*wsWorker
 	nidle  atomic.Int32
 	done   atomic.Bool
-
-	// wakePending counts workers woken but not yet rescheduled (the
-	// token was sent, the worker hasn't come out of its park). Producers
-	// skip waking while one is pending: piling futex wakes into that
-	// window just queues context switches — on an oversubscribed host
-	// they serialise against the very CPU the producer is using — and
-	// the pending worker will see the new work anyway when it scans.
-	// Spreading to further workers resumes as a cascade: each woken
-	// worker that steals a surplus wakes the next (see steal).
-	wakePending atomic.Int32
 }
 
 // newSched builds the scheduler and binds worker w to probes[w+1].
@@ -224,17 +195,6 @@ func newSched(cfg Config, probes []probe) *sched {
 	if s.maxChain > stealMax {
 		s.maxChain = stealMax
 	}
-	s.eager = hooks != nil || cfg.EagerWorkers
-	s.spawnCap = n
-	if !s.eager {
-		if c := runtime.NumCPU(); c < s.spawnCap {
-			s.spawnCap = c
-		}
-		if c := runtime.GOMAXPROCS(0); c < s.spawnCap {
-			s.spawnCap = c
-		}
-	}
-	s.spawned.Store(1)
 	s.idle = make([]*wsWorker, 0, n)
 	for i := range s.workers {
 		seed := uint64(i)*0x9e3779b97f4a7c15 + 1
@@ -306,10 +266,13 @@ func (s *sched) pushBatch(w *wsWorker, js []job, busy bool) {
 	}
 }
 
-// wakeOne unparks one idle worker, if any, reporting whether it did.
-// The woken worker is marked pending until it actually resumes
-// (blockPark clears it), throttling further wakes to one in flight.
-func (s *sched) wakeOne() bool {
+// signalWork notifies the scheduler that runnable work was published
+// beyond what its producer will consume itself: it wakes one parked
+// worker if there is one, and reports whether it did.
+func (s *sched) signalWork() bool {
+	if s.nidle.Load() == 0 {
+		return false
+	}
 	s.idleMu.Lock()
 	var w *wsWorker
 	if n := len(s.idle); n > 0 {
@@ -318,42 +281,11 @@ func (s *sched) wakeOne() bool {
 		s.nidle.Store(int32(len(s.idle)))
 	}
 	s.idleMu.Unlock()
-	if w != nil {
-		s.wakePending.Add(1)
-		w.woken = true
-		w.park <- struct{}{} // buffered; never blocks
-		return true
-	}
-	return false
-}
-
-// signalWork notifies the scheduler that runnable work was published
-// beyond what its producer will consume itself: wake a parked worker,
-// or — if nobody is parked and the topology cap allows — bring the
-// next not-yet-started worker online. No-op while a previously
-// notified worker has not engaged yet (wakePending), so backlogs ramp
-// workers up one at a time instead of queueing futex wakes. Reports
-// whether a worker was notified.
-func (s *sched) signalWork() bool {
-	if s.wakePending.Load() != 0 {
+	if w == nil {
 		return false
 	}
-	if s.nidle.Load() > 0 {
-		return s.wakeOne()
-	}
-	for {
-		n := s.spawned.Load()
-		if int(n) >= s.spawnCap || s.spawn == nil {
-			return false
-		}
-		if s.spawned.CompareAndSwap(n, n+1) {
-			w := s.workers[n]
-			s.wakePending.Add(1)
-			w.woken = true
-			s.spawn(w)
-			return true
-		}
-	}
+	w.park <- struct{}{} // buffered; never blocks
+	return true
 }
 
 // steal scans the other workers, in pseudo-random order, and then the
@@ -431,22 +363,12 @@ func (s *sched) park(w *wsWorker) {
 		}
 		s.nidle.Store(int32(len(s.idle)))
 		s.idleMu.Unlock()
-		if !removed {
-			s.blockPark(w)
+		if removed {
+			return
 		}
-		return
 	}
-	s.blockPark(w)
-}
-
-// blockPark is park's blocking wait.
-func (s *sched) blockPark(w *wsWorker) {
 	w.p.park()
 	<-w.park
-	if w.woken {
-		w.woken = false
-		s.wakePending.Add(-1)
-	}
 	w.p.unpark()
 }
 

@@ -10,13 +10,12 @@ import (
 // completion is a scheduled job-finish event in the discrete-event
 // simulation.
 type completion struct {
-	at     int64 // virtual time the event fires
-	seq    int64 // tie-breaker for determinism
-	start  int64 // virtual time the job was dispatched (trace span start)
-	core   int   // core freed by the event; -1 for reconfiguration resumes
-	ran    bool  // the job actually executed (not a zero-cost skip)
-	j      job
-	resume []job // parked jobs released after a reconfiguration stall
+	at    int64 // virtual time the event fires
+	seq   int64 // tie-breaker for determinism
+	start int64 // virtual time the job was dispatched (trace span start)
+	core  int   // core freed by the event; -1 for the end of a reconfiguration stall
+	ran   bool  // the job actually executed (not a zero-cost skip)
+	j     job
 }
 
 type completionHeap []completion
@@ -72,19 +71,28 @@ func (e *engine) runSim() (*Report, error) {
 			if !ok {
 				break
 			}
-			if e.shouldPark(j) || e.needsBuffers(j) {
+			adm := e.admit(p, j)
+			if adm == admitHeld {
 				continue
 			}
-			e.ensureBuffers(p, j.iter)
 			core := 0
 			for !idle[core] {
 				core++
 			}
 			idle[core] = false
 			nIdle--
-			dur, ran, err := e.execJobSim(p, j, core)
-			if err != nil {
-				return nil, err
+			// A skipped job (cancelled iteration, disabled option) takes
+			// a core for zero cycles: it only moves the dependency
+			// machinery forward.
+			var dur int64
+			ran := adm == admitRun
+			if ran {
+				var err error
+				if dur, err = e.execJobSim(p, j, core); err != nil {
+					return nil, err
+				}
+			} else {
+				p.skip(j, core)
 			}
 			seq++
 			heap.Push(&pending, completion{at: clock + dur, seq: seq, start: clock, core: core, ran: ran, j: j})
@@ -118,11 +126,9 @@ func (e *engine) runSim() (*Report, error) {
 			}
 		}
 		if c.core < 0 {
-			// A reconfiguration stall elapsed: the manager's subgraph
-			// resumes and the parked iterations may enter it.
-			for _, pj := range c.resume {
-				e.enqueue(p, pj)
-			}
+			// A reconfiguration stall elapsed. The event only carries the
+			// clock (and the epochs above) past it; the parked entries
+			// are released by checkResumes.
 			continue
 		}
 		idle[c.core] = true
@@ -130,13 +136,13 @@ func (e *engine) runSim() (*Report, error) {
 		if c.ran {
 			p.simSpan(c.j, c.core, c.start, c.at-c.start)
 		}
-		res, err := e.complete(c.j, p)
+		stall, err := e.complete(c.j, p)
 		if err != nil {
 			return nil, err
 		}
-		if res != nil {
+		if stall > 0 {
 			seq++
-			heap.Push(&pending, completion{at: clock + res.stall, seq: seq, core: -1, resume: res.parked})
+			heap.Push(&pending, completion{at: clock + stall, seq: seq, core: -1})
 		}
 		if e.err != nil {
 			return nil, e.err
@@ -149,19 +155,12 @@ func (e *engine) runSim() (*Report, error) {
 	return rep, nil
 }
 
-// execJobSim executes one job immediately and returns its virtual
-// duration in cycles: runtime overhead + compute (charged ops) + memory
-// latency (the job's recorded accesses run through the cache model on
-// its core). ran reports whether the job actually executed rather than
-// skipping as a zero-cost no-op.
-func (e *engine) execJobSim(p *probe, j job, core int) (dur int64, ran bool, err error) {
+// execJobSim executes one admitted job immediately and returns its
+// virtual duration in cycles: runtime overhead + compute (charged ops)
+// + memory latency (the job's recorded accesses run through the cache
+// model on its core).
+func (e *engine) execJobSim(p *probe, j job, core int) (dur int64, err error) {
 	a := e.app
-	if e.skipExecution(j) {
-		// Cancelled iteration or disabled option: a zero-cost no-op
-		// that only moves the dependency machinery forward.
-		p.skip(j, core)
-		return 0, false, nil
-	}
 	cost := a.tile.Config().JobOverheadCycles
 	p.ran(j.task.ID)
 
@@ -169,22 +168,22 @@ func (e *engine) execJobSim(p *probe, j job, core int) (dur int64, ran bool, err
 	case graph.RoleManagerEntry, graph.RoleManagerExit:
 		ops, err := e.managerPoll(p, j)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		p.charge(j.task.ID, ops, 0, cost+ops)
-		return cost + ops, true, nil
+		return cost + ops, nil
 
 	case graph.RoleComponent:
 		inst, err := e.resolveInstance(j)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		rc := &e.simRC
 		out := e.runPolicied(rc, j, inst, true)
 		if out.err != nil {
 			e.handleRunError(j, out.err)
 			if e.err != nil {
-				return 0, false, e.err
+				return 0, e.err
 			}
 			// EOS: the job still completes; dependents of this cancelled
 			// iteration run as no-ops while the pipeline drains.
@@ -208,7 +207,7 @@ func (e *engine) execJobSim(p *probe, j job, core int) (dur int64, ran bool, err
 		if dl := e.policyFor(j.task).Deadline; dl > 0 && out.err == nil && !out.faulted && dur > int64(dl) {
 			e.degrade(p, j, fmt.Sprintf("cost budget exceeded (%d cycles)", dur))
 		}
-		return dur, true, nil
+		return dur, nil
 	}
-	return 0, false, fmt.Errorf("hinch: unknown task role %v", j.task.Role)
+	return 0, fmt.Errorf("hinch: unknown task role %v", j.task.Role)
 }

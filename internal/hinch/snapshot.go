@@ -157,7 +157,7 @@ func (a *App) Snapshot() Snapshot {
 	for i, str := range a.streamList {
 		sn := StreamSnap{
 			Name:      str.Name(),
-			Depth:     str.depth,
+			Depth:     len(str.slots),
 			Occupancy: str.Occupancy(),
 			HighWater: str.HighWater(),
 		}

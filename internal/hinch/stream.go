@@ -11,64 +11,82 @@ import (
 )
 
 // A Stream is the synchronous communication primitive between
-// components (paper §2 item 3a): a bounded FIFO whose capacity equals
-// the pipeline depth, so each in-flight iteration owns one slot. Data
-// written in iteration k is read in the same iteration (ordering comes
-// from the task graph) and the slot is recycled when the iteration
-// retires.
-//
-// Slot buffers come from a LIFO pool: a retiring iteration's buffer is
-// handed to the next iteration that launches, so when the scheduler
-// keeps few iterations in flight the same (cache-hot) addresses are
-// reused — the behaviour of a real FIFO backed by a buffer pool. The
-// pool only grows to the actual iteration overlap, never beyond the
-// pipeline depth.
+// components (paper §2 item 3a): a bounded FIFO with one buffer per
+// in-flight iteration. Data written in iteration k is read in the same
+// iteration (ordering comes from the task graph). Every stream takes
+// and returns its buffer for an iteration at the same two moments, so
+// which buffer an iteration uses is decided once for all streams by the
+// App's window: the iteration holds buffer set i, and its buffer of
+// stream s is s.slots[i].
 //
 // Buffers for "frame" and "coeff" streams are pre-sized so that
 // multiple data-parallel writers can fill disjoint regions of one
 // element concurrently; "packet" and untyped streams carry whatever
 // payload the producer sets.
 type Stream struct {
-	name  string
-	decl  graph.StreamDecl
-	idx   int // position in App.streamList; TraceEvent.ID for this stream
-	depth int
-	addr  *spacecake.AddressSpace
-	pool  []*slot // free buffers, most recently released last
+	name string
+	decl graph.StreamDecl
+	idx  int // position in App.streamList; TraceEvent.ID for this stream
+	addr *spacecake.AddressSpace
+	win  *window
 
-	// hw is the occupancy high-water mark: the most iterations that
-	// ever held this stream's buffers at once. Updated under the
-	// engine lock in acquire; atomic so App.Snapshot can read it
-	// mid-run.
-	hw atomic.Int32
-
-	// active maps in-flight iterations to their buffers as a ring of
-	// atomic pointers indexed by iteration modulo len(active). The
-	// engine writes it under its lock (acquire/release); components
-	// read it lock-free mid-run via slotFor, so each entry carries its
-	// iteration for validation. The ring is larger than the FIFO
-	// capacity, so a live entry can never be overwritten by a
-	// neighbouring iteration.
-	active []atomic.Pointer[streamSlot]
-	// nactive counts iterations currently holding a buffer. Written
-	// only under the engine lock (acquire/release); atomic so
-	// App.Snapshot reads live occupancy lock-free.
-	nactive atomic.Int32
-	allocd  int
-
-	// wrapFree recycles streamSlot wrappers (engine-lock guarded, like
-	// acquire/release). A recycled wrapper is never still referenced:
-	// release happens at iteration retirement, after every reader of
-	// that iteration has finished, and readers only probe their own
-	// iteration's ring entry.
-	wrapFree []*streamSlot
+	// slots[i] is this stream's buffer of set i, created (under the
+	// engine lock) when the window first hands set i out. It is
+	// allocated at its full length, PipelineDepth, and filled by index:
+	// jobs of other iterations read slots[their set] without the lock,
+	// and growing the slice with append would race with those reads.
+	slots []*slot
 }
 
-// streamSlot is one active-ring entry: the owning iteration plus its
-// buffer.
-type streamSlot struct {
-	iter int
-	sl   *slot
+// window hands out the App's stream-buffer sets: an iteration takes one
+// at its first dispatch and puts it back when it retires, both under
+// the engine lock. free is a LIFO, so when the scheduler keeps few
+// iterations in flight the next iteration gets the set — the cache-hot
+// buffers, the same simulated addresses — the last one returned, and
+// only as many sets are ever filled as iterations actually overlapped
+// (hw). active and hw are atomic so App.Snapshot reads them mid-run.
+type window struct {
+	free   []int        // unheld sets, most recently returned last
+	active atomic.Int32 // sets held right now
+	hw     atomic.Int32 // most sets ever held at once = sets filled so far
+}
+
+// newWindow builds a window of depth sets, stacked so that they are
+// first handed out in index order.
+func newWindow(depth int) *window {
+	w := &window{free: make([]int, depth)}
+	for i := range w.free {
+		w.free[i] = depth - 1 - i
+	}
+	return w
+}
+
+// take hands out a set. fresh reports that it was never held before, so
+// its slots are still to be created: unused sets lie below every
+// returned one, so one is reached exactly when all used sets are held.
+//
+//hinch:hotpath
+func (w *window) take() (set int, fresh bool) {
+	f := len(w.free) - 1
+	if f < 0 {
+		// canLaunch admits at most PipelineDepth iterations and each
+		// holds one set, so only an engine bug gets here.
+		panic("hinch: more stream-buffer sets in use than PipelineDepth")
+	}
+	set, w.free = w.free[f], w.free[:f]
+	n := w.active.Add(1)
+	if fresh = n > w.hw.Load(); fresh {
+		w.hw.Store(n)
+	}
+	return set, fresh
+}
+
+// put returns a set.
+//
+//hinch:hotpath
+func (w *window) put(set int) {
+	w.free = append(w.free, set)
+	w.active.Add(-1)
 }
 
 type slot struct {
@@ -88,10 +106,10 @@ type Packet struct {
 	Data []byte
 }
 
-// newStream builds a stream with the given FIFO capacity. When addr is
-// non-nil (sim backend), each buffer gets a simulated address region
-// sized for the element type.
-func newStream(decl graph.StreamDecl, depth int, addr *spacecake.AddressSpace) (*Stream, error) {
+// newStream builds a stream over the depth buffer sets of win. When
+// addr is non-nil (sim backend), each buffer gets a simulated address
+// region sized for the element type.
+func newStream(decl graph.StreamDecl, depth int, win *window, addr *spacecake.AddressSpace) (*Stream, error) {
 	switch decl.Type {
 	case "frame", "coeff":
 		if decl.W <= 0 || decl.H <= 0 {
@@ -102,13 +120,11 @@ func newStream(decl graph.StreamDecl, depth int, addr *spacecake.AddressSpace) (
 		return nil, fmt.Errorf("hinch: stream %q has unknown type %q", decl.Name, decl.Type)
 	}
 	return &Stream{
-		name:     decl.Name,
-		decl:     decl,
-		depth:    depth,
-		addr:     addr,
-		active:   make([]atomic.Pointer[streamSlot], depth+2),
-		pool:     make([]*slot, 0, depth+2),
-		wrapFree: make([]*streamSlot, 0, depth+2),
+		name:  decl.Name,
+		decl:  decl,
+		addr:  addr,
+		win:   win,
+		slots: make([]*slot, depth),
 	}, nil
 }
 
@@ -145,89 +161,24 @@ func (s *Stream) newSlot() *slot {
 			sl.region = s.addr.Alloc(b)
 		}
 	}
-	s.allocd++
 	return sl
 }
 
-// acquire assigns a buffer to iteration iter. The engine calls it at
-// first dispatch of the iteration, under its lock. In steady state both
-// the slot and its wrapper come from the presized free-lists; only the
-// first few iterations (up to the actual overlap) hit the allocating
-// newSlot path.
-//
-//hinch:hotpath
-func (s *Stream) acquire(iter int) {
-	p := &s.active[iter%len(s.active)]
-	if p.Load() != nil {
-		panic(fmt.Sprintf("hinch: stream %s: iteration %d acquired twice", s.name, iter))
-	}
-	if int(s.nactive.Load()) >= s.depth {
-		panic(fmt.Sprintf("hinch: stream %s: more than %d iterations in flight", s.name, s.depth))
-	}
-	var sl *slot
-	if n := len(s.pool); n > 0 {
-		sl = s.pool[n-1]
-		s.pool = s.pool[:n-1]
-	} else {
-		sl = s.newSlot()
-	}
-	n := s.nactive.Add(1)
-	if n > s.hw.Load() {
-		s.hw.Store(n)
-	}
-	var w *streamSlot
-	if n := len(s.wrapFree); n > 0 {
-		w = s.wrapFree[n-1]
-		s.wrapFree = s.wrapFree[:n-1]
-		w.iter, w.sl = iter, sl
-	} else {
-		w = &streamSlot{iter: iter, sl: sl}
-	}
-	p.Store(w)
-}
-
-// release returns iteration iter's buffer to the pool. The engine calls
-// it when the iteration retires, under its lock.
-//
-//hinch:hotpath
-func (s *Stream) release(iter int) {
-	p := &s.active[iter%len(s.active)]
-	e := p.Load()
-	if e == nil || e.iter != iter {
-		panic(fmt.Sprintf("hinch: stream %s: release of unknown iteration %d", s.name, iter))
-	}
-	p.Store(nil)
-	s.nactive.Add(-1)
-	s.pool = append(s.pool, e.sl)
-	s.wrapFree = append(s.wrapFree, e)
-}
-
 // drainFrames returns the stream's own frame payloads to the global
-// media free-list. Called once, after the run has fully stopped: every
-// slot of a cleanly finished run sits in the pool (its iteration
-// retired). Slots still active after an aborted run keep their frames,
-// which simply fall to the GC with the App — never recycle a frame a
-// failed component might still reference.
+// media free-list. Called once, after the run has fully stopped, and
+// only for the window's free sets: after a clean finish that is every
+// set that was filled. A set still held after an aborted run keeps its
+// frames, which simply fall to the GC with the App — never recycle a
+// frame a failed component might still reference.
 func (s *Stream) drainFrames() {
-	for _, sl := range s.pool {
-		if sl.own != nil {
+	for _, set := range s.win.free {
+		// A nil slot: the set was never handed out.
+		if sl := s.slots[set]; sl != nil && sl.own != nil {
 			media.PutFrame(sl.own)
 			sl.own = nil
 			sl.payload = nil
 		}
 	}
-}
-
-// slotFor returns the buffer owned by iteration iter. Lock-free; called
-// by components mid-run.
-//
-//hinch:hotpath
-func (s *Stream) slotFor(iter int) *slot {
-	e := s.active[iter%len(s.active)].Load()
-	if e == nil || e.iter != iter {
-		panic(fmt.Sprintf("hinch: stream %s: iteration %d has no buffer", s.name, iter))
-	}
-	return e.sl
 }
 
 // Name returns the stream's declared name.
@@ -236,17 +187,19 @@ func (s *Stream) Name() string { return s.name }
 // Decl returns the stream's declaration.
 func (s *Stream) Decl() graph.StreamDecl { return s.decl }
 
-// BuffersAllocated reports how many distinct buffers the pool grew to —
-// the actual iteration overlap the scheduler produced.
-func (s *Stream) BuffersAllocated() int { return s.allocd }
+// BuffersAllocated reports how many distinct buffers the stream
+// created — the actual iteration overlap the scheduler produced, which
+// is the high-water mark: a buffer is created only when every existing
+// one is held.
+func (s *Stream) BuffersAllocated() int { return s.HighWater() }
 
 // HighWater reports the occupancy high-water mark: the most iterations
 // that ever held this stream's buffers simultaneously.
-func (s *Stream) HighWater() int { return int(s.hw.Load()) }
+func (s *Stream) HighWater() int { return int(s.win.hw.Load()) }
 
 // Occupancy reports how many iterations hold this stream's buffers
 // right now. Safe mid-run from any goroutine.
-func (s *Stream) Occupancy() int { return int(s.nactive.Load()) }
+func (s *Stream) Occupancy() int { return int(s.win.active.Load()) }
 
 // FramePlaneRegion returns the simulated region covering rows [r0, r1)
 // of the given plane within a frame stream slot region. The frame

@@ -45,7 +45,7 @@ func wideStressProg(width int) *graph.Program {
 
 func TestRealStressWideFanout8Workers(t *testing.T) {
 	const width, iters = 16, 300
-	app, rep := runApp(t, wideStressProg(width), Config{Backend: BackendReal, Cores: 8, EagerWorkers: true}, iters)
+	app, rep := runApp(t, wideStressProg(width), Config{Backend: BackendReal, Cores: 8}, iters)
 	if rep.Iterations != iters {
 		t.Fatalf("ran %d iterations, want %d", rep.Iterations, iters)
 	}
@@ -57,7 +57,7 @@ func TestRealStressWideFanout8Workers(t *testing.T) {
 
 func TestRealStressChainOrdered8Workers(t *testing.T) {
 	const iters = 500
-	app, rep := runApp(t, chainProg(), Config{Backend: BackendReal, Cores: 8, EagerWorkers: true}, iters)
+	app, rep := runApp(t, chainProg(), Config{Backend: BackendReal, Cores: 8}, iters)
 	if rep.Iterations != iters {
 		t.Fatalf("ran %d iterations, want %d", rep.Iterations, iters)
 	}
@@ -77,7 +77,7 @@ func TestRealStressChainOrdered8Workers(t *testing.T) {
 func TestRealStressReconfiguring8Workers(t *testing.T) {
 	const iters = 200
 	app, rep := runApp(t, reconfigProg(false, 10),
-		Config{Backend: BackendReal, Cores: 8, PipelineDepth: 3, EagerWorkers: true}, iters)
+		Config{Backend: BackendReal, Cores: 8, PipelineDepth: 3}, iters)
 	if rep.Reconfigs < 2 {
 		t.Fatalf("only %d reconfigs", rep.Reconfigs)
 	}

@@ -179,8 +179,8 @@ func TestSnapshotLiveRealRun(t *testing.T) {
 	}{
 		{"sim", Config{Backend: BackendSim, Cores: 4}},
 		{"sim-telemetry", Config{Backend: BackendSim, Cores: 4, Telemetry: true}},
-		{"real", Config{Backend: BackendReal, Cores: 4, EagerWorkers: true}},
-		{"real-telemetry", Config{Backend: BackendReal, Cores: 4, EagerWorkers: true, Telemetry: true}},
+		{"real", Config{Backend: BackendReal, Cores: 4}},
+		{"real-telemetry", Config{Backend: BackendReal, Cores: 4, Telemetry: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seen := make(chan struct{})
@@ -333,7 +333,7 @@ func TestWatchdogNoFalsePositive(t *testing.T) {
 
 func TestWatchdogStallReal(t *testing.T) {
 	app, err := NewApp(chainProg(), testRegistry(), Config{
-		Backend: BackendReal, Cores: 2, EagerWorkers: true, Telemetry: true,
+		Backend: BackendReal, Cores: 2, Telemetry: true,
 		WatchdogWall: 2 * time.Millisecond, WatchdogEpochs: 2,
 		Faults: &delayOnce{task: "dbl", iter: 3, delay: 150 * time.Millisecond},
 	})

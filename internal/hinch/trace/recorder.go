@@ -150,7 +150,12 @@ func (r *Recorder) Dropped() int64 {
 //     park/global-pop = Sched.Parks/GlobalPops, the jobs moved by steal
 //     hits (the sum of their Arg — a hit takes a batch) = Sched.Steals,
 //     the chained jobs under the batch headers = Sched.Chained, tune =
-//     the tuner's four decision counts, stall = Stalls.
+//     the tuner's four decision counts, stall = Stalls;
+//   - the streams' buffers move through one gate as one set: every
+//     acquire event of an iteration carries the same occupancy and,
+//     when no events were dropped, stream-acquire events = iteration
+//     launches x streams (every launched iteration acquires exactly
+//     once, skipped tails included) = stream-release events.
 func Validate(r *Recorder, rep *hinch.Report) error {
 	if !r.began {
 		return fmt.Errorf("trace: recorder was never attached to a run")
@@ -162,6 +167,7 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 	var n [hinch.TraceStall + 1]int64 // events per kind
 	var counted, stolen, chained int64
 	lastEnd := make(map[int32]int64, meta.Cores)
+	acqOcc := map[int32]int64{} // occupancy of each iteration's acquire events
 	for si := 0; si < len(r.shards); si++ {
 		for _, ev := range r.Events(si) {
 			n[ev.Kind]++
@@ -172,6 +178,12 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 				stolen += ev.Arg
 			case hinch.TraceBatch:
 				chained += ev.Arg - 1
+			case hinch.TraceStreamAcquire:
+				if occ, seen := acqOcc[ev.Iter]; seen && occ != ev.Arg {
+					return fmt.Errorf("trace: iteration %d acquired stream buffers at occupancy %d and %d",
+						ev.Iter, occ, ev.Arg)
+				}
+				acqOcc[ev.Iter] = ev.Arg
 			}
 			if ev.Kind != hinch.TraceJobSpan {
 				continue
@@ -193,6 +205,7 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 		return nil
 	}
 	tune := rep.Tune.Widen + rep.Tune.Shrink + rep.Tune.DepthRaises + rep.Tune.DepthDrops
+	acquires := n[hinch.TraceStreamAcquire]
 	for _, c := range []struct {
 		what          string
 		traced, count int64
@@ -210,9 +223,11 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 		{"chained jobs under batch headers / chained", chained, rep.Sched.Chained},
 		{"tune events / tuner decisions", n[hinch.TraceTune], int64(tune)},
 		{"stall events / stalls", n[hinch.TraceStall], rep.Stalls},
+		{"stream-acquire events / iteration launches x streams", acquires, n[hinch.TraceIterLaunch] * int64(len(meta.Streams))},
+		{"stream-release events / stream-acquire events", n[hinch.TraceStreamRelease], acquires},
 	} {
 		if c.traced != c.count {
-			return fmt.Errorf("trace: %s: trace has %d, report counts %d", c.what, c.traced, c.count)
+			return fmt.Errorf("trace: %s: %d, want %d", c.what, c.traced, c.count)
 		}
 	}
 	return nil

@@ -92,7 +92,7 @@ type tuner struct {
 	cool []int // epochs a task's width still rests after a change
 
 	bufWaits  int // backpressure parks since the last epoch; guarded by mu
-	bufHW     int // high-water of bufActive since the last epoch; guarded by mu
+	bufHW     int // most buffer sets held at once since the last epoch; guarded by mu
 	depthCalm int // consecutive epochs without backpressure
 	depthCool int // epochs the depth knob still rests after a change
 
@@ -335,20 +335,13 @@ func (e *engine) setWidth(id, width int) {
 }
 
 // setBufCap publishes a new live stream-FIFO capacity. On a raise the
-// backpressured jobs re-enter the queue immediately (the two backing
-// arrays rotate, as in retire, so the churn does not allocate); on a
-// drop the capacity simply stops admitting new iterations until enough
-// holders retire. Must be called with mu held on the real backend.
+// backpressured jobs re-enter the queue immediately; on a drop the
+// capacity simply stops admitting new iterations until enough holders
+// retire. Must be called with mu held on the real backend.
 func (e *engine) setBufCap(c int) {
 	raise := c > int(e.bufCap.Load())
 	e.bufCap.Store(int32(c))
-	if !raise || len(e.bufParked) == 0 {
-		return
+	if raise {
+		e.requeueBufParked(&e.probes[0])
 	}
-	parked := e.bufParked
-	e.bufParked = e.bufSpare[:0]
-	for _, pj := range parked {
-		e.enqueue(&e.probes[0], pj)
-	}
-	e.bufSpare = parked[:0]
 }

@@ -185,7 +185,7 @@ func TestAutotuneBottleneckSpeedup(t *testing.T) {
 	const iters = 400
 	run := func(tune bool) (time.Duration, *Report) {
 		cfg := Config{Backend: BackendReal, Cores: 4, PipelineDepth: 8,
-			EagerWorkers: true, Autotune: tune, TuneEpochWall: 500 * time.Microsecond}
+			Autotune: tune, TuneEpochWall: 500 * time.Microsecond}
 		app, rep := runApp(t, prog(), cfg, iters)
 		sink := app.Component("snk").(*intSink)
 		if vals := sink.values(); len(vals) != iters {

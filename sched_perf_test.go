@@ -14,8 +14,8 @@ import (
 // the test measures build+run at two iteration counts and divides the
 // difference by the extra iterations — construction garbage is
 // identical on both sides and cancels, leaving only the per-iteration
-// dispatch cost. AllocsPerRun holds GOMAXPROCS at 1, which also makes
-// the lazily-spawned worker set deterministic.
+// dispatch cost; so does starting the workers, which costs the same at
+// any iteration count.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pin is slow under -short")
@@ -43,48 +43,5 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 		allocLo, lo, allocHi, hi, perIter)
 	if perIter >= 1 {
 		t.Errorf("scheduler hot path allocates %.3f allocs per iteration, want < 1", perIter)
-	}
-}
-
-// TestSchedulerScalingMonotonic guards the tentpole scaling property:
-// adding workers must never make the scheduler-bound workload slower
-// than one worker. Worker bring-up is lazy and capped at the host's
-// parallelism, so on any machine — including a single-CPU CI box,
-// where the 4-core config degenerates to the same sequential loop —
-// the 4-worker wall time stays within noise of the 1-worker time.
-// Best-of-5 on both sides filters scheduler jitter; the 1.5x bound is
-// deliberately loose so only a real regression (like the seed's 1.6x
-// mid-scale hump) trips it.
-func TestSchedulerScalingMonotonic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison is noisy under -short")
-	}
-	prog := schedThroughputProgram()
-	reg := components.DefaultRegistry()
-	best := func(cores int) float64 {
-		bestNS := 0.0
-		for i := 0; i < 5; i++ {
-			app, err := hinch.NewApp(prog, reg, hinch.Config{
-				Backend: hinch.BackendReal, Cores: cores, Workless: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := app.Run(64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ns := float64(rep.Wall.Nanoseconds()); bestNS == 0 || ns < bestNS {
-				bestNS = ns
-			}
-		}
-		return bestNS
-	}
-	wall1 := best(1)
-	wall4 := best(4)
-	t.Logf("best wall: 1 worker %.0fns, 4 workers %.0fns (%.2fx)", wall1, wall4, wall4/wall1)
-	if wall4 > wall1*1.5 {
-		t.Errorf("4 workers took %.2fx the 1-worker time, want monotonic (<= 1.5x noise bound)",
-			wall4/wall1)
 	}
 }
