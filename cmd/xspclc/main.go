@@ -94,9 +94,21 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("plan: %d tasks (default configuration %s)\n", len(p.Tasks), p.ConfigKey())
+		direct, in, out := p.DepRecords()
+		fmt.Printf("plan: %d tasks, %d direct edges, %d joins (%d in, %d out) (default configuration %s)\n",
+			len(p.Tasks), direct, len(p.Joins), in, out, p.ConfigKey())
+		for j, jn := range p.Joins {
+			fmt.Printf("  join %d: %d -> %d\n", j, len(jn.Feeders), len(jn.Entries))
+		}
 		for _, t := range p.Tasks {
-			fmt.Printf("  %3d %-24s %-14s deps=%v\n", t.ID, t.Name, t.Role, t.Deps)
+			fmt.Printf("  %3d %-24s %-14s deps=%v", t.ID, t.Name, t.Role, t.DirectDeps)
+			if t.WaitsOn != graph.NoJoin {
+				fmt.Printf(" waits=join %d", t.WaitsOn)
+			}
+			if t.Feeds != graph.NoJoin {
+				fmt.Printf(" feeds=join %d", t.Feeds)
+			}
+			fmt.Println()
 		}
 		did = true
 	}

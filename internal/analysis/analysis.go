@@ -357,7 +357,7 @@ func (a *analyzer) buildInfo(cfg graph.Configuration) (*cfgInfo, error) {
 	}
 	for _, t := range plan.Tasks {
 		lvl := 1
-		for _, d := range t.Deps {
+		for _, d := range plan.Preds(t.ID) {
 			if ci.level[d]+1 > lvl {
 				lvl = ci.level[d] + 1
 			}
@@ -381,7 +381,7 @@ func (a *analyzer) buildInfo(cfg graph.Configuration) (*cfgInfo, error) {
 	n := len(plan.Tasks)
 	for i := n - 1; i >= 0; i-- {
 		ci.reach[i] = newBitset(n)
-		for _, s := range plan.Succs[i] {
+		for _, s := range plan.Succs(i) {
 			ci.reach[i].set(s)
 			ci.reach[i].or(ci.reach[s])
 		}
@@ -408,7 +408,7 @@ func (ci *cfgInfo) depPath(a, b int) []string {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, s := range ci.plan.Succs[cur] {
+		for _, s := range ci.plan.Succs(cur) {
 			if prev[s] != -1 {
 				continue
 			}

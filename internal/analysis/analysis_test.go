@@ -367,3 +367,67 @@ func TestDisablePasses(t *testing.T) {
 		t.Fatalf("disabled pass still reported: %+v", rep.Findings)
 	}
 }
+
+// TestOrderingAcrossPluralBoundary: every pass reads "a runs before b"
+// from cfgInfo, so the dependency closure, the levels and the narrated
+// paths must see through a join — the boundary between two slice groups
+// is plural on both sides and the plan stores it as one join, with no
+// direct edge between an idct slice and a blend slice.
+func TestOrderingAcrossPluralBoundary(t *testing.T) {
+	const n = 4
+	b := graph.NewBuilder("plural")
+	b.Stream("pk").Stream("cf").Stream("out")
+	b.Body(
+		b.Component("dec", "src", graph.Ports{"out": "pk"}, nil),
+		b.Parallel(graph.ShapeSlice, n, b.Component("idct", "work", graph.Ports{"in": "pk", "out": "cf"}, nil)),
+		b.Parallel(graph.ShapeSlice, n, b.Component("blend", "work", graph.Ports{"in": "cf", "out": "out"}, nil)),
+		b.Component("snk", "sink", graph.Ports{"in": "out"}, nil),
+	)
+	prog := b.MustProgram()
+	dirs, err := classDirs(prog, testCatalog{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &analyzer{prog: prog, opt: Options{Catalog: testCatalog{}}, dirs: dirs}
+	ci, err := a.buildInfo(prog.Configurations()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ci.plan.Joins) != 1 {
+		t.Fatalf("plan has %d joins, want the idct -> blend boundary as one", len(ci.plan.Joins))
+	}
+	id := map[string]int{}
+	for _, tk := range ci.plan.Tasks {
+		id[tk.Name] = tk.ID
+	}
+	for i := 0; i < n; i++ {
+		idct := id[fmt.Sprintf("idct#%d", i)]
+		for j := 0; j < n; j++ {
+			blend := id[fmt.Sprintf("blend#%d", j)]
+			if len(ci.plan.Tasks[blend].DirectDeps) != 0 {
+				t.Fatalf("blend#%d has direct deps; the test wants the join", j)
+			}
+			if !ci.after(idct, blend) || ci.after(blend, idct) {
+				t.Fatalf("after(idct#%d, blend#%d) = %v, reverse %v; want true, false",
+					i, j, ci.after(idct, blend), ci.after(blend, idct))
+			}
+			if i != j && ci.after(idct, id[fmt.Sprintf("idct#%d", j)]) {
+				t.Fatalf("idct#%d ordered before its sibling idct#%d", i, j)
+			}
+			if got := ci.level[blend]; got != ci.level[idct]+1 {
+				t.Fatalf("blend#%d at level %d, idct#%d at %d", j, got, i, ci.level[idct])
+			}
+		}
+	}
+	if !ci.after(id["dec"], id["snk"]) {
+		t.Fatal("closure does not carry through the join")
+	}
+	// Narratives name tasks, never a join: the breadth-first path takes
+	// the first successor in ID order, as it did over all-pairs edges.
+	if got := strings.Join(ci.depPath(id["dec"], id["snk"]), " "); got != "dec idct#0 blend#0 snk" {
+		t.Fatalf("depPath(dec, snk) = %q", got)
+	}
+	if got := strings.Join(ci.depPath(id["idct#0"], id["blend#3"]), " "); got != "idct#0 blend#3" {
+		t.Fatalf("depPath(idct#0, blend#3) = %q", got)
+	}
+}

@@ -201,7 +201,7 @@ func TestBlurUsesCrossdep(t *testing.T) {
 			t.Fatalf("missing vertical slice %d (names: %v)", i, taskNames(plan))
 		}
 		deps := map[int]bool{}
-		for _, d := range v.Deps {
+		for _, d := range plan.Preds(v.ID) {
 			deps[d] = true
 		}
 		for j := 0; j < cfg.Slices; j++ {

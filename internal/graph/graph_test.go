@@ -49,7 +49,7 @@ func hasDep(p *Plan, task, dep string) bool {
 	if t == nil || d == nil {
 		return false
 	}
-	for _, id := range t.Deps {
+	for _, id := range p.Preds(t.ID) {
 		if id == d.ID {
 			return true
 		}
@@ -314,33 +314,120 @@ func TestDisabledOptionInSeqBridges(t *testing.T) {
 	}
 }
 
+// TestSuccsMatchesDeps: Succs is the exact inverse of Preds, and the
+// stored direct successors the exact inverse of the stored direct deps,
+// on a plan with a manager and on one with a join.
 func TestSuccsMatchesDeps(t *testing.T) {
-	plan, err := BuildPlan(managerProgram(true), nil)
+	for _, prog := range []*Program{managerProgram(true), pluralBoundaryProgram()} {
+		plan, err := BuildPlan(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type edge [2]int
+		for _, view := range []struct {
+			name        string
+			preds, succ func(id int) []int
+		}{
+			{"expanded", plan.Preds, plan.Succs},
+			{"direct", func(id int) []int { return plan.Tasks[id].DirectDeps }, plan.DirectSuccs},
+		} {
+			fwd, back := map[edge]bool{}, map[edge]bool{}
+			for _, tk := range plan.Tasks {
+				for _, d := range view.preds(tk.ID) {
+					fwd[edge{d, tk.ID}] = true
+				}
+				for _, s := range view.succ(tk.ID) {
+					back[edge{tk.ID, s}] = true
+				}
+			}
+			if len(fwd) == 0 || len(fwd) != len(back) {
+				t.Fatalf("%s %s: %d dep edges, %d succ edges", prog.Name, view.name, len(fwd), len(back))
+			}
+			for e := range fwd {
+				if !back[e] {
+					t.Fatalf("%s %s: succ edge %d->%d missing", prog.Name, view.name, e[0], e[1])
+				}
+			}
+		}
+	}
+}
+
+// pluralBoundaryProgram is src, then three tasks in parallel, then two,
+// then a sink: the 3 -> 2 boundary is plural on both sides.
+func pluralBoundaryProgram() *Program {
+	b := NewBuilder("plural")
+	b.Stream("a").Stream("b")
+	filter := func(name string) *Node {
+		return b.Component(name, "filter", Ports{"in": "a", "out": "b"}, nil)
+	}
+	b.Body(
+		b.Component("src", "src", Ports{"out": "a"}, nil),
+		b.Parallel(ShapeTask, 0, filter("l1"), filter("l2"), filter("l3")),
+		b.Parallel(ShapeTask, 0, filter("r1"), filter("r2")),
+		b.Component("snk", "sink", Ports{"in": "b"}, nil),
+	)
+	return b.MustProgram()
+}
+
+// TestPluralBoundaryIsOneJoin: the rule. 1 -> 3 and 2 -> 1 keep direct
+// edges, 3 -> 2 becomes one join of five records standing for six
+// dependencies; task IDs and the task count are what they would be
+// without it.
+func TestPluralBoundaryIsOneJoin(t *testing.T) {
+	plan, err := BuildPlan(pluralBoundaryProgram(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	for _, t2 := range plan.Tasks {
-		count += len(t2.Deps)
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	scount := 0
-	for _, s := range plan.Succs {
-		scount += len(s)
+	if len(plan.Tasks) != 7 || len(plan.Joins) != 1 {
+		t.Fatalf("%d tasks, %d joins; want 7 and 1", len(plan.Tasks), len(plan.Joins))
 	}
-	if count != scount {
-		t.Fatalf("deps %d != succs %d", count, scount)
+	if direct, in, out := plan.DepRecords(); direct != 5 || in != 3 || out != 2 {
+		t.Fatalf("records: %d direct, %d in, %d out; want 5, 3, 2", direct, in, out)
 	}
-	for _, tk := range plan.Tasks {
-		for _, d := range tk.Deps {
-			found := false
-			for _, s := range plan.Succs[d] {
-				if s == tk.ID {
-					found = true
-				}
+	for _, l := range []string{"l1", "l2", "l3"} {
+		if tk := taskByName(plan, l); tk.Feeds != 0 || tk.WaitsOn != NoJoin || len(plan.DirectSuccs(tk.ID)) != 0 {
+			t.Fatalf("%s: feeds %d, waits on %d, %d direct successors", l, tk.Feeds, tk.WaitsOn, len(plan.DirectSuccs(tk.ID)))
+		}
+		for _, r := range []string{"r1", "r2"} {
+			if !hasDep(plan, r, l) {
+				t.Fatalf("%s must run after %s", r, l)
 			}
-			if !found {
-				t.Fatalf("succ edge %d->%d missing", d, tk.ID)
-			}
+		}
+	}
+	for _, r := range []string{"r1", "r2"} {
+		if tk := taskByName(plan, r); tk.WaitsOn != 0 || tk.Feeds != NoJoin || len(tk.DirectDeps) != 0 {
+			t.Fatalf("%s: waits on %d, feeds %d, %d direct deps", r, tk.WaitsOn, tk.Feeds, len(tk.DirectDeps))
+		}
+	}
+	if !hasDep(plan, "l2", "src") || !hasDep(plan, "snk", "r1") || !hasDep(plan, "snk", "r2") {
+		t.Fatal("singular boundaries lost their direct edges")
+	}
+}
+
+// TestValidateRejectsBrokenJoins corrupts a valid plan one invariant at
+// a time.
+func TestValidateRejectsBrokenJoins(t *testing.T) {
+	for name, corrupt := range map[string]func(p *Plan){
+		"duplicate direct dep":    func(p *Plan) { tk := taskByName(p, "snk"); tk.DirectDeps = append(tk.DirectDeps, tk.DirectDeps[1]) },
+		"join index out of range": func(p *Plan) { taskByName(p, "snk").Feeds = 3 },
+		"join and direct deps":    func(p *Plan) { taskByName(p, "r1").DirectDeps = []int{0} },
+		"join and direct succs":   func(p *Plan) { id := taskByName(p, "l1").ID; p.directSuccs[id] = []int{6} },
+		"unlisted feeder":         func(p *Plan) { taskByName(p, "src").Feeds = 0 },
+		"unlisted entry":          func(p *Plan) { tk := taskByName(p, "snk"); tk.DirectDeps, tk.WaitsOn = nil, 0 },
+		"singular join":           func(p *Plan) { p.Joins[0].Entries = p.Joins[0].Entries[:1]; taskByName(p, "r2").WaitsOn = NoJoin },
+		"feeders out of order":    func(p *Plan) { f := p.Joins[0].Feeders; f[0], f[1] = f[1], f[0] },
+		"entry before a feeder":   func(p *Plan) { p.Joins[0].Feeders, p.Joins[0].Entries = p.Joins[0].Entries, p.Joins[0].Feeders[:2] },
+	} {
+		plan, err := BuildPlan(pluralBoundaryProgram(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(plan)
+		if err := plan.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
@@ -388,6 +475,18 @@ func TestCriticalPathAndWork(t *testing.T) {
 	}
 	if w := plan.TotalWork(cost); w != 145 {
 		t.Fatalf("total work %d, want 145", w)
+	}
+
+	// Across a plural boundary the path runs through the join: the
+	// slowest of the left group, then the slowest of the right.
+	plural, _ := BuildPlan(pluralBoundaryProgram(), nil)
+	costs := map[string]int64{"src": 10, "l1": 20, "l2": 70, "l3": 40, "r1": 8, "r2": 50, "snk": 5}
+	cost = func(tk *Task) int64 { return costs[tk.Name] }
+	if cp := plural.CriticalPath(cost); cp != 10+70+50+5 {
+		t.Fatalf("critical path through the join %d, want 135", cp)
+	}
+	if w := plural.TotalWork(cost); w != 203 {
+		t.Fatalf("total work %d, want 203", w)
 	}
 }
 

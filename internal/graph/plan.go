@@ -52,9 +52,30 @@ type Task struct {
 	// whose Scope contains it.
 	Scope []string
 
-	// Deps lists intra-iteration dependencies: this task runs only after
-	// every task in Deps has completed in the same iteration.
-	Deps []int
+	// Intra-iteration dependencies: this task runs only after every task
+	// in DirectDeps, and every feeder of join WaitsOn, has completed in
+	// the same iteration. A task gets its dependencies at exactly one
+	// place in the tree, so it has direct edges or a join, never both;
+	// likewise it is followed by direct successors or feeds one join.
+	// Plan.Preds and Plan.Succs give the whole relation, joins expanded.
+	DirectDeps []int
+	WaitsOn    int // index into Plan.Joins, or NoJoin
+	Feeds      int // index into Plan.Joins, or NoJoin
+}
+
+// NoJoin is the Task.WaitsOn / Task.Feeds value of a task that waits on
+// (feeds) no join.
+const NoJoin = -1
+
+// Join is the synchronisation point between two consecutive groups of a
+// sequence when both sides are plural: every entry runs after every
+// feeder. It stands for len(Feeders) x len(Entries) dependencies in
+// len(Feeders) + len(Entries) records. A join is not a task: it has no
+// ID, runs nothing and is invisible in job counts and traces. Both lists
+// are in ascending ID order and every feeder precedes every entry.
+type Join struct {
+	Feeders []int // exit tasks of the earlier group
+	Entries []int // entry tasks of the later group
 }
 
 // Plan is the flattened task DAG of one iteration under a given
@@ -62,13 +83,49 @@ type Task struct {
 // topological order: every dependency of Tasks[i] has a smaller ID.
 type Plan struct {
 	Tasks   []*Task
+	Joins   []Join
 	Enabled map[string]bool // option states this plan was built with
 
-	// Succs[i] lists the IDs of tasks depending on task i (the reverse
-	// of Deps), precomputed for the scheduler.
-	Succs [][]int
+	directSuccs [][]int // reverse of Task.DirectDeps, see DirectSuccs
+	components  []*Task // see ComponentTasks
+}
 
-	components []*Task // see ComponentTasks
+// Preds returns the tasks that must complete before task id runs, in
+// ascending ID order: its direct dependencies, or the feeders of the
+// join it waits on. The slice is shared: callers must not modify it.
+func (p *Plan) Preds(id int) []int {
+	t := p.Tasks[id]
+	if t.WaitsOn != NoJoin {
+		return p.Joins[t.WaitsOn].Feeders
+	}
+	return t.DirectDeps
+}
+
+// Succs returns the tasks waiting on task id (the reverse of Preds), in
+// ascending ID order. The slice is shared: callers must not modify it.
+func (p *Plan) Succs(id int) []int {
+	if j := p.Tasks[id].Feeds; j != NoJoin {
+		return p.Joins[j].Entries
+	}
+	return p.directSuccs[id]
+}
+
+// DirectSuccs returns the tasks that list task id in their DirectDeps,
+// in ascending ID order; the scheduler releases these itself and leaves
+// the rest to the join the task feeds. Shared: callers must not modify.
+func (p *Plan) DirectSuccs(id int) []int { return p.directSuccs[id] }
+
+// DepRecords counts what the plan stores to represent its dependency
+// relation: direct edges, and the feeder and entry lists of its joins.
+func (p *Plan) DepRecords() (direct, joinIn, joinOut int) {
+	for _, t := range p.Tasks {
+		direct += len(t.DirectDeps)
+	}
+	for _, j := range p.Joins {
+		joinIn += len(j.Feeders)
+		joinOut += len(j.Entries)
+	}
+	return direct, joinIn, joinOut
 }
 
 // ConfigKey returns a stable string identifying the option states,
@@ -134,10 +191,10 @@ func BuildPlan(p *Program, enabled map[string]bool) (*Plan, error) {
 	if _, _, err := b.build(p.Root, noSlice, state); err != nil {
 		return nil, err
 	}
-	b.plan.Succs = make([][]int, len(b.plan.Tasks))
+	b.plan.directSuccs = make([][]int, len(b.plan.Tasks))
 	for _, t := range b.plan.Tasks {
-		for _, d := range t.Deps {
-			b.plan.Succs[d] = append(b.plan.Succs[d], t.ID)
+		for _, d := range t.DirectDeps {
+			b.plan.directSuccs[d] = append(b.plan.directSuccs[d], t.ID)
 		}
 		if t.Role == RoleComponent {
 			b.plan.components = append(b.plan.components, t)
@@ -172,8 +229,12 @@ func (b *planBuilder) build(n *Node, sc sliceCtx, enabled map[string]bool) (entr
 				continue
 			}
 			if prevExits != nil {
-				for _, id := range e {
-					b.plan.Tasks[id].Deps = appendUnique(b.plan.Tasks[id].Deps, prevExits)
+				// The one rule: a boundary that is plural on both sides is
+				// one join, any other keeps its direct edges.
+				if len(prevExits) >= 2 && len(e) >= 2 {
+					b.join(prevExits, e)
+				} else {
+					b.order(prevExits, e)
 				}
 			}
 			if firstEntries == nil {
@@ -203,15 +264,13 @@ func (b *planBuilder) build(n *Node, sc sliceCtx, enabled map[string]bool) (entr
 			return nil, nil, err
 		}
 		exit := b.addManagerTask(n, RoleManagerExit, sc)
-		for _, id := range e {
-			b.plan.Tasks[id].Deps = appendUnique(b.plan.Tasks[id].Deps, []int{entry.ID})
-		}
+		entries, exits = []int{entry.ID}, []int{exit.ID}
+		b.order(entries, e)
 		if len(x) == 0 {
-			exit.Deps = appendUnique(exit.Deps, []int{entry.ID})
-		} else {
-			exit.Deps = appendUnique(exit.Deps, x)
+			x = entries
 		}
-		return []int{entry.ID}, []int{exit.ID}, nil
+		b.order(x, exits)
+		return entries, exits, nil
 	}
 	return nil, nil, fmt.Errorf("graph: unknown node kind %v", n.Kind)
 }
@@ -286,9 +345,7 @@ func (b *planBuilder) buildPar(n *Node, sc sliceCtx, enabled map[string]bool) (e
 						if j < 0 || j >= n.N {
 							continue
 						}
-						for _, id := range e {
-							b.plan.Tasks[id].Deps = appendUnique(b.plan.Tasks[id].Deps, prev[j].x)
-						}
+						b.order(prev[j].x, e)
 					}
 				}
 			}
@@ -330,6 +387,8 @@ func (b *planBuilder) addComponent(n *Node, sc sliceCtx) (*Task, error) {
 		NSlices: sc.n,
 		Option:  sc.option,
 		Scope:   sc.managers,
+		WaitsOn: NoJoin,
+		Feeds:   NoJoin,
 	}
 	b.plan.Tasks = append(b.plan.Tasks, t)
 	return t, nil
@@ -348,38 +407,99 @@ func (b *planBuilder) addManagerTask(n *Node, role Role, sc sliceCtx) *Task {
 		Slice:   sc.idx,
 		NSlices: sc.n,
 		Option:  sc.option,
+		WaitsOn: NoJoin,
+		Feeds:   NoJoin,
 	}
 	b.plan.Tasks = append(b.plan.Tasks, t)
 	return t
 }
 
-func appendUnique(deps []int, add []int) []int {
-	for _, a := range add {
-		found := false
-		for _, d := range deps {
-			if d == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			deps = append(deps, a)
-		}
+// order adds a direct edge from every task of before to every task of
+// after. No call site can repeat an edge: a task receives dependencies
+// at one place in the tree only (it stops being an entry of anything
+// once it has some), and the lists handed in hold distinct tasks.
+func (b *planBuilder) order(before, after []int) {
+	for _, id := range after {
+		t := b.plan.Tasks[id]
+		t.DirectDeps = append(t.DirectDeps, before...)
 	}
-	return deps
 }
 
-// Validate checks plan invariants: topological ID order, no
-// self-dependencies, dependency IDs in range.
+// join orders every task of entries after every task of feeders through
+// one Join. The two lists are kept as they are: build returns them in
+// ascending ID order and nothing modifies a returned list.
+func (b *planBuilder) join(feeders, entries []int) {
+	j := len(b.plan.Joins)
+	b.plan.Joins = append(b.plan.Joins, Join{Feeders: feeders, Entries: entries})
+	for _, id := range feeders {
+		b.plan.Tasks[id].Feeds = j
+	}
+	for _, id := range entries {
+		b.plan.Tasks[id].WaitsOn = j
+	}
+}
+
+// Validate checks plan invariants: dependency IDs in range, in strictly
+// ascending order (so none repeats) and smaller than the dependent's own
+// ID (topological order, no self-dependency); and for joins, that each
+// is plural on both sides, lists exactly the tasks whose Feeds / WaitsOn
+// name it, in ascending order, with every feeder before every entry,
+// and that no task mixes a join with direct edges on the same side.
 func (p *Plan) Validate() error {
+	feeds := make([]int, len(p.Joins)) // tasks naming each join in Feeds
+	waits := make([]int, len(p.Joins)) // ... and in WaitsOn
 	for _, t := range p.Tasks {
-		for _, d := range t.Deps {
+		last := -1
+		for _, d := range t.DirectDeps {
 			if d < 0 || d >= len(p.Tasks) {
 				return fmt.Errorf("graph: task %s dep %d out of range", t.Name, d)
 			}
 			if d >= t.ID {
 				return fmt.Errorf("graph: task %s (id %d) depends on later task %d", t.Name, t.ID, d)
 			}
+			if d <= last {
+				return fmt.Errorf("graph: task %s deps not in ascending order (%d after %d)", t.Name, d, last)
+			}
+			last = d
+		}
+		for _, j := range [2]int{t.WaitsOn, t.Feeds} {
+			if j != NoJoin && (j < 0 || j >= len(p.Joins)) {
+				return fmt.Errorf("graph: task %s names join %d, plan has %d", t.Name, j, len(p.Joins))
+			}
+		}
+		if t.WaitsOn != NoJoin {
+			if len(t.DirectDeps) > 0 {
+				return fmt.Errorf("graph: task %s waits on join %d and on direct deps", t.Name, t.WaitsOn)
+			}
+			waits[t.WaitsOn]++
+		}
+		if t.Feeds != NoJoin {
+			if len(p.directSuccs[t.ID]) > 0 {
+				return fmt.Errorf("graph: task %s feeds join %d and direct successors", t.Name, t.Feeds)
+			}
+			feeds[t.Feeds]++
+		}
+	}
+	for j, jn := range p.Joins {
+		if len(jn.Feeders) < 2 || len(jn.Entries) < 2 {
+			return fmt.Errorf("graph: join %d is %d -> %d, want two or more on each side", j, len(jn.Feeders), len(jn.Entries))
+		}
+		if len(jn.Feeders) != feeds[j] || len(jn.Entries) != waits[j] {
+			return fmt.Errorf("graph: join %d lists %d -> %d tasks but %d feed it and %d wait on it",
+				j, len(jn.Feeders), len(jn.Entries), feeds[j], waits[j])
+		}
+		last := -1
+		for _, id := range jn.Feeders {
+			if id <= last || id >= len(p.Tasks) || p.Tasks[id].Feeds != j {
+				return fmt.Errorf("graph: join %d feeder %d out of range, out of order or not feeding it", j, id)
+			}
+			last = id
+		}
+		for _, id := range jn.Entries {
+			if id <= last || id >= len(p.Tasks) || p.Tasks[id].WaitsOn != j {
+				return fmt.Errorf("graph: join %d entry %d out of range, out of order, before a feeder or not waiting on it", j, id)
+			}
+			last = id
 		}
 	}
 	return nil
@@ -390,13 +510,22 @@ func (p *Plan) Validate() error {
 // one iteration with unbounded cores.
 func (p *Plan) CriticalPath(cost func(*Task) int64) int64 {
 	finish := make([]int64, len(p.Tasks))
+	// fired[j] is when join j's last feeder finishes, computed when its
+	// first entry comes up: by then every feeder (smaller IDs) is done.
+	fired := make([]int64, len(p.Joins))
+	for j := range fired {
+		fired[j] = -1
+	}
 	var maxFinish int64
 	for _, t := range p.Tasks { // tasks are in topological order
 		var start int64
-		for _, d := range t.Deps {
-			if finish[d] > start {
-				start = finish[d]
+		if j := t.WaitsOn; j != NoJoin {
+			if fired[j] < 0 {
+				fired[j] = maxOf(finish, p.Joins[j].Feeders)
 			}
+			start = fired[j]
+		} else {
+			start = maxOf(finish, t.DirectDeps)
 		}
 		finish[t.ID] = start + cost(t)
 		if finish[t.ID] > maxFinish {
@@ -404,6 +533,17 @@ func (p *Plan) CriticalPath(cost func(*Task) int64) int64 {
 		}
 	}
 	return maxFinish
+}
+
+// maxOf returns the largest finish time among ids, 0 for none.
+func maxOf(finish []int64, ids []int) int64 {
+	var m int64
+	for _, id := range ids {
+		if finish[id] > m {
+			m = finish[id]
+		}
+	}
+	return m
 }
 
 // TotalWork returns the sum of all task costs: the sequential-execution

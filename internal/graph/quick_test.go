@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -14,6 +15,14 @@ type treeGen struct {
 	nameID int
 	b      *Builder
 	stream string
+	// managed adds managers and options to the shapes node draws from
+	// (queue "q" must be declared); options records the ones generated.
+	// inCross is set while generating a crossdep parblock and keeps
+	// options out of it: BuildPlan rejects a parblock that a disabled
+	// option leaves empty.
+	managed bool
+	inCross bool
+	options []string
 }
 
 func (g *treeGen) next() byte {
@@ -36,7 +45,11 @@ func (g *treeGen) node(depth int) *Node {
 	if depth <= 0 {
 		return g.component()
 	}
-	switch g.next() % 5 {
+	shapes := byte(5)
+	if g.managed {
+		shapes = 7
+	}
+	switch g.next() % shapes {
 	case 0:
 		return g.component()
 	case 1: // seq of 1..3
@@ -55,12 +68,31 @@ func (g *treeGen) node(depth int) *Node {
 		return g.b.Parallel(ShapeTask, 0, kids...)
 	case 3: // slice 1..4
 		return g.b.Parallel(ShapeSlice, int(g.next()%4)+1, g.node(depth-1))
-	default: // crossdep with 1..2 blocks, 1..4 copies
-		nb := int(g.next()%2) + 1
-		kids := make([]*Node, nb)
+	case 5: // manager around 0..2 children (0: entry bridges to exit)
+		g.nameID++
+		name := fmt.Sprintf("m%d", g.nameID)
+		kids := make([]*Node, g.next()%3)
 		for i := range kids {
 			kids[i] = g.node(depth - 1)
 		}
+		return g.b.Manager(name, "q", nil, kids...)
+	case 6: // option, default state from the script
+		if g.inCross {
+			return g.component()
+		}
+		g.nameID++
+		name := fmt.Sprintf("o%d", g.nameID)
+		g.options = append(g.options, name)
+		return g.b.Option(name, g.next()%2 == 0, g.node(depth-1))
+	default: // crossdep with 1..2 blocks, 1..4 copies
+		nb := int(g.next()%2) + 1
+		kids := make([]*Node, nb)
+		outer := g.inCross
+		g.inCross = true
+		for i := range kids {
+			kids[i] = g.node(depth - 1)
+		}
+		g.inCross = outer
 		return g.b.Parallel(ShapeCrossdep, int(g.next()%4)+1, kids...)
 	}
 }
@@ -76,9 +108,9 @@ func buildRandomProgram(script []byte) *Program {
 }
 
 // TestPlanInvariantsHoldForRandomTrees checks, for arbitrary SP trees:
-// IDs are topologically ordered, dependency counts are consistent with
-// Succs, every non-entry task has at least one dependency, and the DAG
-// is connected to the source.
+// IDs are topologically ordered, Succs is the exact inverse of Preds,
+// every non-entry task has at least one predecessor, and the DAG is
+// connected to the source.
 func TestPlanInvariantsHoldForRandomTrees(t *testing.T) {
 	f := func(script []byte) bool {
 		prog := buildRandomProgram(script)
@@ -93,18 +125,18 @@ func TestPlanInvariantsHoldForRandomTrees(t *testing.T) {
 			t.Logf("Validate: %v", err)
 			return false
 		}
-		// Succs is the exact inverse of Deps.
+		// Succs is the exact inverse of Preds.
 		fwd := map[[2]int]bool{}
 		for _, tk := range plan.Tasks {
-			for _, d := range tk.Deps {
+			for _, d := range plan.Preds(tk.ID) {
 				fwd[[2]int{d, tk.ID}] = true
 			}
 		}
 		n := 0
-		for from, succs := range plan.Succs {
-			for _, to := range succs {
-				if !fwd[[2]int{from, to}] {
-					t.Logf("succ edge %d->%d has no dep", from, to)
+		for _, tk := range plan.Tasks {
+			for _, to := range plan.Succs(tk.ID) {
+				if !fwd[[2]int{tk.ID, to}] {
+					t.Logf("succ edge %d->%d has no dep", tk.ID, to)
 					return false
 				}
 				n++
@@ -117,7 +149,7 @@ func TestPlanInvariantsHoldForRandomTrees(t *testing.T) {
 		// Exactly one entry (the source): all other tasks reachable.
 		entries := 0
 		for _, tk := range plan.Tasks {
-			if len(tk.Deps) == 0 {
+			if len(plan.Preds(tk.ID)) == 0 {
 				entries++
 			}
 		}
@@ -137,6 +169,236 @@ func TestPlanInvariantsHoldForRandomTrees(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allPairs is the plan as it was before joins existed, kept as a test
+// oracle: the same walk over the tree in the same order (so task IDs and
+// names must agree), with every sequence boundary flattened into exit x
+// entry edges. preds[id] is task id's predecessor set.
+type allPairs struct {
+	names []string
+	preds []map[int]bool
+}
+
+func (r *allPairs) task(name string) []int {
+	r.names = append(r.names, name)
+	r.preds = append(r.preds, map[int]bool{})
+	return []int{len(r.names) - 1}
+}
+
+func (r *allPairs) order(before, after []int) {
+	for _, a := range after {
+		for _, b := range before {
+			r.preds[a][b] = true
+		}
+	}
+}
+
+func (r *allPairs) seq(children []*Node, suffix string, on map[string]bool) (entries, exits []int) {
+	for _, c := range children {
+		e, x := r.walk(c, suffix, on)
+		if len(e) == 0 {
+			continue
+		}
+		r.order(exits, e)
+		if entries == nil {
+			entries = e
+		}
+		exits = x
+	}
+	return entries, exits
+}
+
+func (r *allPairs) walk(n *Node, suffix string, on map[string]bool) (entries, exits []int) {
+	switch n.Kind {
+	case KindComponent:
+		id := r.task(n.Name + suffix)
+		return id, id
+	case KindSeq:
+		return r.seq(n.Children, suffix, on)
+	case KindOption:
+		if !on[n.Name] {
+			return nil, nil
+		}
+		return r.seq(n.Children, suffix, on)
+	case KindManager:
+		entry := r.task(n.Name + suffix + ".entry")
+		e, x := r.seq(n.Children, suffix, on)
+		exit := r.task(n.Name + suffix + ".exit")
+		r.order(entry, e)
+		if len(x) == 0 {
+			x = entry
+		}
+		r.order(x, exit)
+		return entry, exit
+	}
+	switch n.Shape { // KindPar
+	case ShapeTask:
+		for _, c := range n.Children {
+			e, x := r.walk(c, suffix, on)
+			entries, exits = append(entries, e...), append(exits, x...)
+		}
+	case ShapeSlice:
+		for i := 0; i < n.N; i++ {
+			e, x := r.walk(n.Children[0], fmt.Sprintf("%s#%d", suffix, i), on)
+			entries, exits = append(entries, e...), append(exits, x...)
+		}
+	case ShapeCrossdep:
+		var prev [][]int // exits of each copy of the previous parblock
+		for bi, blk := range n.Children {
+			cur := make([][]int, n.N)
+			for i := range cur {
+				e, x := r.walk(blk, fmt.Sprintf("%s#%d", suffix, i), on)
+				cur[i] = x
+				if bi == 0 {
+					entries = append(entries, e...)
+				}
+				for j := i - 1; bi > 0 && j <= i+1; j++ {
+					if j >= 0 && j < n.N {
+						r.order(prev[j], e)
+					}
+				}
+			}
+			prev = cur
+		}
+		for _, x := range prev {
+			exits = append(exits, x...)
+		}
+	}
+	return entries, exits
+}
+
+// criticalPath is Plan.CriticalPath over the oracle's edge sets.
+func (r *allPairs) criticalPath(cost func(id int) int64) int64 {
+	finish := make([]int64, len(r.names))
+	var longest int64
+	for id := range r.names {
+		var start int64
+		for d := range r.preds[id] {
+			if finish[d] > start {
+				start = finish[d]
+			}
+		}
+		finish[id] = start + cost(id)
+		if finish[id] > longest {
+			longest = finish[id]
+		}
+	}
+	return longest
+}
+
+// TestJoinPlanEqualsAllPairsReference: over random SP trees — nested
+// slice, task and crossdep groups including n = 1, managers (empty ones
+// too), options switched on and off — the plan with joins is the
+// all-pairs plan: same tasks under the same IDs, the same predecessor
+// set for every task once joins are expanded, none listed twice, and
+// the same critical path and work under unit and random costs. Also the
+// shape of the joins themselves: every task is in at most one feeder
+// list and one entry list, feeders precede entries, and a join stands
+// only where both sides are plural.
+func TestJoinPlanEqualsAllPairsReference(t *testing.T) {
+	joins, saved := 0, 0
+	f := func(script []byte, seed int64) bool {
+		b := NewBuilder("fuzz")
+		b.Stream("s")
+		b.Queue("q")
+		g := &treeGen{script: script, b: b, stream: "s", managed: true}
+		root := g.node(4)
+		b.Body(b.Component("src", "src", Ports{"out": "s"}, nil), root)
+		rng := rand.New(rand.NewSource(seed))
+		on := map[string]bool{}
+		for _, o := range g.options {
+			on[o] = rng.Intn(3) > 0
+		}
+		plan, err := BuildPlan(b.prog, on)
+		if err != nil {
+			t.Logf("BuildPlan: %v", err)
+			return false
+		}
+		if err := plan.Validate(); err != nil {
+			t.Logf("Validate: %v", err)
+			return false
+		}
+		ref := &allPairs{}
+		ref.walk(b.prog.Root, "", on)
+		if len(plan.Tasks) != len(ref.names) {
+			t.Logf("%d tasks, reference has %d", len(plan.Tasks), len(ref.names))
+			return false
+		}
+		for id, tk := range plan.Tasks {
+			if tk.ID != id || tk.Name != ref.names[id] {
+				t.Logf("task %d is %s (id %d), reference has %s", id, tk.Name, tk.ID, ref.names[id])
+				return false
+			}
+			preds := plan.Preds(id)
+			if len(preds) != len(ref.preds[id]) {
+				t.Logf("%s: %d predecessors %v, reference has %d", tk.Name, len(preds), preds, len(ref.preds[id]))
+				return false
+			}
+			for _, d := range preds {
+				if !ref.preds[id][d] {
+					t.Logf("%s: predecessor %d not in the reference", tk.Name, d)
+					return false
+				}
+			}
+			saved += len(preds)
+		}
+		direct, in, out := plan.DepRecords()
+		saved -= direct + in + out
+		feeds, waits := map[int]int{}, map[int]int{}
+		for _, jn := range plan.Joins {
+			joins++
+			if len(jn.Feeders) < 2 || len(jn.Entries) < 2 {
+				t.Logf("join %d -> %d is not plural on both sides", len(jn.Feeders), len(jn.Entries))
+				return false
+			}
+			for _, id := range jn.Feeders {
+				feeds[id]++
+				if id >= jn.Entries[0] {
+					t.Logf("feeder %d not before entry %d", id, jn.Entries[0])
+					return false
+				}
+			}
+			for _, id := range jn.Entries {
+				waits[id]++
+			}
+		}
+		for id := range plan.Tasks {
+			if feeds[id] > 1 || waits[id] > 1 {
+				t.Logf("task %d feeds %d joins and waits on %d", id, feeds[id], waits[id])
+				return false
+			}
+		}
+		costs := make([]int64, len(plan.Tasks))
+		for _, unit := range []bool{true, false} {
+			var work int64
+			for i := range costs {
+				costs[i] = 1
+				if !unit {
+					costs[i] = rng.Int63n(1000)
+				}
+				work += costs[i]
+			}
+			cost := func(tk *Task) int64 { return costs[tk.ID] }
+			want := ref.criticalPath(func(id int) int64 { return costs[id] })
+			if cp := plan.CriticalPath(cost); cp != want {
+				t.Logf("critical path %d, reference %d (unit costs: %v)", cp, want, unit)
+				return false
+			}
+			if w := plan.TotalWork(cost); w != work {
+				t.Logf("total work %d, want %d", w, work)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if joins == 0 || saved <= 0 {
+		t.Fatalf("the random trees produced %d joins saving %d records: the property was not exercised", joins, saved)
+	}
+	t.Logf("%d joins, %d dependency records saved against all-pairs", joins, saved)
 }
 
 // TestOptionSubsetProperty: for any tree, the plan with an option
@@ -271,7 +533,11 @@ func TestCrossdepEdgesMatchFigure5(t *testing.T) {
 					}
 				}
 				got := map[int]bool{}
-				for _, d := range tk.Deps {
+				if tk.WaitsOn != NoJoin || tk.Feeds != NoJoin {
+					t.Logf("%s: crossdep edges must stay direct", tk.Name)
+					return false
+				}
+				for _, d := range tk.DirectDeps {
 					got[d] = true
 				}
 				if len(got) != len(want) {

@@ -20,9 +20,9 @@ type job struct {
 
 // iterState tracks the progress of one in-flight iteration.
 //
-// The dependency-tracking fields (remaining, done, crossClaim, left) are
-// atomic so that the real backend's workers can retire jobs and release
-// dependents without the engine lock; the reconfiguration bookkeeping
+// The dependency-tracking fields (remaining, joinLeft, done, crossClaim,
+// left) are atomic so that the real backend's workers can retire jobs and
+// release dependents without the engine lock; the reconfiguration bookkeeping
 // (mgrOpts, optStarted) is only touched with e.mu held. The sim backend
 // is single-threaded, so the atomics are uncontended there and the
 // discrete-event schedule stays deterministic.
@@ -38,6 +38,7 @@ type iterState struct {
 	iter      atomic.Int64
 	plan      *graph.Plan
 	remaining []atomic.Int32 // unmet dependency count per task
+	joinLeft  []atomic.Int32 // feeders not yet completed, per plan join
 	done      []atomic.Bool
 	// crossClaim arbitrates the cross-iteration release of each task:
 	// both the completion of the same task in the previous iteration and
@@ -161,6 +162,16 @@ type engine struct {
 	// the completion fast path.
 	widths []atomic.Int32
 
+	// waits[t] is task t's dependency count at launch: one per direct
+	// dependency, one for the join it waits on if any, and one for the
+	// cross-iteration dependency every task carries — an instance must
+	// finish iteration k-W before starting iteration k, where W is the
+	// task's replica width (components are stateful by default; stream
+	// buffers recycle). That last one is satisfied through crossClaim, by
+	// launch or by an older iteration's completions. Fixed for the run:
+	// the engine executes one plan.
+	waits []int32
+
 	tu *tuner // feedback autotuner; nil unless Config.Autotune
 
 	// probes is the run's instrumentation, one per writer: probes[0] for
@@ -246,6 +257,7 @@ func newEngine(a *App) *engine {
 	for i := 0; i < len(e.ring); i++ {
 		e.free = append(e.free, &iterState{
 			remaining:  make([]atomic.Int32, n),
+			joinLeft:   make([]atomic.Int32, len(a.plan.Joins)),
 			done:       make([]atomic.Bool, n),
 			crossClaim: make([]atomic.Bool, n),
 		})
@@ -271,6 +283,13 @@ func newEngine(a *App) *engine {
 	e.widths = make([]atomic.Int32, n)
 	for i := range e.widths {
 		e.widths[i].Store(1)
+	}
+	e.waits = make([]int32, n)
+	for _, t := range a.plan.Tasks {
+		e.waits[t.ID] = int32(len(t.DirectDeps)) + 1
+		if t.WaitsOn != graph.NoJoin {
+			e.waits[t.ID]++
+		}
 	}
 	for _, t := range a.plan.Tasks {
 		if t.Role != graph.RoleComponent {
@@ -450,15 +469,11 @@ func (e *engine) launch(p *probe) {
 		clear(it.mgrOpts)
 		clear(it.optStarted)
 		it.left.Store(int32(len(plan.Tasks)))
-		for _, t := range plan.Tasks {
-			// Every task carries one cross-iteration dependency on top of
-			// its graph dependencies: an instance must finish iteration
-			// k-W before starting iteration k, where W is the task's
-			// replica width (1 unless replicated — components are
-			// stateful by default; stream buffers recycle). It is
-			// satisfied through crossClaim, below or by an older
-			// iteration's completions.
-			it.remaining[t.ID].Store(int32(len(t.Deps)) + 1)
+		for i, w := range e.waits {
+			it.remaining[i].Store(w)
+		}
+		for i, jn := range plan.Joins {
+			it.joinLeft[i].Store(int32(len(jn.Feeders)))
 		}
 		// Publish the iteration number last: once a concurrent iterAt
 		// probe (which may hold a stale pointer to this state from its
@@ -549,8 +564,16 @@ func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 	if it == nil || it.done[j.task.ID].Swap(true) {
 		panic(fmt.Sprintf("hinch: double completion of %s@%d", j.task.Name, j.iter))
 	}
-	for _, succ := range it.plan.Succs[j.task.ID] {
+	for _, succ := range it.plan.DirectSuccs(j.task.ID) {
 		e.release(j.iter, it, succ, p)
+	}
+	// The completion that zeroes a join's counter releases its entries, in
+	// ascending ID order — the instant and the order in which the last
+	// feeder's own successor loop would have made them ready.
+	if jn := j.task.Feeds; jn != graph.NoJoin && it.joinLeft[jn].Add(-1) == 0 {
+		for _, succ := range it.plan.Joins[jn].Entries {
+			e.release(j.iter, it, succ, p)
+		}
 	}
 	// Cross-iteration release, W iterations ahead: the done flag was
 	// published above, so if the target iteration is not visible yet,

@@ -501,8 +501,9 @@ func planFingerprint(t *testing.T, p *graph.Program) string {
 	var b strings.Builder
 	for _, tk := range plan.Tasks {
 		fmt.Fprintf(&b, "%s/%s/%s/%d.%d opt=%s deps=", tk.Name, tk.Role, tk.Class, tk.Slice, tk.NSlices, tk.Option)
-		names := make([]string, len(tk.Deps))
-		for i, d := range tk.Deps {
+		preds := plan.Preds(tk.ID) // joins expanded: the whole relation
+		names := make([]string, len(preds))
+		for i, d := range preds {
 			names[i] = plan.Tasks[d].Name
 		}
 		sort.Strings(names)
