@@ -2,7 +2,7 @@ package components
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"xspcl/internal/hinch"
 	"xspcl/internal/kernels"
@@ -33,8 +33,7 @@ type Blur struct {
 	slice      int
 	n          int
 
-	mu   sync.Mutex
-	taps int
+	taps atomic.Int32 // written by Reconfigure, read by every job
 }
 
 // Init implements hinch.Component.
@@ -46,7 +45,7 @@ func (c *Blur) Init(ic *hinch.InitContext) error {
 	if taps != 3 && taps != 5 {
 		return fmt.Errorf("components: blur %s: taps must be 3 or 5, got %d", ic.Name(), taps)
 	}
-	c.taps = taps
+	c.taps.Store(int32(taps))
 	switch ic.StringParam("chroma", "copy") {
 	case "copy":
 		c.copyChroma = true
@@ -63,13 +62,9 @@ func (c *Blur) Init(ic *hinch.InitContext) error {
 func (c *Blur) Reconfigure(request string) error {
 	switch request {
 	case "taps=3":
-		c.mu.Lock()
-		c.taps = 3
-		c.mu.Unlock()
+		c.taps.Store(3)
 	case "taps=5":
-		c.mu.Lock()
-		c.taps = 5
-		c.mu.Unlock()
+		c.taps.Store(5)
 	default:
 		return fmt.Errorf("components: blur: unsupported reconfiguration request %q", request)
 	}
@@ -89,9 +84,7 @@ func (c *Blur) Run(rc *hinch.RunContext) error {
 	if in.W != out.W || in.H != out.H {
 		return fmt.Errorf("components: blur size mismatch")
 	}
-	c.mu.Lock()
-	taps := c.taps
-	c.mu.Unlock()
+	taps := int(c.taps.Load())
 
 	w, h := in.W, in.H
 	r0, r1 := media.SliceRows(h, c.slice, c.n)
@@ -120,7 +113,7 @@ func (c *Blur) Run(rc *hinch.RunContext) error {
 			kernels.CopyPlaneRows(out.V, in.V, cw, c0, c1)
 		}
 		rc.Charge(2 * kernels.CopyOps((c1-c0)*cw))
-		for _, pl := range []media.PlaneID{media.PlaneU, media.PlaneV} {
+		for pl := media.PlaneU; pl <= media.PlaneV; pl++ {
 			rc.Access(hinch.FramePlaneRegion(rc.PortRegion("in"), w, h, pl, c0, c1), false)
 			rc.Access(hinch.FramePlaneRegion(rc.PortRegion("out"), w, h, pl, c0, c1), true)
 		}

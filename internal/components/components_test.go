@@ -312,9 +312,9 @@ func TestBlendRepositionViaReconfigure(t *testing.T) {
 
 func TestBlurReconfigureTaps(t *testing.T) {
 	var b Blur
-	b.taps = 3
-	if err := b.Reconfigure("taps=5"); err != nil || b.taps != 5 {
-		t.Fatalf("taps=%d err=%v", b.taps, err)
+	b.taps.Store(3)
+	if err := b.Reconfigure("taps=5"); err != nil || b.taps.Load() != 5 {
+		t.Fatalf("taps=%d err=%v", b.taps.Load(), err)
 	}
 	if err := b.Reconfigure("taps=7"); err == nil {
 		t.Fatal("taps=7 accepted")

@@ -66,13 +66,22 @@ type iterState struct {
 	// entry ran for this iteration; the iteration's option tasks are
 	// enabled or skipped according to it. A reconfiguration may still
 	// retro-apply to this iteration as long as none of the option's
-	// tasks have started (tracked in optStarted). Guarded by e.mu.
-	mgrOpts map[string]map[string]bool
+	// tasks have started (tracked in optStarted). The snapshots stay
+	// with the recycled state and are refilled in place, so entered —
+	// not presence in the map — says whether the entry ran in this
+	// iteration. Guarded by e.mu.
+	mgrOpts map[string]*optSnapshot
 
 	// optStarted[o] records that at least one task of option o was
 	// dispatched in this iteration, fixing the option's state for the
 	// rest of the iteration. Guarded by e.mu.
 	optStarted map[string]bool
+}
+
+// optSnapshot is one manager's option states as one iteration sees them.
+type optSnapshot struct {
+	entered bool
+	opts    map[string]bool
 }
 
 // mgrPhase is the reconfiguration protocol state of one manager.
@@ -466,7 +475,9 @@ func (e *engine) launch(p *probe) {
 		}
 		it.cancelled.Store(false)
 		it.acquired.Store(false)
-		clear(it.mgrOpts)
+		for _, snap := range it.mgrOpts {
+			snap.entered = false
+		}
 		clear(it.optStarted)
 		it.left.Store(int32(len(plan.Tasks)))
 		for i, w := range e.waits {
@@ -814,14 +825,14 @@ func (e *engine) skipExecution(j job) bool {
 	}
 	owner := e.app.optionOwner[j.task.Option]
 	snap := it.mgrOpts[owner]
-	if snap == nil {
+	if snap == nil || !snap.entered {
 		panic(fmt.Sprintf("hinch: option task %s@%d ran before manager %s entry", j.task.Name, j.iter, owner))
 	}
 	if it.optStarted == nil {
 		it.optStarted = map[string]bool{}
 	}
 	it.optStarted[j.task.Option] = true
-	return !snap[j.task.Option]
+	return !snap.opts[j.task.Option]
 }
 
 // effectiveOption returns the option state including a manager's
@@ -875,15 +886,20 @@ func (e *engine) managerPoll(p *probe, j job) (ops int64, err error) {
 		// The current iteration runs under the applied (not pending)
 		// configuration; pending changes land after this iteration
 		// leaves the subgraph.
-		snap := make(map[string]bool, len(e.app.options))
-		for k, v := range e.app.options {
-			snap[k] = v
-		}
 		it := e.iterAt(j.iter)
-		if it.mgrOpts == nil {
-			it.mgrOpts = map[string]map[string]bool{}
+		snap := it.mgrOpts[j.task.Manager]
+		if snap == nil {
+			snap = &optSnapshot{opts: make(map[string]bool, len(e.app.options))}
+			if it.mgrOpts == nil {
+				it.mgrOpts = map[string]*optSnapshot{}
+			}
+			it.mgrOpts[j.task.Manager] = snap
 		}
-		it.mgrOpts[j.task.Manager] = snap
+		snap.entered = true
+		clear(snap.opts)
+		for k, v := range e.app.options {
+			snap.opts[k] = v
+		}
 	}
 	return ops, nil
 }
@@ -1036,8 +1052,8 @@ func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (int64, erro
 		owner := e.app.optionOwner[opt]
 		e.eachIter(func(it *iterState) {
 			snap := it.mgrOpts[owner]
-			if snap != nil && !it.optStarted[opt] {
-				snap[opt] = v
+			if snap != nil && snap.entered && !it.optStarted[opt] {
+				snap.opts[opt] = v
 			}
 		})
 	}

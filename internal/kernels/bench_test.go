@@ -1,6 +1,11 @@
 package kernels
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"xspcl/internal/media"
+)
 
 func BenchmarkDownscalePlane720p(b *testing.B) {
 	src := randomPlane(1280, 720, 1)
@@ -35,5 +40,29 @@ func BenchmarkBlurV5(b *testing.B) {
 	b.SetBytes(360 * 288)
 	for i := 0; i < b.N; i++ {
 		BlurVPlane(dst, src, 360, 288, 5, 0, 288)
+	}
+}
+
+// BenchmarkBlurBand times the blur passes at the shape one blur5 job
+// has: band 4 of a 9-slice split of 360x288 (32 rows of 360, inside the
+// full plane so the vertical pass reads real halo rows).
+func BenchmarkBlurBand(b *testing.B) {
+	const w, h = 360, 288
+	r0, r1 := media.SliceRows(h, 4, 9)
+	src := randomPlane(w, h, 8)
+	dst := make([]uint8, w*h)
+	for _, taps := range []int{3, 5} {
+		b.Run(fmt.Sprintf("h%d", taps), func(b *testing.B) {
+			b.SetBytes(int64((r1 - r0) * w))
+			for i := 0; i < b.N; i++ {
+				BlurHPlane(dst, src, w, h, taps, r0, r1)
+			}
+		})
+		b.Run(fmt.Sprintf("v%d", taps), func(b *testing.B) {
+			b.SetBytes(int64((r1 - r0) * w))
+			for i := 0; i < b.N; i++ {
+				BlurVPlane(dst, src, w, h, taps, r0, r1)
+			}
+		})
 	}
 }

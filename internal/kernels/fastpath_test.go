@@ -1,14 +1,22 @@
 package kernels
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+
+	"xspcl/internal/media"
 )
 
 // This file pins the specialized fast paths (unrolled power-of-two
-// downscale, opaque blend copy, hoisted-row blur) to straightforward
-// generic implementations written independently below. Every fast path
-// must be bit-identical to its generic counterpart.
+// downscale, opaque blend copy, word-parallel blur: eight pixels per
+// uint64 as 16-bit lanes, rows in pairs in the vertical pass) to
+// straightforward generic implementations written independently below.
+// Every fast path must be bit-identical to its generic counterpart.
+//
+// For the blur this is the only independent oracle in the repository:
+// apps/seq.go and bench/reference.go verify frames against the same
+// kernels.Blur*Plane, so a wrong lane trick passes every frame CRC.
 
 // refDownscaleWindow is the generic windowed box downscale: per-sample
 // box sums with integer rounded division, no unrolling.
@@ -127,39 +135,105 @@ func TestBlendPlaneFastPathMatchesGeneric(t *testing.T) {
 	}
 }
 
+// blurPatterns are the source planes the blur oracle runs on: the lane
+// extremes (all 0; all 255, the 4088 lane maximum), alternating 0/255
+// columns and rows (the largest difference between neighbouring lanes,
+// where a carry would show), and random.
+var blurPatterns = []struct {
+	name string
+	at   func(x, y int, r *media.RNG) uint8
+}{
+	{"zero", func(x, y int, r *media.RNG) uint8 { return 0 }},
+	{"max", func(x, y int, r *media.RNG) uint8 { return 255 }},
+	{"columns", func(x, y int, r *media.RNG) uint8 { return uint8(255 * (x & 1)) }},
+	{"rows", func(x, y int, r *media.RNG) uint8 { return uint8(255 * (y & 1)) }},
+	{"random", func(x, y int, r *media.RNG) uint8 { return r.Byte() }},
+}
+
+const blurSentinel = 0xA5
+
+// checkBlurBand runs both passes on rows [r0, r1) of a w×h plane and
+// compares all of dst with the per-sample reference. dst starts as a
+// sentinel, so a word stored past r1 or past the row end shows; src and
+// dst sit at odd offsets of larger arrays, so an alignment assumption
+// shows; the bytes around dst are checked too.
+func checkBlurBand(t *testing.T, w, h, taps, r0, r1, pattern int, seed uint64) {
+	t.Helper()
+	r := media.NewRNG(seed)
+	srcBack := make([]uint8, w*h+16)
+	src := srcBack[3 : 3+w*h]
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			src[y*w+x] = blurPatterns[pattern].at(x, y, r)
+		}
+	}
+	passes := []struct {
+		name string
+		fast func(dst []uint8)
+		ref  func(dst []uint8)
+	}{
+		{"blurH", func(d []uint8) { BlurHPlane(d, src, w, h, taps, r0, r1) }, func(d []uint8) { refBlurH(d, src, w, taps, r0, r1) }},
+		{"blurV", func(d []uint8) { BlurVPlane(d, src, w, h, taps, r0, r1) }, func(d []uint8) { refBlurV(d, src, w, h, taps, r0, r1) }},
+	}
+	for _, p := range passes {
+		gotBack := bytes.Repeat([]uint8{blurSentinel}, w*h+16)
+		wantBack := bytes.Repeat([]uint8{blurSentinel}, w*h+16)
+		p.fast(gotBack[5 : 5+w*h])
+		p.ref(wantBack[5 : 5+w*h])
+		for i := range wantBack {
+			if gotBack[i] != wantBack[i] {
+				t.Fatalf("%s taps=%d w=%d h=%d rows [%d,%d) %s: byte %d (x=%d y=%d): got %d want %d",
+					p.name, taps, w, h, r0, r1, blurPatterns[pattern].name, i-5, (i-5)%w, (i-5)/w, gotBack[i], wantBack[i])
+			}
+		}
+	}
+}
+
 func TestBlurFastPathsMatchGeneric(t *testing.T) {
-	// Widths below, at, and above the tap count exercise the tiny-row
-	// fallback, the all-border case and the unrolled interior; row
-	// sub-ranges exercise the slice-band entry points.
+	// Every width from one sample to five words plus a tail, and the
+	// benchmark's 360: the all-clamped rows, the first width with a word,
+	// every length of overlap between the last two words. Every height up
+	// to 12 in every band of a 9-slice split: empty bands, one-row bands
+	// (a pair that overwrites itself), odd and even bands, halo rows on
+	// both sides and the clamp at the top and the bottom of the plane.
+	widths := []int{360}
+	for w := 1; w <= 41; w++ {
+		widths = append(widths, w)
+	}
 	for _, taps := range []int{3, 5} {
-		for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 33} {
-			for _, h := range []int{1, 2, 5, 12} {
-				src := randomPlane(w, h, uint64(taps*1000+w*10+h))
-				gotH := make([]uint8, w*h)
-				wantH := make([]uint8, w*h)
-				BlurHPlane(gotH, src, w, h, taps, 0, h)
-				refBlurH(wantH, src, w, taps, 0, h)
-				gotV := make([]uint8, w*h)
-				wantV := make([]uint8, w*h)
-				r0, r1 := 0, h
-				if h > 3 {
-					r0, r1 = 1, h-1 // band with halo rows on both sides
-				}
-				BlurVPlane(gotV, src, w, h, taps, r0, r1)
-				refBlurV(wantV, src, w, h, taps, r0, r1)
-				for i := range gotH {
-					if gotH[i] != wantH[i] {
-						t.Fatalf("blurH taps=%d w=%d h=%d: pixel %d: got %d want %d",
-							taps, w, h, i, gotH[i], wantH[i])
+		for _, w := range widths {
+			for h := 1; h <= 12; h++ {
+				for pattern := range blurPatterns {
+					for i := 0; i < 9; i++ {
+						r0, r1 := media.SliceRows(h, i, 9)
+						checkBlurBand(t, w, h, taps, r0, r1, pattern, uint64(taps*100000+w*100+h))
 					}
-					if gotV[i] != wantV[i] {
-						t.Fatalf("blurV taps=%d w=%d h=%d: pixel %d: got %d want %d",
-							taps, w, h, i, gotV[i], wantV[i])
-					}
+					checkBlurBand(t, w, h, taps, 0, h, pattern, uint64(w+h))
 				}
 			}
 		}
 	}
+}
+
+// FuzzBlurMatchesGeneric lets the fuzzer pick the geometry, the band,
+// the pattern and the seed of checkBlurBand.
+func FuzzBlurMatchesGeneric(f *testing.F) {
+	for _, taps := range []int{3, 5} {
+		f.Add(360, 288, taps, 32, 64, uint64(1))   // a blur5 job
+		f.Add(360, 288, taps, 0, 32, uint64(2))    // top clamp
+		f.Add(360, 288, taps, 256, 288, uint64(3)) // bottom clamp
+		f.Add(7, 5, taps, 0, 5, uint64(4))         // narrower than a word
+		f.Add(8, 3, taps, 1, 2, uint64(0))         // one word, one row, all 0
+		f.Add(12, 4, taps, 0, 3, uint64(6))        // first width with a horizontal word; all 255
+		f.Add(19, 9, taps, 3, 8, uint64(7))        // overlapping last word; 0/255 columns
+		f.Add(33, 12, taps, 2, 11, uint64(8))      // 0/255 rows
+	}
+	f.Fuzz(func(t *testing.T, w, h, taps, r0, r1 int, seed uint64) {
+		if w < 1 || w > 512 || h < 1 || h > 64 || (taps != 3 && taps != 5) || r0 < 0 || r0 > r1 || r1 > h {
+			t.Skip()
+		}
+		checkBlurBand(t, w, h, taps, r0, r1, int(seed%uint64(len(blurPatterns))), seed)
+	})
 }
 
 func BenchmarkDownscaleFactors(b *testing.B) {

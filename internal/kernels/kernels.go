@@ -12,6 +12,8 @@
 // experiment harness.
 package kernels
 
+import "encoding/binary"
+
 // DownscalePlane box-downscales one plane by an integer factor.
 // src is sw×sh, dst is (sw/factor)×(sh/factor); each destination sample
 // is the rounded average of a factor×factor source box. Only
@@ -214,72 +216,94 @@ var (
 	gauss5 = [5]int{1, 4, 6, 4, 1}
 )
 
+// The blur interiors run eight pixels per machine word: a little-endian
+// uint64 load is split into its even and its odd bytes, each as four
+// 16-bit lanes, and the tap sum is formed on whole words. Both kernels
+// run as [outer 4 mid 4 outer]/16 — [1 4 6 4 1], and [1 2 1]/4 as
+// [0 4 8 4 0], since (4s+8)>>4 == (s+2)>>2 — so a lane never exceeds
+// 16*255+8 = 4088, nothing carries into the neighbouring lane, and the
+// result is the per-sample one bit for bit. There is no other interior.
+const (
+	evenLanes  = 0x00FF00FF00FF00FF
+	oddLanes   = 0xFF00FF00FF00FF00
+	roundLanes = 0x0008000800080008
+)
+
+func evens(v uint64) uint64 { return v & evenLanes }
+func odds(v uint64) uint64  { return v >> 8 & evenLanes }
+
+// laneWeights returns the outer tap as a lane mask and the middle tap.
+func laneWeights(taps int) (outer, mid uint64) {
+	if BlurHaloRadius(taps) == 1 {
+		return 0, 8
+	}
+	return ^uint64(0), 6
+}
+
+// tapSums returns the rounded tap sums of the two neighbouring windows
+// l0..l4 and l1..l5 of lane words: two output rows in the vertical pass,
+// the even and the odd output pixels in the horizontal.
+func tapSums(l0, l1, l2, l3, l4, l5, outer, mid uint64) (uint64, uint64) {
+	return (l0+l4)&outer + (l1+l3)<<2 + l2*mid + roundLanes,
+		(l1+l5)&outer + (l2+l4)<<2 + l3*mid + roundLanes
+}
+
+// putLanes stores sum>>4 of the even and the odd lanes as eight bytes.
+func putLanes(p []uint8, even, odd uint64) {
+	binary.LittleEndian.PutUint64(p, even>>4&evenLanes|odd<<4&oddLanes)
+}
+
+// blurLine is the per-sample tap loop with border clamping, over samples
+// [i0, i1) of the line of n samples at src[base], src[base+stride], ...:
+// part of a row (stride 1) or of a column (stride w). It runs the planes
+// too narrow for a word, and is what the word-parallel passes must equal.
+func blurLine(dst, src []uint8, base, stride, n, i0, i1, taps int) {
+	radius, kern, shift := blurKernel(taps)
+	for i := i0; i < i1; i++ {
+		sum := 1 << (shift - 1)
+		for k := -radius; k <= radius; k++ {
+			sum += kern[k+radius] * int(src[base+min(max(i+k, 0), n-1)*stride])
+		}
+		dst[base+i*stride] = uint8(sum >> shift)
+	}
+}
+
 // BlurHPlane applies the horizontal pass of a 3- or 5-tap Gaussian to
 // rows [r0, r1) of a w×h plane. taps must be 3 or 5. Borders clamp.
 //
-// The interior of each row runs a fully unrolled tap sum over the
-// hoisted row subslices (no per-sample clamping, no bounds checks);
-// only the radius-wide borders take the clamped generic path. Output is
-// bit-identical to the generic tap loop.
+// A row runs word-parallel: its two ends on a copy with the clamped
+// border written out, the last word of the interior redone at w-10 in
+// place of a per-sample tail. Rows narrower than 12 take blurLine.
 func BlurHPlane(dst, src []uint8, w, h, taps, r0, r1 int) {
-	switch taps {
-	case 3:
-		for y := r0; y < r1; y++ {
-			blurH3Row(dst[y*w:(y+1)*w], src[y*w:(y+1)*w])
+	outer, mid := laneWeights(taps)
+	for y := r0; y < r1; y++ {
+		if w < 12 {
+			blurLine(dst, src, y*w, 1, w, 0, w, taps)
+			continue
 		}
-	case 5:
-		for y := r0; y < r1; y++ {
-			blurH5Row(dst[y*w:(y+1)*w], src[y*w:(y+1)*w])
-		}
-	default:
-		blurKernel(taps) // panics: invalid tap count
+		d, s := dst[y*w:(y+1)*w], src[y*w:(y+1)*w]
+		var edge [12]uint8
+		edge[0], edge[1] = s[0], s[0]
+		copy(edge[2:], s)
+		blurHWords(d[:8], edge[:], outer, mid)
+		blurHWords(d[8:w-2], s[6:], outer, mid)
+		blurHWords(d[w-10:w-2], s[w-12:], outer, mid)
+		copy(edge[:], s[w-10:])
+		edge[10], edge[11] = s[w-1], s[w-1]
+		blurHWords(d[w-8:], edge[:], outer, mid)
 	}
 }
 
-// blurHClamped computes columns [x0, x1) of one row with per-sample
-// border clamping — the generic path, used for row edges.
-func blurHClamped(drow, srow []uint8, x0, x1, radius int, kern []int, shift uint) {
-	w := len(srow)
-	for x := x0; x < x1; x++ {
-		sum := 1 << (shift - 1)
-		for k := -radius; k <= radius; k++ {
-			sx := x + k
-			if sx < 0 {
-				sx = 0
-			} else if sx >= w {
-				sx = w - 1
-			}
-			sum += kern[k+radius] * int(srow[sx])
-		}
-		drow[x] = uint8(sum >> shift)
+// blurHWords computes d[i] from s[i..i+4] (centre s[i+2]) for the whole
+// words of d, len(d) = len(s)-4. The words at s+0, s+2 and s+4 hold, as
+// even and odd lanes, the six windows both output parities need.
+func blurHWords(d, s []uint8, outer, mid uint64) {
+	for len(d) >= 8 && len(s) >= 12 {
+		a, c, e := binary.LittleEndian.Uint64(s), binary.LittleEndian.Uint64(s[2:]), binary.LittleEndian.Uint64(s[4:])
+		even, odd := tapSums(evens(a), odds(a), evens(c), odds(c), evens(e), odds(e), outer, mid)
+		putLanes(d, even, odd)
+		d, s = d[8:], s[8:]
 	}
-}
-
-func blurH3Row(drow, srow []uint8) {
-	w := len(srow)
-	if w < 3 {
-		blurHClamped(drow, srow, 0, w, 1, gauss3[:], 2)
-		return
-	}
-	drow[0] = uint8((3*int(srow[0]) + int(srow[1]) + 2) >> 2)
-	for x := 1; x < w-1; x++ {
-		drow[x] = uint8((int(srow[x-1]) + 2*int(srow[x]) + int(srow[x+1]) + 2) >> 2)
-	}
-	drow[w-1] = uint8((int(srow[w-2]) + 3*int(srow[w-1]) + 2) >> 2)
-}
-
-func blurH5Row(drow, srow []uint8) {
-	w := len(srow)
-	if w < 5 {
-		blurHClamped(drow, srow, 0, w, 2, gauss5[:], 4)
-		return
-	}
-	blurHClamped(drow, srow, 0, 2, 2, gauss5[:], 4)
-	for x := 2; x < w-2; x++ {
-		drow[x] = uint8((int(srow[x-2]) + 4*int(srow[x-1]) + 6*int(srow[x]) +
-			4*int(srow[x+1]) + int(srow[x+2]) + 8) >> 4)
-	}
-	blurHClamped(drow, srow, w-2, w, 2, gauss5[:], 4)
 }
 
 // BlurVPlane applies the vertical pass of a 3- or 5-tap Gaussian to rows
@@ -287,39 +311,53 @@ func blurH5Row(drow, srow []uint8) {
 // r1 (clamped at the plane borders): the halo that gives the Blur
 // application its crossdep dependency structure.
 //
-// Each output row blends whole hoisted source rows (border clamping
-// reduces to clamping the row indices), so the inner loop is a straight
-// multiply-accumulate over parallel slices with no per-sample index
-// arithmetic. Output is bit-identical to the generic tap loop.
+// Border clamping reduces to clamping the row indices. Rows run in
+// pairs, word-parallel: two neighbouring output rows share all but one
+// of their source rows, and so the lane splits. An odd last row runs as
+// the second row of a pair and overwrites the first; the rows a window
+// does not use are clamped into the halo, never read beyond it. The last
+// word is redone at w-8 in place of a per-sample tail. Planes narrower
+// than one word take blurLine.
 func BlurVPlane(dst, src []uint8, w, h, taps, r0, r1 int) {
-	clampRow := func(y int) []uint8 {
-		if y < 0 {
-			y = 0
-		} else if y >= h {
-			y = h - 1
+	outer, mid := laneWeights(taps)
+	radius := BlurHaloRadius(taps)
+	lo, hi := max(r0-radius, 0), min(r1+radius, h)-1
+	if w < 8 {
+		for x := 0; x < w; x++ {
+			blurLine(dst, src, x, w, h, r0, r1, taps)
 		}
-		return src[y*w : y*w+w]
+		return
 	}
-	switch taps {
-	case 3:
-		for y := r0; y < r1; y++ {
-			a, b, c := clampRow(y-1), clampRow(y), clampRow(y+1)
-			drow := dst[y*w : y*w+w]
-			for x := range drow {
-				drow[x] = uint8((int(a[x]) + 2*int(b[x]) + int(c[x]) + 2) >> 2)
-			}
+	for y := r0; y < r1; y += 2 {
+		y1 := min(y+1, r1-1)
+		var rows [6][]uint8
+		for k := range rows {
+			sy := min(max(y1-3+k, lo), hi)
+			rows[k] = src[sy*w : sy*w+w]
 		}
-	case 5:
-		for y := r0; y < r1; y++ {
-			a, b, c, d, e := clampRow(y-2), clampRow(y-1), clampRow(y), clampRow(y+1), clampRow(y+2)
-			drow := dst[y*w : y*w+w]
-			for x := range drow {
-				drow[x] = uint8((int(a[x]) + 4*int(b[x]) + 6*int(c[x]) +
-					4*int(d[x]) + int(e[x]) + 8) >> 4)
+		d0, d1 := dst[y*w:y*w+w], dst[y1*w:y1*w+w]
+		blurVWords(d0, d1, &rows, outer, mid)
+		if w%8 != 0 {
+			for k := range rows {
+				rows[k] = rows[k][w-8:]
 			}
+			blurVWords(d0[w-8:], d1[w-8:], &rows, outer, mid)
 		}
-	default:
-		blurKernel(taps) // panics: invalid tap count
+	}
+}
+
+// blurVWords computes the whole words of d0 from rows[0:5] and of d1
+// from rows[1:6].
+func blurVWords(d0, d1 []uint8, rows *[6][]uint8, outer, mid uint64) {
+	w := len(d0)
+	d1, r0, r1, r2, r3, r4, r5 := d1[:w], rows[0][:w], rows[1][:w], rows[2][:w], rows[3][:w], rows[4][:w], rows[5][:w]
+	for x := 0; x <= w-8; x += 8 {
+		a, b, c := binary.LittleEndian.Uint64(r0[x:]), binary.LittleEndian.Uint64(r1[x:]), binary.LittleEndian.Uint64(r2[x:])
+		d, e, f := binary.LittleEndian.Uint64(r3[x:]), binary.LittleEndian.Uint64(r4[x:]), binary.LittleEndian.Uint64(r5[x:])
+		e0, e1 := tapSums(evens(a), evens(b), evens(c), evens(d), evens(e), evens(f), outer, mid)
+		o0, o1 := tapSums(odds(a), odds(b), odds(c), odds(d), odds(e), odds(f), outer, mid)
+		putLanes(d0[x:], e0, o0)
+		putLanes(d1[x:], e1, o1)
 	}
 }
 
