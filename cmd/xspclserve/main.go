@@ -194,10 +194,7 @@ func makeJob(rng *rand.Rand, seed uint64, faultFrac, brokenFrac, mediaFrac float
 		}
 		return serve.Job{Name: fmt.Sprintf("faulty-%d", seed), Cores: 2, Iterations: g.Iters,
 			New: func() (*hinch.App, error) {
-				return hinch.NewApp(g.Prog, conformance.Registry(), hinch.Config{
-					Backend: hinch.BackendSim, Cores: 2,
-					PipelineDepth: g.Depth, StreamCapacity: 2, Faults: g.Injector,
-				})
+				return hinch.NewApp(g.Prog, conformance.Registry(), g.Config(hinch.BackendSim, 2))
 			}}, 0
 	case p < brokenFrac+faultFrac+mediaFrac: // real-backend media app
 		cfg := apps.PiPConfig{W: 128, H: 64, Frames: 24, Factor: 4, Slices: 4,
@@ -218,10 +215,7 @@ func makeJob(rng *rand.Rand, seed uint64, faultFrac, brokenFrac, mediaFrac float
 		}
 		return serve.Job{Name: fmt.Sprintf("conf-%d", seed), Cores: 1 + rng.Intn(3), Iterations: iters,
 			New: func() (*hinch.App, error) {
-				return hinch.NewApp(g.Prog, conformance.Registry(), hinch.Config{
-					Backend: hinch.BackendSim, Cores: 3,
-					PipelineDepth: g.Depth, StreamCapacity: g.StreamCap,
-				})
+				return hinch.NewApp(g.Prog, conformance.Registry(), g.Config(hinch.BackendSim, 3))
 			}}, g.ExpectedIterations()
 	}
 }

@@ -20,81 +20,78 @@ var smokeSeeds = []uint64{
 	23, 28, 30, 38, 40, 48, 51, 55, // multi-source: these reliably catch the ensureBuffers ordering bug
 }
 
-// TestConformanceSmoke is the CI conformance gate. With
-// CONFORMANCE_SEED=<n> it instead replays that single seed verbosely —
-// the deterministic reproduction path for a failure found by the
-// fuzzer, the long runner, or a CI smoke run.
+// smokeTable is the conformance CI gate: one row per (family, seeds,
+// worker counts, traced), each run with schedule perturbation by the
+// test named in the row (subtest names follow name's format over the
+// seed). scripts/conformance.sh smoke runs every row under -race.
+var smokeTable = []struct {
+	test, name string
+	fam        Family
+	seeds      []uint64
+	workers    []int
+	traced     bool
+}{
+	{"TestConformanceSmoke", "%d", FamilyBase, smokeSeeds, []int{2, 8}, false},
+	// The multi-source half traced: the recorder's shard discipline
+	// racing a perturbed schedule, and the trace invariants (span
+	// nesting, span count vs. executed jobs) on generated programs —
+	// contained faults and retries included — rather than the
+	// hand-built apps the trace package tests use.
+	{"TestConformanceTracedSmoke", "%d", FamilyBase, smokeSeeds[8:], []int{8}, true},
+	{"TestConformanceTracedSmoke", "faulty/%d", FamilyFaulty, faultySeeds, []int{8}, true},
+	{"TestReplicatedConformanceSmoke", "%d", FamilyReplicated, smokeSeeds, []int{1, 2, 4, 8}, false},
+	{"TestCancelledConformanceSmoke", "%d", FamilyCancelled, smokeSeeds, []int{2, 8}, false},
+	{"TestFaultyConformance", "seed%d", FamilyFaulty, faultySeeds, []int{1, 2, 4, 8}, false},
+	{"TestConformanceSnapshotSmoke", "%d", FamilySnapshot, smokeSeeds[:4], []int{8}, false},
+}
+
+// faultySeeds covers every faulty mode twice (seed%3 selects the mode).
+var faultySeeds = []uint64{0, 1, 2, 3, 4, 5}
+
+// smoke runs the calling test's rows of smokeTable.
+func smoke(t *testing.T) {
+	for _, row := range smokeTable {
+		if row.test != t.Name() {
+			continue
+		}
+		for _, seed := range row.seeds {
+			t.Run(fmt.Sprintf(row.name, seed), func(t *testing.T) {
+				t.Parallel()
+				if err := Check(seed, row.fam, Options{Perturb: true, Trace: row.traced, Workers: row.workers}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestConformanceSmoke runs the base family's smoke rows. With
+// CONFORMANCE_SEED=<n> it instead replays that seed verbosely in every
+// family at every worker count — the deterministic reproduction path
+// for a failure found by the fuzzer, the long runner, or a CI smoke run.
 func TestConformanceSmoke(t *testing.T) {
 	if env := os.Getenv("CONFORMANCE_SEED"); env != "" {
 		seed, err := strconv.ParseUint(env, 10, 64)
 		if err != nil {
 			t.Fatalf("CONFORMANCE_SEED=%q: %v", env, err)
 		}
-		if err := Check(seed, Options{Perturb: true, Logf: t.Logf}); err != nil {
-			t.Fatal(err)
+		for fam := Family(0); fam < NumFamilies; fam++ {
+			t.Run(fam.String(), func(t *testing.T) {
+				if err := Check(seed, fam, Options{Perturb: true, Logf: t.Logf}); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 		return
 	}
-	for _, seed := range smokeSeeds {
-		seed := seed
-		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			t.Parallel()
-			if err := Check(seed, Options{Perturb: true, Workers: []int{2, 8}}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	smoke(t)
 }
 
-// TestConformanceTracedSmoke re-runs the multi-source smoke seeds with
-// the flight recorder attached on every backend run. It exists for two
-// regressions the plain smoke can't catch: the recorder's shard
-// discipline racing a perturbed schedule (this test is part of the
-// -race CI lane), and the trace invariants (span nesting, span count
-// vs. executed jobs) drifting from the runtime on the generated-program
-// family rather than the hand-built apps the trace package tests use.
-func TestConformanceTracedSmoke(t *testing.T) {
-	for _, seed := range smokeSeeds[8:] { // the multi-source half
-		seed := seed
-		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			t.Parallel()
-			if err := Check(seed, Options{Perturb: true, Trace: true, Workers: []int{8}}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestReplicatedConformanceSmoke is the CI gate for width-based
-// replication: the smoke seeds re-run with replicate= attributes
-// injected on their stateless spine stages and the autotuner live on
-// every backend. The sink output must stay bit-identical to the
-// unreplicated oracle at every worker count while widths and stream
-// depths resize mid-run — under schedule perturbation and (in the CI
-// -race lane) the race detector, this is the proof that concurrent
-// same-task iterations and live resizes are safe.
-// CONFORMANCE_SEED replays a single seed, as in TestConformanceSmoke.
-func TestReplicatedConformanceSmoke(t *testing.T) {
-	if env := os.Getenv("CONFORMANCE_SEED"); env != "" {
-		seed, err := strconv.ParseUint(env, 10, 64)
-		if err != nil {
-			t.Fatalf("CONFORMANCE_SEED=%q: %v", env, err)
-		}
-		if err := CheckReplicated(seed, Options{Perturb: true, Logf: t.Logf}); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	for _, seed := range smokeSeeds {
-		seed := seed
-		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			t.Parallel()
-			if err := CheckReplicated(seed, Options{Perturb: true, Workers: []int{1, 2, 4, 8}}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
+func TestConformanceTracedSmoke(t *testing.T)     { smoke(t) }
+func TestReplicatedConformanceSmoke(t *testing.T) { smoke(t) }
+func TestCancelledConformanceSmoke(t *testing.T)  { smoke(t) }
+func TestFaultyConformance(t *testing.T)          { smoke(t) }
+func TestConformanceSnapshotSmoke(t *testing.T)   { smoke(t) }
 
 // TestGeneratedReplicatedProgramsValid sweeps the replicated generator
 // through validation and the round-trip, and asserts the injector
@@ -193,7 +190,7 @@ func TestOracleMatchesSim(t *testing.T) {
 			continue
 		}
 		checked++
-		obs, err := runOnce(g, g.Prog, hinch.BackendSim, 2, nil, false, false, false)
+		obs, err := run(g, perturbation{backend: hinch.BackendSim, workers: 2})
 		if err != nil {
 			t.Fatalf("seed %d: sim: %v", seed, err)
 		}
@@ -203,40 +200,5 @@ func TestOracleMatchesSim(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no event-free seeds in range")
-	}
-}
-
-// TestConformanceSnapshotSmoke pins that App.Snapshot is a pure
-// observer: hammering it from a second goroutine for the whole run
-// must leave the sim backend's observables bit-identical to an
-// unobserved run, and a perturbed 8-worker real run under observation
-// must still satisfy the sequential oracle. Run with -race this also
-// proves every snapshot read path is properly synchronised.
-func TestConformanceSnapshotSmoke(t *testing.T) {
-	for seed := uint64(0); seed < 4; seed++ {
-		g, err := Generate(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		plain, err := runOnce(g, g.Prog, hinch.BackendSim, 3, nil, false, false, false)
-		if err != nil {
-			t.Fatalf("seed %d: sim: %v", seed, err)
-		}
-		observed, err := runOnce(g, g.Prog, hinch.BackendSim, 3, nil, false, false, true)
-		if err != nil {
-			t.Fatalf("seed %d: sim observed: %v", seed, err)
-		}
-		if a, b := plain.canon(), observed.canon(); a != b {
-			t.Fatalf("seed %d: snapshot hammering changed the sim run:\n--- plain ---\n%s--- observed ---\n%s", seed, a, b)
-		}
-
-		hooks := &perturb{seed: mix(seed, 8)}
-		real, err := runOnce(g, g.Prog, hinch.BackendReal, 8, hooks, false, false, true)
-		if err != nil {
-			t.Fatalf("seed %d: real observed: %v", seed, err)
-		}
-		if err := verify(g, real); err != nil {
-			t.Fatalf("seed %d: real observed: %v", seed, err)
-		}
 	}
 }

@@ -4,19 +4,16 @@ import (
 	"fmt"
 	"time"
 
-	"xspcl/internal/analysis"
 	"xspcl/internal/graph"
 	"xspcl/internal/hinch"
-	"xspcl/internal/xspcl"
 )
 
-// This file extends the differential harness with fault injection: a
-// seeded family of degradable programs (GenerateFaulty) paired with a
-// deterministic injection schedule and a hand-rolled oracle that
-// predicts the *fallback* configuration's output, and a runner
-// (CheckFaulty) asserting that the sim backend and the real backend at
-// every worker count converge to that prediction — same holes, same
-// hashes, same counter arithmetic.
+// This file is the fault-injection family: a seeded family of
+// degradable programs (GenerateFaulty) paired with a deterministic
+// injection schedule. The oracle predicts both configurations' output,
+// and the battery (FamilyFaulty) asserts that the sim backend and the
+// real backend at every worker count converge to the fallback — same
+// holes, same hashes, same counter arithmetic.
 //
 // Each generated program is the canonical degradable pipeline
 //
@@ -48,15 +45,10 @@ const (
 )
 
 func (m FaultyMode) String() string {
-	switch m {
-	case FaultyRetry:
-		return "retry"
-	case FaultySkip:
-		return "skip"
-	case FaultyDeadline:
-		return "deadline"
+	if m < 0 || m > FaultyDeadline {
+		return fmt.Sprintf("FaultyMode(%d)", int(m))
 	}
-	return fmt.Sprintf("FaultyMode(%d)", int(m))
+	return [...]string{"retry", "skip", "deadline"}[m]
 }
 
 // Deadline-mode timing: the injected spike must dwarf the deadline,
@@ -67,56 +59,33 @@ const (
 	faultyDelay    = 120 * time.Millisecond
 )
 
-// FaultyGen is one generated degradable program plus its injection
-// schedule and oracle inputs.
-type FaultyGen struct {
-	Seed uint64
-	Prog *graph.Program
-	Mode FaultyMode
-
-	From    int // first faulted iteration
-	Retries int // p1's retry budget (FaultyRetry only)
-	Depth   int // Config.PipelineDepth
-	Iters   int // Run argument
-
-	Injector *hinch.SeededFaults
-
-	srcStamp, preStamp, p1Stamp, p2Stamp, b1Stamp, postStamp uint64
-}
-
-// Expected computes the oracle sink hash for one iteration in either
-// the primary or the fallback configuration.
-func (g *FaultyGen) Expected(iter int, fallback bool) uint64 {
-	it := uint64(iter)
-	h := mix(g.srcStamp, it)
-	h = mix(h, g.preStamp, it)
-	if fallback {
-		h = mix(h, g.b1Stamp, it)
-	} else {
-		h = mix(h, g.p1Stamp, it)
-		h = mix(h, g.p2Stamp, it)
-	}
-	return mix(h, g.postStamp, it)
-}
-
 // GenerateFaulty builds the degradable program for one seed. The mode,
 // fault onset, retry budget and pipeline depth are all seed-derived;
 // Iters leaves enough post-flip iterations that the fallback output is
-// always observable.
-func GenerateFaulty(seed uint64) (*FaultyGen, error) {
+// always observable. Its two configurations are ordinary oracle ops
+// tagged with the options primary and backup.
+func GenerateFaulty(seed uint64) (*Gen, error) {
 	r := newRnd(seed)
-	g := &FaultyGen{
-		Seed:    seed,
-		Mode:    FaultyMode(seed % 3),
-		From:    2 + int(seed%3),
-		Retries: 1 + int(seed%3),
-		Depth:   3 + int((seed/3)%3),
+	g := &Gen{
+		SinkName:  "snk",
+		HasEvents: true, // the runtime's fault event drives the manager
+		Mode:      FaultyMode(seed % 3),
+		From:      2 + int(seed%3),
+		Retries:   1 + int(seed%3),
+		Depth:     3 + int((seed/3)%3),
+		StreamCap: 2,
 	}
 	g.Iters = g.From + g.Depth + 6
-	g.srcStamp, g.preStamp, g.p1Stamp = r.next(), r.next(), r.next()
-	g.p2Stamp, g.b1Stamp, g.postStamp = r.next(), r.next(), r.next()
+	var stamps [6]uint64 // src, pre, p1, p2, b1, post
+	for i := range stamps {
+		stamps[i] = r.next()
+	}
+	g.ops = []evalOp{g.sourceOp(0, stamps[0]), workOp(0, "", stamps[1], nil),
+		workOp(0, "primary", stamps[2], nil), workOp(0, "primary", stamps[3], nil),
+		workOp(0, "backup", stamps[4], nil), workOp(0, "", stamps[5], nil)}
+	stamp := func(i int) graph.Params { return graph.Params{"stamp": fmt.Sprint(stamps[i])} }
 
-	p1 := graph.Params{"stamp": fmt.Sprint(g.p1Stamp)}
+	p1 := stamp(2)
 	inj := &hinch.SeededFaults{Seed: seed, Task: "p1", From: g.From}
 	switch g.Mode {
 	case FaultyRetry:
@@ -138,23 +107,18 @@ func GenerateFaulty(seed uint64) (*FaultyGen, error) {
 	b.Stream("s0").Stream("s1").Stream("s2").Stream("s3")
 	b.Queue("fq")
 	b.Body(
-		b.Component("src", "csrc", graph.Ports{"out": "s0"},
-			graph.Params{"stamp": fmt.Sprint(g.srcStamp)}),
-		b.Component("pre", "cwork", graph.Ports{"in": "s0", "out": "s1"},
-			graph.Params{"stamp": fmt.Sprint(g.preStamp)}),
+		b.Component("src", "csrc", graph.Ports{"out": "s0"}, stamp(0)),
+		b.Component("pre", "cwork", graph.Ports{"in": "s0", "out": "s1"}, stamp(1)),
 		b.Manager("deg", "fq", []graph.EventBinding{
 			graph.On(graph.FaultEvent, graph.ActionDisable, "primary"),
 			graph.On(graph.FaultEvent, graph.ActionEnable, "backup"),
 		},
 			b.Option("primary", true,
 				b.Component("p1", "cwork", graph.Ports{"in": "s1", "out": "s2"}, p1),
-				b.Component("p2", "cwork", graph.Ports{"in": "s2", "out": "s3"},
-					graph.Params{"stamp": fmt.Sprint(g.p2Stamp)})),
+				b.Component("p2", "cwork", graph.Ports{"in": "s2", "out": "s3"}, stamp(3))),
 			b.Option("backup", false,
-				b.Component("b1", "cwork", graph.Ports{"in": "s1", "out": "s3"},
-					graph.Params{"stamp": fmt.Sprint(g.b1Stamp)}))),
-		b.Component("post", "cwork", graph.Ports{"in": "s3", "out": "s3"},
-			graph.Params{"stamp": fmt.Sprint(g.postStamp)}),
+				b.Component("b1", "cwork", graph.Ports{"in": "s1", "out": "s3"}, stamp(4)))),
+		b.Component("post", "cwork", graph.Ports{"in": "s3", "out": "s3"}, stamp(5)),
 		b.Component("snk", "csink", graph.Ports{"in": "s3"}, nil),
 	)
 	prog, err := b.Program()
@@ -166,229 +130,4 @@ func GenerateFaulty(seed uint64) (*FaultyGen, error) {
 	}
 	g.Prog = prog
 	return g, nil
-}
-
-// CheckFaulty generates the degradable program for seed and runs the
-// full battery: analyzer precheck (the faults pass must bless the
-// program), emit→parse round-trip including the policy attributes, sim
-// determinism (twice, byte-identical), and sim plus real at every
-// worker count against the degradation oracle. Any divergence is
-// returned as an error prefixed with the seed.
-func CheckFaulty(seed uint64, opt Options) error {
-	if len(opt.Workers) == 0 {
-		opt.Workers = []int{1, 2, 4, 8}
-	}
-	logf := opt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
-	g, err := GenerateFaulty(seed)
-	if err != nil {
-		return err
-	}
-	logf("faulty seed %d: mode=%s from=%d retries=%d depth=%d iters=%d",
-		seed, g.Mode, g.From, g.Retries, g.Depth, g.Iters)
-
-	// The generator builds exactly the shape the faults pass demands, so
-	// any error or warning here is an analyzer regression.
-	arep, err := analysis.Analyze(g.Prog, analysis.Options{Catalog: Registry()})
-	if err != nil {
-		return fmt.Errorf("faulty seed %d: analyzer: %w", seed, err)
-	}
-	if arep.HasErrors() || arep.Count(analysis.Warning) > 0 {
-		return fmt.Errorf("faulty seed %d: analyzer flagged a clean degradable program: %+v", seed, arep.Findings)
-	}
-	if nc := len(g.Prog.Configurations()); nc != 2 {
-		return fmt.Errorf("faulty seed %d: %d reachable configurations, want 2", seed, nc)
-	}
-
-	// Round-trip: on_error/deadline must survive emit→parse.
-	xml, err := xspcl.EmitXML(g.Prog)
-	if err != nil {
-		return fmt.Errorf("faulty seed %d: emit: %w", seed, err)
-	}
-	prog2, err := xspcl.Load(xml)
-	if err != nil {
-		return fmt.Errorf("faulty seed %d: reparse emitted XML: %w", seed, err)
-	}
-	if a, b := g.Prog.String(), prog2.String(); a != b {
-		return fmt.Errorf("faulty seed %d: emit/parse round-trip changed the program:\n--- built ---\n%s\n--- reparsed ---\n%s", seed, a, b)
-	}
-
-	rep1, recs1, err := runFaultyOnce(g, g.Prog, hinch.BackendSim, 3)
-	if err != nil {
-		return fmt.Errorf("faulty seed %d: sim: %w", seed, err)
-	}
-	if err := verifyFaulty(g, rep1, recs1); err != nil {
-		return fmt.Errorf("faulty seed %d: sim: %w", seed, err)
-	}
-	rep2, recs2, err := runFaultyOnce(g, prog2, hinch.BackendSim, 3)
-	if err != nil {
-		return fmt.Errorf("faulty seed %d: sim(round-tripped): %w", seed, err)
-	}
-	if a, b := faultyCanon(rep1, recs1), faultyCanon(rep2, recs2); a != b {
-		return fmt.Errorf("faulty seed %d: sim runs diverged between built and round-tripped program:\n--- built ---\n%s--- round-tripped ---\n%s", seed, a, b)
-	}
-
-	for _, w := range opt.Workers {
-		rep, recs, err := runFaultyOnce(g, g.Prog, hinch.BackendReal, w)
-		if err != nil {
-			return fmt.Errorf("faulty seed %d: real/%dw: %w", seed, w, err)
-		}
-		if err := verifyFaulty(g, rep, recs); err != nil {
-			return fmt.Errorf("faulty seed %d: real/%dw: %w", seed, w, err)
-		}
-		logf("faulty seed %d: real/%dw ok (faults=%d retries=%d degradations=%d reconfigs=%d)",
-			seed, w, rep.Faults, rep.Retries, rep.Degradations, rep.Reconfigs)
-	}
-	return nil
-}
-
-// runFaultyOnce executes prog once with the generated injection
-// schedule attached and collects the report and sink records.
-func runFaultyOnce(g *FaultyGen, prog *graph.Program, backend hinch.Backend, cores int) (rep *hinch.Report, recs []SinkRec, err error) {
-	defer func() {
-		// An escaped panic means containment failed — report it as a
-		// check failure carrying the seed, not a harness crash.
-		if r := recover(); r != nil {
-			rep, recs, err = nil, nil, fmt.Errorf("runtime panic: %v", r)
-		}
-	}()
-	cfg := hinch.Config{
-		Backend:        backend,
-		Cores:          cores,
-		PipelineDepth:  g.Depth,
-		StreamCapacity: 2,
-		Faults:         g.Injector,
-	}
-	app, err := hinch.NewApp(prog, Registry(), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err = app.Run(g.Iters)
-	if err != nil {
-		return nil, nil, err
-	}
-	snk, ok := app.Component("snk").(*csink)
-	if !ok {
-		return nil, nil, fmt.Errorf("sink missing after run")
-	}
-	return rep, snk.records(), nil
-}
-
-// faultyCanon renders everything deterministic runs must agree on.
-func faultyCanon(rep *hinch.Report, recs []SinkRec) string {
-	s := fmt.Sprintf("iters=%d reconfigs=%d faults=%d retries=%d degradations=%d\n",
-		rep.Iterations, rep.Reconfigs, rep.Faults, rep.Retries, rep.Degradations)
-	for _, r := range recs {
-		s += fmt.Sprintf("%d:%016x\n", r.Iter, r.H)
-	}
-	return s
-}
-
-// verifyFaulty judges one run against the degradation oracle.
-//
-// Manager entries execute in iteration order on both backends, so the
-// configuration assignment is monotone: primary for iterations [0, t),
-// backup from t on, for some flip point t. WHERE the flip lands is
-// schedule-dependent on the real backend (it depends on which entry
-// first drains the fault event), so t is recovered from the observed
-// records and only bounded: the event is pushed during iteration
-// From's execution and at most Depth+1 further entries can have
-// pre-dated it.
-//
-// Retry/skip modes hole every faulted primary iteration: records [0,
-// From) carry primary hashes, [From, t) are missing, [t, Iters) carry
-// fallback hashes, and the counters satisfy Faults = holes·(R+1),
-// Retries = holes·R, Degradations = holes. Deadline mode holes
-// nothing: the overrun outputs stand, so [0, t) are primary hashes and
-// Degradations counts exactly the overrun iterations [From, t).
-func verifyFaulty(g *FaultyGen, rep *hinch.Report, recs []SinkRec) error {
-	const (
-		stHole = iota
-		stPrimary
-		stFallback
-	)
-	state := make([]int, g.Iters)
-	seen := map[int]bool{}
-	for _, r := range recs {
-		if r.Iter < 0 || r.Iter >= g.Iters {
-			return fmt.Errorf("sink recorded out-of-range iteration %d (run is %d iterations)", r.Iter, g.Iters)
-		}
-		if seen[r.Iter] {
-			return fmt.Errorf("sink recorded iteration %d twice", r.Iter)
-		}
-		seen[r.Iter] = true
-		switch r.H {
-		case g.Expected(r.Iter, false):
-			state[r.Iter] = stPrimary
-		case g.Expected(r.Iter, true):
-			state[r.Iter] = stFallback
-		default:
-			return fmt.Errorf("iteration %d: sink hash %016x matches neither configuration (primary %016x, fallback %016x)",
-				r.Iter, r.H, g.Expected(r.Iter, false), g.Expected(r.Iter, true))
-		}
-	}
-
-	t := -1
-	for i, s := range state {
-		if s == stFallback {
-			t = i
-			break
-		}
-	}
-	if t < 0 {
-		return fmt.Errorf("run never degraded to the fallback configuration")
-	}
-	if t <= g.From || t > g.From+g.Depth+2 {
-		return fmt.Errorf("flip at iteration %d, want within (%d, %d]", t, g.From, g.From+g.Depth+2)
-	}
-	for i := 0; i < g.From; i++ {
-		if state[i] != stPrimary {
-			return fmt.Errorf("iteration %d (before fault onset %d): state %d, want a primary record", i, g.From, state[i])
-		}
-	}
-	holes := 0
-	for i := g.From; i < t; i++ {
-		switch {
-		case g.Mode == FaultyDeadline && state[i] != stPrimary:
-			return fmt.Errorf("iteration %d (overrun window): state %d, want a primary record (deadline overruns keep their outputs)", i, state[i])
-		case g.Mode != FaultyDeadline && state[i] != stHole:
-			return fmt.Errorf("iteration %d (faulted window): state %d, want a hole", i, state[i])
-		}
-		holes++
-	}
-	if g.Mode == FaultyDeadline {
-		holes = 0
-	}
-	for i := t; i < g.Iters; i++ {
-		if state[i] != stFallback {
-			return fmt.Errorf("iteration %d (after flip at %d): state %d, want a fallback record", i, t, state[i])
-		}
-	}
-
-	if want := g.Iters - holes; rep.Iterations != want {
-		return fmt.Errorf("processed %d iterations, want %d (%d holes)", rep.Iterations, want, holes)
-	}
-	if rep.Reconfigs != 1 {
-		return fmt.Errorf("reconfigs = %d, want 1 (residual fault events must be no-ops)", rep.Reconfigs)
-	}
-	var wantFaults, wantRetries, wantDegr int64
-	switch g.Mode {
-	case FaultyRetry:
-		wantFaults = int64(holes) * int64(g.Retries+1)
-		wantRetries = int64(holes) * int64(g.Retries)
-		wantDegr = int64(holes)
-	case FaultySkip:
-		wantFaults = int64(holes)
-		wantDegr = int64(holes)
-	case FaultyDeadline:
-		wantDegr = int64(t - g.From)
-	}
-	if rep.Faults != wantFaults || rep.Retries != wantRetries || rep.Degradations != wantDegr {
-		return fmt.Errorf("counters faults=%d retries=%d degradations=%d, want %d/%d/%d (mode %s, %d holes, flip %d)",
-			rep.Faults, rep.Retries, rep.Degradations, wantFaults, wantRetries, wantDegr, g.Mode, holes, t)
-	}
-	return nil
 }

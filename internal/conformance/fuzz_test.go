@@ -7,20 +7,20 @@ import (
 )
 
 // FuzzConformance is the native fuzzing entry point: every fuzz input
-// is a generator seed, and the whole differential battery runs on it
-// (round-trip, sim determinism, sim and real vs. oracle, schedule
-// perturbation). Run with:
+// is a generator seed and a family, and the whole differential battery
+// runs on it (round-trip, sim determinism, sim and real vs. oracle, the
+// family's extras, schedule perturbation). Run with:
 //
 //	go test ./internal/conformance/ -fuzz=FuzzConformance -fuzztime=5m
 //
-// A crasher's seed replays with CONFORMANCE_SEED=<n> go test -run
-// TestConformanceSmoke ./internal/conformance/ -v.
+// A crasher's seed replays in every family with CONFORMANCE_SEED=<n> go
+// test -run TestConformanceSmoke ./internal/conformance/ -v.
 func FuzzConformance(f *testing.F) {
-	for _, s := range smokeSeeds {
-		f.Add(s)
+	for i, s := range smokeSeeds {
+		f.Add(s, uint8(i%int(NumFamilies)))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64) {
-		if err := Check(seed, Options{Workers: []int{4}, Perturb: true}); err != nil {
+	f.Fuzz(func(t *testing.T, seed uint64, fam uint8) {
+		if err := Check(seed, Family(fam%uint8(NumFamilies)), Options{Workers: []int{4}, Perturb: true}); err != nil {
 			t.Fatal(err)
 		}
 	})

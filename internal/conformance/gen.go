@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xspcl/internal/graph"
+	"xspcl/internal/hinch"
 )
 
 // This file is the seeded random XSPCL program generator and its
@@ -56,12 +57,6 @@ type evalOp struct {
 	f      func(st *evalState)
 }
 
-// OptionInfo describes one generated option.
-type OptionInfo struct {
-	Name      string
-	DefaultOn bool
-}
-
 // TriggerInfo describes one generated ctrig: it fires at iterations
 // Start, Start+Every, Start+2·Every, …
 type TriggerInfo struct {
@@ -71,11 +66,9 @@ type TriggerInfo struct {
 // Gen is one generated program plus everything the runner needs to
 // execute and judge it.
 type Gen struct {
-	Seed uint64
 	Prog *graph.Program
 
 	SinkName    string
-	Options     []OptionInfo
 	Triggers    []TriggerInfo
 	Reconfs     []string // creconf instance names
 	HasEvents   bool
@@ -88,8 +81,54 @@ type Gen struct {
 	StreamCap int // fuzzed Config.StreamCapacity
 	NCells    int
 
+	// Faulty family only (GenerateFaulty): the policy leg, the first
+	// faulted iteration, p1's retry budget and the injection schedule.
+	// Injector is nil in every other family.
+	Mode     FaultyMode
+	From     int
+	Retries  int
+	Injector *hinch.SeededFaults
+
 	ops  []evalOp
 	srcs []*graph.Node
+}
+
+// Config returns the runtime configuration the program is generated
+// for: its pipeline depth, stream capacity and (faulty family) fault
+// injector, on the given backend and core count.
+func (g *Gen) Config(backend hinch.Backend, cores int) hinch.Config {
+	cfg := hinch.Config{Backend: backend, Cores: cores, PipelineDepth: g.Depth, StreamCapacity: g.StreamCap}
+	if g.Injector != nil {
+		cfg.Faults = g.Injector // conditional: a typed-nil injector would defeat the nil check
+	}
+	return cfg
+}
+
+// sourceOp is csrc's oracle step: a fresh payload on branch bid.
+func (g *Gen) sourceOp(bid int, stamp uint64) evalOp {
+	return evalOp{f: func(st *evalState) {
+		st.vals[bid] = &val{h: mix(stamp, st.iter), cells: make([]uint64, g.NCells)}
+	}}
+}
+
+// workOp is cwork's oracle step on branch bid, applied only while opt
+// (when set) is enabled.
+func workOp(bid int, opt string, stamp uint64, folds []cellRange) evalOp {
+	return evalOp{option: opt, f: func(st *evalState) {
+		v := st.vals[bid]
+		v.h = workStep(v.h, stamp, st.iter, folds, v.cells)
+	}}
+}
+
+// cellOp is ccell's oracle step for all n copies of a parblock writing
+// cells [base, base+n) on branch bid.
+func cellOp(bid int, opt string, stamp uint64, base, n, readbase, readn int) evalOp {
+	return evalOp{option: opt, f: func(st *evalState) {
+		v := st.vals[bid]
+		for i := 0; i < n; i++ {
+			v.cells[base+i] = cellStep(stamp, st.iter, i, n, readbase, readn, v.h, v.cells)
+		}
+	}}
 }
 
 // ExpectedIterations returns how many iterations a correct run
@@ -99,15 +138,6 @@ func (g *Gen) ExpectedIterations() int {
 		return g.Frames
 	}
 	return g.Iters
-}
-
-// DefaultOptions returns the declared default option states.
-func (g *Gen) DefaultOptions() map[string]bool {
-	m := map[string]bool{}
-	for _, o := range g.Options {
-		m[o.Name] = o.DefaultOn
-	}
-	return m
 }
 
 // Expected computes the oracle sink hash for one iteration under the
@@ -189,10 +219,7 @@ func (c *genCtx) source(bid, frames int) (*graph.Node, string) {
 	}
 	n := c.b.Component(c.name("src"), "csrc", graph.Ports{"out": s}, params)
 	c.g.srcs = append(c.g.srcs, n)
-	g := c.g
-	c.g.ops = append(c.g.ops, evalOp{f: func(st *evalState) {
-		st.vals[bid] = &val{h: mix(stamp, st.iter), cells: make([]uint64, g.NCells)}
-	}})
+	c.g.ops = append(c.g.ops, c.g.sourceOp(bid, stamp))
 	return n, s
 }
 
@@ -214,11 +241,7 @@ func (c *genCtx) work(cur string, bid int, opt string, folds []cellRange, moveOK
 	if class == "creconf" {
 		c.g.Reconfs = append(c.g.Reconfs, name)
 	}
-	fl := append([]cellRange(nil), folds...)
-	c.g.ops = append(c.g.ops, evalOp{option: opt, f: func(st *evalState) {
-		v := st.vals[bid]
-		v.h = workStep(v.h, stamp, st.iter, fl, v.cells)
-	}})
+	c.g.ops = append(c.g.ops, workOp(bid, opt, stamp, append([]cellRange(nil), folds...)))
 	return n, out
 }
 
@@ -239,13 +262,7 @@ func (c *genCtx) cellChain(cur string, bid, n int, opt string) []*graph.Node {
 		}
 		c.spinParam(params)
 		nodes = append(nodes, c.b.Component(c.name("p"), "ccell", graph.Ports{"in": cur, "out": cur}, params))
-		b0, rb, nn := base, prevBase, n
-		c.g.ops = append(c.g.ops, evalOp{option: opt, f: func(st *evalState) {
-			v := st.vals[bid]
-			for i := 0; i < nn; i++ {
-				v.cells[b0+i] = cellStep(stamp, st.iter, i, nn, rb, 0, v.h, v.cells)
-			}
-		}})
+		c.g.ops = append(c.g.ops, cellOp(bid, opt, stamp, base, n, prevBase, 0))
 		prevBase = base
 	}
 	return nodes
@@ -284,22 +301,15 @@ func (c *genCtx) group(cur string, bid int, opt string, moveOK bool) ([]*graph.N
 			c.cells += n
 			stamp := c.r.next()
 			params := graph.Params{"stamp": fmt.Sprint(stamp), "base": fmt.Sprint(base)}
+			readn := 0
 			if prevBase >= 0 {
+				readn = n
 				params["readbase"] = fmt.Sprint(prevBase)
 				params["readn"] = fmt.Sprint(n)
 			}
 			c.spinParam(params)
 			blocks[bi] = c.b.Seq(c.b.Component(c.name("x"), "ccell", graph.Ports{"in": cur, "out": cur}, params))
-			b0, rb, rn, nn := base, prevBase, 0, n
-			if prevBase >= 0 {
-				rn = n
-			}
-			c.g.ops = append(c.g.ops, evalOp{option: opt, f: func(st *evalState) {
-				v := st.vals[bid]
-				for i := 0; i < nn; i++ {
-					v.cells[b0+i] = cellStep(stamp, st.iter, i, nn, rb, rn, v.h, v.cells)
-				}
-			}})
+			c.g.ops = append(c.g.ops, cellOp(bid, opt, stamp, base, n, prevBase, readn))
 			prevBase = base
 		}
 		grp = c.b.Parallel(graph.ShapeCrossdep, n, blocks...)
@@ -370,7 +380,6 @@ func (c *genCtx) manager(cur string, bid int) []*graph.Node {
 		oname := fmt.Sprintf("o%d", c.nOpts)
 		c.nOpts++
 		don := c.r.oneIn(2)
-		c.g.Options = append(c.g.Options, OptionInfo{Name: oname, DefaultOn: don})
 		kids = append(kids, c.b.Option(oname, don, c.optionBody(cur, bid, oname)...))
 		ev := "e" + oname
 		kinds := []graph.ActionKind{graph.ActionEnable, graph.ActionDisable, graph.ActionToggle}
@@ -416,7 +425,7 @@ func (c *genCtx) spine(cur string, bid, nSeg int, allowMgr bool) ([]*graph.Node,
 // for a correctly functioning generator — an error here is a harness
 // bug, not a runtime bug.
 func Generate(seed uint64) (*Gen, error) {
-	g := &Gen{Seed: seed, SinkName: "snk"}
+	g := &Gen{SinkName: "snk"}
 	r := newRnd(seed)
 	b := graph.NewBuilder(fmt.Sprintf("conf-%d", seed))
 	c := &genCtx{g: g, r: r, b: b}

@@ -24,7 +24,7 @@ func TestConformanceLong(t *testing.T) {
 		seed := base + uint64(i)
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			t.Parallel()
-			if err := Check(seed, Options{Perturb: true}); err != nil {
+			if err := Check(seed, FamilyBase, Options{Perturb: true}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,11 +1,12 @@
 // Package conformance implements a differential fuzzing and
-// schedule-exploration harness for the Hinch runtime: a seeded random
-// XSPCL program generator (gen.go), a small component library whose
-// observable output is an exactly-predictable hash chain (this file),
-// a pure sequential reference evaluator (the oracle, gen.go), and a
-// differential runner (check.go) that executes each generated program
-// on the sim backend and on the real backend at several worker counts
-// under schedule perturbation, comparing every observation.
+// schedule-exploration harness for the Hinch runtime: seeded random
+// XSPCL program generators (gen.go and one file per family), a small
+// component library whose observable output is an exactly-predictable
+// hash chain (this file), a pure sequential reference evaluator
+// (gen.go), one runner (run.go), one oracle (oracle.go) and one battery
+// (check.go) that runs each generated program on the sim backend and on
+// the real backend at several worker counts under schedule
+// perturbation, judging every observation.
 //
 // The components compute nothing useful by design: each one folds its
 // identity, the iteration number and its data-parallel position into a
@@ -21,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xspcl/internal/hinch"
 )
@@ -184,21 +186,12 @@ func workStep(h, stamp, iter uint64, folds []cellRange, cells []uint64) uint64 {
 // iteration is schedule-dependent on the real backend.
 type creconf struct {
 	cwork
-	mu   sync.Mutex
-	reqs []string
+	reqs atomic.Int64
 }
 
-func (c *creconf) Reconfigure(req string) error {
-	c.mu.Lock()
-	c.reqs = append(c.reqs, req)
-	c.mu.Unlock()
+func (c *creconf) Reconfigure(string) error {
+	c.reqs.Add(1)
 	return nil
-}
-
-func (c *creconf) requests() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.reqs...)
 }
 
 // ccell is a data-parallel group member: copy i writes exactly
@@ -325,13 +318,11 @@ type ctrig struct {
 	event string
 	every int
 	start int
-	arg   string
 }
 
 func (c *ctrig) Init(ic *hinch.InitContext) error {
 	c.queue = ic.StringParam("queue", "")
 	c.event = ic.StringParam("event", "")
-	c.arg = ic.StringParam("arg", "")
 	var err error
 	if c.every, err = ic.IntParam("every", 0); err != nil {
 		return err
@@ -343,7 +334,7 @@ func (c *ctrig) Init(ic *hinch.InitContext) error {
 func (c *ctrig) Run(rc *hinch.RunContext) error {
 	it := rc.Iteration()
 	if c.every > 0 && it >= c.start && (it-c.start)%c.every == 0 {
-		return rc.Emit(c.queue, hinch.Event{Name: c.event, Arg: c.arg})
+		return rc.Emit(c.queue, hinch.Event{Name: c.event})
 	}
 	return nil
 }

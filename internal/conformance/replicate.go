@@ -4,19 +4,18 @@ import (
 	"fmt"
 
 	"xspcl/internal/graph"
-	"xspcl/internal/hinch"
-	"xspcl/internal/xspcl"
 )
 
 // This file is the replicated-program conformance family: it reuses the
 // seeded generator and injects replicate= attributes onto the stateless
-// spine stages, then runs the same differential battery. Replication is
-// pure scheduling — a replicated stage runs several consecutive
-// iterations concurrently, each on its own per-iteration stream slots —
-// so the oracle is unchanged: the sink hashes of a replicated program
-// must be exactly those of the unreplicated one, on every backend, at
-// every worker count, under schedule perturbation, and with the
-// autotuner live-resizing widths mid-run.
+// spine stages; FamilyReplicated runs the same battery on it with the
+// autotuner live on every run. Replication is pure scheduling — a
+// replicated stage runs several consecutive iterations concurrently,
+// each on its own per-iteration stream slots — so the oracle is
+// unchanged: the sink hashes of a replicated program must be exactly
+// those of the unreplicated one, on every backend, at every worker
+// count, under schedule perturbation, and with the autotuner
+// live-resizing widths mid-run.
 
 // replicateWidths is the attribute pool the injector draws from. The
 // empty string leaves a stage unreplicated (width 1), so the family
@@ -56,81 +55,4 @@ func GenerateReplicated(seed uint64) (*Gen, error) {
 		return nil, fmt.Errorf("conformance: seed %d: replicated program invalid: %w", seed, err)
 	}
 	return g, nil
-}
-
-// CheckReplicated runs the differential battery on the replicated
-// variant of seed's program: emit→parse round-trip (the replicate
-// attribute must survive), sim determinism with the autotuner on (the
-// decision loop is virtual-time driven, so even its resizes are
-// deterministic), sim vs. oracle, and the real backend at each worker
-// count vs. oracle with the autotuner live — widths and stream depths
-// resize mid-run while the output must stay bit-identical.
-func CheckReplicated(seed uint64, opt Options) error {
-	if len(opt.Workers) == 0 {
-		opt.Workers = []int{1, 2, 4, 8}
-	}
-	logf := opt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
-	g, err := GenerateReplicated(seed)
-	if err != nil {
-		return err
-	}
-	nrep := 0
-	for _, n := range g.Prog.Components() {
-		if n.Params[graph.ReplicateParam] != "" {
-			nrep++
-		}
-	}
-	logf("seed %d (replicated): iters=%d frames=%d depth=%d cap=%d replicated=%d",
-		seed, g.Iters, g.Frames, g.Depth, g.StreamCap, nrep)
-
-	// Round-trip: replicate= must survive emit→parse unchanged.
-	xml, err := xspcl.EmitXML(g.Prog)
-	if err != nil {
-		return fmt.Errorf("seed %d: emit: %w", seed, err)
-	}
-	prog2, err := xspcl.Load(xml)
-	if err != nil {
-		return fmt.Errorf("seed %d: reparse emitted XML: %w", seed, err)
-	}
-	if a, b := g.Prog.String(), prog2.String(); a != b {
-		return fmt.Errorf("seed %d: replicated round-trip changed the program:\n--- built ---\n%s\n--- reparsed ---\n%s", seed, a, b)
-	}
-
-	// Sim with the autotuner engaged, twice (built and round-tripped
-	// program): deterministic, and the oracle must hold regardless of
-	// what the tuner resized.
-	sim, err := runOnce(g, g.Prog, hinch.BackendSim, 3, nil, opt.Trace, true, false)
-	if err != nil {
-		return fmt.Errorf("seed %d: replicated sim: %w", seed, err)
-	}
-	sim2, err := runOnce(g, prog2, hinch.BackendSim, 3, nil, opt.Trace, true, false)
-	if err != nil {
-		return fmt.Errorf("seed %d: replicated sim(round-tripped): %w", seed, err)
-	}
-	if a, b := sim.canon(), sim2.canon(); a != b {
-		return fmt.Errorf("seed %d: replicated sim runs diverged between built and round-tripped program:\n--- built ---\n%s--- round-tripped ---\n%s", seed, a, b)
-	}
-	if err := verify(g, sim); err != nil {
-		return fmt.Errorf("seed %d: replicated sim: %w", seed, err)
-	}
-
-	for _, w := range opt.Workers {
-		var hooks hinch.TestHooks
-		if opt.Perturb {
-			hooks = &perturb{seed: mix(seed, uint64(w), 0x5e)}
-		}
-		real, err := runOnce(g, g.Prog, hinch.BackendReal, w, hooks, opt.Trace, true, false)
-		if err != nil {
-			return fmt.Errorf("seed %d: replicated real/%dw: %w", seed, w, err)
-		}
-		if err := verify(g, real); err != nil {
-			return fmt.Errorf("seed %d: replicated real/%dw: %w", seed, w, err)
-		}
-		logf("seed %d: replicated real/%dw ok (%d sink records)", seed, w, len(real.Sink))
-	}
-	return nil
 }

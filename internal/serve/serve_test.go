@@ -107,10 +107,7 @@ func confJob(t *testing.T, seed uint64) (Job, int) {
 	return Job{
 		Name: fmt.Sprintf("conf-%d", seed), Cores: 3, Iterations: iters,
 		New: func() (*hinch.App, error) {
-			return hinch.NewApp(g.Prog, conformance.Registry(), hinch.Config{
-				Backend: hinch.BackendSim, Cores: 3,
-				PipelineDepth: g.Depth, StreamCapacity: g.StreamCap,
-			})
+			return hinch.NewApp(g.Prog, conformance.Registry(), g.Config(hinch.BackendSim, 3))
 		},
 	}, g.ExpectedIterations()
 }

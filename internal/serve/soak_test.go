@@ -189,10 +189,7 @@ func soakJob(t *testing.T, rng *rand.Rand, seed uint64) (Job, int) {
 		}
 		return Job{Name: fmt.Sprintf("faulty-%d", seed), Cores: 2, Iterations: g.Iters,
 			New: func() (*hinch.App, error) {
-				return hinch.NewApp(g.Prog, conformance.Registry(), hinch.Config{
-					Backend: hinch.BackendSim, Cores: 2,
-					PipelineDepth: g.Depth, StreamCapacity: 2, Faults: g.Injector,
-				})
+				return hinch.NewApp(g.Prog, conformance.Registry(), g.Config(hinch.BackendSim, 2))
 			}}, 0
 	case 3: // slow real-backend session — the cancel/drain target
 		return sleeperJob(fmt.Sprintf("slow-%d", seed), 50+rng.Intn(200)), 0
@@ -207,10 +204,7 @@ func soakJob(t *testing.T, rng *rand.Rand, seed uint64) (Job, int) {
 		}
 		return Job{Name: fmt.Sprintf("conf-%d", seed), Cores: 1 + rng.Intn(3), Iterations: iters,
 			New: func() (*hinch.App, error) {
-				return hinch.NewApp(g.Prog, conformance.Registry(), hinch.Config{
-					Backend: hinch.BackendSim, Cores: 3,
-					PipelineDepth: g.Depth, StreamCapacity: g.StreamCap,
-				})
+				return hinch.NewApp(g.Prog, conformance.Registry(), g.Config(hinch.BackendSim, 3))
 			}}, g.ExpectedIterations()
 	}
 }

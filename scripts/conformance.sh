@@ -6,8 +6,8 @@
 #   scripts/conformance.sh long       # long: many fresh seeds + go fuzz
 #
 # Replaying a failure: every conformance error message is prefixed with
-# its seed ("seed 1234: ..."). Re-run just that program, verbosely, on
-# all worker counts with:
+# its family and seed ("faulty seed 1234: ..."). Re-run that seed,
+# verbosely, in every family on all worker counts with:
 #
 #   CONFORMANCE_SEED=1234 scripts/conformance.sh
 #
@@ -23,18 +23,19 @@ MODE="${1:-smoke}"
 
 if [[ -n "${CONFORMANCE_SEED:-}" ]]; then
   echo ">> replaying seed $CONFORMANCE_SEED" >&2
-  exec go test ./internal/conformance/ -race -count=1 -v \
-    -run 'TestConformanceSmoke|TestCancelledConformanceSmoke'
+  exec go test ./internal/conformance/ -race -count=1 -v -run 'TestConformanceSmoke$'
 fi
 
 case "$MODE" in
 smoke)
-  # Fixed-seed differential check with schedule perturbation, under the
-  # race detector. This is the CI gate; the seed list in
-  # conformance_test.go includes seeds that reproduce every scheduler
+  # The whole package under the race detector: the smoke table of
+  # conformance_test.go (every family — base, traced, replicated,
+  # cancelled, faulty, snapshot — at fixed seeds with schedule
+  # perturbation), the generator pins, the oracle's positive and
+  # negative tests and the analyzer's broken-program checks. This is the
+  # CI gate; the seed list includes seeds that reproduce every scheduler
   # bug the harness has caught so far.
-  go test ./internal/conformance/ -race -count=1 \
-    -run 'TestConformanceSmoke|TestConformanceTracedSmoke|TestCancelledConformanceSmoke|TestGeneratedProgramsValid|TestOracleMatchesSim'
+  go test ./internal/conformance/ -race -count=1
   ;;
 long)
   COUNT="${CONFORMANCE_COUNT:-300}"
