@@ -38,9 +38,9 @@ func TestAppsClean(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyze records the analyzer's wall time on every app
-// variant; scripts/bench.sh folds these into BENCH_results.json so
-// analyzer cost stays visible in the perf trajectory.
+// BenchmarkAnalyze times the analyzer on every app variant (run it with
+// go test -bench Analyze ./internal/analysis; bench/ reports it per
+// workload as analysis.analyze_us).
 func BenchmarkAnalyze(b *testing.B) {
 	for _, v := range apps.Variants() {
 		v := v

@@ -4,8 +4,26 @@ import (
 	"testing"
 
 	"xspcl/internal/components"
+	"xspcl/internal/graph"
 	"xspcl/internal/hinch"
 )
+
+// schedThroughputProgram is a scheduler-stress graph: a wide sliced
+// graph of trivial components, so job dispatch dominates.
+func schedThroughputProgram() *graph.Program {
+	gb := graph.NewBuilder("sched")
+	gb.FrameStream("v", 64, 48)
+	gb.Body(
+		gb.Component("src", "videosrc", graph.Ports{"out": "v"},
+			graph.Params{"width": "64", "height": "48", "frames": "64"}),
+		gb.Parallel(graph.ShapeSlice, 16,
+			gb.Component("c", "copyplane", graph.Ports{"in": "v", "out": "v2"}, nil),
+		),
+		gb.Component("snk", "videosink", graph.Ports{"in": "v2"}, nil),
+	)
+	gb.FrameStream("v2", 64, 48)
+	return gb.MustProgram()
+}
 
 // TestSchedulerSteadyStateAllocs pins the scheduler's zero-allocation
 // steady state: the marginal cost of an extra iteration through the
