@@ -146,7 +146,7 @@ type Fig10Point struct {
 	Cycles      int64
 	StaticAvg   int64
 	OverheadPct float64
-	Reconfigs   int
+	Reconfigs   int64
 }
 
 // Fig10Series is one reconfigurable application's overhead curve.

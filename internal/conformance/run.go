@@ -130,7 +130,7 @@ func run(g *Gen, p perturbation) (obs *Observation, err error) {
 		Outcome:      rep.Outcome,
 		Iterations:   rep.Iterations,
 		Sink:         snk.records(),
-		Reconfigs:    rep.Reconfigs,
+		Reconfigs:    int(rep.Reconfigs),
 		Faults:       rep.Faults,
 		Retries:      rep.Retries,
 		Degradations: rep.Degradations,

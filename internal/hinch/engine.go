@@ -1250,56 +1250,3 @@ func (e *engine) handleRunError(j job, err error) {
 	}
 	e.err = errors.Join(e.err, fmt.Errorf("hinch: %s@%d: %w", j.task.Name, j.iter, err))
 }
-
-// report assembles the final Report from the folded counters. Must be
-// called after execution has fully stopped.
-func (e *engine) report() *Report {
-	t := e.fold()
-	r := &Report{
-		Outcome:       OutcomeCompleted,
-		Iterations:    int(t.processed),
-		Jobs:          t.jobs,
-		Cores:         e.app.cfg.Cores,
-		PerClass:      map[string]ClassStats{},
-		Reconfigs:     int(t.reconfigs),
-		ReconfigStall: e.stall,
-		EventsEmitted: t.events,
-		Faults:        t.faults,
-		Retries:       t.retries,
-		Degradations:  t.degradations,
-		Sched:         t.sched,
-	}
-	if e.cancelled.Load() {
-		r.Outcome = OutcomeCancelled
-	}
-	for id, cs := range t.task {
-		if cs == (ClassStats{}) {
-			continue
-		}
-		key := classKey(e.app.plan.Tasks[id])
-		pc := r.PerClass[key]
-		pc.add(cs)
-		r.PerClass[key] = pc
-	}
-	if e.app.tile != nil {
-		r.Cache = e.app.tile.Stats()
-	}
-	if e.tu != nil {
-		r.Tune = e.tu.stats
-		r.TuneLog = append([]TuneDecision(nil), e.tu.log...)
-	}
-	if e.tm != nil {
-		r.Stalls = e.tm.stalls.Load()
-		h := e.tm.iterLat.snap()
-		il := stageLat("iteration", h.Count, h)
-		r.IterLat = &il
-		for _, task := range e.app.plan.Tasks {
-			h := e.tm.stageHist(task.ID)
-			if h.Count == 0 {
-				continue
-			}
-			r.Stages = append(r.Stages, stageLat(task.Name, t.task[task.ID].Jobs, h))
-		}
-	}
-	return r
-}

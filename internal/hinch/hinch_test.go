@@ -684,8 +684,9 @@ func TestReportString(t *testing.T) {
 
 func TestPerClassStats(t *testing.T) {
 	_, rep := runApp(t, chainProg(), Config{Backend: BackendSim, Cores: 1}, 8)
+	perClass := rep.PerClass()
 	for _, class := range []string{"intsrc", "double", "intsink"} {
-		cs, ok := rep.PerClass[class]
+		cs, ok := perClass[class]
 		if !ok || cs.Jobs != 8 || cs.Ops <= 0 {
 			t.Fatalf("class %s stats %+v ok=%v", class, cs, ok)
 		}
@@ -769,9 +770,9 @@ func TestOptionTasksSkipWhenDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs, ok := rep.PerClass["adder"]; !ok || cs.Jobs != 10 {
+	if cs, ok := rep.PerClass()["adder"]; !ok || cs.Jobs != 10 {
 		// Only the "base" adder runs; the optional "x" is skipped.
-		t.Fatalf("adder jobs = %+v", rep.PerClass["adder"])
+		t.Fatalf("adder jobs = %+v", cs)
 	}
 	if app.Component("x") != nil {
 		t.Fatal("disabled option's component was instantiated")
@@ -790,7 +791,7 @@ func TestManagerGateHoldsLaterIterations(t *testing.T) {
 	vals := app.Component("snk").(*intSink).values()
 	// Find state transitions; between transitions the state must be
 	// constant (a clean iteration boundary per splice).
-	transitions := 0
+	var transitions int64
 	for i := 1; i < len(vals); i++ {
 		prevBoost := vals[i-1] != 2*(i-1)
 		curBoost := vals[i] != 2*i

@@ -1,7 +1,6 @@
 package hinch
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -64,82 +63,44 @@ const (
 	OutcomeCancelled Outcome = "cancelled"
 )
 
-// Report summarises one App.Run.
+// Report summarises one App.Run: the final Snapshot — every counter,
+// stage, stream, histogram and the tuner's view as the run left them —
+// plus what only a finished run has.
 type Report struct {
+	Snapshot
 	// Outcome says whether the run completed or was cancelled.
-	Outcome Outcome
-	// Iterations actually processed (excluding cancelled ones after EOS).
-	Iterations int
+	Outcome Outcome `json:"outcome"`
 	// Cycles is the virtual completion time on the sim backend.
-	Cycles int64
+	Cycles int64 `json:"cycles"`
 	// Wall is the elapsed host time (meaningful on the real backend).
-	Wall time.Duration
-	// Jobs is the total number of jobs executed.
-	Jobs int64
-	// Cores is the number of cores/workers used.
-	Cores int
-	// Cache holds the memory-system counters (sim backend).
-	Cache spacecake.Stats
-	// PerClass breaks work down by component class; manager entry/exit
-	// jobs appear under the pseudo-class "manager".
-	PerClass map[string]ClassStats
+	Wall time.Duration `json:"wall_ns"`
 	// CoreBusy is the busy time per core in cycles (sim backend).
-	CoreBusy []int64
-	// Reconfigs counts completed reconfigurations.
-	Reconfigs int
+	CoreBusy []int64 `json:"core_busy,omitempty"`
+	// Cache holds the memory-system counters (sim backend).
+	Cache spacecake.Stats `json:"cache"`
 	// ReconfigStall is the virtual time spent fully quiescent waiting
 	// for reconfigurations (sim backend).
-	ReconfigStall int64
-	// EventsEmitted counts events pushed to queues during the run.
-	EventsEmitted int64
-	// Faults counts contained component failures (failed attempts under
-	// a non-fail policy or the fault injector); per-task breakdown in
-	// PerClass.
-	Faults int64
-	// Retries counts component re-attempts made under retry policies.
-	Retries int64
-	// Degradations counts synthetic fault events emitted to managers
-	// (policy exhaustion, skipped iterations, watchdog overruns).
-	Degradations int64
-	// Sched holds the work-stealing scheduler counters (real backend).
-	Sched SchedStats
-	// Tune summarises autotuner activity (Config.Autotune).
-	Tune TuneStats
-	// TuneLog is the autotuner's full decision trace, in decision
-	// order. On the sim backend it is deterministic for a fixed program
-	// and config. Excluded from the JSON report.
-	TuneLog []TuneDecision
-	// Stages holds per-stage service-time distributions
-	// (Config.Telemetry): virtual cycles on the sim backend (every job
-	// recorded, deterministic), sampled wall ns on real.
-	Stages []StageLat
-	// IterLat is the end-to-end iteration latency distribution, source
-	// launch to sink retire (Config.Telemetry); nil without telemetry.
-	IterLat *StageLat
-	// Stalls counts stalled-progress watchdog trips (Config.Telemetry).
-	Stalls int64
+	ReconfigStall int64 `json:"reconfig_stall"`
+	// TuneLog is the autotuner's full decision trace, in decision order
+	// (Tune holds its tail). On the sim backend it is deterministic for
+	// a fixed program and config. Excluded from the JSON report.
+	TuneLog []TuneDecision `json:"-"`
 }
 
-// StageLat is one stage's latency distribution summary, derived from
-// the telemetry histograms. Quantiles are deterministic bucket upper
-// bounds (see HistSnap.Quantile). Units follow the backend's telemetry
-// clock: virtual cycles on sim, wall nanoseconds on real.
-type StageLat struct {
-	Name string `json:"name"`
-	Jobs int64  `json:"jobs"` // jobs the stage executed (iterations retired, for IterLat)
-	P50  int64  `json:"p50"`
-	P95  int64  `json:"p95"`
-	P99  int64  `json:"p99"`
-	Max  int64  `json:"max"`
-}
-
-// stageLat folds a merged histogram into a summary row.
-func stageLat(name string, jobs int64, h HistSnap) StageLat {
-	return StageLat{
-		Name: name, Jobs: jobs,
-		P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
-		Max: h.Max,
+// report assembles the final Report around the same Snapshot a mid-run
+// caller gets. Must be called after execution has fully stopped.
+func (e *engine) report() *Report {
+	r := &Report{Snapshot: e.app.Snapshot(), Outcome: OutcomeCompleted, ReconfigStall: e.stall}
+	if r.Cancelled {
+		r.Outcome = OutcomeCancelled
 	}
+	if e.app.tile != nil {
+		r.Cache = e.app.tile.Stats()
+	}
+	if e.tu != nil {
+		r.TuneLog = append([]TuneDecision(nil), e.tu.log...)
+	}
+	return r
 }
 
 // CyclesPerIteration returns the average virtual cost of one iteration.
@@ -178,8 +139,8 @@ func (r *Report) String() string {
 	if r.Reconfigs > 0 {
 		fmt.Fprintf(&b, " reconfigs=%d stall=%d", r.Reconfigs, r.ReconfigStall)
 	}
-	if r.EventsEmitted > 0 {
-		fmt.Fprintf(&b, " events=%d", r.EventsEmitted)
+	if r.Events > 0 {
+		fmt.Fprintf(&b, " events=%d", r.Events)
 	}
 	if r.Faults > 0 || r.Retries > 0 || r.Degradations > 0 {
 		fmt.Fprintf(&b, " faults=%d retries=%d degradations=%d", r.Faults, r.Retries, r.Degradations)
@@ -191,104 +152,37 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, " steals=%d/%d global=%d parks=%d wakes=%d",
 			r.Sched.Steals, r.Sched.StealAttempts, r.Sched.GlobalPops, r.Sched.Parks, r.Sched.Wakes)
 	}
-	if r.Tune.Epochs > 0 {
+	if r.Tune != nil && r.Tune.Stats.Epochs > 0 {
+		t := r.Tune.Stats
 		fmt.Fprintf(&b, " tune: epochs=%d widen=%d shrink=%d depth=+%d/-%d",
-			r.Tune.Epochs, r.Tune.Widen, r.Tune.Shrink, r.Tune.DepthRaises, r.Tune.DepthDrops)
+			t.Epochs, t.Widen, t.Shrink, t.DepthRaises, t.DepthDrops)
 	}
 	if r.Cache != (spacecake.Stats{}) {
 		fmt.Fprintf(&b, " L1miss=%.1f%% L2miss=%d", 100*r.Cache.L1MissRate(), r.Cache.L2Misses)
 	}
-	classes := make([]string, 0, len(r.PerClass))
-	for c := range r.PerClass {
+	perClass := r.PerClass()
+	classes := make([]string, 0, len(perClass))
+	for c := range perClass {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
 	for _, c := range classes {
-		s := r.PerClass[c]
+		s := perClass[c]
 		fmt.Fprintf(&b, "\n  %-14s jobs=%-6d ops=%-12d mem=%d", c, s.Jobs, s.Ops, s.MemCycles)
 	}
-	if r.IterLat != nil {
+	lat := func(name string, n int64, h HistSnap) {
 		fmt.Fprintf(&b, "\n  lat %-14s n=%-6d p50=%-8d p95=%-8d p99=%-8d max=%d",
-			r.IterLat.Name, r.IterLat.Jobs, r.IterLat.P50, r.IterLat.P95, r.IterLat.P99, r.IterLat.Max)
+			name, n, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max)
+	}
+	if r.IterLat != nil {
+		lat("iteration", r.IterLat.Count, *r.IterLat)
 	}
 	for _, s := range r.Stages {
-		fmt.Fprintf(&b, "\n  lat %-14s n=%-6d p50=%-8d p95=%-8d p99=%-8d max=%d",
-			s.Name, s.Jobs, s.P50, s.P95, s.P99, s.Max)
+		if s.Svc.Count > 0 {
+			lat(s.Name, s.Jobs, s.Svc)
+		}
 	}
 	return b.String()
-}
-
-// MarshalJSON renders the report with stable snake_case keys plus the
-// derived figures (cycles per iteration, utilisation) the paper's
-// tables quote, so `-report json` output feeds scripts directly.
-func (r *Report) MarshalJSON() ([]byte, error) {
-	type cacheJSON struct {
-		L1Hits        int64 `json:"l1_hits"`
-		L1Misses      int64 `json:"l1_misses"`
-		L2Hits        int64 `json:"l2_hits"`
-		L2Misses      int64 `json:"l2_misses"`
-		MemCycles     int64 `json:"mem_cycles"`
-		StreamedLines int64 `json:"streamed_lines"`
-	}
-	type reportJSON struct {
-		Outcome            string                `json:"outcome"`
-		Iterations         int                   `json:"iterations"`
-		Cycles             int64                 `json:"cycles"`
-		CyclesPerIteration float64               `json:"cycles_per_iteration"`
-		Utilisation        float64               `json:"utilisation"`
-		WallNS             int64                 `json:"wall_ns"`
-		Jobs               int64                 `json:"jobs"`
-		Cores              int                   `json:"cores"`
-		Reconfigs          int                   `json:"reconfigs"`
-		ReconfigStall      int64                 `json:"reconfig_stall"`
-		EventsEmitted      int64                 `json:"events_emitted"`
-		Faults             int64                 `json:"faults"`
-		Retries            int64                 `json:"retries"`
-		Degradations       int64                 `json:"degradations"`
-		Sched              SchedStats            `json:"sched"`
-		Tune               TuneStats             `json:"tune"`
-		Cache              cacheJSON             `json:"cache"`
-		CoreBusy           []int64               `json:"core_busy,omitempty"`
-		PerClass           map[string]ClassStats `json:"per_class"`
-		Stages             []StageLat            `json:"stages,omitempty"`
-		IterLat            *StageLat             `json:"iter_latency,omitempty"`
-		Stalls             int64                 `json:"stalls,omitempty"`
-	}
-	out := r.Outcome
-	if out == "" {
-		out = OutcomeCompleted
-	}
-	return json.Marshal(reportJSON{
-		Outcome:            string(out),
-		Iterations:         r.Iterations,
-		Cycles:             r.Cycles,
-		CyclesPerIteration: r.CyclesPerIteration(),
-		Utilisation:        r.Utilisation(),
-		WallNS:             int64(r.Wall),
-		Jobs:               r.Jobs,
-		Cores:              r.Cores,
-		Reconfigs:          r.Reconfigs,
-		ReconfigStall:      r.ReconfigStall,
-		EventsEmitted:      r.EventsEmitted,
-		Faults:             r.Faults,
-		Retries:            r.Retries,
-		Degradations:       r.Degradations,
-		Sched:              r.Sched,
-		Tune:               r.Tune,
-		Cache: cacheJSON{
-			L1Hits:        r.Cache.L1Hits,
-			L1Misses:      r.Cache.L1Misses,
-			L2Hits:        r.Cache.L2Hits,
-			L2Misses:      r.Cache.L2Misses,
-			MemCycles:     r.Cache.MemCyclesTotal,
-			StreamedLines: r.Cache.StreamedLines,
-		},
-		CoreBusy: r.CoreBusy,
-		PerClass: r.PerClass,
-		Stages:   r.Stages,
-		IterLat:  r.IterLat,
-		Stalls:   r.Stalls,
-	})
 }
 
 // counters is one writer's shard of the run's accounting — the only
@@ -320,8 +214,8 @@ type counters struct {
 }
 
 // taskCounters is one task's slice of a shard. jobs is the one add the
-// real backend's per-job hot path pays; Report.Jobs and Report.PerClass
-// are both derived from it.
+// real backend's per-job hot path pays; Snapshot.Jobs and every stage's
+// Jobs are both derived from it.
 type taskCounters struct {
 	jobs      atomic.Int64
 	faults    atomic.Int64 // contained failed attempts

@@ -8,41 +8,48 @@ package hinch
 // never perturbs the run — safe to call from any goroutine, at any
 // rate, on either backend.
 
-// Snapshot is a point-in-time view of a running (or finished) App.
-// The counters are the Report's, folded from the same shards, and are
-// live on every App; after Run they equal the Report's. Histogram
-// values are virtual cycles on the sim backend and wall nanoseconds on
-// the real one (see Units). Only the histograms and the watchdog state
-// (Stalled, Stalls) need Config.Telemetry and are empty without it.
+// Snapshot is a point-in-time view of a running (or finished) App,
+// folded from the per-writer counter shards and histograms — the one
+// schema every reader renders: the final Report is the last Snapshot
+// plus run-end fields, and /metrics, /statusz, the dashboard and
+// serve.Status are views of it. Histogram values are virtual cycles on
+// the sim backend and wall nanoseconds on the real one (see Units).
+// Only the histograms and the watchdog state (Stalled, Stalls) need
+// Config.Telemetry and are empty without it.
 type Snapshot struct {
 	// Backend is "sim" or "real"; Units names the time domain of every
 	// histogram and latency value ("cycles" or "ns").
 	Backend string `json:"backend"`
 	Units   string `json:"units"`
-	Cores   int    `json:"cores"`
+	// Cores is the number of simulated cores / worker goroutines.
+	Cores int `json:"cores"`
 	// Telemetry reports whether the histogram/watchdog subsystem is
 	// live (Config.Telemetry).
 	Telemetry bool `json:"telemetry"`
 
 	// Progress counters.
-	Launched  int64 `json:"launched"`  // iterations admitted
-	Retired   int64 `json:"retired"`   // iterations retired (cancelled included)
-	Processed int64 `json:"processed"` // iterations retired and counted
-	Inflight  int64 `json:"inflight"`  // Launched - Retired
-	Jobs      int64 `json:"jobs"`      // executed jobs
-	Events    int64 `json:"events"`    // reconfiguration events emitted
+	Launched   int64 `json:"launched"`   // iterations admitted
+	Retired    int64 `json:"retired"`    // iterations retired (cancelled included)
+	Iterations int   `json:"iterations"` // iterations retired and counted
+	Inflight   int64 `json:"inflight"`   // Launched - Retired
+	Jobs       int64 `json:"jobs"`       // executed jobs
+	// Events counts every event pushed to a queue, the synthetic fault
+	// events sent to managers included.
+	Events int64 `json:"events"`
 
-	// Fault-tolerance and reconfiguration totals.
+	// Fault-tolerance and reconfiguration totals. Faults counts
+	// contained component failures (failed attempts under a non-fail
+	// policy or the fault injector), Retries the re-attempts made under
+	// retry policies, Degradations the synthetic fault events emitted to
+	// managers (policy exhaustion, skipped iterations, watchdog
+	// overruns), Reconfigs the reconfigurations applied.
 	Faults       int64 `json:"faults"`
 	Retries      int64 `json:"retries"`
 	Degradations int64 `json:"degradations"`
 	Reconfigs    int64 `json:"reconfigs"`
 
-	// Scheduler counters (real backend).
-	Steals     int64 `json:"steals"`
-	StealTries int64 `json:"steal_tries"`
-	GlobalPops int64 `json:"global_pops"`
-	Parks      int64 `json:"parks"`
+	// Sched holds the work-stealing scheduler counters (real backend).
+	Sched SchedStats `json:"sched"`
 
 	// Watchdog state (Config.Telemetry): Stalled is the live /healthz
 	// signal, Stalls the number of distinct stall episodes so far.
@@ -59,7 +66,8 @@ type Snapshot struct {
 	StealTake *HistSnap `json:"steal_take,omitempty"`
 	ParkDur   *HistSnap `json:"park_dur,omitempty"`
 
-	// Stages and Streams mirror the pipeline structure with live data.
+	// Stages (one per task, in plan order) and Streams mirror the
+	// pipeline structure with live data.
 	Stages  []StageSnap  `json:"stages,omitempty"`
 	Streams []StreamSnap `json:"streams,omitempty"`
 
@@ -70,15 +78,33 @@ type Snapshot struct {
 	Tune      *TuneView `json:"tune,omitempty"`
 }
 
-// StageSnap is one task's live state: its current replica width, the
-// jobs it has executed, and its merged service-time histogram
+// StageSnap is one task's live state: its class, current replica
+// width, its work counters, and its merged service-time histogram
 // (Config.Telemetry; every job on the sim backend, stride-sampled on
 // the real one).
 type StageSnap struct {
-	Name  string   `json:"name"`
-	Width int      `json:"width"`
-	Jobs  int64    `json:"jobs"`
-	Svc   HistSnap `json:"svc"`
+	Name string `json:"name"`
+	// Class is the component class; manager entry/exit tasks use the
+	// pseudo-class "manager".
+	Class string `json:"class"`
+	Width int    `json:"width"`
+	ClassStats
+	Svc HistSnap `json:"svc"`
+}
+
+// PerClass folds Stages by class. A class none of whose tasks did any
+// work is absent.
+func (s Snapshot) PerClass() map[string]ClassStats {
+	pc := map[string]ClassStats{}
+	for _, st := range s.Stages {
+		if st.ClassStats == (ClassStats{}) {
+			continue
+		}
+		c := pc[st.Class]
+		c.add(st.ClassStats)
+		pc[st.Class] = c
+	}
+	return pc
 }
 
 // StreamSnap is one stream's live state: current occupancy, the
@@ -104,7 +130,7 @@ func (a *App) Snapshot() Snapshot {
 		Cores:        a.cfg.Cores,
 		Launched:     t.launched,
 		Retired:      t.retired,
-		Processed:    t.processed,
+		Iterations:   int(t.processed),
 		Inflight:     t.launched - t.retired,
 		Jobs:         t.jobs,
 		Events:       t.events,
@@ -112,12 +138,11 @@ func (a *App) Snapshot() Snapshot {
 		Retries:      t.retries,
 		Degradations: t.degradations,
 		Reconfigs:    t.reconfigs,
-		Steals:       t.sched.Steals,
-		StealTries:   t.sched.StealAttempts,
-		GlobalPops:   t.sched.GlobalPops,
-		Parks:        t.sched.Parks,
+		Sched:        t.sched,
 		StreamCap:    int(e.bufCap.Load()),
 		Cancelled:    e.cancelled.Load(),
+		Stages:       make([]StageSnap, 0, len(a.plan.Tasks)),
+		Streams:      make([]StreamSnap, 0, len(a.streamList)),
 	}
 	if a.cfg.Backend == BackendReal {
 		s.Backend = "real"
@@ -145,9 +170,10 @@ func (a *App) Snapshot() Snapshot {
 
 	for _, task := range a.plan.Tasks {
 		st := StageSnap{
-			Name:  task.Name,
-			Width: int(e.widths[task.ID].Load()),
-			Jobs:  t.task[task.ID].Jobs,
+			Name:       task.Name,
+			Class:      classKey(task),
+			Width:      int(e.widths[task.ID].Load()),
+			ClassStats: t.task[task.ID],
 		}
 		if tm != nil {
 			st.Svc = tm.stageHist(task.ID)

@@ -2,6 +2,7 @@ package hinch
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -47,25 +48,20 @@ func TestHistQuantile(t *testing.T) {
 
 func TestTelemetrySimDeterministic(t *testing.T) {
 	run := func() ([]byte, *Report) {
-		app, rep := runApp(t, chainProg(), Config{Backend: BackendSim, Cores: 3, Telemetry: true}, 25)
-		b, err := json.Marshal(app.Snapshot())
+		_, rep := runApp(t, chainProg(), Config{Backend: BackendSim, Cores: 3, Telemetry: true}, 25)
+		b, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b, rep
 	}
 	s1, r1 := run()
-	s2, r2 := run()
+	s2, _ := run()
 	if string(s1) != string(s2) {
-		t.Fatalf("sim snapshots differ:\n%s\n%s", s1, s2)
+		t.Fatalf("sim reports differ:\n%s\n%s", s1, s2)
 	}
 	if len(r1.Stages) == 0 || r1.IterLat == nil {
 		t.Fatalf("report missing telemetry: %+v", r1)
-	}
-	j1, _ := json.Marshal(r1.Stages)
-	j2, _ := json.Marshal(r2.Stages)
-	if string(j1) != string(j2) {
-		t.Fatalf("stage latencies differ:\n%s\n%s", j1, j2)
 	}
 	// Sim records every job, so the per-stage counts are exact: the
 	// chain has 3 components over 25 iterations.
@@ -76,14 +72,19 @@ func TestTelemetrySimDeterministic(t *testing.T) {
 	if jobs != 75 {
 		t.Fatalf("stage jobs sum %d, want 75", jobs)
 	}
-	if r1.IterLat.Jobs != 25 || r1.IterLat.Max <= 0 {
+	if r1.IterLat.Count != 25 || r1.IterLat.Max <= 0 {
 		t.Fatalf("iteration latency %+v", r1.IterLat)
 	}
 }
 
 func TestTelemetryOffLeavesReportBare(t *testing.T) {
 	_, rep := runApp(t, chainProg(), Config{Backend: BackendSim, Cores: 2}, 10)
-	if rep.Stages != nil || rep.IterLat != nil || rep.Stalls != 0 {
+	for _, st := range rep.Stages {
+		if st.Svc.Count != 0 {
+			t.Fatalf("stage %s has service-time samples without Config.Telemetry: %+v", st.Name, st.Svc)
+		}
+	}
+	if rep.IterLat != nil || rep.Stalls != 0 {
 		t.Fatalf("telemetry fields set without Config.Telemetry: %+v", rep)
 	}
 }
@@ -149,28 +150,24 @@ func (h *holdUntilSeen) Inject(task string, iter, attempt int) Fault {
 	return h.FaultInjector.Inject(task, iter, attempt)
 }
 
-var counterNames = []string{"Jobs", "Launched", "Retired", "Processed", "Faults", "Retries",
-	"Degradations", "Reconfigs", "Events", "Steals", "StealTries", "GlobalPops", "Parks"}
-
-// snapCounters lists a snapshot's counters in counterNames order.
-func snapCounters(s Snapshot) []int64 {
-	return []int64{s.Jobs, s.Launched, s.Retired, s.Processed, s.Faults, s.Retries,
-		s.Degradations, s.Reconfigs, s.Events, s.Steals, s.StealTries, s.GlobalPops, s.Parks}
-}
-
-// reportCounters lists the report's counterparts. The Report has no
-// launched/retired fields; a run that completes without EOS launches
-// and retires exactly the iterations asked for.
-func reportCounters(r *Report, iters int64) []int64 {
-	return []int64{r.Jobs, iters, iters, int64(r.Iterations), r.Faults, r.Retries,
-		r.Degradations, int64(r.Reconfigs), r.EventsEmitted,
-		r.Sched.Steals, r.Sched.StealAttempts, r.Sched.GlobalPops, r.Sched.Parks}
+// snapCounters lists a snapshot's counters by name: Iterations and every
+// int64 field of Snapshot and its Sched except the Inflight gauge.
+func snapCounters(s Snapshot) map[string]int64 {
+	out := map[string]int64{"Iterations": int64(s.Iterations)}
+	for _, v := range []reflect.Value{reflect.ValueOf(s), reflect.ValueOf(s.Sched)} {
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.Type.Kind() == reflect.Int64 && f.Name != "Inflight" {
+				out[f.Name] = v.Field(i).Int()
+			}
+		}
+	}
+	return out
 }
 
 // TestSnapshotLiveRealRun: on either backend, with or without
 // Config.Telemetry, a snapshot taken mid-run shows live counters that
-// only ever grow, and after Run every counter equals the Report's —
-// both are folds of the same shards.
+// only ever grow, and after Run the Snapshot is the Report's — counters,
+// stages, streams, histograms and the tune view alike.
 func TestSnapshotLiveRealRun(t *testing.T) {
 	const iters = 300
 	for _, tc := range []struct {
@@ -206,19 +203,19 @@ func TestSnapshotLiveRealRun(t *testing.T) {
 					default:
 					}
 					s := app.Snapshot()
-					if s.Processed > s.Retired || s.Retired > s.Launched || s.Inflight != s.Launched-s.Retired {
+					if int64(s.Iterations) > s.Retired || s.Retired > s.Launched || s.Inflight != s.Launched-s.Retired {
 						t.Errorf("iteration counters out of order: %+v", s)
 						return
 					}
 					cur := snapCounters(s)
-					for i := range cur {
-						if cur[i] < last[i] {
-							t.Errorf("%s went backwards: %d after %d", counterNames[i], cur[i], last[i])
+					for name, v := range cur {
+						if v < last[name] {
+							t.Errorf("%s went backwards: %d after %d", name, v, last[name])
 							return
 						}
 					}
 					last = cur
-					if !live && s.Processed > 0 && s.Jobs > 0 {
+					if !live && s.Iterations > 0 && s.Jobs > 0 {
 						live = true
 						close(seen)
 					}
@@ -236,26 +233,23 @@ func TestSnapshotLiveRealRun(t *testing.T) {
 				t.Fatal("no snapshot taken mid-run showed live counters")
 			}
 			final := app.Snapshot()
-			got, want := snapCounters(final), reportCounters(rep, iters)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("snapshot %s = %d, report says %d", counterNames[i], got[i], want[i])
-				}
+			if !reflect.DeepEqual(rep.Snapshot, final) {
+				t.Errorf("final snapshot differs from the report's:\n%+v\n%+v", final, rep.Snapshot)
 			}
 			var stageJobs int64
 			for _, st := range final.Stages {
 				stageJobs += st.Jobs
 			}
-			if final.Inflight != 0 || stageJobs != final.Jobs {
-				t.Errorf("final snapshot: %d iterations in flight, stage jobs sum to %d of %d",
-					final.Inflight, stageJobs, final.Jobs)
+			if final.Launched != iters || final.Inflight != 0 || stageJobs != final.Jobs {
+				t.Errorf("final snapshot: %d launched, %d in flight, stage jobs sum to %d of %d",
+					final.Launched, final.Inflight, stageJobs, final.Jobs)
 			}
-			if rep.Reconfigs == 0 || rep.Faults == 0 || rep.Retries == 0 || rep.Degradations == 0 || rep.EventsEmitted == 0 {
+			if rep.Reconfigs == 0 || rep.Faults == 0 || rep.Retries == 0 || rep.Degradations == 0 || rep.Events == 0 {
 				t.Errorf("program did not exercise every counter: %v", rep)
 			}
-			if final.Telemetry != cfg.Telemetry || (len(rep.Stages) > 0) != cfg.Telemetry {
-				t.Errorf("telemetry=%v but snapshot says %v and report has %d stages",
-					cfg.Telemetry, final.Telemetry, len(rep.Stages))
+			if final.Telemetry != cfg.Telemetry || (rep.IterLat != nil) != cfg.Telemetry {
+				t.Errorf("telemetry=%v but snapshot says %v and report has iteration latency %v",
+					cfg.Telemetry, final.Telemetry, rep.IterLat)
 			}
 		})
 	}

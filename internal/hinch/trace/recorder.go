@@ -146,7 +146,7 @@ func (r *Recorder) Dropped() int64 {
 //     one statement of counter = event agreement: spans = Jobs (skips
 //     are no-ops and are excluded from both), counted retires =
 //     Iterations, reconfig-apply = Reconfigs, event-push + degrade =
-//     EventsEmitted, fault/retry/degrade = Faults/Retries/Degradations,
+//     Events, fault/retry/degrade = Faults/Retries/Degradations,
 //     park/global-pop = Sched.Parks/GlobalPops, the jobs moved by steal
 //     hits (the sum of their Arg — a hit takes a batch) = Sched.Steals,
 //     the chained jobs under the batch headers = Sched.Chained, tune =
@@ -204,7 +204,11 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 	if r.Dropped() != 0 {
 		return nil
 	}
-	tune := rep.Tune.Widen + rep.Tune.Shrink + rep.Tune.DepthRaises + rep.Tune.DepthDrops
+	var tune int
+	if rep.Tune != nil {
+		st := rep.Tune.Stats
+		tune = st.Widen + st.Shrink + st.DepthRaises + st.DepthDrops
+	}
 	acquires := n[hinch.TraceStreamAcquire]
 	for _, c := range []struct {
 		what          string
@@ -212,8 +216,8 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 	}{
 		{"job spans / jobs", n[hinch.TraceJobSpan], rep.Jobs},
 		{"counted retires / iterations", counted, int64(rep.Iterations)},
-		{"reconfig-apply events / reconfigs", n[hinch.TraceReconfigApply], int64(rep.Reconfigs)},
-		{"event-push + degrade events / events emitted", n[hinch.TraceEventPush] + n[hinch.TraceDegrade], rep.EventsEmitted},
+		{"reconfig-apply events / reconfigs", n[hinch.TraceReconfigApply], rep.Reconfigs},
+		{"event-push + degrade events / events", n[hinch.TraceEventPush] + n[hinch.TraceDegrade], rep.Events},
 		{"fault events / faults", n[hinch.TraceFault], rep.Faults},
 		{"retry events / retries", n[hinch.TraceRetry], rep.Retries},
 		{"degrade events / degradations", n[hinch.TraceDegrade], rep.Degradations},

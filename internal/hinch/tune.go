@@ -50,7 +50,7 @@ func (d TuneDecision) String() string {
 	return fmt.Sprintf("epoch %d: %s %s %d->%d", d.Epoch, d.Kind, d.Name, d.From, d.To)
 }
 
-// TuneStats summarises autotuner activity for the Report.
+// TuneStats summarises autotuner activity (TuneView.Stats).
 type TuneStats struct {
 	Epochs      int `json:"epochs"`
 	Widen       int `json:"widen"`
@@ -99,15 +99,16 @@ type tuner struct {
 	stats TuneStats
 	log   []TuneDecision
 
-	// pub is the tuner state App.Snapshot reads mid-run: stats plus the
-	// tail of the decision log, republished as a fresh immutable value
-	// at the end of every epoch that changed something. stats and log
-	// themselves are engine-side only (sim goroutine / under mu).
+	// pub is the tuner state App.Snapshot reads: stats plus the tail of
+	// the decision log, republished as a fresh immutable value at the
+	// end of every epoch, so after the last epoch its stats are final.
+	// stats and log themselves are engine-side only (sim goroutine /
+	// under mu).
 	pub atomic.Pointer[TuneView]
 }
 
 // TuneView is a point-in-time copy of the autotuner's public state,
-// published for mid-run snapshots.
+// published for snapshots; the final Report's is the run's last.
 type TuneView struct {
 	Stats TuneStats      `json:"stats"`
 	Tail  []TuneDecision `json:"tail"` // most recent decisions, oldest first

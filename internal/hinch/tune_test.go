@@ -120,13 +120,13 @@ func TestAutotuneConvergesOnBottleneck(t *testing.T) {
 		t.Fatalf("converged width %d, want %d (every core but the one the cheap stages need); log:\n%s",
 			want, cfg.Cores-1, tuneTrace(rep.TuneLog))
 	}
-	if rep.Tune.Shrink != 0 {
-		t.Fatalf("tuner oscillated: %d shrink decisions; log:\n%s", rep.Tune.Shrink, tuneTrace(rep.TuneLog))
+	if st := rep.Tune.Stats; st.Shrink != 0 {
+		t.Fatalf("tuner oscillated: %d shrink decisions; log:\n%s", st.Shrink, tuneTrace(rep.TuneLog))
 	}
 	last := rep.TuneLog[len(rep.TuneLog)-1].Epoch
-	if rep.Tune.Epochs-last < 3 {
+	if rep.Tune.Stats.Epochs-last < 3 {
 		t.Fatalf("still tuning at the end (last decision epoch %d of %d); log:\n%s",
-			last, rep.Tune.Epochs, tuneTrace(rep.TuneLog))
+			last, rep.Tune.Stats.Epochs, tuneTrace(rep.TuneLog))
 	}
 }
 
@@ -164,7 +164,7 @@ func TestAutotuneOffKeepsAutoInert(t *testing.T) {
 	if auto.Cycles != base.Cycles {
 		t.Fatalf("auto mark changed the untuned schedule: %d cycles vs %d", auto.Cycles, base.Cycles)
 	}
-	if len(auto.TuneLog) != 0 || auto.Tune != (TuneStats{}) {
+	if len(auto.TuneLog) != 0 || auto.Tune != nil {
 		t.Fatalf("tuner state without Autotune: %+v / %v", auto.Tune, auto.TuneLog)
 	}
 }
@@ -198,12 +198,12 @@ func TestAutotuneBottleneckSpeedup(t *testing.T) {
 	for a := 0; a < attempts; a++ {
 		static, _ := run(false)
 		tuned, rep := run(true)
-		if rep.Tune.Widen == 0 {
+		if rep.Tune == nil || rep.Tune.Stats.Widen == 0 {
 			t.Fatalf("tuner never widened the bottleneck; log:\n%s", tuneTrace(rep.TuneLog))
 		}
 		speedup = float64(static) / float64(tuned)
 		t.Logf("attempt %d: static %v, tuned %v, speedup %.2fx (%d widen)",
-			a, static, tuned, speedup, rep.Tune.Widen)
+			a, static, tuned, speedup, rep.Tune.Stats.Widen)
 		if speedup >= 1.5 {
 			return
 		}

@@ -34,7 +34,7 @@ func RenderDashboard(w io.Writer, s hinch.Snapshot) {
 			s.IterLat.Quantile(0.50), s.IterLat.Quantile(0.95), s.IterLat.Quantile(0.99), s.IterLat.Max)
 	}
 	fmt.Fprintf(w, "faults=%d retries=%d degradations=%d reconfigs=%d  steals=%d parks=%d\n",
-		s.Faults, s.Retries, s.Degradations, s.Reconfigs, s.Steals, s.Parks)
+		s.Faults, s.Retries, s.Degradations, s.Reconfigs, s.Sched.Steals, s.Sched.Parks)
 	if s.Tune != nil {
 		t := s.Tune.Stats
 		fmt.Fprintf(w, "tune epochs=%d widen=%d shrink=%d depth+%d depth-%d  stream_cap=%d\n",

@@ -133,16 +133,16 @@ func RenderMetrics(w io.Writer, s hinch.Snapshot) {
 	counter(w, "xspcl_events_total", "Reconfiguration events emitted.", s.Events)
 	counter(w, "xspcl_iterations_launched_total", "Iterations admitted to the pipeline.", s.Launched)
 	counter(w, "xspcl_iterations_retired_total", "Iterations retired (cancelled included).", s.Retired)
-	counter(w, "xspcl_iterations_processed_total", "Iterations retired and counted.", s.Processed)
+	counter(w, "xspcl_iterations_processed_total", "Iterations retired and counted.", int64(s.Iterations))
 	gauge(w, "xspcl_iterations_inflight", "Iterations currently in the pipeline.", s.Inflight)
 	counter(w, "xspcl_faults_total", "Contained component failures.", s.Faults)
 	counter(w, "xspcl_retries_total", "Policy re-attempts.", s.Retries)
 	counter(w, "xspcl_degradations_total", "Degradation events pushed to managers.", s.Degradations)
 	counter(w, "xspcl_reconfigs_total", "Reconfigurations applied.", s.Reconfigs)
-	counter(w, "xspcl_steals_total", "Jobs stolen from other workers.", s.Steals)
-	counter(w, "xspcl_steal_tries_total", "Steal scans.", s.StealTries)
-	counter(w, "xspcl_global_pops_total", "Jobs taken from the global overflow queue.", s.GlobalPops)
-	counter(w, "xspcl_parks_total", "Worker park events.", s.Parks)
+	counter(w, "xspcl_steals_total", "Jobs stolen from other workers.", s.Sched.Steals)
+	counter(w, "xspcl_steal_tries_total", "Steal scans.", s.Sched.StealAttempts)
+	counter(w, "xspcl_global_pops_total", "Jobs taken from the global overflow queue.", s.Sched.GlobalPops)
+	counter(w, "xspcl_parks_total", "Worker park events.", s.Sched.Parks)
 	stalled := int64(0)
 	if s.Stalled {
 		stalled = 1

@@ -75,7 +75,7 @@ func promParse(t *testing.T, body string) map[string]float64 {
 	return samples
 }
 
-func runSimApp(t *testing.T, frames int, rec *trace.Recorder) *hinch.App {
+func runSimApp(t *testing.T, frames int, rec *trace.Recorder) (*hinch.App, *hinch.Report) {
 	t.Helper()
 	v := blurVariant(frames)
 	cfg := hinch.Config{Backend: hinch.BackendSim, Cores: 4, Telemetry: true}
@@ -86,15 +86,16 @@ func runSimApp(t *testing.T, frames int, rec *trace.Recorder) *hinch.App {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(v.Frames); err != nil {
+	rep, err := app.Run(v.Frames)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return app
+	return app, rep
 }
 
 func TestEndpointsSim(t *testing.T) {
 	rec := trace.New(0)
-	app := runSimApp(t, 8, rec)
+	app, _ := runSimApp(t, 8, rec)
 	srv := httptest.NewServer(obs.NewServer(app, rec).Handler())
 	defer srv.Close()
 
@@ -179,7 +180,7 @@ func TestEndpointsSim(t *testing.T) {
 }
 
 func TestTraceTail404WithoutRecorder(t *testing.T) {
-	app := runSimApp(t, 4, nil)
+	app, _ := runSimApp(t, 4, nil)
 	srv := httptest.NewServer(obs.NewServer(app, nil).Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/trace")
@@ -193,10 +194,17 @@ func TestTraceTail404WithoutRecorder(t *testing.T) {
 }
 
 func TestMetricsGoldenSim(t *testing.T) {
+	// The live snapshot after the run and the report's final one render
+	// the same scrape.
 	scrape := func() string {
-		var buf bytes.Buffer
-		obs.RenderMetrics(&buf, runSimApp(t, 8, nil).Snapshot())
-		return buf.String()
+		app, rep := runSimApp(t, 8, nil)
+		var live, final bytes.Buffer
+		obs.RenderMetrics(&live, app.Snapshot())
+		obs.RenderMetrics(&final, rep.Snapshot)
+		if live.String() != final.String() {
+			t.Fatalf("report scrape differs from the live one:\n%s\n---\n%s", final.String(), live.String())
+		}
+		return live.String()
 	}
 	m1, m2 := scrape(), scrape()
 	if m1 != m2 {
@@ -305,7 +313,7 @@ func TestEndpointsRealMidRunAndStall(t *testing.T) {
 }
 
 func TestDashboardRenders(t *testing.T) {
-	app := runSimApp(t, 8, nil)
+	app, _ := runSimApp(t, 8, nil)
 	var buf bytes.Buffer
 	obs.RenderDashboard(&buf, app.Snapshot())
 	out := buf.String()

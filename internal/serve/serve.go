@@ -190,17 +190,17 @@ func (s *Session) status(now time.Time) Status {
 	}
 	app, rep := s.app, s.rep
 	s.mu.Unlock()
-	// Snapshot outside the session lock: it is lock-free on the app
+	// One read of the run's Snapshot: the report's final one, or a live
+	// one taken outside the session lock — it is lock-free on the app
 	// side and must not serialise against the session settling.
-	if rep != nil {
-		st.Jobs = rep.Jobs
-		st.Iterations = rep.Iterations
-	} else if app != nil {
-		snap := app.Snapshot()
-		st.Jobs = snap.Jobs
-		st.Iterations = int(snap.Processed)
-		st.Stalled = snap.Stalled
+	var snap hinch.Snapshot
+	switch {
+	case rep != nil:
+		snap = rep.Snapshot
+	case app != nil:
+		snap = app.Snapshot()
 	}
+	st.Jobs, st.Iterations, st.Stalled = snap.Jobs, snap.Iterations, snap.Stalled
 	return st
 }
 

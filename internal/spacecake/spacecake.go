@@ -158,10 +158,12 @@ func (c *cache) flush() {
 
 // Stats aggregates memory-system counters for a run.
 type Stats struct {
-	L1Hits, L1Misses int64
-	L2Hits, L2Misses int64
-	MemCyclesTotal   int64 // cycles spent in L2/DRAM latency
-	StreamedLines    int64 // cache lines moved by streamed transfers
+	L1Hits         int64 `json:"l1_hits"`
+	L1Misses       int64 `json:"l1_misses"`
+	L2Hits         int64 `json:"l2_hits"`
+	L2Misses       int64 `json:"l2_misses"`
+	MemCyclesTotal int64 `json:"mem_cycles"`     // cycles spent in L2/DRAM latency
+	StreamedLines  int64 `json:"streamed_lines"` // cache lines moved by streamed transfers
 }
 
 // Add accumulates other into s.
