@@ -15,23 +15,17 @@
 //	-cache       also print per-frame L2 miss counts (the §4.1 profiling claim)
 //	-cpuprofile  write a pprof CPU profile of the sweep to a file
 //	-memprofile  write a pprof heap profile at exit
-//	-trace F     instead of a figure sweep: run one variant (-traceapp)
-//	             on the sim tile at -nodes cores with the flight
-//	             recorder attached and write Perfetto JSON to F
-//	-traceapp V  the variant -trace runs (default Blur-35)
-//	-report FMT  report format for -trace runs: text or json
+//
+// A traced run of one variant on the simulated tile is xspclrun's job:
+// xspclrun -builtin Blur-35 -cores 4 -trace out.json.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"xspcl/internal/apps"
-	"xspcl/internal/hinch/trace"
-	"xspcl/internal/obs"
 	"xspcl/internal/profiling"
 )
 
@@ -43,19 +37,7 @@ func main() {
 	cache := flag.Bool("cache", false, "print per-frame cache miss detail (figure 8)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	traceOut := flag.String("trace", "", "record one traced run and write Perfetto JSON to this file")
-	traceApp := flag.String("traceapp", "Blur-35", "variant to run under -trace")
-	report := flag.String("report", "text", "report format for -trace runs: text or json")
-	httpAddr := flag.String("http", "", "serve the live ops surface during a -trace run on this address (implies telemetry)")
 	flag.Parse()
-
-	if *traceOut != "" {
-		if err := runTraced(*traceApp, *nodes, *workless, *traceOut, *report, *httpAddr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -134,58 +116,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// runTraced executes one variant on the simulated tile with the
-// flight recorder attached, writes the Perfetto export, and prints the
-// run's report. Sim-backend traces are deterministic, so re-running
-// the same variant yields a byte-identical file.
-func runTraced(name string, nodes int, workless bool, out, report, httpAddr string) error {
-	v, err := apps.VariantByName(name)
-	if err != nil {
-		return err
-	}
-	cfg := apps.SimConfig(nodes, apps.RunOptions{Workless: workless})
-	rec := trace.New(0)
-	cfg.Tracer = rec
-	cfg.Telemetry = httpAddr != ""
-	app, err := v.NewApp(cfg)
-	if err != nil {
-		return err
-	}
-	if httpAddr != "" {
-		sv, err := obs.Start(httpAddr, obs.NewServer(app, rec).Handler())
-		if err != nil {
-			return err
-		}
-		defer sv.Stop(2 * time.Second)
-		fmt.Fprintf(os.Stderr, "ops surface on http://%s/\n", sv.Addr())
-	}
-	rep, err := app.Run(v.Frames)
-	if err != nil {
-		return err
-	}
-	if err := trace.Validate(rec, rep); err != nil {
-		return err
-	}
-	if err := rec.WriteFile(out); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "trace: %s on %d nodes, %d events (%d dropped) -> %s\n",
-		name, nodes, rec.Total(), rec.Dropped(), out)
-	switch report {
-	case "json":
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(b))
-	case "text", "":
-		fmt.Println(rep)
-	default:
-		return fmt.Errorf("unknown report format %q", report)
-	}
-	return nil
 }
 
 func max64(a, b int64) int64 {

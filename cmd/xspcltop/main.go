@@ -1,6 +1,6 @@
 // Command xspcltop is a live terminal dashboard for a running xspcl
 // application: it polls the /statusz endpoint served by
-// `xspclrun -http` (or cmd/experiments -http) and redraws per-stage
+// `xspclrun -http` and redraws per-stage
 // service-time quantiles, replica widths, stream occupancy bars and
 // the watchdog health state.
 //

@@ -476,8 +476,9 @@ func (a *App) Run(iterations int) (*Report, error) {
 // Cancellation is cooperative: the sim backend observes it at one fixed
 // point per event-loop turn (a virtual-cycle boundary, so a cancel
 // raised from inside the simulation is fully deterministic), the real
-// backend through a watcher goroutine joined before RunContext returns,
-// plus the interruptible retry-backoff and injected-delay sleeps.
+// backend at every worker's dispatch boundary and in its clock
+// goroutine, joined before RunContext returns, plus the interruptible
+// retry-backoff and injected-delay sleeps.
 func (a *App) RunContext(ctx context.Context, iterations int) (*Report, error) {
 	if a.ran {
 		return nil, fmt.Errorf("hinch: app already ran")
@@ -491,15 +492,22 @@ func (a *App) RunContext(ctx context.Context, iterations int) (*Report, error) {
 	if ctx != nil {
 		e.ctxDone = ctx.Done()
 	}
-	var rep *Report
-	var err error
+	var run func() (*Report, error)
 	switch a.cfg.Backend {
 	case BackendSim:
-		rep, err = e.runSim()
+		run = e.runSim
 	case BackendReal:
-		rep, err = e.runReal()
+		run = e.runReal
 	default:
 		return nil, fmt.Errorf("hinch: unknown backend %d", a.cfg.Backend)
+	}
+	tr := a.cfg.Tracer
+	if tr != nil {
+		tr.Begin(e.traceMeta())
+	}
+	rep, err := run()
+	if tr != nil {
+		tr.End()
 	}
 	// The run is over: dissolve the stream buffers back into the global
 	// frame free-list, so the next App (a fresh run, a benchmark

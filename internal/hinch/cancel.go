@@ -12,33 +12,28 @@ package hinch
 // cancelled run returns a valid partial Report (Outcome =
 // OutcomeCancelled) with a nil error.
 //
-// Observation points differ per backend:
+// Both backends observe the done channel through one poll, pollCancel,
+// which takes mu only when it first sees the context fired. It runs at:
 //
-//   - sim: runSim polls the done channel at exactly one place, the top
-//     of its event loop, before dispatching ready jobs. The sweep then
-//     lands on a virtual-cycle boundary, and when the cancel itself is
-//     raised from inside the simulation (a component or fault injector
-//     calling the CancelFunc — context cancellation closes the done
-//     channel synchronously), the whole cancelled schedule is as
-//     deterministic as any other sim run: traces are byte-identical
-//     across repeats. A cancel raised from another goroutine is still
-//     honoured at the next boundary, just not reproducibly placed.
-//   - real: every worker probes the done channel at its dispatch
-//     boundary (pollCancelReal, loop top of runWorker), so a cancel
-//     takes effect within one job per worker; a watcher goroutine
-//     (joined before runReal returns, so a cancelled run leaks
-//     nothing) backstops the case where all workers are parked or
-//     deep in long components. Retry-backoff and injected-delay
-//     sleeps select on the same channel (sleepInterruptible), so a
-//     worker parked in a policy backoff wakes immediately instead of
-//     serving out a sleep nobody will consume.
+//   - sim: the top of runSim's event loop only, so the sweep lands on a
+//     virtual-cycle boundary. A cancel raised from inside the simulation
+//     (a component or fault injector calling the CancelFunc closes the
+//     done channel synchronously) is then as deterministic as any other
+//     sim run; one raised from another goroutine is still honoured at
+//     the next boundary, just not reproducibly placed.
+//   - real: every worker's dispatch boundary (loop top of runWorker), so
+//     a cancel takes effect within one job per worker; runReal's
+//     pre-launch and post-join checks; runClock, the one background
+//     goroutine, which backstops workers parked or deep in long
+//     components; and a policy sleep (pause) the cancel cut short, so a
+//     worker in a retry backoff or an injected delay wakes at once.
 
 import "time"
 
 // noteCancel cancels the whole run: no further iterations launch and
 // every in-flight iteration is marked cancelled, which turns its
 // remaining jobs into zero-cost no-ops (the EOS drain path). Idempotent.
-// Must be called with mu held on the real backend.
+// Must be called with mu held.
 func (e *engine) noteCancel() {
 	if e.cancelled.Swap(true) {
 		return
@@ -51,28 +46,14 @@ func (e *engine) noteCancel() {
 	})
 }
 
-// pollCancel is the sim backend's single cancellation observation
-// point: a non-blocking probe of the run context's done channel. The
-// nil fast path keeps context-free runs at one predictable branch.
-func (e *engine) pollCancel() {
-	if e.ctxDone == nil || e.cancelled.Load() {
-		return
-	}
-	select {
-	case <-e.ctxDone:
-		e.noteCancel()
-	default:
-	}
-}
-
-// pollCancelReal is the real backend's per-worker observation point,
-// called at the dispatch boundary (once per loop turn in runWorker).
-// The common paths — no context, or already swept — are a single
-// predictable branch; only the first worker to observe the fired
-// context pays for the lock and the sweep.
+// pollCancel is the run's one cancellation observation point: a
+// non-blocking probe of the run context's done channel. The common
+// paths — no context, or already swept — are a single predictable
+// branch; only the first caller to observe the fired context pays for
+// the lock and the sweep. Must be called WITHOUT mu held.
 //
 //hinch:hotpath
-func (e *engine) pollCancelReal() {
+func (e *engine) pollCancel() {
 	if e.ctxDone == nil || e.cancelled.Load() {
 		return
 	}
@@ -85,12 +66,13 @@ func (e *engine) pollCancelReal() {
 	}
 }
 
-// sleepInterruptible sleeps for d on the real backend, returning false
-// when the run context was cancelled first. Without a context it is a
-// plain time.Sleep, as before cancellation existed.
-func (e *engine) sleepInterruptible(d time.Duration) bool {
-	if e.ctxDone == nil {
-		time.Sleep(d)
+// pause lets d pass in the backend's clock domain: on sim it is charged
+// to the job as virtual cycles, on real the worker sleeps. It reports
+// false when the run context fired first; the run is then swept, and
+// the caller abandons its attempt.
+func (e *engine) pause(out *runOutcome, d time.Duration) bool {
+	if e.ws == nil {
+		out.virtual += int64(d)
 		return true
 	}
 	t := time.NewTimer(d)
@@ -99,16 +81,7 @@ func (e *engine) sleepInterruptible(d time.Duration) bool {
 	case <-t.C:
 		return true
 	case <-e.ctxDone:
+		e.pollCancel()
 		return false
 	}
-}
-
-// abortSleep records that a policy sleep was cut short by cancellation:
-// the run is cancelled as a whole (the watcher goroutine will sweep the
-// other iterations too, but the worker must not proceed on the strength
-// of a race). Real backend only; takes mu.
-func (e *engine) abortSleep() {
-	e.mu.Lock()
-	e.noteCancel()
-	e.mu.Unlock()
 }

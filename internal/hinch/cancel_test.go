@@ -354,6 +354,43 @@ func TestRunContextCancelInterruptsFaultDelay(t *testing.T) {
 	}
 }
 
+// TestRunContextCancelWithTunerAndWatchdog: the real backend's
+// background roles in one run — tuner epochs, the watchdog and a
+// cancel. A 5s latency spike stalls retirement; the test cancels once
+// the watchdog says so, and the run must come back promptly, cancelled,
+// with both epoch kinds having fired and nothing left running.
+func TestRunContextCancelWithTunerAndWatchdog(t *testing.T) {
+	defer leakCheck(t)()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	app, err := NewApp(chainProg(), testRegistry(), Config{
+		Backend: BackendReal, Cores: 2,
+		Autotune: true, TuneEpochWall: time.Millisecond,
+		Telemetry: true, WatchdogWall: 2 * time.Millisecond, WatchdogEpochs: 2,
+		Faults: &delayOnce{task: "dbl", iter: 3, delay: 5 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for ctx.Err() == nil && !app.Snapshot().Stalled {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	start := time.Now()
+	rep, err := app.RunContext(ctx, 50)
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Fatalf("run took %v; the cancel did not cut the 5s spike short", elapsed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Outcome != OutcomeCancelled || rep.Stalls < 1 || rep.Tune == nil || rep.Tune.Stats.Epochs < 1 {
+		t.Fatalf("outcome=%q stalls=%d tune=%+v, want cancelled, >= 1 stall, >= 1 tuner epoch", rep.Outcome, rep.Stalls, rep.Tune)
+	}
+}
+
 func TestRunContextReuseAfterRun(t *testing.T) {
 	// An App is single-shot; a second RunContext must fail the same way
 	// a second Run does, not deadlock or re-enter the engine.

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -183,6 +184,10 @@ type engine struct {
 
 	tu *tuner // feedback autotuner; nil unless Config.Autotune
 
+	// epochs is the run's epoch clock: the tuner's round, then the
+	// watchdog's check, each present only when configured (see tick).
+	epochs []epoch
+
 	// probes is the run's instrumentation, one per writer: probes[0] for
 	// the engine lock / sim goroutine, probes[w+1] for worker w. Every
 	// function below that records something takes the acting writer's
@@ -320,9 +325,11 @@ func newEngine(a *App) *engine {
 	}
 	if a.cfg.Autotune {
 		e.tu = newTuner(e)
+		e.tu.epoch = e.addEpoch(a.cfg.TuneEpochCycles, a.cfg.TuneEpochWall, e.tuneEpoch)
 	}
 	if a.cfg.Telemetry {
 		e.tm = newTelemetry(e)
+		e.addEpoch(a.cfg.WatchdogCycles, a.cfg.WatchdogWall, e.watchdogEpoch)
 	}
 	for _, t := range a.plan.Tasks {
 		if t.Role != graph.RoleComponent {
@@ -368,8 +375,49 @@ func (e *engine) policyFor(t *graph.Task) graph.FailurePolicy {
 	return e.policies[t.ID]
 }
 
+// epoch is one periodic role on the epoch clock. every and next are in
+// the backend's clock domain: virtual cycles on sim, wall nanoseconds
+// since the run started on real.
+type epoch struct {
+	every, next int64
+	run         func()
+}
+
+// addEpoch appends run to the epoch clock, every cycles on sim or every
+// wall on real, and returns the period in that clock domain.
+func (e *engine) addEpoch(cycles int64, wall time.Duration, run func()) int64 {
+	every := cycles
+	if e.ws != nil {
+		every = int64(wall)
+	}
+	e.epochs = append(e.epochs, epoch{every: every, next: every, run: run})
+	return every
+}
+
+// tick runs every epoch due at now, in list order, and returns when the
+// next one falls due (math.MaxInt64 with none). Sim replays each
+// boundary a clock jump passed, so stall detection and the tuner's
+// decision trace stay a function of the virtual schedule; real runs a
+// late epoch once and skips the boundaries it missed, as a time.Ticker
+// does. Must be called with mu held on the real backend.
+func (e *engine) tick(now int64) (next int64) {
+	next = math.MaxInt64
+	for i := range e.epochs {
+		ep := &e.epochs[i]
+		for now >= ep.next {
+			ep.run()
+			if e.ws != nil {
+				ep.next += (now - ep.next) / ep.every * ep.every
+			}
+			ep.next += ep.every
+		}
+		next = min(next, ep.next)
+	}
+	return next
+}
+
 // traceMeta assembles the Tracer.Begin metadata for this run.
-func (e *engine) traceMeta(wall bool) TraceMeta {
+func (e *engine) traceMeta() TraceMeta {
 	tasks := make([]string, len(e.app.plan.Tasks))
 	for i, t := range e.app.plan.Tasks {
 		tasks[i] = t.Name
@@ -380,7 +428,7 @@ func (e *engine) traceMeta(wall bool) TraceMeta {
 	}
 	return TraceMeta{
 		Cores:    e.app.cfg.Cores,
-		Wall:     wall,
+		Wall:     e.ws != nil,
 		Tasks:    tasks,
 		Streams:  streams,
 		Queues:   e.app.queueNames,
@@ -1076,10 +1124,10 @@ func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (int64, erro
 // taking down the worker, and the context's next reset clears any
 // state the aborted Run accumulated, so the reused RunContext is never
 // poisoned. It must be called WITHOUT mu held on the real backend.
-func (e *engine) executeComponent(rc *RunContext, j job, inst *instance, sim bool, inject FaultKind) (err error) {
+func (e *engine) executeComponent(rc *RunContext, j job, inst *instance, inject FaultKind) (err error) {
 	// A live job's iteration cannot retire under it, and admit gave it
 	// its buffer set before any of its jobs ran.
-	rc.reset(e.app, j.task, j.iter, e.iterAt(j.iter).bufSet, sim)
+	rc.reset(e.app, j.task, j.iter, e.iterAt(j.iter).bufSet, e.ws == nil)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("hinch: component %s@%d panicked: %v", j.task.Name, j.iter, r)
@@ -1101,56 +1149,82 @@ func (e *engine) executeComponent(rc *RunContext, j job, inst *instance, sim boo
 	return inst.comp.Run(rc)
 }
 
+// runComponent runs one admitted component job on either backend and
+// returns how long it took in the probe's clock domain. It must be
+// called WITHOUT mu held. Only that duration differs per backend: on
+// sim it is the cost model (overhead, charged compute, memory through
+// the tile, virtual backoff and delay); on real it is the dispatch /
+// executed clock pair, read only when the tuner or a deadline wants it.
+// Everything after is one rule for both: the tuner's busy feed; the
+// deadline, where a successful job that took longer than its task's
+// deadline degrades but its outputs stand (an attempt cut short by
+// cancellation never succeeded, so it never degrades); and the error
+// classification. A non-nil err aborts the run and is already recorded
+// in e.err.
+//
+//hinch:hotpath
+func (e *engine) runComponent(p *probe, rc *RunContext, j job, core int) (dur int64, err error) {
+	inst := e.app.instTab[j.task.ID].Load()
+	if inst == nil {
+		return 0, e.handleRunError(j, errors.New("no component instance"))
+	}
+	pol := e.policyFor(j.task)
+	var start int64
+	if e.ws != nil {
+		start = p.dispatch(j, e.tu != nil || pol.Deadline > 0)
+	}
+	out := e.runPolicied(rc, j, inst, pol)
+	if e.ws == nil {
+		dur = e.simCost(p, rc, j, core, out.virtual)
+	} else {
+		dur = p.executed(j, start)
+	}
+	if e.tu != nil {
+		e.tu.busy[j.task.ID].Add(dur)
+	}
+	if pol.Deadline > 0 && out.ok && dur > int64(pol.Deadline) {
+		e.degrade(p, j, "deadline exceeded")
+	}
+	if out.err != nil {
+		return dur, e.handleRunError(j, out.err)
+	}
+	return dur, nil
+}
+
 // runOutcome summarises one policied component execution.
 type runOutcome struct {
 	err     error // error to hand to handleRunError (EOS or fatal); nil otherwise
-	faulted bool  // the iteration was holed (skip-iteration or retry exhaustion)
+	ok      bool  // the last attempt succeeded
 	virtual int64 // extra virtual cycles to charge on sim (backoff + injected delay)
 }
 
-// runPolicied executes a component job under its failure policy:
+// runPolicied executes a component job under its failure policy pol:
 // consult the fault injector before each attempt, contain failures,
-// retry with backoff (virtual cycles on sim, a sleep on real), and on
-// exhaustion — or a skip-iteration policy — hole the iteration and
-// emit a fault event to the owning manager. Injection happens before
-// Run so a failed injected attempt never has partial side effects.
-// Lock-free; must be called WITHOUT mu held on the real backend.
-func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) runOutcome {
-	pol := e.policyFor(j.task)
+// retry with backoff (pause), and on exhaustion — or a skip-iteration
+// policy — hole the iteration and emit a fault event to the owning
+// manager. Injection happens before Run so a failed injected attempt
+// never has partial side effects. Lock-free; must be called WITHOUT mu
+// held.
+func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, pol graph.FailurePolicy) runOutcome {
 	var out runOutcome
-	var start time.Time
-	if !sim && pol.Deadline > 0 {
-		start = time.Now()
-	}
 	for attempt := 0; ; attempt++ {
 		var f Fault
 		if e.faults != nil {
 			f = e.faults.Inject(j.task.Name, j.iter, attempt)
 			if f.Kind == FaultDelay {
 				// A latency spike at the component boundary; the attempt
-				// itself then runs normally.
-				if sim {
-					out.virtual += int64(f.Delay)
-				} else if !e.sleepInterruptible(f.Delay) {
-					// Cancelled mid-spike: skip the attempt entirely —
-					// the iteration is cancelled, the job completes as a
-					// no-op and the pipeline drains.
-					e.abortSleep()
+				// itself then runs normally. Cancelled mid-spike, the
+				// attempt is skipped: the job completes as a no-op of its
+				// cancelled iteration and the pipeline drains.
+				if !e.pause(&out, f.Delay) {
 					return out
 				}
 				f = Fault{}
 			}
 		}
-		err := e.executeComponent(rc, j, inst, sim, f.Kind)
+		err := e.executeComponent(rc, j, inst, f.Kind)
 		if err == nil {
-			if !sim && pol.Deadline > 0 && time.Since(start) > pol.Deadline {
-				// Wall-deadline watchdog (real backend): the overrun
-				// degrades like an exhausted policy, but the job
-				// succeeded, so its outputs stand and the iteration is
-				// not holed. The sim backend's cost-budget twin lives in
-				// execJobSim, where the job's virtual cost is known.
-				e.degrade(rc.p, j, "deadline exceeded")
-			}
+			out.ok = true
 			return out
 		}
 		if errors.Is(err, EOS) {
@@ -1160,14 +1234,11 @@ func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) ru
 		rc.p.fault(j, attempt+1)
 		if pol.Action == graph.PolicyRetry && attempt < pol.Retries {
 			back := pol.BackoffAt(attempt)
-			if sim {
-				out.virtual += int64(back)
-			} else if !e.sleepInterruptible(back) {
+			if !e.pause(&out, back) {
 				// Cancelled mid-backoff: the re-attempt never happens,
 				// so it must not count in Report.Retries. The failed
 				// attempt above already counted as a fault; the job
 				// completes as a no-op of its (now cancelled) iteration.
-				e.abortSleep()
 				return out
 			}
 			rc.p.retry(j, back)
@@ -1182,9 +1253,7 @@ func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) ru
 		// the fault the failure escalates to a run abort.
 		if !e.faultIteration(rc.p, j, err) {
 			out.err = fmt.Errorf("no enclosing manager handles faults: %w", err)
-			return out
 		}
-		out.faulted = true
 		return out
 	}
 }
@@ -1226,27 +1295,18 @@ func (e *engine) degrade(p *probe, j job, reason string) {
 	p.degrade(j, e.faultMgr[j.task.ID], depth)
 }
 
-// resolveInstance fetches the component instance for a job: one
-// lock-free load from the task-ID-indexed table.
-//
-//hinch:hotpath
-func (e *engine) resolveInstance(j job) (*instance, error) {
-	inst := e.app.instTab[j.task.ID].Load()
-	if inst == nil {
-		return nil, fmt.Errorf("hinch: no instance for task %q", j.task.Name)
-	}
-	return inst, nil
-}
-
 // handleRunError classifies a component error: EOS cancels the tail of
-// the run; anything else aborts it. Distinct failures from concurrent
-// workers aggregate with errors.Join so Run reports all of them, not
-// just whichever worker took the lock first. Must be called with mu
-// held on the real backend.
-func (e *engine) handleRunError(j job, err error) {
+// the run and returns nil; anything else aborts it and returns the
+// run's error. Distinct failures from concurrent workers aggregate with
+// errors.Join so Run reports all of them, not just whichever worker
+// took the lock first. Must be called WITHOUT mu held.
+func (e *engine) handleRunError(j job, err error) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if errors.Is(err, EOS) {
 		e.noteEOS(j.iter)
-		return
+		return nil
 	}
 	e.err = errors.Join(e.err, fmt.Errorf("hinch: %s@%d: %w", j.task.Name, j.iter, err))
+	return e.err
 }

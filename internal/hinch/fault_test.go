@@ -370,11 +370,44 @@ func TestSimDeadlineWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if flip := checkDeadlineFlip(t, app, rep, iters); rep.Degradations != int64(flip) {
+		t.Fatalf("degradations = %d, want %d", rep.Degradations, flip)
+	}
+}
+
+// TestRealDeadlineWatchdog: the same rule on the real backend, in wall
+// time — a 5ms injected latency spike overruns p1's 1ms deadline from
+// iteration 2 on, and the overrun degrades without holing anything.
+func TestRealDeadlineWatchdog(t *testing.T) {
+	const iters = 10
+	prog := degradeProg("double", graph.Params{graph.DeadlineParam: "1ms"})
+	app, err := NewApp(prog, testRegistry(), Config{
+		Backend: BackendReal, Cores: 2, PipelineDepth: 3,
+		Faults: &SeededFaults{Task: "p1", Kind: FaultDelay, Delay: 5 * time.Millisecond, From: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := app.Run(iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checkDeadlineFlip(t, app, rep, iters); rep.Degradations < 1 {
+		t.Fatalf("degradations = %d, want >= 1", rep.Degradations)
+	}
+}
+
+// checkDeadlineFlip asserts a deadline-degraded run of degradeProg
+// ("double"): every iteration's output stands — primary (2i) up to the
+// flip, backup (i+2000) from it on — with one reconfiguration and no
+// fault. It returns the flip point.
+func checkDeadlineFlip(t *testing.T, app *App, rep *Report, iters int) (flip int) {
+	t.Helper()
 	vals := app.Component("snk").(*intSink).values()
 	if len(vals) != iters {
 		t.Fatalf("sink saw %d values, want %d (deadline overruns must keep their outputs)", len(vals), iters)
 	}
-	flip := -1
+	flip = -1
 	for i, v := range vals {
 		if v == i+2000 {
 			flip = i
@@ -392,12 +425,10 @@ func TestSimDeadlineWatchdog(t *testing.T) {
 			t.Fatalf("iteration %d (after flip %d): value %d, want %d", i, flip, vals[i], i+2000)
 		}
 	}
-	if rep.Degradations != int64(flip) || rep.Reconfigs != 1 || rep.Faults != 0 {
-		t.Fatalf("degradations=%d reconfigs=%d faults=%d, want %d/1/0", rep.Degradations, rep.Reconfigs, rep.Faults, flip)
+	if rep.Reconfigs != 1 || rep.Faults != 0 || rep.Iterations != iters {
+		t.Fatalf("reconfigs=%d faults=%d iterations=%d, want 1/0/%d", rep.Reconfigs, rep.Faults, rep.Iterations, iters)
 	}
-	if rep.Iterations != iters {
-		t.Fatalf("iterations = %d, want %d", rep.Iterations, iters)
-	}
+	return flip
 }
 
 // TestParseFaultSpec pins the -inject-faults grammar: which specs parse,

@@ -127,9 +127,9 @@ func (p *probe) woke() { p.wakes.Add(1) }
 func (p *probe) ran(id int) { p.task[id].jobs.Add(1) }
 
 // dispatch opens the execution of job j on a real-backend worker: it
-// counts the job and, when its service time is wanted — timed (the
-// tuner times every component job) or picked by telemetry's 1-in-32
-// stride — returns the clock at its start; -1 otherwise.
+// counts the job and, when its service time is wanted — timed (for the
+// tuner or a deadline) or picked by telemetry's 1-in-32 stride —
+// returns the clock at its start; -1 otherwise.
 //
 //hinch:hotpath
 func (p *probe) dispatch(j job, timed bool) (start int64) {

@@ -19,58 +19,19 @@ func (e *engine) runReal() (*Report, error) {
 	for i := range e.probes {
 		e.probes[i].start = start
 	}
-	tr := e.app.cfg.Tracer
-	if tr != nil {
-		tr.Begin(e.traceMeta(true))
-	}
-
+	// A context cancelled before the run starts launches nothing:
+	// noteCancel caps stopLaunch at zero, so the pre-cancelled case
+	// deterministically processes zero iterations on this backend too,
+	// not just on sim.
+	e.pollCancel()
 	e.mu.Lock()
-	if e.ctxDone != nil {
-		// A context cancelled before the run starts launches nothing:
-		// noteCancel caps stopLaunch at zero, so the pre-cancelled case
-		// deterministically processes zero iterations on this backend
-		// too, not just on sim.
-		select {
-		case <-e.ctxDone:
-			e.noteCancel()
-		default:
-		}
-	}
 	e.launch(&e.probes[0])
 	e.mu.Unlock()
 
-	// The cancellation watcher mirrors the tuner/watchdog tickers: one
-	// goroutine, stopped and joined before runReal returns, so a
-	// cancelled run leaks nothing. The sweep itself rides the engine
-	// lock like every other slow path.
-	var cnStop, cnDone chan struct{}
-	if e.ctxDone != nil {
-		cnStop, cnDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(cnDone)
-			select {
-			case <-e.ctxDone:
-				// The sweep creates no new work — it only turns queued
-				// jobs into no-ops — so no parked worker needs waking:
-				// work already queued has had its wake, and workers
-				// sleeping in a policy backoff watch ctxDone themselves.
-				e.mu.Lock()
-				e.noteCancel()
-				e.mu.Unlock()
-			case <-cnStop:
-			}
-		}()
-	}
-
-	// The autotuner and the stalled-progress watchdog each sample on a
-	// wall-clock ticker, under the engine lock — resizes ride the same
-	// slow path as reconfigurations.
-	var tickers []func()
-	if e.tu != nil {
-		tickers = append(tickers, e.every(time.Duration(e.tu.epoch), e.tuneEpoch))
-	}
-	if e.tm != nil {
-		tickers = append(tickers, e.every(e.tm.wdWall, e.watchdogEpoch))
+	var quit, clockDone chan struct{}
+	if len(e.epochs) > 0 || e.ctxDone != nil {
+		quit, clockDone = make(chan struct{}), make(chan struct{})
+		go e.runClock(quit, clockDone)
 	}
 
 	// The worker rule: all Cores workers exist for the whole run. They
@@ -85,31 +46,17 @@ func (e *engine) runReal() (*Report, error) {
 		}()
 	}
 	wg.Wait()
-	if cnStop != nil {
-		close(cnStop)
-		<-cnDone
-		// If the context fired while the watcher raced run teardown, the
-		// select above may have taken the stop arm without sweeping.
-		// Nothing is left to sweep — execution stopped — but the report
-		// must still say cancelled when a policy sleep was aborted, and
-		// a cancel that lost the race against natural completion is
-		// recorded too (either outcome would have been valid; claiming
-		// the one the caller asked for is the consistent choice).
-		select {
-		case <-e.ctxDone:
-			e.mu.Lock()
-			e.noteCancel()
-			e.mu.Unlock()
-		default:
-		}
+	if quit != nil {
+		// Joined before RunContext ends the tracer (epochs emit trace
+		// events), so a run leaks no goroutine.
+		close(quit)
+		<-clockDone
 	}
-	// Stopped before the tracer ends: both epochs can emit trace events.
-	for _, stop := range tickers {
-		stop()
-	}
-	if tr != nil {
-		tr.End()
-	}
+	// A cancel that raced run teardown is still recorded: the report
+	// must say cancelled when a policy sleep was cut short, and a cancel
+	// that lost the race against natural completion claims the outcome
+	// the caller asked for (either would have been valid).
+	e.pollCancel()
 	if e.err != nil {
 		return nil, e.err
 	}
@@ -118,29 +65,33 @@ func (e *engine) runReal() (*Report, error) {
 	return rep, nil
 }
 
-// every starts a goroutine that runs f under the engine lock once per
-// period. The returned stop joins it: f does not run after stop
-// returns.
-func (e *engine) every(period time.Duration, f func()) (stop func()) {
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-tick.C:
-				e.mu.Lock()
-				f()
-				e.mu.Unlock()
-			}
+// runClock is the real backend's one background goroutine; it closes
+// exited once quit closes. It fires the due epochs under mu — resizes
+// and stall checks ride the same slow path as reconfigurations — and
+// sweeps the run when the context fires, which backstops workers parked
+// or deep in a long component. The sweep creates no new work, it only
+// turns queued jobs into no-ops, so no parked worker needs waking.
+func (e *engine) runClock(quit <-chan struct{}, exited chan<- struct{}) {
+	defer close(exited)
+	ctxDone := e.ctxDone
+	p := &e.probes[0]
+	// The first fire only learns when the first epoch falls due; with no
+	// epochs, tick sets the timer past any run's end.
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for {
+		select {
+		case <-quit:
+			return
+		case <-ctxDone:
+			e.pollCancel()
+			ctxDone = nil
+		case <-timer.C:
+			e.mu.Lock()
+			next := e.tick(p.wall())
+			e.mu.Unlock()
+			timer.Reset(time.Duration(next - p.wall()))
 		}
-	}()
-	return func() {
-		close(quit)
-		<-done
 	}
 }
 
@@ -162,9 +113,9 @@ func (e *engine) runWorker(w *wsWorker) {
 			return
 		}
 		// Dispatch-boundary cancellation probe: a fired run context is
-		// swept within one job per worker (the watcher goroutine in
-		// runReal covers workers that are parked or mid-component).
-		e.pollCancelReal()
+		// swept within one job per worker (runClock covers workers that
+		// are parked or mid-component).
+		e.pollCancel()
 		var j job
 		var ok bool
 		if w.hasNext {
@@ -302,31 +253,12 @@ func (e *engine) execReal(w *wsWorker, j job) {
 	// Stretch the window between the lock-free acquired/cancelled
 	// checks above and the component's first stream access.
 	w.p.yield(YieldDispatch)
-	inst, err := e.resolveInstance(j)
-	if err != nil {
-		e.failReal(err)
+	if _, err := e.runComponent(w.p, &w.rc, j, w.id); err != nil {
+		e.ws.finish()
 		return
 	}
-	// The tuner times every component job; telemetry stride-samples
-	// them. A timed job pays two clock reads, shared when both want
-	// them and with the tracer's span.
-	start := w.p.dispatch(j, e.tu != nil)
-	out := e.runPolicied(&w.rc, j, inst, false)
-	if svc := w.p.executed(j, start); e.tu != nil {
-		e.tu.busy[j.task.ID].Add(svc)
-	}
-	if out.err != nil {
-		e.mu.Lock()
-		e.handleRunError(j, out.err)
-		fatal := e.err
-		e.mu.Unlock()
-		if fatal != nil {
-			e.ws.finish()
-			return
-		}
-		// EOS: the tail of the run is cancelled, but this job still
-		// completes so the pipeline drains.
-	}
+	// After EOS the tail of the run is cancelled, but this job still
+	// completes so the pipeline drains.
 	e.finishReal(w, j)
 }
 

@@ -52,10 +52,6 @@ func (e *engine) runSim() (*Report, error) {
 	var pending completionHeap
 	p := &e.probes[0]
 
-	if tr := a.cfg.Tracer; tr != nil {
-		tr.Begin(e.traceMeta(false))
-		defer tr.End()
-	}
 	e.launch(p)
 	for {
 		// The cancellation observation point: once per event-loop turn,
@@ -107,24 +103,10 @@ func (e *engine) runSim() (*Report, error) {
 		c := heap.Pop(&pending).(completion)
 		clock = c.at
 		p.ts = clock
-		if e.tu != nil {
-			// Epochs fire at virtual-time boundaries, before the
-			// completion is applied, so the decision trace is a pure
-			// function of the virtual schedule — deterministic.
-			for clock >= e.tu.nextAt {
-				e.tuneEpoch()
-				e.tu.nextAt += e.tu.epoch
-			}
-		}
-		if e.tm != nil {
-			// Watchdog epochs at virtual boundaries, like the tuner's:
-			// a big clock jump (e.g. an injected delay) replays each
-			// missed epoch so stall detection stays deterministic.
-			for clock >= e.tm.wdNextAt {
-				e.watchdogEpoch()
-				e.tm.wdNextAt += e.tm.wdEpoch
-			}
-		}
+		// Epochs fire at virtual-time boundaries, before the completion
+		// is applied, so they are a pure function of the virtual
+		// schedule — deterministic.
+		e.tick(clock)
 		if c.core < 0 {
 			// A reconfiguration stall elapsed. The event only carries the
 			// clock (and the epochs above) past it; the parked entries
@@ -156,58 +138,37 @@ func (e *engine) runSim() (*Report, error) {
 }
 
 // execJobSim executes one admitted job immediately and returns its
-// virtual duration in cycles: runtime overhead + compute (charged ops)
-// + memory latency (the job's recorded accesses run through the cache
-// model on its core).
+// virtual duration in cycles. A component job runs through
+// runComponent; a manager job costs the runtime overhead plus the ops
+// its poll charged.
 func (e *engine) execJobSim(p *probe, j job, core int) (dur int64, err error) {
-	a := e.app
-	cost := a.tile.Config().JobOverheadCycles
 	p.ran(j.task.ID)
-
-	switch j.task.Role {
-	case graph.RoleManagerEntry, graph.RoleManagerExit:
-		ops, err := e.managerPoll(p, j)
-		if err != nil {
-			return 0, err
-		}
-		p.charge(j.task.ID, ops, 0, cost+ops)
-		return cost + ops, nil
-
-	case graph.RoleComponent:
-		inst, err := e.resolveInstance(j)
-		if err != nil {
-			return 0, err
-		}
-		rc := &e.simRC
-		out := e.runPolicied(rc, j, inst, true)
-		if out.err != nil {
-			e.handleRunError(j, out.err)
-			if e.err != nil {
-				return 0, e.err
-			}
-			// EOS: the job still completes; dependents of this cancelled
-			// iteration run as no-ops while the pipeline drains.
-		}
-		var mem int64
-		for _, acc := range rc.access {
-			mem += a.tile.AccessRegion(core, acc.Region, acc.Write)
-		}
-		for _, r := range rc.streamed {
-			mem += a.tile.AccessStreamed(core, r)
-		}
-		dur = cost + rc.compute + mem + out.virtual
-		p.charge(j.task.ID, rc.compute, mem, dur)
-		if e.tu != nil {
-			e.tu.busy[j.task.ID].Add(dur)
-		}
-		// Cost-budget watchdog (sim): a successful job whose virtual
-		// cost overruns its deadline (1ns = 1 cycle) degrades exactly
-		// like the real backend's wall-deadline overrun — a fault event
-		// is emitted but the job's outputs stand.
-		if dl := e.policyFor(j.task).Deadline; dl > 0 && out.err == nil && !out.faulted && dur > int64(dl) {
-			e.degrade(p, j, fmt.Sprintf("cost budget exceeded (%d cycles)", dur))
-		}
-		return dur, nil
+	if j.task.Role == graph.RoleComponent {
+		return e.runComponent(p, &e.simRC, j, core)
 	}
-	return 0, fmt.Errorf("hinch: unknown task role %v", j.task.Role)
+	ops, err := e.managerPoll(p, j)
+	if err != nil {
+		return 0, err
+	}
+	dur = e.app.tile.Config().JobOverheadCycles + ops
+	p.charge(j.task.ID, ops, 0, dur)
+	return dur, nil
+}
+
+// simCost is a component job's virtual duration (1ns = 1 cycle):
+// runtime overhead + compute (charged ops) + memory latency (the job's
+// recorded accesses run through the cache model on its core) + the
+// virtual backoff and delay its policy let pass. It books the job on p.
+func (e *engine) simCost(p *probe, rc *RunContext, j job, core int, virtual int64) int64 {
+	tile := e.app.tile
+	var mem int64
+	for _, acc := range rc.access {
+		mem += tile.AccessRegion(core, acc.Region, acc.Write)
+	}
+	for _, r := range rc.streamed {
+		mem += tile.AccessStreamed(core, r)
+	}
+	dur := tile.Config().JobOverheadCycles + rc.compute + mem + virtual
+	p.charge(j.task.ID, rc.compute, mem, dur)
+	return dur
 }

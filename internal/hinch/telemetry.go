@@ -3,7 +3,6 @@ package hinch
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // This file implements the optional half of the run's observability:
@@ -179,18 +178,15 @@ type telemetry struct {
 	iterLat hist   // launch -> retire latency per iteration
 
 	// Stalled-progress watchdog: every epoch (WatchdogCycles virtual
-	// cycles on sim, WatchdogWall on real) the engine compares its
-	// retirement frontier against the previous epoch's; wdK epochs
-	// without a retirement flip stalled (and /healthz) until progress
-	// resumes.
+	// cycles on sim, WatchdogWall on real; the second role on the epoch
+	// clock) the engine compares its retirement frontier against the
+	// previous epoch's; wdK epochs without a retirement flip stalled
+	// (and /healthz) until progress resumes.
 	stalled  atomic.Bool
 	stalls   atomic.Int64
 	wdK      int
-	wdEpoch  int64 // sim: epoch length in virtual cycles
-	wdWall   time.Duration
-	wdNextAt int64 // sim: virtual time of the next watchdog boundary
-	wdLast   int   // retireNext at the previous epoch; engine-side only
-	wdMisses int   // consecutive epochs without progress; engine-side only
+	wdLast   int // retireNext at the previous epoch; engine-side only
+	wdMisses int // consecutive epochs without progress; engine-side only
 }
 
 // newTelemetry sizes the telemetry state for an engine and attaches it
@@ -198,12 +194,9 @@ type telemetry struct {
 func newTelemetry(e *engine) *telemetry {
 	a := e.app
 	tm := &telemetry{
-		shards:   make([]tmShard, len(e.probes)),
-		occ:      make([]hist, len(a.streamList)),
-		wdK:      a.cfg.WatchdogEpochs,
-		wdWall:   a.cfg.WatchdogWall,
-		wdEpoch:  a.cfg.WatchdogCycles,
-		wdNextAt: a.cfg.WatchdogCycles,
+		shards: make([]tmShard, len(e.probes)),
+		occ:    make([]hist, len(a.streamList)),
+		wdK:    a.cfg.WatchdogEpochs,
 	}
 	for i := range tm.shards {
 		tm.shards[i].svc = make([]hist, len(a.plan.Tasks))
@@ -218,10 +211,8 @@ func (tm *telemetry) stageHist(task int) HistSnap {
 	return mergeHists(len(tm.shards), func(i int) *hist { return &tm.shards[i].svc[task] })
 }
 
-// watchdogEpoch runs one stalled-progress check. Called at virtual
-// watchdog boundaries on the sim goroutine, or under e.mu from the
-// real backend's watchdog ticker. Must be called with mu held on the
-// real backend.
+// watchdogEpoch runs one stalled-progress check, from the epoch clock
+// (engine.tick). Must be called with mu held on the real backend.
 func (e *engine) watchdogEpoch() {
 	tm := e.tm
 	if e.retireNext != tm.wdLast {

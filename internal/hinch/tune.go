@@ -15,9 +15,10 @@ import (
 // the two data-parallelism knobs it owns while the application runs —
 // the replica width of components declared replicate="auto", and the
 // live stream-FIFO capacity (Config.StreamCapacity's runtime
-// counterpart). On the sim backend epochs are virtual-time boundaries,
+// counterpart). Its round is the first role on the engine's epoch clock
+// (engine.tick): on the sim backend epochs are virtual-time boundaries,
 // so the whole decision trace is deterministic for a fixed seed; on the
-// real backend a ticker goroutine samples under the engine lock.
+// real backend the clock goroutine samples under the engine lock.
 
 // TuneKind says which knob a TuneDecision turned.
 type TuneKind uint8
@@ -77,8 +78,7 @@ const (
 // only inside tuneEpoch (single sim goroutine, or under e.mu on the
 // real backend).
 type tuner struct {
-	epoch  int64 // epoch length: virtual cycles (sim) or wall ns (real)
-	nextAt int64 // sim backend: virtual time of the next epoch boundary
+	epoch int64 // epoch length on the epoch clock: virtual cycles (sim) or wall ns (real)
 
 	auto []int   // task IDs declared replicate="auto", ascending
 	cap  []int32 // width cap per task ID (meaningful for auto tasks)
@@ -136,12 +136,6 @@ func newTuner(e *engine) *tuner {
 		down:  make([]int, n),
 		cool:  make([]int, n),
 		cap:   make([]int32, n),
-	}
-	if a.cfg.Backend == BackendSim {
-		tu.epoch = a.cfg.TuneEpochCycles
-		tu.nextAt = tu.epoch
-	} else {
-		tu.epoch = int64(a.cfg.TuneEpochWall)
 	}
 	capW := a.cfg.PipelineDepth
 	if a.cfg.Cores < capW {

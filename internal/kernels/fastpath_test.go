@@ -89,7 +89,7 @@ func refBlurV(dst, src []uint8, w, h, taps, r0, r1 int) {
 }
 
 func TestDownscaleWindowFastPathsMatchGeneric(t *testing.T) {
-	// Factors with fast paths (1, 2, 4, 8, 16) and without (3, 5),
+	// Factors with fast paths (1, 4, 8, 16) and without (2, 3, 5),
 	// composited at both zero and non-zero window offsets.
 	for _, factor := range []int{1, 2, 3, 4, 5, 8, 16} {
 		for _, off := range []struct{ ox, oy int }{{0, 0}, {3, 2}} {

@@ -40,19 +40,16 @@ func DownscaleWindow(dst []uint8, dw, ox, oy, ow, oh int, src []uint8, sw, sh, f
 	if ox < 0 || oy < 0 || (ox+ow) > dw || (oy+oh)*dw > len(dst) {
 		panic("kernels: downscale window out of bounds")
 	}
-	// The streaming applications only ever scale by small powers of two
-	// (PiP ×4, JPiP ×8, thumbnailing ×2/×16), so those factors get
-	// unrolled fast paths. Each produces bit-identical output to the
-	// generic loop below: the same rounded box average, with the /factor²
-	// division strength-reduced to a shift.
+	// The benchmarked applications scale by ×4 (PiP) and ×8 (JPiP), so
+	// those factors (and ×16) get unrolled fast paths; every other factor,
+	// ×2 included, takes the generic loop below. Each fast path produces
+	// bit-identical output to it: the same rounded box average, with the
+	// /factor² division strength-reduced to a shift.
 	switch factor {
 	case 1:
 		for y := r0; y < r1; y++ {
 			copy(dst[(oy+y)*dw+ox:(oy+y)*dw+ox+ow], src[y*sw:y*sw+ow])
 		}
-		return
-	case 2:
-		downscaleWindow2(dst, dw, ox, oy, ow, src, sw, r0, r1)
 		return
 	case 4:
 		downscaleWindow4(dst, dw, ox, oy, ow, src, sw, r0, r1)
@@ -76,23 +73,6 @@ func DownscaleWindow(dst []uint8, dw, ox, oy, ow, oh int, src []uint8, sw, sh, f
 				}
 			}
 			drow[x] = uint8(sum / div)
-		}
-	}
-}
-
-// downscaleWindow2 is the factor-2 fast path: the 2×2 box sum fully
-// unrolled over two hoisted source rows.
-func downscaleWindow2(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, r0, r1 int) {
-	for y := r0; y < r1; y++ {
-		s0 := src[2*y*sw : 2*y*sw+2*ow]
-		s1 := src[(2*y+1)*sw : (2*y+1)*sw+2*ow]
-		drow := dst[(oy+y)*dw+ox : (oy+y)*dw+ox+ow]
-		for x := range drow {
-			o := 2 * x
-			sum := 2 +
-				int(s0[o]) + int(s0[o+1]) +
-				int(s1[o]) + int(s1[o+1])
-			drow[x] = uint8(sum >> 2)
 		}
 	}
 }
