@@ -1,5 +1,7 @@
 package hinch
 
+import "xspcl/internal/graph"
+
 // This file implements App.Snapshot, the lock-free mid-run state probe
 // behind /statusz and the xspcltop dashboard. Every field it reads is
 // either atomic (the counters shards, the histograms, stream occupancy,
@@ -193,4 +195,12 @@ func (a *App) Snapshot() Snapshot {
 		s.Streams = append(s.Streams, sn)
 	}
 	return s
+}
+
+// classKey maps a task to its per-class stats bucket.
+func classKey(t *graph.Task) string {
+	if t.Role != graph.RoleComponent {
+		return "manager"
+	}
+	return t.Class
 }
