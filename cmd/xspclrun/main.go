@@ -23,7 +23,11 @@
 // replicate="auto" have their replica widths resized from occupancy
 // feedback while the run executes, and stream-FIFO capacity follows
 // backpressure. Decisions appear in the report (tune: ...) and, with
-// -trace, as instant events on the runtime track.
+// -trace, as instant events on the runtime track. -tune-epoch sets the
+// tuner's epoch length; like every duration on the sim backend it counts
+// virtual cycles, 1ns = 1 cycle (-tune-epoch 2ms is 2 000 000 cycles):
+//
+//	xspclrun -backend sim -cores 4 -autotune -tune-epoch 2ms examples/specs/autotune.xml
 //
 // The -http flag enables live telemetry and serves the ops surface
 // (/metrics, /statusz, /healthz, /debug/pprof, /debug/trace) on the
@@ -67,8 +71,7 @@ func main() {
 	report := flag.String("report", "text", "report format: text or json")
 	inject := flag.String("inject-faults", "", `inject deterministic faults, e.g. "seed=1,task=jdec,from=8" (see hinch.ParseFaultSpec)`)
 	autotune := flag.Bool("autotune", false, "enable the feedback autotuner (resizes replicate=auto widths and stream depths)")
-	tuneEpoch := flag.Int64("tune-epoch", 0, "autotuner epoch length in simulated cycles (sim backend; 0 = default; size it to cover several jobs of the hottest stage)")
-	tuneEpochWall := flag.Duration("tune-epoch-wall", 0, "autotuner epoch length in wall time (real backend; 0 = default)")
+	tuneEpoch := flag.Duration("tune-epoch", 0, "autotuner epoch length: wall time on real, virtual cycles on sim (1ns = 1 cycle); 0 = default; size it to cover several jobs of the hottest stage")
 	httpAddr := flag.String("http", "", "serve the live ops surface (/metrics, /statusz, /healthz, pprof, /debug/trace) on this address; implies telemetry")
 	watch := flag.String("watch", "", "redraw a live dashboard on stderr at this interval (e.g. 500ms); implies telemetry")
 	flag.Parse()
@@ -85,7 +88,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if err := run(*cores, *frames, *pipeline, *backend, *builtin, *workless, *autotune, *tuneEpoch, *tuneEpochWall, *traceOut, *report, *inject, *httpAddr, watchEvery); err != nil {
+	if err := run(*cores, *frames, *pipeline, *backend, *builtin, *workless, *autotune, *tuneEpoch, *traceOut, *report, *inject, *httpAddr, watchEvery); err != nil {
 		stop()
 		fail(err)
 	}
@@ -94,9 +97,9 @@ func main() {
 	}
 }
 
-func run(cores, frames, pipeline int, backend, builtin string, workless, autotune bool, tuneEpoch int64, tuneEpochWall time.Duration, traceOut, report, inject, httpAddr string, watchEvery time.Duration) error {
+func run(cores, frames, pipeline int, backend, builtin string, workless, autotune bool, tuneEpoch time.Duration, traceOut, report, inject, httpAddr string, watchEvery time.Duration) error {
 	cfg := hinch.Config{Cores: cores, PipelineDepth: pipeline, Workless: workless,
-		Autotune: autotune, TuneEpochCycles: tuneEpoch, TuneEpochWall: tuneEpochWall,
+		Autotune: autotune, TuneEpoch: tuneEpoch,
 		Telemetry: httpAddr != "" || watchEvery > 0}
 	switch backend {
 	case "sim":

@@ -2,7 +2,11 @@
 // specifications. It elaborates each input, enumerates every reachable
 // option configuration, and reports deadlock, buffer-sizing,
 // reconfiguration-safety, event-binding and stream-format diagnoses
-// (see internal/analysis, DESIGN.md §9 and §14).
+// (see internal/analysis, DESIGN.md §9 and §14). With -predict it also
+// runs the SPC performance prediction (the PAM-SoC box of the paper's
+// framework figure, internal/predict): per-iteration work and critical
+// path estimated from the specification alone, the predicted speedup
+// per node count, and the node count that reaches 95% of the peak.
 //
 //	xspclvet app.xml another.xml     analyze specification files
 //	xspclvet -builtin JPiP-45        analyze a built-in paper app
@@ -10,6 +14,7 @@
 //	xspclvet -json app.xml           machine-readable report
 //	xspclvet -sizing app.xml         include the buffer-sizing table
 //	xspclvet -formats app.xml        print the solved stream-format table
+//	xspclvet -predict 9 app.xml      predicted speedup on 1..9 nodes
 //	xspclvet -Wno-bindings app.xml   suppress one pass
 //	xspclvet -Werror app.xml         warnings fail the build too
 //
@@ -27,8 +32,13 @@ import (
 	"xspcl/internal/apps"
 	"xspcl/internal/components"
 	"xspcl/internal/graph"
+	"xspcl/internal/predict"
 	"xspcl/internal/xspcl"
 )
+
+// usefulFrac is the share of the peak predicted speedup at which
+// -predict suggests a node count.
+const usefulFrac = 0.95
 
 func main() {
 	builtin := flag.String("builtin", "", "analyze a built-in paper application (e.g. JPiP-45) instead of a file")
@@ -37,7 +47,8 @@ func main() {
 	sizing := flag.Bool("sizing", false, "print the buffer-sizing table")
 	formats := flag.Bool("formats", false, "print the solved stream formats and inferred component parameters")
 	depth := flag.Int("depth", analysis.DefaultDepth, "FIFO depth assumed for streams without a declared depth")
-	overlap := flag.Int("overlap", analysis.DefaultOverlap, "iteration overlap the sizing pass preserves")
+	overlap := flag.Int("overlap", analysis.DefaultOverlap, "iteration overlap the sizing pass preserves (and the pipeline depth -predict assumes)")
+	predictN := flag.Int("predict", 0, "print the predicted speedup on 1..N nodes (text output only; 0 = off)")
 	werror := flag.Bool("Werror", false, "treat warnings as errors")
 	wno := map[string]*bool{}
 	for _, pass := range analysis.Passes {
@@ -81,6 +92,15 @@ func main() {
 			}
 			if *formats {
 				analysis.RenderFormats(os.Stdout, rep)
+			}
+			if *predictN > 0 {
+				p, err := predict.Predict(in.prog, nil, predict.NewDefaultModel(), *predictN, *overlap)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "%s: %v\n", in.name, err)
+					os.Exit(2)
+				}
+				fmt.Printf("%s: %s", in.name, p)
+				fmt.Printf("suggested nodes (%.0f%% of peak): %d\n", usefulFrac*100, p.MaxUsefulNodes(usefulFrac))
 			}
 		}
 		if rep.Failed(*werror) {

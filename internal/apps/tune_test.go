@@ -43,7 +43,7 @@ func narrowBlur35() *Variant {
 // renders the decision log one line per decision. Workless keeps the
 // runs fast; the tuner's occupancy feedback comes from the op-count
 // cost models either way.
-func tunedVariantTrace(t *testing.T, v *Variant, cores int, epoch int64) string {
+func tunedVariantTrace(t *testing.T, v *Variant, cores int) string {
 	t.Helper()
 	prog, err := v.Program()
 	if err != nil {
@@ -65,7 +65,7 @@ func tunedVariantTrace(t *testing.T, v *Variant, cores int, epoch int64) string 
 		t.Fatalf("%s has no stateless stages to mark", v.Name)
 	}
 	cfg := hinch.Config{Backend: hinch.BackendSim, Cores: cores,
-		Workless: true, Autotune: true, TuneEpochCycles: epoch}
+		Workless: true, Autotune: true, TuneEpoch: tuneEpoch}
 	app, err := hinch.NewApp(prog, reg, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestTunedVariantGoldenTraces(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.v.Name, func(t *testing.T) {
-			trace := tunedVariantTrace(t, tc.v, tc.cores, tuneEpoch)
+			trace := tunedVariantTrace(t, tc.v, tc.cores)
 			if trace == "" {
 				t.Fatalf("%s produced no tuning decisions", tc.v.Name)
 			}
@@ -139,9 +139,9 @@ func TestTunedVariantTraceStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := tunedVariantTrace(t, v, 4, tuneEpoch)
+	first := tunedVariantTrace(t, v, 4)
 	for run := 1; run < 5; run++ {
-		if got := tunedVariantTrace(t, v, 4, tuneEpoch); got != first {
+		if got := tunedVariantTrace(t, v, 4); got != first {
 			t.Fatalf("run %d diverged:\n--- run 0 ---\n%s--- run %d ---\n%s", run, first, run, got)
 		}
 	}

@@ -87,7 +87,7 @@ func run(g *Gen, p perturbation) (obs *Observation, err error) {
 	cfg.Telemetry = p.hammer
 	if p.tune && p.backend == hinch.BackendReal {
 		// Tick fast so even short perturbed runs see live resizes.
-		cfg.TuneEpochWall = 200 * time.Microsecond
+		cfg.TuneEpoch = 200 * time.Microsecond
 	}
 	var rec *trace.Recorder
 	if p.traced {

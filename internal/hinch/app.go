@@ -25,7 +25,9 @@ const (
 	BackendReal
 )
 
-// Config configures a run.
+// Config configures a run. Every duration in it follows one rule: on
+// the sim backend it counts virtual cycles (1ns = 1 cycle), on the real
+// backend wall time.
 type Config struct {
 	Backend Backend
 
@@ -82,15 +84,10 @@ type Config struct {
 	// the trace (TraceTune).
 	Autotune bool
 
-	// TuneEpochCycles is the autotuner's epoch length on the sim
-	// backend, in virtual cycles; decisions fire at virtual-time
-	// boundaries, so the decision trace is deterministic. Defaults to
-	// 50000.
-	TuneEpochCycles int64
-
-	// TuneEpochWall is the autotuner's epoch length on the real
-	// backend. Defaults to 2ms.
-	TuneEpochWall time.Duration
+	// TuneEpoch is the autotuner's epoch length. On sim decisions fire
+	// at virtual-time boundaries, so the decision trace is
+	// deterministic. Defaults to 50000 cycles on sim, 2ms on real.
+	TuneEpoch time.Duration
 
 	// Telemetry enables the histograms — per-stage service time,
 	// iteration latency, stream occupancy, steal batch size, park
@@ -107,14 +104,10 @@ type Config struct {
 	// Telemetry.
 	WatchdogEpochs int
 
-	// WatchdogCycles is the watchdog epoch length on the sim backend, in
-	// virtual cycles; checks fire at virtual-time boundaries, so stall
-	// detection is deterministic. Defaults to 2000000.
-	WatchdogCycles int64
-
-	// WatchdogWall is the watchdog epoch length on the real backend.
-	// Defaults to 250ms.
-	WatchdogWall time.Duration
+	// WatchdogEpoch is the watchdog's epoch length. On sim checks fire at
+	// virtual-time boundaries, so stall detection is deterministic.
+	// Defaults to 2000000 cycles on sim, 250ms on real.
+	WatchdogEpoch time.Duration
 }
 
 // withDefaults fills unset fields.
@@ -128,23 +121,19 @@ func (c Config) withDefaults() Config {
 	if c.StreamCapacity <= 0 {
 		c.StreamCapacity = 3
 	}
-	if c.StreamCapacity > c.PipelineDepth {
-		c.StreamCapacity = c.PipelineDepth
+	c.StreamCapacity = min(c.StreamCapacity, c.PipelineDepth)
+	tune, watchdog := 2*time.Millisecond, 250*time.Millisecond
+	if c.Backend == BackendSim {
+		tune, watchdog = 50000, 2000000
 	}
-	if c.TuneEpochCycles <= 0 {
-		c.TuneEpochCycles = 50000
-	}
-	if c.TuneEpochWall <= 0 {
-		c.TuneEpochWall = 2 * time.Millisecond
+	if c.TuneEpoch <= 0 {
+		c.TuneEpoch = tune
 	}
 	if c.WatchdogEpochs <= 0 {
 		c.WatchdogEpochs = 3
 	}
-	if c.WatchdogCycles <= 0 {
-		c.WatchdogCycles = 2000000
-	}
-	if c.WatchdogWall <= 0 {
-		c.WatchdogWall = 250 * time.Millisecond
+	if c.WatchdogEpoch <= 0 {
+		c.WatchdogEpoch = watchdog
 	}
 	return c
 }
@@ -501,14 +490,9 @@ func (a *App) RunContext(ctx context.Context, iterations int) (*Report, error) {
 	default:
 		return nil, fmt.Errorf("hinch: unknown backend %d", a.cfg.Backend)
 	}
-	tr := a.cfg.Tracer
-	if tr != nil {
-		tr.Begin(e.traceMeta())
-	}
+	e.probes[0].begin(e.traceMeta)
 	rep, err := run()
-	if tr != nil {
-		tr.End()
-	}
+	e.probes[0].end()
 	// The run is over: dissolve the stream buffers back into the global
 	// frame free-list, so the next App (a fresh run, a benchmark
 	// iteration) reuses them instead of allocating.

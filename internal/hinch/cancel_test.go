@@ -365,8 +365,8 @@ func TestRunContextCancelWithTunerAndWatchdog(t *testing.T) {
 	defer cancel()
 	app, err := NewApp(chainProg(), testRegistry(), Config{
 		Backend: BackendReal, Cores: 2,
-		Autotune: true, TuneEpochWall: time.Millisecond,
-		Telemetry: true, WatchdogWall: 2 * time.Millisecond, WatchdogEpochs: 2,
+		Autotune: true, TuneEpoch: time.Millisecond,
+		Telemetry: true, WatchdogEpoch: 2 * time.Millisecond, WatchdogEpochs: 2,
 		Faults: &delayOnce{task: "dbl", iter: 3, delay: 5 * time.Second},
 	})
 	if err != nil {

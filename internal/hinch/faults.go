@@ -50,8 +50,9 @@ type Fault struct {
 // attempt 1, 2, ...), before the component's Run executes, so a failed
 // injected attempt never has partial side effects. Implementations
 // must be safe for concurrent use: the real backend calls Inject from
-// every worker. Config.Faults is nil in production — the engine
-// nil-guards every consultation, same as TestHooks and Tracer.
+// every worker. Config.Faults is nil in production; the engine
+// consults it only through its probes (probe.inject), as it does
+// TestHooks and Tracer.
 type FaultInjector interface {
 	Inject(task string, iter, attempt int) Fault
 }

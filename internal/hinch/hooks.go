@@ -7,9 +7,10 @@ package hinch
 // boundaries below and reseeds each worker's steal-victim order, so
 // ordering bugs (like a buffer being published after the flag that
 // advertises it) surface within a bounded fuzzing budget instead of
-// waiting for production timing. The engine yields through its probes
-// (probe.yield, the only caller), so a normal run pays one predictable
-// branch per boundary and nothing else.
+// waiting for production timing. The engine consults the hooks only
+// through its probes (probe.yield and probe.stealSeed, the only
+// callers), so a normal run pays one predictable branch per boundary
+// and nothing else.
 
 // YieldPoint identifies a scheduler boundary at which an injected
 // TestHooks implementation is consulted.

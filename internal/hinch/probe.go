@@ -11,21 +11,26 @@ import "time"
 // launch/retire, reconfiguration phase, event, fault, tune, stall) with
 // one call on the acting writer's probe. The call bumps the writer's
 // counters shard — always on — and, when attached, feeds the telemetry
-// histograms and the tracer's ring from the same arguments and the same
-// clock read; test yields go through it too. A writer only ever holds
-// its own probe, so the single-writer rule the counters, the histogram
-// shards and the Tracer rely on is a property of who holds which
-// pointer; the -race test lanes guard it.
+// histograms, the tuner's samples and the tracer's ring from the same
+// arguments and the same clock read; test yields, steal reseeding and
+// fault injection go through it too, so the engine consults no optional
+// attachment anywhere else (Snapshot and report only check which are
+// attached). A writer only ever holds its own probe, so
+// the single-writer rule the counters, the histogram shards and the
+// Tracer rely on is a property of who holds which pointer; the -race
+// test lanes guard it.
 //
 // The trailing pad keeps adjacent writers off one cache line.
 type probe struct {
 	counters
 
-	shard int       // 0 = engine lock / sim goroutine, w+1 = worker w
-	w     *wsWorker // the worker behind shard w+1; nil for shard 0
-	tr    Tracer    // flight recorder; nil in production
-	hooks TestHooks // test-only schedule perturbation; nil in production
-	tm    *telemetry
+	shard  int           // 0 = engine lock / sim goroutine, w+1 = worker w
+	w      *wsWorker     // the worker behind shard w+1; nil for shard 0
+	tr     Tracer        // flight recorder; nil in production
+	hooks  TestHooks     // test-only schedule perturbation; nil in production
+	faults FaultInjector // test-only fault injection; nil in production
+	tm     *telemetry    // histograms and watchdog; nil unless Config.Telemetry
+	tu     *tuner        // feedback autotuner; nil unless Config.Autotune
 
 	// The writer's clock. On sim ts is the virtual clock, advanced by
 	// runSim. On the real backend a tracing worker caches the end of its
@@ -53,7 +58,7 @@ func newProbes(cfg Config, nTasks int) []probe {
 	for i := range probes {
 		p := &probes[i]
 		p.task = make([]taskCounters, nTasks)
-		p.shard, p.tr, p.hooks = i, cfg.Tracer, cfg.Hooks
+		p.shard, p.tr, p.hooks, p.faults = i, cfg.Tracer, cfg.Hooks, cfg.Faults
 		p.fresh = cfg.Backend == BackendReal && (i == 0 || p.tr == nil)
 	}
 	return probes
@@ -74,6 +79,41 @@ func (p *probe) wall() int64 { return int64(time.Since(p.start)) }
 func (p *probe) yield(pt YieldPoint) {
 	if p.hooks != nil {
 		p.hooks.Yield(pt)
+	}
+}
+
+// stealSeed is the only caller of TestHooks.StealSeed: the initial
+// steal-victim state of the worker behind p, def unless a hook reseeds
+// it (zero keeps def: xorshift must not start at 0).
+func (p *probe) stealSeed(def uint64) uint64 {
+	if p.hooks != nil {
+		if hs := p.hooks.StealSeed(p.shard - 1); hs != 0 {
+			return hs
+		}
+	}
+	return def
+}
+
+// inject is the only caller of FaultInjector.Inject: the fault, if any,
+// for attempt (0-based) of job j.
+func (p *probe) inject(j job, attempt int) Fault {
+	if p.faults == nil {
+		return Fault{}
+	}
+	return p.faults.Inject(j.task.Name, j.iter, attempt)
+}
+
+// begin and end bracket the run; they are the only callers of
+// Tracer.Begin and Tracer.End. meta runs only with a tracer attached.
+func (p *probe) begin(meta func() TraceMeta) {
+	if p.tr != nil {
+		p.tr.Begin(meta())
+	}
+}
+
+func (p *probe) end() {
+	if p.tr != nil {
+		p.tr.End()
 	}
 }
 
@@ -127,13 +167,14 @@ func (p *probe) woke() { p.wakes.Add(1) }
 func (p *probe) ran(id int) { p.task[id].jobs.Add(1) }
 
 // dispatch opens the execution of job j on a real-backend worker: it
-// counts the job and, when its service time is wanted — timed (for the
-// tuner or a deadline) or picked by telemetry's 1-in-32 stride —
+// counts the job and, when its service time is wanted — for a deadline,
+// by an attached tuner, or picked by telemetry's 1-in-32 stride —
 // returns the clock at its start; -1 otherwise.
 //
 //hinch:hotpath
-func (p *probe) dispatch(j job, timed bool) (start int64) {
+func (p *probe) dispatch(j job, deadline bool) (start int64) {
 	p.ran(j.task.ID)
+	timed := deadline || p.tu != nil
 	if p.tm != nil {
 		p.tick++
 		timed = timed || p.tick&tmSampleMask == 0
@@ -178,6 +219,14 @@ func (p *probe) charge(id int, ops, mem, dur int64) {
 	tc.memCycles.Add(mem)
 	if p.tm != nil {
 		p.tm.shards[p.shard].svc[id].record(dur)
+	}
+}
+
+// busy feeds the tuner the duration of component job j, in the probe's
+// clock domain.
+func (p *probe) busy(j job, dur int64) {
+	if p.tu != nil {
+		p.tu.busy[j.task.ID].Add(dur)
 	}
 }
 
@@ -251,11 +300,23 @@ func (p *probe) unpark() {
 	p.emit(TraceUnpark, -1, -1, 0)
 }
 
+// bufWait: a job parked on backpressure. It and acquired run under mu,
+// which guards the tuner's buffer counters they feed.
+func (p *probe) bufWait() {
+	if p.tu != nil {
+		p.tu.bufWaits++
+	}
+}
+
 // acquired and released: iteration iter took or returned its buffer
-// set, leaving occ sets held. Histogram and ring get one record per
-// stream — the streams move together, so all carry the same occupancy —
-// and with neither attached the per-stream loop is not run at all.
+// set, leaving occ sets held. The tuner keeps the high-water mark of
+// occ. Histogram and ring get one record per stream — the streams move
+// together, so all carry the same occupancy — and with neither attached
+// the per-stream loop is not run at all.
 func (p *probe) acquired(streams []*Stream, iter int, occ int64) {
+	if p.tu != nil {
+		p.tu.bufHW = max(p.tu.bufHW, int(occ))
+	}
 	if p.tm == nil && p.tr == nil {
 		return
 	}

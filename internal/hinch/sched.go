@@ -189,31 +189,21 @@ type sched struct {
 // newSched builds the scheduler and binds worker w to probes[w+1].
 func newSched(cfg Config, probes []probe) *sched {
 	n := cfg.Cores
-	hooks := cfg.Hooks
 	s := &sched{workers: make([]*wsWorker, n)}
-	s.maxChain = cfg.StreamCapacity
-	if s.maxChain > stealMax {
-		s.maxChain = stealMax
-	}
+	s.maxChain = min(cfg.StreamCapacity, stealMax)
 	s.idle = make([]*wsWorker, 0, n)
 	for i := range s.workers {
-		seed := uint64(i)*0x9e3779b97f4a7c15 + 1
-		if hooks != nil {
-			// Reseed the victim sequence so schedule exploration visits
-			// steal orders the default seeding never produces. Zero keeps
-			// the default (xorshift must not start at 0).
-			if hs := hooks.StealSeed(i); hs != 0 {
-				seed = hs
-			}
-		}
+		p := &probes[i+1]
 		s.workers[i] = &wsWorker{
 			id:   i,
 			park: make(chan struct{}, 1),
-			rng:  seed,
-			p:    &probes[i+1],
+			// Schedule exploration may reseed the victim sequence to visit
+			// steal orders the default seeding never produces.
+			rng: p.stealSeed(uint64(i)*0x9e3779b97f4a7c15 + 1),
+			p:   p,
 		}
-		probes[i+1].w = s.workers[i]
-		s.workers[i].rc.p = &probes[i+1]
+		p.w = s.workers[i]
+		s.workers[i].rc.p = p
 		s.workers[i].dq.buf = make([]job, 0, 64)
 		s.workers[i].relBuf = make([]job, 0, 32)
 	}

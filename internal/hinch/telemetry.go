@@ -177,11 +177,11 @@ type telemetry struct {
 	occ     []hist // per-stream occupancy, recorded at buffer acquire
 	iterLat hist   // launch -> retire latency per iteration
 
-	// Stalled-progress watchdog: every epoch (WatchdogCycles virtual
-	// cycles on sim, WatchdogWall on real; the second role on the epoch
-	// clock) the engine compares its retirement frontier against the
-	// previous epoch's; wdK epochs without a retirement flip stalled
-	// (and /healthz) until progress resumes.
+	// Stalled-progress watchdog: every WatchdogEpoch (virtual cycles on
+	// sim, wall time on real; the second role on the epoch clock) the
+	// engine compares its retirement frontier against the previous
+	// epoch's; wdK epochs without a retirement flip stalled (and
+	// /healthz) until progress resumes.
 	stalled  atomic.Bool
 	stalls   atomic.Int64
 	wdK      int

@@ -279,7 +279,7 @@ func TestWatchdogStallSim(t *testing.T) {
 		tr := &testTracer{}
 		app, err := NewApp(chainProg(), testRegistry(), Config{
 			Backend: BackendSim, Cores: 2, Telemetry: true, Tracer: tr,
-			WatchdogCycles: 100_000, WatchdogEpochs: 3,
+			WatchdogEpoch: 100_000, WatchdogEpochs: 3,
 			Faults: &delayOnce{task: "dbl", iter: 5, delay: 10 * time.Millisecond},
 		})
 		if err != nil {
@@ -318,7 +318,7 @@ func TestWatchdogStallSim(t *testing.T) {
 func TestWatchdogNoFalsePositive(t *testing.T) {
 	_, rep := runApp(t, chainProg(), Config{
 		Backend: BackendSim, Cores: 2, Telemetry: true,
-		WatchdogCycles: 50_000, WatchdogEpochs: 3,
+		WatchdogEpoch: 50_000, WatchdogEpochs: 3,
 	}, 40)
 	if rep.Stalls != 0 {
 		t.Fatalf("healthy run reported %d stalls", rep.Stalls)
@@ -328,7 +328,7 @@ func TestWatchdogNoFalsePositive(t *testing.T) {
 func TestWatchdogStallReal(t *testing.T) {
 	app, err := NewApp(chainProg(), testRegistry(), Config{
 		Backend: BackendReal, Cores: 2, Telemetry: true,
-		WatchdogWall: 2 * time.Millisecond, WatchdogEpochs: 2,
+		WatchdogEpoch: 2 * time.Millisecond, WatchdogEpochs: 2,
 		Faults: &delayOnce{task: "dbl", iter: 3, delay: 150 * time.Millisecond},
 	})
 	if err != nil {

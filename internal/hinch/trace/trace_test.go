@@ -130,11 +130,11 @@ var simTraceCases = []struct {
 	// Every bh attempt from frame 3 on fails: two retries with backoff,
 	// then the fault event degrades blur -> copy. The backoff outlasts
 	// three of the shortened watchdog epochs, so the run also stalls.
-	{"fallback.xml", hinch.Config{Cores: 2, WatchdogCycles: 400_000,
+	{"fallback.xml", hinch.Config{Cores: 2, WatchdogEpoch: 400_000,
 		Faults: &hinch.SeededFaults{Task: "bh", From: 3}}, func(t *testing.T) (*graph.Program, int) {
 		return specProg(t, "fallback.xml"), 8
 	}},
-	{"autotune.xml", hinch.Config{Cores: 4, Autotune: true, TuneEpochCycles: 2_000_000}, func(t *testing.T) (*graph.Program, int) {
+	{"autotune.xml", hinch.Config{Cores: 4, Autotune: true, TuneEpoch: 2_000_000}, func(t *testing.T) (*graph.Program, int) {
 		return specProg(t, "autotune.xml"), 64
 	}},
 }

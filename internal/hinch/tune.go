@@ -117,12 +117,12 @@ type TuneView struct {
 // tuneTailLen bounds the published decision-log tail.
 const tuneTailLen = 32
 
-// newTuner builds the tuner for an engine whose Config.Autotune is set.
-// Widths are capped statically at min(PipelineDepth, Cores) — the
-// pipeline window bounds how many iterations of a task can exist, and
-// widening past the core count only adds memory pressure — and, when
-// the prediction model covers every class, at the
-// model's useful width: a replica width beyond
+// newTuner builds the tuner for an engine whose Config.Autotune is set
+// and attaches it to every probe, which feed it its samples. Widths are
+// capped statically at min(PipelineDepth, Cores) — the pipeline window
+// bounds how many iterations of a task can exist, and widening past the
+// core count only adds memory pressure — and, when the prediction model
+// covers every class, at the model's useful width: a replica width beyond
 // ceil(taskCost / max(Work/Cores, CriticalPath/PipelineDepth)) cannot
 // move the steady-state bound, so the tuner never explores it.
 func newTuner(e *engine) *tuner {
@@ -137,10 +137,10 @@ func newTuner(e *engine) *tuner {
 		cool:  make([]int, n),
 		cap:   make([]int32, n),
 	}
-	capW := a.cfg.PipelineDepth
-	if a.cfg.Cores < capW {
-		capW = a.cfg.Cores
+	for i := range e.probes {
+		e.probes[i].tu = tu
 	}
+	capW := min(a.cfg.PipelineDepth, a.cfg.Cores)
 	for _, t := range a.plan.Tasks {
 		if t.Role != graph.RoleComponent {
 			continue

@@ -90,7 +90,7 @@ func tuneTrace(log []TuneDecision) string {
 func TestAutotuneConvergesOnBottleneck(t *testing.T) {
 	const iters = 600
 	cfg := Config{Backend: BackendSim, Cores: 5, PipelineDepth: 8,
-		Autotune: true, TuneEpochCycles: 25000}
+		Autotune: true, TuneEpoch: 25000}
 	app, rep := runApp(t, tuneChainProg(2000, "auto"), cfg, iters)
 
 	sink := app.Component("snk").(*intSink)
@@ -134,7 +134,7 @@ func TestAutotuneConvergesOnBottleneck(t *testing.T) {
 // on the sim backend produce byte-identical decision traces.
 func TestAutotuneTraceDeterministic(t *testing.T) {
 	cfg := Config{Backend: BackendSim, Cores: 5, PipelineDepth: 8,
-		Autotune: true, TuneEpochCycles: 25000}
+		Autotune: true, TuneEpoch: 25000}
 	var first string
 	for run := 0; run < 5; run++ {
 		_, rep := runApp(t, tuneChainProg(2000, "auto"), cfg, 600)
@@ -185,7 +185,7 @@ func TestAutotuneBottleneckSpeedup(t *testing.T) {
 	const iters = 400
 	run := func(tune bool) (time.Duration, *Report) {
 		cfg := Config{Backend: BackendReal, Cores: 4, PipelineDepth: 8,
-			Autotune: tune, TuneEpochWall: 500 * time.Microsecond}
+			Autotune: tune, TuneEpoch: 500 * time.Microsecond}
 		app, rep := runApp(t, prog(), cfg, iters)
 		sink := app.Component("snk").(*intSink)
 		if vals := sink.values(); len(vals) != iters {
@@ -209,4 +209,34 @@ func TestAutotuneBottleneckSpeedup(t *testing.T) {
 		}
 	}
 	t.Fatalf("autotuned bottleneck only %.2fx faster after %d attempts, want >= 1.5x", speedup, attempts)
+}
+
+// TestConfigDefaults pins every value withDefaults fills, per backend:
+// the epoch lengths follow the one duration rule (virtual cycles on
+// sim, wall time on real), and an explicit epoch on sim is a cycle
+// count.
+func TestConfigDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		backend        Backend
+		tune, watchdog time.Duration
+	}{
+		{BackendSim, 50_000, 2_000_000},
+		{BackendReal, 2 * time.Millisecond, 250 * time.Millisecond},
+	} {
+		want := Config{Backend: tc.backend, Cores: 1, PipelineDepth: 5, StreamCapacity: 3,
+			TuneEpoch: tc.tune, WatchdogEpochs: 3, WatchdogEpoch: tc.watchdog}
+		if got := (Config{Backend: tc.backend}).withDefaults(); got != want {
+			t.Errorf("backend %d defaults:\n got %+v\nwant %+v", tc.backend, got, want)
+		}
+		if got := (Config{Backend: tc.backend, PipelineDepth: 2}).withDefaults().StreamCapacity; got != 2 {
+			t.Errorf("backend %d: StreamCapacity %d, want clamped to PipelineDepth 2", tc.backend, got)
+		}
+	}
+	app, err := NewApp(chainProg(), testRegistry(), Config{Backend: BackendSim, Autotune: true, TuneEpoch: 25_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := app.eng.tu.epoch; got != 25_000 {
+		t.Errorf("sim TuneEpoch 25_000: tuner epoch %d cycles, want 25000", got)
+	}
 }
