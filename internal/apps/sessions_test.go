@@ -14,11 +14,12 @@ import (
 // TestMediaSessionsPoolStress runs the paper's media applications as
 // concurrent supervisor sessions — eight at a time on the real backend,
 // a third of them cancelled mid-run — against the one thing they all
-// share: the global frame free-list. A cancelled session drains its
-// stream complement back to the pool while its neighbours are busy
-// pulling frames out, so any ownership bug (a frame recycled with a
-// live reference, or handed to two streams) corrupts pixel data and
-// shows up as a checksum mismatch in a session that ran to completion.
+// share: the global frame and coefficient-frame free-lists. A cancelled
+// session drains its stream complement back to the pools while its
+// neighbours are busy pulling frames out, so any ownership bug (a frame
+// recycled with a live reference, or handed to two streams) corrupts
+// pixel data and shows up as a checksum mismatch in a session that ran
+// to completion.
 // Every completed session must match its hand-written sequential
 // baseline exactly; run under -race in CI this doubles as the pool's
 // cross-application concurrency audit (ISSUE: 8-session stress).
@@ -27,6 +28,7 @@ func TestMediaSessionsPoolStress(t *testing.T) {
 	pip2 := pip1
 	pip2.Pips = 2
 	blur := BlurConfig{W: 64, H: 48, Frames: 24, Slices: 4, Taps: 3, Every: 4}
+	jpip := JPiPConfig{W: 64, H: 48, Frames: 24, Factor: 4, Slices: 4, Quality: 75, Pips: 2, Every: 4}
 
 	type flavour struct {
 		v      *Variant
@@ -42,6 +44,7 @@ func TestMediaSessionsPoolStress(t *testing.T) {
 		{NewPiPVariant("stress-pip1", pip1), func() (*SeqResult, error) { return SeqPiP(pip1) }, pip1.Frames},
 		{NewPiPVariant("stress-pip2", pip2), func() (*SeqResult, error) { return SeqPiP(pip2) }, pip2.Frames},
 		{NewBlurVariant("stress-blur3", blur), func() (*SeqResult, error) { return SeqBlur(blur) }, blur.Frames},
+		{NewJPiPVariant("stress-jpip2", jpip), func() (*SeqResult, error) { return SeqJPiP(jpip) }, jpip.Frames},
 	} {
 		seq, err := f.seq()
 		if err != nil {

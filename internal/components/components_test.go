@@ -220,42 +220,82 @@ func (p *coeffProbe) Run(rc *hinch.RunContext) error {
 
 // TestJPEGDecodeRecyclesSlotFrames checks that jpegdecode decodes into
 // the frame its output slot already holds: a run allocates one
-// coefficient frame per slot of the stream, not one per iteration.
+// coefficient frame per slot of the stream, not one per iteration, and
+// a second App takes the first one's frames back from mjpeg's
+// free-list instead of allocating its own.
 func TestJPEGDecodeRecyclesSlotFrames(t *testing.T) {
 	const w, h, frames = 32, 32, 12
 	for _, backend := range []hinch.Backend{hinch.BackendSim, hinch.BackendReal} {
-		probe := &coeffProbe{seen: map[*mjpeg.CoeffFrame]int{}}
-		reg := DefaultRegistry()
-		reg.Register("coeffprobe", hinch.ClassSpec{
-			New: func() hinch.Component { return probe },
-			In:  []string{"in"},
-		})
-		b := graph.NewBuilder("recycle")
-		b.PacketStream("pk", w*h/4)
-		b.CoeffStream("cf", w, h)
-		b.Body(
-			b.Component("src", "mjpegsrc", graph.Ports{"out": "pk"}, graph.Params{
-				"width": itoa(w), "height": itoa(h), "frames": itoa(frames), "quality": "75", "seed": "4"}),
-			b.Component("dec", "jpegdecode", graph.Ports{"in": "pk", "out": "cf"},
-				graph.Params{"width": itoa(w), "height": itoa(h)}),
-			b.Component("probe", "coeffprobe", graph.Ports{"in": "cf"}, nil),
-		)
-		app, err := hinch.NewApp(b.MustProgram(), reg, hinch.Config{Backend: backend, Cores: 2})
-		if err != nil {
-			t.Fatal(err)
+		var runs [2]map[*mjpeg.CoeffFrame]int
+		var slots [2]int
+		for i := range runs {
+			probe := &coeffProbe{seen: map[*mjpeg.CoeffFrame]int{}}
+			reg := DefaultRegistry()
+			reg.Register("coeffprobe", hinch.ClassSpec{
+				New: func() hinch.Component { return probe },
+				In:  []string{"in"},
+			})
+			b := graph.NewBuilder("recycle")
+			b.PacketStream("pk", w*h/4)
+			b.CoeffStream("cf", w, h)
+			b.Body(
+				b.Component("src", "mjpegsrc", graph.Ports{"out": "pk"}, graph.Params{
+					"width": itoa(w), "height": itoa(h), "frames": itoa(frames), "quality": "75", "seed": "4"}),
+				b.Component("dec", "jpegdecode", graph.Ports{"in": "pk", "out": "cf"},
+					graph.Params{"width": itoa(w), "height": itoa(h)}),
+				b.Component("probe", "coeffprobe", graph.Ports{"in": "cf"}, nil),
+			)
+			app, err := hinch.NewApp(b.MustProgram(), reg, hinch.Config{Backend: backend, Cores: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := app.Run(frames); err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, n := range probe.seen {
+				total += n
+			}
+			runs[i], slots[i] = probe.seen, app.Stream("cf").BuffersAllocated()
+			if total != frames || len(probe.seen) != slots[i] || slots[i] >= frames {
+				t.Errorf("backend %v run %d: %d iterations carried %d distinct coefficient frames over %d slots; want one frame per slot",
+					backend, i, total, len(probe.seen), slots[i])
+			}
 		}
-		if _, err := app.Run(frames); err != nil {
-			t.Fatal(err)
+		// The free-list is a LIFO: the first run's frames are on top.
+		reused := 0
+		for cf := range runs[1] {
+			if runs[0][cf] > 0 {
+				reused++
+			}
 		}
-		total := 0
-		for _, n := range probe.seen {
-			total += n
+		if want := min(slots[0], slots[1]); reused != want {
+			t.Errorf("backend %v: the second App reused %d of the first one's coefficient frames, want %d", backend, reused, want)
 		}
-		slots := app.Stream("cf").BuffersAllocated()
-		if total != frames || len(probe.seen) != slots || slots >= frames {
-			t.Errorf("backend %v: %d iterations carried %d distinct coefficient frames over %d slots; want one frame per slot",
-				backend, total, len(probe.seen), slots)
-		}
+	}
+}
+
+// TestCoeffStreamRejectsPartialBlocks checks that NewApp refuses a coeff
+// stream whose 4:2:0 planes would not cover whole 8×8 blocks, before
+// any slot tries to build a coefficient frame for it.
+func TestCoeffStreamRejectsPartialBlocks(t *testing.T) {
+	reg := DefaultRegistry()
+	reg.Register("coeffprobe", hinch.ClassSpec{
+		New: func() hinch.Component { return &coeffProbe{} },
+		In:  []string{"in"},
+	})
+	b := graph.NewBuilder("bad")
+	b.PacketStream("pk", 1024)
+	b.CoeffStream("cf", 40, 24)
+	b.Body(
+		b.Component("src", "mjpegsrc", graph.Ports{"out": "pk"}, graph.Params{
+			"width": "40", "height": "24", "frames": "2"}),
+		b.Component("dec", "jpegdecode", graph.Ports{"in": "pk", "out": "cf"}, graph.Params{"width": "40", "height": "24"}),
+		b.Component("probe", "coeffprobe", graph.Ports{"in": "cf"}, nil),
+	)
+	_, err := hinch.NewApp(b.MustProgram(), reg, hinch.Config{Backend: hinch.BackendReal})
+	if err == nil || !strings.Contains(err.Error(), "multiples of 16") {
+		t.Fatalf("40x24 coeff stream: err = %v, want a whole-block error", err)
 	}
 }
 

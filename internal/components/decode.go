@@ -45,9 +45,11 @@ func (c *JPEGDecode) Run(rc *hinch.RunContext) error {
 	if err != nil {
 		return err
 	}
-	// The slot still holds the coefficient frame of the iteration that
-	// last used it; a slot is released only after every reader of its
-	// iteration has finished, so that frame is free to decode into.
+	// The slot holds the coefficient frame the stream created for it
+	// (from mjpeg's free-list, so possibly another App's), last written
+	// by an earlier iteration; a slot is released only after every
+	// reader of its iteration has finished, so that frame is free to
+	// decode into.
 	prev, _ := rc.Out("out").(*mjpeg.CoeffFrame)
 	cf, err := mjpeg.DecodeEntropyInto(prev, pkt.Data)
 	if err != nil {

@@ -314,11 +314,10 @@ func (rc *RunContext) Out(port string) any {
 }
 
 // SetOut replaces the payload at the named output port, for streams
-// whose elements are produced fresh each iteration (packets,
-// coefficient frames). Slice copies of one iteration run concurrently
-// on the real backend, so a data-parallel group must designate a single
-// writer (or fill disjoint regions of the pre-allocated Out buffer
-// instead).
+// whose elements are produced fresh each iteration (packets). Slice
+// copies of one iteration run concurrently on the real backend, so a
+// data-parallel group must designate a single writer (or fill disjoint
+// regions of the pre-allocated Out buffer instead).
 func (rc *RunContext) SetOut(port string, payload any) {
 	rc.slot(port).payload = payload
 }

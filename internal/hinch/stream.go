@@ -92,12 +92,13 @@ func (w *window) put(set int) {
 type slot struct {
 	payload any
 	region  spacecake.Region
-	// own is the frame the stream itself created for this slot (via the
-	// global media free-list). Kept separately from payload so that a
-	// component replacing the payload with SetOut can never cause the
-	// same frame to be recycled twice: only own goes back to the
-	// free-list, exactly once, when the run's buffers are drained.
-	own *media.Frame
+	// own is the element the stream itself created for this slot: a
+	// *media.Frame or a *mjpeg.CoeffFrame from its global free-list.
+	// Kept separately from payload so that a component replacing the
+	// payload with SetOut can never cause the same element to be
+	// recycled twice: only own goes back to its free-list, exactly once,
+	// when the run's buffers are drained.
+	own any
 }
 
 // Packet is the element of a "packet" stream: one variable-size unit of
@@ -114,6 +115,9 @@ func newStream(decl graph.StreamDecl, depth int, win *window, addr *spacecake.Ad
 	case "frame", "coeff":
 		if decl.W <= 0 || decl.H <= 0 {
 			return nil, fmt.Errorf("hinch: %s stream %q needs positive dimensions", decl.Type, decl.Name)
+		}
+		if decl.Type == "coeff" && (decl.W%16 != 0 || decl.H%16 != 0) {
+			return nil, fmt.Errorf("hinch: coeff stream %q is %dx%d, want multiples of 16 (whole 4:2:0 blocks)", decl.Name, decl.W, decl.H)
 		}
 	case "packet", "":
 	default:
@@ -146,15 +150,19 @@ func (s *Stream) elementBytes() int64 {
 	return 0
 }
 
-// newSlot allocates a fresh buffer. Frame payloads come from the
-// global media free-list (zeroed, so contents match a fresh NewFrame)
-// and return to it when the run ends and drainFrames dissolves the
-// slots.
+// newSlot allocates a fresh buffer. Frame and coefficient-frame
+// payloads come from their global free-lists (zeroed, so contents match
+// a fresh NewFrame or NewCoeffFrame) and return to them when the run
+// ends and drainFrames dissolves the slots.
 func (s *Stream) newSlot() *slot {
 	sl := &slot{}
-	if s.decl.Type == "frame" {
-		sl.own = media.GetFrame(s.decl.W, s.decl.H)
-		sl.payload = sl.own
+	switch s.decl.Type {
+	case "frame":
+		f := media.GetFrame(s.decl.W, s.decl.H)
+		sl.own, sl.payload = f, f
+	case "coeff":
+		cf := mjpeg.GetCoeffFrame(s.decl.W, s.decl.H)
+		sl.own, sl.payload = cf, cf
 	}
 	if s.addr != nil {
 		if b := s.elementBytes(); b > 0 {
@@ -164,17 +172,22 @@ func (s *Stream) newSlot() *slot {
 	return sl
 }
 
-// drainFrames returns the stream's own frame payloads to the global
-// media free-list. Called once, after the run has fully stopped, and
-// only for the window's free sets: after a clean finish that is every
-// set that was filled. A set still held after an aborted run keeps its
-// frames, which simply fall to the GC with the App — never recycle a
-// frame a failed component might still reference.
+// drainFrames returns the stream's own frame and coefficient-frame
+// payloads to their global free-lists. Called once, after the run has
+// fully stopped, and only for the window's free sets: after a clean
+// finish that is every set that was filled. A set still held after an
+// aborted run keeps its frames, which simply fall to the GC with the
+// App — never recycle a frame a failed component might still reference.
 func (s *Stream) drainFrames() {
 	for _, set := range s.win.free {
 		// A nil slot: the set was never handed out.
 		if sl := s.slots[set]; sl != nil && sl.own != nil {
-			media.PutFrame(sl.own)
+			switch own := sl.own.(type) {
+			case *media.Frame:
+				media.PutFrame(own)
+			case *mjpeg.CoeffFrame:
+				mjpeg.PutCoeffFrame(own)
+			}
 			sl.own = nil
 			sl.payload = nil
 		}

@@ -71,7 +71,7 @@ func TestBufferWindowAbortedRunKeepsHeldFrames(t *testing.T) {
 			case sl.own == nil:
 				t.Errorf("backend %d: held set %d lost its frame", backend, set)
 			default:
-				held[sl.own] = true
+				held[sl.own.(*media.Frame)] = true
 			}
 		}
 		if len(held) == 0 {

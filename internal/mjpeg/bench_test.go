@@ -1,6 +1,7 @@
 package mjpeg
 
 import (
+	"fmt"
 	"testing"
 
 	"xspcl/internal/media"
@@ -38,18 +39,25 @@ func BenchmarkDecodeEntropy(b *testing.B) {
 	}
 }
 
+// benchSizes are the geometries the IDCT and entropy benchmarks run at:
+// the small test frame and the 1280×720 frame of the JPiP workload.
+var benchSizes = []struct{ w, h int }{{320, 240}, {1280, 720}}
+
 func BenchmarkIDCTPlaneRows(b *testing.B) {
-	f, enc := benchFrame(b, 320, 240)
-	cf, err := DecodeEntropy(enc)
-	if err != nil {
-		b.Fatal(err)
+	for _, sz := range benchSizes {
+		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
+			_, enc := benchFrame(b, sz.w, sz.h)
+			cf, err := DecodeEntropy(enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := make([]uint8, sz.w*sz.h)
+			b.SetBytes(int64(len(dst)))
+			for i := 0; i < b.N; i++ {
+				IDCTPlaneRows(dst, cf.Planes[0], 0, sz.h)
+			}
+		})
 	}
-	dst := make([]uint8, 320*240)
-	b.SetBytes(int64(len(dst)))
-	for i := 0; i < b.N; i++ {
-		IDCTPlaneRows(dst, cf.Planes[0], 0, 240)
-	}
-	_ = f
 }
 
 func BenchmarkFDCT8x8(b *testing.B) {
@@ -63,16 +71,20 @@ func BenchmarkFDCT8x8(b *testing.B) {
 }
 
 func BenchmarkDecodeEntropyInto(b *testing.B) {
-	f, enc := benchFrame(b, 320, 240)
-	cf, err := DecodeEntropy(enc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(f.Bytes()))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeEntropyInto(cf, enc); err != nil {
-			b.Fatal(err)
-		}
+	for _, sz := range benchSizes {
+		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
+			f, enc := benchFrame(b, sz.w, sz.h)
+			cf, err := DecodeEntropy(enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(f.Bytes()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeEntropyInto(cf, enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

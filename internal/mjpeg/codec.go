@@ -85,6 +85,16 @@ type CoeffFrame struct {
 	Stats  DecodeStats
 }
 
+// NewCoeffFrame allocates a zeroed coefficient frame for a w×h picture
+// (multiples of 16, so every 4:2:0 plane covers whole blocks).
+func NewCoeffFrame(w, h int) *CoeffFrame {
+	cf := &CoeffFrame{W: w, H: h}
+	for i, pl := range media.Planes {
+		cf.Planes[i] = NewCoeffPlane(media.PlaneDims(pl, w, h))
+	}
+	return cf
+}
+
 // Bytes returns the total coefficient footprint of the frame.
 func (c *CoeffFrame) Bytes() int {
 	n := 0
@@ -218,7 +228,7 @@ func DecodeEntropyInto(cf *CoeffFrame, data []byte) (*CoeffFrame, error) {
 		return nil, err
 	}
 	if cf == nil || cf.W != h.W || cf.H != h.H {
-		cf = &CoeffFrame{W: h.W, H: h.H}
+		cf = NewCoeffFrame(h.W, h.H)
 	}
 	cf.Stats = DecodeStats{}
 	pos := 9
@@ -230,9 +240,6 @@ func DecodeEntropyInto(cf *CoeffFrame, data []byte) (*CoeffFrame, error) {
 		pos += 4
 		if pos+n > len(data) {
 			return nil, fmt.Errorf("mjpeg: truncated frame (plane %s data)", pl)
-		}
-		if cf.Planes[i] == nil {
-			cf.Planes[i] = NewCoeffPlane(media.PlaneDims(pl, h.W, h.H))
 		}
 		if err := decodePlaneEntropy(cf.Planes[i], &cf.Stats, data[pos:pos+n], pl == media.PlaneY, h.Quality); err != nil {
 			return nil, fmt.Errorf("mjpeg: plane %s: %w", pl, err)
@@ -322,30 +329,29 @@ func IDCTPlaneRows(dst []uint8, cp *CoeffPlane, r0, r1 int) {
 	// Rounding and the +128 level shift ride through the row sums; the
 	// int32 truncation after the shift is the one the two-step form had.
 	const bias = dctRound + 128<<(2*dctBits)
-	var tmp [8][8]int64
-	var row [8]int64
+	var px, col [64]int64
 	w := cp.W
 	for by := r0 / 8; by < (r1+7)/8; by++ {
 		for bx := 0; bx < w/8; bx++ {
 			in := (*[64]int32)(cp.Block(bx, by))
 			at := by*8*w + bx*8
-			n := idctColumns(&tmp, in)
-			if n == 0 {
+			if !idctBlock(&px, &col, in, bias) {
 				dc := clampPixel(int32((idctDC(in[0]) + bias) >> (2 * dctBits)))
 				for y := 0; y < 8; y++ {
-					px := dst[at+y*w : at+y*w+8 : at+y*w+8]
-					for x := range px {
-						px[x] = dc
+					row := dst[at+y*w : at+y*w+8 : at+y*w+8]
+					for x := range row {
+						row[x] = dc
 					}
 				}
 				continue
 			}
-			for y := range tmp {
-				idctRow(&row, &tmp[y], n, bias)
-				px := dst[at+y*w : at+y*w+8 : at+y*w+8]
-				for x := range px {
-					px[x] = clampPixel(int32(row[x] >> (2 * dctBits)))
-				}
+			// Unrolled per row: measurably faster than an 8-step loop.
+			for y := 0; y < 8; y++ {
+				row, v := (*[8]uint8)(dst[at+y*w:]), (*[8]int64)(px[y*8:])
+				row[0], row[1] = clampPixel(int32(v[0]>>(2*dctBits))), clampPixel(int32(v[1]>>(2*dctBits)))
+				row[2], row[3] = clampPixel(int32(v[2]>>(2*dctBits))), clampPixel(int32(v[3]>>(2*dctBits)))
+				row[4], row[5] = clampPixel(int32(v[4]>>(2*dctBits))), clampPixel(int32(v[5]>>(2*dctBits)))
+				row[6], row[7] = clampPixel(int32(v[6]>>(2*dctBits))), clampPixel(int32(v[7]>>(2*dctBits)))
 			}
 		}
 	}

