@@ -2,7 +2,6 @@ package mjpeg
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"xspcl/internal/media"
@@ -44,18 +43,56 @@ func BenchmarkDecodeEntropy(b *testing.B) {
 // the small test frame and the 1280×720 frame of the JPiP workload.
 var benchSizes = []struct{ w, h int }{{320, 240}, {1280, 720}}
 
+// rotation is the number of coefficient frames the IDCT and entropy
+// benchmarks cycle through: a JPiP coefficient stream rotates its
+// frames through three slots, so a stage never meets the frame it just
+// wrote still in L2.
+const rotation = 3
+
+// rotatedFrames decodes packets into rotation frames, frame i from
+// packet i%len(packets).
+func rotatedFrames(b *testing.B, w, h int, packets [][]byte) []*CoeffFrame {
+	b.Helper()
+	cfs := make([]*CoeffFrame, rotation)
+	for i := range cfs {
+		cf, err := DecodeEntropyInto(NewCoeffFrame(w, h), packets[i%len(packets)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfs[i] = cf
+	}
+	return cfs
+}
+
+// videoPackets encodes the first n pictures of the benchmark video.
+func videoPackets(b *testing.B, w, h, n int) [][]byte {
+	b.Helper()
+	gen := media.NewGenerator(w, h, 1)
+	packets := make([][]byte, n)
+	for i := range packets {
+		enc, err := Encode(gen.Next(), 75)
+		if err != nil {
+			b.Fatal(err)
+		}
+		packets[i] = enc
+	}
+	return packets
+}
+
+// BenchmarkIDCTPlaneRows inverse-transforms the Y plane of three
+// decoded pictures in turn, each into its own output plane.
 func BenchmarkIDCTPlaneRows(b *testing.B) {
 	for _, sz := range benchSizes {
 		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
-			_, enc := benchFrame(b, sz.w, sz.h)
-			cf, err := DecodeEntropy(enc)
-			if err != nil {
-				b.Fatal(err)
+			cfs := rotatedFrames(b, sz.w, sz.h, videoPackets(b, sz.w, sz.h, rotation))
+			var dst [rotation][]uint8
+			for i := range dst {
+				dst[i] = make([]uint8, sz.w*sz.h)
 			}
-			dst := make([]uint8, sz.w*sz.h)
-			b.SetBytes(int64(len(dst)))
+			b.SetBytes(int64(sz.w * sz.h))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				IDCTPlaneRows(dst, cf.Planes[0], 0, sz.h)
+				IDCTPlaneRows(dst[i%rotation], cfs[i%rotation].Planes[0], 0, sz.h)
 			}
 		})
 	}
@@ -72,26 +109,18 @@ func BenchmarkFDCT8x8(b *testing.B) {
 }
 
 // BenchmarkDecodeEntropyInto decodes two pictures of the video in
-// turn into one frame, as a jpegdecode stream slot does: each decode
-// clears what the other one left.
+// turn into three frames in turn, as a jpegdecode stream's slots do:
+// each decode overwrites a frame another picture left.
 func BenchmarkDecodeEntropyInto(b *testing.B) {
 	for _, sz := range benchSizes {
 		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
-			gen := media.NewGenerator(sz.w, sz.h, 1)
-			var packets [2][]byte
-			for i := range packets {
-				enc, err := Encode(gen.Next(), 75)
-				if err != nil {
-					b.Fatal(err)
-				}
-				packets[i] = enc
-			}
-			cf := NewCoeffFrame(sz.w, sz.h)
+			packets := videoPackets(b, sz.w, sz.h, 2)
+			cfs := rotatedFrames(b, sz.w, sz.h, packets)
 			b.SetBytes(int64(sz.w * sz.h * 3 / 2))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := DecodeEntropyInto(cf, packets[i%2]); err != nil {
+				if _, err := DecodeEntropyInto(cfs[i%rotation], packets[i%2]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -100,25 +129,16 @@ func BenchmarkDecodeEntropyInto(b *testing.B) {
 }
 
 // BenchmarkGetCoeffFrame recycles a decoded 1280×720 frame through the
-// pool: PutCoeffFrame, then the GetCoeffFrame that clears it. Each round
-// first puts back the decoded extents (21.6 KB), so that every clear
-// covers what a decode leaves.
+// pool: PutCoeffFrame, then the GetCoeffFrame that resets it.
 func BenchmarkGetCoeffFrame(b *testing.B) {
 	_, enc := benchFrame(b, 1280, 720)
 	cf, err := DecodeEntropy(enc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var ext [3][]uint8
-	for i, p := range cf.Planes {
-		ext[i] = slices.Clone(p.Ext)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for i, p := range cf.Planes {
-			copy(p.Ext, ext[i])
-		}
 		PutCoeffFrame(cf)
 		if GetCoeffFrame(1280, 720) != cf {
 			b.Fatal("the pool did not return the recycled frame")

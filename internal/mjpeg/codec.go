@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"xspcl/internal/bitio"
@@ -52,40 +53,36 @@ func EntropyOpsEstimate(w, h int) int64 {
 	return blocks*6*EntropyOpsPerSymbol + pixels*EntropyOpsPerBit
 }
 
-// CoeffPlane holds the dequantised DCT coefficients of one plane.
+// CoeffPlane holds the dequantised DCT coefficients of one plane,
+// packed: each block keeps only the coefficients its extent covers.
 // The plane is W×H pixels (multiples of 8).
 //
-// Ext[b] is the extent of block b (the b-th block in C's order): its
-// low nibble counts the leading coefficient rows, and its high nibble
-// the leading columns, that may hold a non-zero coefficient. Every
-// coefficient outside its block's extent is zero, at all times: the
-// decoder clears, and the IDCT reads, only what an extent covers.
+// Ext[b] is the extent of block b (blocks in raster order): its low
+// nibble counts the leading coefficient rows, and its high nibble the
+// leading columns, that may hold a non-zero coefficient (each at most
+// 8). Every coefficient outside the extent is zero and is not stored.
+//
+// Coef holds one record per block, back to back in raster order: block
+// b's rows×cols coefficients, row-major. Row[by] is the offset in Coef
+// of block row by's first record, and Row[H/8] ends the plane. Coef has
+// room for all 64 coefficients of every block, and Row[by] ≤ 64·by·(W/8)
+// always, even after a decode that failed midway: so block b's record
+// starts at or before 64·b, and the 64 slots from there lie inside Coef
+// whatever Ext holds.
 type CoeffPlane struct {
 	W, H int
-	// C holds block (bx, by) at C[(by·(W/8)+bx)·64 : +64] in natural
-	// (row-major) order. Code outside this package that writes a
-	// coefficient must widen the block's Ext to cover it.
-	C   []int32
-	Ext []uint8
+	Ext  []uint8
+	Row  []int32
+	Coef []int32
 }
 
-// fullExtent covers every row and column of a block.
-const fullExtent = 8 | 8<<4
-
-// NewCoeffPlane allocates a zeroed coefficient plane.
+// NewCoeffPlane allocates an empty coefficient plane: every extent is
+// zero, so every block inverse-transforms to flat mid-grey.
 func NewCoeffPlane(w, h int) *CoeffPlane {
-	if w%8 != 0 || h%8 != 0 {
-		panic(fmt.Sprintf("mjpeg: coeff plane %dx%d not block aligned", w, h))
+	if w%8 != 0 || h%8 != 0 || w*h > math.MaxInt32 {
+		panic(fmt.Sprintf("mjpeg: coeff plane %dx%d not block aligned or too large", w, h))
 	}
-	return &CoeffPlane{W: w, H: h, C: make([]int32, w*h), Ext: make([]uint8, w*h/64)}
-}
-
-// zero clears the plane through its extents.
-func (p *CoeffPlane) zero() {
-	for b, ext := range p.Ext {
-		clear(p.C[b*64 : b*64+8*int(ext&15)])
-		p.Ext[b] = 0
-	}
+	return &CoeffPlane{W: w, H: h, Ext: make([]uint8, w*h/64), Row: make([]int32, h/8+1), Coef: make([]int32, w*h)}
 }
 
 // blockExtent is the tightest extent of blk.
@@ -107,15 +104,9 @@ func maskExtent(m uint16) uint8 {
 	return uint8(bits.Len8(uint8(m))) | uint8(bits.Len8(uint8(m>>8)))<<4
 }
 
-// Bytes returns the memory footprint of the plane's coefficients.
-func (p *CoeffPlane) Bytes() int { return len(p.C) * 4 }
-
-// Block returns the 64-coefficient slice of block (bx, by).
-func (p *CoeffPlane) Block(bx, by int) []int32 {
-	bw := p.W / 8
-	off := (by*bw + bx) * 64
-	return p.C[off : off+64]
-}
+// Bytes returns the memory footprint of the plane's coefficients: the
+// room Coef keeps, not the part a decode fills.
+func (p *CoeffPlane) Bytes() int { return len(p.Coef) * 4 }
 
 // CoeffFrame is the output of the entropy-decode stage: one coefficient
 // plane per color plane, plus the decode statistics.
@@ -125,7 +116,7 @@ type CoeffFrame struct {
 	Stats  DecodeStats
 }
 
-// NewCoeffFrame allocates a zeroed coefficient frame for a w×h picture
+// NewCoeffFrame allocates an empty coefficient frame for a w×h picture
 // (multiples of 16, so every 4:2:0 plane covers whole blocks).
 func NewCoeffFrame(w, h int) *CoeffFrame {
 	cf := &CoeffFrame{W: w, H: h}
@@ -261,8 +252,8 @@ func DecodeEntropy(data []byte) (*CoeffFrame, error) {
 // non-nil and has the packet's geometry its planes are overwritten and
 // cf is returned, so a caller that owns its previous result allocates
 // nothing; otherwise a new frame is allocated. After an error cf's
-// coefficients are unspecified, but every block keeps its extent
-// invariant (see CoeffPlane), so cf can be decoded into again.
+// contents are unspecified, but its offsets stay in bounds (see
+// CoeffPlane), so cf can be inverse-transformed and decoded into again.
 func DecodeEntropyInto(cf *CoeffFrame, data []byte) (*CoeffFrame, error) {
 	h, err := ParseHeader(data)
 	if err != nil {
@@ -302,10 +293,11 @@ var zigzagMask = func() (m [64]uint16) {
 
 // decodePlaneEntropy decodes one plane's bitstream into cp, which may
 // hold a previous frame, and adds the work done to stats. Each block is
-// cleared through its old extent just before it is filled, and gets the
-// extent of what the bitstream carried for it. A code and the magnitude
-// bits after it are one lookahead read (huffDecoder.look) whenever
-// both fit in lookBits bits.
+// decoded into a scratch block on the stack, which is cleared through
+// the previous block's extent (so the clear stays in L1), and then the
+// coefficients its extent covers are appended to cp.Coef as its record.
+// A code and the magnitude bits after it are one lookahead read
+// (huffDecoder.look) whenever both fit in lookBits bits.
 func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bool, quality int) error {
 	q := quantTable(luma, quality)
 	dcDec, acDec := dcChromaDec, acChromaDec
@@ -316,60 +308,86 @@ func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bo
 	symbols, nonZero := 0, 0
 	pred := int32(0)
 	var err error
-	for b, old := range cp.Ext {
-		blk := (*[64]int32)(cp.C[b*64:])
-		clear(blk[:8*int(old&15)])
-		// Until the block decodes whole, an error may leave a coefficient
-		// anywhere in it.
-		cp.Ext[b] = fullExtent
-		// DC.
-		e := dcDec.look[br.Peek(lookBits)]
-		if e.n == 0 {
-			if e, err = dcDec.resolve(br); err != nil {
+	var blk [64]int32
+	bw := cp.W / 8
+	off, rows, cols := 0, 0, 0 // next record's offset; last block's extent
+	for by := 0; by < cp.H/8; by++ {
+		cp.Row[by] = int32(off)
+		for b := by * bw; b < (by+1)*bw; b++ {
+			if rows <= 2 && cols <= 2 {
+				blk[1], blk[8], blk[9] = 0, 0, 0 // blk[0] is always written
+			} else {
+				clear(blk[:8*rows])
+			}
+			// DC.
+			e := dcDec.look[br.Peek(lookBits)]
+			if e.n == 0 {
+				if e, err = dcDec.resolve(br); err != nil {
+					return err
+				}
+			}
+			if err := br.Skip(uint(e.n)); err != nil {
 				return err
 			}
-		}
-		if err := br.Skip(uint(e.n)); err != nil {
-			return err
-		}
-		symbols++
-		pred += int32(e.v)
-		blk[0] = pred * q[0]
-		if blk[0] != 0 {
-			nonZero++
-		}
-		mask := zigzagMask[0]
-		// AC.
-		for i := 1; i < 64; i++ {
-			e := acDec.look[br.Peek(lookBits)]
-			if e.n == 0 {
-				if e, err = acDec.resolve(br); err != nil {
-					return err
-				}
+			symbols++
+			pred += int32(e.v)
+			blk[0] = pred * q[0]
+			if blk[0] != 0 {
+				nonZero++
 			}
-			if e.sym == 0x00 || e.sym == 0xf0 { // EOB, ZRL: no magnitude
-				if err := br.Skip(uint(e.n)); err != nil {
-					return err
+			mask := zigzagMask[0]
+			// AC.
+			for i := 1; i < 64; i++ {
+				e := acDec.look[br.Peek(lookBits)]
+				if e.n == 0 {
+					if e, err = acDec.resolve(br); err != nil {
+						return err
+					}
+				}
+				if e.sym == 0x00 || e.sym == 0xf0 { // EOB, ZRL: no magnitude
+					if err := br.Skip(uint(e.n)); err != nil {
+						return err
+					}
+					symbols++
+					if e.sym == 0x00 {
+						break
+					}
+					i += 15
+					continue
+				}
+				i += int(e.sym >> 4)
+				if i >= 64 || br.Skip(uint(e.n)) != nil {
+					return codeError(br, e, i)
 				}
 				symbols++
-				if e.sym == 0x00 {
-					break
+				nat := zigzag[i]
+				blk[nat] = int32(e.v) * q[nat]
+				mask |= zigzagMask[i]
+				nonZero++
+			}
+			ext := maskExtent(mask)
+			cp.Ext[b] = ext
+			rows, cols = int(ext&15), int(ext>>4)
+			// The record is copied a coefficient at a time: a wide load
+			// of blk just after its scalar stores would stall. Four
+			// stores cover every record of at most 2×2 (94 % of the
+			// blocks), row-major; what lands past the record's end stays
+			// inside the block's 64 slots, and is overwritten by the next
+			// record or lies past Row[H/8].
+			rec := (*[64]int32)(cp.Coef[off:])
+			if rows <= 2 && cols <= 2 {
+				rec[0], rec[1], rec[2], rec[3] = blk[0], blk[15-7*cols], blk[8], blk[9]
+			} else {
+				for r, i := 0, 0; r < rows; r++ {
+					for c := r * 8; c < r*8+cols; c, i = c+1, i+1 {
+						rec[i] = blk[c]
+					}
 				}
-				i += 15
-				continue
 			}
-			i += int(e.sym >> 4)
-			if i >= 64 || br.Skip(uint(e.n)) != nil {
-				return codeError(br, e, i)
-			}
-			symbols++
-			nat := zigzag[i]
-			blk[nat] = int32(e.v) * q[nat]
-			mask |= zigzagMask[i]
-			nonZero++
+			off += rows * cols
 		}
-		cp.Ext[b] = maskExtent(mask)
 	}
+	cp.Row[cp.H/8] = int32(off)
 	stats.Symbols += symbols
 	stats.Bits += br.BitsRead()
 	stats.NonZero += nonZero
@@ -403,11 +421,12 @@ func IDCTPlaneRows(dst []uint8, cp *CoeffPlane, r0, r1 int) {
 	// int32 truncation after the shift is the one the two-step form had.
 	const bias = dctRound + 128<<(2*dctBits)
 	var col [64]int64
-	w := cp.W
+	w, coef := cp.W, cp.Coef
 	for by := r0 / 8; by < (r1+7)/8; by++ {
-		for bx := 0; bx < w/8; bx++ {
-			b := by*(w/8) + bx
-			n, equal := idctColumns(&col, (*[64]int32)(cp.C[b*64:]), cp.Ext[b])
+		off := int(cp.Row[by])
+		for bx, ext := range cp.Ext[by*(w/8) : (by+1)*(w/8)] {
+			n, equal := idctColumns(&col, (*[64]int32)(coef[off:]), int(ext>>4), ext)
+			off += int(ext&15) * int(ext>>4)
 			// Each pixel row of the block is one 8-byte store. The n = 1
 			// and n = 2 rows are idctRow's, written out here so that they
 			// inline: a flat row is one clamped sample.
@@ -464,22 +483,25 @@ func clampPixel(v int32) uint8 {
 	return uint8(v)
 }
 
-// Decode is the fused decoder used by the hand-written sequential
-// baselines: it entropy-decodes and inverse-transforms in one pass,
-// block by block, so intermediates stay in scratch memory (the cache
-// behaviour the paper's sequential JPiP exhibits).
+// Decode decodes a frame whole, the decoder of the hand-written
+// sequential baselines: it entropy-decodes into a coefficient frame
+// borrowed from the free-list (GetCoeffFrame), inverse-transforms every
+// plane, and hands the coefficient frame back, so a call allocates only
+// the frame it returns.
 func Decode(data []byte) (*media.Frame, error) {
-	cf, err := DecodeEntropy(data)
-	if err != nil {
-		return nil, err
-	}
-	return ReconstructFrame(cf), nil
+	f, _, err := DecodeWithStats(data)
+	return f, err
 }
 
 // DecodeWithStats is Decode but also returns the entropy statistics.
 func DecodeWithStats(data []byte) (*media.Frame, DecodeStats, error) {
-	cf, err := DecodeEntropy(data)
+	h, err := ParseHeader(data)
 	if err != nil {
+		return nil, DecodeStats{}, err
+	}
+	cf := GetCoeffFrame(h.W, h.H)
+	defer PutCoeffFrame(cf)
+	if _, err := DecodeEntropyInto(cf, data); err != nil {
 		return nil, DecodeStats{}, err
 	}
 	return ReconstructFrame(cf), cf.Stats, nil

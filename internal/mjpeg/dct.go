@@ -91,7 +91,7 @@ func dot4(b *[8]int32, t *[4]int64) int64 {
 // out may alias.
 func IDCT8x8(out, in *[64]int32) {
 	var col [64]int64
-	n, equal := idctColumns(&col, in, blockExtent(in))
+	n, equal := idctColumns(&col, in, 8, blockExtent(in))
 	for y := 0; y < 8; y++ {
 		ry := y
 		if equal {
@@ -105,42 +105,62 @@ func IDCT8x8(out, in *[64]int32) {
 }
 
 // idctColumns is the column pass of the inverse transform IDCT8x8 and
-// IDCTPlaneRows share: col[y*8+u] = Σv basis[v][y]·in[v*8+u]. ext is
-// in's extent (see CoeffPlane); it picks the work, and no coefficient
-// it leaves out is read. The pass covers the first n columns, n = 1
-// when no column past 0 can be non-zero, 2 when none past 1 can and 8
-// otherwise, and returns n for the row pass (idctRow), which reads no
-// other column of col. Each column takes idct2 when no row past 1 can
-// be non-zero. basis[0] is flat, so when only row 0 can be, every row
-// of the block is the same: equal is then true and only row 0 of col
-// is filled. In a 1280×720 q75 frame of the synthetic video, 17 % of
-// the blocks have equal rows, 16 % have n = 1 (flat rows), 62 % take
-// idct2 in both passes and 6 % need more.
-func idctColumns(col *[64]int64, in *[64]int32, ext uint8) (n int, equal bool) {
-	rows, cols := ext&15, int(ext>>4)
+// IDCTPlaneRows share: col[y*8+u] = Σv basis[v][y]·c[v][u], where
+// c[v][u] is in[v*stride+u] inside the block's extent ext (see
+// CoeffPlane) and zero outside it, whatever in holds there. stride is 8
+// for a dense block and the extent's column count for a packed record
+// (at most 8, so every v*stride+u lies in in's 64 slots). The extent
+// picks the work. The pass covers the first n columns, n = 1 when no
+// column past 0 can be non-zero, 2 when none past 1 can and 8 otherwise,
+// and returns n for the row pass (idctRow), which reads no other column
+// of col. Each column takes idct2 when no row past 1 can be non-zero.
+// basis[0] is flat, so when only row 0 can be, every row of the block
+// is the same: equal is then true and only row 0 of col is filled. In
+// a 1280×720 q75 frame of the synthetic video, 17 % of the blocks have
+// equal rows, 16 % have n = 1 (flat rows), 62 % take idct2 in both
+// passes and 6 % need more.
+func idctColumns(col *[64]int64, in *[64]int32, stride int, ext uint8) (n int, equal bool) {
+	rows, cols := int(ext&15), int(ext>>4)
 	n = 8
 	if cols <= 2 {
 		n = max(cols, 1)
 	}
+	if rows == 0 {
+		cols = 0
+	}
 	if rows <= 1 {
-		for u := 0; u < n; u++ {
+		for u := 0; u < cols; u++ {
 			col[u] = basis2[0] * int64(in[u])
+		}
+		for u := cols; u < n; u++ {
+			col[u] = 0
 		}
 		return n, true
 	}
+	// Past row 2, row v of a column is read and masked with mv: -1 for a
+	// row inside the extent, 0 for one past it, where in need not hold
+	// zeros (a packed record is followed by the next one).
+	m3, m4, m5, m6, m7 := rowMask(3, rows), rowMask(4, rows), rowMask(5, rows), rowMask(6, rows), rowMask(7, rows)
 	for u := 0; u < n; u++ {
-		var x0, x1, x2, x3, x4, x5, x6, x7 int64
-		if rows <= 2 {
-			x0, x1, x2, x3, x4, x5, x6, x7 = idct2(int64(in[u]), int64(in[8+u]), 0)
-		} else {
-			x0, x1, x2, x3, x4, x5, x6, x7 = idct8(int64(in[u]), int64(in[8+u]), int64(in[16+u]), int64(in[24+u]),
-				int64(in[32+u]), int64(in[40+u]), int64(in[48+u]), int64(in[56+u]), 0)
+		var x0, x1, x2, x3, x4, x5, x6, x7 int64 // a column past cols is zero
+		switch {
+		case u >= cols:
+		case rows == 2:
+			x0, x1, x2, x3, x4, x5, x6, x7 = idct2(int64(in[u]), int64(in[stride+u]), 0)
+		default:
+			x0, x1, x2, x3, x4, x5, x6, x7 = idct8(int64(in[u]), int64(in[stride+u]), int64(in[2*stride+u]),
+				int64(in[3*stride+u])&m3, int64(in[4*stride+u])&m4, int64(in[5*stride+u])&m5,
+				int64(in[6*stride+u])&m6, int64(in[7*stride+u])&m7, 0)
 		}
 		col[u], col[8+u], col[16+u], col[24+u] = x0, x1, x2, x3
 		col[32+u], col[40+u], col[48+u], col[56+u] = x4, x5, x6, x7
 	}
 	return n, false
 }
+
+// rowMask is -1 when row v lies inside an extent of the given rows, and
+// 0 when it lies past it.
+func rowMask(v, rows int) int64 { return ^(int64(rows-1-v) >> 63) }
 
 // idctRow is the row pass at row y of the col idctColumns filled with
 // width n: sample x is bias + Σu<n basis[u][x]·col[y*8+u]. bias carries

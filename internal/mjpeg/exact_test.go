@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"slices"
 	"testing"
@@ -97,7 +98,9 @@ func TestIDCTExact(t *testing.T) {
 }
 
 // FuzzIDCT runs a fuzzed block through IDCT8x8, aliased and not, and
-// through a one-block IDCTPlaneRows, against the dense references.
+// through a one-block IDCTPlaneRows, against the dense references. The
+// packed block has its tightest extent, widened by the rows and columns
+// a 257th byte asks for.
 func FuzzIDCT(f *testing.F) {
 	r := media.NewRNG(19)
 	var blk [64]int32
@@ -122,23 +125,93 @@ func FuzzIDCT(f *testing.F) {
 		if got != want {
 			t.Fatalf("aliased IDCT8x8(%v) = %v, want %v", in, got, want)
 		}
-		cp := NewCoeffPlane(8, 8)
-		copy(cp.C, in[:])
-		setExtents(cp)
+		ext := blockExtent(&in)
+		if len(data) > 4*len(in) {
+			ext = widenExtent(ext, data[4*len(in)]&15%9, data[4*len(in)]>>4%9)
+		}
+		cp := packPlane(8, 8, in[:], []uint8{ext})
 		var wantPx, gotPx [64]uint8
-		refIDCTPlaneRows(wantPx[:], cp, 0, 8)
+		refIDCTPlaneRows(wantPx[:], in[:], 8, 0, 8)
 		IDCTPlaneRows(gotPx[:], cp, 0, 8)
 		if gotPx != wantPx {
-			t.Fatalf("IDCTPlaneRows(%v) = %v, want %v", in, gotPx, wantPx)
+			t.Fatalf("IDCTPlaneRows(%v) at extent %#x = %v, want %v", in, ext, gotPx, wantPx)
 		}
 	})
 }
 
-// setExtents gives every block of cp its tightest extent, as the
-// decoder would after writing cp.C.
-func setExtents(cp *CoeffPlane) {
+// packPlane is the test packer: it builds a w×h plane from dense blocks
+// (block b is the 64 coefficients at dense[b*64:], natural order),
+// giving block b the extent ext[b], or its tightest extent when ext is
+// nil. An extent must cover every non-zero coefficient of its block.
+func packPlane(w, h int, dense []int32, ext []uint8) *CoeffPlane {
+	cp := NewCoeffPlane(w, h)
+	off := 0
 	for b := range cp.Ext {
-		cp.Ext[b] = blockExtent((*[64]int32)(cp.C[b*64:]))
+		blk := (*[64]int32)(dense[b*64:])
+		e := blockExtent(blk)
+		if ext != nil {
+			if widenExtent(e, ext[b]&15, ext[b]>>4) != ext[b] {
+				panic(fmt.Sprintf("packPlane: extent %#x of block %d leaves out a coefficient", ext[b], b))
+			}
+			e = ext[b]
+		}
+		if b%(w/8) == 0 {
+			cp.Row[b/(w/8)] = int32(off)
+		}
+		cp.Ext[b] = e
+		for r := 0; r < int(e&15); r++ {
+			for c := 0; c < int(e>>4); c++ {
+				cp.Coef[off] = blk[r*8+c]
+				off++
+			}
+		}
+	}
+	cp.Row[h/8] = int32(off)
+	return cp
+}
+
+// widenExtent widens extent e to at least rows × cols.
+func widenExtent(e, rows, cols uint8) uint8 {
+	return max(e&15, rows) | max(e>>4, cols)<<4
+}
+
+// denseView expands a packed plane into dense blocks, the layout
+// packPlane takes and the reference decoder writes.
+func denseView(cp *CoeffPlane) []int32 {
+	dense := make([]int32, cp.W*cp.H)
+	bw := cp.W / 8
+	for by := 0; by < cp.H/8; by++ {
+		off := int(cp.Row[by])
+		for b := by * bw; b < (by+1)*bw; b++ {
+			e := cp.Ext[b]
+			for r := 0; r < int(e&15); r++ {
+				for c := 0; c < int(e>>4); c++ {
+					dense[b*64+r*8+c] = cp.Coef[off]
+					off++
+				}
+			}
+		}
+	}
+	return dense
+}
+
+// samePlane reports whether two planes hold the same packed
+// coefficients: same geometry, extents, row offsets and records.
+func samePlane(a, b *CoeffPlane) bool {
+	n := a.Row[len(a.Row)-1]
+	return a.W == b.W && a.H == b.H && slices.Equal(a.Ext, b.Ext) && slices.Equal(a.Row, b.Row) &&
+		slices.Equal(a.Coef[:n], b.Coef[:n])
+}
+
+// idctEverySlice inverse-transforms every plane of cf in the 16-row
+// slices the JPiP application runs; it must not panic, whatever a
+// failed decode left in cf.
+func idctEverySlice(cf *CoeffFrame) {
+	for _, p := range cf.Planes {
+		dst := make([]uint8, p.W*p.H)
+		for r0 := 0; r0 < p.H; r0 += 16 {
+			IDCTPlaneRows(dst, p, r0, min(r0+16, p.H))
+		}
 	}
 }
 
@@ -153,25 +226,30 @@ func blockBytes(blk *[64]int32) []byte {
 }
 
 // TestIDCTPlaneRowsExact covers the clamp-and-store path, in slices as
-// the JPiP application runs it. Every other round widens each block's
-// extent by random rows and columns: an extent only bounds where the
-// non-zero coefficients are, and a loose one must give the same pixels.
+// the JPiP application runs it, on planes packed by the test packer.
+// Every other round widens each block's extent by random rows and
+// columns: an extent only bounds where the non-zero coefficients are,
+// and a loose one must give the same pixels.
 func TestIDCTPlaneRowsExact(t *testing.T) {
 	r := media.NewRNG(17)
-	cp := NewCoeffPlane(64, 48)
+	const w, h = 64, 48
+	dense := make([]int32, w*h)
+	ext := make([]uint8, w*h/64)
 	for round := 0; round < 40; round++ {
-		for i := range cp.Ext {
-			randomCoeffBlock(r, r.Intn(4), (*[64]int32)(cp.C[i*64:]))
-		}
-		setExtents(cp)
-		if round%2 == 1 {
-			for i, ext := range cp.Ext {
-				cp.Ext[i] = max(ext&15, uint8(r.Intn(9))) | max(ext>>4, uint8(r.Intn(9)))<<4
+		for i := range ext {
+			randomCoeffBlock(r, r.Intn(4), (*[64]int32)(dense[i*64:]))
+			if r.Intn(8) == 0 { // empty: a widened extent may have columns but no rows
+				clear(dense[i*64:][:64])
+			}
+			ext[i] = blockExtent((*[64]int32)(dense[i*64:]))
+			if round%2 == 1 {
+				ext[i] = widenExtent(ext[i], uint8(r.Intn(9)), uint8(r.Intn(9)))
 			}
 		}
+		cp := packPlane(w, h, dense, ext)
 		want := make([]uint8, cp.W*cp.H)
 		got := make([]uint8, cp.W*cp.H)
-		refIDCTPlaneRows(want, cp, 0, cp.H)
+		refIDCTPlaneRows(want, dense, w, 0, cp.H)
 		for r0 := 0; r0 < cp.H; r0 += 16 {
 			IDCTPlaneRows(got, cp, r0, r0+16)
 		}
@@ -265,9 +343,10 @@ func errClass(err error) string {
 
 // checkDecodeEntropy asserts that the decoder and the bit-serial
 // reference agree on data: same error class and text, or identical
-// coefficients and statistics. It decodes twice, into a fresh frame
-// and into one left dirty by another picture (dirtyCoeffFrame), whose
-// extents must still bound its coefficients when the decode fails.
+// coefficients and statistics, packed as checkPacked says. It decodes
+// twice, into a fresh frame and into one left dirty by another picture
+// (dirtyCoeffFrame), which must inverse-transform without a panic
+// whatever the decode left in it.
 func checkDecodeEntropy(t *testing.T, data []byte) string {
 	t.Helper()
 	want, wantErr := refDecodeEntropy(data)
@@ -290,68 +369,86 @@ func checkDecodeEntropy(t *testing.T, data []byte) string {
 		if got.Stats != want.Stats {
 			t.Fatalf("stats %+v, reference %+v", got.Stats, want.Stats)
 		}
-		checkExtents(t, got)
 		if got.W != want.W || got.H != want.H {
 			t.Fatalf("geometry %dx%d, reference %dx%d", got.W, got.H, want.W, want.H)
 		}
-		for i := range want.Planes {
-			g, w := got.Planes[i], want.Planes[i]
-			if g.W != w.W || g.H != w.H || !slices.Equal(g.C, w.C) {
+		for i, pl := range media.Planes {
+			g := got.Planes[i]
+			if w, h := media.PlaneDims(pl, want.W, want.H); g.W != w || g.H != h {
+				t.Fatalf("plane %d is %dx%d, reference %dx%d", i, g.W, g.H, w, h)
+			}
+			if !slices.Equal(denseView(g), want.Planes[i]) {
 				t.Fatalf("plane %d coefficients differ from the reference (recycled frame: %v)", i, into != nil)
 			}
+			checkPacked(t, g, want.Planes[i])
 		}
 	}
 	if dirty != nil {
-		checkExtents(t, dirty)
+		idctEverySlice(dirty)
 	}
 	return errClass(wantErr)
 }
 
+// checkPacked asserts that a decoded plane is packed as CoeffPlane
+// says, given its dense reference coefficients: each block's extent is
+// the tightest one, widened to its DC coefficient (which the bitstream
+// always carries), and Row[by] is the number of coefficients the
+// records before block row by hold.
+func checkPacked(t *testing.T, cp *CoeffPlane, dense []int32) {
+	t.Helper()
+	bw := cp.W / 8
+	off := int32(0)
+	for b, e := range cp.Ext {
+		if b%bw == 0 && cp.Row[b/bw] != off {
+			t.Fatalf("Row[%d] = %d, the records before it hold %d", b/bw, cp.Row[b/bw], off)
+		}
+		if want := widenExtent(blockExtent((*[64]int32)(dense[b*64:])), 1, 1); e != want {
+			t.Fatalf("block %d has extent %#x, want %#x", b, e, want)
+		}
+		off += int32(e&15) * int32(e>>4)
+	}
+	if last := cp.Row[cp.H/8]; last != off {
+		t.Fatalf("Row[%d] = %d, the records hold %d", cp.H/8, last, off)
+	}
+}
+
 // dirtyCoeffFrame is a w×h frame as another picture would leave it:
 // each block holds non-zero coefficients at a random set of rows and
-// columns, and has exactly that extent. It is nil when w×h is not a
-// frame geometry.
+// columns, packed at exactly that extent, and the room past the last
+// record holds non-zero junk. It is nil when w×h is not a frame
+// geometry.
 func dirtyCoeffFrame(w, h int, seed uint64) *CoeffFrame {
 	if w <= 0 || h <= 0 || w%16 != 0 || h%16 != 0 {
 		return nil
 	}
 	r := media.NewRNG(seed)
 	cf := NewCoeffFrame(w, h)
-	for _, p := range cf.Planes {
+	for pi, p := range cf.Planes {
+		dense := make([]int32, p.W*p.H)
 		for b := range p.Ext {
 			rows, cols := r.Intn(256), r.Intn(256)
 			for i := 0; i < 64; i++ {
 				if (rows>>(i/8))&(cols>>(i%8))&1 != 0 {
-					p.C[b*64+i] = int32(r.Intn(2000)) + 1
+					dense[b*64+i] = int32(r.Intn(2000)) + 1
 				}
 			}
-			p.Ext[b] = blockExtent((*[64]int32)(p.C[b*64:]))
 		}
+		q := packPlane(p.W, p.H, dense, nil)
+		for j := q.Row[q.H/8]; int(j) < len(q.Coef); j++ {
+			q.Coef[j] = int32(r.Intn(2000)) + 1
+		}
+		cf.Planes[pi] = q
 	}
 	return cf
-}
-
-// checkExtents asserts CoeffPlane's invariant: every coefficient
-// outside its block's extent is zero.
-func checkExtents(t *testing.T, cf *CoeffFrame) {
-	t.Helper()
-	for pi, p := range cf.Planes {
-		for b, ext := range p.Ext {
-			if got := blockExtent((*[64]int32)(p.C[b*64:])); got&15 > ext&15 || got>>4 > ext>>4 {
-				t.Fatalf("plane %d block %d: coefficients span %d rows × %d columns, extent %d × %d",
-					pi, b, got&15, got>>4, ext&15, ext>>4)
-			}
-		}
-	}
 }
 
 // TestCoeffExtentInvariant decodes a run of packets of one geometry
 // into one recycled frame, as a jpegdecode stream slot does: busy,
 // flat, busy and quality-100 noise pictures, and truncated and
 // bit-flipped packets that fail midway and leave a half-written frame
-// for the next decode. After every decode, failed or not, each
-// coefficient outside its block's extent must be zero, and each
-// successful decode must equal a fresh one.
+// for the next decode. After each failure the frame must still
+// inverse-transform, slice by slice, without a panic; each successful
+// decode must equal a fresh one, record for record.
 func TestCoeffExtentInvariant(t *testing.T) {
 	const w, h = 64, 48
 	enc := func(f *media.Frame, q int) []byte {
@@ -379,14 +476,17 @@ func TestCoeffExtentInvariant(t *testing.T) {
 	failed := 0
 	for i, p := range packets {
 		got, err := DecodeEntropyInto(cf, p)
-		checkExtents(t, cf)
 		if err != nil {
 			failed++
+			idctEverySlice(cf)
 			continue
 		}
 		want, _ := DecodeEntropy(p)
+		if got.Stats != want.Stats {
+			t.Fatalf("packet %d: recycled stats %+v, fresh %+v", i, got.Stats, want.Stats)
+		}
 		for pi := range want.Planes {
-			if !slices.Equal(got.Planes[pi].C, want.Planes[pi].C) {
+			if !samePlane(got.Planes[pi], want.Planes[pi]) {
 				t.Fatalf("packet %d plane %d: recycled decode differs from a fresh one", i, pi)
 			}
 		}
@@ -506,6 +606,12 @@ func FuzzDecodeEntropy(f *testing.F) {
 		mut[len(mut)/2] ^= 0x10
 		f.Add(mut)
 	}
+	// A Y plane that ends inside a block: the decode fails midway, with
+	// the rows after it still the dirty frame's, and that frame is then
+	// inverse-transformed (checkDecodeEntropy).
+	mut := bytes.Clone(exactPackets(f)[1])
+	mut[12]--
+	f.Add(mut[:len(mut)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if h, err := ParseHeader(data); err == nil && h.W*h.H > 256*256 {
 			t.Skip("header asks for planes too large to fuzz quickly")
@@ -548,7 +654,7 @@ func TestDecodeEntropyIntoRecycled(t *testing.T) {
 			t.Fatalf("recycled stats %+v, fresh %+v", got.Stats, want.Stats)
 		}
 		for i := range want.Planes {
-			if !slices.Equal(got.Planes[i].C, want.Planes[i].C) {
+			if !samePlane(got.Planes[i], want.Planes[i]) {
 				t.Fatalf("plane %d of a recycled frame differs from a fresh decode", i)
 			}
 		}

@@ -4,9 +4,11 @@ import "sync"
 
 // coeffPoolMax bounds the number of recycled coefficient frames kept
 // per geometry; beyond it PutCoeffFrame drops frames for the GC. A
-// 1280×720 frame is 5.5 MB, so the bound is what one JPiP-2 App hands
-// back at most — its three coefficient streams times hinch's default
-// PipelineDepth of 5 buffer sets — and not media's 256 frames.
+// 1280×720 frame reserves 5.5 MB of coefficients (a decode of the
+// synthetic video fills about 0.5 MB of it, and the rest is never
+// touched), so the bound is what one JPiP-2 App hands back at most —
+// its three coefficient streams times hinch's default PipelineDepth of
+// 5 buffer sets — and not media's 256 frames.
 const coeffPoolMax = 3 * 5
 
 // coeffPool is the global coefficient-frame free-list, keyed by
@@ -17,11 +19,11 @@ var coeffPool = struct {
 	free map[[2]int][]*CoeffFrame
 }{free: map[[2]int][]*CoeffFrame{}}
 
-// GetCoeffFrame returns a zeroed w×h coefficient frame, reusing a
+// GetCoeffFrame returns an empty w×h coefficient frame, reusing a
 // recycled one when the free-list has a match: the twin of
-// media.GetFrame. Recycled frames are cleared through their block
-// extents before reuse, so callers observe exactly NewCoeffFrame's
-// contract.
+// media.GetFrame. A recycled frame is reset by clearing its extents and
+// row offsets (its coefficients are then never read), so callers
+// observe exactly NewCoeffFrame's contract.
 func GetCoeffFrame(w, h int) *CoeffFrame {
 	key := [2]int{w, h}
 	var cf *CoeffFrame
@@ -37,7 +39,8 @@ func GetCoeffFrame(w, h int) *CoeffFrame {
 		return NewCoeffFrame(w, h)
 	}
 	for _, p := range cf.Planes {
-		p.zero()
+		clear(p.Ext)
+		clear(p.Row)
 	}
 	cf.Stats = DecodeStats{}
 	return cf

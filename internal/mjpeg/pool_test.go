@@ -3,9 +3,10 @@ package mjpeg
 import "testing"
 
 // TestCoeffFramePool checks that a frame handed back with PutCoeffFrame
-// comes back all-zero, extents too, from the next same-geometry
-// GetCoeffFrame, that another geometry never gets it, and that the
-// free-list keeps at most coeffPoolMax frames of one geometry.
+// comes back empty from the next same-geometry GetCoeffFrame — extents
+// and row offsets zero, so every plane inverse-transforms to flat 128
+// as a NewCoeffFrame does — that another geometry never gets it, and
+// that the free-list keeps at most coeffPoolMax frames of one geometry.
 func TestCoeffFramePool(t *testing.T) {
 	// A geometry no other test uses, so the free-list entries are ours.
 	const w, h = 48, 16
@@ -28,14 +29,21 @@ func TestCoeffFramePool(t *testing.T) {
 		t.Fatalf("GetCoeffFrame(%d, %d) = %p, want the recycled frame %p", w, h, g, cf)
 	}
 	for i, p := range g.Planes {
-		for _, c := range p.C {
-			if c != 0 {
-				t.Fatalf("recycled plane %d not zeroed", i)
-			}
-		}
 		for _, e := range p.Ext {
 			if e != 0 {
 				t.Fatalf("recycled plane %d keeps a block extent", i)
+			}
+		}
+		for _, r := range p.Row {
+			if r != 0 {
+				t.Fatalf("recycled plane %d keeps a row offset", i)
+			}
+		}
+		px := make([]uint8, p.W*p.H)
+		IDCTPlaneRows(px, p, 0, p.H)
+		for _, v := range px {
+			if v != 128 {
+				t.Fatalf("recycled plane %d inverse-transforms to %d, want flat 128", i, v)
 			}
 		}
 	}

@@ -59,12 +59,13 @@ func refIDCT8x8(out, in *[64]int32) {
 	}
 }
 
-func refIDCTPlaneRows(dst []uint8, cp *CoeffPlane, r0, r1 int) {
+// refIDCTPlaneRows inverse-transforms pixel rows [r0, r1) of a w-wide
+// plane of dense blocks (see refCoeffFrame) into dst.
+func refIDCTPlaneRows(dst []uint8, dense []int32, w, r0, r1 int) {
 	var blk, pix [64]int32
-	w := cp.W
 	for by := r0 / 8; by < (r1+7)/8; by++ {
 		for bx := 0; bx < w/8; bx++ {
-			copy(blk[:], cp.Block(bx, by))
+			copy(blk[:], dense[(by*(w/8)+bx)*64:])
 			refIDCT8x8(&pix, &blk)
 			for y := 0; y < 8; y++ {
 				row := dst[(by*8+y)*w+bx*8:]
@@ -131,12 +132,21 @@ func refHuffDecode(d *huffDecoder, r *refBitReader) (byte, error) {
 	return 0, errInvalidCode
 }
 
-func refDecodeEntropy(data []byte) (*CoeffFrame, error) {
+// refCoeffFrame is a decoded frame in the dense layout: block (bx, by)
+// of a w-wide plane is the 64 coefficients at (by·(w/8)+bx)·64 of its
+// Planes entry, in natural order.
+type refCoeffFrame struct {
+	W, H   int
+	Planes [3][]int32
+	Stats  DecodeStats
+}
+
+func refDecodeEntropy(data []byte) (*refCoeffFrame, error) {
 	h, err := ParseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	cf := &CoeffFrame{W: h.W, H: h.H}
+	cf := &refCoeffFrame{W: h.W, H: h.H}
 	pos := 9
 	for i, pl := range media.Planes {
 		pw, ph := media.PlaneDims(pl, h.W, h.H)
@@ -148,12 +158,12 @@ func refDecodeEntropy(data []byte) (*CoeffFrame, error) {
 		if pos+n > len(data) {
 			return nil, fmt.Errorf("mjpeg: truncated frame (plane %s data)", pl)
 		}
-		cp, stats, err := refDecodePlaneEntropy(data[pos:pos+n], pw, ph, pl == media.PlaneY, h.Quality)
+		dense, stats, err := refDecodePlaneEntropy(data[pos:pos+n], pw, ph, pl == media.PlaneY, h.Quality)
 		if err != nil {
 			return nil, fmt.Errorf("mjpeg: plane %s: %w", pl, err)
 		}
 		pos += n
-		cf.Planes[i] = cp
+		cf.Planes[i] = dense
 		cf.Stats.Symbols += stats.Symbols
 		cf.Stats.Bits += stats.Bits
 		cf.Stats.NonZero += stats.NonZero
@@ -161,19 +171,19 @@ func refDecodeEntropy(data []byte) (*CoeffFrame, error) {
 	return cf, nil
 }
 
-func refDecodePlaneEntropy(bits []byte, w, h int, luma bool, quality int) (*CoeffPlane, DecodeStats, error) {
+func refDecodePlaneEntropy(bits []byte, w, h int, luma bool, quality int) ([]int32, DecodeStats, error) {
 	q := quantTable(luma, quality)
 	dcDec, acDec := dcChromaDec, acChromaDec
 	if luma {
 		dcDec, acDec = dcLumaDec, acLumaDec
 	}
-	cp := NewCoeffPlane(w, h)
+	dense := make([]int32, w*h)
 	br := &refBitReader{buf: bits}
 	var stats DecodeStats
 	pred := int32(0)
 	for by := 0; by < h/8; by++ {
 		for bx := 0; bx < w/8; bx++ {
-			blk := cp.Block(bx, by)
+			blk := dense[(by*(w/8)+bx)*64:][:64]
 			sym, err := refHuffDecode(dcDec, br)
 			if err != nil {
 				return nil, stats, err
@@ -224,5 +234,5 @@ func refDecodePlaneEntropy(bits []byte, w, h int, luma bool, quality int) (*Coef
 		}
 	}
 	stats.Bits = br.bitsRead()
-	return cp, stats, nil
+	return dense, stats, nil
 }
