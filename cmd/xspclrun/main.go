@@ -21,8 +21,8 @@
 //
 // The -autotune flag enables the feedback autotuner: components marked
 // replicate="auto" have their replica widths resized from occupancy
-// feedback while the run executes, and stream-FIFO capacity follows
-// backpressure. Decisions appear in the report (tune: ...) and, with
+// feedback while the run executes, and the stream-FIFO capacity follows
+// from the widths. Decisions appear in the report (tune: ...) and, with
 // -trace, as instant events on the runtime track. -tune-epoch sets the
 // tuner's epoch length; like every duration on the sim backend it counts
 // virtual cycles, 1ns = 1 cycle (-tune-epoch 2ms is 2 000 000 cycles):
@@ -70,7 +70,7 @@ func main() {
 	traceOut := flag.String("trace", "", "record a flight-recorder trace and write Perfetto JSON to this file")
 	report := flag.String("report", "text", "report format: text or json")
 	inject := flag.String("inject-faults", "", `inject deterministic faults, e.g. "seed=1,task=jdec,from=8" (see hinch.ParseFaultSpec)`)
-	autotune := flag.Bool("autotune", false, "enable the feedback autotuner (resizes replicate=auto widths and stream depths)")
+	autotune := flag.Bool("autotune", false, "enable the feedback autotuner (resizes replicate=auto widths)")
 	tuneEpoch := flag.Duration("tune-epoch", 0, "autotuner epoch length: wall time on real, virtual cycles on sim (1ns = 1 cycle); 0 = default; size it to cover several jobs of the hottest stage")
 	httpAddr := flag.String("http", "", "serve the live ops surface (/metrics, /statusz, /healthz, pprof, /debug/trace) on this address; implies telemetry")
 	watch := flag.String("watch", "", "redraw a live dashboard on stderr at this interval (e.g. 500ms); implies telemetry")

@@ -40,8 +40,8 @@ const (
 	// FamilyBase runs Generate's programs as built.
 	FamilyBase Family = iota
 	// FamilyReplicated runs GenerateReplicated's programs with the
-	// autotuner live on every run: widths and stream depths resize
-	// mid-run while the output must stay bit-identical.
+	// autotuner live on every run: widths, and with them the stream
+	// capacity, resize mid-run while the output must stay bit-identical.
 	FamilyReplicated
 	// FamilyCancelled runs Generate's programs cancelled mid-run: five
 	// sim runs cancelled in-band when the sink reaches the midpoint must

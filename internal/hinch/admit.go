@@ -26,7 +26,7 @@ const (
 //
 //hinch:hotpath
 func (e *engine) admit(p *probe, j job) admission {
-	if e.shouldPark(j) || e.needsBuffers(p, j) {
+	if e.shouldPark(j) || e.needsBuffers(j) {
 		return admitHeld
 	}
 	e.ensureBuffers(p, j.iter)
@@ -58,7 +58,7 @@ func (e *engine) shouldPark(j job) bool {
 // stream buffers: the FIFO capacity is exhausted by older iterations.
 // If so, the job is parked and re-queued when an iteration retires.
 // Must be called with mu held, via admit.
-func (e *engine) needsBuffers(p *probe, j job) bool {
+func (e *engine) needsBuffers(j job) bool {
 	it := e.iterAt(j.iter)
 	if it == nil || it.acquired.Load() {
 		return false
@@ -66,7 +66,6 @@ func (e *engine) needsBuffers(p *probe, j job) bool {
 	if e.app.win.active.Load() < e.bufCap.Load() {
 		return false
 	}
-	p.bufWait()
 	e.bufParked = append(e.bufParked, j)
 	return true
 }

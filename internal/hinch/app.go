@@ -44,7 +44,9 @@ type Config struct {
 	// at once — the FIFO depth of the streams ("typically implemented
 	// using a FIFO queue", §1). Iterations beyond it wait for buffers
 	// (backpressure), which keeps the memory footprint of deep
-	// pipelines bounded. Defaults to 3; clamped to PipelineDepth.
+	// pipelines bounded. Defaults to 3; clamped to PipelineDepth. With
+	// Autotune each auto replica beyond the first adds one buffer set,
+	// up to PipelineDepth (see Autotune).
 	StreamCapacity int
 
 	// Workless makes components skip their real kernel computation and
@@ -77,11 +79,12 @@ type Config struct {
 	Faults FaultInjector
 
 	// Autotune enables the feedback autotuner: at fixed epochs the
-	// runtime samples its occupancy and backpressure counters and
-	// resizes the replica widths of components declared
-	// replicate="auto" and the live stream-FIFO capacity. Without it,
-	// auto widths stay at 1. Decisions land in Report.Tune/TuneLog and
-	// the trace (TraceTune).
+	// runtime samples its per-task occupancy and resizes the replica
+	// widths of components declared replicate="auto". The live
+	// stream-FIFO capacity follows the widths:
+	// min(StreamCapacity + Σ over auto tasks (width − 1), PipelineDepth).
+	// Without it, auto widths stay at 1. Decisions land in
+	// Report.Tune/TuneLog and the trace (TraceTune).
 	Autotune bool
 
 	// TuneEpoch is the autotuner's epoch length. On sim decisions fire

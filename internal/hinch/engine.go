@@ -64,7 +64,8 @@ type engine struct {
 	bufParked []job // jobs waiting for stream buffers (backpressure)
 	bufSpare  []job // retired bufParked backing array, reused on refill
 	// bufCap is the live stream-FIFO capacity — how many of the window's
-	// buffer sets may be held at once; starts at StreamCapacity, tunable.
+	// buffer sets may be held at once; starts at StreamCapacity and
+	// follows the autotuner's widths.
 	// Written under mu (or by the sim goroutine); atomic so App.Snapshot
 	// can read it mid-run.
 	bufCap atomic.Int32

@@ -154,8 +154,7 @@ func (r *Report) String() string {
 	}
 	if r.Tune != nil && r.Tune.Stats.Epochs > 0 {
 		t := r.Tune.Stats
-		fmt.Fprintf(&b, " tune: epochs=%d widen=%d shrink=%d depth=+%d/-%d",
-			t.Epochs, t.Widen, t.Shrink, t.DepthRaises, t.DepthDrops)
+		fmt.Fprintf(&b, " tune: epochs=%d widen=%d shrink=%d", t.Epochs, t.Widen, t.Shrink)
 	}
 	if r.Cache != (spacecake.Stats{}) {
 		fmt.Fprintf(&b, " L1miss=%.1f%% L2miss=%d", 100*r.Cache.L1MissRate(), r.Cache.L2Misses)

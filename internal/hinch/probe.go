@@ -300,23 +300,11 @@ func (p *probe) unpark() {
 	p.emit(TraceUnpark, -1, -1, 0)
 }
 
-// bufWait: a job parked on backpressure. It and acquired run under mu,
-// which guards the tuner's buffer counters they feed.
-func (p *probe) bufWait() {
-	if p.tu != nil {
-		p.tu.bufWaits++
-	}
-}
-
 // acquired and released: iteration iter took or returned its buffer
-// set, leaving occ sets held. The tuner keeps the high-water mark of
-// occ. Histogram and ring get one record per stream — the streams move
-// together, so all carry the same occupancy — and with neither attached
-// the per-stream loop is not run at all.
+// set, leaving occ sets held. Histogram and ring get one record per
+// stream — the streams move together, so all carry the same occupancy —
+// and with neither attached the per-stream loop is not run at all.
 func (p *probe) acquired(streams []*Stream, iter int, occ int64) {
-	if p.tu != nil {
-		p.tu.bufHW = max(p.tu.bufHW, int(occ))
-	}
 	if p.tm == nil && p.tr == nil {
 		return
 	}

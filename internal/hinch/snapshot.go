@@ -73,8 +73,8 @@ type Snapshot struct {
 	Stages  []StageSnap  `json:"stages,omitempty"`
 	Streams []StreamSnap `json:"streams,omitempty"`
 
-	// StreamCap is the current stream-FIFO capacity (the autotuner may
-	// have resized it); Tune is the autotuner's published state, nil
+	// StreamCap is the current stream-FIFO capacity (it follows the
+	// autotuner's widths); Tune is the autotuner's published state, nil
 	// when Config.Autotune is off or no epoch has fired yet.
 	StreamCap int       `json:"stream_cap"`
 	Tune      *TuneView `json:"tune,omitempty"`

@@ -274,14 +274,9 @@ func (r *Recorder) export(w io.Writer, all []exportRec) error {
 			})
 		case hinch.TraceTune:
 			// An autotuner resize: ID names the task whose replica width
-			// changed (or -1 for the stream-FIFO capacity), Arg packs the
-			// transition as from<<32|to.
-			knob := "streams"
-			if ev.ID >= 0 {
-				knob = nameOf(meta.Tasks, ev.ID, "task")
-			}
+			// changed, Arg packs the transition as from<<32|to.
 			events = append(events, chromeEvent{
-				Name: "tune " + knob, Cat: "tune", Ph: "i",
+				Name: "tune " + nameOf(meta.Tasks, ev.ID, "task"), Cat: "tune", Ph: "i",
 				TS: us(ev.TS), PID: 0, TID: runtimeTID, S: "t",
 				Args: map[string]any{
 					"epoch": ev.Iter,

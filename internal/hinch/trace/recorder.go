@@ -207,7 +207,7 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 	var tune int
 	if rep.Tune != nil {
 		st := rep.Tune.Stats
-		tune = st.Widen + st.Shrink + st.DepthRaises + st.DepthDrops
+		tune = st.Widen + st.Shrink
 	}
 	acquires := n[hinch.TraceStreamAcquire]
 	for _, c := range []struct {

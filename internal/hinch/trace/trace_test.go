@@ -161,6 +161,32 @@ func specProg(t *testing.T, name string) *graph.Program {
 	return prog
 }
 
+// runSimCase runs the named simTraceCases entry on the sim backend,
+// workless, with tr and the telemetry histograms attached.
+func runSimCase(t *testing.T, name string, tr hinch.Tracer) *hinch.Report {
+	t.Helper()
+	for _, c := range simTraceCases {
+		if c.name != name {
+			continue
+		}
+		prog, frames := c.build(t)
+		cfg := c.cfg
+		cfg.Backend, cfg.Workless = hinch.BackendSim, true
+		cfg.Tracer, cfg.Telemetry = tr, true
+		app, err := hinch.NewApp(prog, components.DefaultRegistry(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep, err := app.Run(frames)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return rep
+	}
+	t.Fatalf("no sim trace case %q", name)
+	return nil
+}
+
 var updateSimTrace = flag.Bool("update", false, "rewrite testdata/sim_trace.sha256 and testdata/sim_report.golden (only ever from a commit whose sim output is known good)")
 
 // pinnedView derives, from a Report, every value in the layout the
@@ -264,19 +290,8 @@ func TestSimTraceDeterministic(t *testing.T) {
 	seen := map[hinch.TraceKind]bool{}
 	var out, report strings.Builder
 	for _, c := range simTraceCases {
-		prog, frames := c.build(t)
 		rec := trace.New(1 << 13) // sim records everything on shard 0; the largest case has ~3200 events
-		cfg := c.cfg
-		cfg.Backend, cfg.Workless = hinch.BackendSim, true
-		cfg.Tracer, cfg.Telemetry = rec, true
-		app, err := hinch.NewApp(prog, components.DefaultRegistry(), cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		rep, err := app.Run(frames)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+		rep := runSimCase(t, c.name, rec)
 		t.Logf("%s: %d events: %s", c.name, rec.Total(), strings.SplitN(rep.String(), "\n", 2)[0])
 		if d := rec.Dropped(); d != 0 {
 			t.Fatalf("%s: dropped %d events", c.name, d)
@@ -293,6 +308,7 @@ func TestSimTraceDeterministic(t *testing.T) {
 		if err := rec.WritePerfetto(&perfetto); err != nil {
 			t.Fatal(err)
 		}
+		checkPerfetto(t, c.name, perfetto.Bytes())
 		js, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
@@ -389,9 +405,89 @@ func TestRecorderReuse(t *testing.T) {
 	}
 }
 
-// TestPerfettoExportShape decodes the export and spot-checks the
-// trace-event schema: metadata names every track, job slices land on
-// worker tracks, and counters carry their value args.
+// perfettoFile is a decoded Perfetto export. The pointer fields tell a
+// missing key from a zero value.
+type perfettoFile struct {
+	TraceEvents []struct {
+		Name *string        `json:"name"`
+		Ph   string         `json:"ph"`
+		TS   *float64       `json:"ts"`
+		Dur  *float64       `json:"dur"`
+		PID  *int           `json:"pid"`
+		TID  *int           `json:"tid"`
+		ID   string         `json:"id"`
+		Args map[string]any `json:"args"`
+	} `json:"traceEvents"`
+	OtherData map[string]any `json:"otherData"`
+}
+
+// knownPhases are the trace-event phase types Perfetto loads.
+var knownPhases = map[string]bool{
+	"B": true, "E": true, "X": true, "i": true, "I": true, "C": true, "M": true,
+	"s": true, "t": true, "f": true, "b": true, "e": true, "n": true,
+}
+
+// checkPerfetto decodes a Perfetto export and checks the rules every
+// export keeps, tail dumps included: each event has a known phase and
+// a name, ts, pid and tid; ts and dur are non-negative and every "X"
+// has a dur; "C" events carry args and "M" events args.name; every "f"
+// finishes an open "s" of its id and no "s" is left open; and there is
+// at least one "X" and one "M".
+func checkPerfetto(t *testing.T, what string, data []byte) perfettoFile {
+	t.Helper()
+	var f perfettoFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatalf("%s: not valid JSON: %v", what, err)
+	}
+	phases := map[string]int{}
+	open := map[string]int{} // flow id -> starts not yet finished
+	for i, ev := range f.TraceEvents {
+		bad := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s: traceEvents[%d] (ph %q): %s", what, i, ev.Ph, fmt.Sprintf(format, args...))
+		}
+		switch {
+		case !knownPhases[ev.Ph]:
+			bad("unknown phase")
+		case ev.Name == nil || ev.TS == nil || ev.PID == nil || ev.TID == nil:
+			bad("missing name, ts, pid or tid")
+		case *ev.TS < 0:
+			bad("negative ts %v", *ev.TS)
+		case ev.Ph == "X" && ev.Dur == nil:
+			bad("complete slice without dur")
+		case ev.Dur != nil && *ev.Dur < 0:
+			bad("negative dur %v", *ev.Dur)
+		case ev.Ph == "C" && len(ev.Args) == 0:
+			bad("counter without args")
+		case ev.Ph == "M" && ev.Args["name"] == nil:
+			bad("metadata without args.name")
+		case ev.Ph == "s" && ev.ID == "":
+			bad("flow start without id")
+		case ev.Ph == "f" && open[ev.ID] == 0:
+			bad("flow finish %q without an open start", ev.ID)
+		}
+		phases[ev.Ph]++
+		switch ev.Ph {
+		case "s":
+			open[ev.ID]++
+		case "f":
+			open[ev.ID]--
+		}
+	}
+	for id, n := range open {
+		if n != 0 {
+			t.Fatalf("%s: flow %q has %d unmatched starts", what, id, n)
+		}
+	}
+	if phases["X"] == 0 || phases["M"] == 0 {
+		t.Fatalf("%s: %d complete slices and %d metadata events, want both", what, phases["X"], phases["M"])
+	}
+	return f
+}
+
+// TestPerfettoExportShape checks a real-backend export against the
+// trace-event rules, and that metadata names every track, job slices
+// land on worker tracks and the clock is wall time.
 func TestPerfettoExportShape(t *testing.T) {
 	rec := trace.New(1 << 16)
 	runTraced(t, hinch.Config{
@@ -401,39 +497,20 @@ func TestPerfettoExportShape(t *testing.T) {
 	if err := rec.WritePerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			TID  int            `json:"tid"`
-			Dur  *float64       `json:"dur"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		OtherData map[string]any `json:"otherData"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
+	out := checkPerfetto(t, "real export", buf.Bytes())
 	tracks := map[int]bool{}
-	slices, counters := 0, 0
+	counters := 0
 	for _, ev := range out.TraceEvents {
 		switch ev.Ph {
 		case "M":
-			if ev.Name == "thread_name" {
-				tracks[ev.TID] = true
+			if *ev.Name == "thread_name" {
+				tracks[*ev.TID] = true
 			}
 		case "X":
-			if ev.Dur == nil || *ev.Dur < 0 {
-				t.Fatalf("slice %q without valid dur", ev.Name)
+			if *ev.TID < 0 || *ev.TID > 3 {
+				t.Fatalf("slice %q on unknown track %d", *ev.Name, *ev.TID)
 			}
-			if ev.TID < 0 || ev.TID > 3 {
-				t.Fatalf("slice %q on unknown track %d", ev.Name, ev.TID)
-			}
-			slices++
 		case "C":
-			if len(ev.Args) == 0 {
-				t.Fatalf("counter %q without args", ev.Name)
-			}
 			counters++
 		}
 	}
@@ -442,10 +519,56 @@ func TestPerfettoExportShape(t *testing.T) {
 			t.Errorf("no thread_name metadata for track %d", tid)
 		}
 	}
-	if slices == 0 || counters == 0 {
-		t.Fatalf("export has %d slices and %d counters", slices, counters)
+	if counters == 0 {
+		t.Fatal("export has no counters")
 	}
 	if clock := out.OtherData["clock"]; clock != "wall-ns" {
 		t.Errorf("otherData.clock = %v on the real backend", clock)
+	}
+}
+
+// cutTracer records only the first n events of a run: exporting it
+// shows what a /debug/trace dump taken at that instant sees.
+type cutTracer struct {
+	*trace.Recorder
+	n int
+}
+
+func (c *cutTracer) Emit(shard int, ev hinch.TraceEvent) {
+	if c.n > 0 {
+		c.n--
+		c.Recorder.Emit(shard, ev)
+	}
+}
+
+// TestPerfettoTailShape: flight-recorder tails keep the trace-event
+// rules. The fallback.xml run is cut just after its degrade event, so
+// the halt that fault triggers lies beyond the dump and the fault's
+// flow arrow must be left out; the full recording's tails then cut
+// through reconfigurations at several small lengths.
+func TestPerfettoTailShape(t *testing.T) {
+	full := trace.New(1 << 13)
+	runSimCase(t, "fallback.xml", full)
+	cut := -1
+	for i, ev := range full.Events(0) { // sim records everything on shard 0
+		if ev.Kind == hinch.TraceDegrade {
+			cut = i + 1
+			break
+		}
+	}
+	if cut < 0 {
+		t.Fatal("fallback.xml recorded no degrade event")
+	}
+	dump := &cutTracer{Recorder: trace.New(1 << 13), n: cut}
+	runSimCase(t, "fallback.xml", dump)
+	for _, c := range []struct {
+		rec  *trace.Recorder
+		last int
+	}{{dump.Recorder, 32}, {full, 16}, {full, 64}, {full, 256}} {
+		var buf bytes.Buffer
+		if err := c.rec.WritePerfettoTail(&buf, c.last); err != nil {
+			t.Fatal(err)
+		}
+		checkPerfetto(t, fmt.Sprintf("tail of %d of %d events", c.last, c.rec.Total()), buf.Bytes())
 	}
 }

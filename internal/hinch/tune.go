@@ -12,52 +12,34 @@ import (
 // between the prediction tool and the running application: instead of a
 // front-end reading the prediction and re-writing the specification, the
 // runtime samples its own occupancy counters at fixed epochs and resizes
-// the two data-parallelism knobs it owns while the application runs —
-// the replica width of components declared replicate="auto", and the
-// live stream-FIFO capacity (Config.StreamCapacity's runtime
-// counterpart). Its round is the first role on the engine's epoch clock
-// (engine.tick): on the sim backend epochs are virtual-time boundaries,
-// so the whole decision trace is deterministic for a fixed seed; on the
-// real backend the clock goroutine samples under the engine lock.
+// the one data-parallelism knob it owns while the application runs —
+// the replica width of components declared replicate="auto". The live
+// stream-FIFO capacity is not searched: it follows from the widths
+// (resizeWidth). Its round is the first role on the engine's
+// epoch clock (engine.tick): on the sim backend epochs are virtual-time
+// boundaries, so the whole decision trace is deterministic for a fixed
+// seed; on the real backend the clock goroutine samples under the
+// engine lock.
 
-// TuneKind says which knob a TuneDecision turned.
-type TuneKind uint8
-
-const (
-	// TuneWidth resized a task's replica width.
-	TuneWidth TuneKind = iota
-	// TuneDepth resized the live stream-FIFO capacity.
-	TuneDepth
-)
-
-func (k TuneKind) String() string {
-	if k == TuneDepth {
-		return "depth"
-	}
-	return "width"
-}
-
-// TuneDecision is one autotuner resize, recorded in decision order.
+// TuneDecision is one autotuner width resize, recorded in decision
+// order.
 type TuneDecision struct {
 	Epoch int    // tuning epoch the decision was taken in (0-based)
-	Task  int    // task ID for width decisions; -1 for depth
-	Name  string // task name for width decisions; "streams" for depth
-	Kind  TuneKind
+	Task  int    // task ID
+	Name  string // task name
 	From  int
 	To    int
 }
 
 func (d TuneDecision) String() string {
-	return fmt.Sprintf("epoch %d: %s %s %d->%d", d.Epoch, d.Kind, d.Name, d.From, d.To)
+	return fmt.Sprintf("epoch %d: width %s %d->%d", d.Epoch, d.Name, d.From, d.To)
 }
 
 // TuneStats summarises autotuner activity (TuneView.Stats).
 type TuneStats struct {
-	Epochs      int `json:"epochs"`
-	Widen       int `json:"widen"`
-	Shrink      int `json:"shrink"`
-	DepthRaises int `json:"depth_raises"`
-	DepthDrops  int `json:"depth_drops"`
+	Epochs int `json:"epochs"`
+	Widen  int `json:"widen"`
+	Shrink int `json:"shrink"`
 }
 
 // Tuning thresholds. The widen threshold must exceed twice the shrink
@@ -69,8 +51,7 @@ const (
 	tuneShrinkUtil  = 0.40 // per-replica occupancy below which a width shrinks back
 	tuneIdleCeiling = 0.95 // no widening once overall core occupancy exceeds this
 	tuneHysteresis  = 2    // consecutive same-direction epochs before acting
-	tuneCooldown    = 2    // epochs a knob rests after a change
-	tuneDepthCalm   = 3    // zero-backpressure epochs before the FIFO capacity drops
+	tuneCooldown    = 2    // epochs a width rests after a change
 )
 
 // tuner holds the autotuner's sampling state. The busy counters are
@@ -91,10 +72,7 @@ type tuner struct {
 	down []int // consecutive epochs a task has wanted shrinking
 	cool []int // epochs a task's width still rests after a change
 
-	bufWaits  int // backpressure parks since the last epoch; guarded by mu
-	bufHW     int // most buffer sets held at once since the last epoch; guarded by mu
-	depthCalm int // consecutive epochs without backpressure
-	depthCool int // epochs the depth knob still rests after a change
+	extra int // Σ (width − 1) over the auto tasks: buffer sets the widths add
 
 	stats TuneStats
 	log   []TuneDecision
@@ -193,8 +171,7 @@ func (tu *tuner) consultModel(e *engine) {
 
 // tuneEpoch runs one decision round: sample the per-task occupancy
 // accumulated since the last epoch, widen saturated auto tasks / shrink
-// idle ones (with hysteresis and a post-change cooldown), and adjust the
-// stream-FIFO capacity from the backpressure counters. Deterministic on
+// idle ones (with hysteresis and a post-change cooldown). Deterministic on
 // the sim backend: it runs on the sim goroutine at virtual-time
 // boundaries and sweeps tasks in ID order. Must be called with mu held
 // on the real backend.
@@ -238,26 +215,6 @@ func (e *engine) tuneEpoch() {
 			tu.up[id], tu.down[id] = 0, 0
 		}
 	}
-	bufCap := int(e.bufCap.Load())
-	switch {
-	case tu.depthCool > 0:
-		tu.depthCool--
-	case tu.bufWaits > 0 && bufCap < e.app.cfg.PipelineDepth:
-		tu.depthCalm = 0
-		tu.depthCool = tuneCooldown
-		e.resizeDepth(epoch, bufCap, bufCap+1)
-	case tu.bufWaits == 0 && bufCap > 1 && tu.bufHW < bufCap:
-		tu.depthCalm++
-		if tu.depthCalm >= tuneDepthCalm {
-			tu.depthCalm = 0
-			tu.depthCool = tuneCooldown
-			e.resizeDepth(epoch, bufCap, bufCap-1)
-		}
-	default:
-		tu.depthCalm = 0
-	}
-	tu.bufWaits = 0
-	tu.bufHW = 0
 	tu.publish()
 }
 
@@ -273,11 +230,17 @@ func (tu *tuner) publish() {
 	tu.pub.Store(v)
 }
 
-// resizeWidth applies one width decision: record it, trace it, and
-// resize the live cross-iteration dependency distance. Must be called
-// with mu held on the real backend, via tuneEpoch.
+// resizeWidth applies one width decision: record it, trace it, resize
+// the live cross-iteration dependency distance, and set the stream-FIFO
+// capacity the widths call for. An iteration holds one buffer set from
+// its first job until it retires, so a task w wide needs w − 1 sets
+// beyond the configured capacity to keep w iterations of it in flight:
+// cap = min(StreamCapacity + Σ over auto tasks (width − 1),
+// PipelineDepth). Fixed replicate="N" widths stay outside the rule, so
+// an untuned run keeps StreamCapacity. Must be called with mu held on
+// the real backend, via tuneEpoch.
 func (e *engine) resizeWidth(epoch, id, from, to int) {
-	d := TuneDecision{Epoch: epoch, Task: id, Name: e.app.plan.Tasks[id].Name, Kind: TuneWidth, From: from, To: to}
+	d := TuneDecision{Epoch: epoch, Task: id, Name: e.app.plan.Tasks[id].Name, From: from, To: to}
 	e.tu.log = append(e.tu.log, d)
 	if to > from {
 		e.tu.stats.Widen++
@@ -286,20 +249,9 @@ func (e *engine) resizeWidth(epoch, id, from, to int) {
 	}
 	e.probes[0].tune(d)
 	e.setWidth(id, to)
-}
-
-// resizeDepth applies one stream-FIFO capacity decision. Must be called
-// with mu held on the real backend, via tuneEpoch.
-func (e *engine) resizeDepth(epoch, from, to int) {
-	d := TuneDecision{Epoch: epoch, Task: -1, Name: "streams", Kind: TuneDepth, From: from, To: to}
-	e.tu.log = append(e.tu.log, d)
-	if to > from {
-		e.tu.stats.DepthRaises++
-	} else {
-		e.tu.stats.DepthDrops++
-	}
-	e.probes[0].tune(d)
-	e.setBufCap(to)
+	e.tu.extra += to - from
+	cfg := &e.app.cfg
+	e.setBufCap(min(cfg.StreamCapacity+e.tu.extra, cfg.PipelineDepth))
 }
 
 // setWidth publishes a new replica width for task id, then sweeps the

@@ -55,11 +55,11 @@ func spinChainProg(spin int, rep string) *graph.Program {
 	return b.MustProgram()
 }
 
-// widthDecisions filters the tune log down to one task's width moves.
+// widthDecisions filters the tune log down to one task's moves.
 func widthDecisions(log []TuneDecision, name string) []TuneDecision {
 	var out []TuneDecision
 	for _, d := range log {
-		if d.Kind == TuneWidth && d.Name == name {
+		if d.Name == name {
 			out = append(out, d)
 		}
 	}
@@ -80,7 +80,9 @@ func tuneTrace(log []TuneDecision) string {
 // statically-predictable sizing — with five cores, four replicas
 // saturate four of them and the fifth carries the two cheap stages, so
 // the tuner stops one short of its min(PipelineDepth, Cores) cap — and
-// then left alone. Every
+// then left alone, with the stream-FIFO capacity raised by one buffer
+// set per extra replica so the four replicas have iterations to run.
+// Every
 // decision is a single-step widen, none is ever undone (the
 // hysteresis/cooldown machinery prevents oscillation), and the
 // decisions stop well before the run ends. Output order must survive
@@ -119,6 +121,12 @@ func TestAutotuneConvergesOnBottleneck(t *testing.T) {
 	if want != cfg.Cores-1 {
 		t.Fatalf("converged width %d, want %d (every core but the one the cheap stages need); log:\n%s",
 			want, cfg.Cores-1, tuneTrace(rep.TuneLog))
+	}
+	// The default capacity 3 plus one buffer set per extra replica,
+	// under PipelineDepth.
+	if want := min(3+3, 8); rep.StreamCap != want {
+		t.Fatalf("final stream capacity %d, want %d = min(StreamCapacity + width - 1, PipelineDepth)",
+			rep.StreamCap, want)
 	}
 	if st := rep.Tune.Stats; st.Shrink != 0 {
 		t.Fatalf("tuner oscillated: %d shrink decisions; log:\n%s", st.Shrink, tuneTrace(rep.TuneLog))

@@ -37,8 +37,8 @@ func RenderDashboard(w io.Writer, s hinch.Snapshot) {
 		s.Faults, s.Retries, s.Degradations, s.Reconfigs, s.Sched.Steals, s.Sched.Parks)
 	if s.Tune != nil {
 		t := s.Tune.Stats
-		fmt.Fprintf(w, "tune epochs=%d widen=%d shrink=%d depth+%d depth-%d  stream_cap=%d\n",
-			t.Epochs, t.Widen, t.Shrink, t.DepthRaises, t.DepthDrops, s.StreamCap)
+		fmt.Fprintf(w, "tune epochs=%d widen=%d shrink=%d  stream_cap=%d\n",
+			t.Epochs, t.Widen, t.Shrink, s.StreamCap)
 		if n := len(s.Tune.Tail); n > 0 {
 			fmt.Fprintf(w, "last tune: %s\n", s.Tune.Tail[n-1])
 		}

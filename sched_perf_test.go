@@ -9,13 +9,15 @@ import (
 )
 
 // schedThroughputProgram is a scheduler-stress graph: a wide sliced
-// graph of trivial components, so job dispatch dominates.
+// graph of trivial components, so job dispatch dominates. The source
+// has more frames than TestSchedulerSteadyStateAllocs's longer run, so
+// neither of its runs ends early at EOS.
 func schedThroughputProgram() *graph.Program {
 	gb := graph.NewBuilder("sched")
 	gb.FrameStream("v", 64, 48)
 	gb.Body(
 		gb.Component("src", "videosrc", graph.Ports{"out": "v"},
-			graph.Params{"width": "64", "height": "48", "frames": "64"}),
+			graph.Params{"width": "64", "height": "48", "frames": "512"}),
 		gb.Parallel(graph.ShapeSlice, 16,
 			gb.Component("c", "copyplane", graph.Ports{"in": "v", "out": "v2"}, nil),
 		),
@@ -27,39 +29,49 @@ func schedThroughputProgram() *graph.Program {
 
 // TestSchedulerSteadyStateAllocs pins the scheduler's zero-allocation
 // steady state: the marginal cost of an extra iteration through the
-// dispatch loop must be less than one allocation. An App runs once, so
-// the hot path can't be isolated with AllocsPerRun directly; instead
-// the test measures build+run at two iteration counts and divides the
-// difference by the extra iterations — construction garbage is
-// identical on both sides and cancels, leaving only the per-iteration
-// dispatch cost; so does starting the workers, which costs the same at
-// any iteration count.
+// dispatch loop must be less than one allocation, without and with
+// telemetry. An App runs once, so the hot path can't be isolated with
+// AllocsPerRun directly; instead the test measures build+run at two
+// iteration counts and divides the difference by the extra iterations —
+// construction garbage is identical on both sides and cancels, leaving
+// only the per-iteration dispatch cost; so does starting the workers,
+// which costs the same at any iteration count. Both runs must complete
+// every iteration they ask for, or the difference measures nothing.
+// AllocsPerRun sets GOMAXPROCS to 1, so nothing steals here: the steal
+// path is guarded by the hotalloc vet check instead.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pin is slow under -short")
 	}
 	prog := schedThroughputProgram()
 	reg := components.DefaultRegistry()
-	measure := func(iters int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			app, err := hinch.NewApp(prog, reg, hinch.Config{
-				Backend: hinch.BackendReal, Cores: 4, Workless: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := app.Run(iters); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 	const lo, hi = 64, 256
-	allocLo := measure(lo)
-	allocHi := measure(hi)
-	perIter := (allocHi - allocLo) / float64(hi-lo)
-	t.Logf("allocs: %.0f @ %d iters, %.0f @ %d iters -> %.3f allocs/iter",
-		allocLo, lo, allocHi, hi, perIter)
-	if perIter >= 1 {
-		t.Errorf("scheduler hot path allocates %.3f allocs per iteration, want < 1", perIter)
+	for _, telemetry := range []bool{false, true} {
+		measure := func(iters int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				app, err := hinch.NewApp(prog, reg, hinch.Config{
+					Backend: hinch.BackendReal, Cores: 4, Workless: true, Telemetry: telemetry,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := app.Run(iters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Iterations != iters {
+					t.Fatalf("telemetry=%v: ran %d iterations, want %d", telemetry, rep.Iterations, iters)
+				}
+			})
+		}
+		allocLo := measure(lo)
+		allocHi := measure(hi)
+		perIter := (allocHi - allocLo) / float64(hi-lo)
+		t.Logf("telemetry=%v: allocs: %.0f @ %d iters, %.0f @ %d iters -> %.3f allocs/iter",
+			telemetry, allocLo, lo, allocHi, hi, perIter)
+		if perIter >= 1 {
+			t.Errorf("telemetry=%v: scheduler hot path allocates %.3f allocs per iteration, want < 1",
+				telemetry, perIter)
+		}
 	}
 }
