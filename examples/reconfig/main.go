@@ -50,8 +50,8 @@ func main() {
 	}
 
 	// The "user": inject events while the application runs. The queue is
-	// thread-safe; the manager polls it at its subgraph entrance and
-	// exit every iteration.
+	// thread-safe; the manager's next subgraph entrance takes an event
+	// pushed from outside the run.
 	ui := app.Queue("ui")
 	done := make(chan struct{})
 	go func() {

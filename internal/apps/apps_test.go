@@ -378,9 +378,9 @@ func TestFig10SmallScale(t *testing.T) {
 		if p.Reconfigs == 0 {
 			t.Fatalf("node %d: no reconfigs", p.Nodes)
 		}
-		// At this tiny scale the toggle lag skews the duty cycle toward
-		// the cheaper kernel, so slightly negative overhead is possible.
-		if p.OverheadPct < -20 || p.OverheadPct > 100 {
+		// Weighted by duty, halting and draining can only add time:
+		// +9.8, +19.1 and +27.2 % at 1-3 nodes.
+		if p.OverheadPct < 0 || p.OverheadPct > 100 {
 			t.Fatalf("node %d: implausible overhead %.1f%%", p.Nodes, p.OverheadPct)
 		}
 	}

@@ -1,6 +1,7 @@
 package components
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -406,7 +407,7 @@ func TestTriggerEmitsOnSchedule(t *testing.T) {
 		b.Component("snk", "videosink", graph.Ports{"in": "v"}, nil),
 	)
 	app := runProg(t, b.MustProgram(), 10, 1)
-	evs := app.Queue("q").Drain()
+	evs := app.Queue("q").Drain(math.MaxInt)
 	// start=2, every=3, 10 iterations -> fires at 2, 5, 8.
 	if len(evs) != 3 {
 		t.Fatalf("%d events", len(evs))

@@ -2,10 +2,7 @@ package conformance
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 
-	"xspcl/internal/graph"
 	"xspcl/internal/hinch"
 )
 
@@ -16,88 +13,60 @@ import (
 //
 // Every clause starts from the same per-record obligation: records are
 // duplicate-free and non-negative, and the hash of every record below
-// the oracle count N is explained by some configuration the run may
-// rest in — the declared defaults for an event-free program, any
-// configuration reachable from them (graph.Configurations) otherwise.
-// Option states are fixed within an iteration by the manager's entry
-// snapshot, but which iteration a trigger's effect lands on is
-// schedule-dependent. Records at N or beyond have unspecified payload.
-// Then, by how the run ended:
+// the oracle count N is the one prediction for its iteration. Events
+// land at a fixed iteration distance (Gen.Configs), so the prediction
+// is exact for reconfiguring programs too. Records at N or beyond have
+// unspecified payload. Then, by how the run ended:
 //
-//   - Completed: exactly N iterations processed and every one of [0, N)
-//     recorded. Records past N appear on the real backend through the
-//     documented benign EOS-cancellation race (a job observes
-//     cancelled==false just before cancellation and runs redundantly);
-//     at most one pipeline window of them is tolerated. The cheapest
-//     configuration schedule explaining the records must not need more
-//     changes than trigger firings could have caused, counted over one
-//     pipeline window past the end (a trigger on a post-EOS cancelled
-//     iteration can still retarget earlier in-flight iterations).
+//   - Completed: exactly N iterations processed, every one of [0, N)
+//     recorded, and exactly the reconfigurations the replay predicts.
+//     Records past N appear on the real backend through the documented
+//     benign EOS-cancellation race (a job observes cancelled==false
+//     just before cancellation and runs redundantly); at most one
+//     pipeline window of them is tolerated.
 //   - Cancelled: weaker promises, since the processed set need not be a
-//     contiguous prefix — at most N iterations counted; at least one
-//     record per counted iteration and at most one pipeline window of
-//     cancel-raced extras (in-flight iterations that recorded at the
-//     sink and then retired uncounted); no record past N plus the EOS
-//     window.
-//   - Faulty (degradable programs): a monotone flip from the initial
-//     (primary) configuration to the fallback, with the hole and
-//     counter arithmetic of the program's failure policy.
-//
-// Outside the faulty clause, reconfigurations stay within the
-// trigger-firing budget (zero for event-free programs).
+//     contiguous prefix — at most N iterations counted and at most the
+//     predicted reconfigurations; at least one record per counted
+//     iteration and at most one pipeline window of cancel-raced extras
+//     (in-flight iterations that recorded at the sink and then retired
+//     uncounted); no record past N plus the EOS window.
+//   - Faulty (degradable programs): the flip from the initial (primary)
+//     configuration to the fallback lands at a fixed iteration, with
+//     the hole and counter arithmetic of the program's failure policy.
 func verify(g *Gen, obs *Observation) error {
 	n := g.ExpectedIterations()
-	cfgs := g.Prog.Configurations()
-	if !g.HasEvents {
-		cfgs = slices.DeleteFunc(cfgs, func(c graph.Configuration) bool { return !c.Initial })
-	}
-	if len(cfgs) > 64 {
-		return fmt.Errorf("%d reachable configurations exceed the verifier's 64-state mask", len(cfgs))
-	}
-	initial := uint64(1) << slices.IndexFunc(cfgs, func(c graph.Configuration) bool { return c.Initial })
-
-	// match[i] is the bitmask of configurations explaining iteration
-	// i's record; zero when i was not recorded.
-	match := make([]uint64, n)
-	seen := map[int]bool{}
+	got := make(map[int]uint64, len(obs.Sink))
 	extras, last := 0, -1
 	for _, r := range obs.Sink {
-		switch {
-		case r.Iter < 0:
+		if r.Iter < 0 {
 			return fmt.Errorf("sink recorded negative iteration %d", r.Iter)
-		case seen[r.Iter]:
+		}
+		if _, dup := got[r.Iter]; dup {
 			return fmt.Errorf("sink recorded iteration %d twice", r.Iter)
 		}
-		seen[r.Iter] = true
+		got[r.Iter] = r.H
 		last = max(last, r.Iter)
 		if r.Iter >= n {
 			extras++
-			continue
-		}
-		var tried []string
-		for s, c := range cfgs {
-			want := g.Expected(r.Iter, c.Enabled)
-			if want == r.H {
-				match[r.Iter] |= 1 << s
-			}
-			tried = append(tried, fmt.Sprintf("%s:%016x", c.Key(), want))
-		}
-		if match[r.Iter] == 0 {
-			return fmt.Errorf("iteration %d: sink hash %016x matches no reachable configuration (oracle: %s)", r.Iter, r.H, strings.Join(tried, " "))
 		}
 	}
-
 	if g.Injector != nil {
-		return flipClause(g, obs, match, initial, extras)
+		return flipClause(g, obs, got, extras)
 	}
-	firings := g.MaxFirings(n + g.Depth + 1)
-	if obs.Reconfigs > firings {
-		return fmt.Errorf("%d reconfigurations observed but at most %d trigger firings possible", obs.Reconfigs, firings)
+	cfgs, reconfigs := g.Configs(n)
+	for i, cfg := range cfgs {
+		if h, ok := got[i]; ok {
+			if want := g.Expected(i, cfg); h != want {
+				return fmt.Errorf("iteration %d: sink hash %016x, oracle %016x under %v", i, h, want, cfg)
+			}
+		}
 	}
 	if obs.Outcome == hinch.OutcomeCancelled {
 		switch window := g.Depth + obs.Workers + 1; {
 		case obs.Iterations > n:
 			return fmt.Errorf("cancelled run processed %d iterations, oracle caps at %d", obs.Iterations, n)
+		case obs.Reconfigs > reconfigs:
+			return fmt.Errorf("cancelled run reconfigured %d times, the replay predicts %d for the whole run", obs.Reconfigs, reconfigs)
 		case last >= n+g.Depth+1:
 			return fmt.Errorf("sink recorded iteration %d, beyond oracle count %d plus the EOS window", last, n)
 		case len(obs.Sink) < obs.Iterations:
@@ -111,8 +80,8 @@ func verify(g *Gen, obs *Observation) error {
 	if obs.Iterations != n {
 		return fmt.Errorf("processed %d iterations, oracle expects %d", obs.Iterations, n)
 	}
-	for i, m := range match {
-		if m == 0 {
+	for i := range n {
+		if _, ok := got[i]; !ok {
 			return fmt.Errorf("sink missing iteration %d of %d", i, n)
 		}
 	}
@@ -123,54 +92,20 @@ func verify(g *Gen, obs *Observation) error {
 	if extras > maxExtra {
 		return fmt.Errorf("sink recorded %d iterations beyond the run's %d (max %d tolerated)", extras, n, maxExtra)
 	}
-	if best := configChanges(match, initial, len(cfgs)); best > firings {
-		return fmt.Errorf("explaining the sink hashes needs >= %d configuration changes but at most %d trigger firings were possible", best, firings)
+	if obs.Reconfigs != reconfigs {
+		return fmt.Errorf("%d reconfigurations observed, the replay predicts %d", obs.Reconfigs, reconfigs)
 	}
 	return nil
 }
 
-// configChanges is the firing-budget DP: the minimal number of
-// configuration changes, starting from the initial configuration, of a
-// configuration schedule explaining every iteration's record. cost[s]
-// is the minimal number of changes to sit in configuration s at the
-// current iteration. Every change needs at least one trigger firing;
-// jumps between any two reachable states are allowed (several firings
-// can land between two consecutive iterations), which only loosens the
-// bound — so configuration s is reached either by staying (cost[s]) or
-// by one change from the cheapest state. Both directions are sound for
-// generated programs: option states snapshot at iteration entry after
-// whole-event application, and the generator's forward bindings carry
-// no local actions, so the runtime never rests in a state the
-// collapsed-forward model misses.
-func configChanges(match []uint64, initial uint64, nc int) int {
-	const inf = int(^uint(0) >> 1)
-	cost := make([]int, nc)
-	for s := range cost {
-		if initial&(1<<s) == 0 {
-			cost[s] = inf
-		}
-	}
-	for _, m := range match { // every m != 0, so the cheapest state stays finite
-		best := slices.Min(cost)
-		for s := range cost {
-			if m&(1<<s) == 0 {
-				cost[s] = inf
-			} else {
-				cost[s] = min(cost[s], best+1)
-			}
-		}
-	}
-	return slices.Min(cost)
-}
-
-// flipClause is the faulty clause. Manager entries execute in iteration
-// order on both backends, so the configuration assignment is monotone:
-// primary (initial) for iterations [0, t), fallback from t on, for some
-// flip point t. WHERE the flip lands is schedule-dependent on the real
-// backend (it depends on which entry first drains the fault event), so
-// t is recovered from the observed records and only bounded: the event
-// is pushed during iteration From's execution and at most Depth+1
-// further entries can have pre-dated it.
+// flipClause is the faulty clause. Every faulted attempt of p1 pushes a
+// fault event stamped with its iteration, so the first one — from
+// iteration From — is delivered by the manager entry of From + Depth:
+// that iteration is the last to run the primary configuration and the
+// flip point is t = From + Depth + 1. The exception is deadline mode on
+// the real backend, where an overrun is measured in wall time and an
+// honest job may overrun too; there t is recovered from the records
+// and only bounded to (From, From+Depth+1].
 //
 // Retry/skip modes hole every faulted primary iteration: records [0,
 // From) carry primary hashes, [From, t) are missing, [t, N) carry
@@ -179,26 +114,33 @@ func configChanges(match []uint64, initial uint64, nc int) int {
 // nothing: the overrun outputs stand, so [0, t) are primary hashes and
 // Degradations counts exactly the overrun iterations [From, t). A
 // fixed-length run has no EOS race, so no record past N is tolerated.
-func flipClause(g *Gen, obs *Observation, match []uint64, initial uint64, extras int) error {
-	n := len(match)
+func flipClause(g *Gen, obs *Observation, got map[int]uint64, extras int) error {
+	n := g.ExpectedIterations()
 	if extras > 0 {
 		return fmt.Errorf("sink recorded %d iterations beyond the run's %d", extras, n)
 	}
+	primary, fallback := g.Prog.Options(), map[string]bool{"backup": true}
 	state := func(i int) string {
+		h, ok := got[i]
 		switch {
-		case match[i] == 0:
+		case !ok:
 			return "hole"
-		case match[i]&initial != 0:
+		case h == g.Expected(i, primary):
 			return "primary"
+		case h == g.Expected(i, fallback):
+			return "fallback"
 		}
-		return "fallback"
+		return fmt.Sprintf("foreign hash %016x", h)
 	}
-	t := slices.IndexFunc(match, func(m uint64) bool { return m != 0 && m&initial == 0 })
-	if t < 0 {
-		return fmt.Errorf("run never degraded to the fallback configuration")
-	}
-	if t <= g.From || t > g.From+g.Depth+2 {
-		return fmt.Errorf("flip at iteration %d, want within (%d, %d]", t, g.From, g.From+g.Depth+2)
+	t := g.From + g.Depth + 1
+	if g.Mode == FaultyDeadline && obs.Backend == hinch.BackendReal {
+		t = -1
+		for i := n - 1; i >= 0 && state(i) == "fallback"; i-- {
+			t = i
+		}
+		if t <= g.From || t > g.From+g.Depth+1 {
+			return fmt.Errorf("flip at iteration %d, want within (%d, %d]", t, g.From, g.From+g.Depth+1)
+		}
 	}
 	holes := 0
 	for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"context"
+	"maps"
 	"slices"
 	"testing"
 
@@ -73,12 +74,11 @@ func TestOracleRejects(t *testing.T) {
 				o.Sink = append(o.Sink, SinkRec{Iter: g.ExpectedIterations() + i})
 			}
 		}},
-		{"reconfigs above the firing budget", nil, func(g *Gen, o *Observation) {
-			budget := g.MaxFirings(g.ExpectedIterations() + g.Depth + 1)
-			if g.Injector != nil {
-				budget = 1 // the one fault event that flips the manager
-			}
-			o.Reconfigs = budget + 1
+		{"reconfigs above the prediction", nil, func(g *Gen, o *Observation) { o.Reconfigs++ }},
+		{"reconfiguration one iteration late", func(b base) bool { return b.name == "events" }, func(g *Gen, o *Observation) {
+			cfgs, _ := g.Configs(g.ExpectedIterations())
+			i := slices.IndexFunc(cfgs[1:], func(c map[string]bool) bool { return !maps.Equal(c, cfgs[0]) }) + 1
+			o.Sink[i].H = g.Expected(i, cfgs[i-1])
 		}},
 		{"fallback record before the flip", faulty, func(g *Gen, o *Observation) {
 			i := g.From - 1

@@ -182,8 +182,9 @@ func workStep(h, stamp, iter uint64, folds []cellRange, cells []uint64) uint64 {
 
 // creconf is a cwork that also accepts reconfiguration requests
 // (paper §3.1's component reconfiguration interface). Requests are
-// counted but deliberately do not influence the hash: their delivery
-// iteration is schedule-dependent on the real backend.
+// counted and do not influence the hash. Where one lands is fixed on
+// every backend: a request delivered by the manager entry of iteration
+// k reaches the instance's first Run after k.
 type creconf struct {
 	cwork
 	reqs atomic.Int64

@@ -132,9 +132,5 @@ func (e *engine) skipExecution(j job) bool {
 	if snap == nil || !snap.entered {
 		panic(fmt.Sprintf("hinch: option task %s@%d ran before manager %s entry", j.task.Name, j.iter, owner))
 	}
-	if it.optStarted == nil {
-		it.optStarted = map[string]bool{}
-	}
-	it.optStarted[j.task.Option] = true
 	return !snap.opts[j.task.Option]
 }

@@ -38,6 +38,9 @@ type Config struct {
 	// PipelineDepth is the number of concurrently active iterations.
 	// The paper schedules five (§4): "To exploit pipeline parallelism
 	// ... five iterations are simultaneously scheduled." Defaults to 5.
+	// It is also the event delivery distance: an event sent during
+	// iteration k is delivered by the manager entry of k + PipelineDepth,
+	// the first one launched after k retired.
 	PipelineDepth int
 
 	// StreamCapacity bounds how many iterations may hold stream buffers
@@ -161,29 +164,42 @@ type instance struct {
 
 	hasMail atomic.Bool // lock-free fast-path probe for an empty mailbox
 	mu      sync.Mutex
-	mailbox []string // pending reconfiguration requests
+	mailbox []mail // pending reconfiguration requests, in stamp order
 }
 
-// deliver queues a reconfiguration request for the instance.
-func (in *instance) deliver(req string) {
+// mail is a reconfiguration request stamped with the iteration whose
+// manager entry delivered it (-1: the <reconfig> init tag).
+type mail struct {
+	req  string
+	iter int
+}
+
+// deliver queues a reconfiguration request delivered by iteration iter.
+func (in *instance) deliver(req string, iter int) {
 	in.mu.Lock()
-	in.mailbox = append(in.mailbox, req)
+	in.mailbox = append(in.mailbox, mail{req, iter})
 	in.hasMail.Store(true)
 	in.mu.Unlock()
 }
 
-// takeMail drains pending requests. The atomic probe keeps the per-job
-// cost of an empty mailbox to one load.
-func (in *instance) takeMail() []string {
+// takeMail hands the Run of iteration iter the requests delivered by
+// earlier iterations. Entries deliver in iteration order, so those are
+// a prefix of the mailbox; a request delivered by iteration k reaches
+// the first Run after k, whichever worker got to an older iteration's
+// Run first. The atomic probe keeps the per-job cost of an empty
+// mailbox to one load.
+func (in *instance) takeMail(iter int) (reqs []string) {
 	if !in.hasMail.Load() {
 		return nil
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	m := in.mailbox
-	in.mailbox = nil
-	in.hasMail.Store(false)
-	return m
+	for len(in.mailbox) > 0 && in.mailbox[0].iter < iter {
+		reqs = append(reqs, in.mailbox[0].req)
+		in.mailbox = in.mailbox[1:]
+	}
+	in.hasMail.Store(len(in.mailbox) > 0)
+	return reqs
 }
 
 // App is a loaded XSPCL application: the elaborated program bound to
@@ -405,7 +421,7 @@ func (a *App) createInstance(t *graph.Task) error {
 		if inst.recon == nil {
 			return fmt.Errorf("hinch: component %q has an initial reconfiguration request but class %q has no reconfiguration interface", t.Name, t.Class)
 		}
-		inst.deliver(req)
+		inst.deliver(req, -1)
 	}
 	a.instTab[t.ID].Store(inst)
 	return nil

@@ -351,7 +351,7 @@ func (rc *RunContext) Emit(queue string, ev Event) error {
 	if !ok {
 		return fmt.Errorf("hinch: %s: unknown event queue %q", rc.task.Name, queue)
 	}
-	rc.p.eventPush(rc.iter, rc.app.queueIndex[queue], q.Push(ev))
+	rc.p.eventPush(rc.iter, rc.app.queueIndex[queue], q.push(ev, rc.iter, rc.task.ID))
 	return nil
 }
 

@@ -19,7 +19,7 @@ type job struct {
 // The dependency-tracking fields (remaining, joinLeft, done, crossClaim,
 // left) are atomic so that the real backend's workers can retire jobs and
 // release dependents without the engine lock; the reconfiguration bookkeeping
-// (mgrOpts, optStarted) is only touched with e.mu held. The sim backend
+// (mgrOpts) is only touched with e.mu held. The sim backend
 // is single-threaded, so the atomics are uncontended there and the
 // discrete-event schedule stays deterministic.
 type iterState struct {
@@ -59,18 +59,11 @@ type iterState struct {
 
 	// mgrOpts[m] is the option-state snapshot taken when manager m's
 	// entry ran for this iteration; the iteration's option tasks are
-	// enabled or skipped according to it. A reconfiguration may still
-	// retro-apply to this iteration as long as none of the option's
-	// tasks have started (tracked in optStarted). The snapshots stay
-	// with the recycled state and are refilled in place, so entered —
-	// not presence in the map — says whether the entry ran in this
+	// enabled or skipped according to it. The snapshots stay with the
+	// recycled state and are refilled in place, so entered — not
+	// presence in the map — says whether the entry ran in this
 	// iteration. Guarded by e.mu.
 	mgrOpts map[string]*optSnapshot
-
-	// optStarted[o] records that at least one task of option o was
-	// dispatched in this iteration, fixing the option's state for the
-	// rest of the iteration. Guarded by e.mu.
-	optStarted map[string]bool
 }
 
 // readyQueue is the sim backend's central job queue. Jobs are handed out
@@ -155,7 +148,6 @@ func (e *engine) launch(p *probe) {
 		for _, snap := range it.mgrOpts {
 			snap.entered = false
 		}
-		clear(it.optStarted)
 		it.left.Store(int32(len(plan.Tasks)))
 		for i, w := range e.waits {
 			it.remaining[i].Store(w)

@@ -12,7 +12,7 @@ import (
 
 // engine implements the shared scheduling machinery: data-flow readiness
 // tracking, pipeline parallelism across iterations, and the manager
-// reconfiguration protocol (§3.4: detect at the subgraph entrance/exit,
+// reconfiguration protocol (§3.4: detect at the subgraph entrance,
 // pre-create eagerly, halt the subgraph, splice at quiescence, resume).
 //
 // Two executors drive it with different dispatch queues. The sim backend
@@ -161,7 +161,7 @@ func newEngine(a *App) *engine {
 		e.ws = newSched(a.cfg, e.probes)
 	}
 	for name := range a.managers {
-		e.mgrs[name] = &mgrState{lastEntered: -1}
+		e.mgrs[name] = &mgrState{}
 		e.mgrNames = append(e.mgrNames, name)
 	}
 	// Sorted so every per-manager sweep (and therefore every trace

@@ -3,6 +3,7 @@ package hinch
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -224,10 +225,13 @@ func (c *failer) Run(rc *RunContext) error {
 	return nil
 }
 
-// reconfigurable records requests it receives.
+// reconfigurable records the requests it receives and the iteration
+// of the Run each one was applied before.
 type reconfigurable struct {
-	mu   sync.Mutex
-	reqs []string
+	mu      sync.Mutex
+	reqs    []string
+	fresh   int   // requests received since the last Run
+	applied []int // per request, the iteration it was applied at
 }
 
 func (c *reconfigurable) Init(ic *InitContext) error { return nil }
@@ -235,11 +239,17 @@ func (c *reconfigurable) Run(rc *RunContext) error {
 	v, _ := rc.In("in").(int)
 	rc.SetOut("out", v)
 	rc.Charge(10)
+	c.mu.Lock()
+	for ; c.fresh > 0; c.fresh-- {
+		c.applied = append(c.applied, rc.Iteration())
+	}
+	c.mu.Unlock()
 	return nil
 }
 func (c *reconfigurable) Reconfigure(req string) error {
 	c.mu.Lock()
 	c.reqs = append(c.reqs, req)
+	c.fresh++
 	c.mu.Unlock()
 	return nil
 }
@@ -452,36 +462,49 @@ func reconfigProg(defaultOn bool, every int) *graph.Program {
 	return b.MustProgram()
 }
 
+// eventConfigs is the sim backend plus the real backend at 1, 2, 4 and
+// 8 workers under yielding hooks, all at the given pipeline depth:
+// where an event lands must not depend on which of them runs the
+// program.
+func eventConfigs(depth int) []Config {
+	cfgs := []Config{{Backend: BackendSim, Cores: 2, PipelineDepth: depth}}
+	for _, w := range []int{1, 2, 4, 8} {
+		cfgs = append(cfgs, Config{Backend: BackendReal, Cores: w, PipelineDepth: depth,
+			Hooks: &joinHooks{eosRaceHooks{seed: uint64(w)}}})
+	}
+	return cfgs
+}
+
+// checkBoosted requires the sink values base(i), plus boost exactly in
+// the iterations on reports.
+func checkBoosted(t *testing.T, cfg Config, vals []int, n int, base func(int) int, boost int, on func(int) bool) {
+	t.Helper()
+	if len(vals) != n {
+		t.Fatalf("backend %d/%dw: %d values, want %d", cfg.Backend, cfg.Cores, len(vals), n)
+	}
+	for i, v := range vals {
+		want := base(i)
+		if on(i) {
+			want += boost
+		}
+		if v != want {
+			t.Fatalf("backend %d/%dw: value %d = %d, want %d", cfg.Backend, cfg.Cores, i, v, want)
+		}
+	}
+}
+
 func TestReconfigurationTogglesOption(t *testing.T) {
-	for _, backend := range []Backend{BackendSim, BackendReal} {
-		app, rep := runApp(t, reconfigProg(false, 10), Config{Backend: backend, Cores: 2, PipelineDepth: 3}, 60)
-		if rep.Reconfigs < 2 {
-			t.Fatalf("backend %d: only %d reconfigs", backend, rep.Reconfigs)
+	// The emitter fires at 10, 20, ..., 50. The event stamped k is
+	// delivered by the entry of k + PipelineDepth (3), the last
+	// iteration to run the old configuration, so the extra adder (+1000
+	// before doubling) runs exactly in [14, 24), [34, 44) and [54, 60).
+	for _, cfg := range eventConfigs(3) {
+		app, rep := runApp(t, reconfigProg(false, 10), cfg, 60)
+		if rep.Reconfigs != 5 {
+			t.Fatalf("backend %d/%dw: %d reconfigs, want 5", cfg.Backend, cfg.Cores, rep.Reconfigs)
 		}
-		sink := app.Component("snk").(*intSink)
-		vals := sink.values()
-		if len(vals) != 60 {
-			t.Fatalf("backend %d: %d values", backend, len(vals))
-		}
-		// Early iterations must be plain 2*i (option off); after the
-		// first toggle some iterations must include +2000 (adder before
-		// doubling).
-		if vals[0] != 0 || vals[1] != 2 {
-			t.Fatalf("backend %d: early values wrong: %v", backend, vals[:5])
-		}
-		boosted := 0
-		for i, v := range vals {
-			switch v {
-			case 2 * i:
-			case 2*i + 2000:
-				boosted++
-			default:
-				t.Fatalf("backend %d: value %d = %d, want %d or %d", backend, i, v, 2*i, 2*i+2000)
-			}
-		}
-		if boosted == 0 || boosted == len(vals) {
-			t.Fatalf("backend %d: boosted=%d of %d — option never toggled", backend, boosted, len(vals))
-		}
+		checkBoosted(t, cfg, app.Component("snk").(*intSink).values(), 60,
+			func(i int) int { return 2 * i }, 2000, func(i int) bool { return i >= 14 && (i-14)/10%2 == 0 })
 	}
 }
 
@@ -539,9 +562,18 @@ func TestForwardAction(t *testing.T) {
 		),
 		b.Component("snk", "intsink", graph.Ports{"in": "b"}, nil),
 	)
-	_, rep := runApp(t, b.MustProgram(), Config{Backend: BackendSim, Cores: 2}, 40)
-	if rep.Reconfigs == 0 {
-		t.Fatal("forwarded event never caused a reconfiguration")
+	// Each hop adds PipelineDepth (5): the event stamped 8 is forwarded
+	// by m1's entry of 13, restamped 13, and delivered by m2's entry of
+	// 18; 16 -> 21 -> 26 and 24 -> 29 -> 34 likewise, while 32's second
+	// hop (42) lies past the run. The option is on in [19, 27) and
+	// [35, 40).
+	for _, cfg := range eventConfigs(5) {
+		app, rep := runApp(t, b.MustProgram(), cfg, 40)
+		if rep.Reconfigs != 3 {
+			t.Fatalf("backend %d/%dw: %d reconfigs, want 3", cfg.Backend, cfg.Cores, rep.Reconfigs)
+		}
+		checkBoosted(t, cfg, app.Component("snk").(*intSink).values(), 40,
+			func(i int) int { return i }, 7000, func(i int) bool { return i >= 19 && i < 27 || i >= 35 })
 	}
 }
 
@@ -558,40 +590,50 @@ func TestReconfigRequestDelivery(t *testing.T) {
 		),
 		b.Component("snk", "intsink", graph.Ports{"in": "b"}, nil),
 	)
-	app, rep := runApp(t, b.MustProgram(), Config{Backend: BackendSim, Cores: 2}, 30)
-	if rep.Reconfigs != 0 {
-		t.Fatalf("reconfig requests should not halt the graph, got %d reconfigs", rep.Reconfigs)
-	}
-	comp := app.Component("rc").(*reconfigurable)
-	if len(comp.reqs) == 0 {
-		t.Fatal("no reconfiguration requests delivered")
-	}
-	for _, r := range comp.reqs {
-		if r != "pos=1,2" {
-			t.Fatalf("bad request %q", r)
+	// The emitter fires at 6, 12, 18 and 24. The entry of k + 5
+	// (PipelineDepth) delivers the request stamped k, and the first Run
+	// after that entry's iteration applies it: at 12, 18 and 24. The
+	// fourth would land at 30, past the run.
+	for _, cfg := range eventConfigs(5) {
+		app, rep := runApp(t, b.MustProgram(), cfg, 30)
+		if rep.Reconfigs != 0 {
+			t.Fatalf("backend %d/%dw: reconfig requests should not halt the graph, got %d reconfigs", cfg.Backend, cfg.Cores, rep.Reconfigs)
+		}
+		comp := app.Component("rc").(*reconfigurable)
+		if got := fmt.Sprint(comp.applied); got != "[12 18 24]" {
+			t.Fatalf("backend %d/%dw: requests applied at iterations %s, want [12 18 24]", cfg.Backend, cfg.Cores, got)
+		}
+		for _, r := range comp.reqs {
+			if r != "pos=1,2" {
+				t.Fatalf("bad request %q", r)
+			}
 		}
 	}
 }
 
 func TestInjectedEventFromOutside(t *testing.T) {
 	// Events can also be pushed into a queue from outside the graph
-	// (e.g. a UI thread).
-	prog := reconfigProg(false, 100000)
-	app, err := NewApp(prog, testRegistry(), Config{Backend: BackendReal, Cores: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.Queue("ui").Push(Event{Name: "flip"})
-	rep, err := app.Run(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reconfigs != 1 {
-		t.Fatalf("%d reconfigs from injected event", rep.Reconfigs)
-	}
-	on := app.Options()["extra"]
-	if !on {
-		t.Fatal("option not enabled after injected toggle")
+	// (e.g. a UI thread). Stamped -1, one pushed before the run is
+	// taken by the first entry, so iteration 0 runs the old
+	// configuration and every later one the new.
+	for _, cfg := range eventConfigs(5) {
+		app, err := NewApp(reconfigProg(false, 100000), testRegistry(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.Queue("ui").Push(Event{Name: "flip"})
+		rep, err := app.Run(30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Reconfigs != 1 {
+			t.Fatalf("backend %d/%dw: %d reconfigs from injected event", cfg.Backend, cfg.Cores, rep.Reconfigs)
+		}
+		if !app.Options()["extra"] {
+			t.Fatal("option not enabled after injected toggle")
+		}
+		checkBoosted(t, cfg, app.Component("snk").(*intSink).values(), 30,
+			func(i int) int { return 2 * i }, 2000, func(i int) bool { return i > 0 })
 	}
 }
 
@@ -648,17 +690,26 @@ func TestEventQueueFIFO(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Push(Event{Name: fmt.Sprint(i)})
 	}
-	if q.Len() != 5 {
+	// Stamped pushes arrive out of order; Drain sorts them by (stamp,
+	// task) and keeps push order among equal keys.
+	q.push(Event{Name: "4/1"}, 4, 1)
+	q.push(Event{Name: "3/2"}, 3, 2)
+	q.push(Event{Name: "3/0a"}, 3, 0)
+	q.push(Event{Name: "3/0b"}, 3, 0)
+	if q.Len() != 9 {
 		t.Fatalf("len %d", q.Len())
 	}
-	evs := q.Drain()
-	for i, ev := range evs {
-		if ev.Name != fmt.Sprint(i) {
-			t.Fatalf("order broken at %d: %s", i, ev.Name)
-		}
+	if got := fmt.Sprint(q.Drain(-1)); got != "[{0 } {1 } {2 } {3 } {4 }]" {
+		t.Fatalf("external events: %s", got)
 	}
-	if q.Drain() != nil || q.Len() != 0 {
-		t.Fatal("drain not empty")
+	if q.Drain(2) != nil || q.Len() != 4 {
+		t.Fatal("drain took events stamped past its bound")
+	}
+	if got := fmt.Sprint(q.Drain(3)); got != "[{3/0a } {3/0b } {3/2 }]" {
+		t.Fatalf("stamped events: %s", got)
+	}
+	if got := fmt.Sprint(q.Drain(math.MaxInt)); got != "[{4/1 }]" || q.Len() != 0 {
+		t.Fatalf("rest: %s, %d left", got, q.Len())
 	}
 }
 

@@ -30,7 +30,7 @@ func (e *engine) executeComponent(rc *RunContext, j job, inst *instance, inject 
 		panic("injected fault")
 	}
 	if inst.recon != nil {
-		for _, req := range inst.takeMail() {
+		for _, req := range inst.takeMail(j.iter) {
 			if err := inst.recon.Reconfigure(req); err != nil {
 				return fmt.Errorf("hinch: reconfigure %q: %w", j.task.Name, err)
 			}
@@ -173,7 +173,7 @@ func (e *engine) degrade(p *probe, j job, reason string) {
 	if q == nil {
 		return
 	}
-	depth := q.Push(Event{Name: graph.FaultEvent, Arg: fmt.Sprintf("%s@%d: %s", j.task.Name, j.iter, reason)})
+	depth := q.push(Event{Name: graph.FaultEvent, Arg: fmt.Sprintf("%s@%d: %s", j.task.Name, j.iter, reason)}, j.iter, j.task.ID)
 	p.degrade(j, e.faultMgr[j.task.ID], depth)
 }
 

@@ -378,7 +378,7 @@ func (p *probe) eventPush(iter, queue, depth int) {
 	p.emit(TraceEventPush, iter, queue, int64(depth))
 }
 
-// eventDrain: a manager job of iteration iter took n events off queue.
+// eventDrain: the manager entry of iteration iter took n events off queue.
 func (p *probe) eventDrain(iter, queue, n int) { p.emit(TraceEventDrain, iter, queue, int64(n)) }
 
 // fault: attempt (1-based) of job j failed and was contained.

@@ -128,9 +128,11 @@ var simTraceCases = []struct {
 		return variantProg(t, apps.NewJPiPVariant("JPiP-1", cfg))
 	}},
 	// Every bh attempt from frame 3 on fails: two retries with backoff,
-	// then the fault event degrades blur -> copy. The backoff outlasts
-	// three of the shortened watchdog epochs, so the run also stalls.
-	{"fallback.xml", hinch.Config{Cores: 2, WatchdogEpoch: 400_000,
+	// then the fault event degrades blur -> copy. The event is delivered
+	// PipelineDepth iterations after frame 3, so frames 3-6 are holes
+	// and frame 7 runs the copy. The backoff outlasts three of the
+	// shortened watchdog epochs, so the run also stalls.
+	{"fallback.xml", hinch.Config{Cores: 2, PipelineDepth: 3, WatchdogEpoch: 400_000,
 		Faults: &hinch.SeededFaults{Task: "bh", From: 3}}, func(t *testing.T) (*graph.Program, int) {
 		return specProg(t, "fallback.xml"), 8
 	}},
