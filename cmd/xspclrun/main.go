@@ -10,9 +10,10 @@
 // profiles of the run (most useful with -backend real).
 //
 // The -trace flag attaches the flight recorder and writes the run as
-// Chrome trace-event JSON, loadable in Perfetto (ui.perfetto.dev);
-// -report json prints the Report as JSON instead of the compact
-// summary.
+// Chrome trace-event JSON, loadable in Perfetto (ui.perfetto.dev), and
+// prints the run's busy-worker profile: the share of the run during
+// which 0, 1, ..., cores workers were inside a job. -report json prints
+// the Report as JSON instead of the compact summary.
 //
 // The -inject-faults flag attaches a deterministic fault injector, for
 // exercising failure policies and degradation paths:
@@ -192,6 +193,15 @@ func run(cores, frames, pipeline int, backend, builtin string, workless, autotun
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events (%d dropped) -> %s\n", rec.Total(), rec.Dropped(), traceOut)
+		end := rep.Cycles
+		if rec.Meta().Wall {
+			end = int64(rep.Wall)
+		}
+		fmt.Fprintf(os.Stderr, "trace: busy workers, share of the run:")
+		for k, s := range trace.BusyProfile(rec, end) {
+			fmt.Fprintf(os.Stderr, "  %d: %.1f%%", k, 100*s)
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 	switch report {
 	case "json":

@@ -147,6 +147,29 @@ func TestRealBackend8WorkersMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBlur5ChainedWithinJobs pins Report.Sched.Chained to the jobs
+// Report.Jobs counts: on Blur-5x5 the disabled blur3 option's tasks
+// are released every iteration and skipped as no-ops, which are not
+// jobs, so a chained no-op must not count as a chained job either.
+func TestBlur5ChainedWithinJobs(t *testing.T) {
+	cfg := DefaultBlur(5)
+	cfg.Frames = 48
+	v := NewBlurVariant("Blur-5x5", cfg)
+	for _, cores := range []int{1, 2, 4} {
+		app, err := v.NewApp(hinch.Config{Backend: hinch.BackendReal, Cores: cores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := app.Run(cfg.Frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Sched.Chained > rep.Jobs {
+			t.Errorf("%d workers: %d chained jobs > %d jobs", cores, rep.Sched.Chained, rep.Jobs)
+		}
+	}
+}
+
 func TestJPiPGraphStructure(t *testing.T) {
 	// The Figure-7 structure: MJPEG inputs, one decode per input,
 	// per-plane sliced IDCT / downscale / blend.

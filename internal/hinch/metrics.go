@@ -46,7 +46,8 @@ type SchedStats struct {
 	Batches int64 `json:"batches"`
 	// Chained counts jobs executed straight off a worker's chain slot —
 	// same-task consecutive iterations run back-to-back without ever
-	// touching a queue.
+	// touching a queue. Like Jobs it counts dispatched jobs only, never
+	// held or skipped ones, so Chained <= Jobs.
 	Chained int64 `json:"chained"`
 }
 

@@ -97,10 +97,10 @@ func (e *engine) runClock(quit <-chan struct{}, exited chan<- struct{}) {
 
 // runWorker is one worker goroutine's loop: run the chained next job
 // if flushReleases installed one (same task, next iteration — no queue
-// touched at all), else pop from the local deque (LIFO — cache-warm
-// successors first), then steal from another worker or the global
-// overflow queue (sched.steal covers both); park when nothing is
-// runnable anywhere.
+// touched at all), else pop from the local deque (the tail: the
+// same-iteration successors of the last job first), then steal from
+// another worker or the global overflow queue (sched.steal covers
+// both); park when nothing is runnable anywhere.
 //
 //hinch:hotpath
 func (e *engine) runWorker(w *wsWorker) {
@@ -117,9 +117,9 @@ func (e *engine) runWorker(w *wsWorker) {
 		// are parked or mid-component).
 		e.pollCancel()
 		var j job
-		var ok bool
+		var ok, chained bool
 		if w.hasNext {
-			j, ok = w.next, true
+			j, ok, chained = w.next, true, true
 			w.hasNext = false
 		} else {
 			if w.chain > 0 {
@@ -140,15 +140,16 @@ func (e *engine) runWorker(w *wsWorker) {
 			s.park(w)
 			continue
 		}
-		e.execReal(w, j)
+		if e.execReal(w, j) && chained {
+			w.chain++
+		}
 		e.flushReleases(w, j)
-		s.inflight.Add(-1)
 	}
 }
 
-// endChain closes w's open run of same-task iterations (w.chain > 0):
-// the chained jobs are counted, and the batch header traced, once per
-// run rather than once per job.
+// endChain closes w's open run of same-task iterations (w.chain > 0
+// dispatched chained jobs): they are counted, and the batch header
+// traced, once per run rather than once per job.
 //
 //hinch:hotpath
 func (e *engine) endChain(w *wsWorker) {
@@ -157,36 +158,48 @@ func (e *engine) endChain(w *wsWorker) {
 }
 
 // flushReleases publishes the jobs j's execution released (collected in
-// the worker's release buffer by enqueue). The cross-iteration release
-// of j's own task — the same component on the next frame — is diverted
-// into the worker's chain slot while the chain budget lasts, to be
-// executed back-to-back without touching a queue; the rest goes out as
-// one batch. Must run before j's inflight decrement: the batch's
-// inflight add (and the chained job's, counted here) keeps the
-// termination count from dipping to zero while work is still invisible.
+// the worker's release buffer by enqueue) by the dispatch rule: finish
+// the oldest iteration first, let next-iteration work fill idle
+// workers. The batch goes out with its cross-iteration releases (iter
+// != j.iter: the task's next job, iterations the completion launched,
+// requeued held jobs) at the steal end, beneath the same-iteration
+// ones, so the owner pops j's own iteration first and a thief takes the
+// next one. Only when the task's next-iteration job is j's sole release
+// does the worker keep it in its chain slot and run it back to back:
+// nothing else waits on the owner then, so the chain withholds no work
+// from thieves and needs no budget.
+//
+// flushReleases also ends j's inflight count, in the one atomic add
+// that counts its releases: they are counted before any becomes
+// visible and j only after all of them, so the termination count
+// cannot dip to zero while work is still invisible.
 //
 //hinch:hotpath
 func (e *engine) flushReleases(w *wsWorker, j job) {
 	buf := w.relBuf
+	if d := len(buf) - 1; d != 0 {
+		e.ws.inflight.Add(int64(d))
+	}
 	if len(buf) == 0 {
 		return
 	}
-	if !w.hasNext && w.chain < e.ws.maxChain {
-		for i := range buf {
-			if buf[i].task == j.task && buf[i].iter == j.iter+1 {
-				w.next = buf[i]
-				w.hasNext = true
-				w.chain++
-				e.ws.inflight.Add(1)
-				n := len(buf) - 1
-				buf[i] = buf[n]
-				buf = buf[:n]
-				break
-			}
+	w.relBuf = buf[:0]
+	if len(buf) == 1 && buf[0].task == j.task && buf[0].iter != j.iter {
+		w.next = buf[0]
+		w.hasNext = true
+		return
+	}
+	// A stable partition, in place: releases arrive in completion order
+	// and batches are short.
+	n := 0
+	for i := range buf {
+		if x := buf[i]; x.iter != j.iter {
+			copy(buf[n+1:i+1], buf[n:i])
+			buf[n] = x
+			n++
 		}
 	}
-	e.ws.pushBatch(w, buf, w.hasNext)
-	w.relBuf = w.relBuf[:0]
+	e.ws.pushBatch(w, buf)
 }
 
 // checkTermination decides, under the engine lock, whether an observed
@@ -211,10 +224,11 @@ func (e *engine) checkTermination() {
 // iteration that already holds its stream buffers, is admitRun on sight
 // and goes straight to execution without the engine lock; every other
 // job passes the gate (admit) under it, and manager jobs also execute
-// there.
+// there. It reports whether the job was dispatched — counted in
+// Report.Jobs — rather than held or skipped.
 //
 //hinch:hotpath
-func (e *engine) execReal(w *wsWorker, j job) {
+func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 	mgr := j.task.Role != graph.RoleComponent
 	// A live job's iteration cannot retire under it (the iteration's
 	// left-count includes this job), so it is non-nil. The cancelled
@@ -228,12 +242,12 @@ func (e *engine) execReal(w *wsWorker, j job) {
 		switch e.admit(w.p, j) {
 		case admitHeld:
 			e.mu.Unlock()
-			return
+			return false
 		case admitSkip:
 			e.mu.Unlock()
 			w.p.skip(j, w.id)
 			e.finishReal(w, j)
-			return
+			return false
 		}
 		if mgr {
 			start := w.p.dispatch(j, false)
@@ -241,11 +255,11 @@ func (e *engine) execReal(w *wsWorker, j job) {
 			e.mu.Unlock()
 			if err != nil {
 				e.failReal(err)
-				return
+				return true
 			}
 			w.p.executed(j, start)
 			e.finishReal(w, j)
-			return
+			return true
 		}
 		e.mu.Unlock()
 	}
@@ -255,11 +269,12 @@ func (e *engine) execReal(w *wsWorker, j job) {
 	w.p.yield(YieldDispatch)
 	if _, err := e.runComponent(w.p, &w.rc, j, w.id); err != nil {
 		e.ws.finish()
-		return
+		return true
 	}
 	// After EOS the tail of the run is cancelled, but this job still
 	// completes so the pipeline drains.
 	e.finishReal(w, j)
+	return true
 }
 
 // finishReal retires a job through complete(). Errors surfacing from

@@ -7,10 +7,14 @@ import (
 
 // This file implements the real backend's work-stealing dispatch layer.
 // Each worker owns a deque of ready jobs: the owner pushes and pops at
-// the tail (LIFO — the most recently released successor consumes data
-// its producer just wrote, so it is the cache-warm choice), while
-// thieves steal from the head (FIFO — the oldest work, most likely from
-// an earlier iteration the victim has moved past). Jobs released
+// the tail, thieves steal from the head. The dispatch rule is the sim
+// ready queue's — finish the oldest iteration first, and let
+// next-iteration work fill idle workers — kept without a shared queue
+// by the order in which a completion publishes its releases
+// (flushReleases): the cross-iteration releases go in beneath the
+// same-iteration ones. The owner therefore pops its own iteration's
+// successors first, the consumers of data it just wrote (cache-warm),
+// and a thief takes the next iteration from the head. Jobs released
 // outside any worker context (initial launch) go to a shared overflow
 // queue that workers drain alongside their deques.
 //
@@ -131,10 +135,11 @@ type wsWorker struct {
 	// finishes (and may divert one into next, below).
 	relBuf []job
 
-	// next/hasNext is the worker's chained job: the cross-iteration
-	// release of the task it just ran (same component, next frame),
-	// executed back-to-back without touching any queue. chain counts
-	// the run length so far, capped by sched.maxChain.
+	// next/hasNext is the worker's chained job: the next-iteration job
+	// of the task it just ran, when that was the job's only release
+	// (flushReleases), executed back-to-back without touching any
+	// queue. chain counts the dispatched jobs of the open run (held and
+	// skipped ones are not jobs, see Report.Jobs).
 	next    job
 	hasNext bool
 	chain   int
@@ -164,18 +169,11 @@ type sched struct {
 	workers []*wsWorker
 	global  wsDeque // jobs released outside worker context
 
-	// maxChain bounds the run of same-task consecutive iterations a
-	// worker executes back-to-back off its chain slot (see
-	// flushReleases): the stream FIFO capacity — a longer run would
-	// outrun the buffer window and stall on backpressure anyway —
-	// capped so freshly released work still reaches the deques for
-	// thieves.
-	maxChain int
-
 	// inflight counts jobs that are queued or executing. It is
 	// incremented before a job becomes visible in any queue and
 	// decremented only after its execution (including all the releases
-	// it performs) has finished, so inflight==0 is a stable property:
+	// it performs) has finished — a worker folds both into one add per
+	// job, see flushReleases — so inflight==0 is a stable property:
 	// the run is either finished or stalled, and the observing worker
 	// triggers termination.
 	inflight atomic.Int64
@@ -190,7 +188,6 @@ type sched struct {
 func newSched(cfg Config, probes []probe) *sched {
 	n := cfg.Cores
 	s := &sched{workers: make([]*wsWorker, n)}
-	s.maxChain = min(cfg.StreamCapacity, stealMax)
 	s.idle = make([]*wsWorker, 0, n)
 	for i := range s.workers {
 		p := &probes[i+1]
@@ -233,25 +230,17 @@ func (s *sched) push(p *probe, j job) {
 }
 
 // pushBatch makes a run of jobs released by one execution runnable in
-// a single publish: one inflight add, one deque lock and at most one
-// wake, where per-job pushes pay all three per job — the cross-worker
-// traffic that made adding workers slow the scheduler down. busy says
-// the owner already holds a chained next job, so the whole batch (not
-// all but one) is up for grabs by thieves.
+// a single publish: one deque lock and at most one wake, where per-job
+// pushes pay both per job — the cross-worker traffic that made adding
+// workers slow the scheduler down. The caller (flushReleases) has
+// already counted the jobs in inflight. The owner pops the batch's last
+// job itself, so only a longer batch wakes a thief.
 //
 //hinch:hotpath
-func (s *sched) pushBatch(w *wsWorker, js []job, busy bool) {
-	if len(js) == 0 {
-		return
-	}
+func (s *sched) pushBatch(w *wsWorker, js []job) {
 	w.p.publish(len(js))
-	s.inflight.Add(int64(len(js)))
 	w.dq.pushN(js)
-	spare := len(js)
-	if !busy {
-		spare--
-	}
-	if spare > 0 && s.signalWork() {
+	if len(js) > 1 && s.signalWork() {
 		w.p.woke()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -573,4 +574,45 @@ func TestPerfettoTailShape(t *testing.T) {
 		}
 		checkPerfetto(t, fmt.Sprintf("tail of %d of %d events", c.last, c.rec.Total()), buf.Bytes())
 	}
+}
+
+// TestBusyProfile checks the busy-worker profile on a hand-built
+// two-worker recording with known overlaps: over [0, 100), worker 0
+// runs [10, 40) and [40, 70), worker 1 runs [30, 50) and [60, 90).
+func TestBusyProfile(t *testing.T) {
+	rec := trace.New(8)
+	rec.Begin(hinch.TraceMeta{Cores: 2, Wall: true})
+	span := func(w int, from, to int64) {
+		rec.Emit(w+1, hinch.TraceEvent{Kind: hinch.TraceJobSpan, TS: from, Arg: to - from, Worker: int32(w), Iter: -1, ID: 0})
+	}
+	span(0, 10, 40)
+	span(0, 40, 70)
+	span(1, 30, 50)
+	span(1, 60, 90)
+	rec.Emit(0, hinch.TraceEvent{Kind: hinch.TraceIterRetire, TS: 95, Worker: -1, Arg: 1})
+
+	// Busy levels: 0 on [0,10) and [90,100); 1 on [10,30), [50,60) and
+	// [70,90); 2 on [30,50) and [60,70).
+	check := func(end int64, want []float64) {
+		t.Helper()
+		got := trace.BusyProfile(rec, end)
+		if len(got) != len(want) {
+			t.Fatalf("end %d: profile %v, want %v", end, got, want)
+		}
+		for k := range want {
+			if math.Abs(got[k]-want[k]) > 1e-12 {
+				t.Fatalf("end %d: profile %v, want %v", end, got, want)
+			}
+		}
+	}
+	check(100, []float64{0.20, 0.50, 0.30})
+	check(0, []float64{10.0 / 90, 50.0 / 90, 30.0 / 90}) // ends at the last span
+
+	// Overflow worker 0's ring of 8 with eight spans [100,105) ...
+	// [170,175): its two old spans are dropped, so the profile starts
+	// at 100. Over [100,180) worker 1 is idle and worker 0 busy 40 of 80.
+	for i := int64(0); i < 8; i++ {
+		span(0, 100+i*10, 105+i*10)
+	}
+	check(180, []float64{0.5, 0.5, 0})
 }

@@ -90,7 +90,8 @@ const (
 	TraceDegrade
 	// TraceBatch: worker Worker finished a chained run of same-task
 	// consecutive iterations (batched dispatch, real backend only). One
-	// header per run; Arg = the run length (jobs executed back-to-back).
+	// header per run; Arg = the run length: 1 + the dispatched jobs the
+	// run took off the chain slot (Sched.Chained sums Arg - 1).
 	// The per-job TraceJobSpan events are emitted as usual.
 	TraceBatch
 	// TraceTune: the autotuner resized a knob. ID = the task whose
