@@ -102,10 +102,10 @@ func RunAblations(cores int) ([]AblationTable, error) {
 	}
 	out = append(out, cross)
 
-	// Stream FIFO capacity (backpressure bound; see DESIGN.md §5).
+	// Stream FIFO capacity (the iterations in flight; see DESIGN.md §5).
 	capTab := AblationTable{
 		Name: "stream-capacity",
-		Doc:  "bounded stream FIFO depth (backpressure), PiP-1",
+		Doc:  "bounded stream FIFO depth (iterations in flight), PiP-1",
 	}
 	for _, c := range []int{3, 1, 2, 5} {
 		v := NewPiPVariant("pip", DefaultPiP(1))

@@ -12,21 +12,22 @@ type admission int
 const (
 	admitRun  admission = iota // execute the job
 	admitSkip                  // complete it as a zero-cost no-op
-	admitHeld                  // parked; whoever unblocks it requeues it
+	admitHeld                  // parked at its manager; checkResumes requeues it
 )
 
 // admit is the one gate every dispatched job passes, on both backends
 // (the real backend's component jobs bypass it only when a lock-free
 // look already shows admitRun): a manager entry beyond a halt point
-// parks at its manager, a job whose iteration finds no free buffer set
-// parks on backpressure, the iteration takes its buffer set if this is
+// parks at its manager, the iteration takes its buffer set if this is
 // its first job, and only then is the job run or skipped — so every
 // launched iteration acquires exactly once, cancelled or not, and
-// whatever runs has its buffers. Must be called with mu held.
+// whatever runs has its buffers. A set is always free here, because
+// canLaunch admits an iteration only while fewer than bufCap are in
+// flight. Must be called with mu held.
 //
 //hinch:hotpath
 func (e *engine) admit(p *probe, j job) admission {
-	if e.shouldPark(j) || e.needsBuffers(j) {
+	if e.shouldPark(j) {
 		return admitHeld
 	}
 	e.ensureBuffers(p, j.iter)
@@ -52,35 +53,6 @@ func (e *engine) shouldPark(j job) bool {
 	}
 	st.parked = append(st.parked, j)
 	return true
-}
-
-// needsBuffers reports whether the job's iteration must wait for
-// stream buffers: the FIFO capacity is exhausted by older iterations.
-// If so, the job is parked and re-queued when an iteration retires.
-// Must be called with mu held, via admit.
-func (e *engine) needsBuffers(j job) bool {
-	it := e.iterAt(j.iter)
-	if it == nil || it.acquired.Load() {
-		return false
-	}
-	if e.app.win.active.Load() < e.bufCap.Load() {
-		return false
-	}
-	e.bufParked = append(e.bufParked, j)
-	return true
-}
-
-// requeueBufParked gives the jobs parked on backpressure another try:
-// a buffer set came back, or the capacity was raised. The two backing
-// arrays rotate so the churn does not allocate. Must be called with mu
-// held.
-func (e *engine) requeueBufParked(p *probe) {
-	parked := e.bufParked
-	e.bufParked = e.bufSpare[:0]
-	for _, pj := range parked {
-		e.enqueue(p, pj)
-	}
-	e.bufSpare = parked[:0]
 }
 
 // ensureBuffers assigns a stream-buffer set to a just-dispatching

@@ -61,11 +61,9 @@ type engine struct {
 	mgrs  map[string]*mgrState
 	stall int64
 
-	bufParked []job // jobs waiting for stream buffers (backpressure)
-	bufSpare  []job // retired bufParked backing array, reused on refill
-	// bufCap is the live stream-FIFO capacity — how many of the window's
-	// buffer sets may be held at once; starts at StreamCapacity and
-	// follows the autotuner's widths.
+	// bufCap is the live stream-FIFO capacity — how many iterations may
+	// be in flight, each holding one of the window's buffer sets; starts
+	// at StreamCapacity and follows the autotuner's widths.
 	// Written under mu (or by the sim goroutine); atomic so App.Snapshot
 	// can read it mid-run.
 	bufCap atomic.Int32
@@ -133,9 +131,9 @@ type engine struct {
 
 // newEngine builds the engine for an App's (single) run. The iteration
 // limit is set later, by Run; everything the steady state recycles —
-// the iteration ring, the iterState free-list, the backpressure
-// buffers and (real backend) the work-stealing scheduler — is
-// allocated and sized here, so the run path starts warm.
+// the iteration ring, the iterState free-list and (real backend) the
+// work-stealing scheduler — is allocated and sized here, so the run
+// path starts warm.
 func newEngine(a *App) *engine {
 	e := &engine{
 		app:        a,
@@ -155,8 +153,6 @@ func newEngine(a *App) *engine {
 			crossClaim: make([]atomic.Bool, n),
 		})
 	}
-	e.bufParked = make([]job, 0, a.cfg.PipelineDepth+1)
-	e.bufSpare = make([]job, 0, a.cfg.PipelineDepth+1)
 	if a.cfg.Backend == BackendReal {
 		e.ws = newSched(a.cfg, e.probes)
 	}

@@ -756,26 +756,6 @@ func TestCrossIterationOrderingPerInstance(t *testing.T) {
 	}
 }
 
-func TestStreamBackpressureBoundsBuffers(t *testing.T) {
-	// With StreamCapacity 2 the pools must never grow past 2 buffers,
-	// however deep the pipeline window is.
-	prog := chainProg()
-	app, err := NewApp(prog, testRegistry(), Config{
-		Backend: BackendSim, Cores: 4, PipelineDepth: 5, StreamCapacity: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.Run(40); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"a", "b"} {
-		if got := app.Stream(name).BuffersAllocated(); got > 2 {
-			t.Fatalf("stream %s grew to %d buffers", name, got)
-		}
-	}
-}
-
 func TestStreamCapacityClampedToDepth(t *testing.T) {
 	app, err := NewApp(chainProg(), testRegistry(), Config{
 		Backend: BackendSim, Cores: 2, PipelineDepth: 2, StreamCapacity: 10,

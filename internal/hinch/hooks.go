@@ -25,7 +25,7 @@ const (
 	// job releases its dependents.
 	YieldComplete
 	// YieldRetire fires at the start of retire(), before an iteration's
-	// stream buffers are released and backpressured jobs requeue.
+	// stream buffers are released and the next iteration launches.
 	YieldRetire
 	// YieldAcquire fires inside ensureBuffers, once per iteration,
 	// between the assignment of its buffer set and the acquired flag

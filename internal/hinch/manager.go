@@ -35,11 +35,12 @@ type mgrState struct {
 // iteration k delivers exactly the events stamped <= k - PipelineDepth
 // (paper §3.4's detection step), applies their bound actions, and
 // snapshots the option states the iteration will run under. Iteration
-// k launched only after k - PipelineDepth retired, so every such event
-// is already queued: delivery never waits and never depends on the
-// schedule. Events pushed from outside the run (stamp -1) are taken by
-// the next entry. It returns the compute ops to charge for overlapped
-// component pre-creation. Must be called with mu held.
+// k launched only after k - bufCap, and so k - PipelineDepth, retired
+// (canLaunch), so every such event is already queued: delivery never
+// waits and never depends on the schedule. Events pushed from outside
+// the run (stamp -1) are taken by the next entry. It returns the
+// compute ops to charge for overlapped component pre-creation. Must be
+// called with mu held.
 func (e *engine) managerPoll(p *probe, j job) (ops int64, err error) {
 	if j.task.Role != graph.RoleManagerEntry {
 		return 0, nil
