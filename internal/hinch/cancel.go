@@ -21,12 +21,13 @@ package hinch
 //     done channel synchronously) is then as deterministic as any other
 //     sim run; one raised from another goroutine is still honoured at
 //     the next boundary, just not reproducibly placed.
-//   - real: every worker's dispatch boundary (loop top of runWorker), so
-//     a cancel takes effect within one job per worker; runReal's
-//     pre-launch and post-join checks; runClock, the one background
-//     goroutine, which backstops workers parked or deep in long
-//     components; and a policy sleep (pause) the cancel cut short, so a
-//     worker in a retry backoff or an injected delay wakes at once.
+//   - real: every worker after each job, before it publishes the jobs
+//     that one released (runWorker), so a cancel takes effect within one
+//     job per worker and no job a worker releases after it runs;
+//     runReal's pre-launch and post-join checks; runClock, the one
+//     background goroutine, which backstops workers parked or deep in
+//     long components; and a policy sleep (pause) the cancel cut short,
+//     so a worker in a retry backoff or an injected delay wakes at once.
 
 import "time"
 
@@ -35,7 +36,7 @@ import "time"
 // remaining jobs into zero-cost no-ops (the EOS drain path). Idempotent.
 // Must be called with mu held.
 func (e *engine) noteCancel() {
-	if e.cancelled.Swap(true) {
+	if e.cancelled.Load() {
 		return
 	}
 	if e.stopLaunch < 0 || e.nextLaunch < e.stopLaunch {
@@ -44,6 +45,9 @@ func (e *engine) noteCancel() {
 	e.eachIter(func(it *iterState) {
 		it.cancelled.Store(true)
 	})
+	// Publish last: pollCancel returns on this flag without the lock, so
+	// a worker that sees it must also see every iteration marked.
+	e.cancelled.Store(true)
 }
 
 // pollCancel is the run's one cancellation observation point: a

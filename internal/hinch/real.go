@@ -112,10 +112,6 @@ func (e *engine) runWorker(w *wsWorker) {
 			}
 			return
 		}
-		// Dispatch-boundary cancellation probe: a fired run context is
-		// swept within one job per worker (runClock covers workers that
-		// are parked or mid-component).
-		e.pollCancel()
 		var j job
 		var ok, chained bool
 		if w.hasNext {
@@ -143,6 +139,10 @@ func (e *engine) runWorker(w *wsWorker) {
 		if e.execReal(w, j) && chained {
 			w.chain++
 		}
+		// Cancellation probe: a fired run context is swept before this
+		// job's releases are published, so none of them runs in a
+		// cancelled iteration (runClock covers parked workers).
+		e.pollCancel()
 		e.flushReleases(w, j)
 	}
 }
