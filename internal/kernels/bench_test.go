@@ -7,15 +7,6 @@ import (
 	"xspcl/internal/media"
 )
 
-func BenchmarkDownscalePlane720p(b *testing.B) {
-	src := randomPlane(1280, 720, 1)
-	dst := make([]uint8, 80*44)
-	b.SetBytes(1280 * 720)
-	for i := 0; i < b.N; i++ {
-		DownscalePlane(dst, 80, 44, src, 1280, 720, 16, 0, 44)
-	}
-}
-
 func BenchmarkBlendPlane(b *testing.B) {
 	dst := randomPlane(720, 576, 2)
 	small := randomPlane(180, 144, 3)

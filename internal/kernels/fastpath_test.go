@@ -8,12 +8,12 @@ import (
 	"xspcl/internal/media"
 )
 
-// This file pins the specialized fast paths (unrolled ×4 downscale,
-// word-parallel ×8/×16 downscale and blur: eight pixels per uint64 as
-// 16-bit lanes, rows in pairs in the vertical pass; opaque blend copy)
-// to straightforward generic implementations written independently
-// below. Every fast path must be bit-identical to its generic
-// counterpart.
+// This file pins the specialized fast paths (word-parallel downscale
+// and blur: eight pixels per uint64 as 16-bit lanes, two ×4 boxes or
+// one ×8/×16 box row per load, rows in pairs in the vertical blur pass;
+// opaque blend copy) to straightforward generic implementations written
+// independently below. Every fast path must be bit-identical to its
+// generic counterpart.
 //
 // For the blur and the downscale this is the only independent oracle in
 // the repository:
@@ -91,11 +91,13 @@ func refBlurV(dst, src []uint8, w, h, taps, r0, r1 int) {
 }
 
 func TestDownscaleWindowFastPathsMatchGeneric(t *testing.T) {
-	// Factors with fast paths (1, 4, 8, 16) and without (2, 3, 5),
-	// composited at both zero and non-zero window offsets.
+	// Factors with fast paths (1 a copy, 4 two boxes per word, 8 and 16
+	// a box row per word or two) and without (2, 3, 5), composited at
+	// both zero and non-zero window offsets. The window width is odd, so
+	// ×4's last column takes the per-sample form.
 	for _, factor := range []int{1, 2, 3, 4, 5, 8, 16} {
 		for _, off := range []struct{ ox, oy int }{{0, 0}, {3, 2}} {
-			ow, oh := 24, 16
+			ow, oh := 25, 16
 			sw, sh := ow*factor, oh*factor
 			dw, dh := ow+off.ox+4, oh+off.oy+4
 			src := randomPlane(sw, sh, uint64(100*factor+off.ox))
@@ -142,18 +144,27 @@ func checkDownscaleWindow(t *testing.T, factor, ow, oh, ox, oy, r0, r1, pattern 
 }
 
 // FuzzDownscaleMatchesGeneric lets the fuzzer pick checkDownscaleWindow's
-// window, offset, band, pattern and seed for the ×8 and ×16 paths.
+// window, offset, band, pattern and seed for the ×4, ×8 and ×16 paths.
+// The seeds include PiP's and JPiP's inset windows; a source is at most
+// 1280×720 samples.
 func FuzzDownscaleMatchesGeneric(f *testing.F) {
-	for _, factor := range []int{8, 16} {
-		f.Add(factor, 160, 90, 0, 0, 0, 90, uint64(1)) // a JPiP inset plane
-		f.Add(factor, 7, 5, 3, 1, 1, 4, uint64(2))     // odd window, inner band
-		f.Add(factor, 1, 1, 0, 0, 0, 1, uint64(1))     // one pixel, all 255
-		f.Add(factor, 5, 3, 2, 2, 2, 2, uint64(3))     // empty band
-		f.Add(factor, 9, 4, 1, 0, 0, 4, uint64(0))     // all 0
+	for _, factor := range []int{4, 8, 16} {
+		f.Add(factor, 7, 5, 3, 1, 1, 4, uint64(2)) // odd window, inner band
+		f.Add(factor, 1, 1, 0, 0, 0, 1, uint64(1)) // one pixel, all 255
+		f.Add(factor, 5, 3, 2, 2, 2, 2, uint64(3)) // empty band
+		f.Add(factor, 9, 4, 1, 0, 0, 4, uint64(0)) // all 0
 	}
+	f.Add(4, 180, 144, 524, 416, 0, 144, uint64(4)) // PiP's first Y inset
+	f.Add(4, 90, 72, 262, 208, 0, 72, uint64(9))    // its chroma
+	f.Add(4, 180, 144, 16, 16, 54, 72, uint64(14))  // second Y inset, band 3 of 8
+	f.Add(4, 90, 72, 8, 8, 27, 36, uint64(3))       // its chroma band 3, 0/255 rows
+	f.Add(4, 181, 9, 3, 1, 0, 9, uint64(1))         // odd width (per-sample tail), all 255
+	f.Add(4, 180, 8, 0, 0, 0, 8, uint64(2))         // even width, 0/255 columns
+	f.Add(8, 160, 90, 0, 0, 0, 90, uint64(1))       // a 1280×720 plane, all 255
+	f.Add(16, 80, 44, 0, 0, 0, 44, uint64(4))       // JPiP's Y inset
 	f.Fuzz(func(t *testing.T, factor, ow, oh, ox, oy, r0, r1 int, seed uint64) {
-		if (factor != 8 && factor != 16) || ow < 1 || ow > 64 || oh < 1 || oh > 16 || ox < 0 || ox > 8 || oy < 0 || oy > 8 ||
-			r0 < 0 || r0 > r1 || r1 > oh {
+		if (factor != 4 && factor != 8 && factor != 16) || ow < 1 || ow*factor > 1280 || oh < 1 || oh*factor > 720 ||
+			ox < 0 || ox > 540 || oy < 0 || oy > 432 || r0 < 0 || r0 > r1 || r1 > oh {
 			t.Skip()
 		}
 		checkDownscaleWindow(t, factor, ow, oh, ox, oy, r0, r1, int(seed%uint64(len(blurPatterns))), seed)
@@ -285,10 +296,16 @@ func FuzzBlurMatchesGeneric(f *testing.F) {
 	})
 }
 
+// BenchmarkDownscaleFactors times each factor on a whole plane: ×4 at
+// PiP's 720×576 (the geometry of bench's kernels.downscale4_mb_s), the
+// others at 1280×720 (×16 is JPiP's).
 func BenchmarkDownscaleFactors(b *testing.B) {
-	for _, factor := range []int{2, 4, 8} {
+	for _, factor := range []int{2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("f%d", factor), func(b *testing.B) {
 			sw, sh := 1280, 720
+			if factor == 4 {
+				sw, sh = 720, 576
+			}
 			dw, dh := sw/factor, sh/factor
 			src := randomPlane(sw, sh, uint64(factor))
 			dst := make([]uint8, dw*dh)

@@ -40,12 +40,11 @@ func DownscaleWindow(dst []uint8, dw, ox, oy, ow, oh int, src []uint8, sw, sh, f
 	if ox < 0 || oy < 0 || (ox+ow) > dw || (oy+oh)*dw > len(dst) {
 		panic("kernels: downscale window out of bounds")
 	}
-	// The benchmarked applications scale by ×4 (PiP) and ×8 (JPiP), so
-	// those factors (and ×16) get fast paths, ×4 unrolled and ×8/×16 a
-	// word at a time; every other factor, ×2 included, takes the generic
-	// loop below. Each fast path produces bit-identical output to it: the
-	// same rounded box average, with the /factor² division
-	// strength-reduced to a shift.
+	// PiP scales by ×4 and JPiP by ×16. ×4 has its own word-parallel
+	// loop (two boxes per load), ×8 and ×16 share one (a box row is one or
+	// two loads); every other factor, ×2 included, takes boxAverage per
+	// sample. Each fast path is boxAverage bit for bit: the same rounded
+	// box average, with the /factor² division strength-reduced to a shift.
 	switch factor {
 	case 1:
 		for y := r0; y < r1; y++ {
@@ -59,43 +58,56 @@ func DownscaleWindow(dst []uint8, dw, ox, oy, ow, oh int, src []uint8, sw, sh, f
 		downscaleWindowPow2(dst, dw, ox, oy, ow, src, sw, factor, r0, r1)
 		return
 	}
-	half := factor * factor / 2
-	div := factor * factor
 	for y := r0; y < r1; y++ {
-		sy0 := y * factor
 		drow := dst[(oy+y)*dw+ox : (oy+y)*dw+ox+ow]
-		for x := 0; x < ow; x++ {
-			sx0 := x * factor
-			sum := half
-			for dy := 0; dy < factor; dy++ {
-				srow := src[(sy0+dy)*sw+sx0 : (sy0+dy)*sw+sx0+factor]
-				for dx := 0; dx < factor; dx++ {
-					sum += int(srow[dx])
-				}
-			}
-			drow[x] = uint8(sum / div)
+		for x := range drow {
+			drow[x] = boxAverage(src, sw, (y*sw+x)*factor, factor)
 		}
 	}
 }
 
-// downscaleWindow4 is the factor-4 fast path: the 4×4 box sum fully
-// unrolled over four hoisted source rows.
+// boxAverage is the rounded average of the factor×factor box of the
+// sw-wide plane src whose top-left sample is src[i].
+func boxAverage(src []uint8, sw, i, factor int) uint8 {
+	sum := factor * factor / 2
+	for r := i; r < i+factor*sw; r += sw {
+		for _, s := range src[r : r+factor] {
+			sum += int(s)
+		}
+	}
+	return uint8(sum / (factor * factor))
+}
+
+// downscaleWindow4 is the ×4 fast path, two boxes per word: one
+// little-endian uint64 load per box row covers two neighbouring boxes,
+// and evens+odds over the four rows leaves four 16-bit lanes of at most
+// 4·2·255 = 2040, the first box's two column pairs in lanes 0 and 1 and
+// the second's in lanes 2 and 3. l += l>>16 folds lanes 0+1 and 2+3, so
+// lanes 0 and 2 hold the two box sums (at most 4080, 4088 with the
+// rounding 8: nothing carries) and (sum+8)>>4 is boxAverage bit for
+// bit. An odd last column, whose load would run past the window, takes
+// boxAverage.
 func downscaleWindow4(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, r0, r1 int) {
 	for y := r0; y < r1; y++ {
-		base := 4 * y * sw
-		s0 := src[base : base+4*ow]
-		s1 := src[base+sw : base+sw+4*ow]
-		s2 := src[base+2*sw : base+2*sw+4*ow]
-		s3 := src[base+3*sw : base+3*sw+4*ow]
 		drow := dst[(oy+y)*dw+ox : (oy+y)*dw+ox+ow]
-		for x := range drow {
+		top := 4 * y * sw
+		s0 := src[top : top+4*ow]
+		s1 := src[top+sw : top+sw+4*ow]
+		s2 := src[top+2*sw : top+2*sw+4*ow]
+		s3 := src[top+3*sw : top+3*sw+4*ow]
+		x := 0
+		for ; x+1 < ow; x += 2 {
 			o := 4 * x
-			sum := 8 +
-				int(s0[o]) + int(s0[o+1]) + int(s0[o+2]) + int(s0[o+3]) +
-				int(s1[o]) + int(s1[o+1]) + int(s1[o+2]) + int(s1[o+3]) +
-				int(s2[o]) + int(s2[o+1]) + int(s2[o+2]) + int(s2[o+3]) +
-				int(s3[o]) + int(s3[o+1]) + int(s3[o+2]) + int(s3[o+3])
-			drow[x] = uint8(sum >> 4)
+			v0 := binary.LittleEndian.Uint64(s0[o:])
+			v1 := binary.LittleEndian.Uint64(s1[o:])
+			v2 := binary.LittleEndian.Uint64(s2[o:])
+			v3 := binary.LittleEndian.Uint64(s3[o:])
+			l := evens(v0) + odds(v0) + evens(v1) + odds(v1) + evens(v2) + odds(v2) + evens(v3) + odds(v3)
+			l += l>>16 + 0x0000000800000008
+			drow[x], drow[x+1] = uint8(l>>4), uint8(l>>36)
+		}
+		if x < ow {
+			drow[x] = boxAverage(src, sw, top+4*x, 4)
 		}
 	}
 }
@@ -106,7 +118,7 @@ func downscaleWindow4(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, r0, r1 i
 // lane-wise over the box, and one multiply adds up the four lanes. A
 // lane holds at most 8·2·255 = 4080 (×8) or 16·4·255 = 16320 (×16),
 // and the box sum 64·255 or 256·255 = 65280, so nothing carries out of
-// a lane and the result is the generic loop's bit for bit.
+// a lane and the result is boxAverage's bit for bit.
 func downscaleWindowPow2(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, factor, r0, r1 int) {
 	shift := uint(6)
 	if factor == 16 {
