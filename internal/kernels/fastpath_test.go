@@ -162,6 +162,9 @@ func FuzzDownscaleMatchesGeneric(f *testing.F) {
 	f.Add(4, 180, 8, 0, 0, 0, 8, uint64(2))         // even width, 0/255 columns
 	f.Add(8, 160, 90, 0, 0, 0, 90, uint64(1))       // a 1280×720 plane, all 255
 	f.Add(16, 80, 44, 0, 0, 0, 44, uint64(4))       // JPiP's Y inset
+	f.Add(16, 40, 22, 0, 0, 0, 22, uint64(9))       // its chroma
+	f.Add(16, 80, 45, 0, 0, 0, 45, uint64(1))       // a 1280×720 plane, all 255
+	f.Add(16, 37, 3, 5, 2, 0, 3, uint64(6))         // ox > 0, width past two accumulator chunks, all 255
 	f.Fuzz(func(t *testing.T, factor, ow, oh, ox, oy, r0, r1 int, seed uint64) {
 		if (factor != 4 && factor != 8 && factor != 16) || ow < 1 || ow*factor > 1280 || oh < 1 || oh*factor > 720 ||
 			ox < 0 || ox > 540 || oy < 0 || oy > 432 || r0 < 0 || r0 > r1 || r1 > oh {

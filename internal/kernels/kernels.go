@@ -40,11 +40,13 @@ func DownscaleWindow(dst []uint8, dw, ox, oy, ow, oh int, src []uint8, sw, sh, f
 	if ox < 0 || oy < 0 || (ox+ow) > dw || (oy+oh)*dw > len(dst) {
 		panic("kernels: downscale window out of bounds")
 	}
-	// PiP scales by ×4 and JPiP by ×16. ×4 has its own word-parallel
-	// loop (two boxes per load), ×8 and ×16 share one (a box row is one or
-	// two loads); every other factor, ×2 included, takes boxAverage per
-	// sample. Each fast path is boxAverage bit for bit: the same rounded
-	// box average, with the /factor² division strength-reduced to a shift.
+	// PiP scales by ×4 and JPiP by ×16. Each has its own word-parallel
+	// loop: ×4 takes two boxes per load, and ×16 walks its source rows
+	// once, two loads per box row. ×8, which no application runs, sums
+	// a box at a time, one load per box row. Every other factor, ×2
+	// included, takes boxAverage per sample. Each fast path is
+	// boxAverage bit for bit: the same rounded box average, with the
+	// /factor² division strength-reduced to a shift.
 	switch factor {
 	case 1:
 		for y := r0; y < r1; y++ {
@@ -54,8 +56,11 @@ func DownscaleWindow(dst []uint8, dw, ox, oy, ow, oh int, src []uint8, sw, sh, f
 	case 4:
 		downscaleWindow4(dst, dw, ox, oy, ow, src, sw, r0, r1)
 		return
-	case 8, 16:
-		downscaleWindowPow2(dst, dw, ox, oy, ow, src, sw, factor, r0, r1)
+	case 8:
+		downscaleWindow8(dst, dw, ox, oy, ow, src, sw, r0, r1)
+		return
+	case 16:
+		downscaleWindow16(dst, dw, ox, oy, ow, src, sw, r0, r1)
 		return
 	}
 	for y := r0; y < r1; y++ {
@@ -112,31 +117,53 @@ func downscaleWindow4(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, r0, r1 i
 	}
 }
 
-// downscaleWindowPow2 handles ×8 and ×16 a word at a time: each row
-// of a box is factor/8 little-endian uint64 loads, split into even and
-// odd bytes as four 16-bit lanes each (see the blur below) and summed
-// lane-wise over the box, and one multiply adds up the four lanes. A
-// lane holds at most 8·2·255 = 4080 (×8) or 16·4·255 = 16320 (×16),
-// and the box sum 64·255 or 256·255 = 65280, so nothing carries out of
-// a lane and the result is boxAverage's bit for bit.
-func downscaleWindowPow2(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, factor, r0, r1 int) {
-	shift := uint(6)
-	if factor == 16 {
-		shift = 8
-	}
-	half := 1 << (shift - 1)
+// downscaleWindow8 is the ×8 fast path, a box at a time: each box row
+// is one little-endian uint64 load, split into even and odd bytes as
+// four 16-bit lanes each (see the blur below) and summed lane-wise over
+// the box, and one multiply adds up the four lanes. A lane holds at
+// most 8·2·255 = 4080 and the box sum 64·255, so nothing carries out
+// of a lane and the result is boxAverage's bit for bit.
+func downscaleWindow8(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, r0, r1 int) {
 	for y := r0; y < r1; y++ {
 		drow := dst[(oy+y)*dw+ox : (oy+y)*dw+ox+ow]
-		top := y * factor * sw
+		top := 8 * y * sw
 		for x := range drow {
 			var lanes uint64
-			for i := top + x*factor; i < top+factor*sw; i += sw {
-				for k := i; k < i+factor; k += 8 {
-					v := binary.LittleEndian.Uint64(src[k:])
-					lanes += evens(v) + odds(v)
+			for i := top + 8*x; i < top+8*sw; i += sw {
+				v := binary.LittleEndian.Uint64(src[i:])
+				lanes += evens(v) + odds(v)
+			}
+			drow[x] = uint8((lanes*0x0001000100010001>>48 + 32) >> 6)
+		}
+	}
+}
+
+// downscaleWindow16 is the ×16 fast path. It walks the source row-major:
+// for a chunk of up to len(acc) outputs, each of the 16 source rows is
+// read once, left to right, and a box row (16 samples, two uint64
+// loads) adds its even and odd bytes to the box's accumulator word as
+// four 16-bit lanes. A lane holds at most 16·4·255 = 16320 and the box
+// sum 256·255 = 65280, so nothing carries and one multiply adds up the
+// four lanes: the result is boxAverage's bit for bit.
+func downscaleWindow16(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, r0, r1 int) {
+	var acc [16]uint64
+	for y := r0; y < r1; y++ {
+		drow := dst[(oy+y)*dw+ox : (oy+y)*dw+ox+ow]
+		top := 16 * y * sw
+		for x0 := 0; x0 < ow; x0 += len(acc) {
+			box := acc[:min(len(acc), ow-x0)]
+			for i := top + 16*x0; i < top+16*sw; i += sw {
+				s := src[i : i+16*len(box)]
+				for j := range box {
+					v0 := binary.LittleEndian.Uint64(s[16*j:])
+					v1 := binary.LittleEndian.Uint64(s[16*j+8:])
+					box[j] += evens(v0) + odds(v0) + evens(v1) + odds(v1)
 				}
 			}
-			drow[x] = uint8((int(lanes*0x0001000100010001>>48) + half) >> shift)
+			for j, lanes := range box {
+				drow[x0+j] = uint8((lanes*0x0001000100010001>>48 + 128) >> 8)
+				box[j] = 0
+			}
 		}
 	}
 }

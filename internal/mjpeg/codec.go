@@ -425,19 +425,37 @@ func IDCTPlaneRows(dst []uint8, cp *CoeffPlane, r0, r1 int) {
 	for by := r0 / 8; by < (r1+7)/8; by++ {
 		off := int(cp.Row[by])
 		for bx, ext := range cp.Ext[by*(w/8) : (by+1)*(w/8)] {
-			n, equal := idctColumns(&col, (*[64]int32)(coef[off:]), int(ext>>4), ext)
-			off += int(ext&15) * int(ext>>4)
-			// Each pixel row of the block is one 8-byte store. The n = 1
-			// and n = 2 rows are idctRow's, written out here so that they
-			// inline: a flat row is one clamped sample.
+			in, cols := (*[64]int32)(coef[off:]), int(ext>>4)
+			off += int(ext&15) * cols
+			// Each pixel row of the block is one 8-byte store.
+			if ext == 0x22 {
+				// Two rows by two columns, most blocks of a luma plane:
+				// column u is idct2(c0u, c1u) and pixel row y is idct2 of
+				// the columns' row y, with no col and, for a row in range,
+				// no call. A 2×1 block stays below, where its rows are
+				// flat and cheaper.
+				var a, b [8]int64
+				a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = idct2(int64(in[0]), int64(in[2]), 0)
+				b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7] = idct2(int64(in[1]), int64(in[3]), 0)
+				for y, at := 0, by*8*w+bx*8; y < 8; y, at = y+1, at+w {
+					x0, x1, x2, x3, x4, x5, x6, x7 := idct2(a[y], b[y], bias)
+					row := pixelWord(x0, x1, x2, x3, x4, x5, x6, x7)
+					if uint64(x0|x1|x2|x3|x4|x5|x6|x7) >= 1<<32 {
+						row = clampPixels(x0, x1, x2, x3, x4, x5, x6, x7)
+					}
+					binary.LittleEndian.PutUint64(dst[at:], row)
+				}
+				continue
+			}
+			// The other rows are idctRow's, its n = 1 case written out
+			// here: a flat row is one clamped sample.
+			n, equal := idctColumns(&col, in, cols, ext)
 			var row uint64
 			for y, at := 0, by*8*w+bx*8; y < 8; y, at = y+1, at+w {
 				switch {
 				case y > 0 && equal:
 				case n == 1:
 					row = 0x0101010101010101 * uint64(clampPixel(int32((bias+basis2[0]*col[y*8])>>(2*dctBits))))
-				case n == 2:
-					row = packPixels(idct2(col[y*8], col[y*8+1], bias))
 				default:
 					row = packPixels(idctRow(&col, y, n, bias))
 				}
@@ -450,14 +468,20 @@ func IDCTPlaneRows(dst []uint8, cp *CoeffPlane, r0, r1 int) {
 // packPixels shifts, clamps and packs eight samples into the bytes of
 // one little-endian word, sample i in byte i. A row with every sample
 // in [0, 2^32), so every pixel in range, costs one test and needs no
-// clamp: byte i is then bits 24-31 of sample i, moved into place.
+// clamp: its word is pixelWord's.
 func packPixels(x0, x1, x2, x3, x4, x5, x6, x7 int64) uint64 {
 	if uint64(x0|x1|x2|x3|x4|x5|x6|x7) < 1<<32 {
-		return uint64(x0)>>24 | uint64(x1)>>16&0xff00 | uint64(x2)>>8&0xff0000 | uint64(x3)&0xff000000 |
-			uint64(x4)<<8&0xff00000000 | uint64(x5)<<16&0xff0000000000 |
-			uint64(x6)<<24&0xff000000000000 | uint64(x7)<<32&0xff00000000000000
+		return pixelWord(x0, x1, x2, x3, x4, x5, x6, x7)
 	}
 	return clampPixels(x0, x1, x2, x3, x4, x5, x6, x7)
+}
+
+// pixelWord is packPixels for samples in [0, 2^32), small enough to
+// inline: byte i is bits 24-31 of sample i, moved into place.
+func pixelWord(x0, x1, x2, x3, x4, x5, x6, x7 int64) uint64 {
+	return uint64(x0)>>24 | uint64(x1)>>16&0xff00 | uint64(x2)>>8&0xff0000 | uint64(x3)&0xff000000 |
+		uint64(x4)<<8&0xff00000000 | uint64(x5)<<16&0xff0000000000 |
+		uint64(x6)<<24&0xff000000000000 | uint64(x7)<<32&0xff00000000000000
 }
 
 // clampPixels is packPixels for a row with a sample out of range.

@@ -98,9 +98,9 @@ func TestIDCTExact(t *testing.T) {
 }
 
 // FuzzIDCT runs a fuzzed block through IDCT8x8, aliased and not, and
-// through a one-block IDCTPlaneRows, against the dense references. The
-// packed block has its tightest extent, widened by the rows and columns
-// a 257th byte asks for.
+// through IDCTPlaneRows as the first block of a two-block plane,
+// against the dense references. The packed block has its tightest
+// extent, widened by the rows and columns a 257th byte asks for.
 func FuzzIDCT(f *testing.F) {
 	r := media.NewRNG(19)
 	var blk [64]int32
@@ -108,6 +108,24 @@ func FuzzIDCT(f *testing.F) {
 		randomCoeffBlock(r, i, &blk)
 		f.Add(blockBytes(&blk))
 	}
+	// add seeds a block of the given natural index, value pairs whose
+	// 257th byte is widen: the 2×2 path of IDCTPlaneRows and its borders.
+	add := func(widen byte, iv ...int32) {
+		blk = [64]int32{}
+		for k := 0; k < len(iv); k += 2 {
+			blk[iv[k]] = iv[k+1]
+		}
+		f.Add(append(blockBytes(&blk), widen))
+	}
+	add(0, 0, 37, 8, -52)                                 // tight 2×1: off the path
+	add(0, 0, 4096*255, 8, -4096*200)                     // tight 2×1, clamping
+	add(0, 0, -41, 1, 23, 8, 60, 9, -17)                  // tight 2×2
+	add(0, 0, 1<<31-1, 1, -300000, 8, 4096*255, 9, 77777) // tight 2×2, clamping
+	add(0x22, 0, 90, 8, -33)                              // 2×1 widened to 2×2
+	add(0, 0, 12, 1, -7, 8, 25, 9, 40, 16, 31)            // 3×2: off the path
+	add(0, 0, 12, 2, -7, 8, 25, 9, 40, 10, -19)           // 2×3: off the path
+	add(0x20)                                             // no rows, two columns
+	add(0x02)                                             // two rows, no columns
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var in, want, got [64]int32
 		for i := range in {
@@ -129,9 +147,13 @@ func FuzzIDCT(f *testing.F) {
 		if len(data) > 4*len(in) {
 			ext = widenExtent(ext, data[4*len(in)]&15%9, data[4*len(in)]>>4%9)
 		}
-		cp := packPlane(8, 8, in[:], []uint8{ext})
-		var wantPx, gotPx [64]uint8
-		refIDCTPlaneRows(wantPx[:], in[:], 8, 0, 8)
+		// A guard block's record follows the fuzzed block's, so a read
+		// past the record sees non-zero coefficients.
+		dense := append(in[:], make([]int32, 64)...)
+		dense[64], dense[65], dense[72], dense[73] = -517, 230, 99, 1
+		cp := packPlane(16, 8, dense, []uint8{ext, blockExtent((*[64]int32)(dense[64:]))})
+		var wantPx, gotPx [128]uint8
+		refIDCTPlaneRows(wantPx[:], dense, 16, 0, 8)
 		IDCTPlaneRows(gotPx[:], cp, 0, 8)
 		if gotPx != wantPx {
 			t.Fatalf("IDCTPlaneRows(%v) at extent %#x = %v, want %v", in, ext, gotPx, wantPx)
@@ -225,26 +247,53 @@ func blockBytes(blk *[64]int32) []byte {
 	return b
 }
 
+// idctClass names the path IDCTPlaneRows takes for a block of extent e.
+func idctClass(e uint8) string {
+	rows, cols := e&15, e>>4
+	switch {
+	case e == 0x22:
+		return "2×2"
+	case rows <= 1:
+		return "equal rows"
+	case cols <= 1:
+		return "flat rows"
+	}
+	return "generic"
+}
+
 // TestIDCTPlaneRowsExact covers the clamp-and-store path, in slices as
 // the JPiP application runs it, on planes packed by the test packer.
 // Every other round widens each block's extent by random rows and
 // columns: an extent only bounds where the non-zero coefficients are,
-// and a loose one must give the same pixels.
+// and a loose one must give the same pixels. It counts the blocks of
+// each of IDCTPlaneRows' paths and fails if one falls below its floor.
 func TestIDCTPlaneRowsExact(t *testing.T) {
 	r := media.NewRNG(17)
 	const w, h = 64, 48
 	dense := make([]int32, w*h)
 	ext := make([]uint8, w*h/64)
+	seen := map[string]int{}
 	for round := 0; round < 40; round++ {
 		for i := range ext {
-			randomCoeffBlock(r, r.Intn(4), (*[64]int32)(dense[i*64:]))
-			if r.Intn(8) == 0 { // empty: a widened extent may have columns but no rows
-				clear(dense[i*64:][:64])
+			blk := (*[64]int32)(dense[i*64:])
+			randomCoeffBlock(r, r.Intn(4), blk)
+			switch r.Intn(8) {
+			case 0: // empty: a widened extent may have columns but no rows
+				clear(blk[:])
+			case 1, 2: // two rows by one or two columns, the commonest classes
+				randomCoeffBlock(r, 3, blk)
+				cols := 1 + r.Intn(2)
+				for j := range blk {
+					if j >= 16 || j%8 >= cols {
+						blk[j] = 0
+					}
+				}
 			}
-			ext[i] = blockExtent((*[64]int32)(dense[i*64:]))
+			ext[i] = blockExtent(blk)
 			if round%2 == 1 {
 				ext[i] = widenExtent(ext[i], uint8(r.Intn(9)), uint8(r.Intn(9)))
 			}
+			seen[idctClass(ext[i])]++
 		}
 		cp := packPlane(w, h, dense, ext)
 		want := make([]uint8, cp.W*cp.H)
@@ -255,6 +304,11 @@ func TestIDCTPlaneRowsExact(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: IDCTPlaneRows differs from the dense reference", round)
+		}
+	}
+	for class, floor := range map[string]int{"2×2": 100, "equal rows": 200, "flat rows": 100, "generic": 800} {
+		if seen[class] < floor {
+			t.Errorf("%d blocks take the %s path, want at least %d (all: %v)", seen[class], class, floor, seen)
 		}
 	}
 }
