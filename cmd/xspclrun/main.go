@@ -20,15 +20,13 @@
 //
 //	xspclrun -builtin JPiP-FT -inject-faults seed=1,task=jdec,from=8
 //
-// The -autotune flag enables the feedback autotuner: components marked
-// replicate="auto" have their replica widths resized from occupancy
-// feedback while the run executes, and the stream-FIFO capacity follows
-// from the widths. Decisions appear in the report (tune: ...) and, with
-// -trace, as instant events on the runtime track. -tune-epoch sets the
-// tuner's epoch length; like every duration on the sim backend it counts
-// virtual cycles, 1ns = 1 cycle (-tune-epoch 2ms is 2 000 000 cycles):
+// Components marked replicate="auto" run at the replica width the
+// prediction model resolves when the program loads (predict.AutoWidths,
+// the same rule xspclvet -predict prints), and the stream capacity
+// grows by one buffer set per replica beyond the first; -report json
+// shows each stage's width and the capacity:
 //
-//	xspclrun -backend sim -cores 4 -autotune -tune-epoch 2ms examples/specs/autotune.xml
+//	xspclrun -backend sim -cores 4 -report json examples/specs/autotune.xml
 //
 // The -http flag enables live telemetry and serves the ops surface
 // (/metrics, /statusz, /healthz, /debug/pprof, /debug/trace) on the
@@ -71,8 +69,6 @@ func main() {
 	traceOut := flag.String("trace", "", "record a flight-recorder trace and write Perfetto JSON to this file")
 	report := flag.String("report", "text", "report format: text or json")
 	inject := flag.String("inject-faults", "", `inject deterministic faults, e.g. "seed=1,task=jdec,from=8" (see hinch.ParseFaultSpec)`)
-	autotune := flag.Bool("autotune", false, "enable the feedback autotuner (resizes replicate=auto widths)")
-	tuneEpoch := flag.Duration("tune-epoch", 0, "autotuner epoch length: wall time on real, virtual cycles on sim (1ns = 1 cycle); 0 = default; size it to cover several jobs of the hottest stage")
 	httpAddr := flag.String("http", "", "serve the live ops surface (/metrics, /statusz, /healthz, pprof, /debug/trace) on this address; implies telemetry")
 	watch := flag.String("watch", "", "redraw a live dashboard on stderr at this interval (e.g. 500ms); implies telemetry")
 	flag.Parse()
@@ -89,7 +85,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if err := run(*cores, *frames, *pipeline, *backend, *builtin, *workless, *autotune, *tuneEpoch, *traceOut, *report, *inject, *httpAddr, watchEvery); err != nil {
+	if err := run(*cores, *frames, *pipeline, *backend, *builtin, *workless, *traceOut, *report, *inject, *httpAddr, watchEvery); err != nil {
 		stop()
 		fail(err)
 	}
@@ -98,9 +94,8 @@ func main() {
 	}
 }
 
-func run(cores, frames, pipeline int, backend, builtin string, workless, autotune bool, tuneEpoch time.Duration, traceOut, report, inject, httpAddr string, watchEvery time.Duration) error {
+func run(cores, frames, pipeline int, backend, builtin string, workless bool, traceOut, report, inject, httpAddr string, watchEvery time.Duration) error {
 	cfg := hinch.Config{Cores: cores, PipelineDepth: pipeline, Workless: workless,
-		Autotune: autotune, TuneEpoch: tuneEpoch,
 		Telemetry: httpAddr != "" || watchEvery > 0}
 	switch backend {
 	case "sim":

@@ -6,7 +6,9 @@
 // runs the SPC performance prediction (the PAM-SoC box of the paper's
 // framework figure, internal/predict): per-iteration work and critical
 // path estimated from the specification alone, the predicted speedup
-// per node count, and the node count that reaches 95% of the peak.
+// per node count, the node count that reaches 95% of the peak, and the
+// width each replicate="auto" component takes on N nodes — the width
+// the runtime resolves at load (predict.AutoWidths).
 //
 //	xspclvet app.xml another.xml     analyze specification files
 //	xspclvet -builtin JPiP-45        analyze a built-in paper app
@@ -101,6 +103,10 @@ func main() {
 				}
 				fmt.Printf("%s: %s", in.name, p)
 				fmt.Printf("suggested nodes (%.0f%% of peak): %d\n", usefulFrac*100, p.MaxUsefulNodes(usefulFrac))
+				if err := printAutoWidths(in, *predictN, *overlap); err != nil {
+					fmt.Fprintf(os.Stderr, "%s: %v\n", in.name, err)
+					os.Exit(2)
+				}
 			}
 		}
 		if rep.Failed(*werror) {
@@ -118,6 +124,27 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// printAutoWidths prints the width of every replicate="auto" task on
+// nodes cores, resolved over the superplan (every option enabled) as
+// the runtime resolves it.
+func printAutoWidths(in input, nodes, depth int) error {
+	allOn := in.prog.Options()
+	for name := range allOn {
+		allOn[name] = true
+	}
+	plan, err := graph.BuildPlan(in.prog, allOn)
+	if err != nil {
+		return err
+	}
+	widths := predict.AutoWidths(in.prog, plan, nodes, depth)
+	for _, t := range plan.ComponentTasks() {
+		if rep, _ := graph.TaskReplicate(t); rep.Auto {
+			fmt.Printf("%s: replicate=auto width on %d nodes: %s %d\n", in.name, nodes, t.Name, widths[t.ID])
+		}
+	}
+	return nil
 }
 
 type input struct {

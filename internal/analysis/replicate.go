@@ -21,8 +21,8 @@ import (
 //     group. Every data-parallel copy carries the width, so up to
 //     N·width jobs of the stage may run at once — legal, but worth
 //     knowing when budgeting cores.
-//   - Info: an auto width only moves under the autotuner (xspclrun
-//     -autotune); without it the component stays serialised.
+//   - Info: an auto width is resolved once, at load, from the cost
+//     model (predict.AutoWidths; xspclvet -predict N prints it).
 
 // structuralOnly hides a catalog's StatelessCatalog extension from
 // Program.Validate, so Analyze reaches the replication pass on programs
@@ -86,7 +86,7 @@ func (a *analyzer) checkReplicate(n *graph.Node, rep graph.ReplicateSpec, group 
 		a.add(Finding{
 			Pass:     PassReplication,
 			Severity: Info,
-			Message: fmt.Sprintf("component %q declares replicate=auto: the width only moves under the autotuner (run with -autotune), otherwise it stays 1",
+			Message: fmt.Sprintf("component %q declares replicate=auto: the width is resolved at load from the cost model (xspclvet -predict N prints it for N cores)",
 				n.Name),
 		})
 	}

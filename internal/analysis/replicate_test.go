@@ -90,12 +90,12 @@ func TestReplicationWidthBeyondOverlap(t *testing.T) {
 }
 
 // TestReplicationAutoInfo: replicate=auto is advisory-flagged so users
-// know the width stays 1 without -autotune.
+// know the cost model picks the width at load.
 func TestReplicationAutoInfo(t *testing.T) {
 	rep := analyzeStateless(t, repProgram("work", "auto"), Options{})
 	fs := findings(rep, PassReplication, Info)
-	if len(fs) != 1 || !strings.Contains(fs[0].Message, "autotuner") {
-		t.Fatalf("findings = %+v, want one autotuner info", fs)
+	if len(fs) != 1 || !strings.Contains(fs[0].Message, "cost model") {
+		t.Fatalf("findings = %+v, want one cost-model info", fs)
 	}
 }
 

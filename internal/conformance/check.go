@@ -39,9 +39,9 @@ type Family int
 const (
 	// FamilyBase runs Generate's programs as built.
 	FamilyBase Family = iota
-	// FamilyReplicated runs GenerateReplicated's programs with the
-	// autotuner live on every run: widths, and with them the stream
-	// capacity, resize mid-run while the output must stay bit-identical.
+	// FamilyReplicated runs GenerateReplicated's programs: fixed and
+	// auto widths, resolved at load, with the stream capacity they call
+	// for, while the output must stay bit-identical.
 	FamilyReplicated
 	// FamilyCancelled runs Generate's programs cancelled mid-run: five
 	// sim runs cancelled in-band when the sink reaches the midpoint must
@@ -65,12 +65,11 @@ var families = [NumFamilies]struct {
 	name   string
 	gen    func(seed uint64) (*Gen, error)
 	salt   []uint64
-	tune   bool // autotuner on every run
 	cancel bool // the cancellation extras
 	hammer bool // snapshot hammer on the round-tripped sim and every real run
 }{
 	FamilyBase:       {name: "base", gen: Generate},
-	FamilyReplicated: {name: "replicated", gen: GenerateReplicated, salt: []uint64{0x5e}, tune: true},
+	FamilyReplicated: {name: "replicated", gen: GenerateReplicated, salt: []uint64{0x5e}},
 	FamilyCancelled:  {name: "cancelled", gen: Generate, salt: []uint64{0xca}, cancel: true},
 	FamilyFaulty:     {name: "faulty", gen: GenerateFaulty, salt: []uint64{0xfa}},
 	FamilySnapshot:   {name: "snapshot", gen: Generate, hammer: true},
@@ -149,9 +148,9 @@ func Check(seed uint64, fam Family, opt Options) (err error) {
 
 	// Sim twice — once on the built program, once on the round-tripped
 	// one (observed, in the snapshot family). The sim backend is
-	// deterministic, autotuner included, so the runs must agree on every
+	// deterministic, so the runs must agree on every
 	// observable, including event/reconfiguration order.
-	sim := perturbation{backend: hinch.BackendSim, workers: 3, traced: opt.Trace, tune: f.tune}
+	sim := perturbation{backend: hinch.BackendSim, workers: 3, traced: opt.Trace}
 	obs, err := run(g, sim)
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -200,7 +199,7 @@ func Check(seed uint64, fam Family, opt Options) (err error) {
 	}
 
 	for _, w := range opt.Workers {
-		p := perturbation{backend: hinch.BackendReal, workers: w, traced: opt.Trace, tune: f.tune, hammer: f.hammer}
+		p := perturbation{backend: hinch.BackendReal, workers: w, traced: opt.Trace, hammer: f.hammer}
 		if opt.Perturb {
 			p.hooks = &perturb{seed: mix(append([]uint64{seed, uint64(w)}, f.salt...)...)}
 		}

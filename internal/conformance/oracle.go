@@ -9,7 +9,7 @@ import (
 // verify judges one observation against the sequential oracle. It is
 // the single statement of the determinism contract: sink output depends
 // on the program and its input, never on the schedule, the backend, the
-// tuner, retried faults or where a cancel lands.
+// replica widths, retried faults or where a cancel lands.
 //
 // Every clause starts from the same per-record obligation: records are
 // duplicate-free and non-negative, and the hash of every record below

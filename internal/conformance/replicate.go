@@ -8,14 +8,14 @@ import (
 
 // This file is the replicated-program conformance family: it reuses the
 // seeded generator and injects replicate= attributes onto the stateless
-// spine stages; FamilyReplicated runs the same battery on it with the
-// autotuner live on every run. Replication is pure scheduling — a
+// spine stages; FamilyReplicated runs the same battery on it. Widths,
+// auto ones included, are resolved once at load, and the stream
+// capacity grows with them. Replication is pure scheduling — a
 // replicated stage runs several consecutive iterations concurrently,
 // each on its own per-iteration stream slots — so the oracle is
 // unchanged: the sink hashes of a replicated program must be exactly
 // those of the unreplicated one, on every backend, at every worker
-// count, under schedule perturbation, and with the autotuner
-// live-resizing widths mid-run.
+// count and under schedule perturbation.
 
 // replicateWidths is the attribute pool the injector draws from. The
 // empty string leaves a stage unreplicated (width 1), so the family

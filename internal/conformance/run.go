@@ -25,7 +25,6 @@ type perturbation struct {
 	faults  hinch.FaultInjector // replaces g's injector when set
 	ctx     context.Context     // cancels the run; nil runs to completion
 	traced  bool                // flight recorder, validated and exported
-	tune    bool                // autotuner
 	hammer  bool                // App.Snapshot hammered from a second goroutine
 }
 
@@ -83,12 +82,7 @@ func run(g *Gen, p perturbation) (obs *Observation, err error) {
 	if p.faults != nil {
 		cfg.Faults = p.faults
 	}
-	cfg.Autotune = p.tune
 	cfg.Telemetry = p.hammer
-	if p.tune && p.backend == hinch.BackendReal {
-		// Tick fast so even short perturbed runs see live resizes.
-		cfg.TuneEpoch = 200 * time.Microsecond
-	}
 	var rec *trace.Recorder
 	if p.traced {
 		rec = trace.New(0)

@@ -26,12 +26,10 @@ const (
 // stream buffers, so downstream consumers still observe iteration
 // order.
 type ReplicateSpec struct {
-	// Auto marks the width as runtime-tunable: the autotuner may resize
-	// it between 1 and its cap. Without the autotuner an auto width
-	// stays at 1.
+	// Auto leaves the width to the cost model: the runtime resolves it
+	// once, at load (predict.AutoWidths).
 	Auto bool
-	// Width is the requested replica width (>= 1). For Auto it is the
-	// starting width.
+	// Width is the requested replica width (>= 1); 1 for Auto.
 	Width int
 }
 

@@ -36,8 +36,8 @@ type Config struct {
 	Cores int
 
 	// PipelineDepth is the number of stream-buffer sets, so the most
-	// iterations ever in flight: it caps StreamCapacity and the
-	// autotuner's raises. The paper schedules five (§4): "To exploit
+	// iterations ever in flight: it caps StreamCapacity and the replica
+	// widths. The paper schedules five (§4): "To exploit
 	// pipeline parallelism ... five iterations are simultaneously
 	// scheduled." Defaults to 5. It is also the event delivery distance:
 	// an event sent during iteration k is delivered by the manager entry
@@ -49,8 +49,10 @@ type Config struct {
 	// ("typically implemented using a FIFO queue", §1) and keeps the
 	// memory footprint of deep pipelines bounded. An iteration launches
 	// only while fewer are in flight. Defaults to 3; clamped to
-	// PipelineDepth. With Autotune each auto replica beyond the first
-	// adds one buffer set, up to PipelineDepth (see Autotune).
+	// PipelineDepth. Each replica beyond the first of a replicated
+	// component adds one buffer set, up to PipelineDepth: the run's
+	// capacity is min(StreamCapacity + Σ(width − 1), PipelineDepth),
+	// fixed at NewApp (see predict.AutoWidths for the widths).
 	StreamCapacity int
 
 	// Workless makes components skip their real kernel computation and
@@ -81,20 +83,6 @@ type Config struct {
 	// FaultInjector. Nil in production — the fault-free path pays one
 	// branch per component dispatch.
 	Faults FaultInjector
-
-	// Autotune enables the feedback autotuner: at fixed epochs the
-	// runtime samples its per-task occupancy and resizes the replica
-	// widths of components declared replicate="auto". The live
-	// stream-FIFO capacity follows the widths:
-	// min(StreamCapacity + Σ over auto tasks (width − 1), PipelineDepth).
-	// Without it, auto widths stay at 1. Decisions land in
-	// Report.Tune/TuneLog and the trace (TraceTune).
-	Autotune bool
-
-	// TuneEpoch is the autotuner's epoch length. On sim decisions fire
-	// at virtual-time boundaries, so the decision trace is
-	// deterministic. Defaults to 50000 cycles on sim, 2ms on real.
-	TuneEpoch time.Duration
 
 	// Telemetry enables the histograms — per-stage service time,
 	// iteration latency, stream occupancy, steal batch size, park
@@ -129,12 +117,9 @@ func (c Config) withDefaults() Config {
 		c.StreamCapacity = 3
 	}
 	c.StreamCapacity = min(c.StreamCapacity, c.PipelineDepth)
-	tune, watchdog := 2*time.Millisecond, 250*time.Millisecond
+	watchdog := 250 * time.Millisecond
 	if c.Backend == BackendSim {
-		tune, watchdog = 50000, 2000000
-	}
-	if c.TuneEpoch <= 0 {
-		c.TuneEpoch = tune
+		watchdog = 2000000
 	}
 	if c.WatchdogEpochs <= 0 {
 		c.WatchdogEpochs = 3

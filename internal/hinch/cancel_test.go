@@ -354,18 +354,17 @@ func TestRunContextCancelInterruptsFaultDelay(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelWithTunerAndWatchdog: the real backend's
-// background roles in one run — tuner epochs, the watchdog and a
-// cancel. A 5s latency spike stalls retirement; the test cancels once
-// the watchdog says so, and the run must come back promptly, cancelled,
-// with both epoch kinds having fired and nothing left running.
-func TestRunContextCancelWithTunerAndWatchdog(t *testing.T) {
+// TestRunContextCancelWithWatchdog: the real backend's background
+// roles in one run — the watchdog and a cancel. A 5s latency spike
+// stalls retirement; the test cancels once the watchdog says so, and
+// the run must come back promptly, cancelled, with the watchdog having
+// fired and nothing left running.
+func TestRunContextCancelWithWatchdog(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	app, err := NewApp(chainProg(), testRegistry(), Config{
 		Backend: BackendReal, Cores: 2,
-		Autotune: true, TuneEpoch: time.Millisecond,
 		Telemetry: true, WatchdogEpoch: 2 * time.Millisecond, WatchdogEpochs: 2,
 		Faults: &delayOnce{task: "dbl", iter: 3, delay: 5 * time.Second},
 	})
@@ -386,8 +385,8 @@ func TestRunContextCancelWithTunerAndWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != OutcomeCancelled || rep.Stalls < 1 || rep.Tune == nil || rep.Tune.Stats.Epochs < 1 {
-		t.Fatalf("outcome=%q stalls=%d tune=%+v, want cancelled, >= 1 stall, >= 1 tuner epoch", rep.Outcome, rep.Stalls, rep.Tune)
+	if rep.Outcome != OutcomeCancelled || rep.Stalls < 1 {
+		t.Fatalf("outcome=%q stalls=%d, want cancelled, >= 1 stall", rep.Outcome, rep.Stalls)
 	}
 }
 

@@ -103,7 +103,7 @@ func (e *engine) canLaunch() bool {
 	if e.err != nil {
 		return false
 	}
-	if e.nIters >= int(e.bufCap.Load()) {
+	if e.nIters >= e.bufCap {
 		return false
 	}
 	for _, st := range e.mgrs {
@@ -169,7 +169,7 @@ func (e *engine) launch(p *probe) {
 		e.nIters++
 		p.launch(it, k)
 		for _, t := range plan.Tasks {
-			back := e.iterAt(k - int(e.widths[t.ID].Load()))
+			back := e.iterAt(k - e.widths[t.ID])
 			if back == nil || back.done[t.ID].Load() {
 				if it.crossClaim[t.ID].CompareAndSwap(false, true) {
 					e.release(k, it, t.ID, p)
@@ -241,13 +241,9 @@ func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 	}
 	// Cross-iteration release, W iterations ahead: the done flag was
 	// published above, so if the target iteration is not visible yet,
-	// its launch will observe the flag and claim the release itself.
-	// The width is loaded after the done Swap; under Go's seq-cst
-	// atomics this orders against setWidth's ring sweep, so a resize
-	// either reaches this completion (new width targets the right
-	// iteration) or the sweep sees the done flag and claims the release
-	// — crossClaim deduplicates when both do.
-	wt := int(e.widths[j.task.ID].Load())
+	// its launch will observe the flag and claim the release itself —
+	// crossClaim deduplicates when both do.
+	wt := e.widths[j.task.ID]
 	if next := e.iterAt(j.iter + wt); next != nil {
 		if next.crossClaim[j.task.ID].CompareAndSwap(false, true) {
 			e.release(j.iter+wt, next, j.task.ID, p)

@@ -1,13 +1,12 @@
 package hinch
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xspcl/internal/graph"
+	"xspcl/internal/predict"
 )
 
 // engine implements the shared scheduling machinery: data-flow readiness
@@ -61,22 +60,17 @@ type engine struct {
 	mgrs  map[string]*mgrState
 	stall int64
 
-	// bufCap is the live stream-FIFO capacity — how many iterations may
-	// be in flight, each holding one of the window's buffer sets; starts
-	// at StreamCapacity and follows the autotuner's widths.
-	// Written under mu (or by the sim goroutine); atomic so App.Snapshot
-	// can read it mid-run.
-	bufCap atomic.Int32
-
-	// widths[t] is task t's replica width: how many consecutive
-	// iterations of t may run concurrently. Width 1 (every task before
-	// replicate= existed) serialises the task across iterations; a
+	// bufCap is the stream capacity: how many iterations may be in
+	// flight, each holding one of the window's buffer sets. widths[t] is
+	// task t's replica width: how many consecutive iterations of t may
+	// run concurrently. Width 1 serialises the task across iterations; a
 	// stateless task at width W carries its cross-iteration dependency
 	// from iteration k-W instead of k-1, so up to W iterations of it
-	// execute at once, each on its own per-iteration stream slots.
-	// Written by setWidth (launch/tuner slow path), read lock-free on
-	// the completion fast path.
-	widths []atomic.Int32
+	// execute at once, each on its own per-iteration stream slots. Both
+	// are resolved once, by newEngine (predict.AutoWidths and
+	// predict.Capacity), and fixed for the run.
+	bufCap int
+	widths []int
 
 	// waits[t] is task t's dependency count at launch: one per direct
 	// dependency, one for the join it waits on if any, and one for the
@@ -87,12 +81,6 @@ type engine struct {
 	// launch or by an older iteration's completions. Fixed for the run:
 	// the engine executes one plan.
 	waits []int32
-
-	tu *tuner // feedback autotuner; nil unless Config.Autotune
-
-	// epochs is the run's epoch clock: the tuner's round, then the
-	// watchdog's check, each present only when configured (see tick).
-	epochs []epoch
 
 	// probes is the run's instrumentation, one per writer: probes[0] for
 	// the engine lock / sim goroutine, probes[w+1] for worker w. Every
@@ -167,14 +155,13 @@ func newEngine(a *App) *engine {
 	for i, n := range e.mgrNames {
 		e.mgrIndex[n] = i
 	}
-	e.bufCap.Store(int32(a.cfg.StreamCapacity))
-	e.widths = make([]atomic.Int32, n)
+	e.widths = predict.AutoWidths(a.prog, a.plan, a.cfg.Cores, a.cfg.PipelineDepth)
+	e.bufCap = predict.Capacity(e.widths, a.cfg.StreamCapacity, a.cfg.PipelineDepth)
 	e.waits = make([]int32, n)
 	e.policies = make([]graph.FailurePolicy, n)
 	e.faultRoute = make([]*EventQueue, n)
 	e.faultMgr = make([]int, n)
 	for _, t := range a.plan.Tasks {
-		e.widths[t.ID].Store(1)
 		e.waits[t.ID] = int32(len(t.DirectDeps)) + 1
 		if t.WaitsOn != graph.NoJoin {
 			e.waits[t.ID]++
@@ -194,64 +181,15 @@ func newEngine(a *App) *engine {
 			continue
 		}
 		// Syntax errors were rejected by Program.Validate; a hand-built
-		// bad policy degenerates to fail-fast, a bad width to 1.
+		// bad policy degenerates to fail-fast.
 		if pol, err := graph.ParseFailurePolicy(t.Params[graph.OnErrorParam], t.Params[graph.DeadlineParam]); err == nil && !pol.IsDefault() {
 			e.policies[t.ID] = pol
 		}
-		// Auto widths start at 1; the tuner raises them at runtime. The
-		// pipeline window admits at most PipelineDepth iterations, so a
-		// wider width could never be exercised.
-		if rep, err := graph.TaskReplicate(t); err == nil && !rep.Auto && rep.Width > 1 {
-			e.widths[t.ID].Store(int32(min(rep.Width, a.cfg.PipelineDepth)))
-		}
-	}
-	if a.cfg.Autotune {
-		e.tu = newTuner(e)
-		e.tu.epoch = e.addEpoch(a.cfg.TuneEpoch, e.tuneEpoch)
 	}
 	if a.cfg.Telemetry {
 		e.tm = newTelemetry(e)
-		e.addEpoch(a.cfg.WatchdogEpoch, e.watchdogEpoch)
 	}
 	return e
-}
-
-// epoch is one periodic role on the epoch clock. every and next are in
-// the backend's clock domain: virtual cycles on sim, wall nanoseconds
-// since the run started on real.
-type epoch struct {
-	every, next int64
-	run         func()
-}
-
-// addEpoch appends run to the epoch clock, once per every of the
-// backend's clock (on sim a nanosecond counts as a virtual cycle), and
-// returns the period in that clock domain.
-func (e *engine) addEpoch(every time.Duration, run func()) int64 {
-	e.epochs = append(e.epochs, epoch{every: int64(every), next: int64(every), run: run})
-	return int64(every)
-}
-
-// tick runs every epoch due at now, in list order, and returns when the
-// next one falls due (math.MaxInt64 with none). Sim replays each
-// boundary a clock jump passed, so stall detection and the tuner's
-// decision trace stay a function of the virtual schedule; real runs a
-// late epoch once and skips the boundaries it missed, as a time.Ticker
-// does. Must be called with mu held on the real backend.
-func (e *engine) tick(now int64) (next int64) {
-	next = math.MaxInt64
-	for i := range e.epochs {
-		ep := &e.epochs[i]
-		for now >= ep.next {
-			ep.run()
-			if e.ws != nil {
-				ep.next += (now - ep.next) / ep.every * ep.every
-			}
-			ep.next += ep.every
-		}
-		next = min(next, ep.next)
-	}
-	return next
 }
 
 // traceMeta assembles the Tracer.Begin metadata for this run.

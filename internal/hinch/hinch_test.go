@@ -41,19 +41,12 @@ func (c *intSource) Run(rc *RunContext) error {
 }
 
 // doubler multiplies the int payload by 2. Registered stateless: Run
-// reads only Init-time fields, so concurrent replicas are safe. The
-// spin param burns real CPU on the real backend (Charge is a sim-only
-// accounting call), giving the autotuner a genuine bottleneck to widen.
-type doubler struct{ cost, spin int64 }
+// reads only Init-time fields, so concurrent replicas are safe.
+type doubler struct{ cost int64 }
 
 func (c *doubler) Init(ic *InitContext) error {
 	n, err := ic.IntParam("cost", 100)
-	if err != nil {
-		return err
-	}
 	c.cost = int64(n)
-	s, err := ic.IntParam("spin", 0)
-	c.spin = int64(s)
 	return err
 }
 
@@ -62,20 +55,9 @@ func (c *doubler) Run(rc *RunContext) error {
 	if !ok {
 		return fmt.Errorf("doubler: payload %T", rc.In("in"))
 	}
-	rc.SetOut("out", 2*v+spinWork(c.spin))
+	rc.SetOut("out", 2*v)
 	rc.Charge(c.cost)
 	return nil
-}
-
-// spinWork burns roughly n iterations of integer arithmetic and returns
-// zero; the loop-carried dependency and the fed-back result keep the
-// compiler from discarding the loop.
-func spinWork(n int64) int {
-	h := uint64(n) | 1
-	for i := int64(0); i < n; i++ {
-		h = h*1664525 + 1013904223
-	}
-	return int(h >> 32 >> 32)
 }
 
 // adder adds a constant (param add) to the payload; used inside options

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,9 +40,11 @@ func (tr *inflightTracer) Emit(_ int, ev hinch.TraceEvent) {
 // TestStreamBackpressureBoundsBuffers pins the one window: an iteration
 // launches only while fewer than the stream capacity are in flight, on
 // both backends and at every worker count, so the stream buffers never
-// outgrow the capacity however deep PipelineDepth is. Under the
-// autotuner the capacity is raised with the replica widths, and the
-// raise is used: the in-flight maximum reaches the final capacity.
+// outgrow the capacity however deep PipelineDepth is. A replicated
+// stage raises the capacity by one buffer set per replica beyond the
+// first, whether its width is fixed or auto, and the raise is used: the
+// in-flight maximum reaches min(StreamCapacity + Σ(width − 1),
+// PipelineDepth).
 func TestStreamBackpressureBoundsBuffers(t *testing.T) {
 	pip := func(t *testing.T) (*graph.Program, int) {
 		cfg := apps.DefaultPiP(1)
@@ -55,10 +58,10 @@ func TestStreamBackpressureBoundsBuffers(t *testing.T) {
 		return variantProg(t, apps.NewBlurVariant("Blur-35", cfg))
 	}
 	type tcase struct {
-		name  string
-		build func(*testing.T) (*graph.Program, int)
-		cfg   hinch.Config
-		tuned bool
+		name     string
+		build    func(*testing.T) (*graph.Program, int)
+		cfg      hinch.Config
+		capacity int // 0: cfg.StreamCapacity
 	}
 	var cases []tcase
 	for _, run := range []struct {
@@ -74,10 +77,16 @@ func TestStreamBackpressureBoundsBuffers(t *testing.T) {
 					cfg: hinch.Config{Backend: run.backend, Cores: cores, StreamCapacity: 2}})
 		}
 	}
-	cases = append(cases, tcase{name: "autotune.xml/sim/4", tuned: true,
+	// At 4 cores the model widens bh and bv to 2: 3 + 1 + 1 sets.
+	cases = append(cases, tcase{name: "autotune.xml/sim/4", capacity: 5,
 		build: func(t *testing.T) (*graph.Program, int) { return specProg(t, "autotune.xml"), 64 },
-		cfg: hinch.Config{Backend: hinch.BackendSim, Cores: 4, StreamCapacity: 3,
-			Autotune: true, TuneEpoch: 2_000_000}})
+		cfg:   hinch.Config{Backend: hinch.BackendSim, Cores: 4, StreamCapacity: 3}})
+	// Fixed widths count too: 2 + 1 + 1 sets, one short of the window.
+	cases = append(cases, tcase{name: "autotune.xml/replicate=2/sim/4", capacity: 4,
+		build: func(t *testing.T) (*graph.Program, int) {
+			return specProg(t, "autotune.xml", `replicate="auto"`, `replicate="2"`), 64
+		},
+		cfg: hinch.Config{Backend: hinch.BackendSim, Cores: 4, StreamCapacity: 2}})
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -94,11 +103,11 @@ func TestStreamBackpressureBoundsBuffers(t *testing.T) {
 				t.Fatal(err)
 			}
 			limit := cfg.StreamCapacity
-			if c.tuned {
-				if rep.StreamCap <= limit {
-					t.Fatalf("capacity never raised: %d", rep.StreamCap)
-				}
-				limit = rep.StreamCap
+			if c.capacity != 0 {
+				limit = c.capacity
+			}
+			if rep.StreamCap != limit {
+				t.Fatalf("stream capacity %d, want %d", rep.StreamCap, limit)
 			}
 			if tr.max != limit {
 				t.Fatalf("%d iterations in flight at most, want the capacity %d", tr.max, limit)
@@ -112,6 +121,35 @@ func TestStreamBackpressureBoundsBuffers(t *testing.T) {
 	}
 }
 
+// TestReplicateFixedWidthsCountTowardCapacity: a fixed replicate="N"
+// width raises the stream capacity like an auto one, so the width is
+// used. autotune.xml with both blur stages at replicate="3" on eight
+// cores runs at capacity 5 and takes fewer cycles than at "2"
+// (capacity 5 too, but two replicas a stage) — with the capacity left
+// at 3, every width above 2 had nothing to run.
+func TestReplicateFixedWidthsCountTowardCapacity(t *testing.T) {
+	cycles, caps := map[int]int64{}, map[int]int{}
+	for _, n := range []int{2, 3} {
+		cfg := hinch.Config{Backend: hinch.BackendSim, Cores: 8, Workless: true}
+		prog := specProg(t, "autotune.xml", `replicate="auto"`, fmt.Sprintf(`replicate="%d"`, n))
+		app, err := hinch.NewApp(prog, components.DefaultRegistry(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := app.Run(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles[n], caps[n] = rep.Cycles, rep.StreamCap
+	}
+	if cycles[3] >= cycles[2] {
+		t.Errorf("replicate=3 took %d cycles, replicate=2 %d: the third replica did not run", cycles[3], cycles[2])
+	}
+	if caps[2] != 5 || caps[3] != 5 {
+		t.Errorf("stream capacities %v, want min(3 + Σ(width − 1), 5) = 5 at both widths", caps)
+	}
+}
+
 func variantProg(t *testing.T, v *apps.Variant) (*graph.Program, int) {
 	t.Helper()
 	prog, err := v.Program()
@@ -121,13 +159,15 @@ func variantProg(t *testing.T, v *apps.Variant) (*graph.Program, int) {
 	return prog, v.Frames
 }
 
-func specProg(t *testing.T, name string) *graph.Program {
+// specProg loads examples/specs/name, with each old, new pair of
+// replace substituted in its source.
+func specProg(t *testing.T, name string, replace ...string) *graph.Program {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "specs", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := xspcl.Load(string(src))
+	prog, err := xspcl.Load(strings.NewReplacer(replace...).Replace(string(src)))
 	if err != nil {
 		t.Fatal(err)
 	}

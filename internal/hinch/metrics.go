@@ -65,7 +65,7 @@ const (
 )
 
 // Report summarises one App.Run: the final Snapshot — every counter,
-// stage, stream, histogram and the tuner's view as the run left them —
+// stage, stream and histogram as the run left them —
 // plus what only a finished run has.
 type Report struct {
 	Snapshot
@@ -82,10 +82,6 @@ type Report struct {
 	// ReconfigStall is the virtual time spent fully quiescent waiting
 	// for reconfigurations (sim backend).
 	ReconfigStall int64 `json:"reconfig_stall"`
-	// TuneLog is the autotuner's full decision trace, in decision order
-	// (Tune holds its tail). On the sim backend it is deterministic for
-	// a fixed program and config. Excluded from the JSON report.
-	TuneLog []TuneDecision `json:"-"`
 }
 
 // report assembles the final Report around the same Snapshot a mid-run
@@ -97,9 +93,6 @@ func (e *engine) report() *Report {
 	}
 	if e.app.tile != nil {
 		r.Cache = e.app.tile.Stats()
-	}
-	if e.tu != nil {
-		r.TuneLog = append([]TuneDecision(nil), e.tu.log...)
 	}
 	return r
 }
@@ -152,10 +145,6 @@ func (r *Report) String() string {
 	if r.Sched != (SchedStats{}) {
 		fmt.Fprintf(&b, " steals=%d/%d global=%d parks=%d wakes=%d",
 			r.Sched.Steals, r.Sched.StealAttempts, r.Sched.GlobalPops, r.Sched.Parks, r.Sched.Wakes)
-	}
-	if r.Tune != nil && r.Tune.Stats.Epochs > 0 {
-		t := r.Tune.Stats
-		fmt.Fprintf(&b, " tune: epochs=%d widen=%d shrink=%d", t.Epochs, t.Widen, t.Shrink)
 	}
 	if r.Cache != (spacecake.Stats{}) {
 		fmt.Fprintf(&b, " L1miss=%.1f%% L2miss=%d", 100*r.Cache.L1MissRate(), r.Cache.L2Misses)

@@ -44,13 +44,12 @@ func (e *engine) executeComponent(rc *RunContext, j job, inst *instance, inject 
 // called WITHOUT mu held. Only that duration differs per backend: on
 // sim it is the cost model (overhead, charged compute, memory through
 // the tile, virtual backoff and delay); on real it is the dispatch /
-// executed clock pair, read only when the tuner or a deadline wants it.
-// Everything after is one rule for both: the tuner's busy feed; the
-// deadline, where a successful job that took longer than its task's
-// deadline degrades but its outputs stand (an attempt cut short by
-// cancellation never succeeded, so it never degrades); and the error
-// classification. A non-nil err aborts the run and is already recorded
-// in e.err.
+// executed clock pair, read only when a deadline or telemetry wants it.
+// Everything after is one rule for both: the deadline, where a
+// successful job that took longer than its task's deadline degrades
+// but its outputs stand (an attempt cut short by cancellation never
+// succeeded, so it never degrades); and the error classification. A
+// non-nil err aborts the run and is already recorded in e.err.
 //
 //hinch:hotpath
 func (e *engine) runComponent(p *probe, rc *RunContext, j job, core int) (dur int64, err error) {
@@ -69,7 +68,6 @@ func (e *engine) runComponent(p *probe, rc *RunContext, j job, core int) (dur in
 	} else {
 		dur = p.executed(j, start)
 	}
-	p.busy(j, dur)
 	if pol.Deadline > 0 && out.ok && dur > int64(pol.Deadline) {
 		e.degrade(p, j, "deadline exceeded")
 	}

@@ -5,20 +5,19 @@ import "time"
 // probe is the one seam between the engine and everything that
 // observes or perturbs it. There is one probe per writer — probes[0]
 // for whoever acts under the engine lock outside a worker (the sim
-// goroutine, the initial launch, the tuner and watchdog epochs),
-// probes[w+1] for worker w — and the engine reports each boundary it
-// crosses (enqueue, dispatch, steal, park, stream acquire/release,
-// launch/retire, reconfiguration phase, event, fault, tune, stall) with
-// one call on the acting writer's probe. The call bumps the writer's
-// counters shard — always on — and, when attached, feeds the telemetry
-// histograms, the tuner's samples and the tracer's ring from the same
-// arguments and the same clock read; test yields, steal reseeding and
-// fault injection go through it too, so the engine consults no optional
-// attachment anywhere else (Snapshot and report only check which are
-// attached). A writer only ever holds its own probe, so
-// the single-writer rule the counters, the histogram shards and the
-// Tracer rely on is a property of who holds which pointer; the -race
-// test lanes guard it.
+// goroutine, the initial launch, the watchdog epochs), probes[w+1] for
+// worker w — and the engine reports each boundary it crosses (enqueue,
+// dispatch, steal, park, stream acquire/release, launch/retire,
+// reconfiguration phase, event, fault, stall) with one call on the
+// acting writer's probe. The call bumps the writer's counters shard —
+// always on — and, when attached, feeds the telemetry histograms and
+// the tracer's ring from the same arguments and the same clock read;
+// test yields, steal reseeding and fault injection go through it too,
+// so the engine consults no optional attachment anywhere else
+// (Snapshot and report only check which are attached). A writer only
+// ever holds its own probe, so the single-writer rule the counters,
+// the histogram shards and the Tracer rely on is a property of who
+// holds which pointer; the -race test lanes guard it.
 //
 // The trailing pad keeps adjacent writers off one cache line.
 type probe struct {
@@ -30,7 +29,6 @@ type probe struct {
 	hooks  TestHooks     // test-only schedule perturbation; nil in production
 	faults FaultInjector // test-only fault injection; nil in production
 	tm     *telemetry    // histograms and watchdog; nil unless Config.Telemetry
-	tu     *tuner        // feedback autotuner; nil unless Config.Autotune
 
 	// The writer's clock. On sim ts is the virtual clock, advanced by
 	// runSim. On the real backend a tracing worker caches the end of its
@@ -132,7 +130,7 @@ func (p *probe) emit(kind TraceKind, iter, id int, arg int64) {
 func (p *probe) event(kind TraceKind, iter, id int, arg int64) {
 	worker := p.shard - 1
 	switch kind {
-	case TraceStreamAcquire, TraceStreamRelease, TraceEventDrain, TraceTune, TraceStall,
+	case TraceStreamAcquire, TraceStreamRelease, TraceEventDrain, TraceStall,
 		TraceReconfigHalt, TraceReconfigApply, TraceReconfigResume:
 		worker = -1
 	}
@@ -168,13 +166,13 @@ func (p *probe) ran(id int) { p.task[id].jobs.Add(1) }
 
 // dispatch opens the execution of job j on a real-backend worker: it
 // counts the job and, when its service time is wanted — for a deadline,
-// by an attached tuner, or picked by telemetry's 1-in-32 stride —
-// returns the clock at its start; -1 otherwise.
+// or picked by telemetry's 1-in-32 stride — returns the clock at its
+// start; -1 otherwise.
 //
 //hinch:hotpath
 func (p *probe) dispatch(j job, deadline bool) (start int64) {
 	p.ran(j.task.ID)
-	timed := deadline || p.tu != nil
+	timed := deadline
 	if p.tm != nil {
 		p.tick++
 		timed = timed || p.tick&tmSampleMask == 0
@@ -219,14 +217,6 @@ func (p *probe) charge(id int, ops, mem, dur int64) {
 	tc.memCycles.Add(mem)
 	if p.tm != nil {
 		p.tm.shards[p.shard].svc[id].record(dur)
-	}
-}
-
-// busy feeds the tuner the duration of component job j, in the probe's
-// clock domain.
-func (p *probe) busy(j job, dur int64) {
-	if p.tu != nil {
-		p.tu.busy[j.task.ID].Add(dur)
 	}
 }
 
@@ -399,13 +389,6 @@ func (p *probe) degrade(j job, mgr, depth int) {
 	p.degradations.Add(1)
 	p.events.Add(1)
 	p.emit(TraceDegrade, j.iter, mgr, int64(depth))
-}
-
-// tune: the autotuner resized a knob. Arg packs the transition as
-// from<<32|to; Iter carries the epoch, ID the task (-1 for the stream
-// depth).
-func (p *probe) tune(d TuneDecision) {
-	p.emit(TraceTune, d.Epoch, d.Task, int64(d.From)<<32|int64(d.To))
 }
 
 // stall: the watchdog saw misses epochs pass without a retirement;

@@ -29,7 +29,7 @@ func (e *engine) runReal() (*Report, error) {
 	e.mu.Unlock()
 
 	var quit, clockDone chan struct{}
-	if len(e.epochs) > 0 || e.ctxDone != nil {
+	if e.tm != nil || e.ctxDone != nil {
 		quit, clockDone = make(chan struct{}), make(chan struct{})
 		go e.runClock(quit, clockDone)
 	}
@@ -47,8 +47,8 @@ func (e *engine) runReal() (*Report, error) {
 	}
 	wg.Wait()
 	if quit != nil {
-		// Joined before RunContext ends the tracer (epochs emit trace
-		// events), so a run leaks no goroutine.
+		// Joined before RunContext ends the tracer (a stall emits a
+		// trace event), so a run leaks no goroutine.
 		close(quit)
 		<-clockDone
 	}
@@ -66,8 +66,8 @@ func (e *engine) runReal() (*Report, error) {
 }
 
 // runClock is the real backend's one background goroutine; it closes
-// exited once quit closes. It fires the due epochs under mu — resizes
-// and stall checks ride the same slow path as reconfigurations — and
+// exited once quit closes. It fires the due watchdog checks under mu —
+// they ride the same slow path as reconfigurations — and
 // sweeps the run when the context fires, which backstops workers parked
 // or deep in a long component. The sweep creates no new work, it only
 // turns queued jobs into no-ops, so no parked worker needs waking.
@@ -75,8 +75,8 @@ func (e *engine) runClock(quit <-chan struct{}, exited chan<- struct{}) {
 	defer close(exited)
 	ctxDone := e.ctxDone
 	p := &e.probes[0]
-	// The first fire only learns when the first epoch falls due; with no
-	// epochs, tick sets the timer past any run's end.
+	// The first fire only learns when the first check falls due; with no
+	// watchdog, tick sets the timer past any run's end.
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for {

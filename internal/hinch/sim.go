@@ -103,13 +103,13 @@ func (e *engine) runSim() (*Report, error) {
 		c := heap.Pop(&pending).(completion)
 		clock = c.at
 		p.ts = clock
-		// Epochs fire at virtual-time boundaries, before the completion
-		// is applied, so they are a pure function of the virtual
-		// schedule — deterministic.
+		// Watchdog checks fire at virtual-time boundaries, before the
+		// completion is applied, so they are a pure function of the
+		// virtual schedule — deterministic.
 		e.tick(clock)
 		if c.core < 0 {
 			// A reconfiguration stall elapsed. The event only carries the
-			// clock (and the epochs above) past it; the parked entries
+			// clock (and the checks above) past it; the parked entries
 			// are released by checkResumes.
 			continue
 		}

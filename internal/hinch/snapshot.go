@@ -4,9 +4,9 @@ import "xspcl/internal/graph"
 
 // This file implements App.Snapshot, the lock-free mid-run state probe
 // behind /statusz and the xspcltop dashboard. Every field it reads is
-// either atomic (the counters shards, the histograms, stream occupancy,
-// replica widths, the tuner's published view) or immutable after NewApp
-// (names, depths, configuration), so a snapshot never takes the engine lock and
+// either atomic (the counters shards, the histograms, stream occupancy)
+// or immutable after NewApp (names, depths, replica widths, the stream
+// capacity, configuration), so a snapshot never takes the engine lock and
 // never perturbs the run — safe to call from any goroutine, at any
 // rate, on either backend.
 
@@ -73,11 +73,9 @@ type Snapshot struct {
 	Stages  []StageSnap  `json:"stages,omitempty"`
 	Streams []StreamSnap `json:"streams,omitempty"`
 
-	// StreamCap is the current stream-FIFO capacity (it follows the
-	// autotuner's widths); Tune is the autotuner's published state, nil
-	// when Config.Autotune is off or no epoch has fired yet.
-	StreamCap int       `json:"stream_cap"`
-	Tune      *TuneView `json:"tune,omitempty"`
+	// StreamCap is the run's stream capacity: the iterations it may
+	// have in flight, fixed at NewApp from the replica widths.
+	StreamCap int `json:"stream_cap"`
 }
 
 // StageSnap is one task's live state: its class, current replica
@@ -141,7 +139,7 @@ func (a *App) Snapshot() Snapshot {
 		Degradations: t.degradations,
 		Reconfigs:    t.reconfigs,
 		Sched:        t.sched,
-		StreamCap:    int(e.bufCap.Load()),
+		StreamCap:    e.bufCap,
 		Cancelled:    e.cancelled.Load(),
 		Stages:       make([]StageSnap, 0, len(a.plan.Tasks)),
 		Streams:      make([]StreamSnap, 0, len(a.streamList)),
@@ -149,9 +147,6 @@ func (a *App) Snapshot() Snapshot {
 	if a.cfg.Backend == BackendReal {
 		s.Backend = "real"
 		s.Units = "ns"
-	}
-	if e.tu != nil {
-		s.Tune = e.tu.pub.Load()
 	}
 
 	tm := e.tm
@@ -174,7 +169,7 @@ func (a *App) Snapshot() Snapshot {
 		st := StageSnap{
 			Name:       task.Name,
 			Class:      classKey(task),
-			Width:      int(e.widths[task.ID].Load()),
+			Width:      e.widths[task.ID],
 			ClassStats: t.task[task.ID],
 		}
 		if tm != nil {

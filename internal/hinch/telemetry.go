@@ -1,6 +1,7 @@
 package hinch
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -178,13 +179,16 @@ type telemetry struct {
 	iterLat hist   // launch -> retire latency per iteration
 
 	// Stalled-progress watchdog: every WatchdogEpoch (virtual cycles on
-	// sim, wall time on real; the second role on the epoch clock) the
-	// engine compares its retirement frontier against the previous
-	// epoch's; wdK epochs without a retirement flip stalled (and
-	// /healthz) until progress resumes.
+	// sim, wall time on real) the engine compares its retirement
+	// frontier against the previous epoch's; wdK epochs without a
+	// retirement flip stalled (and /healthz) until progress resumes.
+	// wdEvery and wdNext are the epoch length and the next boundary in
+	// the backend's clock; see tick.
 	stalled  atomic.Bool
 	stalls   atomic.Int64
 	wdK      int
+	wdEvery  int64
+	wdNext   int64
 	wdLast   int // retireNext at the previous epoch; engine-side only
 	wdMisses int // consecutive epochs without progress; engine-side only
 }
@@ -194,9 +198,11 @@ type telemetry struct {
 func newTelemetry(e *engine) *telemetry {
 	a := e.app
 	tm := &telemetry{
-		shards: make([]tmShard, len(e.probes)),
-		occ:    make([]hist, len(a.streamList)),
-		wdK:    a.cfg.WatchdogEpochs,
+		shards:  make([]tmShard, len(e.probes)),
+		occ:     make([]hist, len(a.streamList)),
+		wdK:     a.cfg.WatchdogEpochs,
+		wdEvery: int64(a.cfg.WatchdogEpoch),
+		wdNext:  int64(a.cfg.WatchdogEpoch),
 	}
 	for i := range tm.shards {
 		tm.shards[i].svc = make([]hist, len(a.plan.Tasks))
@@ -211,8 +217,31 @@ func (tm *telemetry) stageHist(task int) HistSnap {
 	return mergeHists(len(tm.shards), func(i int) *hist { return &tm.shards[i].svc[task] })
 }
 
-// watchdogEpoch runs one stalled-progress check, from the epoch clock
-// (engine.tick). Must be called with mu held on the real backend.
+// tick runs the watchdog check at every epoch boundary due at now and
+// returns when the next one falls due (math.MaxInt64 without
+// telemetry). now is in the backend's clock: virtual cycles on sim,
+// wall nanoseconds since the run started on real. Sim replays each
+// boundary a clock jump passed, so stall detection stays a function of
+// the virtual schedule; real runs a late check once and skips the
+// boundaries it missed, as a time.Ticker does. Must be called with mu
+// held on the real backend.
+func (e *engine) tick(now int64) (next int64) {
+	tm := e.tm
+	if tm == nil {
+		return math.MaxInt64
+	}
+	for now >= tm.wdNext {
+		e.watchdogEpoch()
+		if e.ws != nil {
+			tm.wdNext += (now - tm.wdNext) / tm.wdEvery * tm.wdEvery
+		}
+		tm.wdNext += tm.wdEvery
+	}
+	return tm.wdNext
+}
+
+// watchdogEpoch runs one stalled-progress check, from tick. Must be
+// called with mu held on the real backend.
 func (e *engine) watchdogEpoch() {
 	tm := e.tm
 	if e.retireNext != tm.wdLast {

@@ -272,18 +272,6 @@ func (r *Recorder) export(w io.Writer, all []exportRec) error {
 				TS: us(ev.TS), PID: 0, TID: tid(ev.Worker), S: "t",
 				Args: map[string]any{"run": ev.Arg},
 			})
-		case hinch.TraceTune:
-			// An autotuner resize: ID names the task whose replica width
-			// changed, Arg packs the transition as from<<32|to.
-			events = append(events, chromeEvent{
-				Name: "tune " + nameOf(meta.Tasks, ev.ID, "task"), Cat: "tune", Ph: "i",
-				TS: us(ev.TS), PID: 0, TID: runtimeTID, S: "t",
-				Args: map[string]any{
-					"epoch": ev.Iter,
-					"from":  ev.Arg >> 32,
-					"to":    ev.Arg & 0xffffffff,
-				},
-			})
 		case hinch.TraceStall:
 			// The telemetry watchdog saw Arg epochs without a retirement.
 			events = append(events, chromeEvent{

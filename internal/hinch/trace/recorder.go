@@ -149,8 +149,8 @@ func (r *Recorder) Dropped() int64 {
 //     Events, fault/retry/degrade = Faults/Retries/Degradations,
 //     park/global-pop = Sched.Parks/GlobalPops, the jobs moved by steal
 //     hits (the sum of their Arg — a hit takes a batch) = Sched.Steals,
-//     the chained jobs under the batch headers = Sched.Chained, tune =
-//     the tuner's four decision counts, stall = Stalls;
+//     the chained jobs under the batch headers = Sched.Chained, stall =
+//     Stalls;
 //   - the streams' buffers move through one gate as one set: every
 //     acquire event of an iteration carries the same occupancy and,
 //     when no events were dropped, stream-acquire events = iteration
@@ -204,11 +204,6 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 	if r.Dropped() != 0 {
 		return nil
 	}
-	var tune int
-	if rep.Tune != nil {
-		st := rep.Tune.Stats
-		tune = st.Widen + st.Shrink
-	}
 	acquires := n[hinch.TraceStreamAcquire]
 	for _, c := range []struct {
 		what          string
@@ -225,7 +220,6 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 		{"global-pop events / global pops", n[hinch.TraceGlobalPop], rep.Sched.GlobalPops},
 		{"jobs moved by steal hits / steals", stolen, rep.Sched.Steals},
 		{"chained jobs under batch headers / chained", chained, rep.Sched.Chained},
-		{"tune events / tuner decisions", n[hinch.TraceTune], int64(tune)},
 		{"stall events / stalls", n[hinch.TraceStall], rep.Stalls},
 		{"stream-acquire events / iteration launches x streams", acquires, n[hinch.TraceIterLaunch] * int64(len(meta.Streams))},
 		{"stream-release events / stream-acquire events", n[hinch.TraceStreamRelease], acquires},

@@ -94,10 +94,6 @@ const (
 	// run took off the chain slot (Sched.Chained sums Arg - 1).
 	// The per-job TraceJobSpan events are emitted as usual.
 	TraceBatch
-	// TraceTune: the autotuner resized a knob. ID = the task whose
-	// replica width changed, or -1 for the stream-FIFO capacity; Iter =
-	// the tuning epoch; Arg packs the transition as from<<32|to.
-	TraceTune
 	// TraceStall: the telemetry watchdog saw Arg consecutive epochs
 	// without an iteration retiring. Iter = the oldest unretired
 	// iteration.
@@ -147,8 +143,6 @@ func (k TraceKind) String() string {
 		return "degrade"
 	case TraceBatch:
 		return "batch"
-	case TraceTune:
-		return "tune"
 	case TraceStall:
 		return "stall"
 	}

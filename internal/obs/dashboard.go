@@ -35,14 +35,6 @@ func RenderDashboard(w io.Writer, s hinch.Snapshot) {
 	}
 	fmt.Fprintf(w, "faults=%d retries=%d degradations=%d reconfigs=%d  steals=%d parks=%d\n",
 		s.Faults, s.Retries, s.Degradations, s.Reconfigs, s.Sched.Steals, s.Sched.Parks)
-	if s.Tune != nil {
-		t := s.Tune.Stats
-		fmt.Fprintf(w, "tune epochs=%d widen=%d shrink=%d  stream_cap=%d\n",
-			t.Epochs, t.Widen, t.Shrink, s.StreamCap)
-		if n := len(s.Tune.Tail); n > 0 {
-			fmt.Fprintf(w, "last tune: %s\n", s.Tune.Tail[n-1])
-		}
-	}
 
 	if len(s.Stages) > 0 {
 		stages, hidden := topStages(s.Stages, maxDashStages)

@@ -1,12 +1,16 @@
 package predict_test
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"xspcl/internal/apps"
 	"xspcl/internal/graph"
 	"xspcl/internal/predict"
+	"xspcl/internal/xspcl"
 )
 
 func pipProgram(t *testing.T) *graph.Program {
@@ -175,5 +179,33 @@ func TestPipelineDepthImprovesPrediction(t *testing.T) {
 	}
 	if deep.PerNode[8].Cycles > shallow.PerNode[8].Cycles {
 		t.Fatal("pipelining should not slow the prediction down")
+	}
+}
+
+// TestAutoWidthsAutotuneSpec: the two hot blur stages of
+// examples/specs/autotune.xml, marked replicate="auto", widen only once
+// the cores outnumber what the serial bound needs, and the capacity
+// follows: min(3 + Σ(width − 1), 5).
+func TestAutoWidthsAutotuneSpec(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "specs", "autotune.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := xspcl.Load(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := graph.BuildPlan(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ cores, width, capacity int }{
+		{1, 1, 3}, {2, 1, 3}, {4, 2, 5}, {8, 3, 5},
+	} {
+		widths := predict.AutoWidths(prog, plan, c.cores, 5)
+		want := []int{1, c.width, c.width, 1} // src, bh, bv, snk
+		if got := predict.Capacity(widths, 3, 5); !slices.Equal(widths, want) || got != c.capacity {
+			t.Errorf("%d cores: widths %v, capacity %d; want %v and %d", c.cores, widths, got, want, c.capacity)
+		}
 	}
 }
