@@ -88,24 +88,32 @@ type Reader struct {
 // NewReader returns a Reader over buf. The Reader does not copy buf.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
-// refill tops acc up to at least 56 valid bits, or to the end of the
-// stream, and reports whether n bits are now available. Bits a wide
-// load leaves below nacc are the stream's own, so loading them again
-// later is idempotent. Kept out of line so Peek and Skip inline.
+// Fill tops up a bit window over buf that has loaded buf[:pos]: acc
+// holds its n unread bits (n ≤ 63) most significant first, and the bits
+// below them are buf's own, or zero once buf is used up.
+// It returns the window with at least 56 bits, or with the rest of buf
+// when fewer remain, so a window left with fewer than 56 bits is at
+// buf's end and reads zeros past it. Bits a wide load leaves below n
+// are the stream's own, so loading them again later is idempotent.
+// Small enough to inline, so a caller's window stays in registers.
+func Fill(buf []byte, pos int, acc uint64, n uint) (int, uint64, uint) {
+	if pos+8 <= len(buf) {
+		return pos + int((63-n)>>3), acc | binary.BigEndian.Uint64(buf[pos:])>>n, n | 56
+	}
+	for n < 56 && pos < len(buf) {
+		acc |= uint64(buf[pos]) << (56 - n)
+		pos++
+		n += 8
+	}
+	return pos, acc, n
+}
+
+// refill fills the window and reports whether n bits are now available.
+// Kept out of line so Peek and Skip inline.
 //
 //go:noinline
 func (r *Reader) refill(n uint) bool {
-	if r.pos+8 <= len(r.buf) {
-		r.acc |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.nacc
-		r.pos += int((63 - r.nacc) >> 3)
-		r.nacc |= 56
-		return true
-	}
-	for r.nacc <= 56 && r.pos < len(r.buf) {
-		r.acc |= uint64(r.buf[r.pos]) << (56 - r.nacc)
-		r.pos++
-		r.nacc += 8
-	}
+	r.pos, r.acc, r.nacc = Fill(r.buf, r.pos, r.acc, r.nacc)
 	return r.nacc >= n
 }
 

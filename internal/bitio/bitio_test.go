@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +223,64 @@ func TestPeekSkipExact(t *testing.T) {
 				}
 				if err := read.Skip(uint(total - off)); err != nil {
 					t.Fatalf("size %d: the %d bits left at %d could not be skipped after an overrun: %v", size, total-off, off, err)
+				}
+			}
+		}
+	}
+}
+
+// streamWord is the 64 bits of buf from bit offset off, bits past the
+// end as zero.
+func streamWord(buf []byte, off int) uint64 {
+	return uint64(naiveBits(buf, off, 32))<<32 | uint64(naiveBits(buf, off+32, 32))
+}
+
+// TestFillExact holds Fill, and a Reader at the window it returns, to
+// byte-at-a-time loading: for every buffer length, start position and
+// bit count in the window, with the bits below the count the stream's
+// own or zero. The filled window must count the same bits read, hold at
+// least 56 bits or the rest of the buffer, and read as the stream (bits
+// past its end as zero); Skip past the end must still be ErrOverrun.
+func TestFillExact(t *testing.T) {
+	buf := make([]byte, 17)
+	for i := range buf {
+		buf[i] = byte(0x9b*i + 0x5e) // no zero byte, so a missing load shows
+	}
+	for size := 0; size <= len(buf); size++ {
+		buf := buf[:size]
+		total := size * 8
+		for pos := 0; pos <= size; pos++ {
+			for n := uint(0); n <= 63 && int(n) <= pos*8; n++ {
+				off := pos*8 - int(n)
+				s := streamWord(buf, off)
+				// The bits below n: all the stream's own, or none.
+				for _, acc := range []uint64{s, s &^ (^uint64(0) >> n)} {
+					p, a, m := Fill(buf, pos, acc, n)
+					if p*8-int(m) != off {
+						t.Fatalf("size %d pos %d n %d: Fill moved the read position from %d to %d", size, pos, n, off, p*8-int(m))
+					}
+					if m > 63 || m < n || m < 56 && p != size {
+						t.Fatalf("size %d pos %d n %d: Fill left %d bits at byte %d", size, pos, n, m, p)
+					}
+					// a agrees with the stream on its first k bits, at
+					// least the m counted, and is zero after them.
+					if k := bits.LeadingZeros64(a ^ s); k < int(m) || a<<k != 0 {
+						t.Fatalf("size %d pos %d n %d: window %#016x of %d bits, stream %#016x", size, pos, n, a, m, s)
+					}
+					if p == size && a != s {
+						t.Fatalf("size %d pos %d n %d: window %#016x at the end, want %#016x (zeros past it)", size, pos, n, a, s)
+					}
+					for k := uint(0); k <= 32; k++ {
+						r := Reader{buf: buf, pos: p, acc: a, nacc: m}
+						if got, want := r.Peek(k), naiveBits(buf, off, int(k)); got != want {
+							t.Fatalf("size %d pos %d n %d: Peek(%d) = %#x, want %#x", size, pos, n, k, got, want)
+						}
+						err := r.Skip(k)
+						if fits := off+int(k) <= total; fits && (err != nil || r.BitsRead() != off+int(k)) ||
+							!fits && (err != ErrOverrun || r.BitsRead() != off) {
+							t.Fatalf("size %d pos %d n %d: Skip(%d) at %d of %d = %v, BitsRead %d", size, pos, n, k, off, total, err, r.BitsRead())
+						}
+					}
 				}
 			}
 		}

@@ -29,9 +29,13 @@ type DecodeStats struct {
 	NonZero int // non-zero coefficients produced
 }
 
-// EntropyOpsPerSymbol and EntropyOpsPerBit calibrate the entropy-decode
-// cost: a tree walk plus run/magnitude bookkeeping per symbol, and a
-// shift/mask per bitstream bit.
+// EntropyOpsPerSymbol and EntropyOpsPerBit are the operation counts the
+// cost model charges for entropy decoding: a bit-serial tree walk plus
+// run/magnitude bookkeeping per symbol, and a shift/mask per bitstream
+// bit. They are the model's charge, not the work decodePlaneEntropy
+// does (one lookahead read per symbol, the bits taken a window at a
+// time); they stay unchanged so that sim cycles and every golden keep
+// the original calibration (DESIGN.md §7).
 const (
 	EntropyOpsPerSymbol = 12
 	EntropyOpsPerBit    = 2
@@ -298,13 +302,20 @@ var zigzagMask = func() (m [64]uint16) {
 // coefficients its extent covers are appended to cp.Coef as its record.
 // A code and the magnitude bits after it are one lookahead read
 // (huffDecoder.look) whenever both fit in lookBits bits.
+//
+// The bit window (acc, n) and the byte position pos are locals, so they
+// stay in registers across a symbol's index, table load and shift. The
+// window is filled whenever it holds fewer than 32 bits, which covers
+// any code and magnitude (at most 27 bits); a fill that leaves fewer
+// than 32 has reached the end of data, so a symbol longer than n
+// overruns the stream.
 func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bool, quality int) error {
 	q := quantTable(luma, quality)
 	dcDec, acDec := dcChromaDec, acChromaDec
 	if luma {
 		dcDec, acDec = dcLumaDec, acLumaDec
 	}
-	br := bitio.NewReader(data)
+	pos, acc, n := 0, uint64(0), uint(0)
 	symbols, nonZero := 0, 0
 	pred := int32(0)
 	var err error
@@ -320,15 +331,20 @@ func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bo
 				clear(blk[:8*rows])
 			}
 			// DC.
-			e := dcDec.look[br.Peek(lookBits)]
+			if n < 32 {
+				pos, acc, n = bitio.Fill(data, pos, acc, n)
+			}
+			e := dcDec.look[acc>>(64-lookBits)]
 			if e.n == 0 {
-				if e, err = dcDec.resolve(br); err != nil {
+				if e, err = dcDec.resolve(acc, n); err != nil {
 					return err
 				}
 			}
-			if err := br.Skip(uint(e.n)); err != nil {
-				return err
+			if uint(e.n) > n {
+				return bitio.ErrOverrun
 			}
+			acc <<= e.n
+			n -= uint(e.n)
 			symbols++
 			pred += int32(e.v)
 			blk[0] = pred * q[0]
@@ -338,16 +354,21 @@ func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bo
 			mask := zigzagMask[0]
 			// AC.
 			for i := 1; i < 64; i++ {
-				e := acDec.look[br.Peek(lookBits)]
+				if n < 32 {
+					pos, acc, n = bitio.Fill(data, pos, acc, n)
+				}
+				e := acDec.look[acc>>(64-lookBits)]
 				if e.n == 0 {
-					if e, err = acDec.resolve(br); err != nil {
+					if e, err = acDec.resolve(acc, n); err != nil {
 						return err
 					}
 				}
 				if e.sym == 0x00 || e.sym == 0xf0 { // EOB, ZRL: no magnitude
-					if err := br.Skip(uint(e.n)); err != nil {
-						return err
+					if uint(e.n) > n {
+						return bitio.ErrOverrun
 					}
+					acc <<= e.n
+					n -= uint(e.n)
 					symbols++
 					if e.sym == 0x00 {
 						break
@@ -356,9 +377,11 @@ func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bo
 					continue
 				}
 				i += int(e.sym >> 4)
-				if i >= 64 || br.Skip(uint(e.n)) != nil {
-					return codeError(br, e, i)
+				if i >= 64 || uint(e.n) > n {
+					return codeError(e, i, n)
 				}
+				acc <<= e.n
+				n -= uint(e.n)
 				symbols++
 				nat := zigzag[i]
 				blk[nat] = int32(e.v) * q[nat]
@@ -389,19 +412,19 @@ func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bo
 	}
 	cp.Row[cp.H/8] = int32(off)
 	stats.Symbols += symbols
-	stats.Bits += br.BitsRead()
+	stats.Bits += pos*8 - int(n)
 	stats.NonZero += nonZero
 	return nil
 }
 
 // codeError is the error of an AC code e whose run lands at zigzag
-// index i, when i is past the block or code and magnitude could not be
-// consumed whole. It is the one a bit-serial decoder meets first: an
-// overrun inside the code, then the run overflow, then an overrun
+// index i, when i is past the block or code and magnitude are longer
+// than the n bits left. It is the one a bit-serial decoder meets first:
+// an overrun inside the code, then the run overflow, then an overrun
 // inside the magnitude.
-func codeError(r *bitio.Reader, e huffEntry, i int) error {
-	if err := r.Skip(uint(e.l)); err != nil {
-		return err
+func codeError(e huffEntry, i int, n uint) error {
+	if uint(e.l) > n {
+		return bitio.ErrOverrun
 	}
 	if i >= 64 {
 		return errRunOverflow

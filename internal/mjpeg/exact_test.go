@@ -608,6 +608,36 @@ func TestDecodeEntropyExact(t *testing.T) {
 	}
 }
 
+// TestDecodeEntropyExactJPiP holds a picture of the video at the JPiP
+// geometry (1280×720, quality 75) to the bit-serial reference: whole,
+// and with its Y plane cut to end in each of its last 16 bytes, so the
+// tail fill runs after thousands of wide ones.
+func TestDecodeEntropyExactJPiP(t *testing.T) {
+	enc, err := Encode(media.NewGenerator(1280, 720, 1).Next(), 75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if class := checkDecodeEntropy(t, enc); class != "ok" {
+		t.Fatalf("whole packet: %s", class)
+	}
+	n := int(binary.BigEndian.Uint32(enc[9:]))
+	seen := map[string]int{}
+	for cut := 1; cut <= 16; cut++ {
+		mut := binary.BigEndian.AppendUint32(bytes.Clone(enc[:9]), uint32(n-cut))
+		mut = append(append(mut, enc[13:13+n-cut]...), enc[13+n:]...)
+		seen[checkDecodeEntropy(t, mut)]++
+	}
+	if seen["overrun"] == 0 {
+		t.Errorf("no cut overran the Y plane (saw %v)", seen)
+	}
+}
+
+// window is the decoder's bit window at the start of buf.
+func window(buf []byte) (uint64, uint) {
+	_, acc, n := bitio.Fill(buf, 0, 0, 0)
+	return acc, n
+}
+
 // TestHuffLookahead holds every lookahead index of every table, followed
 // by all-zero and all-one bits, to the bit-serial decoder: resolve
 // gives its symbol, code length and magnitude value (or its error), and
@@ -620,7 +650,7 @@ func TestHuffLookahead(t *testing.T) {
 				binary.BigEndian.PutUint32(buf[:], uint32(idx)<<(32-lookBits)|fill)
 				ref := &refBitReader{buf: buf[:]}
 				sym, refErr := refHuffDecode(d, ref)
-				got, err := d.resolve(bitio.NewReader(buf[:]))
+				got, err := d.resolve(window(buf[:]))
 				if errClass(err) != errClass(refErr) {
 					t.Fatalf("table %d index %#x: resolve error %v, reference %v", ti, idx, err, refErr)
 				}

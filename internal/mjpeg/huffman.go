@@ -180,17 +180,18 @@ func (e *huffEncoder) encode(w *bitio.Writer, sym byte) {
 	w.WriteBits(e.code[sym], uint(e.size[sym]))
 }
 
-// resolve returns the entry of the code at the head of r, l and n
-// always set, and consumes nothing on success: it is the lookahead
-// read for the codes and magnitudes the table leaves out, and the
-// decoder's fallback. Sixteen bits that prefix no code are invalid, or a
-// bitio.ErrOverrun when the stream is too short to rule a code out.
-// Bits past the end of the stream read as zero, so an entry may
-// describe more bits than are left: consuming it is what overruns.
-func (d *huffDecoder) resolve(r *bitio.Reader) (huffEntry, error) {
-	e := d.look[r.Peek(lookBits)]
+// resolve returns the entry of the code at the head of the bit window
+// (acc, n), l and n always set: it is the lookahead read for the codes
+// and magnitudes the table leaves out, and the decoder's fallback. The
+// window holds at least 32 bits, or the rest of the stream with zeros
+// below it (see bitio.Fill). Sixteen bits that prefix no code are
+// invalid, or a bitio.ErrOverrun when the stream is too short to rule a
+// code out. Bits past the end of the stream read as zero, so an entry
+// may describe more bits than are left: consuming it is what overruns.
+func (d *huffDecoder) resolve(acc uint64, n uint) (huffEntry, error) {
+	e := d.look[acc>>(64-lookBits)]
 	if e.l == 0 {
-		code := int32(r.Peek(16))
+		code := int32(acc >> 48)
 		for l := lookBits + 1; l <= 16; l++ {
 			if c := code >> (16 - l); c <= d.maxcode[l] && c >= d.mincode[l] {
 				e = huffEntry{sym: d.symbols[d.valptr[l]+c-d.mincode[l]], l: uint8(l)}
@@ -198,15 +199,15 @@ func (d *huffDecoder) resolve(r *bitio.Reader) (huffEntry, error) {
 			}
 		}
 		if e.l == 0 {
-			if err := r.Skip(16); err != nil {
-				return e, err
+			if n < 16 {
+				return e, bitio.ErrOverrun
 			}
 			return e, errInvalidCode
 		}
 	}
 	size := uint(e.sym & 0x0f)
 	e.n = e.l + uint8(size)
-	e.v = int16(extendMagnitude(r.Peek(uint(e.n))&(1<<size-1), size))
+	e.v = int16(extendMagnitude(uint32(acc>>(64-e.n))&(1<<size-1), size))
 	return e, nil
 }
 

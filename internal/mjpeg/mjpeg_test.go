@@ -145,7 +145,7 @@ func TestHuffmanRoundTripAllSymbols(t *testing.T) {
 		for _, sym := range p.spec.symbols {
 			w := bitio.NewWriter()
 			p.enc.encode(w, sym)
-			got, err := p.dec.resolve(bitio.NewReader(w.Bytes()))
+			got, err := p.dec.resolve(window(w.Bytes()))
 			if err != nil {
 				t.Fatalf("table %d symbol %#x: %v", pi, sym, err)
 			}
