@@ -1,7 +1,10 @@
-// Package bitio provides MSB-first bit-level readers and writers for
-// the MJPEG entropy coder. Bits are packed most-significant-bit first
-// within each byte, matching the JPEG bitstream convention (but without
-// JPEG's 0xFF byte stuffing, since this codec defines its own container).
+// Package bitio provides the MSB-first bit writer and the bit-window
+// refill of the MJPEG entropy coder. Bits are packed
+// most-significant-bit first within each byte, matching the JPEG
+// bitstream convention (but without JPEG's 0xFF byte stuffing, since
+// this codec defines its own container). A reader keeps its window —
+// byte position, accumulator and bit count — in its own locals and tops
+// it up with Fill.
 package bitio
 
 import (
@@ -10,7 +13,8 @@ import (
 	"fmt"
 )
 
-// ErrOverrun is returned when a read runs past the end of the stream.
+// ErrOverrun is the error of a read that runs past the end of the
+// stream.
 var ErrOverrun = errors.New("bitio: read past end of stream")
 
 // Writer accumulates bits MSB-first into a byte buffer.
@@ -73,21 +77,6 @@ func (w *Writer) Bytes() []byte {
 	return w.buf
 }
 
-// Reader consumes bits MSB-first from a byte slice through a 64-bit
-// accumulator: acc holds the next unread bits left-aligned, refilled
-// eight bytes at a time while the slice lasts and byte by byte at its
-// tail. Bits past the end of the slice peek as zero and cannot be
-// skipped.
-type Reader struct {
-	buf  []byte
-	pos  int    // next byte index to load into acc
-	acc  uint64 // unread bits, most significant first
-	nacc uint   // valid bits in acc (≤ 63); lower bits are stream bits not yet counted, or zero
-}
-
-// NewReader returns a Reader over buf. The Reader does not copy buf.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
-
 // Fill tops up a bit window over buf that has loaded buf[:pos]: acc
 // holds its n unread bits (n ≤ 63) most significant first, and the bits
 // below them are buf's own, or zero once buf is used up.
@@ -107,50 +96,3 @@ func Fill(buf []byte, pos int, acc uint64, n uint) (int, uint64, uint) {
 	}
 	return pos, acc, n
 }
-
-// refill fills the window and reports whether n bits are now available.
-// Kept out of line so Peek and Skip inline.
-//
-//go:noinline
-func (r *Reader) refill(n uint) bool {
-	r.pos, r.acc, r.nacc = Fill(r.buf, r.pos, r.acc, r.nacc)
-	return r.nacc >= n
-}
-
-// Peek returns the next n bits (n ≤ 32) without consuming them; bits
-// past the end of the stream read as zero.
-func (r *Reader) Peek(n uint) uint32 {
-	if r.nacc < n {
-		r.refill(n)
-	}
-	return uint32(r.acc >> (64 - n))
-}
-
-// Skip consumes n bits (n ≤ 32). It returns ErrOverrun, consuming
-// nothing, when fewer than n bits remain.
-func (r *Reader) Skip(n uint) error {
-	if r.nacc < n && !r.refill(n) {
-		return ErrOverrun
-	}
-	r.acc <<= n
-	r.nacc -= n
-	return nil
-}
-
-// ReadBits reads n bits (n ≤ 32) MSB-first.
-func (r *Reader) ReadBits(n uint) (uint32, error) {
-	if n > 32 {
-		panic(fmt.Sprintf("bitio: ReadBits n=%d", n))
-	}
-	v := r.Peek(n)
-	if err := r.Skip(n); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-// ReadBit reads a single bit.
-func (r *Reader) ReadBit() (uint32, error) { return r.ReadBits(1) }
-
-// BitsRead returns the number of bits consumed so far.
-func (r *Reader) BitsRead() int { return r.pos*8 - int(r.nacc) }

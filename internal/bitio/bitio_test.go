@@ -6,6 +6,53 @@ import (
 	"testing/quick"
 )
 
+// fillReader reads a buffer MSB-first through Fill's window, by the
+// entropy decoder's rule: fill when fewer than 32 bits are counted,
+// read a symbol's k ≤ 32 bits from the top of the window, and fail with
+// ErrOverrun, consuming nothing, when fewer than k are left after the
+// fill. Bits past the end of the buffer peek as zero.
+type fillReader struct {
+	buf []byte
+	pos int    // bytes loaded into acc
+	acc uint64 // unread bits, most significant first
+	n   uint   // unread bits counted in acc
+}
+
+func newFillReader(buf []byte) *fillReader { return &fillReader{buf: buf} }
+
+// peek returns the next k bits without consuming them.
+func (r *fillReader) peek(k uint) uint32 {
+	if r.n < 32 {
+		r.pos, r.acc, r.n = Fill(r.buf, r.pos, r.acc, r.n)
+	}
+	return uint32(r.acc >> (64 - k))
+}
+
+// skip consumes k bits, or none and ErrOverrun when fewer are left.
+func (r *fillReader) skip(k uint) error {
+	if r.n < 32 {
+		r.pos, r.acc, r.n = Fill(r.buf, r.pos, r.acc, r.n)
+	}
+	if k > r.n {
+		return ErrOverrun
+	}
+	r.acc <<= k
+	r.n -= k
+	return nil
+}
+
+// read is peek and skip: the next k bits, consumed.
+func (r *fillReader) read(k uint) (uint32, error) {
+	v := r.peek(k)
+	if err := r.skip(k); err != nil {
+		return 0, err
+	}
+	return v, nil
+}
+
+// bitsRead is the number of bits consumed so far.
+func (r *fillReader) bitsRead() int { return r.pos*8 - int(r.n) }
+
 func TestWriteReadBasic(t *testing.T) {
 	w := NewWriter()
 	w.WriteBits(0b101, 3)
@@ -14,18 +61,18 @@ func TestWriteReadBasic(t *testing.T) {
 	if w.Len() != 12 {
 		t.Fatalf("Len = %d", w.Len())
 	}
-	r := NewReader(w.Bytes())
-	if v, _ := r.ReadBits(3); v != 0b101 {
+	r := newFillReader(w.Bytes())
+	if v, _ := r.read(3); v != 0b101 {
 		t.Fatalf("first read %b", v)
 	}
-	if v, _ := r.ReadBits(8); v != 0b11110000 {
+	if v, _ := r.read(8); v != 0b11110000 {
 		t.Fatalf("second read %b", v)
 	}
-	if v, _ := r.ReadBit(); v != 1 {
+	if v, _ := r.read(1); v != 1 {
 		t.Fatal("third read")
 	}
-	if r.BitsRead() != 12 && r.BitsRead() != 16 {
-		t.Fatalf("BitsRead = %d", r.BitsRead())
+	if r.bitsRead() != 12 && r.bitsRead() != 16 {
+		t.Fatalf("bitsRead = %d", r.bitsRead())
 	}
 }
 
@@ -36,14 +83,25 @@ func TestPaddingIsOnes(t *testing.T) {
 	if len(b) != 1 || b[0] != 0b00011111 {
 		t.Fatalf("padded byte = %08b", b[0])
 	}
+	// Read back, the padding is five one-bits and then the stream ends.
+	r := newFillReader(b)
+	if v, err := r.read(3); err != nil || v != 0 {
+		t.Fatalf("data bits %03b, %v", v, err)
+	}
+	if v, err := r.read(5); err != nil || v != 0b11111 {
+		t.Fatalf("padding bits %05b, %v", v, err)
+	}
+	if _, err := r.read(1); err != ErrOverrun {
+		t.Fatalf("read past the padding: %v, want ErrOverrun", err)
+	}
 }
 
 func TestOverrun(t *testing.T) {
-	r := NewReader([]byte{0xff})
-	if _, err := r.ReadBits(8); err != nil {
+	r := newFillReader([]byte{0xff})
+	if _, err := r.read(8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadBit(); err != ErrOverrun {
+	if _, err := r.read(1); err != ErrOverrun {
 		t.Fatalf("want ErrOverrun, got %v", err)
 	}
 }
@@ -72,11 +130,11 @@ func TestZeroBitWrites(t *testing.T) {
 	w := NewWriter()
 	w.WriteBits(0, 0)
 	w.WriteBits(1, 1)
-	r := NewReader(w.Bytes())
-	if v, _ := r.ReadBits(0); v != 0 {
+	r := newFillReader(w.Bytes())
+	if v, _ := r.read(0); v != 0 {
 		t.Fatal("zero-bit read should be 0")
 	}
-	if v, _ := r.ReadBit(); v != 1 {
+	if v, _ := r.read(1); v != 1 {
 		t.Fatal("bit lost after zero-bit write")
 	}
 }
@@ -100,9 +158,9 @@ func TestRoundTripProperty(t *testing.T) {
 			w.WriteBits(v, width)
 			items = append(items, item{v, width})
 		}
-		r := NewReader(w.Bytes())
+		r := newFillReader(w.Bytes())
 		for _, it := range items {
-			got, err := r.ReadBits(it.n)
+			got, err := r.read(it.n)
 			if err != nil || got != it.v {
 				return false
 			}
@@ -119,9 +177,9 @@ func TestLongStream(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		w.WriteBits(uint32(i)&0x7f, 7)
 	}
-	r := NewReader(w.Bytes())
+	r := newFillReader(w.Bytes())
 	for i := 0; i < 10000; i++ {
-		v, err := r.ReadBits(7)
+		v, err := r.read(7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +193,11 @@ func TestFullWidthValues(t *testing.T) {
 	w := NewWriter()
 	w.WriteBits(0xffffffff, 32)
 	w.WriteBits(0, 32)
-	r := NewReader(w.Bytes())
-	if v, _ := r.ReadBits(32); v != 0xffffffff {
+	r := newFillReader(w.Bytes())
+	if v, _ := r.read(32); v != 0xffffffff {
 		t.Fatalf("got %x", v)
 	}
-	if v, _ := r.ReadBits(32); v != 0 {
+	if v, _ := r.read(32); v != 0 {
 		t.Fatalf("got %x", v)
 	}
 }
@@ -157,9 +215,10 @@ func naiveBits(buf []byte, off, n int) uint32 {
 	return v
 }
 
-// TestPeekSkipExact holds Peek, Skip and ReadBits to a bit-at-a-time
-// reading of the buffer at every offset and width: through the wide
-// refill, the byte-wise tail, the last partial byte and past the end.
+// TestPeekSkipExact holds a Fill-fed window's peek, skip and read to a
+// bit-at-a-time reading of the buffer at every offset and width: through
+// Fill's wide load, its byte-wise tail, the last partial byte and past
+// the end.
 func TestPeekSkipExact(t *testing.T) {
 	rng := uint64(1)
 	next := func(n int) int {
@@ -174,7 +233,7 @@ func TestPeekSkipExact(t *testing.T) {
 		total := size * 8
 		for off := 0; off <= total; off++ {
 			// Reach off in random steps, mixing the three calls.
-			r := NewReader(buf)
+			r := newFillReader(buf)
 			for at := 0; at < off; {
 				n := next(33)
 				if n > off-at {
@@ -183,45 +242,45 @@ func TestPeekSkipExact(t *testing.T) {
 				want := naiveBits(buf, at, n)
 				switch next(3) {
 				case 0:
-					if got, err := r.ReadBits(uint(n)); err != nil || got != want {
-						t.Fatalf("size %d: ReadBits(%d) at %d = %#x, %v; want %#x", size, n, at, got, err, want)
+					if got, err := r.read(uint(n)); err != nil || got != want {
+						t.Fatalf("size %d: read(%d) at %d = %#x, %v; want %#x", size, n, at, got, err, want)
 					}
 				case 1:
-					if got := r.Peek(uint(n)); got != want {
-						t.Fatalf("size %d: Peek(%d) at %d = %#x, want %#x", size, n, at, got, want)
+					if got := r.peek(uint(n)); got != want {
+						t.Fatalf("size %d: peek(%d) at %d = %#x, want %#x", size, n, at, got, want)
 					}
 					fallthrough
 				case 2:
-					if err := r.Skip(uint(n)); err != nil {
-						t.Fatalf("size %d: Skip(%d) at %d: %v", size, n, at, err)
+					if err := r.skip(uint(n)); err != nil {
+						t.Fatalf("size %d: skip(%d) at %d: %v", size, n, at, err)
 					}
 				}
 				at += n
-				if r.BitsRead() != at {
-					t.Fatalf("size %d: BitsRead = %d, want %d", size, r.BitsRead(), at)
+				if r.bitsRead() != at {
+					t.Fatalf("size %d: bitsRead = %d, want %d", size, r.bitsRead(), at)
 				}
 			}
 			for n := 0; n <= 32; n++ {
 				want := naiveBits(buf, off, n)
 				peek := *r
-				if got := peek.Peek(uint(n)); got != want {
-					t.Fatalf("size %d: Peek(%d) at %d = %#x, want %#x", size, n, off, got, want)
+				if got := peek.peek(uint(n)); got != want {
+					t.Fatalf("size %d: peek(%d) at %d = %#x, want %#x", size, n, off, got, want)
 				}
-				if peek.BitsRead() != off {
-					t.Fatalf("size %d: Peek(%d) at %d moved BitsRead to %d", size, n, off, peek.BitsRead())
+				if peek.bitsRead() != off {
+					t.Fatalf("size %d: peek(%d) at %d moved bitsRead to %d", size, n, off, peek.bitsRead())
 				}
 				read := *r
-				got, err := read.ReadBits(uint(n))
+				got, err := read.read(uint(n))
 				if off+n <= total {
-					if err != nil || got != want || read.BitsRead() != off+n {
-						t.Fatalf("size %d: ReadBits(%d) at %d = %#x, %v, BitsRead %d; want %#x", size, n, off, got, err, read.BitsRead(), want)
+					if err != nil || got != want || read.bitsRead() != off+n {
+						t.Fatalf("size %d: read(%d) at %d = %#x, %v, bitsRead %d; want %#x", size, n, off, got, err, read.bitsRead(), want)
 					}
 					continue
 				}
-				if err != ErrOverrun || got != 0 || read.BitsRead() != off {
-					t.Fatalf("size %d: ReadBits(%d) at %d of %d = %#x, %v, BitsRead %d; want ErrOverrun and no progress", size, n, off, total, got, err, read.BitsRead())
+				if err != ErrOverrun || got != 0 || read.bitsRead() != off {
+					t.Fatalf("size %d: read(%d) at %d of %d = %#x, %v, bitsRead %d; want ErrOverrun and no progress", size, n, off, total, got, err, read.bitsRead())
 				}
-				if err := read.Skip(uint(total - off)); err != nil {
+				if err := read.skip(uint(total - off)); err != nil {
 					t.Fatalf("size %d: the %d bits left at %d could not be skipped after an overrun: %v", size, total-off, off, err)
 				}
 			}
@@ -235,7 +294,7 @@ func streamWord(buf []byte, off int) uint64 {
 	return uint64(naiveBits(buf, off, 32))<<32 | uint64(naiveBits(buf, off+32, 32))
 }
 
-// TestFillExact holds Fill, and a Reader at the window it returns, to
+// TestFillExact holds Fill, and a fillReader at the window it returns, to
 // byte-at-a-time loading: for every buffer length, start position and
 // bit count in the window, with the bits below the count the stream's
 // own or zero. The filled window must count the same bits read, hold at
@@ -271,14 +330,14 @@ func TestFillExact(t *testing.T) {
 						t.Fatalf("size %d pos %d n %d: window %#016x at the end, want %#016x (zeros past it)", size, pos, n, a, s)
 					}
 					for k := uint(0); k <= 32; k++ {
-						r := Reader{buf: buf, pos: p, acc: a, nacc: m}
-						if got, want := r.Peek(k), naiveBits(buf, off, int(k)); got != want {
-							t.Fatalf("size %d pos %d n %d: Peek(%d) = %#x, want %#x", size, pos, n, k, got, want)
+						r := fillReader{buf: buf, pos: p, acc: a, n: m}
+						if got, want := r.peek(k), naiveBits(buf, off, int(k)); got != want {
+							t.Fatalf("size %d pos %d n %d: peek(%d) = %#x, want %#x", size, pos, n, k, got, want)
 						}
-						err := r.Skip(k)
-						if fits := off+int(k) <= total; fits && (err != nil || r.BitsRead() != off+int(k)) ||
-							!fits && (err != ErrOverrun || r.BitsRead() != off) {
-							t.Fatalf("size %d pos %d n %d: Skip(%d) at %d of %d = %v, BitsRead %d", size, pos, n, k, off, total, err, r.BitsRead())
+						err := r.skip(k)
+						if fits := off+int(k) <= total; fits && (err != nil || r.bitsRead() != off+int(k)) ||
+							!fits && (err != ErrOverrun || r.bitsRead() != off) {
+							t.Fatalf("size %d pos %d n %d: skip(%d) at %d of %d = %v, bitsRead %d", size, pos, n, k, off, total, err, r.bitsRead())
 						}
 					}
 				}

@@ -30,7 +30,7 @@ func (e *engine) admit(p *probe, j job) admission {
 	if e.shouldPark(j) {
 		return admitHeld
 	}
-	e.ensureBuffers(p, j.iter)
+	e.ensureBuffers(p, j)
 	if e.skipExecution(j) {
 		return admitSkip
 	}
@@ -56,17 +56,17 @@ func (e *engine) shouldPark(j job) bool {
 }
 
 // ensureBuffers assigns a stream-buffer set to a just-dispatching
-// iteration. Deferring the assignment to first dispatch (rather than
-// launch) lets the window hand the previous iteration's cache-hot set
-// to the next one whenever the scheduler keeps few iterations in
+// iteration, j's. Deferring the assignment to first dispatch (rather
+// than launch) lets the window hand the previous iteration's cache-hot
+// set to the next one whenever the scheduler keeps few iterations in
 // flight. A set handed out for the first time gets its buffers here,
 // in stream order (the sim backend's address layout follows from it).
 // Must be called with mu held, via admit.
 //
 //hinch:hotpath
-func (e *engine) ensureBuffers(p *probe, iter int) {
-	it := e.iterAt(iter)
-	if it == nil || it.acquired.Load() {
+func (e *engine) ensureBuffers(p *probe, j job) {
+	it := j.it
+	if it.acquired.Load() {
 		return
 	}
 	win := e.app.win
@@ -78,7 +78,7 @@ func (e *engine) ensureBuffers(p *probe, iter int) {
 	}
 	occ := win.active.Load()
 	it.bufSet = set
-	p.acquired(e.app.streamList, iter, int64(occ))
+	p.acquired(e.app.streamList, j.iter, int64(occ))
 	// Publish last: execReal's lock-free fast path reads acquired without
 	// the engine lock, and the atomic store must make bufSet and the
 	// slot pointers above visible to any reader that observes
@@ -92,8 +92,8 @@ func (e *engine) ensureBuffers(p *probe, iter int) {
 // is disabled in this iteration's snapshot. Must be called with mu
 // held (the option maps are lock-guarded), via admit.
 func (e *engine) skipExecution(j job) bool {
-	it := e.iterAt(j.iter)
-	if it == nil || it.cancelled.Load() {
+	it := j.it
+	if it.cancelled.Load() {
 		return true
 	}
 	if j.task.Option == "" {

@@ -323,8 +323,13 @@ func (rc *RunContext) SetOut(port string, payload any) {
 }
 
 // PortRegion returns the simulated address region of the port's current
-// stream slot. On the real backend it returns a zero region.
+// stream slot. On the real backend, which models no addresses, it
+// returns the zero region without looking the port up — so there an
+// unconnected port does not panic here, though In and Out still do.
 func (rc *RunContext) PortRegion(port string) spacecake.Region {
+	if !rc.sim {
+		return spacecake.Region{}
+	}
 	return rc.slot(port).region
 }
 

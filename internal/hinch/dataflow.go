@@ -8,20 +8,30 @@ import (
 	"xspcl/internal/graph"
 )
 
-// job identifies one schedulable unit: one task of one iteration.
+// job identifies one schedulable unit: one task of one iteration. it is
+// that iteration's state, set by release, which already holds it; a
+// job's state cannot retire or be recycled while the job is live (the
+// iteration's left-count includes it), so every stage of the job path
+// reads j.it instead of probing the ring. Jobs are queued by value: 24
+// bytes.
 type job struct {
 	iter int
 	task *graph.Task
+	it   *iterState
 }
 
 // iterState tracks the progress of one in-flight iteration.
 //
-// The dependency-tracking fields (remaining, joinLeft, done, crossClaim,
-// left) are atomic so that the real backend's workers can retire jobs and
-// release dependents without the engine lock; the reconfiguration bookkeeping
-// (mgrOpts) is only touched with e.mu held. The sim backend
-// is single-threaded, so the atomics are uncontended there and the
-// discrete-event schedule stays deterministic.
+// The dependency-tracking fields (remaining, joinLeft, done, crossClaim)
+// are plain slices, read and written only through the sync/atomic
+// functions once the state is published, so that the real backend's
+// workers can retire jobs and release dependents without the engine
+// lock. launch resets them in bulk, with copy and clear, before it
+// publishes the state through iter (see there). left, cancelled and
+// acquired are atomic values; the reconfiguration bookkeeping (mgrOpts)
+// is only touched with e.mu held. The sim backend is single-threaded, so
+// the atomics are uncontended there and the discrete-event schedule
+// stays deterministic.
 type iterState struct {
 	// iter is the iteration this state currently represents. It is
 	// atomic because iterAt probes ring slots without mu and validates
@@ -32,16 +42,17 @@ type iterState struct {
 	// already reset for the new iteration; any other value makes the
 	// probe reject the state. Written only under mu.
 	iter      atomic.Int64
-	remaining []atomic.Int32 // unmet dependency count per task
-	joinLeft  []atomic.Int32 // feeders not yet completed, per plan join
-	done      []atomic.Bool
-	// crossClaim arbitrates the cross-iteration release of each task:
-	// both the completion of the same task in the previous iteration and
-	// launch (when it observes that task already done, or no previous
-	// iteration at all) may try to satisfy the cross dependency; the CAS
-	// winner performs the release, so it happens exactly once even when
-	// launch races with a completing worker.
-	crossClaim []atomic.Bool
+	remaining []int32  // unmet dependency count per task
+	joinLeft  []int32  // feeders not yet completed, per plan join
+	done      []uint32 // per task: 1 once its job completed
+	// crossClaim arbitrates the cross-iteration release of each task
+	// (0 unclaimed, 1 claimed): both the completion of the same task in
+	// the previous iteration and launch (when it observes that task
+	// already done, or no previous iteration at all) may try to satisfy
+	// the cross dependency; the CAS winner performs the release, so it
+	// happens exactly once even when launch races with a completing
+	// worker.
+	crossClaim []uint32
 	left       atomic.Int32 // tasks not yet completed
 	cancelled  atomic.Bool
 
@@ -130,33 +141,20 @@ func (e *engine) finished() bool {
 }
 
 // launch admits iterations into the pipeline while the window allows,
-// on behalf of the writer behind p. Must be called with mu held.
+// on behalf of the writer behind p. A recycled state is reset in bulk —
+// its counters copied from the launch values (e.waits, e.feeders), its
+// flags cleared — with plain stores: no worker reads the state until
+// the iter store below publishes it. Must be called with mu held.
 func (e *engine) launch(p *probe) {
 	for e.canLaunch() {
 		k := e.nextLaunch
 		e.nextLaunch++
-		plan := e.app.plan
 		// Never empty: the free list holds len(ring) = PipelineDepth+2
 		// states and at most PipelineDepth iterations are in flight.
 		f := len(e.free) - 1
 		it := e.free[f]
 		e.free = e.free[:f]
-		for i := range it.done {
-			it.done[i].Store(false)
-			it.crossClaim[i].Store(false)
-		}
-		it.cancelled.Store(false)
-		it.acquired.Store(false)
-		for _, snap := range it.mgrOpts {
-			snap.entered = false
-		}
-		it.left.Store(int32(len(plan.Tasks)))
-		for i, w := range e.waits {
-			it.remaining[i].Store(w)
-		}
-		for i, jn := range plan.Joins {
-			it.joinLeft[i].Store(int32(len(jn.Feeders)))
-		}
+		e.resetIter(it)
 		// Publish the iteration number last: once a concurrent iterAt
 		// probe (which may hold a stale pointer to this state from its
 		// previous life) sees iter == k, every reset above is visible.
@@ -168,15 +166,33 @@ func (e *engine) launch(p *probe) {
 		slot.Store(it)
 		e.nIters++
 		p.launch(it, k)
-		for _, t := range plan.Tasks {
-			back := e.iterAt(k - e.widths[t.ID])
-			if back == nil || back.done[t.ID].Load() {
-				if it.crossClaim[t.ID].CompareAndSwap(false, true) {
-					e.release(k, it, t.ID, p)
+		for t, w := range e.widths {
+			back := e.iterAt(k - w)
+			if back == nil || atomic.LoadUint32(&back.done[t]) != 0 {
+				if atomic.CompareAndSwapUint32(&it.crossClaim[t], 0, 1) {
+					e.release(k, it, t, p)
 				}
 			}
 		}
 	}
+}
+
+// resetIter readies a free state for its next iteration: every task
+// waits for its launch count of dependencies and every join for all its
+// feeders, no task is done or cross-claimed, and the iteration is
+// neither cancelled nor holding a buffer set. The state must be
+// unpublished (on the free list); launch publishes it afterwards.
+func (e *engine) resetIter(it *iterState) {
+	copy(it.remaining, e.waits)
+	copy(it.joinLeft, e.feeders)
+	clear(it.done)
+	clear(it.crossClaim)
+	it.cancelled.Store(false)
+	it.acquired.Store(false)
+	for _, snap := range it.mgrOpts {
+		snap.entered = false
+	}
+	it.left.Store(int32(len(e.waits)))
 }
 
 // enqueue adds a ready job to the dispatch queue: the central heap on
@@ -213,19 +229,21 @@ func (e *engine) pop() (job, bool) {
 // dependents in the same iteration and the same task in the next
 // iteration, finalises the iteration when all tasks are done, and
 // applies a pending reconfiguration when the halted manager's subgraph
-// just became quiescent. The dependency fast path is lock-free; the
-// manager and retirement slow paths take mu internally, so complete
-// must be called WITHOUT mu held. stall is non-zero when the completion
-// applied a reconfiguration: the virtual cycles the splice costs, which
-// the sim backend lets elapse. A non-nil error (a failed
-// reconfiguration splice) aborts the run and must be propagated by the
-// caller.
+// just became quiescent. The job's own iteration is j.it; only the
+// cross-iteration release probes the ring, for the iteration W ahead.
+// The dependency fast path is lock-free; the manager and retirement
+// slow paths take mu internally, so complete must be called WITHOUT mu
+// held. stall is non-zero when the completion applied a
+// reconfiguration: the virtual cycles the splice costs, which the sim
+// backend lets elapse. A non-nil error (a failed reconfiguration
+// splice) aborts the run and must be propagated by the caller.
 //
 //hinch:hotpath
 func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 	p.yield(YieldComplete)
-	it := e.iterAt(j.iter)
-	if it == nil || it.done[j.task.ID].Swap(true) {
+	it := j.it
+	// A stale or repeated job: its state moved on, or the task is done.
+	if it.iter.Load() != int64(j.iter) || atomic.SwapUint32(&it.done[j.task.ID], 1) != 0 {
 		panic(fmt.Sprintf("hinch: double completion of %s@%d", j.task.Name, j.iter))
 	}
 	for _, succ := range e.app.plan.DirectSuccs(j.task.ID) {
@@ -234,7 +252,7 @@ func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 	// The completion that zeroes a join's counter releases its entries, in
 	// ascending ID order — the instant and the order in which the last
 	// feeder's own successor loop would have made them ready.
-	if jn := j.task.Feeds; jn != graph.NoJoin && it.joinLeft[jn].Add(-1) == 0 {
+	if jn := j.task.Feeds; jn != graph.NoJoin && atomic.AddInt32(&it.joinLeft[jn], -1) == 0 {
 		for _, succ := range e.app.plan.Joins[jn].Entries {
 			e.release(j.iter, it, succ, p)
 		}
@@ -245,7 +263,7 @@ func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 	// crossClaim deduplicates when both do.
 	wt := e.widths[j.task.ID]
 	if next := e.iterAt(j.iter + wt); next != nil {
-		if next.crossClaim[j.task.ID].CompareAndSwap(false, true) {
+		if atomic.CompareAndSwapUint32(&next.crossClaim[j.task.ID], 0, 1) {
 			e.release(j.iter+wt, next, j.task.ID, p)
 		}
 	}
@@ -304,14 +322,16 @@ func (e *engine) retire(it *iterState, p *probe) {
 	e.launch(p)
 }
 
-// release satisfies one dependency of a task and queues it once all its
-// dependencies are met. Lock-free; safe with or without mu held.
+// release satisfies one dependency of task taskID in iteration iter,
+// whose state is it, and queues the task once all its dependencies are
+// met; the job carries it, so no later stage probes the ring for it.
+// Lock-free; safe with or without mu held.
 //
 //hinch:hotpath
 func (e *engine) release(iter int, it *iterState, taskID int, p *probe) {
-	n := it.remaining[taskID].Add(-1)
+	n := atomic.AddInt32(&it.remaining[taskID], -1)
 	if n == 0 {
-		e.enqueue(p, job{iter: iter, task: e.app.plan.Tasks[taskID]})
+		e.enqueue(p, job{iter: iter, task: e.app.plan.Tasks[taskID], it: it})
 	}
 	if n < 0 {
 		panic(fmt.Sprintf("hinch: negative dependency count for task %d@%d", taskID, iter))

@@ -1,0 +1,185 @@
+package hinch
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+
+	"xspcl/internal/graph"
+)
+
+// Tests for the iteration states launch recycles: their dependency
+// counters and flags are plain slices behind the sync/atomic functions,
+// reset in bulk by launch before it publishes the state.
+
+// resetMismatch describes how it differs from a state launch has just
+// recycled, or returns "" when it holds exactly the launch values:
+// every task's dependency count e.waits, every join's count its
+// feeders, no task done or cross-claimed, nothing cancelled or
+// acquired, every task left.
+func resetMismatch(e *engine, it *iterState) string {
+	for id, w := range e.waits {
+		if n := atomic.LoadInt32(&it.remaining[id]); n != w {
+			return fmt.Sprintf("task %d waits on %d dependencies, want %d", id, n, w)
+		}
+		if atomic.LoadUint32(&it.done[id]) != 0 || atomic.LoadUint32(&it.crossClaim[id]) != 0 {
+			return fmt.Sprintf("task %d starts done or cross-claimed", id)
+		}
+	}
+	for jn, f := range e.feeders {
+		if n := atomic.LoadInt32(&it.joinLeft[jn]); n != f {
+			return fmt.Sprintf("join %d waits on %d feeders, want %d", jn, n, f)
+		}
+	}
+	if it.cancelled.Load() || it.acquired.Load() {
+		return "state starts cancelled or holding a buffer set"
+	}
+	if n := it.left.Load(); int(n) != len(e.waits) {
+		return fmt.Sprintf("%d tasks left, want %d", n, len(e.waits))
+	}
+	return ""
+}
+
+// checkStatesSettled checks that every iteration the run launched
+// settled completely, and returns the recycled states that were ever
+// launched. No iteration may be left live, and in every state on the
+// free list every task's dependency count and every join's feeder count
+// reads zero. Its done and cross-claim flags are either all set (it
+// retired at least one iteration) or all clear (launch never took it:
+// the free list is a stack, so its bottom states may idle the whole
+// run). (A second release cannot hide here: it would drive a count
+// negative, which release panics on.)
+func checkStatesSettled(t *testing.T, app *App) map[*iterState]bool {
+	t.Helper()
+	e := app.eng
+	if e.nIters != 0 || len(e.free) != len(e.ring) {
+		t.Fatalf("%d iterations still live, %d of %d states recycled", e.nIters, len(e.free), len(e.ring))
+	}
+	retired := map[*iterState]bool{}
+	for _, it := range e.free {
+		k := it.iter.Load()
+		for id := range it.remaining {
+			if n := atomic.LoadInt32(&it.remaining[id]); n != 0 {
+				t.Fatalf("task %d of iteration %d ended with %d dependencies outstanding", id, k, n)
+			}
+		}
+		for jn := range it.joinLeft {
+			if n := atomic.LoadInt32(&it.joinLeft[jn]); n != 0 {
+				t.Fatalf("join %d of iteration %d ended with %d feeders outstanding", jn, k, n)
+			}
+		}
+		set := 0
+		for id := range it.done {
+			set += int(atomic.LoadUint32(&it.done[id]) + atomic.LoadUint32(&it.crossClaim[id]))
+		}
+		switch set {
+		case 0:
+		case 2 * len(it.done):
+			retired[it] = true
+		default:
+			t.Fatalf("iteration %d ended with %d of its %d done and cross-claim flags set", k, set, 2*len(it.done))
+		}
+	}
+	return retired
+}
+
+// launchCheck is a Tracer that records, at each iteration launch, the
+// state launch just published, and where launch is that state's only
+// writer at the probe — on sim, or with one worker — checks it holds
+// exactly the launch values. With more workers a completion in another
+// iteration may already claim the new one's cross releases there.
+type launchCheck struct {
+	e        *engine
+	exact    bool
+	launches map[*iterState]int
+	bad      string
+}
+
+func (c *launchCheck) Begin(TraceMeta) {}
+func (c *launchCheck) End()            {}
+
+// Emit sees launch events under the engine lock (or on the sim
+// goroutine), so the map needs no lock of its own.
+func (c *launchCheck) Emit(_ int, ev TraceEvent) {
+	if ev.Kind != TraceIterLaunch {
+		return
+	}
+	k := int(ev.Iter)
+	it := c.e.ring[k%len(c.e.ring)].Load()
+	c.launches[it]++
+	if c.exact && c.bad == "" {
+		if msg := resetMismatch(c.e, it); msg != "" {
+			c.bad = fmt.Sprintf("iteration %d at launch: %s", k, msg)
+		}
+	}
+}
+
+// TestIterationStatesSettle runs the scheduler-stress shape (a source
+// fanned out to 16 slices and joined at a sink) and a join between two
+// 16-way groups, for eight times as many iterations as the ring has
+// states, on sim and on real at 1, 2 and 4 workers. Every state launch
+// took is recycled: it must settle when its iteration retires, hold
+// exactly the launch values when launch recycles it, and hold them
+// again when reset after the run.
+func TestIterationStatesSettle(t *testing.T) {
+	progs := []struct {
+		name  string
+		prog  func() *graph.Program
+		reg   func() *Registry
+		joins int
+	}{
+		{"sched", func() *graph.Program { return wideStressProg(16) }, testRegistry, 0},
+		{"two-groups", func() *graph.Program { return twoGroupsProg(0, nil, nil) }, joinRegistry, 1},
+	}
+	cfgs := []Config{{Backend: BackendSim, Cores: 4}}
+	for _, cores := range []int{1, 2, 4} {
+		cfgs = append(cfgs, Config{Backend: BackendReal, Cores: cores})
+	}
+	for _, pc := range progs {
+		for _, cfg := range cfgs {
+			name := fmt.Sprintf("%s/backend%d/cores%d", pc.name, cfg.Backend, cfg.Cores)
+			tr := &launchCheck{launches: map[*iterState]int{}}
+			cfg.Tracer = tr
+			app, err := NewApp(pc.prog(), pc.reg(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(app.plan.Joins) != pc.joins {
+				t.Fatalf("%s: plan has %d joins, want %d", name, len(app.plan.Joins), pc.joins)
+			}
+			e := app.eng
+			tr.e, tr.exact = e, cfg.Backend == BackendSim || cfg.Cores == 1
+			iters := 8 * len(e.ring)
+			rep, err := app.Run(iters)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if rep.Iterations != iters {
+				t.Fatalf("%s: ran %d iterations, want %d", name, rep.Iterations, iters)
+			}
+			if tr.bad != "" {
+				t.Fatalf("%s: %s", name, tr.bad)
+			}
+			retired := checkStatesSettled(t, app)
+			launches := 0
+			for it, n := range tr.launches {
+				launches += n
+				if !retired[it] {
+					t.Fatalf("%s: a state launched %d times did not settle", name, n)
+				}
+			}
+			if launches != iters || len(retired) != len(tr.launches) {
+				t.Fatalf("%s: %d launches over %d states, %d states retired", name, launches, len(tr.launches), len(retired))
+			}
+			if launches < 2*len(tr.launches) {
+				t.Fatalf("%s: %d launches over %d states recycle too few", name, launches, len(tr.launches))
+			}
+			for _, it := range e.free {
+				e.resetIter(it)
+				if msg := resetMismatch(e, it); msg != "" {
+					t.Fatalf("%s: reset state: %s", name, msg)
+				}
+			}
+		}
+	}
+}

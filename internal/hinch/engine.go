@@ -78,9 +78,12 @@ type engine struct {
 	// finish iteration k-W before starting iteration k, where W is the
 	// task's replica width (components are stateful by default; stream
 	// buffers recycle). That last one is satisfied through crossClaim, by
-	// launch or by an older iteration's completions. Fixed for the run:
-	// the engine executes one plan.
-	waits []int32
+	// launch or by an older iteration's completions. feeders[j] is plan
+	// join j's fan-in, its counter at launch. launch copies both into a
+	// recycled iterState. Fixed for the run: the engine executes one
+	// plan.
+	waits   []int32
+	feeders []int32
 
 	// probes is the run's instrumentation, one per writer: probes[0] for
 	// the engine lock / sim goroutine, probes[w+1] for worker w. Every
@@ -135,10 +138,10 @@ func newEngine(a *App) *engine {
 	e.free = make([]*iterState, 0, len(e.ring))
 	for i := 0; i < len(e.ring); i++ {
 		e.free = append(e.free, &iterState{
-			remaining:  make([]atomic.Int32, n),
-			joinLeft:   make([]atomic.Int32, len(a.plan.Joins)),
-			done:       make([]atomic.Bool, n),
-			crossClaim: make([]atomic.Bool, n),
+			remaining:  make([]int32, n),
+			joinLeft:   make([]int32, len(a.plan.Joins)),
+			done:       make([]uint32, n),
+			crossClaim: make([]uint32, n),
 		})
 	}
 	if a.cfg.Backend == BackendReal {
@@ -158,6 +161,10 @@ func newEngine(a *App) *engine {
 	e.widths = predict.AutoWidths(a.prog, a.plan, a.cfg.Cores, a.cfg.PipelineDepth)
 	e.bufCap = predict.Capacity(e.widths, a.cfg.StreamCapacity, a.cfg.PipelineDepth)
 	e.waits = make([]int32, n)
+	e.feeders = make([]int32, len(a.plan.Joins))
+	for i, jn := range a.plan.Joins {
+		e.feeders[i] = int32(len(jn.Feeders))
+	}
 	e.policies = make([]graph.FailurePolicy, n)
 	e.faultRoute = make([]*EventQueue, n)
 	e.faultMgr = make([]int, n)
@@ -215,6 +222,8 @@ func (e *engine) traceMeta() TraceMeta {
 // iterAt returns the in-flight state of iteration k, or nil when k is
 // not (or no longer) in flight. Safe without mu: ring slots are atomic
 // pointers and each state is validated against the probed iteration.
+// A job's own iteration is j.it; iterAt serves only the probes across
+// iterations: launch's k-W, complete's k+W and retireSweep's oldest.
 func (e *engine) iterAt(k int) *iterState {
 	if k < 0 {
 		return nil

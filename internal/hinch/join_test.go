@@ -263,26 +263,6 @@ func newJoinApp(t *testing.T, prog *graph.Program, cfg Config, wantJoins int) *A
 	return app
 }
 
-// checkJoinsSettled asserts that every join of every iteration the run
-// launched was decremented exactly fan-in times: the counters of all
-// recycled iteration states read zero and no iteration is left live. (A
-// second firing cannot hide here — it would drive an entry's dependency
-// count negative, which release panics on.)
-func checkJoinsSettled(t *testing.T, app *App) {
-	t.Helper()
-	e := app.eng
-	if e.nIters != 0 || len(e.free) != len(e.ring) {
-		t.Fatalf("%d iterations still live, %d of %d states recycled", e.nIters, len(e.free), len(e.ring))
-	}
-	for _, it := range e.free {
-		for j := range it.joinLeft {
-			if left := it.joinLeft[j].Load(); left != 0 {
-				t.Fatalf("join %d of iteration %d ended with %d feeders outstanding", j, it.iter.Load(), left)
-			}
-		}
-	}
-}
-
 // checkSinkPrefix asserts the sink saw iterations 0..n-1 in order, each
 // with the given per-stage mark counts (-1: either 0 or width).
 func checkSinkPrefix(t *testing.T, recs [][5]int, n, width int, stages [4]int) {
@@ -330,7 +310,7 @@ func TestJoinFiresOncePerIteration(t *testing.T) {
 			}
 			recs := app.Component("snk").(*joinSink).records()
 			checkSinkPrefix(t, recs, iters, tc.width, tc.stages)
-			checkJoinsSettled(t, app)
+			checkStatesSettled(t, app)
 			// The sink's output does not depend on the backend.
 			if cfg.Backend == BackendSim {
 				simRecs = recs
@@ -363,7 +343,7 @@ func TestJoinCancelBetweenFeeders(t *testing.T) {
 				cfg.Backend, len(recs), rep.Iterations, at)
 		}
 		checkSinkPrefix(t, recs, len(recs), 16, [4]int{16, 16, 0, 0})
-		checkJoinsSettled(t, app)
+		checkStatesSettled(t, app)
 		bd := app.Component("src").(*joinSource).board(at)
 		if bd == nil {
 			t.Fatalf("backend %d: iteration %d never started", cfg.Backend, at)
@@ -392,7 +372,7 @@ func TestJoinEOSTail(t *testing.T) {
 			t.Fatalf("backend %d: %d iterations, want %d", cfg.Backend, rep.Iterations, frames)
 		}
 		checkSinkPrefix(t, app.Component("snk").(*joinSink).records(), frames, 16, [4]int{16, 16, 0, 0})
-		checkJoinsSettled(t, app)
+		checkStatesSettled(t, app)
 	}
 }
 
@@ -444,7 +424,7 @@ func TestJoinDisabledOptionEitherSide(t *testing.T) {
 		if recs[0][2] != 0 || with == 0 || with == iters {
 			t.Fatalf("backend %d: option ran in %d of %d iterations — never toggled", cfg.Backend, with, iters)
 		}
-		checkJoinsSettled(t, app)
+		checkStatesSettled(t, app)
 	}
 }
 
@@ -468,7 +448,7 @@ func TestJoinReplicatedEitherSide(t *testing.T) {
 				t.Fatalf("side %d backend %d: %d iterations", side, cfg.Backend, rep.Iterations)
 			}
 			checkSinkPrefix(t, app.Component("snk").(*joinSink).records(), iters, 16, [4]int{16, 16, 0, 0})
-			checkJoinsSettled(t, app)
+			checkStatesSettled(t, app)
 		}
 	}
 }
@@ -530,6 +510,6 @@ func TestJoinSkipIteration(t *testing.T) {
 		if bd := app.Component("src").(*joinSource).board(at); bd.count(0) == 16 || bd.count(1) != 0 {
 			t.Fatalf("backend %d: holed iteration ran %d feeders and %d entries, want < 16 and 0", cfg.Backend, bd.count(0), bd.count(1))
 		}
-		checkJoinsSettled(t, app)
+		checkStatesSettled(t, app)
 	}
 }

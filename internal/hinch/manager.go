@@ -74,7 +74,7 @@ func (e *engine) managerPoll(p *probe, j job) (ops int64, err error) {
 	// The current iteration runs under the applied (not pending)
 	// configuration; pending changes land after this iteration leaves
 	// the subgraph.
-	it := e.iterAt(j.iter)
+	it := j.it
 	snap := it.mgrOpts[j.task.Manager]
 	if snap == nil {
 		snap = &optSnapshot{opts: make(map[string]bool, len(e.app.options))}

@@ -15,9 +15,9 @@ import (
 // state the aborted Run accumulated, so the reused RunContext is never
 // poisoned. It must be called WITHOUT mu held on the real backend.
 func (e *engine) executeComponent(rc *RunContext, j job, inst *instance, inject FaultKind) (err error) {
-	// A live job's iteration cannot retire under it, and admit gave it
-	// its buffer set before any of its jobs ran.
-	rc.reset(e.app, j.task, j.iter, e.iterAt(j.iter).bufSet, e.ws == nil)
+	// j.it, the job's iteration, cannot retire under it, and admit gave
+	// it its buffer set before any of its jobs ran.
+	rc.reset(e.app, j.task, j.iter, j.it.bufSet, e.ws == nil)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("hinch: component %s@%d panicked: %v", j.task.Name, j.iter, r)
@@ -152,9 +152,7 @@ func (e *engine) faultIteration(p *probe, j job, cause error) bool {
 	if e.faultRoute[j.task.ID] == nil {
 		return false
 	}
-	if it := e.iterAt(j.iter); it != nil {
-		it.cancelled.Store(true)
-	}
+	j.it.cancelled.Store(true)
 	e.degrade(p, j, cause.Error())
 	return true
 }

@@ -230,14 +230,15 @@ func (e *engine) checkTermination() {
 //hinch:hotpath
 func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 	mgr := j.task.Role != graph.RoleComponent
-	// A live job's iteration cannot retire under it (the iteration's
-	// left-count includes this job), so it is non-nil. The cancelled
+	// j.it is the job's iteration, set by release: a live job's
+	// iteration cannot retire under it (the iteration's left-count
+	// includes this job), so no ring probe is needed. The cancelled
 	// check is racy by design: a concurrent noteEOS can cancel the
 	// iteration just after we load false, in which case the component
 	// runs redundantly but harmlessly — cancelled iterations' results
 	// are discarded at retirement.
-	it := e.iterAt(j.iter)
-	if mgr || it == nil || !it.acquired.Load() || it.cancelled.Load() || j.task.Option != "" {
+	it := j.it
+	if mgr || !it.acquired.Load() || it.cancelled.Load() || j.task.Option != "" {
 		e.mu.Lock()
 		switch e.admit(w.p, j) {
 		case admitHeld:

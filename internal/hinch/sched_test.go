@@ -54,7 +54,7 @@ func TestSchedReleaseOrder(t *testing.T) {
 	ran := job{iter: 5, task: a}
 	// Completion order: a successor, a's next job, another successor,
 	// the first job of an iteration the completion launched.
-	released := []job{{5, b}, {6, a}, {5, c}, {7, d}}
+	released := []job{{iter: 5, task: b}, {iter: 6, task: a}, {iter: 5, task: c}, {iter: 7, task: d}}
 
 	t.Run("owner", func(t *testing.T) {
 		e, owner, _ := schedFixture()
@@ -97,10 +97,10 @@ func TestSchedReleaseOrder(t *testing.T) {
 			rel   []job
 			chain bool
 		}{
-			{[]job{{6, a}}, true},          // the task's next job alone
-			{[]job{{5, b}}, false},         // a same-iteration release alone
-			{[]job{{7, d}}, false},         // another task's iteration alone
-			{[]job{{6, a}, {5, b}}, false}, // next job beside a successor
+			{[]job{{iter: 6, task: a}}, true},                      // the task's next job alone
+			{[]job{{iter: 5, task: b}}, false},                     // a same-iteration release alone
+			{[]job{{iter: 7, task: d}}, false},                     // another task's iteration alone
+			{[]job{{iter: 6, task: a}, {iter: 5, task: b}}, false}, // next job beside a successor
 		} {
 			e, owner, _ := schedFixture()
 			owner.relBuf = append(owner.relBuf, tc.rel...)

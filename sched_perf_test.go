@@ -1,6 +1,7 @@
 package xspcl_test
 
 import (
+	"fmt"
 	"testing"
 
 	"xspcl/internal/components"
@@ -11,13 +12,17 @@ import (
 // schedThroughputProgram is a scheduler-stress graph: a wide sliced
 // graph of trivial components, so job dispatch dominates. The source
 // has more frames than TestSchedulerSteadyStateAllocs's longer run, so
-// neither of its runs ends early at EOS.
-func schedThroughputProgram() *graph.Program {
+// neither of its runs ends early at EOS; with loop it repeats them
+// instead of ending at all.
+func schedThroughputProgram(loop bool) *graph.Program {
+	src := graph.Params{"width": "64", "height": "48", "frames": "512"}
+	if loop {
+		src["eos"] = "0"
+	}
 	gb := graph.NewBuilder("sched")
 	gb.FrameStream("v", 64, 48)
 	gb.Body(
-		gb.Component("src", "videosrc", graph.Ports{"out": "v"},
-			graph.Params{"width": "64", "height": "48", "frames": "512"}),
+		gb.Component("src", "videosrc", graph.Ports{"out": "v"}, src),
 		gb.Parallel(graph.ShapeSlice, 16,
 			gb.Component("c", "copyplane", graph.Ports{"in": "v", "out": "v2"}, nil),
 		),
@@ -43,7 +48,7 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pin is slow under -short")
 	}
-	prog := schedThroughputProgram()
+	prog := schedThroughputProgram(false)
 	reg := components.DefaultRegistry()
 	const lo, hi = 64, 256
 	for _, telemetry := range []bool{false, true} {
@@ -73,5 +78,36 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 			t.Errorf("telemetry=%v: scheduler hot path allocates %.3f allocs per iteration, want < 1",
 				telemetry, perIter)
 		}
+	}
+}
+
+// BenchmarkDispatchPerJob times the real backend's engine work per job:
+// schedThroughputProgram with Workless kernels, so a job is its
+// dispatch, dependency counting and completion around an empty
+// component, at one and two workers. One App runs b.N iterations; its
+// construction is not timed. It reports ns/job, the wall time of the
+// run over the jobs it dispatched.
+func BenchmarkDispatchPerJob(b *testing.B) {
+	prog := schedThroughputProgram(true)
+	reg := components.DefaultRegistry()
+	for _, cores := range []int{1, 2} {
+		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
+			app, err := hinch.NewApp(prog, reg, hinch.Config{
+				Backend: hinch.BackendReal, Cores: cores, Workless: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			rep, err := app.Run(b.N)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Iterations != b.N {
+				b.Fatalf("ran %d iterations, want %d", rep.Iterations, b.N)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rep.Jobs), "ns/job")
+		})
 	}
 }
