@@ -149,8 +149,8 @@ func (e *engine) launch(p *probe) {
 	for e.canLaunch() {
 		k := e.nextLaunch
 		e.nextLaunch++
-		// Never empty: the free list holds len(ring) = PipelineDepth+2
-		// states and at most PipelineDepth iterations are in flight.
+		// Never empty: the free list holds bufCap states less the
+		// nIters < bufCap that canLaunch allows in flight.
 		f := len(e.free) - 1
 		it := e.free[f]
 		e.free = e.free[:f]

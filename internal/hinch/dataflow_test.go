@@ -46,14 +46,14 @@ func resetMismatch(e *engine, it *iterState) string {
 // free list every task's dependency count and every join's feeder count
 // reads zero. Its done and cross-claim flags are either all set (it
 // retired at least one iteration) or all clear (launch never took it:
-// the free list is a stack, so its bottom states may idle the whole
-// run). (A second release cannot hide here: it would drive a count
-// negative, which release panics on.)
+// a run of fewer than bufCap iterations, or one whose manager halts
+// launches, leaves states idle). (A second release cannot hide here: it
+// would drive a count negative, which release panics on.)
 func checkStatesSettled(t *testing.T, app *App) map[*iterState]bool {
 	t.Helper()
 	e := app.eng
-	if e.nIters != 0 || len(e.free) != len(e.ring) {
-		t.Fatalf("%d iterations still live, %d of %d states recycled", e.nIters, len(e.free), len(e.ring))
+	if e.nIters != 0 || len(e.free) != e.bufCap {
+		t.Fatalf("%d iterations still live, %d of %d states recycled", e.nIters, len(e.free), e.bufCap)
 	}
 	retired := map[*iterState]bool{}
 	for _, it := range e.free {
@@ -117,10 +117,10 @@ func (c *launchCheck) Emit(_ int, ev TraceEvent) {
 // TestIterationStatesSettle runs the scheduler-stress shape (a source
 // fanned out to 16 slices and joined at a sink) and a join between two
 // 16-way groups, for eight times as many iterations as the ring has
-// states, on sim and on real at 1, 2 and 4 workers. Every state launch
-// took is recycled: it must settle when its iteration retires, hold
-// exactly the launch values when launch recycles it, and hold them
-// again when reset after the run.
+// slots, on sim and on real at 1, 2 and 4 workers. Launch takes each of
+// the engine's bufCap states, and recycles every one: it must settle
+// when its iteration retires, hold exactly the launch values when
+// launch recycles it, and hold them again when reset after the run.
 func TestIterationStatesSettle(t *testing.T) {
 	progs := []struct {
 		name  string
@@ -170,6 +170,9 @@ func TestIterationStatesSettle(t *testing.T) {
 			}
 			if launches != iters || len(retired) != len(tr.launches) {
 				t.Fatalf("%s: %d launches over %d states, %d states retired", name, launches, len(tr.launches), len(retired))
+			}
+			if len(tr.launches) != e.bufCap {
+				t.Fatalf("%s: launch took %d states, want all %d", name, len(tr.launches), e.bufCap)
 			}
 			if launches < 2*len(tr.launches) {
 				t.Fatalf("%s: %d launches over %d states recycle too few", name, launches, len(tr.launches))

@@ -135,14 +135,18 @@ func newEngine(a *App) *engine {
 	n := len(a.plan.Tasks)
 	e.probes = newProbes(a.cfg, n)
 	e.simRC.p = &e.probes[0]
-	e.free = make([]*iterState, 0, len(e.ring))
-	for i := 0; i < len(e.ring); i++ {
-		e.free = append(e.free, &iterState{
+	e.widths = predict.AutoWidths(a.prog, a.plan, a.cfg.Cores, a.cfg.PipelineDepth)
+	e.bufCap = predict.Capacity(e.widths, a.cfg.StreamCapacity, a.cfg.PipelineDepth)
+	// No more than bufCap iterations are ever in flight, so bufCap
+	// states serve the run.
+	e.free = make([]*iterState, e.bufCap)
+	for i := range e.free {
+		e.free[i] = &iterState{
 			remaining:  make([]int32, n),
 			joinLeft:   make([]int32, len(a.plan.Joins)),
 			done:       make([]uint32, n),
 			crossClaim: make([]uint32, n),
-		})
+		}
 	}
 	if a.cfg.Backend == BackendReal {
 		e.ws = newSched(a.cfg, e.probes)
@@ -158,8 +162,6 @@ func newEngine(a *App) *engine {
 	for i, n := range e.mgrNames {
 		e.mgrIndex[n] = i
 	}
-	e.widths = predict.AutoWidths(a.prog, a.plan, a.cfg.Cores, a.cfg.PipelineDepth)
-	e.bufCap = predict.Capacity(e.widths, a.cfg.StreamCapacity, a.cfg.PipelineDepth)
 	e.waits = make([]int32, n)
 	e.feeders = make([]int32, len(a.plan.Joins))
 	for i, jn := range a.plan.Joins {

@@ -79,20 +79,27 @@ func videoPackets(b *testing.B, w, h, n int) [][]byte {
 	return packets
 }
 
-// BenchmarkIDCTPlaneRows inverse-transforms the Y plane of three
-// decoded pictures in turn, each into its own output plane.
+// BenchmarkIDCTPlaneRows inverse-transforms one plane of three decoded
+// pictures in turn, each into its own output plane, for each plane the
+// graph's idct components run: Y, mostly 2×2 blocks, and the quarter-size
+// U and V, with a different block mix.
 func BenchmarkIDCTPlaneRows(b *testing.B) {
 	for _, sz := range benchSizes {
 		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
 			cfs := rotatedFrames(b, sz.w, sz.h, videoPackets(b, sz.w, sz.h, rotation))
-			var dst [rotation][]uint8
-			for i := range dst {
-				dst[i] = make([]uint8, sz.w*sz.h)
-			}
-			b.SetBytes(int64(sz.w * sz.h))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				IDCTPlaneRows(dst[i%rotation], cfs[i%rotation].Planes[0], 0, sz.h)
+			for i, pl := range media.Planes {
+				b.Run(pl.String(), func(b *testing.B) {
+					pw, ph := media.PlaneDims(pl, sz.w, sz.h)
+					var dst [rotation][]uint8
+					for j := range dst {
+						dst[j] = make([]uint8, pw*ph)
+					}
+					b.SetBytes(int64(pw * ph))
+					b.ResetTimer()
+					for j := 0; j < b.N; j++ {
+						IDCTPlaneRows(dst[j%rotation], cfs[j%rotation].Planes[i], 0, ph)
+					}
+				})
 			}
 		})
 	}
