@@ -57,3 +57,24 @@ func BenchmarkBlurBand(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDownscaleBand times the ×4 downscale at the shape one pip12
+// downscale job has: band 3 of an 8-slice split of the 180×144 Y inset
+// (18 output rows from 720×576) and of its 90×72 chroma (9 rows).
+func BenchmarkDownscaleBand(b *testing.B) {
+	for _, p := range []struct {
+		name string
+		w, h int
+	}{{"Y", 720, 576}, {"UV", 360, 288}} {
+		b.Run(p.name, func(b *testing.B) {
+			dw, dh := p.w/4, p.h/4
+			r0, r1 := media.SliceRows(dh, 3, 8)
+			src := randomPlane(p.w, p.h, 9)
+			dst := make([]uint8, dw*dh)
+			b.SetBytes(int64((r1 - r0) * 4 * p.w))
+			for i := 0; i < b.N; i++ {
+				DownscalePlane(dst, dw, dh, src, p.w, p.h, 4, r0, r1)
+			}
+		})
+	}
+}

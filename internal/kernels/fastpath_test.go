@@ -2,18 +2,17 @@ package kernels
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"xspcl/internal/media"
 )
 
 // This file pins the specialized fast paths (word-parallel downscale
-// and blur: eight pixels per uint64 as 16-bit lanes, two ×4 boxes or
-// one ×8/×16 box row per load, rows in pairs in the vertical blur pass;
-// opaque blend copy) to straightforward generic implementations written
-// independently below. Every fast path must be bit-identical to its
-// generic counterpart.
+// and blur: eight pixels per uint64 as 16-bit lanes, four ×4 boxes a
+// trip or two loads per ×16 box row, rows in pairs in the vertical blur
+// pass; opaque blend copy) to straightforward generic implementations
+// written independently below. Every fast path must be bit-identical to
+// its generic counterpart.
 //
 // For the blur and the downscale this is the only independent oracle in
 // the repository:
@@ -91,10 +90,10 @@ func refBlurV(dst, src []uint8, w, h, taps, r0, r1 int) {
 }
 
 func TestDownscaleWindowFastPathsMatchGeneric(t *testing.T) {
-	// Factors with fast paths (1 a copy, 4 two boxes per word, 8 and 16
-	// a box row per word or two) and without (2, 3, 5), composited at
-	// both zero and non-zero window offsets. The window width is odd, so
-	// ×4's last column takes the per-sample form.
+	// Factors with fast paths (1 a copy, 4 four boxes a trip, 16 two
+	// loads per box row) and without (2, 3, 5, 8), composited at both
+	// zero and non-zero window offsets. The window width is 25, so a ×4
+	// row ends in one two-box step and one per-sample column.
 	for _, factor := range []int{1, 2, 3, 4, 5, 8, 16} {
 		for _, off := range []struct{ ox, oy int }{{0, 0}, {3, 2}} {
 			ow, oh := 25, 16
@@ -143,10 +142,36 @@ func checkDownscaleWindow(t *testing.T, factor, ow, oh, ox, oy, r0, r1, pattern 
 	}
 }
 
+// TestDownscaleTailsMatchGeneric runs the ×4 and ×16 fast paths over
+// every window width from 1 to 17 and 89, 90, 91, 180, 181: every ow%4
+// class of the ×4 row (the four-box body, the two-box step and the
+// per-sample column, alone and together, PiP's 180 and 90 among them)
+// and ×16's accumulator chunk edge at 16/17. Each width runs at ox 0 and
+// odd, on the whole window and an inner band, on every blurPatterns
+// source.
+func TestDownscaleTailsMatchGeneric(t *testing.T) {
+	widths := []int{89, 90, 91, 180, 181}
+	for ow := 1; ow <= 17; ow++ {
+		widths = append(widths, ow)
+	}
+	const oh = 5
+	for _, factor := range []int{4, 16} {
+		for _, ow := range widths {
+			for _, ox := range []int{0, 3} {
+				for _, band := range [][2]int{{0, oh}, {1, oh - 1}} {
+					for pattern := range blurPatterns {
+						checkDownscaleWindow(t, factor, ow, oh, ox, 2, band[0], band[1], pattern, uint64(factor*1000+ow))
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzDownscaleMatchesGeneric lets the fuzzer pick checkDownscaleWindow's
-// window, offset, band, pattern and seed for the ×4, ×8 and ×16 paths.
-// The seeds include PiP's and JPiP's inset windows; a source is at most
-// 1280×720 samples.
+// window, offset, band, pattern and seed for the ×4 and ×16 paths, and
+// for ×8 as one of the factors without a fast path. The seeds include
+// PiP's and JPiP's inset windows; a source is at most 1280×720 samples.
 func FuzzDownscaleMatchesGeneric(f *testing.F) {
 	for _, factor := range []int{4, 8, 16} {
 		f.Add(factor, 7, 5, 3, 1, 1, 4, uint64(2)) // odd window, inner band
@@ -158,7 +183,9 @@ func FuzzDownscaleMatchesGeneric(f *testing.F) {
 	f.Add(4, 90, 72, 262, 208, 0, 72, uint64(9))    // its chroma
 	f.Add(4, 180, 144, 16, 16, 54, 72, uint64(14))  // second Y inset, band 3 of 8
 	f.Add(4, 90, 72, 8, 8, 27, 36, uint64(3))       // its chroma band 3, 0/255 rows
-	f.Add(4, 181, 9, 3, 1, 0, 9, uint64(1))         // odd width (per-sample tail), all 255
+	f.Add(4, 181, 9, 3, 1, 0, 9, uint64(1))         // ow%4 == 1 (per-sample column), all 255
+	f.Add(4, 14, 6, 5, 1, 1, 5, uint64(6))          // ow%4 == 2 (two-box step), all 255
+	f.Add(4, 91, 8, 1, 2, 0, 8, uint64(2))          // ow%4 == 3 (two-box step and per-sample column), 0/255 columns
 	f.Add(4, 180, 8, 0, 0, 0, 8, uint64(2))         // even width, 0/255 columns
 	f.Add(8, 160, 90, 0, 0, 0, 90, uint64(1))       // a 1280×720 plane, all 255
 	f.Add(16, 80, 44, 0, 0, 0, 44, uint64(4))       // JPiP's Y inset
@@ -300,21 +327,28 @@ func FuzzBlurMatchesGeneric(f *testing.F) {
 }
 
 // BenchmarkDownscaleFactors times each factor on a whole plane: ×4 at
-// PiP's 720×576 (the geometry of bench's kernels.downscale4_mb_s), the
-// others at 1280×720 (×16 is JPiP's).
+// PiP's 720×576 Y plane (f4/Y, the geometry of bench's
+// kernels.downscale4_mb_s) and its 360×288 chroma (f4/UV, 90 wide, so
+// every row ends in the two-box step), the others at 1280×720 (×16 is
+// JPiP's; ×2 stands for the factors without a fast path).
 func BenchmarkDownscaleFactors(b *testing.B) {
-	for _, factor := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("f%d", factor), func(b *testing.B) {
-			sw, sh := 1280, 720
-			if factor == 4 {
-				sw, sh = 720, 576
-			}
-			dw, dh := sw/factor, sh/factor
-			src := randomPlane(sw, sh, uint64(factor))
+	planes := []struct {
+		name         string
+		factor, w, h int
+	}{
+		{"f2", 2, 1280, 720},
+		{"f4/Y", 4, 720, 576},
+		{"f4/UV", 4, 360, 288},
+		{"f16", 16, 1280, 720},
+	}
+	for _, p := range planes {
+		b.Run(p.name, func(b *testing.B) {
+			dw, dh := p.w/p.factor, p.h/p.factor
+			src := randomPlane(p.w, p.h, uint64(p.factor))
 			dst := make([]uint8, dw*dh)
-			b.SetBytes(int64(sw * sh))
+			b.SetBytes(int64(p.w * p.h))
 			for i := 0; i < b.N; i++ {
-				DownscalePlane(dst, dw, dh, src, sw, sh, factor, 0, dh)
+				DownscalePlane(dst, dw, dh, src, p.w, p.h, p.factor, 0, dh)
 			}
 		})
 	}

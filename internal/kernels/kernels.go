@@ -41,12 +41,11 @@ func DownscaleWindow(dst []uint8, dw, ox, oy, ow, oh int, src []uint8, sw, sh, f
 		panic("kernels: downscale window out of bounds")
 	}
 	// PiP scales by ×4 and JPiP by ×16. Each has its own word-parallel
-	// loop: ×4 takes two boxes per load, and ×16 walks its source rows
-	// once, two loads per box row. ×8, which no application runs, sums
-	// a box at a time, one load per box row. Every other factor, ×2
-	// included, takes boxAverage per sample. Each fast path is
-	// boxAverage bit for bit: the same rounded box average, with the
-	// /factor² division strength-reduced to a shift.
+	// loop: ×4 makes four boxes a trip from two loads per box row, and
+	// ×16 walks its source rows once, two loads per box row. Every other
+	// factor, ×2 and ×8 included, takes boxAverage per sample. Each fast
+	// path is boxAverage bit for bit: the same rounded box average, with
+	// the /factor² division strength-reduced to a shift.
 	switch factor {
 	case 1:
 		for y := r0; y < r1; y++ {
@@ -54,10 +53,9 @@ func DownscaleWindow(dst []uint8, dw, ox, oy, ow, oh int, src []uint8, sw, sh, f
 		}
 		return
 	case 4:
-		downscaleWindow4(dst, dw, ox, oy, ow, src, sw, r0, r1)
-		return
-	case 8:
-		downscaleWindow8(dst, dw, ox, oy, ow, src, sw, r0, r1)
+		for y := r0; y < r1; y++ {
+			downscaleRow4(dst[(oy+y)*dw+ox:(oy+y)*dw+ox+ow], src[4*y*sw:], sw)
+		}
 		return
 	case 16:
 		downscaleWindow16(dst, dw, ox, oy, ow, src, sw, r0, r1)
@@ -83,59 +81,55 @@ func boxAverage(src []uint8, sw, i, factor int) uint8 {
 	return uint8(sum / (factor * factor))
 }
 
-// downscaleWindow4 is the ×4 fast path, two boxes per word: one
-// little-endian uint64 load per box row covers two neighbouring boxes,
-// and evens+odds over the four rows leaves four 16-bit lanes of at most
-// 4·2·255 = 2040, the first box's two column pairs in lanes 0 and 1 and
-// the second's in lanes 2 and 3. l += l>>16 folds lanes 0+1 and 2+3, so
-// lanes 0 and 2 hold the two box sums (at most 4080, 4088 with the
-// rounding 8: nothing carries) and (sum+8)>>4 is boxAverage bit for
-// bit. An odd last column, whose load would run past the window, takes
-// boxAverage.
-func downscaleWindow4(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, r0, r1 int) {
-	for y := r0; y < r1; y++ {
-		drow := dst[(oy+y)*dw+ox : (oy+y)*dw+ox+ow]
-		top := 4 * y * sw
-		s0 := src[top : top+4*ow]
-		s1 := src[top+sw : top+sw+4*ow]
-		s2 := src[top+2*sw : top+2*sw+4*ow]
-		s3 := src[top+3*sw : top+3*sw+4*ow]
-		x := 0
-		for ; x+1 < ow; x += 2 {
-			o := 4 * x
-			v0 := binary.LittleEndian.Uint64(s0[o:])
-			v1 := binary.LittleEndian.Uint64(s1[o:])
-			v2 := binary.LittleEndian.Uint64(s2[o:])
-			v3 := binary.LittleEndian.Uint64(s3[o:])
-			l := evens(v0) + odds(v0) + evens(v1) + odds(v1) + evens(v2) + odds(v2) + evens(v3) + odds(v3)
-			l += l>>16 + 0x0000000800000008
-			drow[x], drow[x+1] = uint8(l>>4), uint8(l>>36)
-		}
-		if x < ow {
-			drow[x] = boxAverage(src, sw, top+4*x, 4)
-		}
+// downscaleRow4 makes one row of ×4 boxes, four boxes a trip: each of
+// the four box rows, at src[0], src[sw], src[2*sw] and src[3*sw], gives
+// 16 bytes, two little-endian uint64 loads, and each 8-byte half covers
+// two neighbouring boxes (box4Pair). The four averages leave in one
+// uint32 store. The row slices share one length and capacity, so one
+// check of the first row's 16 bytes covers the trip's eight loads, and
+// the row is a function of its own so that the four row pointers stay
+// in registers. A last pair of columns takes one two-box step and an
+// odd last column boxAverage.
+func downscaleRow4(drow, src []uint8, sw int) {
+	n := 4 * len(drow)
+	s0 := src[:n:n]
+	s1 := src[sw:][:n:n]
+	s2 := src[2*sw:][:n:n]
+	s3 := src[3*sw:][:n:n]
+	x := 0
+	for o := 0; o+16 <= n; o += 16 {
+		a0, a1, a2, a3 := s0[o:o+16:o+16], s1[o:o+16:o+16], s2[o:o+16:o+16], s3[o:o+16:o+16]
+		la := box4Pair(binary.LittleEndian.Uint64(a0), binary.LittleEndian.Uint64(a1),
+			binary.LittleEndian.Uint64(a2), binary.LittleEndian.Uint64(a3))
+		lb := box4Pair(binary.LittleEndian.Uint64(a0[8:]), binary.LittleEndian.Uint64(a1[8:]),
+			binary.LittleEndian.Uint64(a2[8:]), binary.LittleEndian.Uint64(a3[8:]))
+		u := la>>4&0x000000ff000000ff | (lb>>4&0x000000ff000000ff)<<16
+		binary.LittleEndian.PutUint32(drow[x:x+4:x+4], uint32(u|u>>24))
+		x += 4
+	}
+	if x+1 < len(drow) {
+		o := 4 * x
+		l := box4Pair(binary.LittleEndian.Uint64(s0[o:]), binary.LittleEndian.Uint64(s1[o:]),
+			binary.LittleEndian.Uint64(s2[o:]), binary.LittleEndian.Uint64(s3[o:]))
+		drow[x], drow[x+1] = uint8(l>>4), uint8(l>>36)
+		x += 2
+	}
+	if x < len(drow) {
+		drow[x] = boxAverage(src, sw, 4*x, 4)
 	}
 }
 
-// downscaleWindow8 is the ×8 fast path, a box at a time: each box row
-// is one little-endian uint64 load, split into even and odd bytes as
-// four 16-bit lanes each (see the blur below) and summed lane-wise over
-// the box, and one multiply adds up the four lanes. A lane holds at
-// most 8·2·255 = 4080 and the box sum 64·255, so nothing carries out
-// of a lane and the result is boxAverage's bit for bit.
-func downscaleWindow8(dst []uint8, dw, ox, oy, ow int, src []uint8, sw, r0, r1 int) {
-	for y := r0; y < r1; y++ {
-		drow := dst[(oy+y)*dw+ox : (oy+y)*dw+ox+ow]
-		top := 8 * y * sw
-		for x := range drow {
-			var lanes uint64
-			for i := top + 8*x; i < top+8*sw; i += sw {
-				v := binary.LittleEndian.Uint64(src[i:])
-				lanes += evens(v) + odds(v)
-			}
-			drow[x] = uint8((lanes*0x0001000100010001>>48 + 32) >> 6)
-		}
-	}
+// box4Pair sums two neighbouring ×4 boxes from the words v0..v3 of
+// their four box rows. evens+odds over the four words leaves four 16-bit
+// lanes of at most 4·2·255 = 2040, the first box's two column pairs in
+// lanes 0 and 1 and the second's in lanes 2 and 3; l += l>>16 folds
+// lanes 0+1 and 2+3, so lanes 0 and 2 hold the two box sums plus the
+// rounding 8 (at most 4088: nothing carries), and bits 4..11 and 36..43
+// are (sum+8)>>4, boxAverage bit for bit.
+func box4Pair(v0, v1, v2, v3 uint64) uint64 {
+	l := v0&evenLanes + v1&evenLanes + v2&evenLanes + v3&evenLanes +
+		v0>>8&evenLanes + v1>>8&evenLanes + v2>>8&evenLanes + v3>>8&evenLanes
+	return l + l>>16 + 0x0000000800000008
 }
 
 // downscaleWindow16 is the ×16 fast path. It walks the source row-major:
