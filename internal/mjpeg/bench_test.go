@@ -1,7 +1,6 @@
 package mjpeg
 
 import (
-	"fmt"
 	"testing"
 
 	"xspcl/internal/media"
@@ -39,9 +38,19 @@ func BenchmarkDecodeEntropy(b *testing.B) {
 	}
 }
 
-// benchSizes are the geometries the IDCT and entropy benchmarks run at:
-// the small test frame and the 1280×720 frame of the JPiP workload.
-var benchSizes = []struct{ w, h int }{{320, 240}, {1280, 720}}
+// benchInputs are the pictures the IDCT and entropy benchmarks decode:
+// the benchmark video at the small test size and at the 1280×720 of the
+// JPiP workload, and a textured 1280×720 picture. packets encodes the
+// first n pictures of an input.
+var benchInputs = []struct {
+	name    string
+	w, h    int
+	packets func(b *testing.B, w, h, n int) [][]byte
+}{
+	{"320x240", 320, 240, videoPackets},
+	{"1280x720", 1280, 720, videoPackets},
+	{"1280x720-textured", 1280, 720, texturedPackets},
+}
 
 // rotation is the number of coefficient frames the IDCT and entropy
 // benchmarks cycle through: a JPiP coefficient stream rotates its
@@ -79,14 +88,42 @@ func videoPackets(b *testing.B, w, h, n int) [][]byte {
 	return packets
 }
 
+// texturedPackets encodes n pictures of the benchmark video with PRNG
+// texture in every plane: each sample moves by up to ±textureAmp. The
+// video's own blocks are mostly 2×2, and its chroma blocks have one
+// coefficient row or column; with the texture most blocks of every plane
+// take idct8, with long AC runs.
+func texturedPackets(b *testing.B, w, h, n int) [][]byte {
+	b.Helper()
+	const textureAmp = 12
+	gen := media.NewGenerator(w, h, 1)
+	r := media.NewRNG(2)
+	packets := make([][]byte, n)
+	for i := range packets {
+		f := gen.Next()
+		for _, pl := range media.Planes {
+			data, _, _ := f.Plane(pl)
+			for j, v := range data {
+				data[j] = uint8(min(max(int(v)+r.Intn(2*textureAmp+1)-textureAmp, 0), 255))
+			}
+		}
+		enc, err := Encode(f, 75)
+		if err != nil {
+			b.Fatal(err)
+		}
+		packets[i] = enc
+	}
+	return packets
+}
+
 // BenchmarkIDCTPlaneRows inverse-transforms one plane of three decoded
 // pictures in turn, each into its own output plane, for each plane the
 // graph's idct components run: Y, mostly 2×2 blocks, and the quarter-size
 // U and V, with a different block mix.
 func BenchmarkIDCTPlaneRows(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
-			cfs := rotatedFrames(b, sz.w, sz.h, videoPackets(b, sz.w, sz.h, rotation))
+	for _, sz := range benchInputs {
+		b.Run(sz.name, func(b *testing.B) {
+			cfs := rotatedFrames(b, sz.w, sz.h, sz.packets(b, sz.w, sz.h, rotation))
 			for i, pl := range media.Planes {
 				b.Run(pl.String(), func(b *testing.B) {
 					pw, ph := media.PlaneDims(pl, sz.w, sz.h)
@@ -119,9 +156,9 @@ func BenchmarkFDCT8x8(b *testing.B) {
 // turn into three frames in turn, as a jpegdecode stream's slots do:
 // each decode overwrites a frame another picture left.
 func BenchmarkDecodeEntropyInto(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
-			packets := videoPackets(b, sz.w, sz.h, 2)
+	for _, sz := range benchInputs {
+		b.Run(sz.name, func(b *testing.B) {
+			packets := sz.packets(b, sz.w, sz.h, 2)
 			cfs := rotatedFrames(b, sz.w, sz.h, packets)
 			b.SetBytes(int64(sz.w * sz.h * 3 / 2))
 			b.ReportAllocs()

@@ -287,12 +287,14 @@ func DecodeEntropyInto(cf *CoeffFrame, data []byte) (*CoeffFrame, error) {
 
 var errRunOverflow = errors.New("run overflows block")
 
-// zigzagMask[i] is coeffMask of the i-th coefficient in zigzag order.
-var zigzagMask = func() (m [64]uint16) {
+// zigzagCoef[i] is the natural index of the i-th coefficient in zigzag
+// order in its low 16 bits and the coeffMask of that index in its high
+// 16 bits: the decoder's one table read for where a coefficient goes.
+var zigzagCoef = func() (z [64]uint32) {
 	for i, nat := range zigzag {
-		m[i] = coeffMask(nat)
+		z[i] = uint32(nat) | uint32(coeffMask(nat))<<16
 	}
-	return m
+	return z
 }()
 
 // decodePlaneEntropy decodes one plane's bitstream into cp, which may
@@ -301,22 +303,32 @@ var zigzagMask = func() (m [64]uint16) {
 // the previous block's extent (so the clear stays in L1), and then the
 // coefficients its extent covers are appended to cp.Coef as its record.
 // A code and the magnitude bits after it are one lookahead read
-// (huffDecoder.look) whenever both fit in lookBits bits.
+// (huffDecoder.look), one word with the bits to consume, the symbol and
+// the extended value, whenever both fit in lookBits bits; resolve gives
+// the same word for the rest.
 //
 // The bit window (acc, n) and the byte position pos are locals, so they
 // stay in registers across a symbol's index, table load and shift. The
 // window is filled whenever it holds fewer than 32 bits, which covers
 // any code and magnitude (at most 27 bits); a fill that leaves fewer
 // than 32 has reached the end of data, so a symbol longer than n
-// overruns the stream.
+// overruns the stream. An AC symbol is consumed right after its load,
+// before the run is looked at, so the old window dies early; the rare
+// symbol that overruns takes its error from codeError. The AC loop keeps
+// few values live: one counter (coefs) and one table read (zigzagCoef)
+// per coefficient, and data with its capacity cut to its length, so
+// Fill's slicing needs no capacity word.
 func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bool, quality int) error {
 	q := quantTable(luma, quality)
 	dcDec, acDec := dcChromaDec, acChromaDec
 	if luma {
 		dcDec, acDec = dcLumaDec, acLumaDec
 	}
+	data = data[:len(data):len(data)]
 	pos, acc, n := 0, uint64(0), uint(0)
-	symbols, nonZero := 0, 0
+	// An AC coefficient symbol always gives a non-zero coefficient, so
+	// coefs counts both; symbols and nonZero count the rest.
+	symbols, nonZero, coefs := 0, 0, 0
 	pred := int32(0)
 	var err error
 	var blk [64]int32
@@ -334,61 +346,58 @@ func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bo
 			if n < 32 {
 				pos, acc, n = bitio.Fill(data, pos, acc, n)
 			}
-			e := dcDec.look[acc>>(64-lookBits)]
-			if e.n == 0 {
-				if e, err = dcDec.resolve(acc, n); err != nil {
+			w := dcDec.look[acc>>(64-lookBits)]
+			if w.n() == 0 {
+				if w, err = dcDec.resolve(acc, n); err != nil {
 					return err
 				}
 			}
-			if uint(e.n) > n {
+			if w.n() > n {
 				return bitio.ErrOverrun
 			}
-			acc <<= e.n
-			n -= uint(e.n)
+			acc <<= w.n()
+			n -= w.n()
 			symbols++
-			pred += int32(e.v)
+			pred += w.value()
 			blk[0] = pred * q[0]
 			if blk[0] != 0 {
 				nonZero++
 			}
-			mask := zigzagMask[0]
+			mask := zigzagCoef[0] // its high half marks DC; the low half is unused
 			// AC.
 			for i := 1; i < 64; i++ {
 				if n < 32 {
 					pos, acc, n = bitio.Fill(data, pos, acc, n)
 				}
-				e := acDec.look[acc>>(64-lookBits)]
-				if e.n == 0 {
-					if e, err = acDec.resolve(acc, n); err != nil {
+				w := acDec.look[acc>>(64-lookBits)]
+				if w.n() == 0 {
+					if w, err = acDec.resolve(acc, n); err != nil {
 						return err
 					}
 				}
-				if e.sym == 0x00 || e.sym == 0xf0 { // EOB, ZRL: no magnitude
-					if uint(e.n) > n {
-						return bitio.ErrOverrun
-					}
-					acc <<= e.n
-					n -= uint(e.n)
+				if w.n() > n {
+					return codeError(w, i, n)
+				}
+				acc <<= w.n()
+				n -= w.n()
+				if sym := w.sym(); sym == 0x00 || sym == 0xf0 { // EOB, ZRL: no magnitude
 					symbols++
-					if e.sym == 0x00 {
+					if sym == 0x00 {
 						break
 					}
 					i += 15
 					continue
 				}
-				i += int(e.sym >> 4)
-				if i >= 64 || uint(e.n) > n {
-					return codeError(e, i, n)
+				if i += int(w.sym() >> 4); i >= 64 {
+					return errRunOverflow
 				}
-				acc <<= e.n
-				n -= uint(e.n)
-				symbols++
-				nat := zigzag[i]
-				blk[nat] = int32(e.v) * q[nat]
-				mask |= zigzagMask[i]
-				nonZero++
+				coefs++
+				z := zigzagCoef[i]
+				nat := z & 63
+				blk[nat] = w.value() * q[nat]
+				mask |= z
 			}
-			ext := maskExtent(mask)
+			ext := maskExtent(uint16(mask >> 16))
 			cp.Ext[b] = ext
 			rows, cols = int(ext&15), int(ext>>4)
 			// The record is copied a coefficient at a time: a wide load
@@ -411,22 +420,20 @@ func decodePlaneEntropy(cp *CoeffPlane, stats *DecodeStats, data []byte, luma bo
 		}
 	}
 	cp.Row[cp.H/8] = int32(off)
-	stats.Symbols += symbols
+	stats.Symbols += symbols + coefs
 	stats.Bits += pos*8 - int(n)
-	stats.NonZero += nonZero
+	stats.NonZero += nonZero + coefs
 	return nil
 }
 
-// codeError is the error of an AC code e whose run lands at zigzag
-// index i, when i is past the block or code and magnitude are longer
-// than the n bits left. It is the one a bit-serial decoder meets first:
-// an overrun inside the code, then the run overflow, then an overrun
-// inside the magnitude.
-func codeError(e huffEntry, i int, n uint) error {
-	if uint(e.l) > n {
-		return bitio.ErrOverrun
-	}
-	if i >= 64 {
+// codeError is the error of an AC code w at zigzag index i whose code
+// and magnitude are longer than the n bits left. It is the one a
+// bit-serial decoder meets first: an overrun inside the code, then the
+// run overflow of a coefficient whose run lands past the block, then an
+// overrun inside the magnitude. An EOB or a ZRL (no magnitude, so w.n()
+// is its code length) always overruns here.
+func codeError(w huffWord, i int, n uint) error {
+	if w.codeLen() <= n && i+int(w.sym()>>4) >= 64 {
 		return errRunOverflow
 	}
 	return bitio.ErrOverrun
@@ -469,11 +476,11 @@ func IDCTPlaneRows(dst []uint8, cp *CoeffPlane, r0, r1 int) {
 				// idct2(c0u, c1u), with no col and no call. A 2×1 block
 				// stays below, where its rows are flat and cheaper.
 				var a, b [8]int64
-				a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = idct2(basis2[0]*int64(in[0]), basis2[0]*int64(in[2]), bias)
+				a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = idct2(k0*int64(in[0]), k0*int64(in[2]), bias)
 				b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7] = idct2(int64(in[1]), int64(in[3]), 0)
 				// The corner check: read unsigned, a negative corner is
 				// larger than any in range.
-				c0, c7 := basis2[1]*b[0], basis2[1]*b[7]
+				c0, c7 := ka*b[0], ka*b[7]
 				if max(uint64(a[0]+c0), uint64(a[0]-c0), uint64(a[7]+c7), uint64(a[7]-c7)) < 1<<32 {
 					// Bits 24-31 of each lane are the pixel.
 					for y, at := 0, by*8*w+bx*8; y < 8; y, at = y+1, at+w {
@@ -496,7 +503,7 @@ func IDCTPlaneRows(dst []uint8, cp *CoeffPlane, r0, r1 int) {
 				switch {
 				case y > 0 && equal:
 				case n == 1:
-					row = 0x0101010101010101 * uint64(clampPixel(int32((bias+basis2[0]*col[y*8])>>(2*dctBits))))
+					row = 0x0101010101010101 * uint64(clampPixel(int32((bias+k0*col[y*8])>>(2*dctBits))))
 				default:
 					row = packPixels(idctRow(&col, y, n, bias))
 				}

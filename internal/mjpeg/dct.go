@@ -132,7 +132,7 @@ func idctColumns(col *[64]int64, in *[64]int32, stride int, ext uint8) (n int, e
 	}
 	if rows <= 1 {
 		for u := 0; u < cols; u++ {
-			col[u] = basis2[0] * int64(in[u])
+			col[u] = k0 * int64(in[u])
 		}
 		for u := cols; u < n; u++ {
 			col[u] = 0
@@ -179,41 +179,59 @@ func idctRow(col *[64]int64, y, n int, bias int64) (x0, x1, x2, x3, x4, x5, x6, 
 	return idct8(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], bias)
 }
 
+// The basis values idct8 and idct2 multiply by, as constants (so each
+// product is one multiply by an immediate): k0 is basis[0][0] and
+// basis[4][0], ka..kd are basis[1][0..3], and kp, kq are
+// basis[2][0..1]. TestBasisSymmetry checks them against cosBasis.
+const (
+	k0             int64 = 1448
+	ka, kb, kc, kd int64 = 2009, 1703, 1138, 400
+	kp, kq         int64 = 1892, 784
+)
+
 // idct8 is the one exact 8-point inverse pass: x_i = bias + Σk
 // basis[k][i]·t_k. It rests on the table identities TestBasisSymmetry
 // pins. With e and o the even-k and odd-k half sums at i = 0..3,
 // x_i = e+o and x_(7-i) = e-o. The even half is itself a 4-point
 // transform with the same ± symmetry: basis[0] is flat and basis[4] is
-// [c,-c,-c,c], so two products give their part at i = 0,3 and i = 1,2;
-// basis[2] and basis[6] are antisymmetric about i ↔ 3-i, so four
-// products give theirs at all four i. The odd half stays a 4×4
-// product: 22 products, where the plain even/odd split takes 32.
+// [c,-c,-c,c], so two products give their part at i = 0,3 and i = 1,2.
+// basis[6][0..1] is [kq,-kp], the reverse of basis[2][0..1] = [kp,kq]
+// with one sign flipped, so r0 = kp·t2 + kq·t6 and r1 = kq·t2 − kp·t6
+// share the product kq·(t2+t6):
+//
+//	r0 = kq·(t2+t6) + (kp−kq)·t2,  r1 = kq·(t2+t6) − (kp+kq)·t6.
+//
+// The odd basis rows basis[3], basis[5] and basis[7] are signed
+// permutations of basis[1] = [ka,kb,kc,kd], so o0..o3 split into pairs
+// of that form over (t1,t7) and (t3,t5): o0 and o3 hold ka·t1 + kd·t7
+// and kd·t1 − ka·t7, which share kd·(t1+t7), and kb·t3 + kc·t5 and
+// kb·t5 − kc·t3, which share kc·(t3+t5); o1 and o2 hold kb·t1 − kc·t7
+// and kc·t1 + kb·t7, which share kc·(t1+t7), and −kd·t3 − ka·t5 and
+// kd·t5 − ka·t3, which share kd·(t3+t5). Three products a pair, where
+// the direct sums take four: 17 products, 5 for the even half and 12
+// for the odd, where the plain even/odd split takes 32. The identities
+// hold in the int64 ring, so wrap-around changes nothing.
 func idct8(t0, t1, t2, t3, t4, t5, t6, t7, bias int64) (x0, x1, x2, x3, x4, x5, x6, x7 int64) {
-	b1, b2, b3 := &cosBasis[1], &cosBasis[2], &cosBasis[3]
-	b5, b6, b7 := &cosBasis[5], &cosBasis[6], &cosBasis[7]
-	a0, a4 := bias+int64(cosBasis[0][0])*t0, int64(cosBasis[4][0])*t4
+	a0, a4 := bias+k0*t0, k0*t4
 	p, q := a0+a4, a0-a4 // i = 0, 3 and i = 1, 2
-	r0 := int64(b2[0])*t2 + int64(b6[0])*t6
-	r1 := int64(b2[1])*t2 + int64(b6[1])*t6
+	z26 := kq * (t2 + t6)
+	r0, r1 := z26+(kp-kq)*t2, z26-(kp+kq)*t6
 	e0, e1, e2, e3 := p+r0, q+r1, q-r1, p-r0
-	o0 := int64(b1[0])*t1 + int64(b3[0])*t3 + int64(b5[0])*t5 + int64(b7[0])*t7
-	o1 := int64(b1[1])*t1 + int64(b3[1])*t3 + int64(b5[1])*t5 + int64(b7[1])*t7
-	o2 := int64(b1[2])*t1 + int64(b3[2])*t3 + int64(b5[2])*t5 + int64(b7[2])*t7
-	o3 := int64(b1[3])*t1 + int64(b3[3])*t3 + int64(b5[3])*t5 + int64(b7[3])*t7
+	z17, z35 := kd*(t1+t7), kc*(t3+t5) // o0 and o3
+	o0 := z17 + (ka-kd)*t1 + z35 + (kb-kc)*t3
+	o3 := z17 - (ka+kd)*t7 + (kb+kc)*t5 - z35
+	y17, y35 := kc*(t1+t7), kd*(t3+t5) // o1 and o2
+	o1 := (kb+kc)*t1 - y17 - y35 - (ka-kd)*t5
+	o2 := y17 + (kb-kc)*t7 + y35 - (ka+kd)*t3
 	return e0 + o0, e1 + o1, e2 + o2, e3 + o3, e3 - o3, e2 - o2, e1 - o1, e0 - o0
 }
 
 // idct2 is idct8 with t2..t7 zero, the two-term form: 5 products.
 func idct2(t0, t1, bias int64) (x0, x1, x2, x3, x4, x5, x6, x7 int64) {
-	e := bias + basis2[0]*t0
-	o0, o1, o2, o3 := basis2[1]*t1, basis2[2]*t1, basis2[3]*t1, basis2[4]*t1
+	e := bias + k0*t0
+	o0, o1, o2, o3 := ka*t1, kb*t1, kc*t1, kd*t1
 	return e + o0, e + o1, e + o2, e + o3, e - o3, e - o2, e - o1, e - o0
 }
-
-// basis2 is what idct2 reads of cosBasis, basis[0][0] and then
-// basis[1][0..3], as int64: indexing it is cheap enough for idct2 to
-// inline into IDCTPlaneRows' 2×2 path.
-var basis2 = [5]int64{int64(cosBasis[0][0]), int64(cosBasis[1][0]), int64(cosBasis[1][1]), int64(cosBasis[1][2]), int64(cosBasis[1][3])}
 
 // lanes2[k] is basis[1][k] in the low 32-bit lane and basis[1][k+4] in
 // the high one, mod 2^64: times b it adds basis[1][k]·b + basis[1][k+4]·b·2^32,
@@ -228,9 +246,9 @@ var lanes2 = func() (l [4]uint64) {
 // IDCTOpsPerBlock is the arithmetic operation count the cost model
 // charges for one 8×8 inverse transform: two dense separable passes of
 // 8×8 multiply-accumulates plus the rounding shifts. It is the model's
-// charge, not the work IDCT8x8 or IDCTPlaneRows do (idct8 skips zeros
-// and factors the even half); it stays unchanged so that sim cycles and
-// every golden keep the original calibration (DESIGN.md §7).
+// charge, not the work IDCT8x8 or IDCTPlaneRows do (the extent skips
+// zeros, and idct8 takes 17 products); it stays unchanged so that sim
+// cycles and every golden keep the original calibration (DESIGN.md §7).
 const IDCTOpsPerBlock = 2*8*8*16 + 64
 
 // IDCTOps returns the operation count for inverse-transforming a plane

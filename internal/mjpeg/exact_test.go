@@ -13,9 +13,10 @@ import (
 	"xspcl/internal/media"
 )
 
-// TestBasisSymmetry pins the table identities the even/odd transforms
-// and the DC-only shortcut rest on. They hold for the exact cosines;
-// this checks they survived rounding to dctBits.
+// TestBasisSymmetry pins the table identities the even/odd transforms,
+// idct8's three-product pairs and the DC-only shortcut rest on, and the
+// constants idct8 and idct2 multiply by. The identities hold for the
+// exact cosines; this checks they survived rounding to dctBits.
 func TestBasisSymmetry(t *testing.T) {
 	for u := 0; u < 8; u++ {
 		for x := 0; x < 8; x++ {
@@ -43,6 +44,84 @@ func TestBasisSymmetry(t *testing.T) {
 		for x := 0; x < 4; x++ {
 			if cosBasis[u][3-x] != -cosBasis[u][x] {
 				t.Errorf("cosBasis[%d][%d] = %d, want -cosBasis[%d][%d] = %d", u, 3-x, cosBasis[u][3-x], u, x, -cosBasis[u][x])
+			}
+		}
+	}
+	// idct8's three-product pairs: basis[6][0..1] is basis[2][0..1]
+	// reversed with the second sign flipped, and basis[3], basis[5] and
+	// basis[7] on x = 0..3 are signed permutations of basis[1].
+	b1, b2 := cosBasis[1], cosBasis[2]
+	if got, want := [2]int32(cosBasis[6][:2]), [2]int32{b2[1], -b2[0]}; got != want {
+		t.Errorf("cosBasis[6][:2] = %v, want %v", got, want)
+	}
+	for u, want := range map[int][4]int32{
+		3: {b1[1], -b1[3], -b1[0], -b1[2]},
+		5: {b1[2], -b1[0], b1[3], b1[1]},
+		7: {b1[3], -b1[2], b1[1], -b1[0]},
+	} {
+		if got := [4]int32(cosBasis[u][:4]); got != want {
+			t.Errorf("cosBasis[%d][:4] = %v, want %v", u, got, want)
+		}
+	}
+	// The constants idct8 and idct2 multiply by.
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"k0", k0, int64(cosBasis[0][0])}, {"k0", k0, int64(cosBasis[4][0])},
+		{"ka", ka, int64(b1[0])}, {"kb", kb, int64(b1[1])}, {"kc", kc, int64(b1[2])}, {"kd", kd, int64(b1[3])},
+		{"kp", kp, int64(b2[0])}, {"kq", kq, int64(b2[1])},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestIDCT8Definition holds idct8, and idct2 on vectors whose inputs
+// past the second are zero, to the plain sum x_i = bias + Σk
+// basis[k][i]·t_k on random int64 vectors. The row pass sees column
+// sums far past the int32 coefficients TestIDCTExact feeds, so the
+// inputs run up to 2^62 in magnitude and over all of int64, where the
+// sums wrap: the three-product pairs must be exact in the int64 ring.
+func TestIDCT8Definition(t *testing.T) {
+	r := media.NewRNG(23)
+	value := func() int64 {
+		switch r.Intn(4) {
+		case 0:
+			return int64(r.Intn(1<<13)) - 1<<12
+		case 1:
+			return int64(int32(r.Uint64()))
+		case 2:
+			return int64(r.Uint64()>>1) - 1<<62 // |v| ≤ 2^62
+		}
+		return int64(r.Uint64())
+	}
+	for i := 0; i < 100000; i++ {
+		var tk [8]int64
+		for k := range tk {
+			tk[k] = value()
+		}
+		if i%4 == 0 {
+			clear(tk[2:])
+		}
+		bias := []int64{0, dctRound, dctRound + 128<<(2*dctBits), value()}[i%4]
+		var want [8]int64
+		for x := range want {
+			want[x] = bias
+			for k, v := range tk {
+				want[x] += int64(cosBasis[k][x]) * v
+			}
+		}
+		var got [8]int64
+		got[0], got[1], got[2], got[3], got[4], got[5], got[6], got[7] = idct8(tk[0], tk[1], tk[2], tk[3], tk[4], tk[5], tk[6], tk[7], bias)
+		if got != want {
+			t.Fatalf("idct8(%v, bias %d) = %v, want %v", tk, bias, got, want)
+		}
+		if i%4 == 0 {
+			got[0], got[1], got[2], got[3], got[4], got[5], got[6], got[7] = idct2(tk[0], tk[1], bias)
+			if got != want {
+				t.Fatalf("idct2(%d, %d, bias %d) = %v, want %v", tk[0], tk[1], bias, got, want)
 			}
 		}
 	}
@@ -637,6 +716,53 @@ func TestDecodeEntropyExact(t *testing.T) {
 	}
 }
 
+// TestDecodeEntropyExactErrors cuts a hand-built Y plane inside the
+// last AC symbol of its first block, at every bit, where the order of a
+// decode's checks decides the error: the block has reached zigzag index
+// 49 by three ZRLs, and then comes a coefficient whose run of 15 lands
+// past the block (0xfa, whose 16-bit code ends in a 0 that reads the
+// same past the end), one whose run stays inside (0x0a, then an EOB),
+// a ZRL (which ends the block at index 65 without an error) or an EOB. A DC category
+// of 0-7 shifts each cut through the eight bit positions of a byte.
+func TestDecodeEntropyExactErrors(t *testing.T) {
+	base, err := Encode(media.NewFrame(16, 16), 75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yLen := int(binary.BigEndian.Uint32(base[9:]))
+	seen := map[string]int{}
+	for _, last := range []byte{0xfa, 0x0a, 0xf0, 0x00} {
+		for cat := uint(0); cat < 8; cat++ {
+			w := bitio.NewWriter()
+			dcLumaEnc.encode(w, byte(cat))
+			w.WriteBits(1<<cat-1, cat)
+			for k := 0; k < 3; k++ {
+				acLumaEnc.encode(w, 0xf0)
+			}
+			acLumaEnc.encode(w, last)
+			if size := uint(last & 15); size != 0 {
+				w.WriteBits(0x2aa&(1<<size-1), size)
+				acLumaEnc.encode(w, 0x00) // reached only by 0x0a
+			}
+			for b := 1; b < 4; b++ { // the other blocks: DC 0, EOB
+				dcLumaEnc.encode(w, 0)
+				acLumaEnc.encode(w, 0x00)
+			}
+			y := w.Bytes()
+			for cut := len(y); cut >= 0; cut-- {
+				pkt := binary.BigEndian.AppendUint32(bytes.Clone(base[:9]), uint32(cut))
+				pkt = append(append(pkt, y[:cut]...), base[13+yLen:]...)
+				seen[fmt.Sprintf("%#02x %s", last, checkDecodeEntropy(t, pkt))]++
+			}
+		}
+	}
+	for _, want := range []string{"0xfa overrun", "0xfa run overflow", "0x0a overrun", "0x0a ok", "0xf0 overrun", "0xf0 ok", "0x00 ok"} {
+		if seen[want] == 0 {
+			t.Errorf("no cut gave %q (saw %v)", want, seen)
+		}
+	}
+}
+
 // TestDecodeEntropyExactJPiP holds a picture of the video at the JPiP
 // geometry (1280×720, quality 75) to the bit-serial reference: whole,
 // and with its Y plane cut to end in each of its last 16 bytes, so the
@@ -667,10 +793,13 @@ func window(buf []byte) (uint64, uint) {
 	return acc, n
 }
 
-// TestHuffLookahead holds every lookahead index of every table, followed
-// by all-zero and all-one bits, to the bit-serial decoder: resolve
-// gives its symbol, code length and magnitude value (or its error), and
-// the lookahead entry agrees with resolve on all it carries.
+// TestHuffLookahead holds every lookahead word of every table, followed
+// by all-zero and by all-one bits, to the bit-serial decoder: resolve
+// gives its symbol, code length, bits to consume and magnitude value (or
+// its error), and the lookahead word agrees with both on every field it
+// carries. Its n, the "magnitude fits" marker, is set exactly where code
+// and magnitude fit in lookBits bits; a word without it keeps the code
+// length when the code fits, and is zero when it does not.
 func TestHuffLookahead(t *testing.T) {
 	for ti, d := range []*huffDecoder{dcLumaDec, dcChromaDec, acLumaDec, acChromaDec} {
 		for idx, look := range d.look {
@@ -684,27 +813,31 @@ func TestHuffLookahead(t *testing.T) {
 					t.Fatalf("table %d index %#x: resolve error %v, reference %v", ti, idx, err, refErr)
 				}
 				if refErr != nil {
-					if look.l != 0 {
-						t.Fatalf("table %d index %#x: lookahead has a code the reference rejects", ti, idx)
+					if look != 0 {
+						t.Fatalf("table %d index %#x: lookahead word %#x for a code the reference rejects", ti, idx, uint32(look))
 					}
 					continue
 				}
-				l := ref.bitsRead()
+				l := uint(ref.bitsRead())
 				size := uint(sym & 0x0f)
 				mb, _ := ref.readBits(size)
-				want := huffEntry{v: int16(extendMagnitude(mb, size)), sym: sym, l: uint8(l), n: uint8(l) + uint8(size)}
-				if got != want {
-					t.Fatalf("table %d index %#x: resolve %+v, reference %+v", ti, idx, got, want)
+				v := extendMagnitude(mb, size)
+				if got.sym() != sym || got.codeLen() != l || got.n() != l+size || got.value() != v || got != makeWord(l+size, sym, v) {
+					t.Fatalf("table %d index %#x: resolve %#x (sym %#x, code %d, n %d, v %d), reference sym %#x, code %d, n %d, v %d",
+						ti, idx, uint32(got), got.sym(), got.codeLen(), got.n(), got.value(), sym, l, l+size, v)
 				}
+				var want huffWord // a code longer than the index
 				switch {
-				case look.n != 0 && look != want:
-					t.Fatalf("table %d index %#x: lookahead %+v, reference %+v", ti, idx, look, want)
-				case look.l != 0 && (look.sym != sym || int(look.l) != l):
-					t.Fatalf("table %d index %#x: lookahead code %+v, reference %#x in %d bits", ti, idx, look, sym, l)
-				case look.l == 0 && l <= lookBits:
-					t.Fatalf("table %d index %#x: %d-bit code missing from the lookahead", ti, idx, l)
-				case look.l != 0 && look.n == 0 && l+int(size) <= lookBits:
-					t.Fatalf("table %d index %#x: magnitude within the index left out", ti, idx)
+				case l+size <= lookBits:
+					want = got
+				case l <= lookBits:
+					want = makeWord(0, sym, int32(l))
+				}
+				if look != want || (look.n() != 0) != (l+size <= lookBits) {
+					t.Fatalf("table %d index %#x: lookahead %#x, want %#x (code %d bits, magnitude %d)", ti, idx, uint32(look), uint32(want), l, size)
+				}
+				if l <= lookBits && (look.sym() != sym || look.codeLen() != l) {
+					t.Fatalf("table %d index %#x: lookahead code %#x in %d bits, reference %#x in %d", ti, idx, look.sym(), look.codeLen(), sym, l)
 				}
 			}
 		}

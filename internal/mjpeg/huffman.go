@@ -94,24 +94,51 @@ const lookBits = 11
 
 var errInvalidCode = errors.New("mjpeg: invalid Huffman code")
 
-// huffEntry is what the code at the head of a stream decodes to: its
-// symbol and length l, and the value v of the magnitude bits that follow
-// it (as many as the symbol's low nibble says: a DC category, or an AC
-// size) with n the length of code and magnitude together. In a
-// lookahead entry, l is 0 when the code is longer than lookBits and n
-// is 0 when the magnitude does not fit in the index.
-type huffEntry struct {
-	v    int16
-	sym  byte
-	l, n uint8
+// huffWord is what the code at the head of a stream decodes to, packed
+// into one word so that a lookahead read is one load:
+//
+//	bits 0-5   n, the bits to consume: code and magnitude together
+//	bits 8-15  the symbol
+//	bits 16-31 the value of the magnitude bits after the code (as many
+//	           as the symbol's low nibble says: a DC category, or an AC
+//	           size), extended and signed
+//
+// A lookahead word whose code or magnitude does not fit in the index
+// has n = 0, which marks it, and holds the code length l in bits 16-31
+// instead of the value (l = 0 when the code is longer than lookBits).
+// resolve always returns a word with n and the value set.
+type huffWord uint32
+
+// makeWord packs n, the symbol and v (a magnitude value, or the code
+// length of a word with n = 0).
+func makeWord(n uint, sym byte, v int32) huffWord {
+	return huffWord(uint32(v)<<16 | uint32(sym)<<8 | uint32(n))
+}
+
+// n is the bits to consume, 0 when the magnitude is not in the word.
+// The mask keeps a shift by n a single instruction.
+func (w huffWord) n() uint { return uint(w) & 63 }
+
+func (w huffWord) sym() byte { return byte(w >> 8) }
+
+// value is the extended magnitude value of a word with n set.
+func (w huffWord) value() int32 { return int32(w) >> 16 }
+
+// codeLen is the length of the word's code: the field a word with n = 0
+// holds instead of the value, and n less the magnitude bits otherwise.
+func (w huffWord) codeLen() uint {
+	if w.n() == 0 {
+		return uint(w >> 16)
+	}
+	return w.n() - uint(w.sym()&0x0f)
 }
 
 // huffDecoder decodes canonical Huffman codes: look maps the next
-// lookBits bits of the stream to their huffEntry, and the classic
+// lookBits bits of the stream to their huffWord, and the classic
 // mincode/maxcode/valptr tables (ITU-T T.81 §F.2.2.3) resolve the longer
 // codes.
 type huffDecoder struct {
-	look    [1 << lookBits]huffEntry
+	look    [1 << lookBits]huffWord
 	mincode [17]int32
 	maxcode [17]int32 // -1 when no codes of this length
 	valptr  [17]int32
@@ -155,12 +182,11 @@ func newHuffDecoder(spec *huffSpec) *huffDecoder {
 				sym := spec.symbols[int(k)+i]
 				first := (int(code) + i) << rest
 				for j := 0; j < 1<<rest; j++ {
-					e := huffEntry{sym: sym, l: uint8(l)}
-					if size := int(sym & 0x0f); size <= rest {
-						e.n = uint8(l + size)
-						e.v = int16(extendMagnitude(uint32(j>>(rest-size)), uint(size)))
+					w := makeWord(0, sym, int32(l))
+					if size := sym & 0x0f; int(size) <= rest {
+						w = makeWord(uint(l)+uint(size), sym, extendMagnitude(uint32(j>>(rest-int(size))), uint(size)))
 					}
-					d.look[first+j] = e
+					d.look[first+j] = w
 				}
 			}
 		}
@@ -180,35 +206,39 @@ func (e *huffEncoder) encode(w *bitio.Writer, sym byte) {
 	w.WriteBits(e.code[sym], uint(e.size[sym]))
 }
 
-// resolve returns the entry of the code at the head of the bit window
-// (acc, n), l and n always set: it is the lookahead read for the codes
-// and magnitudes the table leaves out, and the decoder's fallback. The
-// window holds at least 32 bits, or the rest of the stream with zeros
-// below it (see bitio.Fill). Sixteen bits that prefix no code are
-// invalid, or a bitio.ErrOverrun when the stream is too short to rule a
-// code out. Bits past the end of the stream read as zero, so an entry
-// may describe more bits than are left: consuming it is what overruns.
-func (d *huffDecoder) resolve(acc uint64, n uint) (huffEntry, error) {
-	e := d.look[acc>>(64-lookBits)]
-	if e.l == 0 {
+// resolve returns the word of the code at the head of the bit window
+// (acc, n), its n and value always set: it is the lookahead read for the
+// codes and magnitudes the table leaves out (a lookahead word with n = 0
+// still gives the length of a code of up to lookBits bits), and the
+// decoder's fallback. The window holds at least 32 bits, or the rest of
+// the stream with zeros below it (see bitio.Fill). Sixteen bits that
+// prefix no code are invalid, or a bitio.ErrOverrun when the stream is
+// too short to rule a code out. Bits past the end of the stream read as
+// zero, so a word may describe more bits than are left: consuming it is
+// what overruns.
+func (d *huffDecoder) resolve(acc uint64, n uint) (huffWord, error) {
+	w := d.look[acc>>(64-lookBits)]
+	if w.n() != 0 {
+		return w, nil
+	}
+	sym, l := w.sym(), w.codeLen()
+	if l == 0 {
 		code := int32(acc >> 48)
-		for l := lookBits + 1; l <= 16; l++ {
-			if c := code >> (16 - l); c <= d.maxcode[l] && c >= d.mincode[l] {
-				e = huffEntry{sym: d.symbols[d.valptr[l]+c-d.mincode[l]], l: uint8(l)}
+		for cl := lookBits + 1; cl <= 16; cl++ {
+			if c := code >> (16 - cl); c <= d.maxcode[cl] && c >= d.mincode[cl] {
+				sym, l = d.symbols[d.valptr[cl]+c-d.mincode[cl]], uint(cl)
 				break
 			}
 		}
-		if e.l == 0 {
+		if l == 0 {
 			if n < 16 {
-				return e, bitio.ErrOverrun
+				return 0, bitio.ErrOverrun
 			}
-			return e, errInvalidCode
+			return 0, errInvalidCode
 		}
 	}
-	size := uint(e.sym & 0x0f)
-	e.n = e.l + uint8(size)
-	e.v = int16(extendMagnitude(uint32(acc>>(64-e.n))&(1<<size-1), size))
-	return e, nil
+	size := uint(sym & 0x0f)
+	return makeWord(l+size, sym, extendMagnitude(uint32(acc>>(64-l-size))&(1<<size-1), size)), nil
 }
 
 // Shared table instances; the codec state is all in the bit streams, so

@@ -149,8 +149,8 @@ func TestHuffmanRoundTripAllSymbols(t *testing.T) {
 			if err != nil {
 				t.Fatalf("table %d symbol %#x: %v", pi, sym, err)
 			}
-			if got.sym != sym || got.l != p.enc.size[sym] {
-				t.Fatalf("table %d: symbol %#x (%d bits) decoded as %#x (%d bits)", pi, sym, p.enc.size[sym], got.sym, got.l)
+			if got.sym() != sym || got.codeLen() != uint(p.enc.size[sym]) {
+				t.Fatalf("table %d: symbol %#x (%d bits) decoded as %#x (%d bits)", pi, sym, p.enc.size[sym], got.sym(), got.codeLen())
 			}
 		}
 	}
