@@ -9,7 +9,6 @@
 //	xspclc -plan    app.xml            print the flattened task DAG
 //	xspclc -emit-go app.xml > main.go  generate glue code
 //	xspclc -emit-xml app.xml           re-emit the elaborated (flat) XSPCL
-//	xspclc -autosize app.xml           re-emit with inferred FIFO depths
 //	xspclc -builtin PiP-1 -dump        operate on a built-in paper app
 //
 // The static analyzer (see cmd/xspclvet) runs by default on every
@@ -35,7 +34,6 @@ func main() {
 	plan := flag.Bool("plan", false, "print the flattened task DAG")
 	emitGo := flag.Bool("emit-go", false, "emit Go glue code to stdout")
 	emitXML := flag.Bool("emit-xml", false, "re-emit the elaborated graph as flat XSPCL XML")
-	autosize := flag.Bool("autosize", false, "apply the analyzer's inferred FIFO depths (implies -emit-xml)")
 	builtin := flag.String("builtin", "", "use a built-in paper application (e.g. PiP-1) instead of a file")
 	vet := flag.Bool("vet", true, "run the static analyzer on the input")
 	werror := flag.Bool("Werror", false, "treat analyzer warnings as errors")
@@ -57,7 +55,7 @@ func main() {
 		fail(fmt.Errorf("%s: %w", name, err))
 	}
 
-	if *vet || *autosize {
+	if *vet {
 		disable := map[string]bool{}
 		for pass, off := range wno {
 			if *off {
@@ -72,15 +70,9 @@ func main() {
 			fail(fmt.Errorf("%s: %w", name, err))
 		}
 		rep.Program = name
-		if *vet {
-			analysis.Render(os.Stderr, rep)
-			if rep.Failed(*werror) {
-				fail(fmt.Errorf("%s: static analysis failed (rerun with xspclvet for details)", name))
-			}
-		}
-		if *autosize {
-			applySizing(prog, rep)
-			*emitXML = true
+		analysis.Render(os.Stderr, rep)
+		if rep.Failed(*werror) {
+			fail(fmt.Errorf("%s: static analysis failed (rerun with xspclvet for details)", name))
 		}
 	}
 
@@ -131,21 +123,6 @@ func main() {
 	if *check || !did {
 		fmt.Fprintf(os.Stderr, "%s: OK (%d components, %d streams, %d options)\n",
 			name, len(prog.Components()), len(prog.Streams), len(prog.Options()))
-	}
-}
-
-// applySizing raises each stream's declared depth to the analyzer's
-// required depth; declared depths already at or above it are kept.
-func applySizing(prog *graph.Program, rep *analysis.Report) {
-	need := map[string]int{}
-	for _, s := range rep.Sizing {
-		need[s.Stream] = s.Required
-	}
-	for i := range prog.Streams {
-		s := &prog.Streams[i]
-		if n, ok := need[s.Name]; ok && n > s.Depth {
-			s.Depth = n
-		}
 	}
 }
 

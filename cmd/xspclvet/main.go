@@ -1,8 +1,8 @@
 // Command xspclvet is the whole-program static analyzer for XSPCL
 // specifications. It elaborates each input, enumerates every reachable
-// option configuration, and reports deadlock, buffer-sizing,
-// reconfiguration-safety, event-binding and stream-format diagnoses
-// (see internal/analysis, DESIGN.md §9 and §14). With -predict it also
+// option configuration, and reports undefined-read, reconfiguration,
+// event-binding, fault-handling, replication and stream-format
+// diagnoses (see internal/analysis, DESIGN.md §9 and §14). With -predict it also
 // runs the SPC performance prediction (the PAM-SoC box of the paper's
 // framework figure, internal/predict): per-iteration work and critical
 // path estimated from the specification alone, the predicted speedup
@@ -14,7 +14,6 @@
 //	xspclvet -builtin JPiP-45        analyze a built-in paper app
 //	xspclvet -all                    analyze every built-in app
 //	xspclvet -json app.xml           machine-readable report
-//	xspclvet -sizing app.xml         include the buffer-sizing table
 //	xspclvet -formats app.xml        print the solved stream-format table
 //	xspclvet -predict 9 app.xml      predicted speedup on 1..9 nodes
 //	xspclvet -Wno-bindings app.xml   suppress one pass
@@ -46,10 +45,8 @@ func main() {
 	builtin := flag.String("builtin", "", "analyze a built-in paper application (e.g. JPiP-45) instead of a file")
 	all := flag.Bool("all", false, "analyze every built-in paper application")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
-	sizing := flag.Bool("sizing", false, "print the buffer-sizing table")
 	formats := flag.Bool("formats", false, "print the solved stream formats and inferred component parameters")
-	depth := flag.Int("depth", analysis.DefaultDepth, "FIFO depth assumed for streams without a declared depth")
-	overlap := flag.Int("overlap", analysis.DefaultOverlap, "iteration overlap the sizing pass preserves (and the pipeline depth -predict assumes)")
+	overlap := flag.Int("overlap", analysis.DefaultOverlap, "iteration overlap the replication pass and -predict assume")
 	predictN := flag.Int("predict", 0, "print the predicted speedup on 1..N nodes (text output only; 0 = off)")
 	werror := flag.Bool("Werror", false, "treat warnings as errors")
 	wno := map[string]*bool{}
@@ -65,10 +62,9 @@ func main() {
 		}
 	}
 	opt := analysis.Options{
-		Catalog:      components.DefaultRegistry(),
-		DefaultDepth: *depth,
-		Overlap:      *overlap,
-		Disable:      disable,
+		Catalog: components.DefaultRegistry(),
+		Overlap: *overlap,
+		Disable: disable,
 	}
 
 	inputs, err := collect(*builtin, *all, flag.Args())
@@ -89,9 +85,6 @@ func main() {
 		reports = append(reports, rep)
 		if !*jsonOut {
 			analysis.Render(os.Stdout, rep)
-			if *sizing {
-				analysis.RenderSizing(os.Stdout, rep)
-			}
 			if *formats {
 				analysis.RenderFormats(os.Stdout, rep)
 			}

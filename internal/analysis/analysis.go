@@ -5,13 +5,8 @@
 // event-binding transition relation) and checks the properties the
 // structural validator cannot see:
 //
-//   - deadlock:  blocking-read wait cycles through bounded streams
-//     (a component whose only producers are ordered after it) and the
-//     capacity rule of crossdep groups (FIFO depth ≥ the slice window
-//     fan-in), with the offending cycle and the minimal capacity fix;
-//   - sizing:   the minimal per-stream FIFO depth that preserves full
-//     pipeline parallelism at a given iteration overlap, as a
-//     machine-readable report xspclc -autosize applies;
+//   - reads:    every stream a component reads is written by another
+//     component ordered before it in the same iteration;
 //   - reconfig: every option is reachable from the initial
 //     configuration, and every halt scope quiesces (no stream crossing
 //     the scope boundary is written from outside concurrently with it);
@@ -22,12 +17,9 @@
 //     bindings handle the synthetic "fault" event, and a fallback
 //     configuration is reachable from degradation.
 //
-// The deadlock model targets the paper's per-stream bounded-FIFO
-// realization (a refinement of the current iteration-granular runtime,
-// which acquires all of an iteration's slots atomically and therefore
-// cannot capacity-deadlock); DESIGN.md §9 states the soundness
-// argument, and internal/conformance cross-validates the verdicts
-// against real executions on both backends.
+// DESIGN.md §9 describes the passes, and internal/conformance
+// cross-validates the verdicts against real executions on both
+// backends.
 package analysis
 
 import (
@@ -64,8 +56,7 @@ func (s Severity) String() string {
 
 // Pass names, usable with Options.Disable and the -Wno-<pass> flags.
 const (
-	PassDeadlock    = "deadlock"
-	PassSizing      = "sizing"
+	PassReads       = "reads"
 	PassReconfig    = "reconfig"
 	PassBindings    = "bindings"
 	PassFaults      = "faults"
@@ -74,42 +65,23 @@ const (
 )
 
 // Passes lists every analyzer pass in execution order.
-var Passes = []string{PassDeadlock, PassSizing, PassReconfig, PassBindings, PassFaults, PassReplication, PassFormats}
-
-// CapacityFix is the minimal FIFO-depth change that removes a capacity
-// deadlock.
-type CapacityFix struct {
-	Stream string `json:"stream"`
-	Depth  int    `json:"depth"`
-}
+var Passes = []string{PassReads, PassReconfig, PassBindings, PassFaults, PassReplication, PassFormats}
 
 // Finding is one analyzer diagnosis.
 type Finding struct {
-	Pass     string       `json:"pass"`
-	Severity Severity     `json:"severity"`
-	Message  string       `json:"message"`
-	Config   string       `json:"config,omitempty"` // ConfigKey of the exhibiting configuration
-	Stream   string       `json:"stream,omitempty"`
-	Cycle    []string     `json:"cycle,omitempty"` // narrative of the offending cycle
-	Fix      *CapacityFix `json:"fix,omitempty"`
-}
-
-// StreamSizing is one stream's entry in the buffer-sizing report:
-// the FIFO depth required to sustain the given iteration overlap,
-// maximised over every reachable configuration.
-type StreamSizing struct {
-	Stream   string `json:"stream"`
-	Declared int    `json:"declared"` // 0 = application default
-	Required int    `json:"required"`
-	Overlap  int    `json:"overlap"`
+	Pass     string   `json:"pass"`
+	Severity Severity `json:"severity"`
+	Message  string   `json:"message"`
+	Config   string   `json:"config,omitempty"` // ConfigKey of the exhibiting configuration
+	Stream   string   `json:"stream,omitempty"`
+	Cycle    []string `json:"cycle,omitempty"` // narrative of the offending constraint chain
 }
 
 // Report is the analyzer output.
 type Report struct {
-	Program  string         `json:"program"`
-	Configs  int            `json:"configs"` // reachable configurations analyzed
-	Findings []Finding      `json:"findings"`
-	Sizing   []StreamSizing `json:"sizing"`
+	Program  string    `json:"program"`
+	Configs  int       `json:"configs"` // reachable configurations analyzed
+	Findings []Finding `json:"findings"`
 	// Formats is the solved format substitution of the initial
 	// configuration (nil when the program carries no format
 	// information).
@@ -141,24 +113,16 @@ func (r *Report) ErrorsByPass(pass string) []Finding {
 	return out
 }
 
-// Defaults for Options.
-const (
-	// DefaultDepth is assumed for streams without a declared depth. It
-	// matches the runtime's default Config.StreamCapacity.
-	DefaultDepth = 3
-	// DefaultOverlap is the iteration overlap the sizing pass targets.
-	// It matches the runtime's default Config.PipelineDepth.
-	DefaultOverlap = 5
-)
+// DefaultOverlap is the iteration overlap the replication pass checks
+// fixed widths against. It matches the runtime's default
+// Config.PipelineDepth.
+const DefaultOverlap = 5
 
 // Options configures one analysis.
 type Options struct {
 	// Catalog resolves component-class port directions (required).
 	Catalog graph.Catalog
-	// DefaultDepth is the FIFO depth assumed for streams with no
-	// declared depth (<= 0 means DefaultDepth).
-	DefaultDepth int
-	// Overlap is the iteration overlap the sizing pass preserves
+	// Overlap is the iteration overlap the runtime will run at
 	// (<= 0 means DefaultOverlap).
 	Overlap int
 	// Disable suppresses the named passes.
@@ -172,9 +136,6 @@ type Options struct {
 func Analyze(prog *graph.Program, opt Options) (*Report, error) {
 	if opt.Catalog == nil {
 		return nil, fmt.Errorf("analysis: Options.Catalog is required")
-	}
-	if opt.DefaultDepth <= 0 {
-		opt.DefaultDepth = DefaultDepth
 	}
 	if opt.Overlap <= 0 {
 		opt.Overlap = DefaultOverlap
@@ -210,11 +171,8 @@ func Analyze(prog *graph.Program, opt Options) (*Report, error) {
 		a.infos = append(a.infos, ci)
 	}
 
-	if a.enabled(PassDeadlock) {
-		a.deadlock()
-	}
-	if a.enabled(PassSizing) {
-		a.sizing()
+	if a.enabled(PassReads) {
+		a.reads()
 	}
 	if a.enabled(PassReconfig) {
 		a.reconfig()
@@ -306,37 +264,14 @@ func (a *analyzer) add(f Finding) {
 	a.rep.Findings = append(a.rep.Findings, f)
 }
 
-// effDepth returns the effective FIFO depth of a stream: its declared
-// depth, or the analysis default.
-func (a *analyzer) effDepth(stream string) int {
-	for _, s := range a.prog.Streams {
-		if s.Name == stream && s.Depth > 0 {
-			return s.Depth
-		}
-	}
-	return a.opt.DefaultDepth
-}
-
-// declDepth returns the declared depth (0 = default).
-func (a *analyzer) declDepth(stream string) int {
-	for _, s := range a.prog.Streams {
-		if s.Name == stream {
-			return s.Depth
-		}
-	}
-	return 0
-}
-
 // cfgInfo is the per-configuration view the passes share: the flattened
-// plan, per-stream access tables, ASAP levels and the dependency
-// closure.
+// plan, per-stream access tables and the dependency closure.
 type cfgInfo struct {
 	cfg     graph.Configuration
 	key     string
 	plan    *graph.Plan
 	readers map[string][]int // stream -> component task IDs reading it
 	writers map[string][]int // stream -> component task IDs writing it
-	level   []int            // ASAP level per task (1-based)
 	reach   []bitset         // reach[i]: tasks transitively depending on i
 }
 
@@ -352,17 +287,9 @@ func (a *analyzer) buildInfo(cfg graph.Configuration) (*cfgInfo, error) {
 		plan:    plan,
 		readers: map[string][]int{},
 		writers: map[string][]int{},
-		level:   make([]int, len(plan.Tasks)),
 		reach:   make([]bitset, len(plan.Tasks)),
 	}
 	for _, t := range plan.Tasks {
-		lvl := 1
-		for _, d := range plan.Preds(t.ID) {
-			if ci.level[d]+1 > lvl {
-				lvl = ci.level[d] + 1
-			}
-		}
-		ci.level[t.ID] = lvl
 		if t.Role != graph.RoleComponent {
 			continue
 		}
@@ -392,45 +319,6 @@ func (a *analyzer) buildInfo(cfg graph.Configuration) (*cfgInfo, error) {
 // after reports whether task b transitively depends on task a (a runs
 // strictly before b in every schedule).
 func (ci *cfgInfo) after(a, b int) bool { return ci.reach[a].has(b) }
-
-// depPath returns task names along a dependency path from task a to
-// task b (inclusive), or nil if none exists.
-func (ci *cfgInfo) depPath(a, b int) []string {
-	if a == b {
-		return []string{ci.plan.Tasks[a].Name}
-	}
-	prev := make([]int, len(ci.plan.Tasks))
-	for i := range prev {
-		prev[i] = -1
-	}
-	queue := []int{a}
-	prev[a] = a
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, s := range ci.plan.Succs(cur) {
-			if prev[s] != -1 {
-				continue
-			}
-			prev[s] = cur
-			if s == b {
-				var names []string
-				for at := b; ; at = prev[at] {
-					names = append(names, ci.plan.Tasks[at].Name)
-					if at == a {
-						break
-					}
-				}
-				for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-					names[i], names[j] = names[j], names[i]
-				}
-				return names
-			}
-			queue = append(queue, s)
-		}
-	}
-	return nil
-}
 
 // bitset is a fixed-size bit vector over task IDs.
 type bitset []uint64

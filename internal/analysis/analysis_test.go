@@ -44,8 +44,7 @@ func findings(rep *Report, pass string, sev Severity) []Finding {
 	return out
 }
 
-// TestCleanPipeline: a straight-line pipeline has no errors, no
-// warnings, and a sizing entry per stream.
+// TestCleanPipeline: a straight-line pipeline has no findings.
 func TestCleanPipeline(t *testing.T) {
 	b := graph.NewBuilder("clean")
 	b.Stream("a").Stream("b")
@@ -55,19 +54,16 @@ func TestCleanPipeline(t *testing.T) {
 		b.Component("k", "sink", graph.Ports{"in": "b"}, nil),
 	)
 	rep := analyze(t, b.MustProgram(), Options{})
-	if rep.HasErrors() || rep.Count(Warning) > 0 {
+	if len(rep.Findings) != 0 {
 		t.Fatalf("clean pipeline produced findings: %+v", rep.Findings)
-	}
-	if len(rep.Sizing) != 2 {
-		t.Fatalf("sizing entries = %d, want 2: %+v", len(rep.Sizing), rep.Sizing)
 	}
 	if rep.Configs != 1 {
 		t.Fatalf("configs = %d, want 1", rep.Configs)
 	}
 }
 
-// TestReadBeforeWrite: a component reading a stream whose only writer
-// is ordered after it is a deadlock error with a cycle narrative.
+// TestReadBeforeWrite: a component reading a stream whose only other
+// writer is ordered after it reads an undefined value.
 func TestReadBeforeWrite(t *testing.T) {
 	b := graph.NewBuilder("rbw")
 	b.Stream("a").Stream("late")
@@ -78,62 +74,51 @@ func TestReadBeforeWrite(t *testing.T) {
 		b.Component("k", "sink", graph.Ports{"in": "a"}, nil),
 	)
 	rep := analyze(t, b.MustProgram(), Options{})
-	errs := findings(rep, PassDeadlock, Error)
+	errs := findings(rep, PassReads, Error)
 	if len(errs) != 1 {
-		t.Fatalf("deadlock errors = %d, want 1: %+v", len(errs), rep.Findings)
+		t.Fatalf("reads errors = %d, want 1: %+v", len(errs), rep.Findings)
 	}
-	f := errs[0]
-	if f.Stream != "late" || !strings.Contains(f.Message, "blocked") {
+	if f := errs[0]; f.Stream != "late" || f.Message != `component "blocked" reads stream "late", which no component ordered before it writes` {
 		t.Fatalf("unexpected finding: %+v", f)
-	}
-	if len(f.Cycle) == 0 {
-		t.Fatalf("finding has no cycle narrative: %+v", f)
 	}
 }
 
-// crossdepProg builds src -> feeder -> crossdep(n; xa then xb, in-place
-// on stream x with the given declared depth) -> sink.
-func crossdepProg(n, depth int) *graph.Program {
-	b := graph.NewBuilder("xd")
-	b.Stream("a")
-	b.StreamDecl(graph.StreamDecl{Name: "x", Depth: depth})
+// TestUnorderedWriter: a writer in parallel with the reader does not
+// define the read, and neither does the reader's own write; a writer
+// ordered before every copy of a slice or crossdep group does, in-place
+// copies included.
+func TestUnorderedWriter(t *testing.T) {
+	b := graph.NewBuilder("par")
+	b.Stream("a").Stream("p").Stream("self")
+	b.Body(
+		b.Component("s", "src", graph.Ports{"out": "a"}, nil),
+		b.Parallel(graph.ShapeTask, 0,
+			b.Seq(b.Component("pw", "work", graph.Ports{"in": "a", "out": "p"}, nil)),
+			b.Seq(b.Component("pr", "tap", graph.Ports{"in": "p"}, nil)),
+		),
+		b.Component("own", "work", graph.Ports{"in": "self", "out": "self"}, nil),
+		b.Component("k", "sink", graph.Ports{"in": "a"}, nil),
+	)
+	rep := analyze(t, b.MustProgram(), Options{})
+	errs := findings(rep, PassReads, Error)
+	if len(errs) != 2 || errs[0].Stream != "p" || errs[1].Stream != "self" {
+		t.Fatalf("reads errors = %+v, want one on p and one on self", errs)
+	}
+
+	b = graph.NewBuilder("groups")
+	b.Stream("a").Stream("x")
 	b.Body(
 		b.Component("s", "src", graph.Ports{"out": "a"}, nil),
 		b.Component("feed", "work", graph.Ports{"in": "a", "out": "x"}, nil),
-		b.Parallel(graph.ShapeCrossdep, n,
+		b.Parallel(graph.ShapeSlice, 4, b.Component("sl", "work", graph.Ports{"in": "x", "out": "x"}, nil)),
+		b.Parallel(graph.ShapeCrossdep, 4,
 			b.Seq(b.Component("xa", "work", graph.Ports{"in": "x", "out": "x"}, nil)),
 			b.Seq(b.Component("xb", "work", graph.Ports{"in": "x", "out": "x"}, nil)),
 		),
 		b.Component("k", "sink", graph.Ports{"in": "x"}, nil),
 	)
-	return b.MustProgram()
-}
-
-// TestCrossdepWindow: depth below the slice window min(3, n) is an
-// error carrying the minimal capacity fix; at the window it is clean.
-func TestCrossdepWindow(t *testing.T) {
-	rep := analyze(t, crossdepProg(4, 1), Options{})
-	errs := findings(rep, PassDeadlock, Error)
-	if len(errs) != 1 {
-		t.Fatalf("deadlock errors = %d, want 1: %+v", len(errs), rep.Findings)
-	}
-	f := errs[0]
-	if f.Fix == nil || f.Fix.Stream != "x" || f.Fix.Depth != 3 {
-		t.Fatalf("capacity fix = %+v, want stream x depth 3", f.Fix)
-	}
-	if len(f.Cycle) == 0 {
-		t.Fatal("window violation has no cycle narrative")
-	}
-
-	if rep := analyze(t, crossdepProg(4, 3), Options{}); rep.HasErrors() {
-		t.Fatalf("depth 3 still errors: %+v", rep.Findings)
-	}
-	// n=2 narrows the window to 2.
-	if rep := analyze(t, crossdepProg(2, 2), Options{}); rep.HasErrors() {
-		t.Fatalf("n=2 depth=2 errors: %+v", rep.Findings)
-	}
-	if rep := analyze(t, crossdepProg(2, 1), Options{}); !rep.HasErrors() {
-		t.Fatal("n=2 depth=1 not flagged")
+	if rep := analyze(t, b.MustProgram(), Options{}); len(rep.Findings) != 0 {
+		t.Fatalf("slice and crossdep groups flagged: %+v", rep.Findings)
 	}
 }
 
@@ -158,12 +143,12 @@ func optionProg(kind graph.ActionKind, defaultOn bool) *graph.Program {
 }
 
 // TestStarvedReader: with the option off in a reachable configuration,
-// the outside reader of its stream blocks forever.
+// the outside reader of its stream reads a stream nothing wrote.
 func TestStarvedReader(t *testing.T) {
 	rep := analyze(t, optionProg(graph.ActionToggle, false), Options{})
-	errs := findings(rep, PassDeadlock, Error)
-	if len(errs) != 1 || errs[0].Stream != "os" {
-		t.Fatalf("deadlock errors = %+v, want one on stream os", errs)
+	errs := findings(rep, PassReads, Error)
+	if len(errs) != 1 || errs[0].Stream != "os" || errs[0].Config == "" {
+		t.Fatalf("reads errors = %+v, want one on stream os naming its configuration", errs)
 	}
 	if rep.Configs != 2 {
 		t.Fatalf("configs = %d, want 2", rep.Configs)
@@ -171,7 +156,7 @@ func TestStarvedReader(t *testing.T) {
 	// Enable-only from default-on: the off state is unreachable, so the
 	// reader is always fed.
 	rep = analyze(t, optionProg(graph.ActionEnable, true), Options{})
-	if errs := findings(rep, PassDeadlock, Error); len(errs) != 0 {
+	if errs := findings(rep, PassReads, Error); len(errs) != 0 {
 		t.Fatalf("always-on option still starves: %+v", errs)
 	}
 }
@@ -312,65 +297,16 @@ func TestQuiescence(t *testing.T) {
 	}
 }
 
-// TestSizingSpan: required depth is the level span of the stream's
-// accesses capped by the overlap.
-func TestSizingSpan(t *testing.T) {
-	// s: written at level 1, read at levels 2..4 (chain of in-place
-	// stages on a second stream would move levels; use taps).
-	b := graph.NewBuilder("size")
-	b.Stream("s").Stream("b").Stream("c")
-	b.Body(
-		b.Component("src", "src", graph.Ports{"out": "s"}, nil),
-		b.Component("w1", "work", graph.Ports{"in": "s", "out": "b"}, nil),
-		b.Component("w2", "work", graph.Ports{"in": "b", "out": "c"}, nil),
-		b.Component("late", "tap", graph.Ports{"in": "s"}, nil),
-		b.Component("k", "sink", graph.Ports{"in": "c"}, nil),
-	)
-	// Force "late" to run after w2 by sequential order (it is last...
-	// actually seq order already places it after w2).
-	rep := analyze(t, b.MustProgram(), Options{Overlap: 8})
-	var got map[string]int = map[string]int{}
-	for _, sz := range rep.Sizing {
-		got[sz.Stream] = sz.Required
-	}
-	// Levels: src=1, w1=2, w2=3, late=4, k=5.
-	// s: writer level 1, last reader level 4 -> span 4.
-	// b: writer 2, reader 3 -> 2.  c: writer 3, reader 5 -> 3.
-	want := map[string]int{"s": 4, "b": 2, "c": 3}
-	for s, w := range want {
-		if got[s] != w {
-			t.Fatalf("required[%s] = %d, want %d (all: %v)", s, got[s], w, got)
-		}
-	}
-	// Overlap caps the span.
-	rep = analyze(t, b.MustProgram(), Options{Overlap: 2})
-	for _, sz := range rep.Sizing {
-		if sz.Required > 2 {
-			t.Fatalf("overlap 2 not capping: %+v", sz)
-		}
-	}
-	// Depth below requirement is an informational finding, never an
-	// error.
-	rep = analyze(t, b.MustProgram(), Options{Overlap: 8, DefaultDepth: 2})
-	if rep.HasErrors() {
-		t.Fatalf("sizing produced errors: %+v", rep.Findings)
-	}
-	if len(findings(rep, PassSizing, Info)) == 0 {
-		t.Fatal("no sizing info findings at depth 2")
-	}
-}
-
 // TestDisablePasses: a suppressed pass reports nothing.
 func TestDisablePasses(t *testing.T) {
-	rep := analyze(t, crossdepProg(4, 1), Options{Disable: map[string]bool{PassDeadlock: true}})
-	if len(findings(rep, PassDeadlock, Error)) != 0 {
+	rep := analyze(t, optionProg(graph.ActionToggle, false), Options{Disable: map[string]bool{PassReads: true}})
+	if len(findings(rep, PassReads, Error)) != 0 {
 		t.Fatalf("disabled pass still reported: %+v", rep.Findings)
 	}
 }
 
 // TestOrderingAcrossPluralBoundary: every pass reads "a runs before b"
-// from cfgInfo, so the dependency closure, the levels and the narrated
-// paths must see through a join — the boundary between two slice groups
+// from cfgInfo, so the dependency closure must see through a join — the boundary between two slice groups
 // is plural on both sides and the plan stores it as one join, with no
 // direct edge between an idct slice and a blend slice.
 func TestOrderingAcrossPluralBoundary(t *testing.T) {
@@ -414,20 +350,9 @@ func TestOrderingAcrossPluralBoundary(t *testing.T) {
 			if i != j && ci.after(idct, id[fmt.Sprintf("idct#%d", j)]) {
 				t.Fatalf("idct#%d ordered before its sibling idct#%d", i, j)
 			}
-			if got := ci.level[blend]; got != ci.level[idct]+1 {
-				t.Fatalf("blend#%d at level %d, idct#%d at %d", j, got, i, ci.level[idct])
-			}
 		}
 	}
 	if !ci.after(id["dec"], id["snk"]) {
 		t.Fatal("closure does not carry through the join")
-	}
-	// Narratives name tasks, never a join: the breadth-first path takes
-	// the first successor in ID order, as it did over all-pairs edges.
-	if got := strings.Join(ci.depPath(id["dec"], id["snk"]), " "); got != "dec idct#0 blend#0 snk" {
-		t.Fatalf("depPath(dec, snk) = %q", got)
-	}
-	if got := strings.Join(ci.depPath(id["idct#0"], id["blend#3"]), " "); got != "idct#0 blend#3" {
-		t.Fatalf("depPath(idct#0, blend#3) = %q", got)
 	}
 }

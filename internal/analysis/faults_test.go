@@ -44,10 +44,10 @@ func ftProg(t *testing.T, queue string, bindings []graph.EventBinding, inOption 
 }
 
 // onlyFaults isolates the faults pass so counter-example programs that
-// also trip reconfig/deadlock diagnoses stay focused.
+// also trip reconfig/reads diagnoses stay focused.
 func onlyFaults() Options {
 	return Options{Disable: map[string]bool{
-		PassDeadlock: true, PassSizing: true, PassReconfig: true, PassBindings: true,
+		PassReads: true, PassReconfig: true, PassBindings: true,
 	}}
 }
 

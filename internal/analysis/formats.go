@@ -13,9 +13,9 @@ import (
 // format terms, component interface signatures contribute parametric
 // constraints, and the internal/format solver unifies them with
 // arithmetic propagation. Unsatisfiable wiring is an Error with the
-// narrative constraint chain that collided (like the deadlock pass's
-// wait cycles); a typed stream whose layout or dimensions stay free is
-// a Warning (under-constrained: the runtime would have to guess).
+// narrative constraint chain that collided; a typed stream whose
+// layout or dimensions stay free is a Warning (under-constrained: the
+// runtime would have to guess).
 // The solved substitution of the initial configuration is published in
 // Report.Formats so tooling (xspclvet -formats) and the runtime
 // (hinch.NewApp) can specialise generic components per context.

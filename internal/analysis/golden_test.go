@@ -3,13 +3,12 @@ package analysis_test
 // Golden analyzer reports. The analyzer's own tests assert properties
 // (no errors on the paper apps, a named finding on a crafted program);
 // they do not notice a verdict that moves because the dependency
-// relation it reads lost edges — a sizing line that disappears, a
-// "full overlap needs depth 4" that used to read 5. These goldens pin
-// the rendered report (findings + sizing table, what xspclvet -sizing
-// prints) byte for byte for every built-in variant and every example
-// specification, so a change to graph.Plan's representation must leave
-// them untouched. Regenerate with -update only when a verdict is meant
-// to change.
+// relation it reads lost edges — a finding that appears or disappears.
+// These goldens pin the rendered findings (what xspclvet prints) byte
+// for byte for every built-in variant and every example specification,
+// so a change to graph.Plan's representation must leave them
+// untouched. Regenerate with -update only when a verdict is meant to
+// change.
 
 import (
 	"bytes"
@@ -28,7 +27,7 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden analyzer reports")
 
-// renderReport is the text xspclvet -sizing prints for one input; a
+// renderReport is the text xspclvet prints for one input; a
 // load or validation failure is part of the verdict and is rendered
 // in its place.
 func renderReport(name string, prog *graph.Program, err error) string {
@@ -42,7 +41,6 @@ func renderReport(name string, prog *graph.Program, err error) string {
 	rep.Program = name
 	var b bytes.Buffer
 	analysis.Render(&b, rep)
-	analysis.RenderSizing(&b, rep)
 	return b.String()
 }
 

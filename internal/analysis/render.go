@@ -7,7 +7,7 @@ import (
 )
 
 // Render writes the human-readable finding list, one diagnosis per
-// line (with the offending cycle indented below it), in the
+// line (with its narrative indented below it), in the
 // file:style\n prefix convention of go vet.
 func Render(w io.Writer, rep *Report) {
 	for _, f := range rep.Findings {
@@ -19,24 +19,6 @@ func Render(w io.Writer, rep *Report) {
 		for _, line := range f.Cycle {
 			fmt.Fprintf(w, "\t%s\n", line)
 		}
-		if f.Fix != nil {
-			fmt.Fprintf(w, "\tfix: declare stream %q with depth=%d\n", f.Fix.Stream, f.Fix.Depth)
-		}
-	}
-}
-
-// RenderSizing writes the buffer-sizing table.
-func RenderSizing(w io.Writer, rep *Report) {
-	if len(rep.Sizing) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "%s: buffer sizing (overlap %d):\n", rep.Program, rep.Sizing[0].Overlap)
-	for _, s := range rep.Sizing {
-		decl := fmt.Sprintf("%d", s.Declared)
-		if s.Declared == 0 {
-			decl = "default"
-		}
-		fmt.Fprintf(w, "\t%-20s declared=%-8s required=%d\n", s.Stream, decl, s.Required)
 	}
 }
 

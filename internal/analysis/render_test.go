@@ -12,7 +12,7 @@ import (
 // at both severities, so the deterministic sort in Analyze has real
 // work to do:
 //
-//   - a deadlock error (reader sequenced before its stream's writer),
+//   - a reads error (reader sequenced before its stream's writer),
 //   - a formats error (two conflicting ground terms bridged by an
 //     identity-interface component),
 //   - formats warnings (a typed stream nothing constrains).
@@ -24,7 +24,7 @@ func orderProg() *graph.Program {
 	b.StreamDecl(graph.StreamDecl{Name: "loose", Type: "frame"})
 	b.Body(
 		b.Component("s", "src", graph.Ports{"out": "a"}, nil),
-		// Reads late before lateprod writes it: deadlock error.
+		// Reads late before lateprod writes it: reads error.
 		b.Component("blocked", "work", graph.Ports{"in": "late", "out": "late"}, nil),
 		b.Component("lateprod", "work", graph.Ports{"in": "a", "out": "late"}, nil),
 		// Identity interface bridging two incompatible formats.
@@ -51,12 +51,11 @@ func TestFindingOrderPinned(t *testing.T) {
 		stream string
 	}
 	want := []key{
-		{Error, PassDeadlock, "late"},
 		{Error, PassFormats, "fb"}, // height conflict
 		{Error, PassFormats, "fb"}, // width conflict
+		{Error, PassReads, "late"},
 		{Warning, PassFormats, "loose"},
 		{Warning, PassFormats, "loose"},
-		{Info, PassSizing, "a"},
 	}
 	if len(rep.Findings) != len(want) {
 		t.Fatalf("findings = %d, want %d: %+v", len(rep.Findings), len(want), rep.Findings)
@@ -70,7 +69,7 @@ func TestFindingOrderPinned(t *testing.T) {
 	}
 	// Within equal (severity, pass, config, stream) the message breaks
 	// the tie: the paired conflicts and warnings must come out sorted.
-	for _, pair := range [][2]int{{1, 2}, {3, 4}} {
+	for _, pair := range [][2]int{{0, 1}, {3, 4}} {
 		if a, b := rep.Findings[pair[0]].Message, rep.Findings[pair[1]].Message; a >= b {
 			t.Errorf("equal-key findings not message-sorted: %q !< %q", a, b)
 		}
@@ -87,7 +86,6 @@ func TestRenderByteStable(t *testing.T) {
 		rep := analyze(t, orderProg(), Options{})
 		var buf bytes.Buffer
 		Render(&buf, rep)
-		RenderSizing(&buf, rep)
 		RenderFormats(&buf, rep)
 		j, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

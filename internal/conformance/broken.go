@@ -9,17 +9,18 @@ import (
 // BreakKind selects one way GenerateBroken sabotages a generated
 // program. Each kind plants a defect the static analyzer must detect —
 // the negative half of the analyzer's conformance cross-validation
-// (the positive half is the precheck in Check: live-by-construction
-// programs must come out deadlock-free).
+// (the positive half is the precheck in Check: generated programs
+// must come out with every read defined).
 type BreakKind int
 
 const (
 	// BreakReadBeforeWrite sequences a reader before its stream's only
-	// writer: a blocking read no schedule can satisfy.
+	// other writer: the read sees the previous iteration's data.
 	BreakReadBeforeWrite BreakKind = iota
-	// BreakCrossdepDepth declares a crossdep-carried stream shallower
-	// than the slice window the consumer peeks.
-	BreakCrossdepDepth
+	// BreakUnorderedWriter puts a reader and its stream's only writer
+	// in one parallel group: whether the read sees this iteration's
+	// data depends on the schedule.
+	BreakUnorderedWriter
 	// BreakStarvedReader leaves a reader outside an option whose writer
 	// is inside it and disabled by default: no writer in the initial
 	// configuration.
@@ -41,8 +42,8 @@ func (k BreakKind) String() string {
 	switch k {
 	case BreakReadBeforeWrite:
 		return "read-before-write"
-	case BreakCrossdepDepth:
-		return "crossdep-depth"
+	case BreakUnorderedWriter:
+		return "unordered-writer"
 	case BreakStarvedReader:
 		return "starved-reader"
 	case BreakUnreachableOption:
@@ -90,27 +91,23 @@ func GenerateBroken(seed uint64, kind BreakKind) (*Gen, error) {
 			comp("blocked", graph.Ports{"in": "latebad", "out": "latebad"}),
 			comp("prod", graph.Ports{"in": spine, "out": "latebad"}))
 
-	case BreakCrossdepDepth:
-		// An in-place crossdep group over xbad with depth 1 < the
-		// 3-element slice window.
-		g.Prog.Streams = append(g.Prog.Streams, graph.StreamDecl{Name: "xbad", Depth: 1})
-		cell := func(name string) *graph.Node {
-			return &graph.Node{Kind: graph.KindComponent, Name: name, Class: "ccell",
-				Ports:  graph.Ports{"in": "xbad", "out": "xbad"},
-				Params: graph.Params{"stamp": "1", "base": "0"}}
-		}
-		group := &graph.Node{Kind: graph.KindPar, Shape: graph.ShapeCrossdep, N: 3,
+	case BreakUnorderedWriter:
+		// uwrite and uread are siblings of one task-parallel group:
+		// nothing orders uread after uwrite.
+		g.Prog.Streams = append(g.Prog.Streams, graph.StreamDecl{Name: "ubad"})
+		root.Children = append(root.Children, &graph.Node{Kind: graph.KindPar, Shape: graph.ShapeTask,
 			Children: []*graph.Node{
-				{Kind: graph.KindSeq, Children: []*graph.Node{cell("xb0")}},
-				{Kind: graph.KindSeq, Children: []*graph.Node{cell("xb1")}},
-			}}
-		root.Children = append(root.Children,
-			comp("xfeed", graph.Ports{"in": spine, "out": "xbad"}),
-			group)
+				{Kind: graph.KindSeq, Children: []*graph.Node{
+					comp("uwrite", graph.Ports{"in": spine, "out": "ubad"}),
+				}},
+				{Kind: graph.KindSeq, Children: []*graph.Node{
+					{Kind: graph.KindComponent, Name: "uread", Class: "csink", Ports: graph.Ports{"in": "ubad"}},
+				}},
+			}})
 
 	case BreakStarvedReader:
 		// badsink reads sbad, whose only writer sits inside a
-		// default-off option: starved in the initial configuration.
+		// default-off option: unwritten in the initial configuration.
 		g.Prog.Streams = append(g.Prog.Streams, graph.StreamDecl{Name: "sbad"})
 		g.Prog.Queues = append(g.Prog.Queues, "qbad")
 		mgr := &graph.Node{Kind: graph.KindManager, Name: "mbad", Queue: "qbad",

@@ -10,12 +10,13 @@ import (
 // cross-validation: every defect GenerateBroken plants, across the
 // smoke-seed shapes, must be rejected by the right pass with an error
 // finding. (The positive half — generator-built programs must come out
-// deadlock-free and run to completion — is the precheck inside Check.)
+// with every read defined and run to completion — is the precheck
+// inside Check.)
 func TestBrokenFlagged(t *testing.T) {
 	wantPass := map[BreakKind]string{
-		BreakReadBeforeWrite:   analysis.PassDeadlock,
-		BreakCrossdepDepth:     analysis.PassDeadlock,
-		BreakStarvedReader:     analysis.PassDeadlock,
+		BreakReadBeforeWrite:   analysis.PassReads,
+		BreakUnorderedWriter:   analysis.PassReads,
+		BreakStarvedReader:     analysis.PassReads,
 		BreakUnreachableOption: analysis.PassReconfig,
 		BreakFormatMismatch:    analysis.PassFormats,
 	}

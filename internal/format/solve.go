@@ -23,8 +23,8 @@ import (
 //
 // Every binding and union records the equation that caused it, merged
 // per equivalence class, so a conflict can narrate the chain of
-// constraints that produced both values — the analyzer renders it like
-// the deadlock pass's wait cycles.
+// constraints that produced both values — the analyzer renders it
+// indented below the finding.
 
 // X is an instantiated expression over solver variables.
 type X struct {

@@ -188,7 +188,7 @@ type Node struct {
 
 // StreamDecl declares a named stream of the application. The element
 // description (Type and geometry) tells the runtime what buffer to
-// pre-allocate in each FIFO slot; the graph layer itself does not
+// pre-allocate in each buffer set; the graph layer itself does not
 // interpret it beyond carrying it.
 type StreamDecl struct {
 	Name string
@@ -198,15 +198,6 @@ type StreamDecl struct {
 	Type string
 	W, H int
 	Cap  int // capacity estimate in bytes for packet streams
-
-	// Depth is the declared FIFO depth of this stream's bounded buffer,
-	// in elements; 0 means "application default". The static analyzer
-	// (internal/analysis) checks it against the capacity rule of the
-	// per-stream FIFO realization and xspclc -autosize writes it. The
-	// current runtime acquires an iteration's stream slots atomically
-	// under a global bound (Config.StreamCapacity), so Depth is advisory
-	// there.
-	Depth int
 
 	// Format is an optional declared format term for the elements
 	// flowing on this stream, in the internal/format term grammar
@@ -299,9 +290,6 @@ func (p *Program) String() string {
 	fmt.Fprintf(&b, "program %s\n", p.Name)
 	for _, s := range p.Streams {
 		fmt.Fprintf(&b, "stream %s", s.Name)
-		if s.Depth != 0 {
-			fmt.Fprintf(&b, " depth=%d", s.Depth)
-		}
 		if s.Format != "" {
 			fmt.Fprintf(&b, " format=%s", s.Format)
 		}

@@ -46,12 +46,11 @@ type Doc struct {
 
 // StreamDecl is a <stream> declaration.
 type StreamDecl struct {
-	Name  string `xml:"name,attr"`
-	Type  string `xml:"type,attr"`
-	W     int    `xml:"width,attr"`
-	H     int    `xml:"height,attr"`
-	Cap   int    `xml:"cap,attr"`
-	Depth int    `xml:"depth,attr"`
+	Name string `xml:"name,attr"`
+	Type string `xml:"type,attr"`
+	W    int    `xml:"width,attr"`
+	H    int    `xml:"height,attr"`
+	Cap  int    `xml:"cap,attr"`
 	// Format is an optional ground format term (internal/format
 	// grammar) declaring what flows on the stream.
 	Format string `xml:"format,attr"`

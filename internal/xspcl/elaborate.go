@@ -32,7 +32,7 @@ func Elaborate(doc *Doc) (*graph.Program, error) {
 		}
 		seen[s.Name] = true
 		prog.Streams = append(prog.Streams, graph.StreamDecl{
-			Name: s.Name, Type: s.Type, W: s.W, H: s.H, Cap: s.Cap, Depth: s.Depth,
+			Name: s.Name, Type: s.Type, W: s.W, H: s.H, Cap: s.Cap,
 			Format: s.Format,
 		})
 	}

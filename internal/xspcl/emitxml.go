@@ -35,9 +35,6 @@ func EmitXML(prog *graph.Program) (string, error) {
 			if s.Cap != 0 {
 				fmt.Fprintf(&b, " cap=\"%d\"", s.Cap)
 			}
-			if s.Depth != 0 {
-				fmt.Fprintf(&b, " depth=\"%d\"", s.Depth)
-			}
 			if s.Format != "" {
 				fmt.Fprintf(&b, " format=%q", xmlEscape(s.Format))
 			}
