@@ -108,18 +108,19 @@ func Check(seed uint64, fam Family, opt Options) (err error) {
 		f.name, seed, g.Iters, g.Frames, g.Depth, g.StreamCap, g.NCells, len(g.Prog.Options()), len(g.Triggers), g.MultiSource)
 
 	// Static-analyzer precheck: the generators only build programs
-	// whose every read is defined and that carry no formats, so a reads
-	// or formats verdict is an analyzer false positive. The runs below
-	// cross-validate the other direction: a program the analyzer passed
-	// must run to completion, with the predicted sink output, on every
-	// backend and worker count. The faulty family
+	// whose every read is defined, that carry no formats and whose every
+	// option can be enabled, so a reads, formats or reconfig verdict is
+	// a generator or analyzer bug. The runs below cross-validate the
+	// other direction: a program the analyzer passed must run to
+	// completion, with the predicted sink output, on every backend and
+	// worker count. The faulty family
 	// builds exactly the shape the faults pass demands, so there any
 	// finding at all is an analyzer regression.
 	rep, err := analysis.Analyze(g.Prog, analysis.Options{Catalog: Registry()})
 	if err != nil {
 		return fmt.Errorf("analyzer: %w", err)
 	}
-	for _, pass := range []string{analysis.PassReads, analysis.PassFormats} {
+	for _, pass := range []string{analysis.PassReads, analysis.PassFormats, analysis.PassReconfig} {
 		if errs := rep.ErrorsByPass(pass); len(errs) > 0 {
 			return fmt.Errorf("%s pass flagged a generator-built program: %s", pass, errs[0].Message)
 		}

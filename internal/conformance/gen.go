@@ -427,10 +427,15 @@ func (c *genCtx) manager(cur string, bid int) []*graph.Node {
 		oname := fmt.Sprintf("o%d", c.nOpts)
 		c.nOpts++
 		don := c.r.oneIn(2)
-		kids = append(kids, c.b.Option(oname, don, c.optionBody(cur, bid, oname)...))
+		body := c.optionBody(cur, bid, oname)
 		ev := "e" + oname
 		kinds := []graph.ActionKind{graph.ActionEnable, graph.ActionDisable, graph.ActionToggle}
-		binds = append(binds, graph.On(ev, kinds[c.r.intn(3)], oname))
+		kind := kinds[c.r.intn(3)]
+		// An option bound to a disable starts on, or its body could
+		// never run (the analyzer's reconfig error).
+		don = don || kind == graph.ActionDisable
+		kids = append(kids, c.b.Option(oname, don, body...))
+		binds = append(binds, graph.On(ev, kind, oname))
 		c.bound = append(c.bound, boundEvent{q, ev})
 		maybeTrigger(ev)
 	}

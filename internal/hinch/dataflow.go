@@ -11,9 +11,9 @@ import (
 // job identifies one schedulable unit: one task of one iteration. it is
 // that iteration's state, set by release, which already holds it; a
 // job's state cannot retire or be recycled while the job is live (the
-// iteration's left-count includes it), so every stage of the job path
-// reads j.it instead of probing the ring. Jobs are queued by value: 24
-// bytes.
+// iteration's left-count waits for it or for a task that depends on
+// it), so every stage of the job path reads j.it instead of probing the
+// ring. Jobs are queued by value: 24 bytes.
 type job struct {
 	iter int
 	task *graph.Task
@@ -22,8 +22,8 @@ type job struct {
 
 // iterState tracks the progress of one in-flight iteration.
 //
-// The dependency-tracking fields (remaining, joinLeft, done, crossClaim)
-// are plain slices, read and written only through the sync/atomic
+// The dependency-tracking fields (remaining, joinLeft, crossOut) are
+// plain slices, read and written only through the sync/atomic
 // functions once the state is published, so that the real backend's
 // workers can retire jobs and release dependents without the engine
 // lock. launch resets them in bulk, with copy and clear, before it
@@ -42,19 +42,15 @@ type iterState struct {
 	// already reset for the new iteration; any other value makes the
 	// probe reject the state. Written only under mu.
 	iter      atomic.Int64
-	remaining []int32  // unmet dependency count per task
-	joinLeft  []int32  // feeders not yet completed, per plan join
-	done      []uint32 // per task: 1 once its job completed
-	// crossClaim arbitrates the cross-iteration release of each task
-	// (0 unclaimed, 1 claimed): both the completion of the same task in
-	// the previous iteration and launch (when it observes that task
-	// already done, or no previous iteration at all) may try to satisfy
-	// the cross dependency; the CAS winner performs the release, so it
-	// happens exactly once even when launch races with a completing
-	// worker.
-	crossClaim []uint32
-	left       atomic.Int32 // tasks not yet completed
-	cancelled  atomic.Bool
+	remaining []int32 // unmet dependency count per task
+	joinLeft  []int32 // feeders not yet completed, per plan join
+	// crossOut is each task's handshake with its job W iterations ahead
+	// (W its replica width): the completion here swaps in crossDone,
+	// that iteration's launch CASes 0 -> crossLaunched, and whichever
+	// comes second performs the cross release, exactly once.
+	crossOut  []uint32
+	left      atomic.Int32 // retiring tasks (engine.retires) to complete
+	cancelled atomic.Bool
 
 	// bufSet is the stream-buffer set the iteration holds (see window),
 	// taken at its first dispatch. acquired is stored after bufSet, so a
@@ -167,11 +163,10 @@ func (e *engine) launch(p *probe) {
 		e.nIters++
 		p.launch(it, k)
 		for t, w := range e.widths {
+			// Under mu the iteration W back cannot retire mid-handshake.
 			back := e.iterAt(k - w)
-			if back == nil || atomic.LoadUint32(&back.done[t]) != 0 {
-				if atomic.CompareAndSwapUint32(&it.crossClaim[t], 0, 1) {
-					e.release(k, it, t, p)
-				}
+			if back == nil || !atomic.CompareAndSwapUint32(&back.crossOut[t], 0, crossLaunched) {
+				e.release(k, it, t, p)
 			}
 		}
 	}
@@ -179,28 +174,29 @@ func (e *engine) launch(p *probe) {
 
 // resetIter readies a free state for its next iteration: every task
 // waits for its launch count of dependencies and every join for all its
-// feeders, no task is done or cross-claimed, and the iteration is
-// neither cancelled nor holding a buffer set. The state must be
-// unpublished (on the free list); launch publishes it afterwards.
+// feeders, no handshake has begun, every retiring task is left, and the
+// iteration is neither cancelled nor holding a buffer set. The state
+// must be unpublished (on the free list); launch publishes it
+// afterwards.
 func (e *engine) resetIter(it *iterState) {
 	copy(it.remaining, e.waits)
 	copy(it.joinLeft, e.feeders)
-	clear(it.done)
-	clear(it.crossClaim)
+	clear(it.crossOut)
 	it.cancelled.Store(false)
 	it.acquired.Store(false)
 	for _, snap := range it.mgrOpts {
 		snap.entered = false
 	}
-	it.left.Store(int32(len(e.waits)))
+	it.left.Store(e.nRetires)
 }
 
 // enqueue adds a ready job to the dispatch queue: the central heap on
 // the sim backend, or a work-stealing deque on the real backend. Jobs
 // released by a worker (p is a worker's probe) are not published one
 // by one: they collect in the worker's release buffer and go out as a
-// single batch — one inflight add, one deque interaction, at most one
-// wake — when the worker flushes after the current job (flushReleases).
+// single batch — one deque interaction, at most one wake — when the
+// worker flushes after the current job (flushReleases). Until then no
+// other worker can run them, which complete relies on.
 //
 //hinch:hotpath
 func (e *engine) enqueue(p *probe, j job) {
@@ -225,25 +221,40 @@ func (e *engine) pop() (job, bool) {
 	return heap.Pop(&e.ready).(job), true
 }
 
+// Handshake states of iterState.crossOut.
+const (
+	crossDone     = 1 // the task completed in this iteration
+	crossLaunched = 2 // the iteration W ahead launched first
+)
+
 // complete retires a finished job: it marks the task done, releases
 // dependents in the same iteration and the same task in the next
-// iteration, finalises the iteration when all tasks are done, and
-// applies a pending reconfiguration when the halted manager's subgraph
-// just became quiescent. The job's own iteration is j.it; only the
-// cross-iteration release probes the ring, for the iteration W ahead.
-// The dependency fast path is lock-free; the manager and retirement
-// slow paths take mu internally, so complete must be called WITHOUT mu
-// held. stall is non-zero when the completion applied a
+// iteration, finalises the iteration when its retiring tasks are done,
+// and applies a pending reconfiguration when the halted manager's
+// subgraph just became quiescent. The job's own iteration is j.it; only
+// the cross-iteration release probes the ring, for the iteration W
+// ahead. The dependency fast path is lock-free; the manager and
+// retirement slow paths take mu internally, so complete must be called
+// WITHOUT mu held. stall is non-zero when the completion applied a
 // reconfiguration: the virtual cycles the splice costs, which the sim
 // backend lets elapse. A non-nil error (a failed reconfiguration
 // splice) aborts the run and must be propagated by the caller.
+//
+// A task that does not retire its iteration touches j.it last in its
+// last release there: a task that depends on that release must still
+// complete, and a worker's own releases wait in its buffer until
+// complete returns, so the iteration cannot retire before then.
 //
 //hinch:hotpath
 func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 	p.yield(YieldComplete)
 	it := j.it
 	// A stale or repeated job: its state moved on, or the task is done.
-	if it.iter.Load() != int64(j.iter) || atomic.SwapUint32(&it.done[j.task.ID], 1) != 0 {
+	out := uint32(crossDone)
+	if it.iter.Load() == int64(j.iter) {
+		out = atomic.SwapUint32(&it.crossOut[j.task.ID], crossDone)
+	}
+	if out == crossDone {
 		panic(fmt.Sprintf("hinch: double completion of %s@%d", j.task.Name, j.iter))
 	}
 	for _, succ := range e.app.plan.DirectSuccs(j.task.ID) {
@@ -257,15 +268,12 @@ func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 			e.release(j.iter, it, succ, p)
 		}
 	}
-	// Cross-iteration release, W iterations ahead: the done flag was
-	// published above, so if the target iteration is not visible yet,
-	// its launch will observe the flag and claim the release itself —
-	// crossClaim deduplicates when both do.
-	wt := e.widths[j.task.ID]
-	if next := e.iterAt(j.iter + wt); next != nil {
-		if atomic.CompareAndSwapUint32(&next.crossClaim[j.task.ID], 0, 1) {
-			e.release(j.iter+wt, next, j.task.ID, p)
-		}
+	// Cross-iteration release, W iterations ahead, when that iteration
+	// launched first (it is live: its job waits on this); else its
+	// launch releases it.
+	if out == crossLaunched {
+		wt := e.widths[j.task.ID]
+		e.release(j.iter+wt, e.iterAt(j.iter+wt), j.task.ID, p)
 	}
 	if j.task.Role == graph.RoleManagerExit {
 		e.mu.Lock()
@@ -277,7 +285,7 @@ func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 			return 0, err
 		}
 	}
-	if it.left.Add(-1) == 0 {
+	if e.retires[j.task.ID] && it.left.Add(-1) == 0 {
 		e.mu.Lock()
 		e.retireSweep(p)
 		e.mu.Unlock()

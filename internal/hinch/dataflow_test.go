@@ -15,15 +15,15 @@ import (
 // resetMismatch describes how it differs from a state launch has just
 // recycled, or returns "" when it holds exactly the launch values:
 // every task's dependency count e.waits, every join's count its
-// feeders, no task done or cross-claimed, nothing cancelled or
-// acquired, every task left.
+// feeders, every cross handshake at 0, nothing cancelled or acquired,
+// every retiring task left.
 func resetMismatch(e *engine, it *iterState) string {
 	for id, w := range e.waits {
 		if n := atomic.LoadInt32(&it.remaining[id]); n != w {
 			return fmt.Sprintf("task %d waits on %d dependencies, want %d", id, n, w)
 		}
-		if atomic.LoadUint32(&it.done[id]) != 0 || atomic.LoadUint32(&it.crossClaim[id]) != 0 {
-			return fmt.Sprintf("task %d starts done or cross-claimed", id)
+		if h := atomic.LoadUint32(&it.crossOut[id]); h != 0 {
+			return fmt.Sprintf("task %d starts with cross handshake %d", id, h)
 		}
 	}
 	for jn, f := range e.feeders {
@@ -34,8 +34,8 @@ func resetMismatch(e *engine, it *iterState) string {
 	if it.cancelled.Load() || it.acquired.Load() {
 		return "state starts cancelled or holding a buffer set"
 	}
-	if n := it.left.Load(); int(n) != len(e.waits) {
-		return fmt.Sprintf("%d tasks left, want %d", n, len(e.waits))
+	if n := it.left.Load(); n != e.nRetires {
+		return fmt.Sprintf("%d tasks left, want %d", n, e.nRetires)
 	}
 	return ""
 }
@@ -44,11 +44,12 @@ func resetMismatch(e *engine, it *iterState) string {
 // settled completely, and returns the recycled states that were ever
 // launched. No iteration may be left live, and in every state on the
 // free list every task's dependency count and every join's feeder count
-// reads zero. Its done and cross-claim flags are either all set (it
-// retired at least one iteration) or all clear (launch never took it:
-// a run of fewer than bufCap iterations, or one whose manager halts
-// launches, leaves states idle). (A second release cannot hide here: it
-// would drive a count negative, which release panics on.)
+// reads zero, and so does its count of retiring tasks left. Its cross
+// handshakes are either all crossDone (it retired at least one
+// iteration) or all 0 (launch never took it: a run of fewer than bufCap
+// iterations, or one whose manager halts launches, leaves states idle).
+// (A second release cannot hide here: it would drive a count negative,
+// which release panics on.)
 func checkStatesSettled(t *testing.T, app *App) map[*iterState]bool {
 	t.Helper()
 	e := app.eng
@@ -68,29 +69,37 @@ func checkStatesSettled(t *testing.T, app *App) map[*iterState]bool {
 				t.Fatalf("join %d of iteration %d ended with %d feeders outstanding", jn, k, n)
 			}
 		}
-		set := 0
-		for id := range it.done {
-			set += int(atomic.LoadUint32(&it.done[id]) + atomic.LoadUint32(&it.crossClaim[id]))
+		if n := it.left.Load(); n != 0 {
+			t.Fatalf("iteration %d ended with %d retiring tasks left", k, n)
 		}
-		switch set {
-		case 0:
-		case 2 * len(it.done):
+		done, zero := 0, 0
+		for id := range it.crossOut {
+			switch atomic.LoadUint32(&it.crossOut[id]) {
+			case crossDone:
+				done++
+			case 0:
+				zero++
+			}
+		}
+		switch {
+		case zero == len(it.crossOut):
+		case done == len(it.crossOut):
 			retired[it] = true
 		default:
-			t.Fatalf("iteration %d ended with %d of its %d done and cross-claim flags set", k, set, 2*len(it.done))
+			t.Fatalf("iteration %d ended with %d of its %d cross handshakes done, %d at 0", k, done, len(it.crossOut), zero)
 		}
 	}
 	return retired
 }
 
 // launchCheck is a Tracer that records, at each iteration launch, the
-// state launch just published, and where launch is that state's only
-// writer at the probe — on sim, or with one worker — checks it holds
-// exactly the launch values. With more workers a completion in another
-// iteration may already claim the new one's cross releases there.
+// state launch just published, and checks it holds exactly the launch
+// values. Launch is that state's only writer at the probe, at any
+// worker count: a completion W iterations back releases into it only
+// once launch's handshake on the older state, after the probe, told it
+// to.
 type launchCheck struct {
 	e        *engine
-	exact    bool
 	launches map[*iterState]int
 	bad      string
 }
@@ -107,7 +116,7 @@ func (c *launchCheck) Emit(_ int, ev TraceEvent) {
 	k := int(ev.Iter)
 	it := c.e.ring[k%len(c.e.ring)].Load()
 	c.launches[it]++
-	if c.exact && c.bad == "" {
+	if c.bad == "" {
 		if msg := resetMismatch(c.e, it); msg != "" {
 			c.bad = fmt.Sprintf("iteration %d at launch: %s", k, msg)
 		}
@@ -148,7 +157,7 @@ func TestIterationStatesSettle(t *testing.T) {
 				t.Fatalf("%s: plan has %d joins, want %d", name, len(app.plan.Joins), pc.joins)
 			}
 			e := app.eng
-			tr.e, tr.exact = e, cfg.Backend == BackendSim || cfg.Cores == 1
+			tr.e = e
 			iters := 8 * len(e.ring)
 			rep, err := app.Run(iters)
 			if err != nil {

@@ -77,13 +77,19 @@ type engine struct {
 	// cross-iteration dependency every task carries — an instance must
 	// finish iteration k-W before starting iteration k, where W is the
 	// task's replica width (components are stateful by default; stream
-	// buffers recycle). That last one is satisfied through crossClaim, by
-	// launch or by an older iteration's completions. feeders[j] is plan
-	// join j's fan-in, its counter at launch. launch copies both into a
-	// recycled iterState. Fixed for the run: the engine executes one
-	// plan.
-	waits   []int32
-	feeders []int32
+	// buffers recycle). That last one is satisfied through the crossOut
+	// handshake, by launch or by an older iteration's completion.
+	// feeders[j] is plan join j's fan-in, its counter at launch. launch
+	// copies both into a recycled iterState. retires[t] says whether
+	// task t counts in an iteration's left: it releases nothing in its
+	// own iteration (no direct successor, no join), so every other task
+	// precedes one that does, or it is a manager exit, whose gate
+	// iteration must not retire before applyReconfig. nRetires is their
+	// number. Fixed for the run: the engine executes one plan.
+	waits    []int32
+	feeders  []int32
+	retires  []bool
+	nRetires int32
 
 	// probes is the run's instrumentation, one per writer: probes[0] for
 	// the engine lock / sim goroutine, probes[w+1] for worker w. Every
@@ -97,9 +103,10 @@ type engine struct {
 	err   error
 
 	// free recycles iterState allocations between iterations (guarded
-	// by mu). Safe because retirement is strictly in-order: while any
-	// job of iteration k is mid-completion, retireNext <= k, so the
-	// states it touches (k and k+1) cannot have been recycled.
+	// by mu). Safe because a completing job of iteration k touches
+	// state k only until its last release or left decrement there,
+	// before which k cannot retire, and state k+W only while k+W's job
+	// of the same task still waits on it.
 	free []*iterState
 
 	simRC RunContext // the sim backend's reusable run context
@@ -142,10 +149,9 @@ func newEngine(a *App) *engine {
 	e.free = make([]*iterState, e.bufCap)
 	for i := range e.free {
 		e.free[i] = &iterState{
-			remaining:  make([]int32, n),
-			joinLeft:   make([]int32, len(a.plan.Joins)),
-			done:       make([]uint32, n),
-			crossClaim: make([]uint32, n),
+			remaining: make([]int32, n),
+			joinLeft:  make([]int32, len(a.plan.Joins)),
+			crossOut:  make([]uint32, n),
 		}
 	}
 	if a.cfg.Backend == BackendReal {
@@ -163,6 +169,7 @@ func newEngine(a *App) *engine {
 		e.mgrIndex[n] = i
 	}
 	e.waits = make([]int32, n)
+	e.retires = make([]bool, n)
 	e.feeders = make([]int32, len(a.plan.Joins))
 	for i, jn := range a.plan.Joins {
 		e.feeders[i] = int32(len(jn.Feeders))
@@ -174,6 +181,10 @@ func newEngine(a *App) *engine {
 		e.waits[t.ID] = int32(len(t.DirectDeps)) + 1
 		if t.WaitsOn != graph.NoJoin {
 			e.waits[t.ID]++
+		}
+		if t.Role == graph.RoleManagerExit || len(a.plan.DirectSuccs(t.ID)) == 0 && t.Feeds == graph.NoJoin {
+			e.retires[t.ID] = true
+			e.nRetires++
 		}
 		e.faultMgr[t.ID] = -1
 		// Scope lists enclosing managers outermost first; deliver to the

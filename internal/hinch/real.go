@@ -127,13 +127,11 @@ func (e *engine) runWorker(w *wsWorker) {
 			}
 		}
 		if !ok {
-			if s.inflight.Load() == 0 {
+			if s.park(w) {
 				// Nothing queued, nothing executing: the run is over
 				// (or wedged — surfaced as an error, never a hang).
 				e.checkTermination()
-				continue
 			}
-			s.park(w)
 			continue
 		}
 		if e.execReal(w, j) && chained {
@@ -169,17 +167,9 @@ func (e *engine) endChain(w *wsWorker) {
 // nothing else waits on the owner then, so the chain withholds no work
 // from thieves and needs no budget.
 //
-// flushReleases also ends j's inflight count, in the one atomic add
-// that counts its releases: they are counted before any becomes
-// visible and j only after all of them, so the termination count
-// cannot dip to zero while work is still invisible.
-//
 //hinch:hotpath
 func (e *engine) flushReleases(w *wsWorker, j job) {
 	buf := w.relBuf
-	if d := len(buf) - 1; d != 0 {
-		e.ws.inflight.Add(int64(d))
-	}
 	if len(buf) == 0 {
 		return
 	}
@@ -202,22 +192,17 @@ func (e *engine) flushReleases(w *wsWorker, j job) {
 	e.ws.pushBatch(w, buf)
 }
 
-// checkTermination decides, under the engine lock, whether an observed
-// inflight==0 means completion or a stall, and stops the run either
-// way. inflight is stable at zero: it is only raised by executing jobs
-// (all releases of a job happen before its inflight decrement) and the
-// initial launch, so a worker that observes zero can trust it.
+// checkTermination decides, under the engine lock, whether a completed
+// idle census (sched.park) means completion or a stall, and stops the
+// run either way. The census is final: no worker can release a job
+// again, and nothing outside the workers does after the initial launch.
 func (e *engine) checkTermination() {
 	e.mu.Lock()
-	if e.ws.inflight.Load() == 0 && !e.ws.done.Load() {
-		if !e.finished() && e.err == nil {
-			e.err = fmt.Errorf("hinch: scheduler stalled with %d iterations in flight", e.nIters)
-		}
-		e.mu.Unlock()
-		e.ws.finish()
-		return
+	if !e.ws.done.Load() && !e.finished() && e.err == nil {
+		e.err = fmt.Errorf("hinch: scheduler stalled with %d iterations in flight", e.nIters)
 	}
 	e.mu.Unlock()
+	e.ws.finish()
 }
 
 // execReal runs one job. A component job outside any option, of a live
@@ -231,12 +216,12 @@ func (e *engine) checkTermination() {
 func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 	mgr := j.task.Role != graph.RoleComponent
 	// j.it is the job's iteration, set by release: a live job's
-	// iteration cannot retire under it (the iteration's left-count
-	// includes this job), so no ring probe is needed. The cancelled
-	// check is racy by design: a concurrent noteEOS can cancel the
-	// iteration just after we load false, in which case the component
-	// runs redundantly but harmlessly — cancelled iterations' results
-	// are discarded at retirement.
+	// iteration cannot retire under it (its left-count waits for this
+	// job or a task that depends on it), so no ring probe is needed.
+	// The cancelled check is racy by design: a concurrent noteEOS can
+	// cancel the iteration just after we load false, in which case the
+	// component runs redundantly but harmlessly — cancelled iterations'
+	// results are discarded at retirement.
 	it := j.it
 	if mgr || !it.acquired.Load() || it.cancelled.Load() || j.task.Option != "" {
 		e.mu.Lock()

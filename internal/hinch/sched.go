@@ -29,33 +29,31 @@ import (
 type wsDeque struct {
 	mu   sync.Mutex
 	buf  []job
-	head int          // index of the oldest element in buf
-	size atomic.Int32 // approximate length, for cheap emptiness probes
+	head int // index of the oldest element in buf
+	// full mirrors len(buf) > head for lock-free emptiness probes. It is
+	// stored under mu, and only when the deque turns empty or non-empty,
+	// so a push onto a non-empty deque or a pop that leaves jobs behind
+	// writes no shared word besides the lock.
+	full atomic.Bool
 }
 
-//hinch:hotpath
-func (d *wsDeque) push(j job) {
-	d.mu.Lock()
-	d.buf = append(d.buf, j)
-	d.size.Add(1)
-	d.mu.Unlock()
-}
-
-// pushN appends a batch of jobs in one lock acquisition — the deque
-// half of batched dispatch (one interaction per run of released jobs
-// instead of one per job).
+// pushN appends a non-empty batch of jobs in one lock acquisition — the
+// deque half of batched dispatch (one interaction per run of released
+// jobs instead of one per job).
 //
 //hinch:hotpath
 func (d *wsDeque) pushN(js []job) {
 	d.mu.Lock()
+	if len(d.buf) == d.head {
+		d.full.Store(true)
+	}
 	d.buf = append(d.buf, js...)
-	d.size.Add(int32(len(js)))
 	d.mu.Unlock()
 }
 
 // pop removes the newest job (owner side, LIFO).
 func (d *wsDeque) pop() (job, bool) {
-	if d.size.Load() == 0 {
+	if !d.full.Load() {
 		return job{}, false
 	}
 	d.mu.Lock()
@@ -67,13 +65,17 @@ func (d *wsDeque) pop() (job, bool) {
 	j := d.buf[n]
 	d.buf[n] = job{}
 	d.buf = d.buf[:n]
-	if d.head == len(d.buf) {
-		d.buf = d.buf[:0]
-		d.head = 0
-	}
-	d.size.Add(-1)
+	d.drained()
 	d.mu.Unlock()
 	return j, true
+}
+
+// drained rewinds an emptied deque and clears its flag; mu held.
+func (d *wsDeque) drained() {
+	if d.head == len(d.buf) {
+		d.buf, d.head = d.buf[:0], 0
+		d.full.Store(false)
+	}
 }
 
 // steal removes the oldest job (thief side, FIFO).
@@ -93,7 +95,7 @@ func (d *wsDeque) steal() (job, bool) {
 //
 //hinch:hotpath
 func (d *wsDeque) stealN(dst []job, max int) int {
-	if d.size.Load() == 0 {
+	if !d.full.Load() {
 		return 0
 	}
 	d.mu.Lock()
@@ -111,11 +113,7 @@ func (d *wsDeque) stealN(dst []job, max int) int {
 		d.buf[d.head+i] = job{}
 	}
 	d.head += take
-	if d.head == len(d.buf) {
-		d.buf = d.buf[:0]
-		d.head = 0
-	}
-	d.size.Add(int32(-take))
+	d.drained()
 	d.mu.Unlock()
 	return take
 }
@@ -165,21 +163,20 @@ func (w *wsWorker) nextRand() uint64 {
 const stealMax = 8
 
 // sched is the shared work-stealing state of one real-backend run.
+//
+// The run ends by idle census, with no count of jobs in flight: a job
+// is queued, held by a worker, or waits on a dependency only a worker
+// releases, so with every worker on the idle list and every queue
+// empty the run is over or stalled. Wakes and deregistrations bump
+// epoch, which the census (park) reads before and after its scan: a
+// worker that left, ran a job and came back meanwhile cannot fool it.
 type sched struct {
 	workers []*wsWorker
 	global  wsDeque // jobs released outside worker context
 
-	// inflight counts jobs that are queued or executing. It is
-	// incremented before a job becomes visible in any queue and
-	// decremented only after its execution (including all the releases
-	// it performs) has finished — a worker folds both into one add per
-	// job, see flushReleases — so inflight==0 is a stable property:
-	// the run is either finished or stalled, and the observing worker
-	// triggers termination.
-	inflight atomic.Int64
-
 	idleMu sync.Mutex
 	idle   []*wsWorker
+	epoch  uint64 // departures from idle; guarded by idleMu
 	nidle  atomic.Int32
 	done   atomic.Bool
 }
@@ -207,23 +204,12 @@ func newSched(cfg Config, probes []probe) *sched {
 	return s
 }
 
-// push makes a job runnable on behalf of the writer behind p. Jobs
-// released by a worker land on its own deque; others go to the global
-// queue. A worker's first pending job wakes nobody — the worker itself
-// pops it as soon as it finishes the job it is executing — so a plain
-// pipeline (every completion releasing exactly one successor) runs
-// without any wake traffic at all.
+// push makes a job runnable on behalf of a writer outside any worker
+// (the initial launch): it goes to the global queue, and wakes a
+// parked worker. Workers' releases go out through pushBatch.
 func (s *sched) push(p *probe, j job) {
 	p.publish(1)
-	s.inflight.Add(1)
-	if w := p.w; w != nil {
-		w.dq.push(j)
-		if w.dq.size.Load() <= 1 {
-			return
-		}
-	} else {
-		s.global.push(j)
-	}
+	s.global.pushN([]job{j})
 	if s.signalWork() {
 		p.woke()
 	}
@@ -232,9 +218,8 @@ func (s *sched) push(p *probe, j job) {
 // pushBatch makes a run of jobs released by one execution runnable in
 // a single publish: one deque lock and at most one wake, where per-job
 // pushes pay both per job — the cross-worker traffic that made adding
-// workers slow the scheduler down. The caller (flushReleases) has
-// already counted the jobs in inflight. The owner pops the batch's last
-// job itself, so only a longer batch wakes a thief.
+// workers slow the scheduler down. The owner pops the batch's last job
+// itself, so only a longer batch wakes a thief.
 //
 //hinch:hotpath
 func (s *sched) pushBatch(w *wsWorker, js []job) {
@@ -258,6 +243,7 @@ func (s *sched) signalWork() bool {
 		w = s.idle[n-1]
 		s.idle = s.idle[:n-1]
 		s.nidle.Store(int32(len(s.idle)))
+		s.epoch++
 	}
 	s.idleMu.Unlock()
 	if w == nil {
@@ -308,11 +294,11 @@ func (s *sched) steal(w *wsWorker) (job, bool) {
 // anyQueued reports whether any queue holds work (approximate; used
 // only to avoid parking with work visible).
 func (s *sched) anyQueued() bool {
-	if s.global.size.Load() > 0 {
+	if s.global.full.Load() {
 		return true
 	}
 	for _, w := range s.workers {
-		if w.dq.size.Load() > 0 {
+		if w.dq.full.Load() {
 			return true
 		}
 	}
@@ -322,11 +308,15 @@ func (s *sched) anyQueued() bool {
 // park blocks w until new work may be available or the run stops. The
 // re-check after registering on the idle list closes the missed-wakeup
 // window: a producer that saw nidle==0 before our registration must
-// have published its job before we scan the queues.
-func (s *sched) park(w *wsWorker) {
+// have published its job before we scan the queues. It reports true,
+// without blocking, when w completed the idle census (see sched): w is
+// the last worker to register, the queues are empty and no worker left
+// the list meanwhile. w stays registered; finish wakes it.
+func (s *sched) park(w *wsWorker) (quiet bool) {
 	s.idleMu.Lock()
 	s.idle = append(s.idle, w)
 	s.nidle.Store(int32(len(s.idle)))
+	all, epoch := len(s.idle) == len(s.workers), s.epoch
 	s.idleMu.Unlock()
 	if s.done.Load() || s.anyQueued() {
 		// Deregister; if someone already granted us a wake token,
@@ -337,18 +327,27 @@ func (s *sched) park(w *wsWorker) {
 			if x == w {
 				s.idle = append(s.idle[:i], s.idle[i+1:]...)
 				removed = true
+				s.epoch++
 				break
 			}
 		}
 		s.nidle.Store(int32(len(s.idle)))
 		s.idleMu.Unlock()
 		if removed {
-			return
+			return false
+		}
+	} else if all {
+		s.idleMu.Lock()
+		quiet = s.epoch == epoch
+		s.idleMu.Unlock()
+		if quiet {
+			return true
 		}
 	}
 	w.p.park()
 	<-w.park
 	w.p.unpark()
+	return false
 }
 
 // finish stops the run: all parked workers are woken and the done flag

@@ -2,18 +2,19 @@ package hinch
 
 import (
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"xspcl/internal/graph"
 )
 
 // schedFixture is a two-worker dispatch layer with no engine behind
-// it: enough for flushReleases, the deques and steals. One job is in
-// flight: the one whose releases the test flushes.
+// it: enough for flushReleases, the deques and steals.
 func schedFixture() (*engine, *wsWorker, *wsWorker) {
 	cfg := Config{Backend: BackendReal, Cores: 2}
 	e := &engine{ws: newSched(cfg, newProbes(cfg, 0))}
-	e.ws.inflight.Store(1)
 	return e, e.ws.workers[0], e.ws.workers[1]
 }
 
@@ -63,13 +64,15 @@ func TestSchedReleaseOrder(t *testing.T) {
 		if owner.hasNext {
 			t.Fatalf("chain slot took %s from a batch of %d", jobName(owner.next), len(released))
 		}
-		// The flush ends the released-from job and counts its releases.
-		if n := e.ws.inflight.Load(); n != int64(len(released)) {
-			t.Fatalf("inflight %d after publishing %d jobs", n, len(released))
+		if !owner.dq.full.Load() {
+			t.Fatalf("deque not flagged full after publishing %d jobs", len(released))
 		}
 		got := drain(owner.dq.pop)
 		if want := []string{"c@5", "b@5", "d@7", "a@6"}; !sameNames(got, want) {
 			t.Fatalf("owner pops %v, want %v", got, want)
+		}
+		if owner.dq.full.Load() {
+			t.Fatal("drained deque still flagged full")
 		}
 	})
 
@@ -108,16 +111,124 @@ func TestSchedReleaseOrder(t *testing.T) {
 			if owner.hasNext != tc.chain {
 				t.Errorf("releases %v: chained %v, want %v", jobNames(tc.rel), owner.hasNext, tc.chain)
 			}
-			queued := int(owner.dq.size.Load())
+			queued := len(owner.dq.buf) - owner.dq.head
+			if owner.dq.full.Load() != (queued > 0) {
+				t.Errorf("releases %v: %d queued, flagged full %v", jobNames(tc.rel), queued, owner.dq.full.Load())
+			}
 			if owner.hasNext {
 				queued++
 			}
-			if queued != len(tc.rel) || e.ws.inflight.Load() != int64(len(tc.rel)) {
-				t.Errorf("releases %v: %d visible, inflight %d", jobNames(tc.rel), queued, e.ws.inflight.Load())
+			if queued != len(tc.rel) {
+				t.Errorf("releases %v: %d visible", jobNames(tc.rel), queued)
 			}
 			if len(owner.relBuf) != 0 {
 				t.Errorf("releases %v: release buffer not reset", jobNames(tc.rel))
 			}
 		}
 	})
+}
+
+// TestSchedCrossHandshake drives the crossOut handshake by hand on a sim
+// engine, at replica widths 1 and 2 and in both orders of the launch
+// of iteration W and the completion of src@0 (src's job there waits on
+// it): the cross release of src@W happens exactly once either way, by
+// whichever side comes second, and a second completion of src@0
+// panics.
+func TestSchedCrossHandshake(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		for _, launchFirst := range []bool{false, true} {
+			name := fmt.Sprintf("W=%d/launchFirst=%v", w, launchFirst)
+			app, err := NewApp(chainProg(), testRegistry(), Config{Backend: BackendSim, Cores: 1, PipelineDepth: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := app.eng
+			if e.bufCap < w+1 {
+				t.Fatalf("%s: capacity %d cannot hold %d iterations", name, e.bufCap, w+1)
+			}
+			src := app.plan.Tasks[0]
+			if src.Name != "src" || len(app.plan.DirectSuccs(src.ID)) == 0 {
+				t.Fatalf("%s: task 0 is %q, want the non-terminal src", name, src.Name)
+			}
+			e.widths[src.ID] = w
+			p := &e.probes[0]
+			launchTo := func(n int) {
+				e.limit = n
+				e.mu.Lock()
+				e.launch(p)
+				e.mu.Unlock()
+			}
+			srcJobs := func(k int) (n int) {
+				for _, j := range e.ready {
+					if j.task == src && j.iter == k {
+						n++
+					}
+				}
+				return n
+			}
+			launchTo(w)
+			it0 := e.iterAt(0)
+			completeSrc := func() {
+				if _, err := e.complete(job{iter: 0, task: src, it: it0}, p); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			if launchFirst {
+				launchTo(w + 1)
+				if h := atomic.LoadUint32(&it0.crossOut[src.ID]); h != crossLaunched || srcJobs(w) != 0 {
+					t.Fatalf("%s: after launch: handshake %d, %d jobs of src@%d", name, h, srcJobs(w), w)
+				}
+				completeSrc()
+			} else {
+				completeSrc()
+				if h := atomic.LoadUint32(&it0.crossOut[src.ID]); h != crossDone || e.iterAt(w) != nil {
+					t.Fatalf("%s: after completion: handshake %d, iteration %d live", name, h, w)
+				}
+				launchTo(w + 1)
+			}
+			if n := atomic.LoadInt32(&e.iterAt(w).remaining[src.ID]); n != 0 || srcJobs(w) != 1 {
+				t.Fatalf("%s: src@%d waits on %d dependencies, %d jobs queued; want 0 and 1", name, w, n, srcJobs(w))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "double completion") {
+						t.Fatalf("%s: second completion: recovered %v, want a double-completion panic", name, r)
+					}
+				}()
+				completeSrc()
+			}()
+		}
+	}
+}
+
+// TestSchedStallSurfaces runs, on real at 1, 2 and 4 workers, a program
+// whose sink never becomes ready (one dependency more than anything
+// releases): once the window fills and the rest drains, every worker
+// goes idle with iterations in flight, and the idle census must end the
+// run with the stall error rather than hang.
+func TestSchedStallSurfaces(t *testing.T) {
+	for _, cores := range []int{1, 2, 4} {
+		app, err := NewApp(chainProg(), testRegistry(), Config{Backend: BackendReal, Cores: cores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snk := app.plan.Tasks[len(app.plan.Tasks)-1]
+		if snk.Name != "snk" {
+			t.Fatalf("last task is %q, want snk", snk.Name)
+		}
+		app.eng.waits[snk.ID]++
+		errc := make(chan error, 1)
+		go func() {
+			_, err := app.Run(20)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if err == nil || !strings.Contains(err.Error(), "scheduler stalled") {
+				t.Fatalf("cores=%d: run returned %v, want the stall error", cores, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("cores=%d: a run that cannot progress did not end", cores)
+		}
+	}
 }
