@@ -92,16 +92,12 @@ type Config struct {
 	// Tracer/Hooks; the counters in Snapshot are live either way.
 	Telemetry bool
 
-	// WatchdogEpochs is how many consecutive watchdog epochs may pass
-	// without an iteration retiring before the run is flagged stalled
-	// (Snapshot.Stalled, /healthz degraded, a TraceStall instant). The
-	// flag clears when progress resumes. Defaults to 3. Requires
-	// Telemetry.
-	WatchdogEpochs int
-
-	// WatchdogEpoch is the watchdog's epoch length. On sim checks fire at
-	// virtual-time boundaries, so stall detection is deterministic.
-	// Defaults to 2000000 cycles on sim, 250ms on real.
+	// WatchdogEpoch is the watchdog's epoch length: three consecutive
+	// epochs without an iteration retiring flag the run stalled
+	// (Snapshot.Stalled, /healthz degraded, a TraceStall instant) until
+	// progress resumes. On sim checks fire at virtual-time boundaries,
+	// so stall detection is deterministic. Defaults to 2000000 cycles on
+	// sim, 250ms on real. Requires Telemetry.
 	WatchdogEpoch time.Duration
 }
 
@@ -120,9 +116,6 @@ func (c Config) withDefaults() Config {
 	watchdog := 250 * time.Millisecond
 	if c.Backend == BackendSim {
 		watchdog = 2000000
-	}
-	if c.WatchdogEpochs <= 0 {
-		c.WatchdogEpochs = 3
 	}
 	if c.WatchdogEpoch <= 0 {
 		c.WatchdogEpoch = watchdog
@@ -344,7 +337,7 @@ func NewApp(prog *graph.Program, reg *Registry, cfg Config) (*App, error) {
 	}
 	// The engine (and, on the real backend, the work-stealing scheduler
 	// with its per-worker state) is built here rather than in Run, so
-	// the dispatch path starts with its rings, free-lists and deques
+	// the dispatch path starts with its iteration table and deques
 	// already sized — Run's steady state allocates nothing for them.
 	a.eng = newEngine(a)
 	return a, nil

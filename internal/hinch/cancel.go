@@ -6,7 +6,7 @@ package hinch
 // noteCancel stops further launches and marks every in-flight
 // iteration cancelled, so the remaining jobs drain through the
 // dependency machinery as zero-cost no-ops, every iteration retires
-// (uncounted), and the stream slots and iterState free-lists come back
+// (uncounted), and the stream slots and iteration states come back
 // exactly as on a clean finish. Cancellation is therefore never an
 // abort — it is an early EOS injected from outside the graph — and a
 // cancelled run returns a valid partial Report (Outcome =
@@ -31,20 +31,15 @@ package hinch
 
 import "time"
 
-// noteCancel cancels the whole run: no further iterations launch and
-// every in-flight iteration is marked cancelled, which turns its
-// remaining jobs into zero-cost no-ops (the EOS drain path). Idempotent.
-// Must be called with mu held.
+// noteCancel cancels the whole run, as an EOS at the oldest in-flight
+// iteration: no further iterations launch and every in-flight one is
+// marked cancelled, which turns its remaining jobs into zero-cost
+// no-ops (the EOS drain path). Idempotent. Must be called with mu held.
 func (e *engine) noteCancel() {
 	if e.cancelled.Load() {
 		return
 	}
-	if e.stopLaunch < 0 || e.nextLaunch < e.stopLaunch {
-		e.stopLaunch = e.nextLaunch
-	}
-	e.eachIter(func(it *iterState) {
-		it.cancelled.Store(true)
-	})
+	e.noteEOS(e.retireNext)
 	// Publish last: pollCancel returns on this flag without the lock, so
 	// a worker that sees it must also see every iteration marked.
 	e.cancelled.Store(true)

@@ -365,7 +365,7 @@ func TestRunContextCancelWithWatchdog(t *testing.T) {
 	defer cancel()
 	app, err := NewApp(chainProg(), testRegistry(), Config{
 		Backend: BackendReal, Cores: 2,
-		Telemetry: true, WatchdogEpoch: 2 * time.Millisecond, WatchdogEpochs: 2,
+		Telemetry: true, WatchdogEpoch: 2 * time.Millisecond,
 		Faults: &delayOnce{task: "dbl", iter: 3, delay: 5 * time.Second},
 	})
 	if err != nil {

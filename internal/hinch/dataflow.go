@@ -13,7 +13,7 @@ import (
 // job's state cannot retire or be recycled while the job is live (the
 // iteration's left-count waits for it or for a task that depends on
 // it), so every stage of the job path reads j.it instead of probing the
-// ring. Jobs are queued by value: 24 bytes.
+// iteration table. Jobs are queued by value: 24 bytes.
 type job struct {
 	iter int
 	task *graph.Task
@@ -33,14 +33,14 @@ type job struct {
 // the atomics are uncontended there and the discrete-event schedule
 // stays deterministic.
 type iterState struct {
-	// iter is the iteration this state currently represents. It is
-	// atomic because iterAt probes ring slots without mu and validates
-	// against it: a stale pointer (loaded just before retire freed the
-	// slot) may observe the state mid-recycle. launch stores iter LAST
-	// in the recycle sequence, so a probe that reads the new value is
-	// guaranteed (seq-cst store/load pairing) to see every other field
-	// already reset for the new iteration; any other value makes the
-	// probe reject the state. Written only under mu.
+	// iter is the iteration this state currently represents, -1 while
+	// it is free. It is atomic because iterAt probes the table without
+	// mu and validates against it, and may observe the state
+	// mid-recycle. launch stores iter LAST in the recycle sequence, so a
+	// probe that reads the new value is guaranteed (seq-cst store/load
+	// pairing) to see every other field already reset for the new
+	// iteration; any other value makes the probe reject the state.
+	// Written only under mu.
 	iter      atomic.Int64
 	remaining []int32 // unmet dependency count per task
 	joinLeft  []int32 // feeders not yet completed, per plan join
@@ -110,7 +110,7 @@ func (e *engine) canLaunch() bool {
 	if e.err != nil {
 		return false
 	}
-	if e.nIters >= e.bufCap {
+	if e.nextLaunch-e.retireNext >= e.bufCap {
 		return false
 	}
 	for _, st := range e.mgrs {
@@ -133,34 +133,25 @@ func (e *engine) moreToLaunch() bool {
 // finished reports whether the run is complete. Must be called with mu
 // held on the real backend.
 func (e *engine) finished() bool {
-	return e.nIters == 0 && !e.moreToLaunch()
+	return e.retireNext == e.nextLaunch && !e.moreToLaunch()
 }
 
 // launch admits iterations into the pipeline while the window allows,
-// on behalf of the writer behind p. A recycled state is reset in bulk —
-// its counters copied from the launch values (e.waits, e.feeders), its
-// flags cleared — with plain stores: no worker reads the state until
-// the iter store below publishes it. Must be called with mu held.
+// on behalf of the writer behind p. Iteration k takes states[k%bufCap],
+// free because canLaunch keeps k-bufCap retired. The state is reset in
+// bulk — its counters copied from the launch values (e.waits,
+// e.feeders), its flags cleared — with plain stores: no worker reads
+// it until the iter store below publishes it. Must be called with mu
+// held.
 func (e *engine) launch(p *probe) {
 	for e.canLaunch() {
 		k := e.nextLaunch
 		e.nextLaunch++
-		// Never empty: the free list holds bufCap states less the
-		// nIters < bufCap that canLaunch allows in flight.
-		f := len(e.free) - 1
-		it := e.free[f]
-		e.free = e.free[:f]
+		it := e.states[k%len(e.states)]
 		e.resetIter(it)
 		// Publish the iteration number last: once a concurrent iterAt
-		// probe (which may hold a stale pointer to this state from its
-		// previous life) sees iter == k, every reset above is visible.
+		// probe sees iter == k, every reset above is visible.
 		it.iter.Store(int64(k))
-		slot := &e.ring[k%len(e.ring)]
-		if slot.Load() != nil {
-			panic(fmt.Sprintf("hinch: iteration ring slot %d still occupied at launch of %d", k%len(e.ring), k))
-		}
-		slot.Store(it)
-		e.nIters++
 		p.launch(it, k)
 		for t, w := range e.widths {
 			// Under mu the iteration W back cannot retire mid-handshake.
@@ -176,8 +167,7 @@ func (e *engine) launch(p *probe) {
 // waits for its launch count of dependencies and every join for all its
 // feeders, no handshake has begun, every retiring task is left, and the
 // iteration is neither cancelled nor holding a buffer set. The state
-// must be unpublished (on the free list); launch publishes it
-// afterwards.
+// must be free (iter -1); launch publishes it afterwards.
 func (e *engine) resetIter(it *iterState) {
 	copy(it.remaining, e.waits)
 	copy(it.joinLeft, e.feeders)
@@ -191,24 +181,22 @@ func (e *engine) resetIter(it *iterState) {
 }
 
 // enqueue adds a ready job to the dispatch queue: the central heap on
-// the sim backend, or a work-stealing deque on the real backend. Jobs
-// released by a worker (p is a worker's probe) are not published one
-// by one: they collect in the worker's release buffer and go out as a
-// single batch — one deque interaction, at most one wake — when the
-// worker flushes after the current job (flushReleases). Until then no
-// other worker can run them, which complete relies on.
+// the sim backend, or a work-stealing deque on the real backend. On
+// real every writer that releases jobs is a worker (the initial launch
+// acts through worker 0's probe), and its releases are not published
+// one by one: they collect in the worker's release buffer and go out
+// as a single batch — one deque interaction, at most one wake — when
+// the worker flushes after the current job (flushReleases). Until then
+// no other worker can run them, which complete relies on.
 //
 //hinch:hotpath
 func (e *engine) enqueue(p *probe, j job) {
 	p.enqueue(j)
-	switch {
-	case e.ws == nil:
+	if e.ws == nil {
 		heap.Push(&e.ready, j)
-	case p.w != nil:
-		p.w.relBuf = append(p.w.relBuf, j)
-	default:
-		e.ws.push(p, j)
+		return
 	}
+	p.w.relBuf = append(p.w.relBuf, j)
 }
 
 // pop removes the highest-priority ready job (oldest iteration first)
@@ -232,11 +220,11 @@ const (
 // iteration, finalises the iteration when its retiring tasks are done,
 // and applies a pending reconfiguration when the halted manager's
 // subgraph just became quiescent. The job's own iteration is j.it; only
-// the cross-iteration release probes the ring, for the iteration W
-// ahead. The dependency fast path is lock-free; the manager and
-// retirement slow paths take mu internally, so complete must be called
-// WITHOUT mu held. stall is non-zero when the completion applied a
-// reconfiguration: the virtual cycles the splice costs, which the sim
+// the cross-iteration release probes the iteration table, for the
+// iteration W ahead. The dependency fast path is lock-free; the manager
+// and retirement slow paths take mu internally, so complete must be
+// called WITHOUT mu held. stall is non-zero when the completion applied
+// a reconfiguration: the virtual cycles the splice costs, which the sim
 // backend lets elapse. A non-nil error (a failed reconfiguration
 // splice) aborts the run and must be propagated by the caller.
 //
@@ -297,10 +285,9 @@ func (e *engine) complete(j job, p *probe) (stall int64, err error) {
 // starting from the oldest live one. Completion order is monotone
 // (iteration k's last task finishes after k-1's, via the cross
 // dependency), but on the real backend the workers' lock acquisitions
-// are not — retiring out of order would let the live-iteration span
-// outgrow the ring even though the live count stays bounded. The sweep
-// pins the window to [retireNext, nextLaunch), which the ring size
-// strictly covers. Must be called with mu held.
+// are not. The sweep keeps the in-flight iterations the range
+// [retireNext, nextLaunch), which the iteration table and every count
+// of iterations in flight rely on. Must be called with mu held.
 func (e *engine) retireSweep(p *probe) {
 	for {
 		it := e.iterAt(e.retireNext)
@@ -312,27 +299,25 @@ func (e *engine) retireSweep(p *probe) {
 	}
 }
 
-// retire finalises a fully-completed iteration: frees its ring slot and
-// its stream-buffer set — it holds one, since every one of its jobs
-// passed admit — and refills the pipeline. Must be called with mu held,
-// via retireSweep.
+// retire finalises a fully-completed iteration: frees its state (iter
+// -1, so iterAt no longer finds it) and its stream-buffer set — it
+// holds one, since every one of its jobs passed admit — and refills
+// the pipeline. Must be called with mu held, via retireSweep.
 func (e *engine) retire(it *iterState, p *probe) {
 	p.yield(YieldRetire)
 	k := int(it.iter.Load())
-	e.ring[k%len(e.ring)].Store(nil)
-	e.nIters--
+	it.iter.Store(-1)
 	win := e.app.win
 	win.put(it.bufSet)
 	p.released(e.app.streamList, k, int64(win.active.Load()))
 	p.retire(it, k, !it.cancelled.Load())
-	e.free = append(e.free, it)
 	e.checkResumes(p)
 	e.launch(p)
 }
 
 // release satisfies one dependency of task taskID in iteration iter,
 // whose state is it, and queues the task once all its dependencies are
-// met; the job carries it, so no later stage probes the ring for it.
+// met; the job carries it, so no later stage probes the table for it.
 // Lock-free; safe with or without mu held.
 //
 //hinch:hotpath
@@ -353,9 +338,7 @@ func (e *engine) noteEOS(k int) {
 	if e.stopLaunch < 0 || k < e.stopLaunch {
 		e.stopLaunch = k
 	}
-	e.eachIter(func(it *iterState) {
-		if int(it.iter.Load()) >= k {
-			it.cancelled.Store(true)
-		}
-	})
+	for i := max(k, e.retireNext); i < e.nextLaunch; i++ {
+		e.states[i%len(e.states)].cancelled.Store(true)
+	}
 }

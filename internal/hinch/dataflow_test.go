@@ -41,11 +41,11 @@ func resetMismatch(e *engine, it *iterState) string {
 }
 
 // checkStatesSettled checks that every iteration the run launched
-// settled completely, and returns the recycled states that were ever
-// launched. No iteration may be left live, and in every state on the
-// free list every task's dependency count and every join's feeder count
-// reads zero, and so does its count of retiring tasks left. Its cross
-// handshakes are either all crossDone (it retired at least one
+// settled completely, and returns the states that were ever launched.
+// No iteration may be left live, every state must be free (iter -1),
+// and in each one every task's dependency count and every join's feeder
+// count reads zero, and so does its count of retiring tasks left. Its
+// cross handshakes are either all crossDone (it retired at least one
 // iteration) or all 0 (launch never took it: a run of fewer than bufCap
 // iterations, or one whose manager halts launches, leaves states idle).
 // (A second release cannot hide here: it would drive a count negative,
@@ -53,24 +53,26 @@ func resetMismatch(e *engine, it *iterState) string {
 func checkStatesSettled(t *testing.T, app *App) map[*iterState]bool {
 	t.Helper()
 	e := app.eng
-	if e.nIters != 0 || len(e.free) != e.bufCap {
-		t.Fatalf("%d iterations still live, %d of %d states recycled", e.nIters, len(e.free), e.bufCap)
+	if e.retireNext != e.nextLaunch || len(e.states) != e.bufCap {
+		t.Fatalf("iterations [%d, %d) still live, %d states for capacity %d", e.retireNext, e.nextLaunch, len(e.states), e.bufCap)
 	}
 	retired := map[*iterState]bool{}
-	for _, it := range e.free {
-		k := it.iter.Load()
+	for i, it := range e.states {
+		if n := it.iter.Load(); n != -1 {
+			t.Fatalf("state %d still holds iteration %d", i, n)
+		}
 		for id := range it.remaining {
 			if n := atomic.LoadInt32(&it.remaining[id]); n != 0 {
-				t.Fatalf("task %d of iteration %d ended with %d dependencies outstanding", id, k, n)
+				t.Fatalf("task %d of state %d ended with %d dependencies outstanding", id, i, n)
 			}
 		}
 		for jn := range it.joinLeft {
 			if n := atomic.LoadInt32(&it.joinLeft[jn]); n != 0 {
-				t.Fatalf("join %d of iteration %d ended with %d feeders outstanding", jn, k, n)
+				t.Fatalf("join %d of state %d ended with %d feeders outstanding", jn, i, n)
 			}
 		}
 		if n := it.left.Load(); n != 0 {
-			t.Fatalf("iteration %d ended with %d retiring tasks left", k, n)
+			t.Fatalf("state %d ended with %d retiring tasks left", i, n)
 		}
 		done, zero := 0, 0
 		for id := range it.crossOut {
@@ -86,18 +88,19 @@ func checkStatesSettled(t *testing.T, app *App) map[*iterState]bool {
 		case done == len(it.crossOut):
 			retired[it] = true
 		default:
-			t.Fatalf("iteration %d ended with %d of its %d cross handshakes done, %d at 0", k, done, len(it.crossOut), zero)
+			t.Fatalf("state %d ended with %d of its %d cross handshakes done, %d at 0", i, done, len(it.crossOut), zero)
 		}
 	}
 	return retired
 }
 
-// launchCheck is a Tracer that records, at each iteration launch, the
-// state launch just published, and checks it holds exactly the launch
-// values. Launch is that state's only writer at the probe, at any
-// worker count: a completion W iterations back releases into it only
-// once launch's handshake on the older state, after the probe, told it
-// to.
+// launchCheck is a Tracer that records, at each iteration launch k,
+// the state launch just published, and checks that iterAt finds it in
+// states[k%bufCap] and that it holds exactly the launch values. Launch
+// is that state's only writer at the probe, at any worker count: a
+// completion W iterations back releases into it only once launch's
+// handshake on the older state, after the probe, told it to. At each
+// retirement it checks that iterAt no longer finds the iteration.
 type launchCheck struct {
 	e        *engine
 	launches map[*iterState]int
@@ -107,29 +110,38 @@ type launchCheck struct {
 func (c *launchCheck) Begin(TraceMeta) {}
 func (c *launchCheck) End()            {}
 
-// Emit sees launch events under the engine lock (or on the sim
-// goroutine), so the map needs no lock of its own.
+// Emit sees launch and retire events under the engine lock (or on the
+// sim goroutine), so the map needs no lock of its own.
 func (c *launchCheck) Emit(_ int, ev TraceEvent) {
-	if ev.Kind != TraceIterLaunch {
-		return
-	}
 	k := int(ev.Iter)
-	it := c.e.ring[k%len(c.e.ring)].Load()
-	c.launches[it]++
-	if c.bad == "" {
-		if msg := resetMismatch(c.e, it); msg != "" {
-			c.bad = fmt.Sprintf("iteration %d at launch: %s", k, msg)
+	var msg string
+	switch ev.Kind {
+	case TraceIterLaunch:
+		it := c.e.states[k%c.e.bufCap]
+		c.launches[it]++
+		if c.e.iterAt(k) != it {
+			msg = fmt.Sprintf("at launch: not found in states[%d]", k%c.e.bufCap)
+		} else if m := resetMismatch(c.e, it); m != "" {
+			msg = "at launch: " + m
 		}
+	case TraceIterRetire:
+		if c.e.iterAt(k) != nil {
+			msg = "after retiring: iterAt still finds it"
+		}
+	}
+	if c.bad == "" && msg != "" {
+		c.bad = fmt.Sprintf("iteration %d %s", k, msg)
 	}
 }
 
 // TestIterationStatesSettle runs the scheduler-stress shape (a source
 // fanned out to 16 slices and joined at a sink) and a join between two
-// 16-way groups, for eight times as many iterations as the ring has
-// slots, on sim and on real at 1, 2 and 4 workers. Launch takes each of
-// the engine's bufCap states, and recycles every one: it must settle
-// when its iteration retires, hold exactly the launch values when
-// launch recycles it, and hold them again when reset after the run.
+// 16-way groups, for twenty times as many iterations as the table has
+// states, on sim and on real at 1, 2 and 4 workers. Launch publishes
+// iteration k in states[k%bufCap] and recycles every state: it must
+// settle when its iteration retires, after which iterAt no longer finds
+// it, hold exactly the launch values when launch recycles it, and hold
+// them again when reset after the run.
 func TestIterationStatesSettle(t *testing.T) {
 	progs := []struct {
 		name  string
@@ -158,7 +170,7 @@ func TestIterationStatesSettle(t *testing.T) {
 			}
 			e := app.eng
 			tr.e = e
-			iters := 8 * len(e.ring)
+			iters := 20 * e.bufCap
 			rep, err := app.Run(iters)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -186,7 +198,7 @@ func TestIterationStatesSettle(t *testing.T) {
 			if launches < 2*len(tr.launches) {
 				t.Fatalf("%s: %d launches over %d states recycle too few", name, launches, len(tr.launches))
 			}
-			for _, it := range e.free {
+			for _, it := range e.states {
 				e.resetIter(it)
 				if msg := resetMismatch(e, it); msg != "" {
 					t.Fatalf("%s: reset state: %s", name, msg)

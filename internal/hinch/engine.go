@@ -37,16 +37,15 @@ type engine struct {
 	// (complete/release) runs without it.
 	mu sync.Mutex
 
-	// ring holds the in-flight iterations, indexed by iteration number
-	// modulo len(ring). Slots are written under mu (launch/retire) and
-	// read lock-free by workers; the window is bounded by PipelineDepth,
-	// which is strictly smaller than the ring, so a live slot always
-	// belongs to the iteration it is probed for.
-	ring   []atomic.Pointer[iterState]
-	nIters int // live iterations; guarded by mu
-
+	// states is the iteration table: iteration k uses states[k%bufCap].
+	// Iterations retire strictly in order, so the in-flight ones are
+	// the range [retireNext, nextLaunch), never wider than bufCap
+	// (canLaunch), and k's state is free at its launch: k-bufCap has
+	// retired. A free state holds iter -1. Both ends of the range are
+	// guarded by mu.
+	states     []*iterState
 	nextLaunch int
-	retireNext int // oldest iteration not yet retired; guarded by mu
+	retireNext int
 	limit      int // iterations to run; -1 = until EOS
 	stopLaunch int // first iteration index invalidated by EOS; -1 = none
 
@@ -102,13 +101,6 @@ type engine struct {
 	ready readyQueue // sim backend: central job queue, oldest iteration first
 	err   error
 
-	// free recycles iterState allocations between iterations (guarded
-	// by mu). Safe because a completing job of iteration k touches
-	// state k only until its last release or left decrement there,
-	// before which k cannot retire, and state k+W only while k+W's job
-	// of the same task still waits on it.
-	free []*iterState
-
 	simRC RunContext // the sim backend's reusable run context
 
 	ws *sched // real backend: work-stealing scheduler; nil on sim
@@ -129,13 +121,11 @@ type engine struct {
 
 // newEngine builds the engine for an App's (single) run. The iteration
 // limit is set later, by Run; everything the steady state recycles —
-// the iteration ring, the iterState free-list and (real backend) the
-// work-stealing scheduler — is allocated and sized here, so the run
-// path starts warm.
+// the iteration table and (real backend) the work-stealing scheduler —
+// is allocated and sized here, so the run path starts warm.
 func newEngine(a *App) *engine {
 	e := &engine{
 		app:        a,
-		ring:       make([]atomic.Pointer[iterState], a.cfg.PipelineDepth+2),
 		stopLaunch: -1,
 		mgrs:       map[string]*mgrState{},
 	}
@@ -144,15 +134,15 @@ func newEngine(a *App) *engine {
 	e.simRC.p = &e.probes[0]
 	e.widths = predict.AutoWidths(a.prog, a.plan, a.cfg.Cores, a.cfg.PipelineDepth)
 	e.bufCap = predict.Capacity(e.widths, a.cfg.StreamCapacity, a.cfg.PipelineDepth)
-	// No more than bufCap iterations are ever in flight, so bufCap
-	// states serve the run.
-	e.free = make([]*iterState, e.bufCap)
-	for i := range e.free {
-		e.free[i] = &iterState{
+	e.states = make([]*iterState, e.bufCap)
+	for i := range e.states {
+		e.states[i] = &iterState{
 			remaining: make([]int32, n),
 			joinLeft:  make([]int32, len(a.plan.Joins)),
 			crossOut:  make([]uint32, n),
 		}
+		// Free: the zero value would make iterAt(0) match.
+		e.states[i].iter.Store(-1)
 	}
 	if a.cfg.Backend == BackendReal {
 		e.ws = newSched(a.cfg, e.probes)
@@ -233,28 +223,17 @@ func (e *engine) traceMeta() TraceMeta {
 }
 
 // iterAt returns the in-flight state of iteration k, or nil when k is
-// not (or no longer) in flight. Safe without mu: ring slots are atomic
-// pointers and each state is validated against the probed iteration.
+// not (or no longer) in flight. Safe without mu: each state is
+// validated against the probed iteration, and a free one holds -1.
 // A job's own iteration is j.it; iterAt serves only the probes across
 // iterations: launch's k-W, complete's k+W and retireSweep's oldest.
 func (e *engine) iterAt(k int) *iterState {
 	if k < 0 {
 		return nil
 	}
-	st := e.ring[k%len(e.ring)].Load()
-	if st == nil || st.iter.Load() != int64(k) {
+	st := e.states[k%len(e.states)]
+	if st.iter.Load() != int64(k) {
 		return nil
 	}
 	return st
-}
-
-// eachIter calls f for every in-flight iteration. Must be called with
-// mu held (iteration order is unspecified; callers must not depend on
-// it).
-func (e *engine) eachIter(f func(*iterState)) {
-	for i := range e.ring {
-		if st := e.ring[i].Load(); st != nil {
-			f(st)
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xspcl/internal/graph"
 )
@@ -748,7 +749,7 @@ func TestStreamCapacityClampedToDepth(t *testing.T) {
 	if _, err := app.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if got := app.Stream("a").BuffersAllocated(); got > 2 {
+	if got := app.Stream("a").HighWater(); got > 2 {
 		t.Fatalf("capacity not clamped: %d buffers", got)
 	}
 }
@@ -766,7 +767,7 @@ func TestBufferPoolReusedAtOneCore(t *testing.T) {
 	if _, err := app.Run(30); err != nil {
 		t.Fatal(err)
 	}
-	if got := app.Stream("a").BuffersAllocated(); got > 2 {
+	if got := app.Stream("a").HighWater(); got > 2 {
 		t.Fatalf("1-core run grew pool to %d buffers", got)
 	}
 }
@@ -814,6 +815,58 @@ func TestManagerGateHoldsLaterIterations(t *testing.T) {
 	}
 	if transitions != rep.Reconfigs {
 		t.Fatalf("%d state transitions for %d reconfigs — splice not atomic at iteration boundary", transitions, rep.Reconfigs)
+	}
+}
+
+// resumeCheck is a Tracer that checks every reconfiguration resume
+// against the retirements before it: iterations retire in order, so
+// the resume of a manager whose gate was iteration g must come after
+// the retirement of g, never while g is in flight.
+type resumeCheck struct {
+	mu      sync.Mutex
+	retired int // iterations retired so far
+	resumes int
+	bad     string
+}
+
+func (c *resumeCheck) Begin(TraceMeta) {}
+func (c *resumeCheck) End()            {}
+func (c *resumeCheck) Emit(_ int, ev TraceEvent) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch ev.Kind {
+	case TraceIterRetire:
+		c.retired++
+	case TraceReconfigResume:
+		c.resumes++
+		if c.bad == "" && int(ev.Iter) >= c.retired {
+			c.bad = fmt.Sprintf("resume after gate %d with only %d iterations retired", ev.Iter, c.retired)
+		}
+	}
+}
+
+// TestReconfigResumeWaitsForGateRetire runs reconfigProg with a sink
+// far slower than the managed subgraph, so a manager exit completes
+// (and applies its splice) while older iterations still wait on the
+// sink: the parked iterations must stay parked until the gate
+// iteration itself has retired, on sim and on real.
+func TestReconfigResumeWaitsForGateRetire(t *testing.T) {
+	for _, cfg := range []Config{
+		{Backend: BackendSim, Cores: 4},
+		{Backend: BackendReal, Cores: 2, Faults: &SeededFaults{From: 0, Task: "snk", Kind: FaultDelay, Delay: 200 * time.Microsecond}},
+	} {
+		prog := reconfigProg(false, 10)
+		for _, n := range prog.Components() {
+			if n.Name == "snk" {
+				n.Params = graph.Params{"cost": "20000"}
+			}
+		}
+		tr := &resumeCheck{}
+		cfg.Tracer = tr
+		_, rep := runApp(t, prog, cfg, 60)
+		if rep.Reconfigs != 5 || tr.resumes != 5 || tr.bad != "" {
+			t.Fatalf("backend %d: %d reconfigs, %d resumes (want 5 and 5): %s", cfg.Backend, rep.Reconfigs, tr.resumes, tr.bad)
+		}
 	}
 }
 

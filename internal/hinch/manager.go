@@ -237,20 +237,13 @@ func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (int64, erro
 // iteration from before the halt has fully retired: the pipeline has
 // drained ("the application is run sequentially", §4.3) and refills
 // from the parked iterations — the parallelism loss the paper's Figure
-// 10 measures. Must be called with mu held.
+// 10 measures. The manager halted in iteration gateAfter, so gateAfter
+// was launched and has retired once retireNext passes it. Must be
+// called with mu held.
 func (e *engine) checkResumes(p *probe) {
 	for mi, name := range e.mgrNames {
 		st := e.mgrs[name]
-		if st.phase != mgrApplied {
-			continue
-		}
-		drained := true
-		e.eachIter(func(it *iterState) {
-			if int(it.iter.Load()) <= st.gateAfter {
-				drained = false
-			}
-		})
-		if !drained {
+		if st.phase != mgrApplied || e.retireNext <= st.gateAfter {
 			continue
 		}
 		p.resume(mi, st.gateAfter)

@@ -35,8 +35,6 @@ type SchedStats struct {
 	StealAttempts int64 `json:"steal_attempts"`
 	// Steals counts jobs actually taken from another worker's deque.
 	Steals int64 `json:"steals"`
-	// GlobalPops counts jobs taken from the global overflow queue.
-	GlobalPops int64 `json:"global_pops"`
 	// Parks counts workers blocking because no work was runnable.
 	Parks int64 `json:"parks"`
 	// Wakes counts idle workers unparked by a job push.
@@ -143,8 +141,8 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, " stalls=%d", r.Stalls)
 	}
 	if r.Sched != (SchedStats{}) {
-		fmt.Fprintf(&b, " steals=%d/%d global=%d parks=%d wakes=%d",
-			r.Sched.Steals, r.Sched.StealAttempts, r.Sched.GlobalPops, r.Sched.Parks, r.Sched.Wakes)
+		fmt.Fprintf(&b, " steals=%d/%d parks=%d wakes=%d",
+			r.Sched.Steals, r.Sched.StealAttempts, r.Sched.Parks, r.Sched.Wakes)
 	}
 	if r.Cache != (spacecake.Stats{}) {
 		fmt.Fprintf(&b, " L1miss=%.1f%% L2miss=%d", 100*r.Cache.L1MissRate(), r.Cache.L2Misses)
@@ -195,7 +193,6 @@ type counters struct {
 	// Work-stealing scheduler actions (real backend); see SchedStats.
 	stealAttempts atomic.Int64
 	steals        atomic.Int64
-	globalPops    atomic.Int64
 	parks         atomic.Int64
 	wakes         atomic.Int64
 	batches       atomic.Int64
@@ -243,7 +240,6 @@ func (e *engine) fold() totals {
 		t.degradations += c.degradations.Load()
 		t.sched.StealAttempts += c.stealAttempts.Load()
 		t.sched.Steals += c.steals.Load()
-		t.sched.GlobalPops += c.globalPops.Load()
 		t.sched.Parks += c.parks.Load()
 		t.sched.Wakes += c.wakes.Load()
 		t.sched.Batches += c.batches.Load()

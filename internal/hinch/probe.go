@@ -5,8 +5,9 @@ import "time"
 // probe is the one seam between the engine and everything that
 // observes or perturbs it. There is one probe per writer — probes[0]
 // for whoever acts under the engine lock outside a worker (the sim
-// goroutine, the initial launch, the watchdog epochs), probes[w+1] for
-// worker w — and the engine reports each boundary it crosses (enqueue,
+// goroutine, the watchdog epochs), probes[w+1] for worker w (worker
+// 0's also for the initial launch, which runs before any worker
+// starts) — and the engine reports each boundary it crosses (enqueue,
 // dispatch, steal, park, stream acquire/release, launch/retire,
 // reconfiguration phase, event, fault, stall) with one call on the
 // acting writer's probe. The call bumps the writer's counters shard —
@@ -255,15 +256,6 @@ func (p *probe) stole(victim, took int) {
 	if p.tr != nil {
 		p.ts = p.wall()
 		p.event(TraceStealHit, -1, victim, int64(took))
-	}
-}
-
-// globalPop: the worker took a job from the global overflow queue.
-func (p *probe) globalPop() {
-	p.globalPops.Add(1)
-	if p.tr != nil {
-		p.ts = p.wall()
-		p.event(TraceGlobalPop, -1, -1, 0)
 	}
 }
 

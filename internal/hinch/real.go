@@ -24,9 +24,7 @@ func (e *engine) runReal() (*Report, error) {
 	// deterministically processes zero iterations on this backend too,
 	// not just on sim.
 	e.pollCancel()
-	e.mu.Lock()
-	e.launch(&e.probes[0])
-	e.mu.Unlock()
+	e.seed()
 
 	var quit, clockDone chan struct{}
 	if e.tm != nil || e.ctxDone != nil {
@@ -35,7 +33,7 @@ func (e *engine) runReal() (*Report, error) {
 	}
 
 	// The worker rule: all Cores workers exist for the whole run. They
-	// find the jobs launch published on the global queue, park when
+	// find the jobs seed published on worker 0's deque, park when
 	// nothing is runnable, and return once the run is done.
 	var wg sync.WaitGroup
 	for _, w := range e.ws.workers {
@@ -63,6 +61,19 @@ func (e *engine) runReal() (*Report, error) {
 	rep := e.report()
 	rep.Wall = time.Since(start)
 	return rep, nil
+}
+
+// seed is the initial launch. It runs before any worker starts, so it
+// acts as worker 0: launch releases the first iterations' roots
+// through worker 0's probe into its release buffer, and publish puts
+// them on its deque, iteration 0 at the owner's end and later
+// iterations (roots of width > 1) at the steal end.
+func (e *engine) seed() {
+	w := e.ws.workers[0]
+	e.mu.Lock()
+	e.launch(w.p)
+	e.mu.Unlock()
+	e.publish(w, 0)
 }
 
 // runClock is the real backend's one background goroutine; it closes
@@ -99,8 +110,7 @@ func (e *engine) runClock(quit <-chan struct{}, exited chan<- struct{}) {
 // if flushReleases installed one (same task, next iteration — no queue
 // touched at all), else pop from the local deque (the tail: the
 // same-iteration successors of the last job first), then steal from
-// another worker or the global overflow queue (sched.steal covers
-// both); park when nothing is runnable anywhere.
+// another worker; park when nothing is runnable anywhere.
 //
 //hinch:hotpath
 func (e *engine) runWorker(w *wsWorker) {
@@ -156,34 +166,44 @@ func (e *engine) endChain(w *wsWorker) {
 }
 
 // flushReleases publishes the jobs j's execution released (collected in
-// the worker's release buffer by enqueue) by the dispatch rule: finish
-// the oldest iteration first, let next-iteration work fill idle
-// workers. The batch goes out with its cross-iteration releases (iter
-// != j.iter: the task's next job, iterations the completion launched,
-// requeued held jobs) at the steal end, beneath the same-iteration
-// ones, so the owner pops j's own iteration first and a thief takes the
-// next one. Only when the task's next-iteration job is j's sole release
-// does the worker keep it in its chain slot and run it back to back:
-// nothing else waits on the owner then, so the chain withholds no work
-// from thieves and needs no budget.
+// the worker's release buffer by enqueue). Only when the task's
+// next-iteration job is j's sole release does the worker keep it in its
+// chain slot and run it back to back: nothing else waits on the owner
+// then, so the chain withholds no work from thieves and needs no
+// budget. Otherwise publish orders the batch around j's iteration.
 //
 //hinch:hotpath
 func (e *engine) flushReleases(w *wsWorker, j job) {
+	buf := w.relBuf
+	if len(buf) == 1 && buf[0].task == j.task && buf[0].iter != j.iter {
+		w.relBuf = buf[:0]
+		w.next = buf[0]
+		w.hasNext = true
+		return
+	}
+	e.publish(w, j.iter)
+}
+
+// publish pushes w's release buffer onto its deque as one batch, by the
+// dispatch rule: finish the oldest iteration first, let next-iteration
+// work fill idle workers. The jobs of iteration iter go in at the
+// owner's end, every other one (the task's next job, iterations the
+// completion launched, requeued held jobs) beneath them at the steal
+// end, so the owner pops iter first and a thief takes the next
+// iteration.
+//
+//hinch:hotpath
+func (e *engine) publish(w *wsWorker, iter int) {
 	buf := w.relBuf
 	if len(buf) == 0 {
 		return
 	}
 	w.relBuf = buf[:0]
-	if len(buf) == 1 && buf[0].task == j.task && buf[0].iter != j.iter {
-		w.next = buf[0]
-		w.hasNext = true
-		return
-	}
 	// A stable partition, in place: releases arrive in completion order
 	// and batches are short.
 	n := 0
 	for i := range buf {
-		if x := buf[i]; x.iter != j.iter {
+		if x := buf[i]; x.iter != iter {
 			copy(buf[n+1:i+1], buf[n:i])
 			buf[n] = x
 			n++
@@ -195,11 +215,11 @@ func (e *engine) flushReleases(w *wsWorker, j job) {
 // checkTermination decides, under the engine lock, whether a completed
 // idle census (sched.park) means completion or a stall, and stops the
 // run either way. The census is final: no worker can release a job
-// again, and nothing outside the workers does after the initial launch.
+// again, and only workers release jobs once seed has returned.
 func (e *engine) checkTermination() {
 	e.mu.Lock()
 	if !e.ws.done.Load() && !e.finished() && e.err == nil {
-		e.err = fmt.Errorf("hinch: scheduler stalled with %d iterations in flight", e.nIters)
+		e.err = fmt.Errorf("hinch: scheduler stalled with %d iterations in flight", e.nextLaunch-e.retireNext)
 	}
 	e.mu.Unlock()
 	e.ws.finish()
@@ -217,7 +237,7 @@ func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 	mgr := j.task.Role != graph.RoleComponent
 	// j.it is the job's iteration, set by release: a live job's
 	// iteration cannot retire under it (its left-count waits for this
-	// job or a task that depends on it), so no ring probe is needed.
+	// job or a task that depends on it), so no table probe is needed.
 	// The cancelled check is racy by design: a concurrent noteEOS can
 	// cancel the iteration just after we load false, in which case the
 	// component runs redundantly but harmlessly — cancelled iterations'

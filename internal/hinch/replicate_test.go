@@ -64,7 +64,7 @@ func TestConfigDefaults(t *testing.T) {
 		{BackendReal, 250 * time.Millisecond},
 	} {
 		want := Config{Backend: tc.backend, Cores: 1, PipelineDepth: 5, StreamCapacity: 3,
-			WatchdogEpochs: 3, WatchdogEpoch: tc.watchdog}
+			WatchdogEpoch: tc.watchdog}
 		if got := (Config{Backend: tc.backend}).withDefaults(); got != want {
 			t.Errorf("backend %d defaults:\n got %+v\nwant %+v", tc.backend, got, want)
 		}

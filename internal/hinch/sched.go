@@ -14,9 +14,9 @@ import (
 // (flushReleases): the cross-iteration releases go in beneath the
 // same-iteration ones. The owner therefore pops its own iteration's
 // successors first, the consumers of data it just wrote (cache-warm),
-// and a thief takes the next iteration from the head. Jobs released
-// outside any worker context (initial launch) go to a shared overflow
-// queue that workers drain alongside their deques.
+// and a thief takes the next iteration from the head. The initial
+// launch, before any worker starts, acts as worker 0 and publishes
+// onto worker 0's deque by the same rule (seed).
 //
 // Idle workers park on a per-worker buffered channel after registering
 // on an idle list; producers wake exactly one parked worker per push
@@ -76,15 +76,6 @@ func (d *wsDeque) drained() {
 		d.buf, d.head = d.buf[:0], 0
 		d.full.Store(false)
 	}
-}
-
-// steal removes the oldest job (thief side, FIFO).
-func (d *wsDeque) steal() (job, bool) {
-	var buf [1]job
-	if d.stealN(buf[:], 1) == 1 {
-		return buf[0], true
-	}
-	return job{}, false
 }
 
 // stealN removes up to max oldest jobs into dst (thief side, FIFO) and
@@ -172,7 +163,6 @@ const stealMax = 8
 // worker that left, ran a job and came back meanwhile cannot fool it.
 type sched struct {
 	workers []*wsWorker
-	global  wsDeque // jobs released outside worker context
 
 	idleMu sync.Mutex
 	idle   []*wsWorker
@@ -202,17 +192,6 @@ func newSched(cfg Config, probes []probe) *sched {
 		s.workers[i].relBuf = make([]job, 0, 32)
 	}
 	return s
-}
-
-// push makes a job runnable on behalf of a writer outside any worker
-// (the initial launch): it goes to the global queue, and wakes a
-// parked worker. Workers' releases go out through pushBatch.
-func (s *sched) push(p *probe, j job) {
-	p.publish(1)
-	s.global.pushN([]job{j})
-	if s.signalWork() {
-		p.woke()
-	}
 }
 
 // pushBatch makes a run of jobs released by one execution runnable in
@@ -253,10 +232,10 @@ func (s *sched) signalWork() bool {
 	return true
 }
 
-// steal scans the other workers, in pseudo-random order, and then the
-// global queue for work. A hit takes a batch (up to half the victim's
-// deque): the first job is returned, the rest land on the thief's own
-// deque, and one more idle worker is woken to keep the work spreading.
+// steal scans the other workers, in pseudo-random order, for work. A
+// hit takes a batch (up to half the victim's deque): the first job is
+// returned, the rest land on the thief's own deque, and one more idle
+// worker is woken to keep the work spreading.
 //
 //hinch:hotpath
 func (s *sched) steal(w *wsWorker) (job, bool) {
@@ -284,19 +263,12 @@ func (s *sched) steal(w *wsWorker) (job, bool) {
 		w.p.stole(v.id, took)
 		return w.stealBuf[0], true
 	}
-	j, ok := s.global.steal()
-	if ok {
-		w.p.globalPop()
-	}
-	return j, ok
+	return job{}, false
 }
 
 // anyQueued reports whether any queue holds work (approximate; used
 // only to avoid parking with work visible).
 func (s *sched) anyQueued() bool {
-	if s.global.full.Load() {
-		return true
-	}
 	for _, w := range s.workers {
 		if w.dq.full.Load() {
 			return true

@@ -232,3 +232,63 @@ func TestSchedStallSurfaces(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedSeedPublishesOnWorkerZero runs the real backend's initial
+// launch (seed) on a chain whose root is a stateless source replicated
+// to width 2, so the launch releases the roots of iterations 0 and 1.
+// Both go onto worker 0's deque, the only one holding work: its owner
+// pops iteration 0 first, and a thief steals iteration 1.
+func TestSchedSeedPublishesOnWorkerZero(t *testing.T) {
+	seeded := func(t *testing.T) *engine {
+		reg := testRegistry()
+		reg.Register("ssrc", ClassSpec{New: func() Component { return &intSource{} }, Out: []string{"out"}, Stateless: true})
+		prog := chainProg()
+		for _, n := range prog.Components() {
+			if n.Name == "src" {
+				n.Class = "ssrc"
+				n.Params = graph.Params{graph.ReplicateParam: "2"}
+			}
+		}
+		app, err := NewApp(prog, reg, Config{Backend: BackendReal, Cores: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := app.eng
+		if w := e.widths[0]; app.plan.Tasks[0].Name != "src" || w != 2 {
+			t.Fatalf("task 0 is %q at width %d, want src at 2", app.plan.Tasks[0].Name, w)
+		}
+		e.limit = 20
+		e.seed()
+		w0 := e.ws.workers[0]
+		if got, want := jobNames(w0.dq.buf[w0.dq.head:]), []string{"src@1", "src@0"}; !sameNames(got, want) || len(w0.relBuf) != 0 {
+			t.Fatalf("worker 0's deque holds %v (steal end first), %d unpublished; want %v", got, len(w0.relBuf), want)
+		}
+		for _, w := range e.ws.workers[1:] {
+			if w.dq.full.Load() || len(w.dq.buf) != w.dq.head {
+				t.Fatalf("worker %d's deque holds %v", w.id, jobNames(w.dq.buf[w.dq.head:]))
+			}
+		}
+		return e
+	}
+
+	t.Run("owner", func(t *testing.T) {
+		e := seeded(t)
+		if got, want := drain(e.ws.workers[0].dq.pop), []string{"src@0", "src@1"}; !sameNames(got, want) {
+			t.Fatalf("worker 0 pops %v, want %v", got, want)
+		}
+	})
+
+	t.Run("thief", func(t *testing.T) {
+		e := seeded(t)
+		j, ok := e.ws.steal(e.ws.workers[1])
+		if !ok {
+			t.Fatal("steal found nothing")
+		}
+		if jobName(j) != "src@1" {
+			t.Fatalf("thief steals %s, want src@1", jobName(j))
+		}
+		if got, want := drain(e.ws.workers[0].dq.pop), []string{"src@0"}; !sameNames(got, want) {
+			t.Fatalf("worker 0 keeps %v, want %v", got, want)
+		}
+	})
+}

@@ -98,7 +98,7 @@ func (e *engine) runSim() (*Report, error) {
 			if e.finished() {
 				break
 			}
-			return nil, fmt.Errorf("hinch: scheduler stalled at cycle %d (%d iterations in flight)", clock, e.nIters)
+			return nil, fmt.Errorf("hinch: scheduler stalled at cycle %d (%d iterations in flight)", clock, e.nextLaunch-e.retireNext)
 		}
 		c := heap.Pop(&pending).(completion)
 		clock = c.at

@@ -200,12 +200,6 @@ func (s *Stream) Name() string { return s.name }
 // Decl returns the stream's declaration.
 func (s *Stream) Decl() graph.StreamDecl { return s.decl }
 
-// BuffersAllocated reports how many distinct buffers the stream
-// created — the actual iteration overlap the scheduler produced, which
-// is the high-water mark: a buffer is created only when every existing
-// one is held.
-func (s *Stream) BuffersAllocated() int { return s.HighWater() }
-
 // HighWater reports the occupancy high-water mark: the most iterations
 // that ever held this stream's buffers simultaneously.
 func (s *Stream) HighWater() int { return int(s.win.hw.Load()) }

@@ -170,6 +170,10 @@ type tmShard struct {
 	parkDur   hist   // park duration in wall ns
 }
 
+// watchdogEpochs is how many consecutive watchdog epochs may pass
+// without an iteration retiring before the run is flagged stalled.
+const watchdogEpochs = 3
+
 // telemetry is the engine's optional live-metrics state; nil unless
 // Config.Telemetry. shards[i] belongs to probe i; occ and iterLat are
 // recorded under the engine lock (or by the sim goroutine).
@@ -180,13 +184,12 @@ type telemetry struct {
 
 	// Stalled-progress watchdog: every WatchdogEpoch (virtual cycles on
 	// sim, wall time on real) the engine compares its retirement
-	// frontier against the previous epoch's; wdK epochs without a
-	// retirement flip stalled (and /healthz) until progress resumes.
-	// wdEvery and wdNext are the epoch length and the next boundary in
-	// the backend's clock; see tick.
+	// frontier against the previous epoch's; watchdogEpochs epochs
+	// without a retirement flip stalled (and /healthz) until progress
+	// resumes. wdEvery and wdNext are the epoch length and the next
+	// boundary in the backend's clock; see tick.
 	stalled  atomic.Bool
 	stalls   atomic.Int64
-	wdK      int
 	wdEvery  int64
 	wdNext   int64
 	wdLast   int // retireNext at the previous epoch; engine-side only
@@ -200,7 +203,6 @@ func newTelemetry(e *engine) *telemetry {
 	tm := &telemetry{
 		shards:  make([]tmShard, len(e.probes)),
 		occ:     make([]hist, len(a.streamList)),
-		wdK:     a.cfg.WatchdogEpochs,
 		wdEvery: int64(a.cfg.WatchdogEpoch),
 		wdNext:  int64(a.cfg.WatchdogEpoch),
 	}
@@ -255,7 +257,7 @@ func (e *engine) watchdogEpoch() {
 		return
 	}
 	tm.wdMisses++
-	if tm.wdMisses >= tm.wdK && !tm.stalled.Swap(true) {
+	if tm.wdMisses >= watchdogEpochs && !tm.stalled.Swap(true) {
 		e.probes[0].stall(e.retireNext, tm.wdMisses)
 	}
 }

@@ -274,13 +274,13 @@ func (d *delayOnce) Inject(task string, iter, attempt int) Fault {
 func TestWatchdogStallSim(t *testing.T) {
 	// A 10ms delay is 10M virtual cycles: the completion jump replays
 	// ~100 missed watchdog epochs back-to-back, so the stall fires
-	// deterministically after WatchdogEpochs of them.
+	// deterministically after watchdogEpochs of them.
 	run := func() (*Report, *testTracer) {
 		tr := &testTracer{}
 		app, err := NewApp(chainProg(), testRegistry(), Config{
 			Backend: BackendSim, Cores: 2, Telemetry: true, Tracer: tr,
-			WatchdogEpoch: 100_000, WatchdogEpochs: 3,
-			Faults: &delayOnce{task: "dbl", iter: 5, delay: 10 * time.Millisecond},
+			WatchdogEpoch: 100_000,
+			Faults:        &delayOnce{task: "dbl", iter: 5, delay: 10 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -299,8 +299,8 @@ func TestWatchdogStallSim(t *testing.T) {
 	for _, ev := range tr.events(0) {
 		if ev.Kind == TraceStall {
 			stallEvents++
-			if ev.Arg < 3 {
-				t.Fatalf("stall after %d epochs, want >= 3", ev.Arg)
+			if ev.Arg < watchdogEpochs {
+				t.Fatalf("stall after %d epochs, want >= %d", ev.Arg, watchdogEpochs)
 			}
 		}
 	}
@@ -318,7 +318,7 @@ func TestWatchdogStallSim(t *testing.T) {
 func TestWatchdogNoFalsePositive(t *testing.T) {
 	_, rep := runApp(t, chainProg(), Config{
 		Backend: BackendSim, Cores: 2, Telemetry: true,
-		WatchdogEpoch: 50_000, WatchdogEpochs: 3,
+		WatchdogEpoch: 50_000,
 	}, 40)
 	if rep.Stalls != 0 {
 		t.Fatalf("healthy run reported %d stalls", rep.Stalls)
@@ -328,8 +328,8 @@ func TestWatchdogNoFalsePositive(t *testing.T) {
 func TestWatchdogStallReal(t *testing.T) {
 	app, err := NewApp(chainProg(), testRegistry(), Config{
 		Backend: BackendReal, Cores: 2, Telemetry: true,
-		WatchdogEpoch: 2 * time.Millisecond, WatchdogEpochs: 2,
-		Faults: &delayOnce{task: "dbl", iter: 3, delay: 150 * time.Millisecond},
+		WatchdogEpoch: 2 * time.Millisecond,
+		Faults:        &delayOnce{task: "dbl", iter: 3, delay: 150 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -279,11 +279,6 @@ func (r *Recorder) export(w io.Writer, all []exportRec) error {
 				TS: us(ev.TS), PID: 0, TID: runtimeTID, S: "p",
 				Args: map[string]any{"epochs": ev.Arg, "oldest_iter": ev.Iter},
 			})
-		case hinch.TraceGlobalPop:
-			events = append(events, chromeEvent{
-				Name: "global pop", Cat: "sched", Ph: "i",
-				TS: us(ev.TS), PID: 0, TID: tid(ev.Worker), S: "t",
-			})
 		case hinch.TracePark:
 			parkStart[ev.Worker] = us(ev.TS)
 		case hinch.TraceUnpark:

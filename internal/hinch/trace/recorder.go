@@ -147,10 +147,9 @@ func (r *Recorder) Dropped() int64 {
 //     are no-ops and are excluded from both), counted retires =
 //     Iterations, reconfig-apply = Reconfigs, event-push + degrade =
 //     Events, fault/retry/degrade = Faults/Retries/Degradations,
-//     park/global-pop = Sched.Parks/GlobalPops, the jobs moved by steal
-//     hits (the sum of their Arg — a hit takes a batch) = Sched.Steals,
-//     the chained jobs under the batch headers = Sched.Chained, stall =
-//     Stalls;
+//     park = Sched.Parks, the jobs moved by steal hits (the sum of
+//     their Arg — a hit takes a batch) = Sched.Steals, the chained jobs
+//     under the batch headers = Sched.Chained, stall = Stalls;
 //   - the streams' buffers move through one gate as one set: every
 //     acquire event of an iteration carries the same occupancy and,
 //     when no events were dropped, stream-acquire events = iteration
@@ -217,7 +216,6 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 		{"retry events / retries", n[hinch.TraceRetry], rep.Retries},
 		{"degrade events / degradations", n[hinch.TraceDegrade], rep.Degradations},
 		{"park events / parks", n[hinch.TracePark], rep.Sched.Parks},
-		{"global-pop events / global pops", n[hinch.TraceGlobalPop], rep.Sched.GlobalPops},
 		{"jobs moved by steal hits / steals", stolen, rep.Sched.Steals},
 		{"chained jobs under batch headers / chained", chained, rep.Sched.Chained},
 		{"stall events / stalls", n[hinch.TraceStall], rep.Stalls},

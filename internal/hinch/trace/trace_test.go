@@ -338,7 +338,7 @@ func TestSimTraceDeterministic(t *testing.T) {
 	}
 	for k := hinch.TraceJobEnqueue; k <= hinch.TraceStall; k++ {
 		switch k {
-		case hinch.TraceStealHit, hinch.TraceGlobalPop, hinch.TracePark, hinch.TraceUnpark, hinch.TraceBatch:
+		case hinch.TraceStealHit, hinch.TracePark, hinch.TraceUnpark, hinch.TraceBatch:
 			continue // work-stealing scheduler: real backend only
 		}
 		if !seen[k] {

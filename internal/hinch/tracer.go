@@ -61,9 +61,6 @@ const (
 	// TraceStealHit: worker Worker stole a batch of jobs from worker
 	// ID's deque. Arg = jobs taken (what Report.Sched.Steals counts).
 	TraceStealHit
-	// TraceGlobalPop: worker Worker took a job from the global
-	// overflow queue.
-	TraceGlobalPop
 	// TracePark: worker Worker ran out of work and is parking.
 	TracePark
 	// TraceUnpark: worker Worker resumed after a park.
@@ -123,8 +120,6 @@ func (k TraceKind) String() string {
 		return "event-drain"
 	case TraceStealHit:
 		return "steal"
-	case TraceGlobalPop:
-		return "global-pop"
 	case TracePark:
 		return "park"
 	case TraceUnpark:

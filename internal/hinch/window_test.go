@@ -62,7 +62,7 @@ func TestBufferWindowAbortedRunKeepsHeldFrames(t *testing.T) {
 		s := app.Stream("f")
 		held := map[*media.Frame]bool{}
 		drained := 0
-		for set := 0; set < s.BuffersAllocated(); set++ {
+		for set := 0; set < s.HighWater(); set++ {
 			switch sl := s.slots[set]; {
 			case free[set] && sl.own != nil:
 				t.Errorf("backend %d: free set %d kept its frame", backend, set)

@@ -141,7 +141,6 @@ func RenderMetrics(w io.Writer, s hinch.Snapshot) {
 	counter(w, "xspcl_reconfigs_total", "Reconfigurations applied.", s.Reconfigs)
 	counter(w, "xspcl_steals_total", "Jobs stolen from other workers.", s.Sched.Steals)
 	counter(w, "xspcl_steal_tries_total", "Steal scans.", s.Sched.StealAttempts)
-	counter(w, "xspcl_global_pops_total", "Jobs taken from the global overflow queue.", s.Sched.GlobalPops)
 	counter(w, "xspcl_parks_total", "Worker park events.", s.Sched.Parks)
 	stalled := int64(0)
 	if s.Stalled {

@@ -229,8 +229,8 @@ func TestEndpointsRealMidRunAndStall(t *testing.T) {
 	v := blurVariant(8)
 	app, err := v.NewApp(hinch.Config{
 		Backend: hinch.BackendReal, Cores: 4, Telemetry: true,
-		WatchdogEpoch: 2 * time.Millisecond, WatchdogEpochs: 2,
-		Faults: &hinch.SeededFaults{From: 5, Task: "snk", Kind: hinch.FaultDelay, Delay: 150 * time.Millisecond},
+		WatchdogEpoch: 2 * time.Millisecond,
+		Faults:        &hinch.SeededFaults{From: 5, Task: "snk", Kind: hinch.FaultDelay, Delay: 150 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func TestSupervisorHealthzCountsStalledSessions(t *testing.T) {
 	release := make(chan struct{})
 	s, err := sup.Submit(blockJobCfg("wedged", release, hinch.Config{
 		Backend: hinch.BackendReal, Cores: 1, PipelineDepth: 1,
-		Telemetry: true, WatchdogEpoch: 10 * time.Millisecond, WatchdogEpochs: 2,
+		Telemetry: true, WatchdogEpoch: 10 * time.Millisecond,
 	}))
 	if err != nil {
 		t.Fatal(err)
