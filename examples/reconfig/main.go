@@ -71,8 +71,9 @@ func main() {
 	}
 	<-done
 	fmt.Println(rep)
+	// An option's components exist exactly while it is enabled.
 	fmt.Printf("reconfigurations applied: %d; option pip2 now enabled: %v\n",
-		rep.Reconfigs, app.Options()["pip2"])
+		rep.Reconfigs, app.Component("pipsrc2") != nil)
 	sink := app.Component("snk").(*components.VideoSink)
 	fmt.Printf("processed %d frames while being reconfigured\n", sink.Count())
 }

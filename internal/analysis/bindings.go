@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"xspcl/internal/graph"
 )
@@ -11,10 +9,8 @@ import (
 // The bindings pass looks for event plumbing that cannot do anything:
 // bindings on managers that poll no queue, enable/disable actions that
 // are no-ops in every reachable configuration, forwards delivering to
-// queues nobody handles, several actions racing on one option from a
-// single event, and two managers draining one queue (the runtime's
-// poll empties the queue, so each event reaches whichever manager polls
-// first — rarely what the program means).
+// queues nobody handles, and several actions racing on one option from
+// a single event.
 
 // mgrCtx pairs a manager with the options guarding it (a manager
 // nested in an option only polls while that option is enabled).
@@ -81,12 +77,7 @@ func (a *analyzer) bindings() {
 		return false
 	}
 
-	byQueue := map[string][]string{}
 	for _, m := range mgrs {
-		if m.node.Queue != "" {
-			byQueue[m.node.Queue] = append(byQueue[m.node.Queue], m.node.Name)
-		}
-
 		if m.node.Queue == "" && len(m.node.Bindings) > 0 {
 			a.add(Finding{
 				Pass: PassBindings, Severity: Warning,
@@ -144,18 +135,6 @@ func (a *analyzer) bindings() {
 				})
 			}
 		}
-	}
-
-	for queue, names := range byQueue {
-		if len(names) < 2 {
-			continue
-		}
-		sort.Strings(names)
-		a.add(Finding{
-			Pass: PassBindings, Severity: Warning,
-			Message: fmt.Sprintf("queue %q is polled by managers %s: a poll drains the queue, so each event reaches whichever manager polls first",
-				queue, strings.Join(names, ", ")),
-		})
 	}
 }
 

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"xspcl/internal/graph"
@@ -243,7 +244,7 @@ func offOptionDuty(app *hinch.App, rep *hinch.Report) (float64, error) {
 		return 0, fmt.Errorf("%d default-off options %v, want one", len(off), off)
 	}
 	for i, t := range app.Plan().Tasks {
-		if t.Role == graph.RoleComponent && t.Option == off[0] {
+		if t.Role == graph.RoleComponent && slices.Contains(t.Options, off[0]) {
 			return float64(rep.Stages[i].Jobs) / float64(rep.Iterations), nil
 		}
 	}

@@ -42,10 +42,10 @@ type Task struct {
 	// Manager tasks.
 	Manager string // manager instance name
 
-	// Option names the innermost enclosing option subgraph, or "" when
-	// the task is unconditional. The runtime uses it to decide which
-	// component instances to create or destroy on reconfiguration.
-	Option string
+	// Options lists the enclosing option subgraphs, outermost first;
+	// empty when the task is unconditional. The task is part of a
+	// configuration exactly when every one of them is enabled there.
+	Options []string
 
 	// Scope lists the enclosing managers, outermost first. A manager's
 	// reconfiguration requests are broadcast to every component task
@@ -162,12 +162,12 @@ type planBuilder struct {
 }
 
 // sliceCtx describes the build context of a subtree: which
-// data-parallel copy this is, how many copies exist, and the innermost
-// enclosing option name.
+// data-parallel copy this is, how many copies exist, and the enclosing
+// options and managers.
 type sliceCtx struct {
 	idx, n   int
 	suffix   string
-	option   string
+	options  []string
 	managers []string
 }
 
@@ -252,7 +252,7 @@ func (b *planBuilder) build(n *Node, sc sliceCtx, enabled map[string]bool) (entr
 			return nil, nil, nil
 		}
 		osc := sc
-		osc.option = n.Name
+		osc.options = append(append([]string(nil), sc.options...), n.Name)
 		return b.buildBody(n.Children, osc, enabled)
 
 	case KindManager:
@@ -304,7 +304,7 @@ func (b *planBuilder) buildPar(n *Node, sc sliceCtx, enabled map[string]bool) (e
 			return nil, nil, err
 		}
 		for i := 0; i < n.N; i++ {
-			csc := sliceCtx{idx: i, n: n.N, suffix: fmt.Sprintf("%s#%d", sc.suffix, i), option: sc.option, managers: sc.managers}
+			csc := sliceCtx{idx: i, n: n.N, suffix: fmt.Sprintf("%s#%d", sc.suffix, i), options: sc.options, managers: sc.managers}
 			e, x, err := b.build(n.Children[0], csc, enabled)
 			if err != nil {
 				return nil, nil, err
@@ -327,7 +327,7 @@ func (b *planBuilder) buildPar(n *Node, sc sliceCtx, enabled map[string]bool) (e
 		for bi, blk := range n.Children {
 			cur := make([]ports, n.N)
 			for i := 0; i < n.N; i++ {
-				csc := sliceCtx{idx: i, n: n.N, suffix: fmt.Sprintf("%s#%d", sc.suffix, i), option: sc.option, managers: sc.managers}
+				csc := sliceCtx{idx: i, n: n.N, suffix: fmt.Sprintf("%s#%d", sc.suffix, i), options: sc.options, managers: sc.managers}
 				e, x, err := b.build(blk, csc, enabled)
 				if err != nil {
 					return nil, nil, err
@@ -385,7 +385,7 @@ func (b *planBuilder) addComponent(n *Node, sc sliceCtx) (*Task, error) {
 		Ports:   n.Ports,
 		Slice:   sc.idx,
 		NSlices: sc.n,
-		Option:  sc.option,
+		Options: sc.options,
 		Scope:   sc.managers,
 		WaitsOn: NoJoin,
 		Feeds:   NoJoin,
@@ -406,7 +406,7 @@ func (b *planBuilder) addManagerTask(n *Node, role Role, sc sliceCtx) *Task {
 		Manager: n.Name,
 		Slice:   sc.idx,
 		NSlices: sc.n,
-		Option:  sc.option,
+		Options: sc.options,
 		WaitsOn: NoJoin,
 		Feeds:   NoJoin,
 	}

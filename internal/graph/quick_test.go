@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -446,7 +447,7 @@ func TestOptionSubsetProperty(t *testing.T) {
 			offNames[tk.Name] = true
 		}
 		for _, tk := range on.Tasks {
-			if !offNames[tk.Name] && tk.Option != "opt" {
+			if !offNames[tk.Name] && !slices.Contains(tk.Options, "opt") {
 				t.Logf("task %s missing option label", tk.Name)
 				return false
 			}

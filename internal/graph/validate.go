@@ -17,7 +17,9 @@ type Catalog interface {
 //   - every stream referenced by a component port is declared,
 //   - option names are unique and options appear only inside managers,
 //   - manager event bindings reference options of that manager's
-//     subtree and declared queues,
+//     subtree and declared queues, and no two managers poll one queue
+//     (a poll drains it, so an event would reach whichever entry ran
+//     first),
 //   - slice groups have exactly one parblock, replication counts are
 //     positive,
 //   - stream format= terms parse and are ground, and component
@@ -53,6 +55,7 @@ func (p *Program) Validate(catalog Catalog) error {
 	}
 
 	options := map[string]bool{}
+	pollers := map[string]string{} // queue -> the manager polling it
 	writers := map[string]int{}
 	readers := map[string]int{}
 
@@ -139,8 +142,14 @@ func (p *Program) Validate(catalog Catalog) error {
 			if n.Name == "" {
 				return fmt.Errorf("graph: unnamed manager")
 			}
-			if n.Queue != "" && !queues[n.Queue] {
-				return fmt.Errorf("graph: manager %q polls undeclared queue %q", n.Name, n.Queue)
+			if n.Queue != "" {
+				if !queues[n.Queue] {
+					return fmt.Errorf("graph: manager %q polls undeclared queue %q", n.Name, n.Queue)
+				}
+				if other, ok := pollers[n.Queue]; ok {
+					return fmt.Errorf("graph: queue %q is polled by managers %q and %q", n.Queue, other, n.Name)
+				}
+				pollers[n.Queue] = n.Name
 			}
 			inManager = true
 		}

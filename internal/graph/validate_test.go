@@ -147,6 +147,16 @@ func TestValidateErrors(t *testing.T) {
 			want: `undeclared queue "ghost"`,
 		},
 		{
+			name: "queue polled by two managers",
+			mutate: func(p *Program) {
+				p.Queues = []string{"q"}
+				p.Root.Children = append(p.Root.Children,
+					&Node{Kind: KindManager, Name: "m1", Queue: "q"},
+					&Node{Kind: KindManager, Name: "m2", Queue: "q"})
+			},
+			want: `queue "q" is polled by managers "m1" and "m2"`,
+		},
+		{
 			name: "binding without event",
 			mutate: func(p *Program) {
 				p.Root.Children = append(p.Root.Children, &Node{

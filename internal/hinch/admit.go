@@ -1,10 +1,6 @@
 package hinch
 
-import (
-	"fmt"
-
-	"xspcl/internal/graph"
-)
+import "xspcl/internal/graph"
 
 // admission is the dispatch gate's verdict on a popped job.
 type admission int
@@ -88,21 +84,10 @@ func (e *engine) ensureBuffers(p *probe, j job) {
 }
 
 // skipExecution reports whether the job must run as a zero-cost no-op:
-// its iteration was cancelled by EOS, or it belongs to an option that
-// is disabled in this iteration's snapshot. Must be called with mu
-// held (the option maps are lock-guarded), via admit.
+// its iteration was cancelled by EOS, or an option enclosing its task is
+// off (App.off). Lock-free.
+//
+//hinch:hotpath
 func (e *engine) skipExecution(j job) bool {
-	it := j.it
-	if it.cancelled.Load() {
-		return true
-	}
-	if j.task.Option == "" {
-		return false
-	}
-	owner := e.app.optionOwner[j.task.Option]
-	snap := it.mgrOpts[owner]
-	if snap == nil || !snap.entered {
-		panic(fmt.Sprintf("hinch: option task %s@%d ran before manager %s entry", j.task.Name, j.iter, owner))
-	}
-	return !snap.opts[j.task.Option]
+	return j.it.cancelled.Load() || e.app.off[j.task.ID].Load()
 }

@@ -201,10 +201,11 @@ type App struct {
 	eng *engine
 
 	// instTab holds the live component instances, indexed by task ID
-	// (nil while a task's option is disabled). Reconfigurations (rare,
-	// under the engine lock) store single entries; the per-job resolve
-	// on the dispatch hot path is one lock-free index load. taskID maps
-	// component task names to their index and is immutable after NewApp.
+	// (nil while an option enclosing the task is off). Reconfigurations
+	// (rare, under the engine lock) store single entries; the per-job
+	// resolve on the dispatch hot path is one lock-free index load.
+	// taskID maps component task names to their index and is immutable
+	// after NewApp.
 	instTab []atomic.Pointer[instance]
 	taskID  map[string]int
 
@@ -213,9 +214,15 @@ type App struct {
 	// per-access linear scan beats the two map lookups it replaces.
 	portBinds [][]portBind
 
-	options     map[string]bool   // currently applied option states
-	optionOwner map[string]string // option name -> innermost enclosing manager
-	plan        *graph.Plan       // the superplan (all options enabled)
+	options map[string]bool // applied option states; guarded by the engine lock
+	plan    *graph.Plan     // the superplan (all options enabled)
+
+	// off[taskID] is set while some option enclosing the task is off:
+	// its jobs then complete as no-ops. Written by NewApp and, under the
+	// engine lock, by applyReconfig, which runs only while no iteration
+	// is inside the manager's subgraph: no job of a task whose flag
+	// changes is in flight, so jobs read their flag without the lock.
+	off []atomic.Bool
 
 	// solvedParams holds format-solver-inferred initialization
 	// parameters, keyed by graph node name (slice copies share a node):
@@ -265,7 +272,6 @@ func NewApp(prog *graph.Program, reg *Registry, cfg Config) (*App, error) {
 		queues:       map[string]*EventQueue{},
 		managers:     map[string]*graph.Node{},
 		options:      prog.Options(),
-		optionOwner:  optionOwners(prog),
 		solvedParams: formats.Params,
 	}
 	if cfg.Backend == BackendSim {
@@ -311,16 +317,21 @@ func NewApp(prog *graph.Program, reg *Registry, cfg Config) (*App, error) {
 	}
 	a.plan = plan
 	a.instTab = make([]atomic.Pointer[instance], len(plan.Tasks))
+	a.off = make([]atomic.Bool, len(plan.Tasks))
 	a.taskID = make(map[string]int, len(plan.Tasks))
-	for _, t := range plan.ComponentTasks() {
-		a.taskID[t.Name] = t.ID
-		// Only instantiate components whose option is enabled; options
-		// create their components when they are switched on.
-		if t.Option != "" && !a.options[t.Option] {
+	for _, t := range plan.Tasks {
+		on := a.optionsOn(t, nil)
+		a.off[t.ID].Store(!on)
+		if t.Role != graph.RoleComponent {
 			continue
 		}
-		if err := a.createInstance(t); err != nil {
-			return nil, err
+		a.taskID[t.Name] = t.ID
+		// Only instantiate components whose options are all on; the
+		// others are created when a reconfiguration switches them on.
+		if on {
+			if err := a.createInstance(t); err != nil {
+				return nil, err
+			}
 		}
 	}
 	a.portBinds = make([][]portBind, len(plan.Tasks))
@@ -349,26 +360,21 @@ type portBind struct {
 	s    *Stream
 }
 
-// optionOwners maps each option to its innermost enclosing manager.
-func optionOwners(prog *graph.Program) map[string]string {
-	owners := map[string]string{}
-	var walk func(n *graph.Node, mgr string)
-	walk = func(n *graph.Node, mgr string) {
-		if n == nil {
-			return
+// optionsOn reports whether every option enclosing t is on, taking an
+// option's state from pending where pending stages one and from the
+// applied states otherwise. The caller holds the engine lock, or is
+// NewApp.
+func (a *App) optionsOn(t *graph.Task, pending map[string]bool) bool {
+	for _, o := range t.Options {
+		on, staged := pending[o]
+		if !staged {
+			on = a.options[o]
 		}
-		switch n.Kind {
-		case graph.KindManager:
-			mgr = n.Name
-		case graph.KindOption:
-			owners[n.Name] = mgr
-		}
-		for _, c := range n.Children {
-			walk(c, mgr)
+		if !on {
+			return false
 		}
 	}
-	walk(prog.Root, "")
-	return owners
+	return true
 }
 
 // createInstance builds and initialises the component for a task that
@@ -427,15 +433,6 @@ func (a *App) Queue(name string) *EventQueue { return a.queues[name] }
 // Stream returns a declared stream by name (for inspection: buffer
 // pool growth, element description), or nil if absent.
 func (a *App) Stream(name string) *Stream { return a.streams[name] }
-
-// Options returns the current option states.
-func (a *App) Options() map[string]bool {
-	out := make(map[string]bool, len(a.options))
-	for k, v := range a.options {
-		out[k] = v
-	}
-	return out
-}
 
 // Plan returns the superplan: the task DAG with every option's tasks
 // present (disabled options execute as no-ops).

@@ -28,8 +28,7 @@ type job struct {
 // workers can retire jobs and release dependents without the engine
 // lock. launch resets them in bulk, with copy and clear, before it
 // publishes the state through iter (see there). left, cancelled and
-// acquired are atomic values; the reconfiguration bookkeeping (mgrOpts)
-// is only touched with e.mu held. The sim backend is single-threaded, so
+// acquired are atomic values. The sim backend is single-threaded, so
 // the atomics are uncontended there and the discrete-event schedule
 // stays deterministic.
 type iterState struct {
@@ -63,14 +62,6 @@ type iterState struct {
 	// iteration latency. Written at launch and read at retire, both
 	// under mu on real, on the single goroutine on sim.
 	launchTS int64
-
-	// mgrOpts[m] is the option-state snapshot taken when manager m's
-	// entry ran for this iteration; the iteration's option tasks are
-	// enabled or skipped according to it. The snapshots stay with the
-	// recycled state and are refilled in place, so entered — not
-	// presence in the map — says whether the entry ran in this
-	// iteration. Guarded by e.mu.
-	mgrOpts map[string]*optSnapshot
 }
 
 // readyQueue is the sim backend's central job queue. Jobs are handed out
@@ -174,9 +165,6 @@ func (e *engine) resetIter(it *iterState) {
 	clear(it.crossOut)
 	it.cancelled.Store(false)
 	it.acquired.Store(false)
-	for _, snap := range it.mgrOpts {
-		snap.entered = false
-	}
 	it.left.Store(e.nRetires)
 }
 

@@ -27,13 +27,13 @@ import (
 // with every option enabled. Tasks of currently-disabled options flow
 // through the dependency machinery as zero-cost no-ops, so enabling or
 // disabling an option never re-plans in-flight iterations — it only
-// changes the per-iteration snapshot taken at the manager entrance.
+// flips its tasks' off flags (App.off) at quiescence.
 type engine struct {
 	app *App
 
 	// mu guards the slow-path state: launch/retire, the manager
 	// reconfiguration protocol, stream-buffer accounting and the
-	// per-iteration option maps. The job dependency fast path
+	// applied option states. The job dependency fast path
 	// (complete/release) runs without it.
 	mu sync.Mutex
 

@@ -612,7 +612,7 @@ func TestInjectedEventFromOutside(t *testing.T) {
 		if rep.Reconfigs != 1 {
 			t.Fatalf("backend %d/%dw: %d reconfigs from injected event", cfg.Backend, cfg.Cores, rep.Reconfigs)
 		}
-		if !app.Options()["extra"] {
+		if app.Component("x") == nil {
 			t.Fatal("option not enabled after injected toggle")
 		}
 		checkBoosted(t, cfg, app.Component("snk").(*intSink).values(), 30,
@@ -1003,6 +1003,65 @@ func TestNestedManagers(t *testing.T) {
 	}
 	if boosted == 0 || boosted == len(vals) {
 		t.Fatalf("inner option never toggled: %d/%d", boosted, len(vals))
+	}
+}
+
+func TestNestedOptionsNeedEveryEnclosingOption(t *testing.T) {
+	// Manager mo toggles the outer option oo (default off) every 8
+	// frames; the inner option oi (default on) holds adder x, directly
+	// or under a manager of its own. The event stamped k is delivered
+	// by the entry of k + 3, the last iteration of the old
+	// configuration, so oo is on in [12, 20) and [28, 36): x must run
+	// in exactly those 16 of the 40 iterations, as the plan of each
+	// configuration has it, and must have no instance while oo is off.
+	inner := func(b *graph.Builder) *graph.Node {
+		return b.Option("oi", true,
+			b.Component("x", "adder", graph.Ports{"in": "b", "out": "b"}, graph.Params{"add": "500"}))
+	}
+	shapes := []struct {
+		name string
+		body func(b *graph.Builder) *graph.Node
+	}{
+		{"direct", inner},
+		{"manager-between", func(b *graph.Builder) *graph.Node { return b.Manager("mi", "inner", nil, inner(b)) }},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			for _, cfg := range eventConfigs(3) {
+				b := graph.NewBuilder("nestedopt")
+				b.Stream("a").Stream("b")
+				b.Queue("ui").Queue("inner")
+				b.Body(
+					b.Component("src", "intsrc", graph.Ports{"out": "a"}, nil),
+					b.Component("em", "emitter", nil, graph.Params{"queue": "ui", "event": "flip", "every": "8"}),
+					b.Manager("mo", "ui",
+						[]graph.EventBinding{graph.On("flip", graph.ActionToggle, "oo")},
+						b.Component("base", "adder", graph.Ports{"in": "a", "out": "b"}, graph.Params{"add": "0"}),
+						b.Option("oo", false, sh.body(b)),
+					),
+					b.Component("snk", "intsink", graph.Ports{"in": "b"}, nil),
+				)
+				app, err := NewApp(b.MustProgram(), testRegistry(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if app.Component("x") != nil {
+					t.Fatalf("backend %d/%dw: x instantiated while oo is off", cfg.Backend, cfg.Cores)
+				}
+				rep, err := app.Run(40)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Reconfigs != 4 {
+					t.Fatalf("backend %d/%dw: %d reconfigs, want 4", cfg.Backend, cfg.Cores, rep.Reconfigs)
+				}
+				checkBoosted(t, cfg, app.Component("snk").(*intSink).values(), 40,
+					func(i int) int { return i }, 500, func(i int) bool { return i >= 12 && (i-12)/8%2 == 0 })
+				if app.Component("x") != nil {
+					t.Fatalf("backend %d/%dw: x still instantiated after oo switched off", cfg.Backend, cfg.Cores)
+				}
+			}
+		})
 	}
 }
 

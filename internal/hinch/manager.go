@@ -7,12 +7,6 @@ import (
 	"xspcl/internal/graph"
 )
 
-// optSnapshot is one manager's option states as one iteration sees them.
-type optSnapshot struct {
-	entered bool
-	opts    map[string]bool
-}
-
 // mgrPhase is the reconfiguration protocol state of one manager.
 type mgrPhase int
 
@@ -33,8 +27,9 @@ type mgrState struct {
 // managerPoll runs a manager job. An exit job does nothing here: it is
 // only the subgraph's quiescence point (see complete). The entry of
 // iteration k delivers exactly the events stamped <= k - PipelineDepth
-// (paper §3.4's detection step), applies their bound actions, and
-// snapshots the option states the iteration will run under. Iteration
+// (paper §3.4's detection step) and applies their bound actions; the
+// iteration itself still runs under the applied configuration, since
+// staged changes land only at quiescence (applyReconfig). Iteration
 // k launched only after k - bufCap, and so k - PipelineDepth, retired
 // (canLaunch), so every such event is already queued: delivery never
 // waits and never depends on the schedule. Events pushed from outside
@@ -70,23 +65,6 @@ func (e *engine) managerPoll(p *probe, j job) (ops int64, err error) {
 			}
 			// Events nobody bound are dropped, like unhandled user input.
 		}
-	}
-	// The current iteration runs under the applied (not pending)
-	// configuration; pending changes land after this iteration leaves
-	// the subgraph.
-	it := j.it
-	snap := it.mgrOpts[j.task.Manager]
-	if snap == nil {
-		snap = &optSnapshot{opts: make(map[string]bool, len(e.app.options))}
-		if it.mgrOpts == nil {
-			it.mgrOpts = map[string]*optSnapshot{}
-		}
-		it.mgrOpts[j.task.Manager] = snap
-	}
-	snap.entered = true
-	clear(snap.opts)
-	for k, v := range e.app.options {
-		snap.opts[k] = v
 	}
 	return ops, nil
 }
@@ -132,7 +110,7 @@ func (e *engine) applyAction(p *probe, m *graph.Node, st *mgrState, j job, ev Ev
 			// execution, so the quiescent window stays short (§3.4:
 			// "these components do not have to be created and
 			// initialized during reconfiguration").
-			n, err := e.preCreateOption(act.Option)
+			n, err := e.preCreateOption(st, act.Option)
 			if err != nil {
 				return 0, err
 			}
@@ -168,12 +146,13 @@ func (e *engine) applyAction(p *probe, m *graph.Node, st *mgrState, j job, ev Ev
 	return 0, fmt.Errorf("hinch: unknown action kind %v", act.Kind)
 }
 
-// preCreateOption instantiates an option's components if they do not
-// exist yet and returns how many were created.
-func (e *engine) preCreateOption(option string) (int, error) {
+// preCreateOption instantiates the components inside an option that
+// the manager's staged changes switch on — every option enclosing them
+// on — if they do not exist yet, and returns how many were created.
+func (e *engine) preCreateOption(st *mgrState, option string) (int, error) {
 	created := 0
 	for _, t := range e.app.plan.ComponentTasks() {
-		if t.Option != option {
+		if !slices.Contains(t.Options, option) || !e.app.optionsOn(t, st.pending) {
 			continue
 		}
 		if e.app.instTab[t.ID].Load() == nil {
@@ -188,23 +167,29 @@ func (e *engine) preCreateOption(option string) (int, error) {
 
 // applyReconfig splices the pending option changes in at subgraph
 // quiescence: iterations up to gateAfter have fully left the manager's
-// subgraph and later iterations are parked at its entrance. It returns
-// the stall to charge; a non-nil error (component creation failed
-// inside the quiescent window) must abort the run. Must be called with
-// mu held.
+// subgraph and later iterations are parked at its entrance, so no job
+// of a task inside a changed option is in flight while its off flag and
+// instance change. A task is on only when every option enclosing it is.
+// It returns the stall to charge; a non-nil error (component creation
+// failed inside the quiescent window) must abort the run. Must be
+// called with mu held.
 func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (int64, error) {
+	for opt, v := range st.pending {
+		e.app.options[opt] = v
+	}
 	nChanged, created := 0, 0
 	var firstErr error
-	for _, t := range e.app.plan.ComponentTasks() {
-		if t.Option == "" {
+	for _, t := range e.app.plan.Tasks {
+		if !slices.ContainsFunc(t.Options, func(o string) bool { _, ok := st.pending[o]; return ok }) {
 			continue
 		}
-		want, changed := st.pending[t.Option]
-		if !changed {
+		on := e.app.optionsOn(t, nil)
+		e.app.off[t.ID].Store(!on)
+		if t.Role != graph.RoleComponent {
 			continue
 		}
 		nChanged++
-		if !want {
+		if !on {
 			// "multiple components are destroyed and/or created"
 			e.app.instTab[t.ID].Store(nil)
 		} else if e.app.instTab[t.ID].Load() == nil {
@@ -217,9 +202,6 @@ func (e *engine) applyReconfig(name string, st *mgrState, p *probe) (int64, erro
 			}
 			created++
 		}
-	}
-	for opt, v := range st.pending {
-		e.app.options[opt] = v
 	}
 	stall := reconfigBaseCycles +
 		reconfigPerTaskCycles*int64(nChanged) +

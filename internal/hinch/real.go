@@ -225,12 +225,12 @@ func (e *engine) checkTermination() {
 	e.ws.finish()
 }
 
-// execReal runs one job. A component job outside any option, of a live
-// iteration that already holds its stream buffers, is admitRun on sight
-// and goes straight to execution without the engine lock; every other
-// job passes the gate (admit) under it, and manager jobs also execute
-// there. It reports whether the job was dispatched — counted in
-// Report.Jobs — rather than held or skipped.
+// execReal runs one job. A component job of a live iteration that
+// already holds its stream buffers and that skipExecution lets run is
+// admitRun on sight and goes straight to execution without the engine
+// lock; every other job passes the gate (admit) under it, and manager
+// jobs also execute there. It reports whether the job was dispatched —
+// counted in Report.Jobs — rather than held or skipped.
 //
 //hinch:hotpath
 func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
@@ -242,8 +242,7 @@ func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 	// cancel the iteration just after we load false, in which case the
 	// component runs redundantly but harmlessly — cancelled iterations'
 	// results are discarded at retirement.
-	it := j.it
-	if mgr || !it.acquired.Load() || it.cancelled.Load() || j.task.Option != "" {
+	if mgr || !j.it.acquired.Load() || e.skipExecution(j) {
 		e.mu.Lock()
 		switch e.admit(w.p, j) {
 		case admitHeld:

@@ -500,7 +500,7 @@ func planFingerprint(t *testing.T, p *graph.Program) string {
 	}
 	var b strings.Builder
 	for _, tk := range plan.Tasks {
-		fmt.Fprintf(&b, "%s/%s/%s/%d.%d opt=%s deps=", tk.Name, tk.Role, tk.Class, tk.Slice, tk.NSlices, tk.Option)
+		fmt.Fprintf(&b, "%s/%s/%s/%d.%d opt=%v deps=", tk.Name, tk.Role, tk.Class, tk.Slice, tk.NSlices, tk.Options)
 		preds := plan.Preds(tk.ID) // joins expanded: the whole relation
 		names := make([]string, len(preds))
 		for i, d := range preds {

@@ -175,7 +175,7 @@ func TestEventInjection(t *testing.T) {
 	if rep.Reconfigs != 1 {
 		t.Fatalf("reconfigs %d", rep.Reconfigs)
 	}
-	if !app.Options()["extra"] {
+	if app.Component("blurx") == nil {
 		t.Fatal("option not enabled")
 	}
 }
