@@ -1,8 +1,8 @@
 // Command xspcltop is a live terminal dashboard for a running xspcl
 // application: it polls the /statusz endpoint served by
 // `xspclrun -http` and redraws per-stage
-// service-time quantiles, replica widths, stream occupancy bars and
-// the watchdog health state.
+// service-time quantiles, replica widths, the stream-buffer window's
+// occupancy bar and the watchdog health state.
 //
 //	xspclrun -builtin Blur-35 -backend real -cores 4 -http :8080 &
 //	xspcltop -url http://localhost:8080

@@ -257,7 +257,7 @@ func TestJPEGDecodeRecyclesSlotFrames(t *testing.T) {
 			for _, n := range probe.seen {
 				total += n
 			}
-			runs[i], slots[i] = probe.seen, app.Stream("cf").HighWater()
+			runs[i], slots[i] = probe.seen, app.Snapshot().HighWater
 			if total != frames || len(probe.seen) != slots[i] || slots[i] >= frames {
 				t.Errorf("backend %v run %d: %d iterations carried %d distinct coefficient frames over %d slots; want one frame per slot",
 					backend, i, total, len(probe.seen), slots[i])

@@ -17,7 +17,7 @@ import (
 // plain chains.
 var smokeSeeds = []uint64{
 	0, 1, 2, 3, 7, 9, 8, 13, // single-source: event-driven and plain, EOS and fixed-length
-	23, 28, 30, 38, 40, 48, 51, 55, // multi-source: these reliably catch the ensureBuffers ordering bug
+	23, 28, 30, 38, 40, 48, 51, 55, // multi-source: several roots per iteration race to take one buffer set
 }
 
 // smokeTable is the conformance CI gate: one row per (family, seeds,

@@ -162,18 +162,6 @@ type perturb struct {
 func (p *perturb) Yield(pt hinch.YieldPoint) {
 	c := p.ctr.Add(1)
 	x := mix(p.seed, c, uint64(pt))
-	if pt == hinch.YieldAcquire {
-		// Buffer acquisition runs once per iteration — rare but
-		// high-leverage: any job of the same iteration dispatched while
-		// the acquire is parked here races the publication of the
-		// iteration's buffer set. Stretch it nearly every time.
-		if x%4 != 0 {
-			time.Sleep(time.Duration(1+x%20) * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
-		return
-	}
 	switch {
 	case x%127 == 0:
 		time.Sleep(time.Duration(1+x%3) * time.Microsecond)

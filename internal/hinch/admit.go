@@ -12,12 +12,12 @@ const (
 )
 
 // admit is the one gate every dispatched job passes, on both backends
-// (the real backend's component jobs bypass it only when a lock-free
-// look already shows admitRun): a manager entry beyond a halt point
-// parks at its manager, the iteration takes its buffer set if this is
-// its first job, and only then is the job run or skipped — so every
-// launched iteration acquires exactly once, cancelled or not, and
-// whatever runs has its buffers. A set is always free here, because
+// (the real backend's non-root component jobs bypass it when a
+// lock-free look already shows admitRun): a manager entry beyond a
+// halt point parks at its manager, the iteration takes its buffer set
+// if this is its first job, and only then is the job run or skipped —
+// so every launched iteration acquires exactly once, cancelled or not,
+// and whatever runs has its buffers. A set is always free here, because
 // canLaunch admits an iteration only while fewer than bufCap are in
 // flight. Must be called with mu held.
 //
@@ -52,35 +52,35 @@ func (e *engine) shouldPark(j job) bool {
 }
 
 // ensureBuffers assigns a stream-buffer set to a just-dispatching
-// iteration, j's. Deferring the assignment to first dispatch (rather
-// than launch) lets the window hand the previous iteration's cache-hot
-// set to the next one whenever the scheduler keeps few iterations in
-// flight. A set handed out for the first time gets its buffers here,
-// in stream order (the sim backend's address layout follows from it).
-// Must be called with mu held, via admit.
+// iteration, j's, unless it holds one (bufSet >= 0). Deferring the
+// assignment to first dispatch (rather than launch) lets the window
+// hand the previous iteration's cache-hot set to the next one whenever
+// the scheduler keeps few iterations in flight. A set handed out for
+// the first time gets its buffers here, in stream order (the sim
+// backend's address layout follows from it).
+//
+// Only a root job (engine.waits) can be the first of its iteration to
+// get here: every other job is released by a job of its iteration that
+// passed admit, or descends from one that did. So the real backend
+// sends every root through admit, and its other jobs read bufSet and
+// the slots without the lock: their release chain of atomic updates
+// orders them after the acquisition. Must be called with mu held, via
+// admit.
 //
 //hinch:hotpath
 func (e *engine) ensureBuffers(p *probe, j job) {
 	it := j.it
-	if it.acquired.Load() {
+	if it.bufSet >= 0 {
 		return
 	}
-	win := e.app.win
-	set, fresh := win.take()
+	set, fresh := e.win.take()
 	if fresh {
 		for _, s := range e.app.streamList {
 			s.slots[set] = s.newSlot()
 		}
 	}
-	occ := win.active.Load()
 	it.bufSet = set
-	p.acquired(e.app.streamList, j.iter, int64(occ))
-	// Publish last: execReal's lock-free fast path reads acquired without
-	// the engine lock, and the atomic store must make bufSet and the
-	// slot pointers above visible to any reader that observes
-	// acquired==true.
-	p.yield(YieldAcquire)
-	it.acquired.Store(true)
+	p.acquired(j, e.win.active.Load())
 }
 
 // skipExecution reports whether the job must run as a zero-cost no-op:

@@ -35,24 +35,25 @@ type Config struct {
 	// (real; all start with the run and park while idle). Defaults to 1.
 	Cores int
 
-	// PipelineDepth is the number of stream-buffer sets, so the most
-	// iterations ever in flight: it caps StreamCapacity and the replica
-	// widths. The paper schedules five (§4): "To exploit
-	// pipeline parallelism ... five iterations are simultaneously
-	// scheduled." Defaults to 5. It is also the event delivery distance:
-	// an event sent during iteration k is delivered by the manager entry
-	// of k + PipelineDepth, which launches after k retired.
+	// PipelineDepth caps the iterations in flight: it bounds
+	// StreamCapacity and the replica widths. The paper schedules five
+	// (§4): "To exploit pipeline parallelism ... five iterations are
+	// simultaneously scheduled." Defaults to 5. It is also the event
+	// delivery distance: an event sent during iteration k is delivered
+	// by the manager entry of k + PipelineDepth, which launches after k
+	// retired.
 	PipelineDepth int
 
-	// StreamCapacity bounds the iterations in flight — each holds one
-	// set of stream buffers, so it is the FIFO depth of the streams
-	// ("typically implemented using a FIFO queue", §1) and keeps the
-	// memory footprint of deep pipelines bounded. An iteration launches
-	// only while fewer are in flight. Defaults to 3; clamped to
-	// PipelineDepth. Each replica beyond the first of a replicated
-	// component adds one buffer set, up to PipelineDepth: the run's
-	// capacity is min(StreamCapacity + Σ(width − 1), PipelineDepth),
-	// fixed at NewApp (see predict.AutoWidths for the widths).
+	// StreamCapacity bounds the iterations in flight. Each holds one
+	// set of stream buffers — one buffer of every stream — from its
+	// first dispatch to its retirement, so the run owns one window of
+	// that many sets, shared by all streams, and the memory footprint
+	// of deep pipelines stays bounded. An iteration launches only while
+	// fewer are in flight. Defaults to 3; clamped to PipelineDepth. Each
+	// replica beyond the first of a replicated component adds one buffer
+	// set, up to PipelineDepth: the run's capacity is
+	// min(StreamCapacity + Σ(width − 1), PipelineDepth), fixed at NewApp
+	// (see predict.AutoWidths for the widths).
 	StreamCapacity int
 
 	// Workless makes components skip their real kernel computation and
@@ -73,7 +74,7 @@ type Config struct {
 	Hooks TestHooks
 
 	// Tracer receives span and counter events while the run executes
-	// (job lifecycle, stream occupancy, scheduler actions,
+	// (job lifecycle, buffer-window occupancy, scheduler actions,
 	// reconfiguration phases); see Tracer and internal/hinch/trace.
 	// Nil disables tracing at the cost of one branch per boundary.
 	Tracer Tracer
@@ -85,7 +86,7 @@ type Config struct {
 	Faults FaultInjector
 
 	// Telemetry enables the histograms — per-stage service time,
-	// iteration latency, stream occupancy, steal batch size, park
+	// iteration latency, buffer-window occupancy, steal batch size, park
 	// duration (see telemetry.go) — and the stalled-progress watchdog,
 	// all scrapeable mid-run through App.Snapshot and internal/obs. Off,
 	// the hot path pays one nil check per boundary, same as
@@ -191,7 +192,6 @@ type App struct {
 
 	streams    map[string]*Stream
 	streamList []*Stream // declaration order, for deterministic allocation
-	win        *window   // the streams' buffer sets, one per in-flight iteration
 	queues     map[string]*EventQueue
 	queueNames []string       // declaration order; TraceEvent.ID name table
 	queueIndex map[string]int // queue name -> trace index
@@ -282,13 +282,11 @@ func NewApp(prog *graph.Program, reg *Registry, cfg Config) (*App, error) {
 		}
 		a.tile = spacecake.NewTile(tcfg)
 	}
-	a.win = newWindow(cfg.PipelineDepth)
 	for _, decl := range prog.Streams {
-		s, err := newStream(decl, cfg.PipelineDepth, a.win, a.addr)
+		s, err := newStream(decl, a.addr)
 		if err != nil {
 			return nil, err
 		}
-		s.idx = len(a.streamList)
 		a.streams[decl.Name] = s
 		a.streamList = append(a.streamList, s)
 	}
@@ -430,8 +428,8 @@ func (a *App) Component(name string) Component {
 // events from outside the graph), or nil if absent.
 func (a *App) Queue(name string) *EventQueue { return a.queues[name] }
 
-// Stream returns a declared stream by name (for inspection: buffer
-// pool growth, element description), or nil if absent.
+// Stream returns a declared stream by name (for inspection: its
+// element description), or nil if absent.
 func (a *App) Stream(name string) *Stream { return a.streams[name] }
 
 // Plan returns the superplan: the task DAG with every option's tasks
@@ -492,7 +490,7 @@ func (a *App) RunContext(ctx context.Context, iterations int) (*Report, error) {
 	// frame free-list, so the next App (a fresh run, a benchmark
 	// iteration) reuses them instead of allocating.
 	for _, s := range a.streamList {
-		s.drainFrames()
+		s.drainFrames(e.win.free)
 	}
 	return rep, err
 }

@@ -27,10 +27,10 @@ type job struct {
 // functions once the state is published, so that the real backend's
 // workers can retire jobs and release dependents without the engine
 // lock. launch resets them in bulk, with copy and clear, before it
-// publishes the state through iter (see there). left, cancelled and
-// acquired are atomic values. The sim backend is single-threaded, so
-// the atomics are uncontended there and the discrete-event schedule
-// stays deterministic.
+// publishes the state through iter (see there). left and cancelled
+// are atomic values. The sim backend is single-threaded, so the
+// atomics are uncontended there and the discrete-event schedule stays
+// deterministic.
 type iterState struct {
 	// iter is the iteration this state currently represents, -1 while
 	// it is free. It is atomic because iterAt probes the table without
@@ -52,10 +52,11 @@ type iterState struct {
 	cancelled atomic.Bool
 
 	// bufSet is the stream-buffer set the iteration holds (see window),
-	// taken at its first dispatch. acquired is stored after bufSet, so a
-	// job that loads acquired == true without the engine lock sees it.
-	bufSet   int
-	acquired atomic.Bool
+	// -1 until its first dispatch takes one. Written under mu by a root
+	// job's admit; see ensureBuffers for who reads it without the lock.
+	// A job that reads it before the acquisition indexes slots[-1] and
+	// panics rather than silently using set 0.
+	bufSet int
 
 	// launchTS is the launching probe's clock, kept while telemetry or a
 	// tracer is attached; retire subtracts it to record the end-to-end
@@ -91,9 +92,9 @@ func (q *readyQueue) Pop() any {
 }
 
 // canLaunch reports whether another iteration may enter the pipeline:
-// fewer than bufCap (<= PipelineDepth, the sets the window owns) are in
-// flight, so it will find a free buffer set. While any manager is
-// halted for reconfiguration no new iterations are admitted: "when the
+// fewer than bufCap, the sets the window owns, are in flight, so it
+// will find a free buffer set. While any manager is halted for
+// reconfiguration no new iterations are admitted: "when the
 // application is stopped for reconfiguration, the amount of
 // parallelism in the application drops until the application is run
 // sequentially" (§4.3). Must be called with mu held.
@@ -164,7 +165,7 @@ func (e *engine) resetIter(it *iterState) {
 	copy(it.joinLeft, e.feeders)
 	clear(it.crossOut)
 	it.cancelled.Store(false)
-	it.acquired.Store(false)
+	it.bufSet = -1
 	it.left.Store(e.nRetires)
 }
 
@@ -295,9 +296,8 @@ func (e *engine) retire(it *iterState, p *probe) {
 	p.yield(YieldRetire)
 	k := int(it.iter.Load())
 	it.iter.Store(-1)
-	win := e.app.win
-	win.put(it.bufSet)
-	p.released(e.app.streamList, k, int64(win.active.Load()))
+	e.win.put(it.bufSet)
+	p.released(k, e.win.active.Load())
 	p.retire(it, k, !it.cancelled.Load())
 	e.checkResumes(p)
 	e.launch(p)

@@ -15,8 +15,8 @@ import (
 // resetMismatch describes how it differs from a state launch has just
 // recycled, or returns "" when it holds exactly the launch values:
 // every task's dependency count e.waits, every join's count its
-// feeders, every cross handshake at 0, nothing cancelled or acquired,
-// every retiring task left.
+// feeders, every cross handshake at 0, not cancelled, no buffer set
+// (bufSet -1), every retiring task left.
 func resetMismatch(e *engine, it *iterState) string {
 	for id, w := range e.waits {
 		if n := atomic.LoadInt32(&it.remaining[id]); n != w {
@@ -31,7 +31,7 @@ func resetMismatch(e *engine, it *iterState) string {
 			return fmt.Sprintf("join %d waits on %d feeders, want %d", jn, n, f)
 		}
 	}
-	if it.cancelled.Load() || it.acquired.Load() {
+	if it.cancelled.Load() || it.bufSet != -1 {
 		return "state starts cancelled or holding a buffer set"
 	}
 	if n := it.left.Load(); n != e.nRetires {

@@ -60,7 +60,7 @@ type engine struct {
 	stall int64
 
 	// bufCap is the stream capacity: how many iterations may be in
-	// flight, each holding one of the window's buffer sets. widths[t] is
+	// flight, each holding one of win's buffer sets. widths[t] is
 	// task t's replica width: how many consecutive iterations of t may
 	// run concurrently. Width 1 serialises the task across iterations; a
 	// stateless task at width W carries its cross-iteration dependency
@@ -71,13 +71,21 @@ type engine struct {
 	bufCap int
 	widths []int
 
+	// win is the run's one stream-buffer window: bufCap sets, each one
+	// buffer of every stream. Taken and returned under mu (admit,
+	// retire); its occupancy figures are atomic for Snapshot.
+	win *window
+
 	// waits[t] is task t's dependency count at launch: one per direct
 	// dependency, one for the join it waits on if any, and one for the
 	// cross-iteration dependency every task carries — an instance must
 	// finish iteration k-W before starting iteration k, where W is the
 	// task's replica width (components are stateful by default; stream
 	// buffers recycle). That last one is satisfied through the crossOut
-	// handshake, by launch or by an older iteration's completion.
+	// handshake, by launch or by an older iteration's completion. A
+	// task whose count is 1 waits on that one only: it is a root, and
+	// only a root can be the first job of its iteration to dispatch
+	// (see ensureBuffers).
 	// feeders[j] is plan join j's fan-in, its counter at launch. launch
 	// copies both into a recycled iterState. retires[t] says whether
 	// task t counts in an iteration's left: it releases nothing in its
@@ -134,6 +142,10 @@ func newEngine(a *App) *engine {
 	e.simRC.p = &e.probes[0]
 	e.widths = predict.AutoWidths(a.prog, a.plan, a.cfg.Cores, a.cfg.PipelineDepth)
 	e.bufCap = predict.Capacity(e.widths, a.cfg.StreamCapacity, a.cfg.PipelineDepth)
+	e.win = newWindow(e.bufCap)
+	for _, s := range a.streamList {
+		s.slots = make([]*slot, e.bufCap)
+	}
 	e.states = make([]*iterState, e.bufCap)
 	for i := range e.states {
 		e.states[i] = &iterState{
@@ -208,15 +220,10 @@ func (e *engine) traceMeta() TraceMeta {
 	for i, t := range e.app.plan.Tasks {
 		tasks[i] = t.Name
 	}
-	streams := make([]string, len(e.app.streamList))
-	for i, s := range e.app.streamList {
-		streams[i] = s.name
-	}
 	return TraceMeta{
 		Cores:    e.app.cfg.Cores,
 		Wall:     e.ws != nil,
 		Tasks:    tasks,
-		Streams:  streams,
 		Queues:   e.app.queueNames,
 		Managers: e.mgrNames,
 	}

@@ -5,12 +5,12 @@ package hinch
 // implementation through Config.Hooks to explore schedules the real
 // backend would rarely produce on its own: it yields or sleeps at the
 // boundaries below and reseeds each worker's steal-victim order, so
-// ordering bugs (like a buffer being published after the flag that
-// advertises it) surface within a bounded fuzzing budget instead of
-// waiting for production timing. The engine consults the hooks only
-// through its probes (probe.yield and probe.stealSeed, the only
-// callers), so a normal run pays one predictable branch per boundary
-// and nothing else.
+// ordering bugs (like a job that reads its iteration's buffer set
+// before a root job has taken it) surface within a bounded fuzzing
+// budget instead of waiting for production timing. The engine consults
+// the hooks only through its probes (probe.yield and probe.stealSeed,
+// the only callers), so a normal run pays one predictable branch per
+// boundary and nothing else.
 
 // YieldPoint identifies a scheduler boundary at which an injected
 // TestHooks implementation is consulted.
@@ -27,13 +27,6 @@ const (
 	// YieldRetire fires at the start of retire(), before an iteration's
 	// stream buffers are released and the next iteration launches.
 	YieldRetire
-	// YieldAcquire fires inside ensureBuffers, once per iteration,
-	// between the assignment of its buffer set and the acquired flag
-	// that advertises it, while the engine lock is held. With that
-	// publication order this is invisible to lock-free readers; with the
-	// inverted order it holds the window open where acquired==true but
-	// the set is missing.
-	YieldAcquire
 	// YieldDispatch fires on the real backend just before a component
 	// job executes, after its fast-path checks have passed.
 	YieldDispatch

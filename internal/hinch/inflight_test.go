@@ -112,10 +112,8 @@ func TestStreamBackpressureBoundsBuffers(t *testing.T) {
 			if tr.max != limit {
 				t.Fatalf("%d iterations in flight at most, want the capacity %d", tr.max, limit)
 			}
-			for _, s := range rep.Streams {
-				if s.HighWater > limit {
-					t.Fatalf("stream %s grew to %d buffer sets, capacity %d", s.Name, s.HighWater, limit)
-				}
+			if rep.HighWater > limit || rep.Occupancy != 0 {
+				t.Fatalf("window filled %d buffer sets, capacity %d, and ended holding %d", rep.HighWater, limit, rep.Occupancy)
 			}
 		})
 	}

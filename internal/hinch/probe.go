@@ -8,7 +8,7 @@ import "time"
 // goroutine, the watchdog epochs), probes[w+1] for worker w (worker
 // 0's also for the initial launch, which runs before any worker
 // starts) — and the engine reports each boundary it crosses (enqueue,
-// dispatch, steal, park, stream acquire/release, launch/retire,
+// dispatch, steal, park, buffer acquire/release, launch/retire,
 // reconfiguration phase, event, fault, stall) with one call on the
 // acting writer's probe. The call bumps the writer's counters shard —
 // always on — and, when attached, feeds the telemetry histograms and
@@ -282,30 +282,16 @@ func (p *probe) unpark() {
 	p.emit(TraceUnpark, -1, -1, 0)
 }
 
-// acquired and released: iteration iter took or returned its buffer
-// set, leaving occ sets held. Histogram and ring get one record per
-// stream — the streams move together, so all carry the same occupancy —
-// and with neither attached the per-stream loop is not run at all.
-func (p *probe) acquired(streams []*Stream, iter int, occ int64) {
-	if p.tm == nil && p.tr == nil {
-		return
+// acquired: job j's iteration took its buffer set, leaving occ sets
+// held. released: iteration iter returned its set at retirement.
+func (p *probe) acquired(j job, occ int32) {
+	if p.tm != nil {
+		p.tm.occ.record(int64(occ))
 	}
-	for _, s := range streams {
-		if p.tm != nil {
-			p.tm.occ[s.idx].record(occ)
-		}
-		p.emit(TraceStreamAcquire, iter, s.idx, occ)
-	}
+	p.emit(TraceStreamAcquire, j.iter, j.task.ID, int64(occ))
 }
 
-func (p *probe) released(streams []*Stream, iter int, occ int64) {
-	if p.tr == nil {
-		return
-	}
-	for _, s := range streams {
-		p.event(TraceStreamRelease, iter, s.idx, occ)
-	}
-}
+func (p *probe) released(iter int, occ int32) { p.emit(TraceStreamRelease, iter, -1, int64(occ)) }
 
 // launch: iteration k entered the pipeline. Its launch time is kept
 // for retire's latency histogram.

@@ -225,11 +225,11 @@ func (e *engine) checkTermination() {
 	e.ws.finish()
 }
 
-// execReal runs one job. A component job of a live iteration that
-// already holds its stream buffers and that skipExecution lets run is
-// admitRun on sight and goes straight to execution without the engine
-// lock; every other job passes the gate (admit) under it, and manager
-// jobs also execute there. It reports whether the job was dispatched —
+// execReal runs one job. A non-root component job that skipExecution
+// lets run is admitRun on sight — its iteration holds its stream
+// buffers (see ensureBuffers) — and goes straight to execution without
+// the engine lock; every other job passes the gate (admit) under it,
+// and manager jobs also execute there. It reports whether the job was dispatched —
 // counted in Report.Jobs — rather than held or skipped.
 //
 //hinch:hotpath
@@ -241,8 +241,9 @@ func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 	// The cancelled check is racy by design: a concurrent noteEOS can
 	// cancel the iteration just after we load false, in which case the
 	// component runs redundantly but harmlessly — cancelled iterations'
-	// results are discarded at retirement.
-	if mgr || !j.it.acquired.Load() || e.skipExecution(j) {
+	// results are discarded at retirement. A root (launch count 1) may
+	// be its iteration's first job, so it may have buffers to take.
+	if mgr || e.waits[j.task.ID] == 1 || e.skipExecution(j) {
 		e.mu.Lock()
 		switch e.admit(w.p, j) {
 		case admitHeld:
@@ -269,8 +270,8 @@ func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 		e.mu.Unlock()
 	}
 
-	// Stretch the window between the lock-free acquired/cancelled
-	// checks above and the component's first stream access.
+	// Stretch the window between the lock-free cancelled check above
+	// and the component's first stream access.
 	w.p.yield(YieldDispatch)
 	if _, err := e.runComponent(w.p, &w.rc, j, w.id); err != nil {
 		e.ws.finish()

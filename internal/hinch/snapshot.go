@@ -4,7 +4,7 @@ import "xspcl/internal/graph"
 
 // This file implements App.Snapshot, the lock-free mid-run state probe
 // behind /statusz and the xspcltop dashboard. Every field it reads is
-// either atomic (the counters shards, the histograms, stream occupancy)
+// either atomic (the counters shards, the histograms, window occupancy)
 // or immutable after NewApp (names, depths, replica widths, the stream
 // capacity, configuration), so a snapshot never takes the engine lock and
 // never perturbs the run — safe to call from any goroutine, at any
@@ -68,14 +68,20 @@ type Snapshot struct {
 	StealTake *HistSnap `json:"steal_take,omitempty"`
 	ParkDur   *HistSnap `json:"park_dur,omitempty"`
 
-	// Stages (one per task, in plan order) and Streams mirror the
-	// pipeline structure with live data.
-	Stages  []StageSnap  `json:"stages,omitempty"`
-	Streams []StreamSnap `json:"streams,omitempty"`
+	// Stages mirror the pipeline structure with live data, one per
+	// task, in plan order.
+	Stages []StageSnap `json:"stages,omitempty"`
 
-	// StreamCap is the run's stream capacity: the iterations it may
-	// have in flight, fixed at NewApp from the replica widths.
-	StreamCap int `json:"stream_cap"`
+	// The stream-buffer window. StreamCap is the run's stream capacity:
+	// the window's buffer sets, so the iterations it may have in
+	// flight, fixed at NewApp from the replica widths. Occupancy is the
+	// sets held right now, HighWater the most ever held at once (the
+	// sets filled so far), and Occ the occupancy after each acquisition
+	// (Config.Telemetry).
+	StreamCap int       `json:"stream_cap"`
+	Occupancy int       `json:"occupancy"`
+	HighWater int       `json:"high_water"`
+	Occ       *HistSnap `json:"occ,omitempty"`
 }
 
 // StageSnap is one task's live state: its class, current replica
@@ -107,17 +113,6 @@ func (s Snapshot) PerClass() map[string]ClassStats {
 	return pc
 }
 
-// StreamSnap is one stream's live state: current occupancy, the
-// high-water mark, and the occupancy histogram sampled at every buffer
-// acquire.
-type StreamSnap struct {
-	Name      string   `json:"name"`
-	Depth     int      `json:"depth"`
-	Occupancy int      `json:"occupancy"`
-	HighWater int      `json:"high_water"`
-	Occ       HistSnap `json:"occ"`
-}
-
 // Snapshot captures the App's live state. Safe to call from any
 // goroutine while Run executes (and before or after it); it never
 // blocks the run.
@@ -140,9 +135,10 @@ func (a *App) Snapshot() Snapshot {
 		Reconfigs:    t.reconfigs,
 		Sched:        t.sched,
 		StreamCap:    e.bufCap,
+		Occupancy:    int(e.win.active.Load()),
+		HighWater:    int(e.win.hw.Load()),
 		Cancelled:    e.cancelled.Load(),
 		Stages:       make([]StageSnap, 0, len(a.plan.Tasks)),
-		Streams:      make([]StreamSnap, 0, len(a.streamList)),
 	}
 	if a.cfg.Backend == BackendReal {
 		s.Backend = "real"
@@ -154,8 +150,8 @@ func (a *App) Snapshot() Snapshot {
 		s.Telemetry = true
 		s.Stalled = tm.stalled.Load()
 		s.Stalls = tm.stalls.Load()
-		il := tm.iterLat.snap()
-		s.IterLat = &il
+		il, occ := tm.iterLat.snap(), tm.occ.snap()
+		s.IterLat, s.Occ = &il, &occ
 		n := len(tm.shards)
 		if st := mergeHists(n, func(i int) *hist { return &tm.shards[i].stealTake }); st.Count > 0 {
 			s.StealTake = &st
@@ -176,18 +172,6 @@ func (a *App) Snapshot() Snapshot {
 			st.Svc = tm.stageHist(task.ID)
 		}
 		s.Stages = append(s.Stages, st)
-	}
-	for i, str := range a.streamList {
-		sn := StreamSnap{
-			Name:      str.Name(),
-			Depth:     len(str.slots),
-			Occupancy: str.Occupancy(),
-			HighWater: str.HighWater(),
-		}
-		if tm != nil {
-			sn.Occ = tm.occ[i].snap()
-		}
-		s.Streams = append(s.Streams, sn)
 	}
 	return s
 }

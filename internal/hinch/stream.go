@@ -11,13 +11,13 @@ import (
 )
 
 // A Stream is the synchronous communication primitive between
-// components (paper §2 item 3a): a bounded FIFO with one buffer per
-// in-flight iteration. Data written in iteration k is read in the same
-// iteration (ordering comes from the task graph). Every stream takes
-// and returns its buffer for an iteration at the same two moments, so
-// which buffer an iteration uses is decided once for all streams by the
-// App's window: the iteration holds buffer set i, and its buffer of
-// stream s is s.slots[i].
+// components (paper §2 item 3a): one buffer per in-flight iteration.
+// Data written in iteration k is read in the same iteration (ordering
+// comes from the task graph). Every stream takes and returns its buffer
+// for an iteration at the same two moments, so which buffer an
+// iteration uses is decided once for all streams by the run's window:
+// the iteration holds buffer set i, and its buffer of stream s is
+// s.slots[i].
 //
 // Buffers for "frame" and "coeff" streams are pre-sized so that
 // multiple data-parallel writers can fill disjoint regions of one
@@ -26,21 +26,21 @@ import (
 type Stream struct {
 	name string
 	decl graph.StreamDecl
-	idx  int // position in App.streamList; TraceEvent.ID for this stream
 	addr *spacecake.AddressSpace
-	win  *window
 
 	// slots[i] is this stream's buffer of set i, created (under the
-	// engine lock) when the window first hands set i out. It is
-	// allocated at its full length, PipelineDepth, and filled by index:
-	// jobs of other iterations read slots[their set] without the lock,
-	// and growing the slice with append would race with those reads.
+	// engine lock) when the window first hands set i out. newEngine
+	// allocates it at its full length, the stream capacity, and it is
+	// filled by index: jobs of other iterations read slots[their set]
+	// without the lock, and growing the slice with append would race
+	// with those reads.
 	slots []*slot
 }
 
-// window hands out the App's stream-buffer sets: an iteration takes one
-// at its first dispatch and puts it back when it retires, both under
-// the engine lock. free is a LIFO, so when the scheduler keeps few
+// window hands out the run's stream-buffer sets, one per in-flight
+// iteration, so the stream capacity of them: an iteration takes one at
+// its first dispatch and puts it back when it retires, both under the
+// engine lock. free is a LIFO, so when the scheduler keeps few
 // iterations in flight the next iteration gets the set — the cache-hot
 // buffers, the same simulated addresses — the last one returned, and
 // only as many sets are ever filled as iterations actually overlapped
@@ -51,12 +51,12 @@ type window struct {
 	hw     atomic.Int32 // most sets ever held at once = sets filled so far
 }
 
-// newWindow builds a window of depth sets, stacked so that they are
-// first handed out in index order.
-func newWindow(depth int) *window {
-	w := &window{free: make([]int, depth)}
+// newWindow builds a window of n sets, stacked so that they are first
+// handed out in index order.
+func newWindow(n int) *window {
+	w := &window{free: make([]int, n)}
 	for i := range w.free {
-		w.free[i] = depth - 1 - i
+		w.free[i] = n - 1 - i
 	}
 	return w
 }
@@ -69,9 +69,9 @@ func newWindow(depth int) *window {
 func (w *window) take() (set int, fresh bool) {
 	f := len(w.free) - 1
 	if f < 0 {
-		// At most PipelineDepth iterations are in flight and each holds
-		// one set, so only an engine bug gets here.
-		panic("hinch: more stream-buffer sets in use than PipelineDepth")
+		// canLaunch keeps at most bufCap iterations in flight and each
+		// holds one set, so only an engine bug gets here.
+		panic("hinch: more stream-buffer sets in use than the stream capacity")
 	}
 	set, w.free = w.free[f], w.free[:f]
 	n := w.active.Add(1)
@@ -107,10 +107,10 @@ type Packet struct {
 	Data []byte
 }
 
-// newStream builds a stream over the depth buffer sets of win. When
-// addr is non-nil (sim backend), each buffer gets a simulated address
-// region sized for the element type.
-func newStream(decl graph.StreamDecl, depth int, win *window, addr *spacecake.AddressSpace) (*Stream, error) {
+// newStream builds a stream; newEngine sizes its slots. When addr is
+// non-nil (sim backend), each buffer gets a simulated address region
+// sized for the element type.
+func newStream(decl graph.StreamDecl, addr *spacecake.AddressSpace) (*Stream, error) {
 	switch decl.Type {
 	case "frame", "coeff":
 		if decl.W <= 0 || decl.H <= 0 {
@@ -123,13 +123,7 @@ func newStream(decl graph.StreamDecl, depth int, win *window, addr *spacecake.Ad
 	default:
 		return nil, fmt.Errorf("hinch: stream %q has unknown type %q", decl.Name, decl.Type)
 	}
-	return &Stream{
-		name:  decl.Name,
-		decl:  decl,
-		addr:  addr,
-		win:   win,
-		slots: make([]*slot, depth),
-	}, nil
+	return &Stream{name: decl.Name, decl: decl, addr: addr}, nil
 }
 
 // elementBytes returns the simulated footprint of one stream element.
@@ -178,8 +172,8 @@ func (s *Stream) newSlot() *slot {
 // finish that is every set that was filled. A set still held after an
 // aborted run keeps its frames, which simply fall to the GC with the
 // App — never recycle a frame a failed component might still reference.
-func (s *Stream) drainFrames() {
-	for _, set := range s.win.free {
+func (s *Stream) drainFrames(free []int) {
+	for _, set := range free {
 		// A nil slot: the set was never handed out.
 		if sl := s.slots[set]; sl != nil && sl.own != nil {
 			switch own := sl.own.(type) {
@@ -199,14 +193,6 @@ func (s *Stream) Name() string { return s.name }
 
 // Decl returns the stream's declaration.
 func (s *Stream) Decl() graph.StreamDecl { return s.decl }
-
-// HighWater reports the occupancy high-water mark: the most iterations
-// that ever held this stream's buffers simultaneously.
-func (s *Stream) HighWater() int { return int(s.win.hw.Load()) }
-
-// Occupancy reports how many iterations hold this stream's buffers
-// right now. Safe mid-run from any goroutine.
-func (s *Stream) Occupancy() int { return int(s.win.active.Load()) }
 
 // FramePlaneRegion returns the simulated region covering rows [r0, r1)
 // of the given plane within a frame stream slot region. The frame

@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the optional half of the run's observability:
-// histograms (job service time, iteration latency, stream occupancy,
+// histograms (job service time, iteration latency, window occupancy,
 // steal batch size, park duration) and the stalled-progress watchdog
 // behind /healthz. Counters are not here — they are always on, in the
 // counters shards (metrics.go).
@@ -179,8 +179,8 @@ const watchdogEpochs = 3
 // recorded under the engine lock (or by the sim goroutine).
 type telemetry struct {
 	shards  []tmShard
-	occ     []hist // per-stream occupancy, recorded at buffer acquire
-	iterLat hist   // launch -> retire latency per iteration
+	occ     hist // window occupancy, recorded at buffer acquire
+	iterLat hist // launch -> retire latency per iteration
 
 	// Stalled-progress watchdog: every WatchdogEpoch (virtual cycles on
 	// sim, wall time on real) the engine compares its retirement
@@ -202,7 +202,6 @@ func newTelemetry(e *engine) *telemetry {
 	a := e.app
 	tm := &telemetry{
 		shards:  make([]tmShard, len(e.probes)),
-		occ:     make([]hist, len(a.streamList)),
 		wdEvery: int64(a.cfg.WatchdogEpoch),
 		wdNext:  int64(a.cfg.WatchdogEpoch),
 	}

@@ -75,6 +75,10 @@ func TestTelemetrySimDeterministic(t *testing.T) {
 	if r1.IterLat.Count != 25 || r1.IterLat.Max <= 0 {
 		t.Fatalf("iteration latency %+v", r1.IterLat)
 	}
+	// One window occupancy sample per iteration, at its acquisition.
+	if r1.Occ == nil || r1.Occ.Count != 25 || r1.Occ.Max != int64(r1.HighWater) || r1.Occupancy != 0 {
+		t.Fatalf("window occupancy %+v, high-water %d, held %d", r1.Occ, r1.HighWater, r1.Occupancy)
+	}
 }
 
 func TestTelemetryOffLeavesReportBare(t *testing.T) {
@@ -84,7 +88,7 @@ func TestTelemetryOffLeavesReportBare(t *testing.T) {
 			t.Fatalf("stage %s has service-time samples without Config.Telemetry: %+v", st.Name, st.Svc)
 		}
 	}
-	if rep.IterLat != nil || rep.Stalls != 0 {
+	if rep.IterLat != nil || rep.Occ != nil || rep.Stalls != 0 {
 		t.Fatalf("telemetry fields set without Config.Telemetry: %+v", rep)
 	}
 }
@@ -98,8 +102,9 @@ func TestSnapshotBeforeRun(t *testing.T) {
 	if !s.Telemetry || s.Backend != "sim" || s.Units != "cycles" {
 		t.Fatalf("snapshot header %+v", s)
 	}
-	if len(s.Stages) != 3 || len(s.Streams) != 2 {
-		t.Fatalf("structure: %d stages, %d streams", len(s.Stages), len(s.Streams))
+	if len(s.Stages) != 3 || s.StreamCap != 3 || s.Occupancy != 0 || s.HighWater != 0 {
+		t.Fatalf("structure: %d stages, window %d/%d sets held, high-water %d",
+			len(s.Stages), s.Occupancy, s.StreamCap, s.HighWater)
 	}
 	if s.Launched != 0 || s.Jobs != 0 {
 		t.Fatalf("pre-run counters %+v", s)
@@ -167,7 +172,7 @@ func snapCounters(s Snapshot) map[string]int64 {
 // TestSnapshotLiveRealRun: on either backend, with or without
 // Config.Telemetry, a snapshot taken mid-run shows live counters that
 // only ever grow, and after Run the Snapshot is the Report's — counters,
-// stages, streams, histograms and the tune view alike.
+// stages, the buffer window, histograms and the tune view alike.
 func TestSnapshotLiveRealRun(t *testing.T) {
 	const iters = 300
 	for _, tc := range []struct {
@@ -205,6 +210,10 @@ func TestSnapshotLiveRealRun(t *testing.T) {
 					s := app.Snapshot()
 					if int64(s.Iterations) > s.Retired || s.Retired > s.Launched || s.Inflight != s.Launched-s.Retired {
 						t.Errorf("iteration counters out of order: %+v", s)
+						return
+					}
+					if s.Occupancy > s.StreamCap || s.HighWater > s.StreamCap {
+						t.Errorf("window %d/%d sets held, high-water %d", s.Occupancy, s.StreamCap, s.HighWater)
 						return
 					}
 					cur := snapCounters(s)

@@ -201,7 +201,7 @@ func (r *Recorder) export(w io.Writer, all []exportRec) error {
 	}
 	reconfigs := map[int32]*reconfig{}
 	flowID := 0
-	highwater := map[string]int64{}
+	var highwater int64 // the window's most sets held at once
 	// Degrade→halt pairing: a fault event pushed to manager m's queue
 	// starts a flow arrow that lands on the reconfiguration it causes.
 	degradeFlows := map[int32][]string{}
@@ -240,12 +240,11 @@ func (r *Recorder) export(w io.Writer, all []exportRec) error {
 				Args: map[string]any{"iter": ev.Iter, "processed": ev.Arg},
 			})
 		case hinch.TraceStreamAcquire, hinch.TraceStreamRelease:
-			name := nameOf(meta.Streams, ev.ID, "stream")
-			if ev.Kind == hinch.TraceStreamAcquire && ev.Arg > highwater[name] {
-				highwater[name] = ev.Arg
+			if ev.Kind == hinch.TraceStreamAcquire {
+				highwater = max(highwater, ev.Arg)
 			}
 			events = append(events, chromeEvent{
-				Name: "stream " + name, Cat: "stream", Ph: "C",
+				Name: "window", Cat: "stream", Ph: "C",
 				TS: us(ev.TS), PID: 0, TID: runtimeTID,
 				Args: map[string]any{"occupancy": ev.Arg},
 			})
@@ -368,10 +367,6 @@ func (r *Recorder) export(w io.Writer, all []exportRec) error {
 	if meta.Wall {
 		clock = "wall-ns"
 	}
-	hw := map[string]any{}
-	for k, v := range highwater {
-		hw[k] = v
-	}
 	out := chromeTrace{
 		TraceEvents: events,
 		OtherData: map[string]any{
@@ -379,7 +374,7 @@ func (r *Recorder) export(w io.Writer, all []exportRec) error {
 			"cores":            meta.Cores,
 			"events_recorded":  r.Total(),
 			"events_dropped":   r.Dropped(),
-			"stream_highwater": hw,
+			"window_highwater": highwater,
 		},
 	}
 	enc := json.NewEncoder(w)

@@ -150,11 +150,10 @@ func (r *Recorder) Dropped() int64 {
 //     park = Sched.Parks, the jobs moved by steal hits (the sum of
 //     their Arg — a hit takes a batch) = Sched.Steals, the chained jobs
 //     under the batch headers = Sched.Chained, stall = Stalls;
-//   - the streams' buffers move through one gate as one set: every
-//     acquire event of an iteration carries the same occupancy and,
-//     when no events were dropped, stream-acquire events = iteration
-//     launches x streams (every launched iteration acquires exactly
-//     once, skipped tails included) = stream-release events.
+//   - no iteration takes a buffer set twice and, when no events were
+//     dropped, stream-acquire events = iteration launches (every
+//     launched iteration acquires exactly once, skipped tails
+//     included) = stream-release events.
 func Validate(r *Recorder, rep *hinch.Report) error {
 	if !r.began {
 		return fmt.Errorf("trace: recorder was never attached to a run")
@@ -166,7 +165,7 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 	var n [hinch.TraceStall + 1]int64 // events per kind
 	var counted, stolen, chained int64
 	lastEnd := make(map[int32]int64, meta.Cores)
-	acqOcc := map[int32]int64{} // occupancy of each iteration's acquire events
+	acquired := map[int32]bool{} // iterations seen taking their buffer set
 	for si := 0; si < len(r.shards); si++ {
 		for _, ev := range r.Events(si) {
 			n[ev.Kind]++
@@ -178,11 +177,10 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 			case hinch.TraceBatch:
 				chained += ev.Arg - 1
 			case hinch.TraceStreamAcquire:
-				if occ, seen := acqOcc[ev.Iter]; seen && occ != ev.Arg {
-					return fmt.Errorf("trace: iteration %d acquired stream buffers at occupancy %d and %d",
-						ev.Iter, occ, ev.Arg)
+				if acquired[ev.Iter] {
+					return fmt.Errorf("trace: iteration %d took a buffer set twice", ev.Iter)
 				}
-				acqOcc[ev.Iter] = ev.Arg
+				acquired[ev.Iter] = true
 			}
 			if ev.Kind != hinch.TraceJobSpan {
 				continue
@@ -219,7 +217,7 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 		{"jobs moved by steal hits / steals", stolen, rep.Sched.Steals},
 		{"chained jobs under batch headers / chained", chained, rep.Sched.Chained},
 		{"stall events / stalls", n[hinch.TraceStall], rep.Stalls},
-		{"stream-acquire events / iteration launches x streams", acquires, n[hinch.TraceIterLaunch] * int64(len(meta.Streams))},
+		{"stream-acquire events / iteration launches", acquires, n[hinch.TraceIterLaunch]},
 		{"stream-release events / stream-acquire events", n[hinch.TraceStreamRelease], acquires},
 	} {
 		if c.traced != c.count {

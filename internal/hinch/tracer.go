@@ -18,7 +18,7 @@ package hinch
 //     cost tens of nanoseconds on virtualised hosts, so the engine
 //     reads the clock once per executed job (at span end) and reuses
 //     the cached value for every other event in that job's wake
-//     (enqueues, retirement, stream releases). Event timestamps on the
+//     (enqueues, retirement, buffer releases). Event timestamps on the
 //     real backend are therefore exact at span boundaries and
 //     conservatively stale (by at most one job) elsewhere.
 //
@@ -47,11 +47,13 @@ const (
 	// TraceIterRetire: iteration Iter retired. Arg = 1 when it counted
 	// as processed, 0 when it was cancelled by EOS.
 	TraceIterRetire
-	// TraceStreamAcquire: iteration Iter acquired stream ID's buffer.
-	// Arg = the stream's occupancy after the acquire.
+	// TraceStreamAcquire: iteration Iter took its stream-buffer set
+	// from the window, at its first dispatched job, task ID's (a root).
+	// Arg = the window's occupancy after the acquire.
 	TraceStreamAcquire
-	// TraceStreamRelease: iteration Iter released stream ID's buffer.
-	// Arg = the stream's occupancy after the release.
+	// TraceStreamRelease: iteration Iter returned its set at
+	// retirement. ID = -1, Arg = the window's occupancy after the
+	// release.
 	TraceStreamRelease
 	// TraceEventPush: an event was pushed to queue ID. Arg = queue
 	// depth after the push.
@@ -159,8 +161,8 @@ type TraceEvent struct {
 	Worker int32
 	// Iter is the iteration the event belongs to, or -1.
 	Iter int32
-	// ID is kind-specific: task, stream, queue, manager or victim
-	// worker index (resolved through TraceMeta's name tables).
+	// ID is kind-specific: task, queue, manager or victim worker index
+	// (resolved through TraceMeta's name tables).
 	ID int32
 	// Kind identifies the event.
 	Kind TraceKind
@@ -178,8 +180,6 @@ type TraceMeta struct {
 	Wall bool
 	// Tasks maps task IDs to task names (plan order).
 	Tasks []string
-	// Streams maps stream indices to stream names (declaration order).
-	Streams []string
 	// Queues maps queue indices to event-queue names.
 	Queues []string
 	// Managers maps manager indices to manager names.

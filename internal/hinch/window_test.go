@@ -1,6 +1,7 @@
 package hinch
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -56,13 +57,14 @@ func TestBufferWindowAbortedRunKeepsHeldFrames(t *testing.T) {
 			t.Fatalf("backend %d: error = %v", backend, err)
 		}
 		free := map[int]bool{}
-		for _, set := range app.win.free {
+		win := app.eng.win
+		for _, set := range win.free {
 			free[set] = true
 		}
 		s := app.Stream("f")
 		held := map[*media.Frame]bool{}
 		drained := 0
-		for set := 0; set < s.HighWater(); set++ {
+		for set := 0; set < int(win.hw.Load()); set++ {
 			switch sl := s.slots[set]; {
 			case free[set] && sl.own != nil:
 				t.Errorf("backend %d: free set %d kept its frame", backend, set)
@@ -99,5 +101,110 @@ func TestBufferWindowAbortedRunKeepsHeldFrames(t *testing.T) {
 		if recycled != drained {
 			t.Errorf("backend %d: %d frames recycled, want the %d of the free sets", backend, recycled, drained)
 		}
+	}
+}
+
+// windowTracer records, per iteration, its launches, the tasks whose
+// jobs took its buffer set and its releases of the set.
+type windowTracer struct {
+	mu       sync.Mutex
+	launches map[int32]int
+	acquires map[int32][]int32
+	releases map[int32]int
+}
+
+func (tr *windowTracer) Begin(TraceMeta) {
+	tr.launches, tr.acquires, tr.releases = map[int32]int{}, map[int32][]int32{}, map[int32]int{}
+}
+
+func (tr *windowTracer) End() {}
+
+func (tr *windowTracer) Emit(_ int, ev TraceEvent) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	switch ev.Kind {
+	case TraceIterLaunch:
+		tr.launches[ev.Iter]++
+	case TraceStreamAcquire:
+		tr.acquires[ev.Iter] = append(tr.acquires[ev.Iter], ev.ID)
+	case TraceStreamRelease:
+		tr.releases[ev.Iter]++
+	}
+}
+
+// TestBufferWindowAcquiredOnceByARoot pins the acquisition rule: only a
+// root job — one that waits on nothing in its own iteration — can be
+// the first of its iteration to dispatch, so only roots take the lock
+// to acquire. Two sources make two roots per iteration, and the second
+// finds the set already taken. On sim and on real at 1, 2, 4 and 8
+// workers every launched iteration must take its set exactly once, at a
+// root's job, and return it once, and both sinks must read their own
+// iteration's values.
+func TestBufferWindowAcquiredOnceByARoot(t *testing.T) {
+	b := graph.NewBuilder("tworoots")
+	b.Stream("a").Stream("b").Stream("c")
+	b.Body(b.Parallel(graph.ShapeTask, 0,
+		b.Seq(
+			b.Component("src1", "intsrc", graph.Ports{"out": "a"}, nil),
+			b.Component("dbl", "double", graph.Ports{"in": "a", "out": "b"}, nil),
+			b.Component("snk1", "intsink", graph.Ports{"in": "b"}, nil),
+		),
+		b.Seq(
+			b.Component("src2", "intsrc", graph.Ports{"out": "c"}, nil),
+			b.Component("snk2", "intsink", graph.Ports{"in": "c"}, nil),
+		),
+	))
+	prog := b.MustProgram()
+	const iters = 200
+	cfgs := []Config{{Backend: BackendSim, Cores: 4}}
+	for _, workers := range []int{1, 2, 4, 8} {
+		cfgs = append(cfgs, Config{Backend: BackendReal, Cores: workers})
+	}
+	for _, cfg := range cfgs {
+		name := "sim"
+		if cfg.Backend == BackendReal {
+			name = "real"
+		}
+		t.Run(fmt.Sprintf("%s/%d", name, cfg.Cores), func(t *testing.T) {
+			tr := &windowTracer{}
+			cfg.Tracer = tr
+			app, rep := runApp(t, prog, cfg, iters)
+			roots := map[int32]bool{}
+			for _, task := range app.Plan().Tasks {
+				if len(task.DirectDeps) == 0 && task.WaitsOn == graph.NoJoin {
+					roots[int32(task.ID)] = true
+				}
+			}
+			if len(roots) != 2 {
+				t.Fatalf("%d roots, want the two sources", len(roots))
+			}
+			if rep.Iterations != iters || len(tr.launches) != iters {
+				t.Fatalf("%d iterations processed, %d launched, want %d", rep.Iterations, len(tr.launches), iters)
+			}
+			for k := range int32(iters) {
+				acq := tr.acquires[k]
+				if tr.launches[k] != 1 || len(acq) != 1 || tr.releases[k] != 1 {
+					t.Fatalf("iteration %d: %d launches, acquisitions by tasks %v, %d releases; want one each",
+						k, tr.launches[k], acq, tr.releases[k])
+				}
+				if !roots[acq[0]] {
+					t.Fatalf("iteration %d took its buffer set at task %d, not a root", k, acq[0])
+				}
+			}
+			for sink, mul := range map[string]int{"snk1": 2, "snk2": 1} {
+				vals := app.Component(sink).(*intSink).values()
+				for i, v := range vals {
+					if v != mul*i {
+						t.Fatalf("%s: iteration %d read %d, want %d", sink, i, v, mul*i)
+					}
+				}
+				if len(vals) != iters {
+					t.Fatalf("%s saw %d values, want %d", sink, len(vals), iters)
+				}
+			}
+			if rep.Occupancy != 0 || rep.HighWater > rep.StreamCap {
+				t.Fatalf("window ended holding %d sets, high-water %d of %d", rep.Occupancy, rep.HighWater, rep.StreamCap)
+			}
+		})
 	}
 }

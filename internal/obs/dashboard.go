@@ -16,9 +16,10 @@ const maxDashStages = 24
 
 // RenderDashboard writes the xspcltop terminal view of a snapshot: a
 // run header, one row per stage (replica width, job count, service-time
-// quantiles) and one row per stream with an occupancy bar. Values are
-// virtual cycles on the sim backend and nanoseconds on the real one
-// (snap.Units). Plain text, no ANSI — callers clear the screen.
+// quantiles) and the stream-buffer window's occupancy bar, drawn
+// against the stream capacity. Values are virtual cycles on the sim
+// backend and nanoseconds on the real one (snap.Units). Plain text, no
+// ANSI — callers clear the screen.
 func RenderDashboard(w io.Writer, s hinch.Snapshot) {
 	health := "ok"
 	if s.Stalled {
@@ -52,17 +53,8 @@ func RenderDashboard(w io.Writer, s hinch.Snapshot) {
 			fmt.Fprintf(w, "… (+%d more stages; /statusz has all of them)\n", hidden)
 		}
 	}
-	if len(s.Streams) > 0 {
-		streams, hidden := topStreams(s.Streams, maxDashStages)
-		fmt.Fprintf(w, "\n%-20s %7s %3s  %s\n", "STREAM", "OCC/DEP", "HW", "")
-		for _, sn := range streams {
-			fmt.Fprintf(w, "%-20s %3d/%-3d %3d  %s\n",
-				clip(sn.Name, 20), sn.Occupancy, sn.Depth, sn.HighWater, bar(sn.Occupancy, sn.Depth, 20))
-		}
-		if hidden > 0 {
-			fmt.Fprintf(w, "… (+%d more streams; /statusz has all of them)\n", hidden)
-		}
-	}
+	fmt.Fprintf(w, "\nWINDOW %d/%d buffer sets held, high-water %d  %s\n",
+		s.Occupancy, s.StreamCap, s.HighWater, bar(s.Occupancy, s.StreamCap, 20))
 }
 
 // topStages returns up to max stages, in plan order. When the plan is
@@ -86,32 +78,6 @@ func topStages(all []hinch.StageSnap, max int) ([]hinch.StageSnap, int) {
 	keep := order[:max]
 	sort.Ints(keep)
 	out := make([]hinch.StageSnap, 0, max)
-	for _, i := range keep {
-		out = append(out, all[i])
-	}
-	return out, len(all) - max
-}
-
-// topStreams is topStages for the STREAM table: the fullest streams
-// (by high-water mark, then live occupancy) are kept, in plan order.
-func topStreams(all []hinch.StreamSnap, max int) ([]hinch.StreamSnap, int) {
-	if len(all) <= max {
-		return all, 0
-	}
-	order := make([]int, len(all))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := all[order[a]], all[order[b]]
-		if sa.HighWater != sb.HighWater {
-			return sa.HighWater > sb.HighWater
-		}
-		return sa.Occupancy > sb.Occupancy
-	})
-	keep := order[:max]
-	sort.Ints(keep)
-	out := make([]hinch.StreamSnap, 0, max)
 	for _, i := range keep {
 		out = append(out, all[i])
 	}

@@ -125,9 +125,9 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 }
 
 // RenderMetrics writes the snapshot in the Prometheus text exposition
-// format. The output is a pure function of the snapshot: stages and
-// streams render in pipeline order and histogram buckets use the fixed
-// log2 bounds, so sim-backend scrapes are deterministic.
+// format. The output is a pure function of the snapshot: stages render
+// in pipeline order and histogram buckets use the fixed log2 bounds,
+// so sim-backend scrapes are deterministic.
 func RenderMetrics(w io.Writer, s hinch.Snapshot) {
 	counter(w, "xspcl_jobs_total", "Executed jobs.", s.Jobs)
 	counter(w, "xspcl_events_total", "Reconfiguration events emitted.", s.Events)
@@ -148,7 +148,7 @@ func RenderMetrics(w io.Writer, s hinch.Snapshot) {
 	}
 	gauge(w, "xspcl_stalled", "1 while the progress watchdog sees no retirements.", stalled)
 	counter(w, "xspcl_stalls_total", "Distinct stall episodes.", s.Stalls)
-	gauge(w, "xspcl_stream_cap", "Current stream-FIFO capacity.", int64(s.StreamCap))
+	gauge(w, "xspcl_stream_cap", "Stream-buffer sets in the window: the most iterations in flight.", int64(s.StreamCap))
 
 	if len(s.Stages) > 0 {
 		fmt.Fprintf(w, "# HELP xspcl_stage_width Replica width per stage.\n# TYPE xspcl_stage_width gauge\n")
@@ -168,16 +168,8 @@ func RenderMetrics(w io.Writer, s hinch.Snapshot) {
 		fmt.Fprintf(w, "# HELP xspcl_iter_latency Iteration launch-to-retire latency (%s).\n# TYPE xspcl_iter_latency histogram\n", s.Units)
 		renderHist(w, "xspcl_iter_latency", "", *s.IterLat)
 	}
-	if len(s.Streams) > 0 {
-		fmt.Fprintf(w, "# HELP xspcl_stream_occupancy Iterations holding the stream's buffers.\n# TYPE xspcl_stream_occupancy gauge\n")
-		for _, sn := range s.Streams {
-			fmt.Fprintf(w, "xspcl_stream_occupancy{stream=%q} %d\n", sn.Name, sn.Occupancy)
-		}
-		fmt.Fprintf(w, "# HELP xspcl_stream_high_water Stream occupancy high-water mark.\n# TYPE xspcl_stream_high_water gauge\n")
-		for _, sn := range s.Streams {
-			fmt.Fprintf(w, "xspcl_stream_high_water{stream=%q} %d\n", sn.Name, sn.HighWater)
-		}
-	}
+	gauge(w, "xspcl_window_occupancy", "Stream-buffer sets held by in-flight iterations.", int64(s.Occupancy))
+	gauge(w, "xspcl_window_high_water", "Most stream-buffer sets ever held at once.", int64(s.HighWater))
 }
 
 // renderHist writes one histogram series with the fixed log2 bucket

@@ -317,12 +317,31 @@ func TestDashboardRenders(t *testing.T) {
 	var buf bytes.Buffer
 	obs.RenderDashboard(&buf, app.Snapshot())
 	out := buf.String()
-	for _, want := range []string{"xspcl sim", "STAGE", "STREAM", "snk", "iter latency"} {
+	for _, want := range []string{"xspcl sim", "STAGE", "WINDOW 0/3 buffer sets held, high-water 3", "snk", "iter latency"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dashboard missing %q:\n%s", want, out)
 		}
 	}
 	if strings.Contains(out, "health=STALLED") {
 		t.Fatalf("healthy run rendered stalled:\n%s", out)
+	}
+}
+
+// TestDashboardFullWindowFillsBar: the window bar is drawn against the
+// stream capacity, so a window holding all its sets fills every cell
+// and an empty one none.
+func TestDashboardFullWindowFillsBar(t *testing.T) {
+	for _, c := range []struct {
+		held int
+		want string
+	}{
+		{3, "WINDOW 3/3 buffer sets held, high-water 3  [" + strings.Repeat("#", 20) + "]"},
+		{0, "WINDOW 0/3 buffer sets held, high-water 3  [" + strings.Repeat(".", 20) + "]"},
+	} {
+		var buf bytes.Buffer
+		obs.RenderDashboard(&buf, hinch.Snapshot{StreamCap: 3, Occupancy: c.held, HighWater: 3})
+		if !strings.Contains(buf.String(), c.want+"\n") {
+			t.Errorf("%d of 3 sets held: dashboard lacks %q:\n%s", c.held, c.want, buf.String())
+		}
 	}
 }
