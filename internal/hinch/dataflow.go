@@ -175,7 +175,7 @@ func (e *engine) resetIter(it *iterState) {
 // acts through worker 0's probe), and its releases are not published
 // one by one: they collect in the worker's release buffer and go out
 // as a single batch — one deque interaction, at most one wake — when
-// the worker flushes after the current job (flushReleases). Until then
+// the worker publishes after the current job (publish). Until then
 // no other worker can run them, which complete relies on.
 //
 //hinch:hotpath

@@ -18,7 +18,7 @@ type YieldPoint int
 
 // Scheduler boundaries exposed to TestHooks.Yield.
 const (
-	// YieldEnqueue fires in sched.push and pushBatch, just before jobs
+	// YieldEnqueue fires in publish, just before a batch of jobs
 	// become visible to other workers.
 	YieldEnqueue YieldPoint = iota
 	// YieldComplete fires at the start of complete(), before a finished

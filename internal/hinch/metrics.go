@@ -42,10 +42,10 @@ type SchedStats struct {
 	// Batches counts multi-job batch publishes: runs of released jobs
 	// made runnable with one deque interaction (batched dispatch).
 	Batches int64 `json:"batches"`
-	// Chained counts jobs executed straight off a worker's chain slot —
-	// same-task consecutive iterations run back-to-back without ever
-	// touching a queue. Like Jobs it counts dispatched jobs only, never
-	// held or skipped ones, so Chained <= Jobs.
+	// Chained is always 0: every job goes through a deque. It stays
+	// because the benchmark's hinch.chained_frac still reads it, and
+	// with it the report's "chained" key; ROADMAP item 2 drops that
+	// metric, and the field with it.
 	Chained int64 `json:"chained"`
 }
 
@@ -196,7 +196,6 @@ type counters struct {
 	parks         atomic.Int64
 	wakes         atomic.Int64
 	batches       atomic.Int64
-	chained       atomic.Int64
 }
 
 // taskCounters is one task's slice of a shard. jobs is the one add the
@@ -243,7 +242,6 @@ func (e *engine) fold() totals {
 		t.sched.Parks += c.parks.Load()
 		t.sched.Wakes += c.wakes.Load()
 		t.sched.Batches += c.batches.Load()
-		t.sched.Chained += c.chained.Load()
 		for id := range c.task {
 			tc := &c.task[id]
 			t.task[id].add(ClassStats{

@@ -236,12 +236,6 @@ func (p *probe) skip(j job, core int) {
 	}
 }
 
-// chainEnd closes a worker's run of n chained same-task jobs.
-func (p *probe) chainEnd(n int) {
-	p.chained.Add(int64(n))
-	p.emit(TraceBatch, -1, -1, int64(n+1))
-}
-
 // stealTry: the worker's own deque came up empty and it scans for work.
 func (p *probe) stealTry() { p.stealAttempts.Add(1) }
 

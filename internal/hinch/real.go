@@ -106,35 +106,18 @@ func (e *engine) runClock(quit <-chan struct{}, exited chan<- struct{}) {
 	}
 }
 
-// runWorker is one worker goroutine's loop: run the chained next job
-// if flushReleases installed one (same task, next iteration — no queue
-// touched at all), else pop from the local deque (the tail: the
-// same-iteration successors of the last job first), then steal from
-// another worker; park when nothing is runnable anywhere.
+// runWorker is one worker goroutine's loop: pop from the local deque
+// (the tail: the same-iteration successors of the last job first), else
+// steal from another worker, else park; run the job; publish its
+// releases.
 //
 //hinch:hotpath
 func (e *engine) runWorker(w *wsWorker) {
 	s := e.ws
-	for {
-		if s.done.Load() {
-			if w.chain > 0 {
-				e.endChain(w)
-			}
-			return
-		}
-		var j job
-		var ok, chained bool
-		if w.hasNext {
-			j, ok, chained = w.next, true, true
-			w.hasNext = false
-		} else {
-			if w.chain > 0 {
-				e.endChain(w)
-			}
-			j, ok = w.dq.pop()
-			if !ok {
-				j, ok = s.steal(w)
-			}
+	for !s.done.Load() {
+		j, ok := w.dq.pop()
+		if !ok {
+			j, ok = s.steal(w)
 		}
 		if !ok {
 			if s.park(w) {
@@ -144,53 +127,23 @@ func (e *engine) runWorker(w *wsWorker) {
 			}
 			continue
 		}
-		if e.execReal(w, j) && chained {
-			w.chain++
-		}
+		e.execReal(w, j)
 		// Cancellation probe: a fired run context is swept before this
 		// job's releases are published, so none of them runs in a
 		// cancelled iteration (runClock covers parked workers).
 		e.pollCancel()
-		e.flushReleases(w, j)
+		e.publish(w, j.iter)
 	}
 }
 
-// endChain closes w's open run of same-task iterations (w.chain > 0
-// dispatched chained jobs): they are counted, and the batch header
-// traced, once per run rather than once per job.
-//
-//hinch:hotpath
-func (e *engine) endChain(w *wsWorker) {
-	w.p.chainEnd(w.chain)
-	w.chain = 0
-}
-
-// flushReleases publishes the jobs j's execution released (collected in
-// the worker's release buffer by enqueue). Only when the task's
-// next-iteration job is j's sole release does the worker keep it in its
-// chain slot and run it back to back: nothing else waits on the owner
-// then, so the chain withholds no work from thieves and needs no
-// budget. Otherwise publish orders the batch around j's iteration.
-//
-//hinch:hotpath
-func (e *engine) flushReleases(w *wsWorker, j job) {
-	buf := w.relBuf
-	if len(buf) == 1 && buf[0].task == j.task && buf[0].iter != j.iter {
-		w.relBuf = buf[:0]
-		w.next = buf[0]
-		w.hasNext = true
-		return
-	}
-	e.publish(w, j.iter)
-}
-
-// publish pushes w's release buffer onto its deque as one batch, by the
+// publish makes w's release buffer runnable as one batch, by the
 // dispatch rule: finish the oldest iteration first, let next-iteration
 // work fill idle workers. The jobs of iteration iter go in at the
 // owner's end, every other one (the task's next job, iterations the
 // completion launched, requeued held jobs) beneath them at the steal
 // end, so the owner pops iter first and a thief takes the next
-// iteration.
+// iteration. One deque lock and at most one wake cover the batch; the
+// owner pops its last job itself, so only a longer batch wakes a thief.
 //
 //hinch:hotpath
 func (e *engine) publish(w *wsWorker, iter int) {
@@ -209,7 +162,11 @@ func (e *engine) publish(w *wsWorker, iter int) {
 			n++
 		}
 	}
-	e.ws.pushBatch(w, buf)
+	w.p.publish(len(buf))
+	w.dq.pushN(buf)
+	if len(buf) > 1 && e.ws.signalWork() {
+		w.p.woke()
+	}
 }
 
 // checkTermination decides, under the engine lock, whether a completed
@@ -229,11 +186,10 @@ func (e *engine) checkTermination() {
 // lets run is admitRun on sight — its iteration holds its stream
 // buffers (see ensureBuffers) — and goes straight to execution without
 // the engine lock; every other job passes the gate (admit) under it,
-// and manager jobs also execute there. It reports whether the job was dispatched —
-// counted in Report.Jobs — rather than held or skipped.
+// and manager jobs also execute there.
 //
 //hinch:hotpath
-func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
+func (e *engine) execReal(w *wsWorker, j job) {
 	mgr := j.task.Role != graph.RoleComponent
 	// j.it is the job's iteration, set by release: a live job's
 	// iteration cannot retire under it (its left-count waits for this
@@ -248,12 +204,12 @@ func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 		switch e.admit(w.p, j) {
 		case admitHeld:
 			e.mu.Unlock()
-			return false
+			return
 		case admitSkip:
 			e.mu.Unlock()
 			w.p.skip(j, w.id)
 			e.finishReal(w, j)
-			return false
+			return
 		}
 		if mgr {
 			start := w.p.dispatch(j, false)
@@ -261,11 +217,11 @@ func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 			e.mu.Unlock()
 			if err != nil {
 				e.failReal(err)
-				return true
+				return
 			}
 			w.p.executed(j, start)
 			e.finishReal(w, j)
-			return true
+			return
 		}
 		e.mu.Unlock()
 	}
@@ -275,12 +231,11 @@ func (e *engine) execReal(w *wsWorker, j job) (ran bool) {
 	w.p.yield(YieldDispatch)
 	if _, err := e.runComponent(w.p, &w.rc, j, w.id); err != nil {
 		e.ws.finish()
-		return true
+		return
 	}
 	// After EOS the tail of the run is cancelled, but this job still
 	// completes so the pipeline drains.
 	e.finishReal(w, j)
-	return true
 }
 
 // finishReal retires a job through complete(). Errors surfacing from

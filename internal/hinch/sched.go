@@ -11,7 +11,7 @@ import (
 // ready queue's — finish the oldest iteration first, and let
 // next-iteration work fill idle workers — kept without a shared queue
 // by the order in which a completion publishes its releases
-// (flushReleases): the cross-iteration releases go in beneath the
+// (publish): the cross-iteration releases go in beneath the
 // same-iteration ones. The owner therefore pops its own iteration's
 // successors first, the consumers of data it just wrote (cache-warm),
 // and a thief takes the next iteration from the head. The initial
@@ -120,18 +120,9 @@ type wsWorker struct {
 	rc RunContext // reusable run context for this worker's jobs
 
 	// relBuf collects the jobs released by the job this worker is
-	// executing; flushReleases publishes them as one batch when the job
-	// finishes (and may divert one into next, below).
+	// executing; publish makes them runnable as one batch when the job
+	// finishes.
 	relBuf []job
-
-	// next/hasNext is the worker's chained job: the next-iteration job
-	// of the task it just ran, when that was the job's only release
-	// (flushReleases), executed back-to-back without touching any
-	// queue. chain counts the dispatched jobs of the open run (held and
-	// skipped ones are not jobs, see Report.Jobs).
-	next    job
-	hasNext bool
-	chain   int
 
 	// stealBuf is the scratch the worker steals batches into.
 	stealBuf [stealMax]job
@@ -156,7 +147,7 @@ const stealMax = 8
 // sched is the shared work-stealing state of one real-backend run.
 //
 // The run ends by idle census, with no count of jobs in flight: a job
-// is queued, held by a worker, or waits on a dependency only a worker
+// is queued, run by a worker, or waits on a dependency only a worker
 // releases, so with every worker on the idle list and every queue
 // empty the run is over or stalled. Wakes and deregistrations bump
 // epoch, which the census (park) reads before and after its scan: a
@@ -192,21 +183,6 @@ func newSched(cfg Config, probes []probe) *sched {
 		s.workers[i].relBuf = make([]job, 0, 32)
 	}
 	return s
-}
-
-// pushBatch makes a run of jobs released by one execution runnable in
-// a single publish: one deque lock and at most one wake, where per-job
-// pushes pay both per job — the cross-worker traffic that made adding
-// workers slow the scheduler down. The owner pops the batch's last job
-// itself, so only a longer batch wakes a thief.
-//
-//hinch:hotpath
-func (s *sched) pushBatch(w *wsWorker, js []job) {
-	w.p.publish(len(js))
-	w.dq.pushN(js)
-	if len(js) > 1 && s.signalWork() {
-		w.p.woke()
-	}
 }
 
 // signalWork notifies the scheduler that runnable work was published

@@ -11,7 +11,7 @@ import (
 )
 
 // schedFixture is a two-worker dispatch layer with no engine behind
-// it: enough for flushReleases, the deques and steals.
+// it: enough for publish, the deques and steals.
 func schedFixture() (*engine, *wsWorker, *wsWorker) {
 	cfg := Config{Backend: BackendReal, Cores: 2}
 	e := &engine{ws: newSched(cfg, newProbes(cfg, 0))}
@@ -42,11 +42,11 @@ func sameNames(a, b []string) bool {
 }
 
 // TestSchedReleaseOrder pins the real backend's dispatch rule: a
-// completion's cross-iteration releases are published beneath its
-// same-iteration ones, so the owner pops its own iteration first and a
-// thief's steal from the head takes the next iteration first; the
-// chain slot takes the task's next-iteration job only when it is the
-// sole release.
+// completion's releases all go onto the owner's deque, its
+// cross-iteration releases beneath its same-iteration ones, so the
+// owner pops its own iteration first and a thief's steal from the head
+// takes the next iteration first — the task's own next job too, when
+// it is the sole release.
 func TestSchedReleaseOrder(t *testing.T) {
 	a := &graph.Task{ID: 0, Name: "a"}
 	b := &graph.Task{ID: 1, Name: "b"}
@@ -60,10 +60,7 @@ func TestSchedReleaseOrder(t *testing.T) {
 	t.Run("owner", func(t *testing.T) {
 		e, owner, _ := schedFixture()
 		owner.relBuf = append(owner.relBuf, released...)
-		e.flushReleases(owner, ran)
-		if owner.hasNext {
-			t.Fatalf("chain slot took %s from a batch of %d", jobName(owner.next), len(released))
-		}
+		e.publish(owner, ran.iter)
 		if !owner.dq.full.Load() {
 			t.Fatalf("deque not flagged full after publishing %d jobs", len(released))
 		}
@@ -79,7 +76,7 @@ func TestSchedReleaseOrder(t *testing.T) {
 	t.Run("thief", func(t *testing.T) {
 		e, owner, thief := schedFixture()
 		owner.relBuf = append(owner.relBuf, released...)
-		e.flushReleases(owner, ran)
+		e.publish(owner, ran.iter)
 		j, ok := e.ws.steal(thief)
 		if !ok {
 			t.Fatal("steal found nothing")
@@ -95,35 +92,49 @@ func TestSchedReleaseOrder(t *testing.T) {
 		}
 	})
 
-	t.Run("chain", func(t *testing.T) {
+	// Every release set, the task's sole next job included, lands on the
+	// owner's deque: no job is kept outside a queue.
+	t.Run("publish", func(t *testing.T) {
 		for _, tc := range []struct {
-			rel   []job
-			chain bool
+			rel  []job
+			pops []string
 		}{
-			{[]job{{iter: 6, task: a}}, true},                      // the task's next job alone
-			{[]job{{iter: 5, task: b}}, false},                     // a same-iteration release alone
-			{[]job{{iter: 7, task: d}}, false},                     // another task's iteration alone
-			{[]job{{iter: 6, task: a}, {iter: 5, task: b}}, false}, // next job beside a successor
+			{[]job{{iter: 6, task: a}}, []string{"a@6"}},                            // the task's next job alone
+			{[]job{{iter: 5, task: b}}, []string{"b@5"}},                            // a same-iteration release alone
+			{[]job{{iter: 7, task: d}}, []string{"d@7"}},                            // another task's iteration alone
+			{[]job{{iter: 6, task: a}, {iter: 5, task: b}}, []string{"b@5", "a@6"}}, // next job beside a successor
 		} {
 			e, owner, _ := schedFixture()
 			owner.relBuf = append(owner.relBuf, tc.rel...)
-			e.flushReleases(owner, ran)
-			if owner.hasNext != tc.chain {
-				t.Errorf("releases %v: chained %v, want %v", jobNames(tc.rel), owner.hasNext, tc.chain)
-			}
+			e.publish(owner, ran.iter)
 			queued := len(owner.dq.buf) - owner.dq.head
-			if owner.dq.full.Load() != (queued > 0) {
+			if queued != len(tc.rel) || !owner.dq.full.Load() {
 				t.Errorf("releases %v: %d queued, flagged full %v", jobNames(tc.rel), queued, owner.dq.full.Load())
-			}
-			if owner.hasNext {
-				queued++
-			}
-			if queued != len(tc.rel) {
-				t.Errorf("releases %v: %d visible", jobNames(tc.rel), queued)
 			}
 			if len(owner.relBuf) != 0 {
 				t.Errorf("releases %v: release buffer not reset", jobNames(tc.rel))
 			}
+			if got := drain(owner.dq.pop); !sameNames(got, tc.pops) {
+				t.Errorf("releases %v: owner pops %v, want %v", jobNames(tc.rel), got, tc.pops)
+			}
+		}
+	})
+
+	// A task's sole next-iteration release is visible to a thief as soon
+	// as the completion publishes it.
+	t.Run("sole-steal", func(t *testing.T) {
+		e, owner, thief := schedFixture()
+		owner.relBuf = append(owner.relBuf, job{iter: 6, task: a})
+		e.publish(owner, ran.iter)
+		j, ok := e.ws.steal(thief)
+		if !ok {
+			t.Fatal("steal found nothing: the sole release is not queued")
+		}
+		if jobName(j) != "a@6" {
+			t.Fatalf("thief steals %s, want a@6", jobName(j))
+		}
+		if got := drain(owner.dq.pop); len(got) != 0 {
+			t.Fatalf("owner keeps %v after the steal, want nothing", got)
 		}
 	})
 }

@@ -265,12 +265,6 @@ func (r *Recorder) export(w io.Writer, all []exportRec) error {
 				Name: fmt.Sprintf("steal from %d", ev.ID), Cat: "sched", Ph: "i",
 				TS: us(ev.TS), PID: 0, TID: tid(ev.Worker), S: "t",
 			})
-		case hinch.TraceBatch:
-			events = append(events, chromeEvent{
-				Name: "batch", Cat: "sched", Ph: "i",
-				TS: us(ev.TS), PID: 0, TID: tid(ev.Worker), S: "t",
-				Args: map[string]any{"run": ev.Arg},
-			})
 		case hinch.TraceStall:
 			// The telemetry watchdog saw Arg epochs without a retirement.
 			events = append(events, chromeEvent{

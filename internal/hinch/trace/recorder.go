@@ -148,8 +148,7 @@ func (r *Recorder) Dropped() int64 {
 //     Iterations, reconfig-apply = Reconfigs, event-push + degrade =
 //     Events, fault/retry/degrade = Faults/Retries/Degradations,
 //     park = Sched.Parks, the jobs moved by steal hits (the sum of
-//     their Arg — a hit takes a batch) = Sched.Steals, the chained jobs
-//     under the batch headers = Sched.Chained, stall = Stalls;
+//     their Arg — a hit takes a batch) = Sched.Steals, stall = Stalls;
 //   - no iteration takes a buffer set twice and, when no events were
 //     dropped, stream-acquire events = iteration launches (every
 //     launched iteration acquires exactly once, skipped tails
@@ -163,7 +162,7 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 		return fmt.Errorf("trace: %d shards for %d cores", len(r.shards), meta.Cores)
 	}
 	var n [hinch.TraceStall + 1]int64 // events per kind
-	var counted, stolen, chained int64
+	var counted, stolen int64
 	lastEnd := make(map[int32]int64, meta.Cores)
 	acquired := map[int32]bool{} // iterations seen taking their buffer set
 	for si := 0; si < len(r.shards); si++ {
@@ -174,8 +173,6 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 				counted += ev.Arg
 			case hinch.TraceStealHit:
 				stolen += ev.Arg
-			case hinch.TraceBatch:
-				chained += ev.Arg - 1
 			case hinch.TraceStreamAcquire:
 				if acquired[ev.Iter] {
 					return fmt.Errorf("trace: iteration %d took a buffer set twice", ev.Iter)
@@ -215,7 +212,6 @@ func Validate(r *Recorder, rep *hinch.Report) error {
 		{"degrade events / degradations", n[hinch.TraceDegrade], rep.Degradations},
 		{"park events / parks", n[hinch.TracePark], rep.Sched.Parks},
 		{"jobs moved by steal hits / steals", stolen, rep.Sched.Steals},
-		{"chained jobs under batch headers / chained", chained, rep.Sched.Chained},
 		{"stall events / stalls", n[hinch.TraceStall], rep.Stalls},
 		{"stream-acquire events / iteration launches", acquires, n[hinch.TraceIterLaunch]},
 		{"stream-release events / stream-acquire events", n[hinch.TraceStreamRelease], acquires},

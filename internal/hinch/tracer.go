@@ -87,12 +87,6 @@ const (
 	// queue (policy exhaustion or watchdog overrun). Arg = queue depth
 	// after the push.
 	TraceDegrade
-	// TraceBatch: worker Worker finished a chained run of same-task
-	// consecutive iterations (batched dispatch, real backend only). One
-	// header per run; Arg = the run length: 1 + the dispatched jobs the
-	// run took off the chain slot (Sched.Chained sums Arg - 1).
-	// The per-job TraceJobSpan events are emitted as usual.
-	TraceBatch
 	// TraceStall: the telemetry watchdog saw Arg consecutive epochs
 	// without an iteration retiring. Iter = the oldest unretired
 	// iteration.
@@ -138,8 +132,6 @@ func (k TraceKind) String() string {
 		return "fault"
 	case TraceDegrade:
 		return "degrade"
-	case TraceBatch:
-		return "batch"
 	case TraceStall:
 		return "stall"
 	}
