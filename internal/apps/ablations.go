@@ -102,10 +102,11 @@ func RunAblations(cores int) ([]AblationTable, error) {
 	}
 	out = append(out, cross)
 
-	// Stream FIFO capacity (the iterations in flight; see DESIGN.md §5).
+	// Stream capacity: the streams share one buffer window of that many
+	// sets, one per iteration in flight (see DESIGN.md §5).
 	capTab := AblationTable{
 		Name: "stream-capacity",
-		Doc:  "bounded stream FIFO depth (iterations in flight), PiP-1",
+		Doc:  "one buffer window shared by the streams, that many sets (one per iteration in flight), PiP-1",
 	}
 	for _, c := range []int{3, 1, 2, 5} {
 		v := NewPiPVariant("pip", DefaultPiP(1))
