@@ -7,8 +7,9 @@ import "sync"
 // 1280×720 frame reserves 5.5 MB of coefficients (a decode of the
 // synthetic video fills about 0.5 MB of it, and the rest is never
 // touched), so the bound is what one JPiP-2 App hands back at most —
-// its three coefficient streams times hinch's default PipelineDepth of
-// 5 buffer sets — and not media's 256 frames.
+// its three coefficient streams times the sets of hinch's buffer
+// window, which has bufCap sets, at most the default PipelineDepth of
+// 5 — and not media's 256 frames.
 const coeffPoolMax = 3 * 5
 
 // coeffPool is the global coefficient-frame free-list, keyed by
