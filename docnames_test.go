@@ -61,7 +61,7 @@ func TestDocsCiteDeclaredNames(t *testing.T) {
 				if fileExts[parts[len(parts)-1]] {
 					continue
 				}
-				std := map[string]bool{}
+				var std map[string]bool
 				if path, ok := stdImports[parts[0]]; ok {
 					if stdNames[path] == nil {
 						stdNames[path], _ = declaredNames(t, filepath.Join(build.Default.GOROOT, "src", path), false)
